@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	hotdynamics -in network.gob            # analyse a saved dataset
+//	hotdynamics -in network.hotd           # analyse a saved dataset
 //	hotdynamics -sectors 600 -seed 1       # generate on the fly
 package main
 

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	hotforecast -sectors 600 -t 60,70 -h 1,7,14 -w 7 -target hot
-//	hotforecast -in network.gob -models Average,RF-F1 -target become
+//	hotforecast -in network.hotd -models Average,RF-F1 -target become
 //	hotforecast -workers 8      # bound the parallel sweep engine
 //	hotforecast -cache-mb 512   # feature-matrix cache budget (0 disables)
 //	hotforecast -split-algo hist # histogram-binned tree training (exact | hist | auto)

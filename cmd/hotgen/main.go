@@ -1,9 +1,10 @@
 // Command hotgen generates a synthetic cellular-network KPI dataset and
-// writes it to disk in gob format for the other tools to consume.
+// writes it to disk in the checksummed dataset format (simnet.Save) for
+// the other tools to consume.
 //
 // Usage:
 //
-//	hotgen -out network.gob -sectors 1000 -weeks 18 -seed 1
+//	hotgen -out network.hotd -sectors 1000 -weeks 18 -seed 1
 package main
 
 import (
@@ -29,7 +30,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hotgen", flag.ContinueOnError)
 	var (
-		outPath = fs.String("out", "network.gob", "output path")
+		outPath = fs.String("out", "network.hotd", "output path")
 		sectors = fs.Int("sectors", 1000, "approximate sector count")
 		weeks   = fs.Int("weeks", 18, "observation window in weeks")
 		seed    = fs.Uint64("seed", 1, "random seed")

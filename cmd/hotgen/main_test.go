@@ -13,7 +13,7 @@ import (
 // TestRunSmoke generates a tiny dataset end to end and asserts the report
 // line parses back to the written file's shape.
 func TestRunSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "net.gob")
+	out := filepath.Join(t.TempDir(), "net.hotd")
 	var buf strings.Builder
 	err := run([]string{"-out", out, "-sectors", "60", "-weeks", "4", "-seed", "3"}, &buf)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/impute"
 	"repro/internal/registry"
+	"repro/internal/simnet"
 )
 
 func smallPipeline(t *testing.T) *Pipeline {
@@ -320,5 +322,44 @@ func TestPipelineRejectsForeignArtifact(t *testing.T) {
 	if _, err := p.Publish(tr); err == nil ||
 		!strings.Contains(err.Error(), "different dataset") {
 		t.Fatalf("foreign artifact published (err=%v)", err)
+	}
+}
+
+// TestDatasetFingerprintSurvivesSaveLoad: a dataset written to disk and
+// read back fingerprints like the original, so an artifact trained before
+// the round trip still passes CheckArtifact after it.
+func TestDatasetFingerprintSurvivesSaveLoad(t *testing.T) {
+	gen := simnet.DefaultConfig()
+	gen.Seed, gen.Sectors, gen.Weeks = 3, 150, 8
+	ds, err := simnet.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ds.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := simnet.Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{TrainDays: 3}
+	orig, err := FromDataset(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := FromDataset(loaded, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := orig.Ctx.DatasetFingerprint(), again.Ctx.DatasetFingerprint(); a != b {
+		t.Fatalf("fingerprint %016x before save, %016x after load", a, b)
+	}
+	tr, err := orig.Train(Average, forecast.BeHot, 30, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := again.Ctx.CheckArtifact(tr); err != nil {
+		t.Fatal(err)
 	}
 }

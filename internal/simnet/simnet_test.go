@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -265,39 +264,6 @@ func TestTableIIDistributionDraw(t *testing.T) {
 	}
 	if counts[0] != 0 {
 		t.Fatal("empty pattern drawn")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	ds, err := Generate(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ds.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.K.N != ds.K.N || got.K.T != ds.K.T || got.K.F != ds.K.F {
-		t.Fatal("shape mismatch after round trip")
-	}
-	for i := range ds.K.Data {
-		a, b := ds.K.Data[i], got.K.Data[i]
-		if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-			t.Fatalf("data mismatch at %d", i)
-		}
-	}
-	if got.Grid.Hours() != ds.Grid.Hours() {
-		t.Fatal("grid mismatch")
-	}
-	if len(got.Topo.Sectors) != len(ds.Topo.Sectors) {
-		t.Fatal("topology mismatch")
-	}
-	if len(got.Truth.Episodes) != len(ds.Truth.Episodes) {
-		t.Fatal("episodes mismatch")
 	}
 }
 
