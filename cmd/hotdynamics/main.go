@@ -15,8 +15,6 @@ import (
 	"log"
 
 	"repro/internal/experiments"
-	"repro/internal/forecast"
-	"repro/internal/score"
 	"repro/internal/simnet"
 )
 
@@ -62,15 +60,5 @@ func prepare(path string, sectors int, seed uint64) (*experiments.Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	keep := score.FilterSectors(ds.K, 0.5)
-	sub := ds.SelectSectors(keep)
-	set := score.Compute(sub.K, score.DefaultWeighting())
-	ctx, err := forecast.NewContext(sub.K, sub.Grid.Calendar(), set, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &experiments.Env{
-		Scale: scale, Dataset: sub, Set: set, Ctx: ctx,
-		Discarded: ds.N() - len(keep),
-	}, nil
+	return experiments.FromDataset(ds, scale)
 }

@@ -132,10 +132,16 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 
 // FromDataset prepares a pipeline from an existing dataset (e.g. loaded
 // from disk via simnet.LoadFile).
+//
+// It consumes ds: the missing-data filter restricts ds in place
+// (simnet.Dataset.SelectSectors), so no second copy of K is made, and ds
+// then holds the filtered sectors the pipeline serves from
+// (Pipeline.Dataset). Callers must not use ds as the unfiltered dataset
+// afterwards; save it or read its shape first, or reload it.
 func FromDataset(ds *simnet.Dataset, cfg Config) (*Pipeline, error) {
 	keep := score.FilterSectors(ds.K, 0.5)
 	discarded := ds.N() - len(keep)
-	sub := ds.SelectSectors(keep)
+	ds.SelectSectors(keep)
 
 	if cfg.Impute {
 		icfg := impute.DefaultConfig()
@@ -143,19 +149,19 @@ func FromDataset(ds *simnet.Dataset, cfg Config) (*Pipeline, error) {
 			icfg = *cfg.ImputeConfig
 		}
 		icfg.Seed = genSeed(cfg)
-		im, err := impute.Train(sub.K, icfg)
+		im, err := impute.Train(ds.K, icfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: training imputer: %w", err)
 		}
-		filled, err := im.Impute(sub.K)
+		filled, err := im.Impute(ds.K)
 		if err != nil {
 			return nil, fmt.Errorf("core: imputing: %w", err)
 		}
-		sub.K = filled
+		ds.K = filled
 	}
 
-	set := score.Compute(sub.K, score.DefaultWeighting())
-	ctx, err := forecast.NewContext(sub.K, sub.Grid.Calendar(), set, genSeed(cfg))
+	set := score.Compute(ds.K, score.DefaultWeighting())
+	ctx, err := forecast.NewContext(ds.K, ds.Grid.Calendar(), set, genSeed(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +174,7 @@ func FromDataset(ds *simnet.Dataset, cfg Config) (*Pipeline, error) {
 	ctx.CacheBytes = cfg.CacheBytes
 	ctx.ModelCacheBytes = cfg.ModelCacheBytes
 	ctx.SplitAlgo = cfg.SplitAlgo
-	return &Pipeline{Dataset: sub, Scores: set, Ctx: ctx, Discarded: discarded}, nil
+	return &Pipeline{Dataset: ds, Scores: set, Ctx: ctx, Discarded: discarded}, nil
 }
 
 func genSeed(cfg Config) uint64 {

@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/forecast"
 	"repro/internal/mltree"
 	"repro/internal/score"
@@ -130,21 +131,25 @@ func Prepare(s Scale) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generating network: %w", err)
 	}
-	keep := score.FilterSectors(ds.K, 0.5)
-	discarded := ds.N() - len(keep)
-	sub := ds.SelectSectors(keep)
-	set := score.Compute(sub.K, score.DefaultWeighting())
-	ctx, err := forecast.NewContext(sub.K, sub.Grid.Calendar(), set, s.Seed)
+	return FromDataset(ds, s)
+}
+
+// FromDataset prepares the environment from an existing dataset through
+// core.FromDataset, which consumes ds (it is filtered in place).
+func FromDataset(ds *simnet.Dataset, s Scale) (*Env, error) {
+	p, err := core.FromDataset(ds, core.Config{
+		Seed:        s.Seed,
+		TrainDays:   s.TrainDays,
+		ForestTrees: s.ForestTrees,
+		CacheBytes:  s.CacheBytes,
+		SplitAlgo:   s.SplitAlgo,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building context: %w", err)
 	}
-	ctx.TrainDays = s.TrainDays
-	ctx.ForestTrees = s.ForestTrees
-	ctx.CacheBytes = s.CacheBytes
-	ctx.SplitAlgo = s.SplitAlgo
 	// Experiment grids always hold many points, so the sweep pool is the
 	// parallelism lever; serialise each forest fit to keep the total
 	// goroutine count at Workers (and make Workers=1 truly sequential).
-	ctx.FitWorkers = 1
-	return &Env{Scale: s, Dataset: sub, Set: set, Ctx: ctx, Discarded: discarded}, nil
+	p.Ctx.FitWorkers = 1
+	return &Env{Scale: s, Dataset: p.Dataset, Set: p.Scores, Ctx: p.Ctx, Discarded: p.Discarded}, nil
 }

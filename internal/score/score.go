@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"repro/internal/mathx"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/timegrid"
 )
@@ -72,7 +73,9 @@ func (w *Weighting) Hourly(k *tensor.Tensor3) *tensor.Matrix {
 	}
 	out := tensor.NewMatrix(k.N, k.T)
 	total := w.TotalWeight()
-	for i := 0; i < k.N; i++ {
+	// Sectors are independent rows, so they score on the shared pool with
+	// results bit-identical at any worker count. The body cannot fail.
+	_ = parallel.For(0, k.N, func(i int) error {
 		row := out.Row(i)
 		for j := 0; j < k.T; j++ {
 			cell := k.Cell(i, j)
@@ -91,7 +94,8 @@ func (w *Weighting) Hourly(k *tensor.Tensor3) *tensor.Matrix {
 			}
 			row[j] = sum / total
 		}
-	}
+		return nil
+	})
 	return out
 }
 
@@ -220,29 +224,31 @@ func becomeAt(sd []float64, j int, threshold float64) bool {
 
 // FilterSectors applies the paper's missing-data rule (Sec. II-C): a sector
 // is discarded when any week has more than maxWeekMissing (0.5 in the paper)
-// of its KPI entries missing. It returns the indices of surviving sectors.
+// of its KPI entries missing. It returns the indices of surviving sectors in
+// ascending order, the form tensor.Tensor3.SelectSectors requires. Sectors
+// are checked on the shared pool.
 func FilterSectors(k *tensor.Tensor3, maxWeekMissing float64) []int {
 	weeks := k.T / timegrid.HoursPerWeek
-	var keep []int
-	for i := 0; i < k.N; i++ {
-		ok := true
-		for w := 0; w < weeks && ok; w++ {
+	total := timegrid.HoursPerWeek * k.F
+	ok := make([]bool, k.N)
+	_ = parallel.For(0, k.N, func(i int) error { // cannot fail
+		for w := 0; w < weeks; w++ {
 			missing := 0
-			total := timegrid.HoursPerWeek * k.F
-			base := w * timegrid.HoursPerWeek
-			for j := 0; j < timegrid.HoursPerWeek; j++ {
-				cell := k.Cell(i, base+j)
-				for _, v := range cell {
-					if math.IsNaN(v) {
-						missing++
-					}
+			for _, v := range k.Sector(i)[w*total : (w+1)*total] {
+				if math.IsNaN(v) {
+					missing++
 				}
 			}
 			if float64(missing)/float64(total) > maxWeekMissing {
-				ok = false
+				return nil
 			}
 		}
-		if ok {
+		ok[i] = true
+		return nil
+	})
+	var keep []int
+	for i, survives := range ok {
+		if survives {
 			keep = append(keep, i)
 		}
 	}

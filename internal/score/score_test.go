@@ -2,6 +2,8 @@ package score
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -441,6 +443,41 @@ func TestFilterSectorsOnSynthetic(t *testing.T) {
 	sub := ds.K.SelectSectors(keep)
 	if frac := sub.MissingFraction(); frac > 0.10 {
 		t.Fatalf("post-filter missing fraction = %v", frac)
+	}
+}
+
+// TestWorkersBitIdentical: the missing-data filter and the score chain
+// run per sector on the shared pool, and give bit-identical results at
+// GOMAXPROCS 1 and N. It runs under -short so the race detector sees the
+// pool.
+func TestWorkersBitIdentical(t *testing.T) {
+	cfg := simnet.DefaultConfig()
+	cfg.Sectors, cfg.Weeks, cfg.BadSectorFrac = 120, 4, 0.1
+	ds, err := simnet.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(procs int) ([]int, *Set) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return FilterSectors(ds.K, 0.5), Compute(ds.K, DefaultWeighting())
+	}
+	keep1, set1 := run(1)
+	keepN, setN := run(max(4, runtime.NumCPU()))
+	if len(keep1) == ds.N() || !reflect.DeepEqual(keep1, keepN) {
+		t.Fatalf("survivors: %d of %d at 1 proc, %d at N", len(keep1), ds.N(), len(keepN))
+	}
+	for _, m := range []struct {
+		name string
+		a, b *tensor.Matrix
+	}{
+		{"Sh", set1.Sh, setN.Sh}, {"Sd", set1.Sd, setN.Sd}, {"Sw", set1.Sw, setN.Sw},
+		{"Yh", set1.Yh, setN.Yh}, {"Yd", set1.Yd, setN.Yd}, {"Yw", set1.Yw, setN.Yw},
+	} {
+		for i := range m.a.Data {
+			if math.Float64bits(m.a.Data[i]) != math.Float64bits(m.b.Data[i]) {
+				t.Fatalf("%s differs at %d between 1 and N procs", m.name, i)
+			}
+		}
 	}
 }
 

@@ -312,11 +312,17 @@ func LoadFile(path string) (*Dataset, error) {
 	return Load(f)
 }
 
-// SelectSectors returns a copy of the dataset restricted to the listed
-// sectors (used by the missing-value filtering step). Sector IDs in the
-// returned topology are re-numbered to be dense; tower membership is
-// preserved for the survivors. Truth episodes are re-indexed accordingly.
+// SelectSectors restricts the dataset in place to the listed sectors (the
+// missing-value filtering step) and returns d. keep must be strictly
+// ascending, as score.FilterSectors returns it. K and Truth.HotDrive are
+// compacted in their own storage (see tensor.Tensor3.SelectSectors), so
+// the caller gives up the unfiltered dataset: read anything needed from it
+// (its sector count, say) before the call. Sector IDs in the new topology
+// are re-numbered to be dense; tower membership is preserved for the
+// survivors. Truth episodes are re-indexed accordingly.
 func (d *Dataset) SelectSectors(keep []int) *Dataset {
+	d.K.SelectSectors(keep)
+	d.Truth.HotDrive.SelectRows(keep)
 	remap := make(map[int]int, len(keep))
 	for newID, oldID := range keep {
 		remap[oldID] = newID
@@ -341,21 +347,14 @@ func (d *Dataset) SelectSectors(keep []int) *Dataset {
 		topo.Sectors = append(topo.Sectors, sec)
 		topo.Towers[newTower].Sectors = append(topo.Towers[newTower].Sectors, sec.ID)
 	}
-	truth := &Truth{HotDrive: tensor.NewMatrix(len(keep), d.Truth.HotDrive.Cols)}
-	for newID, oldID := range keep {
-		copy(truth.HotDrive.Row(newID), d.Truth.HotDrive.Row(oldID))
-	}
+	d.Topo = topo
+	episodes := d.Truth.Episodes[:0]
 	for _, ep := range d.Truth.Episodes {
 		if newID, ok := remap[ep.Sector]; ok {
 			ep.Sector = newID
-			truth.Episodes = append(truth.Episodes, ep)
+			episodes = append(episodes, ep)
 		}
 	}
-	return &Dataset{
-		Grid:   d.Grid,
-		Config: d.Config,
-		Topo:   topo,
-		K:      d.K.SelectSectors(keep),
-		Truth:  truth,
-	}
+	d.Truth.Episodes = episodes
+	return d
 }

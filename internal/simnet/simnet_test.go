@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/randx"
@@ -267,35 +269,89 @@ func TestTableIIDistributionDraw(t *testing.T) {
 	}
 }
 
+// TestSelectSectors compacts a generated dataset in place and checks it
+// against a copy taken before the call: every survivor keeps its KPI and
+// HotDrive rows bit for bit (NaN payloads included), its topology entry
+// with a dense new ID, its tower (renumbered in order of first survivor)
+// and its truth episodes.
 func TestSelectSectors(t *testing.T) {
 	ds, err := Generate(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep := []int{5, 10, 11}
-	sub := ds.SelectSectors(keep)
-	if sub.N() != 3 {
-		t.Fatalf("N = %d, want 3", sub.N())
+	ds.K.Set(3, 7, 2, nanPayload)  // kept
+	ds.K.Set(14, 0, 0, nanPayload) // dropped
+	ref, err := Load(bytes.NewReader(saveBytes(t, ds)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for newID, oldID := range keep {
-		if sub.Topo.Sectors[newID].Class != ds.Topo.Sectors[oldID].Class {
-			t.Fatal("class not preserved")
+	var keep []int
+	for i := 0; i < ds.N(); i++ {
+		if i%7 != 0 {
+			keep = append(keep, i)
 		}
-		if sub.Topo.Sectors[newID].ID != newID {
-			t.Fatal("IDs not renumbered")
+	}
+	storage := &ds.K.Data[0]
+	sub := ds.SelectSectors(keep)
+	if sub != ds || &sub.K.Data[0] != storage {
+		t.Fatal("SelectSectors did not work in place")
+	}
+	if sub.N() != len(keep) || sub.Truth.HotDrive.Rows != len(keep) ||
+		len(sub.K.Data) != cap(sub.K.Data) || len(sub.Topo.Sectors) != len(keep) {
+		t.Fatalf("shapes after selecting %d sectors: N=%d HotDrive=%d sectors=%d",
+			len(keep), sub.N(), sub.Truth.HotDrive.Rows, len(sub.Topo.Sectors))
+	}
+
+	newID := map[int]int{}
+	newTower := map[int]int{}
+	for id, old := range keep {
+		newID[old] = id
+		if at, ok := sameBits(sub.K.Sector(id), ref.K.Sector(old)); !ok {
+			t.Fatalf("sector %d (was %d): K differs at %d", id, old, at)
 		}
-		for j := 0; j < sub.K.T; j++ {
-			a, b := sub.K.At(newID, j, 0), ds.K.At(oldID, j, 0)
-			if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-				t.Fatal("KPI row not preserved")
+		if at, ok := sameBits(sub.Truth.HotDrive.Row(id), ref.Truth.HotDrive.Row(old)); !ok {
+			t.Fatalf("sector %d (was %d): HotDrive differs at %d", id, old, at)
+		}
+		want := ref.Topo.Sectors[old]
+		if _, ok := newTower[want.Tower]; !ok {
+			newTower[want.Tower] = len(newTower)
+		}
+		want.ID, want.Tower = id, newTower[want.Tower]
+		if got := sub.Topo.Sectors[id]; got != want {
+			t.Fatalf("sector %d (was %d): topology %+v, want %+v", id, old, got, want)
+		}
+	}
+	if len(sub.Topo.Towers) != len(newTower) {
+		t.Fatalf("%d towers, want %d", len(sub.Topo.Towers), len(newTower))
+	}
+	for old, id := range newTower {
+		got, was := sub.Topo.Towers[id], ref.Topo.Towers[old]
+		if got.ID != id || got.X != was.X || got.Y != was.Y || got.City != was.City || got.Class != was.Class {
+			t.Fatalf("tower %d (was %d): %+v, want %+v", id, old, got, was)
+		}
+		var members []int
+		for _, s := range was.Sectors {
+			if n, ok := newID[s]; ok {
+				members = append(members, n)
 			}
 		}
-	}
-	// Same-tower sectors 10,11 should stay on one tower if they shared one.
-	if ds.Topo.Sectors[10].Tower == ds.Topo.Sectors[11].Tower {
-		if sub.Topo.Sectors[1].Tower != sub.Topo.Sectors[2].Tower {
-			t.Fatal("tower sharing lost")
+		if !reflect.DeepEqual(got.Sectors, members) {
+			t.Fatalf("tower %d sectors %v, want %v", id, got.Sectors, members)
 		}
+	}
+	var episodes []Episode
+	for _, ep := range ref.Truth.Episodes {
+		if n, ok := newID[ep.Sector]; ok {
+			ep.Sector = n
+			episodes = append(episodes, ep)
+		}
+	}
+	if len(episodes) == 0 || len(episodes) == len(ref.Truth.Episodes) {
+		t.Fatalf("selection keeps %d of %d episodes: pick sectors that keep some and drop some",
+			len(episodes), len(ref.Truth.Episodes))
+	}
+	if !reflect.DeepEqual(sub.Truth.Episodes, episodes) {
+		t.Fatal("truth episodes not re-indexed like the survivors")
 	}
 }
 

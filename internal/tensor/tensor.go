@@ -160,14 +160,42 @@ func (x *Tensor3) MissingFraction() float64 {
 	return float64(n) / float64(len(x.Data))
 }
 
-// SelectSectors returns a new tensor keeping only the listed sector rows, in
-// the given order.
+// SelectSectors restricts x in place to the listed sector rows and
+// returns x. keep must be strictly ascending and in range (it panics
+// otherwise, before touching x): each kept row slides down over the
+// discarded ones, and Data is re-sliced to the survivors with its capacity
+// capped, so nothing can append into the freed tail. The caller gives up
+// the old shape; any slice taken from x before the call (Sector, Cell)
+// may now hold another sector's values.
 func (x *Tensor3) SelectSectors(keep []int) *Tensor3 {
-	out := NewTensor3(len(keep), x.T, x.F)
-	for dst, src := range keep {
-		copy(out.Sector(dst), x.Sector(src))
+	x.Data = compactRows(x.Data, x.N, x.T*x.F, keep)
+	x.N = len(keep)
+	return x
+}
+
+// SelectRows is SelectSectors for a matrix: it restricts m in place to the
+// listed rows, which must be strictly ascending, and returns m.
+func (m *Matrix) SelectRows(keep []int) *Matrix {
+	m.Data = compactRows(m.Data, m.Rows, m.Cols, keep)
+	m.Rows = len(keep)
+	return m
+}
+
+// compactRows moves rows keep[i] of data (n rows of stride elements) to
+// row i and returns the survivors as a capacity-capped slice.
+func compactRows(data []float64, n, stride int, keep []int) []float64 {
+	for i, r := range keep {
+		if r < 0 || r >= n || (i > 0 && r <= keep[i-1]) {
+			panic(fmt.Sprintf("tensor: selected row %d (entry %d) is out of range [0:%d) or not above its predecessor", r, i, n))
+		}
 	}
-	return out
+	for dst, src := range keep {
+		if dst != src {
+			copy(data[dst*stride:(dst+1)*stride], data[src*stride:(src+1)*stride])
+		}
+	}
+	end := len(keep) * stride
+	return data[:end:end]
 }
 
 // ConcatFeatures implements the paper's ||3 operator: it concatenates

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -134,13 +135,46 @@ func TestMissingFraction(t *testing.T) {
 }
 
 func TestSelectSectors(t *testing.T) {
-	x := NewTensor3(3, 2, 1)
-	for i := 0; i < 3; i++ {
-		x.Set(i, 0, 0, float64(i))
+	x := NewTensor3(4, 2, 1)
+	for i := range x.Data {
+		x.Data[i] = float64(i)
 	}
-	y := x.SelectSectors([]int{2, 0})
-	if y.N != 2 || y.At(0, 0, 0) != 2 || y.At(1, 0, 0) != 0 {
-		t.Fatalf("SelectSectors wrong: %+v", y.Data)
+	storage := &x.Data[0]
+	y := x.SelectSectors([]int{1, 3})
+	if y != x || &x.Data[0] != storage {
+		t.Fatal("SelectSectors did not compact in place")
+	}
+	if x.N != 2 || len(x.Data) != 4 || cap(x.Data) != 4 {
+		t.Fatalf("shape after selection: N=%d len=%d cap=%d", x.N, len(x.Data), cap(x.Data))
+	}
+	if want := []float64{2, 3, 6, 7}; !reflect.DeepEqual(x.Data, want) {
+		t.Fatalf("SelectSectors = %v, want %v", x.Data, want)
+	}
+
+	for _, keep := range [][]int{{2, 0}, {1, 1}, {-1}, {0, 4}} {
+		x := NewTensor3(4, 2, 1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("keep %v: no panic", keep)
+				}
+			}()
+			x.SelectSectors(keep)
+		}()
+		if x.N != 4 || len(x.Data) != 8 {
+			t.Errorf("keep %v: rejected selection changed the tensor", keep)
+		}
+	}
+}
+
+func TestSelectRows(t *testing.T) {
+	m := NewMatrix(3, 2)
+	for i := range m.Data {
+		m.Data[i] = float64(i)
+	}
+	m.SelectRows([]int{0, 2})
+	if m.Rows != 2 || !reflect.DeepEqual(m.Data, []float64{0, 1, 4, 5}) || cap(m.Data) != 4 {
+		t.Fatalf("SelectRows = %d rows %v (cap %d)", m.Rows, m.Data, cap(m.Data))
 	}
 }
 
