@@ -148,7 +148,7 @@ func (s *server) registerInventory() {
 			return out
 		})
 	reg.GaugeSet("hotserve_artifact_info",
-		"one sample per served artifact; the descent label carries the kernel mode", func() []obs.LabeledValue {
+		"one sample per served artifact; the descent label carries a classifier's kernel mode", func() []obs.LabeledValue {
 			set := s.active.Load()
 			if set == nil {
 				return nil
@@ -162,7 +162,8 @@ func (s *server) registerInventory() {
 }
 
 // artifactLabels renders one served artifact's identity label set;
-// withDescent adds the kernel-mode label for the info series.
+// withDescent adds the kernel-mode label for the info series (classifier
+// artifacts only).
 func artifactLabels(sm servedModel, withDescent bool) []obs.Label {
 	ls := []obs.Label{
 		{Key: "model", Value: sm.tr.ModelName()},
@@ -173,12 +174,9 @@ func artifactLabels(sm servedModel, withDescent bool) []obs.Label {
 	if sm.version > 0 {
 		ls = append(ls, obs.Label{Key: "version", Value: strconv.Itoa(sm.version)})
 	}
-	if withDescent {
-		mode := "walked"
-		if dm, ok := sm.tr.(descentModel); ok {
-			mode = dm.DescentMode()
-		}
-		ls = append(ls, obs.Label{Key: "descent", Value: mode})
+	// Baselines have no descent kernel; like /healthz, omit the label.
+	if dm, ok := sm.tr.(descentModel); ok && withDescent {
+		ls = append(ls, obs.Label{Key: "descent", Value: dm.DescentMode()})
 	}
 	return ls
 }

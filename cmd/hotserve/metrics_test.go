@@ -79,6 +79,36 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestArtifactInfoDescentLabel: hotserve_artifact_info agrees with
+// /healthz — a classifier's sample carries its descent kernel, a baseline's
+// sample has no descent label at all.
+func TestArtifactInfoDescentLabel(t *testing.T) {
+	srv, _ := testServer(t, 8)
+	sc := scrape(t, srv)
+	task := []obs.Label{{Key: "target", Value: forecast.BeHot.String()},
+		{Key: "h", Value: "3"}, {Key: "w", Value: "7"}}
+	avg := append([]obs.Label{{Key: "model", Value: "Average"}}, task...)
+	if v, ok := sc.Value("hotserve_artifact_info", avg...); !ok || v != 1 {
+		t.Errorf("Average sample without a descent label = %v (present=%v), want 1", v, ok)
+	}
+	treeModes := 0
+	for _, mode := range []string{"binned", "float"} {
+		tree := append([]obs.Label{{Key: "model", Value: "Tree"}, {Key: "descent", Value: mode}}, task...)
+		if v, ok := sc.Value("hotserve_artifact_info", tree...); ok && v == 1 {
+			treeModes++
+		}
+	}
+	if treeModes != 1 {
+		t.Errorf("Tree artifact_info samples with a binned/float descent label = %d, want 1", treeModes)
+	}
+	for key := range sc {
+		if strings.HasPrefix(key, "hotserve_artifact_info{") &&
+			strings.Contains(key, `model="Average"`) && strings.Contains(key, "descent=") {
+			t.Errorf("baseline sample claims a descent kernel: %s", key)
+		}
+	}
+}
+
 // Two servers in one process must not share request counters — the
 // server-scoped registry exists exactly for this.
 func TestMetricsScopedPerServer(t *testing.T) {

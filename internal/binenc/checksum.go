@@ -29,23 +29,16 @@ import (
 // which 128 state bits and nonlinear word mixing deliver.
 
 // Sum is a 128-bit content checksum: two independent 64-bit folds of the
-// hashed lane state. The zero Sum means "no checksum" (legacy envelopes).
+// hashed lane state.
 type Sum struct {
 	Lo, Hi uint64
 }
 
-// IsZero reports whether s is the absent-checksum sentinel.
-func (s Sum) IsZero() bool { return s.Lo == 0 && s.Hi == 0 }
-
 // String renders the sum as 32 hex digits (Lo then Hi), the manifest form.
 func (s Sum) String() string { return fmt.Sprintf("%016x%016x", s.Lo, s.Hi) }
 
-// ParseSum parses the 32-hex-digit form rendered by String. The empty
-// string parses as the zero (absent) Sum.
+// ParseSum parses the 32-hex-digit form rendered by String.
 func ParseSum(s string) (Sum, error) {
-	if s == "" {
-		return Sum{}, nil
-	}
 	var out Sum
 	if len(s) != 32 {
 		return Sum{}, fmt.Errorf("binenc: checksum %q is not 32 hex digits", s)

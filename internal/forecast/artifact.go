@@ -41,8 +41,7 @@ type Trained interface {
 	// from the window of w days ending at t.
 	Predict(c *Context, t, w int) ([]float64, error)
 	// DatasetFingerprint is Context.DatasetFingerprint of the training data,
-	// stamped at Fit time; zero for artifacts decoded from the version-1
-	// envelope (which predates the field).
+	// stamped at Fit time; never zero (decode rejects a zero fingerprint).
 	DatasetFingerprint() uint64
 	// Bytes estimates the artifact's in-memory footprint (cache budgets).
 	Bytes() int64
@@ -54,7 +53,7 @@ type artifactMeta struct {
 	target Target
 	h, w   int
 	cutoff int
-	fp     uint64 // training-dataset fingerprint; 0 = unknown (v1 envelope)
+	fp     uint64 // training-dataset fingerprint; never 0
 }
 
 func (m artifactMeta) ModelName() string          { return m.name }
@@ -148,27 +147,18 @@ func (a *baselineArtifact) Predict(c *Context, t, w int) ([]float64, error) {
 	return out, nil
 }
 
-// classifierArtifact is a fitted tree-based model: the learner plus the
-// feature representation needed to rebuild prediction matrices. Exactly
-// one of tree/forest/gbt is non-nil, matching the kind. The flat* twin of
-// the learner is its batched SoA compilation (see mltree/flat.go), built
-// once at Fit or decode by flatten(); Predict serves from it, scoring the
-// whole sector block per tree pass with zero per-sector allocation.
+// classifierArtifact is a fitted tree-based model: the compiled flat
+// inference engine (see mltree/flat.go) plus the feature representation
+// needed to rebuild prediction matrices. Fit flattens the learner and keeps
+// only the engine; decode reads the engine straight from the envelope.
+// Predict scores the whole sector block per tree pass with zero per-sector
+// allocation.
 type classifierArtifact struct {
 	artifactMeta
 	kind      uint8
 	extractor features.Extractor
 	width     int // trained feature-vector length; Predict windows must match
-	// tree/forest/gbt are the walked pointer learners. Version-3 artifacts
-	// serialize only the flat engine, so these are nil for decoded v3
-	// models; only the predictWalked fallback and the legacy v1/v2 decode
-	// arms still use them.
-	tree       *mltree.Tree
-	forest     *mltree.Forest
-	gbt        *mltree.GBT
-	flatTree   *mltree.FlatTree
-	flatForest *mltree.FlatForest
-	flatGBT    *mltree.FlatGBT
+	engine    flatEngine
 	// importances of the fit (mean decrease in impurity); nil for GBT.
 	importances []float64
 	// backing keeps an mmap'd artifact file alive while the flat engine
@@ -178,86 +168,47 @@ type classifierArtifact struct {
 	mmapBytes int64
 }
 
-// flatten compiles the learner into the batched inference engine. Called
-// exactly once, at Fit and at decode, so fit-time and decode-time
-// artifacts serve through identical layouts (and the round-trip test pins
-// their scores to each other, bit for bit).
-func (a *classifierArtifact) flatten() {
-	switch {
-	case a.tree != nil:
-		a.flatTree = a.tree.Flatten()
-	case a.forest != nil:
-		a.flatForest = a.forest.Flatten()
-	case a.gbt != nil:
-		a.flatGBT = a.gbt.Flatten()
-	}
+// flatEngine is the batch inference engine a classifier artifact serves
+// from and serializes: mltree's FlatTree, FlatForest or FlatGBT, matching
+// the artifact kind.
+type flatEngine interface {
+	ScoreBatch(x []float64, n int, out []float64)
+	FlatBytes() int64
+	DescentMode() string
+	AppendBinary(b []byte) []byte
 }
 
 // BatchPredictCalls reports how many flat-engine batch evaluations have
 // served Predict calls in this process, for operator visibility (hotserve
-// /healthz and the forecast_batch_predicts_total series): a nonzero,
-// growing count is the signal that serving rides the fast path.
+// /healthz and the forecast_batch_predicts_total series).
 func BatchPredictCalls() uint64 { return batchPredictsTotal.Value() }
 
 // FlatModel is implemented by artifacts carrying a compiled batch
-// inference engine; FlatBytes reports its footprint (0 = not flattened).
+// inference engine; FlatBytes reports its footprint.
 type FlatModel interface {
 	FlatBytes() int64
 }
 
 // DescentMode reports which batch kernel the artifact's flat engine
 // descends with: "binned" (quantized uint8 codes) or "float" (raw key
-// compares); "walked" if the artifact was never flattened. Surfaced by
-// hotserve /healthz.
-func (a *classifierArtifact) DescentMode() string {
-	switch {
-	case a.flatTree != nil:
-		return a.flatTree.DescentMode()
-	case a.flatForest != nil:
-		return a.flatForest.DescentMode()
-	case a.flatGBT != nil:
-		return a.flatGBT.DescentMode()
-	}
-	return "walked"
-}
+// compares). Surfaced by hotserve /healthz.
+func (a *classifierArtifact) DescentMode() string { return a.engine.DescentMode() }
 
 // MmapBytes reports the size of the memory-mapped artifact file backing
 // this model's flat sections, or 0 when the model is heap-resident.
 func (a *classifierArtifact) MmapBytes() int64 { return a.mmapBytes }
 
 // FlatBytes implements FlatModel.
-func (a *classifierArtifact) FlatBytes() int64 {
-	switch {
-	case a.flatTree != nil:
-		return a.flatTree.FlatBytes()
-	case a.flatForest != nil:
-		return a.flatForest.FlatBytes()
-	case a.flatGBT != nil:
-		return a.flatGBT.FlatBytes()
-	}
-	return 0
-}
+func (a *classifierArtifact) FlatBytes() int64 { return a.engine.FlatBytes() }
 
 // Bytes implements Trained.
 func (a *classifierArtifact) Bytes() int64 {
-	size := int64(160) + int64(len(a.importances))*8 + a.FlatBytes()
-	switch {
-	case a.tree != nil:
-		size += a.tree.SizeBytes()
-	case a.forest != nil:
-		size += a.forest.SizeBytes()
-	case a.gbt != nil:
-		size += a.gbt.SizeBytes()
-	}
-	return size
+	return int64(160) + int64(len(a.importances))*8 + a.FlatBytes()
 }
 
 // Predict implements Trained: build (or fetch from the feature cache) the
 // all-sector matrix for the window ending at t and score every row, per
-// Eq. 6 — through the flat batch engine when the artifact carries one
-// (one batch call for the whole sector block), falling back to the walked
-// pointer path with a single reused scratch buffer otherwise. Both paths
-// produce bit-identical scores.
+// Eq. 6, in one flat-engine batch call for the whole sector block.
 func (a *classifierArtifact) Predict(c *Context, t, w int) ([]float64, error) {
 	if err := c.CheckPredict(t, w); err != nil {
 		return nil, err
@@ -281,53 +232,10 @@ func (a *classifierArtifact) Predict(c *Context, t, w int) ([]float64, error) {
 	n := c.Sectors()
 	out := make([]float64, n)
 	d0 := time.Now()
-	switch {
-	case a.flatTree != nil:
-		a.flatTree.ScoreBatch(pmat.Data, n, out)
-	case a.flatForest != nil:
-		a.flatForest.ScoreBatch(pmat.Data, n, out)
-	case a.flatGBT != nil:
-		a.flatGBT.ScoreBatch(pmat.Data, n, out)
-	default:
-		err := a.predictWalked(pmat.Data, n, out)
-		predictDescendSeconds.ObserveDuration(time.Since(d0))
-		walkedPredictsTotal.Inc()
-		return out, err
-	}
+	a.engine.ScoreBatch(pmat.Data, n, out)
 	predictDescendSeconds.ObserveDuration(time.Since(d0))
 	batchPredictsTotal.Inc()
 	return out, nil
-}
-
-// predictWalked is the pointer-chasing fallback (artifacts that were never
-// flattened): per-row descent through the node structs, reusing one
-// scratch probability buffer across the whole block so no per-sector make
-// survives on this path either.
-func (a *classifierArtifact) predictWalked(x []float64, n int, out []float64) error {
-	var probs []float64
-	switch {
-	case a.tree != nil:
-		probs = make([]float64, a.tree.NumClasses)
-	case a.forest != nil:
-		probs = make([]float64, a.forest.NumClasses)
-	case a.gbt != nil:
-		probs = make([]float64, 2)
-	default:
-		return fmt.Errorf("forecast: classifier artifact %s has no learner", a.name)
-	}
-	for i := 0; i < n; i++ {
-		row := x[i*a.width : (i+1)*a.width]
-		switch {
-		case a.tree != nil:
-			a.tree.PredictProbaInto(row, probs)
-		case a.forest != nil:
-			a.forest.PredictProbaInto(row, probs)
-		default:
-			a.gbt.PredictProbaInto(row, probs)
-		}
-		out[i] = probs[1]
-	}
-	return nil
 }
 
 // Importances returns the artifact's feature importances (nil for GBT and
@@ -336,75 +244,32 @@ func (a *classifierArtifact) predictWalked(x []float64, n int, out []float64) er
 func (a *classifierArtifact) Importances() []float64 { return a.importances }
 
 // Artifact envelope constants: 4-byte magic, then a version word. Decoding
-// refuses unknown versions, so incompatible format changes must bump
-// ArtifactVersion.
+// refuses every version but ArtifactVersion, so incompatible format changes
+// must bump it.
 var artifactMagic = [4]byte{'H', 'O', 'T', 'M'}
 
-// ArtifactVersion is the serialization format version this build writes.
-// Version 4 added the integrity block (see integrity.go): a fixed 42-byte
-// header carrying the payload-section offset and per-section content
-// checksums, so the load path verifies the whole file in one streaming
-// pass before aliasing anything. Version 3 made the compiled flat engine
-// the serialized form: classifier payloads carry the inference engine's
-// own arrays as 8-byte-aligned little-endian sections (aligned from the
-// file's first byte), so a decode over an aligned buffer — in particular
-// a memory-mapped file — aliases the sections in place and costs O(1) in
-// the node count. Version 2 added the training-dataset fingerprint (u64,
-// after the cutoff); version 1 predates it. All legacy versions still
-// decode: v3 through the fully validating scan (it has no checksum to
-// gate on), v1/v2 recompiling their walked-learner payloads on the heap.
+// ArtifactVersion is the only serialization format version this build
+// writes and reads. The envelope opens with a fixed 42-byte integrity block
+// (see integrity.go) carrying the payload-section offset and per-section
+// content checksums, so the load path verifies the whole file in one
+// streaming pass before aliasing anything. Classifier payloads are the
+// compiled flat engine's own arrays as 8-byte-aligned little-endian
+// sections (aligned from the file's first byte), so a decode over an
+// aligned buffer — in particular a memory-mapped file — aliases the
+// sections in place and costs O(1) in the node count.
 const ArtifactVersion uint16 = 4
-
-// artifactVersionChecksum is the first envelope carrying the integrity
-// block; earlier versions have no checksum and never decode trusted.
-const artifactVersionChecksum uint16 = 4
-
-// artifactVersionFlat is the first envelope whose classifier payload is
-// the compiled flat engine (and the last before the integrity block).
-const artifactVersionFlat uint16 = 3
-
-// artifactVersionWalked is the last envelope whose classifier payload was
-// the walked pointer learner; still read for backward compatibility.
-const artifactVersionWalked uint16 = 2
-
-// artifactVersionNoFP is the pre-fingerprint envelope this build still
-// reads for backward compatibility.
-const artifactVersionNoFP uint16 = 1
 
 // EncodeModel serializes a trained artifact to the versioned binary
 // format. Decoding the result with DecodeModel yields an artifact whose
 // Predict is bit-identical on any context.
 func EncodeModel(tr Trained) ([]byte, error) {
-	noop := func(b []byte) []byte { return b }
 	var kind uint8
-	// meta extends the meta section with the classifier preamble; engine
-	// appends the payload section (the flat inference engine).
-	meta, engine := noop, noop
+	var ca *classifierArtifact
 	switch a := tr.(type) {
 	case *baselineArtifact:
 		kind = a.kind
 	case *classifierArtifact:
-		kind = a.kind
-		meta = func(b []byte) []byte {
-			b = binenc.AppendString(b, a.extractor.Name())
-			b = binenc.AppendU32(b, uint32(a.width))
-			return binenc.AppendF64s(b, a.importances)
-		}
-		engine = func(b []byte) []byte {
-			// The flat engine is the serialized form (always present: Fit
-			// and every decode arm compile it). Its raw sections are padded
-			// to 8-byte offsets measured from the buffer start, i.e. from
-			// the magic — which is why DecodeModel reads with a whole-file
-			// Reader rather than slicing the magic off.
-			switch kind {
-			case kindTree:
-				return a.flatTree.AppendBinary(b)
-			case kindForest:
-				return a.flatForest.AppendBinary(b)
-			default:
-				return a.flatGBT.AppendBinary(b)
-			}
-		}
+		kind, ca = a.kind, a
 	default:
 		return nil, fmt.Errorf("forecast: cannot encode artifact type %T", tr)
 	}
@@ -420,53 +285,53 @@ func EncodeModel(tr Trained) ([]byte, error) {
 	b = binenc.AppendI32(b, int32(tr.Cutoff()))
 	b = binenc.AppendU64(b, tr.DatasetFingerprint())
 	b = binenc.AppendString(b, tr.ModelName())
-	b = meta(b)
 	payloadOff := len(b)
-	b = engine(b)
+	if ca != nil {
+		// The classifier preamble closes the meta section; the flat engine
+		// is the payload section. Its raw sections are padded to 8-byte
+		// offsets measured from the buffer start, i.e. from the magic —
+		// which is why DecodeModel reads with a whole-file Reader rather
+		// than slicing the magic off.
+		b = binenc.AppendString(b, ca.extractor.Name())
+		b = binenc.AppendU32(b, uint32(ca.width))
+		b = binenc.AppendF64s(b, ca.importances)
+		payloadOff = len(b)
+		b = ca.engine.AppendBinary(b)
+	}
 	stampEnvelope(b, payloadOff)
 	return b, nil
 }
 
 // DecodeModel reads an artifact serialized by EncodeModel. Corrupt input —
-// wrong magic, truncation, out-of-range structure, trailing bytes — and
-// version mismatches yield errors, never panics: the untrusted decode path
-// validates every structural invariant the unchecked flat kernels rely on.
+// wrong magic, truncation, out-of-range structure, trailing bytes, a
+// failed section checksum — and any version other than ArtifactVersion
+// yield errors, never panics: the untrusted decode path validates every
+// structural invariant the unchecked flat kernels rely on.
 //
-// A version-3 artifact decoded from an aligned buffer aliases the buffer's
-// node and payload sections instead of copying them (zero copy); the
-// buffer must stay live and unmodified for the artifact's lifetime.
+// A classifier decoded from an aligned buffer aliases the buffer's node
+// and payload sections instead of copying them (zero copy); the buffer
+// must stay live and unmodified for the artifact's lifetime.
 func DecodeModel(data []byte) (Trained, error) { return decodeModel(data, false) }
 
 // decodeModel is DecodeModel with the trust level explicit. trusted skips
-// the O(nodes) structural validation of version-3 flat sections — used
-// only by the mmap load path for operator-provisioned files (the same
-// trust granted to the serving binary's own pages), which is what keeps
-// mmap load time independent of model size.
+// the section checksums and the O(nodes) structural validation of the flat
+// sections — used only by the load path after VerifyEnvelope has passed,
+// which is what keeps mmap load time independent of model size.
 func decodeModel(data []byte, trusted bool) (Trained, error) {
-	if len(data) < len(artifactMagic) || string(data[:4]) != string(artifactMagic[:]) {
-		return nil, fmt.Errorf("forecast: not a model artifact (bad magic)")
+	if !trusted {
+		// An untrusted decode enforces the section sums on top of the
+		// structural scan: a value-level bit flip can preserve structure.
+		// VerifyEnvelope also rejects bad magic and foreign versions.
+		if _, err := VerifyEnvelope(data); err != nil {
+			return nil, err
+		}
 	}
 	// The Reader spans the whole file, magic included, so reader offsets
 	// equal file offsets and the 8-byte section alignment the encoder
 	// established survives into memory (file reads and mmap bases are
 	// page- or allocation-aligned).
 	r := binenc.NewReader(data)
-	r.Skip(4)
-	v := r.U16()
-	if v < artifactVersionNoFP || v > ArtifactVersion {
-		return nil, fmt.Errorf("forecast: artifact version %d unsupported (this build reads versions %d-%d)", v, artifactVersionNoFP, ArtifactVersion)
-	}
-	if v >= artifactVersionChecksum {
-		// Checksummed envelope: an untrusted decode enforces the section
-		// sums on top of the structural scan (a value-level bit flip can
-		// preserve structure); the trusted caller already verified them.
-		if !trusted {
-			if _, err := VerifyEnvelope(data); err != nil {
-				return nil, err
-			}
-		}
-		r.Skip(envHeaderSize - 6) // the integrity block; verified above
-	}
+	r.Skip(envHeaderSize) // magic, version and the integrity block
 	kind := r.U8()
 	target := Target(r.U8())
 	meta := artifactMeta{
@@ -474,9 +339,7 @@ func decodeModel(data []byte, trusted bool) (Trained, error) {
 		w:      int(r.U32()),
 		cutoff: int(r.I32()),
 		target: target,
-	}
-	if v >= 2 {
-		meta.fp = r.U64()
+		fp:     r.U64(),
 	}
 	meta.name = r.String()
 	if err := r.Err(); err != nil {
@@ -487,6 +350,9 @@ func decodeModel(data []byte, trusted bool) (Trained, error) {
 	}
 	if meta.h < 1 || meta.w < 1 {
 		return nil, fmt.Errorf("forecast: artifact has invalid task h=%d w=%d", meta.h, meta.w)
+	}
+	if meta.fp == 0 {
+		return nil, fmt.Errorf("forecast: artifact has no dataset fingerprint")
 	}
 
 	var tr Trained
@@ -510,55 +376,30 @@ func decodeModel(data []byte, trusted bool) (Trained, error) {
 			return nil, fmt.Errorf("forecast: artifact has invalid feature width %d", a.width)
 		}
 		var learnerFeatures int
-		if v > artifactVersionWalked {
-			// Version 3+: the payload is the flat engine itself; no walked
-			// learner exists and no flatten() recompilation is needed.
-			switch kind {
-			case kindTree:
-				a.flatTree, err = mltree.DecodeFlatTree(r, trusted)
-				if a.flatTree != nil {
-					learnerFeatures = a.flatTree.NumFeatures
-				}
-			case kindForest:
-				a.flatForest, err = mltree.DecodeFlatForest(r, trusted)
-				if a.flatForest != nil {
-					learnerFeatures = a.flatForest.NumFeatures
-				}
-			default:
-				a.flatGBT, err = mltree.DecodeFlatGBT(r, trusted)
-				if a.flatGBT != nil {
-					learnerFeatures = a.flatGBT.NumFeatures
-				}
+		switch kind {
+		case kindTree:
+			var ft *mltree.FlatTree
+			if ft, err = mltree.DecodeFlatTree(r, trusted); err == nil {
+				a.engine, learnerFeatures = ft, ft.NumFeatures
 			}
-		} else {
-			switch kind {
-			case kindTree:
-				a.tree, err = mltree.DecodeTree(r)
-				if a.tree != nil {
-					learnerFeatures = a.tree.NumFeatures
-				}
-			case kindForest:
-				a.forest, err = mltree.DecodeForest(r)
-				if a.forest != nil {
-					learnerFeatures = a.forest.NumFeatures
-				}
-			default:
-				a.gbt, err = mltree.DecodeGBT(r)
-				if a.gbt != nil {
-					learnerFeatures = a.gbt.NumFeatures
-				}
+		case kindForest:
+			var ff *mltree.FlatForest
+			if ff, err = mltree.DecodeFlatForest(r, trusted); err == nil {
+				a.engine, learnerFeatures = ff, ff.NumFeatures
+			}
+		default:
+			var fg *mltree.FlatGBT
+			if fg, err = mltree.DecodeFlatGBT(r, trusted); err == nil {
+				a.engine, learnerFeatures = fg, fg.NumFeatures
 			}
 		}
 		if err != nil {
 			return nil, err
 		}
 		// Predict slices prediction-matrix rows by width and hands them to
-		// the learner; a mismatch would panic there, so reject it at decode.
+		// the engine; a mismatch would panic there, so reject it at decode.
 		if learnerFeatures != a.width {
 			return nil, fmt.Errorf("forecast: artifact width %d does not match its learner's %d features", a.width, learnerFeatures)
-		}
-		if v <= artifactVersionWalked {
-			a.flatten()
 		}
 		tr = a
 	default:
@@ -580,19 +421,16 @@ func SaveModel(path string, tr Trained) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// decodeVerified is the load path's decode policy: a checksummed (v4)
-// envelope is verified in one streaming pass and then decoded trusted —
-// the gate that replaced blanket trust in on-disk files — while a legacy
-// envelope, which has no checksum to gate on, takes the fully validating
-// untrusted decode. Either way a corrupt file fails loudly before the
-// unchecked flat kernels can run over it. The returned Sum is the
-// whole-envelope checksum (zero for legacy envelopes).
+// decodeVerified is the load path's decode policy: the envelope is
+// verified in one streaming pass and then decoded trusted, so a corrupt
+// file fails loudly before the unchecked flat kernels can run over it. The
+// returned Sum is the whole-envelope checksum.
 func decodeVerified(data []byte) (Trained, binenc.Sum, error) {
 	sum, err := VerifyEnvelope(data)
 	if err != nil {
 		return nil, binenc.Sum{}, err
 	}
-	tr, err := decodeModel(data, !sum.IsZero())
+	tr, err := decodeModel(data, true)
 	return tr, sum, err
 }
 
@@ -600,11 +438,10 @@ func decodeVerified(data []byte) (Trained, binenc.Sum, error) {
 // where the platform supports that. A flat-payload classifier served from
 // a mapping aliases the file's flat sections in place: nothing is copied
 // and the model's pages fault in from the page cache (shared across
-// processes mapping the same file). Trust is earned, not assumed: a v4
+// processes mapping the same file). Trust is earned, not assumed: the
 // envelope must pass its checksum gate (one streaming pass, far cheaper
-// than the O(nodes) structural scan) before the sections are aliased,
-// and a legacy envelope without checksums gets the full untrusted
-// validation. The mapping is held alive by the returned artifact and
+// than the O(nodes) structural scan) before the sections are aliased. The
+// mapping is held alive by the returned artifact and
 // released by its finalizer.
 func LoadModelFile(path string) (Trained, error) {
 	tr, _, err := LoadModelFileSum(nil, path)
@@ -622,7 +459,7 @@ func LoadModelFileFS(fsys faultfs.FS, path string) (Trained, error) {
 }
 
 // LoadModelFileSum is LoadModelFileFS plus the envelope's whole-file
-// checksum (zero for legacy envelopes), letting callers — the registry —
+// checksum, letting callers — the registry —
 // cross-check a manifest-stamped sum without a second pass over the file.
 func LoadModelFileSum(fsys faultfs.FS, path string) (Trained, binenc.Sum, error) {
 	if !faultfs.IsOS(fsys) {
@@ -646,11 +483,10 @@ func LoadModelFileSum(fsys faultfs.FS, path string) (Trained, binenc.Sum, error)
 		return nil, binenc.Sum{}, fmt.Errorf("forecast: %s: %w", path, err)
 	}
 	a, ok := tr.(*classifierArtifact)
-	if !ok || !f.Mapped() || a.FlatBytes() == 0 || a.tree != nil || a.forest != nil || a.gbt != nil {
+	if !ok || !f.Mapped() {
 		// Baselines copy everything they need out of the buffer at decode,
-		// legacy walked payloads (v1/v2) are rebuilt on the heap, and a
-		// heap-read File has no mapping to manage — none of them alias the
-		// buffer, so the mapping can go.
+		// and a heap-read File has no mapping to manage — neither aliases
+		// the buffer, so the mapping can go.
 		f.Close()
 		return tr, sum, nil
 	}

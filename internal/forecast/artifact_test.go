@@ -1,10 +1,12 @@
 package forecast
 
 import (
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/binenc"
 )
 
 // artifactModels returns one instance of every model kind, with the GBT
@@ -66,7 +68,8 @@ func TestArtifactRoundTripAllModels(t *testing.T) {
 // serializes like any other kind and predicts the Average ranking.
 func TestArtifactRoundTripFallback(t *testing.T) {
 	c := testContext(t, 60, 8, 32)
-	tr := Trained(&baselineArtifact{artifactMeta{name: "RF-F1", target: BecomeHot, h: 2, w: 5, cutoff: 28}, kindFallback})
+	tr := Trained(&baselineArtifact{artifactMeta{name: "RF-F1", target: BecomeHot, h: 2, w: 5, cutoff: 28,
+		fp: c.DatasetFingerprint()}, kindFallback})
 	data, err := EncodeModel(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +233,7 @@ func TestArtifactDecodeRejectsWidthMismatch(t *testing.T) {
 }
 
 // TestArtifactFingerprintRoundTrip: Fit stamps the training context's
-// dataset fingerprint, the version-2 envelope carries it bit-exactly, and
+// dataset fingerprint, the envelope carries it bit-exactly, and
 // CheckArtifact accepts the training dataset while rejecting a different
 // one — the guard behind hotserve's load-time mismatch errors.
 func TestArtifactFingerprintRoundTrip(t *testing.T) {
@@ -270,41 +273,62 @@ func TestArtifactFingerprintRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArtifactDecodeVersion1: the pre-fingerprint envelope still decodes —
-// with a zero fingerprint that CheckArtifact passes unchecked — so
-// artifacts written before PR 4 keep serving.
-func TestArtifactDecodeVersion1(t *testing.T) {
+// TestArtifactRejectsForeignVersions: ArtifactVersion is the only
+// envelope this build reads. Envelopes stamped with any other version —
+// the retired pre-checksum formats included — fail DecodeModel and
+// LoadModelFile with an error naming the version, however intact the
+// rest of the file is.
+func TestArtifactRejectsForeignVersions(t *testing.T) {
+	data := encodeTestArtifact(t)
+	dir := t.TempDir()
+	for _, v := range []uint16{0, 1, 2, 3, ArtifactVersion + 1} {
+		t.Run(fmt.Sprintf("version-%d", v), func(t *testing.T) {
+			mut := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint16(mut[4:], v)
+			want := fmt.Sprintf("artifact version %d unsupported", v)
+			if _, err := DecodeModel(mut); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("DecodeModel: err=%v, want %q", err, want)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("v%d.hotm", v))
+			if err := os.WriteFile(path, mut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadModelFile(path); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("LoadModelFile: err=%v, want %q", err, want)
+			}
+		})
+	}
+}
+
+// TestArtifactRejectsZeroFingerprint: a zero dataset fingerprint cannot
+// skip the wrong-dataset check. Decode rejects an envelope whose checksums
+// are valid but whose fingerprint is zero, and CheckArtifact rejects an
+// in-memory artifact carrying one.
+func TestArtifactRejectsZeroFingerprint(t *testing.T) {
+	data := encodeTestArtifact(t)
+	// The fingerprint follows kind, target, h, w and cutoff in the meta
+	// section; re-stamp the sums so only the zero field is wrong.
+	const fpOff = envHeaderSize + 1 + 1 + 4 + 4 + 4
+	mut := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(mut[fpOff:], 0)
+	stampEnvelope(mut, int(binary.LittleEndian.Uint32(mut[envOffPayload:])))
+	if _, err := VerifyEnvelope(mut); err != nil {
+		t.Fatalf("re-stamped envelope fails its checksums: %v", err)
+	}
+	if _, err := DecodeModel(mut); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("zero-fingerprint envelope decoded (err=%v)", err)
+	}
+	path := filepath.Join(t.TempDir(), "zero.hotm")
+	if err := os.WriteFile(path, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModelFile(path); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("zero-fingerprint file loaded (err=%v)", err)
+	}
 	c := testContext(t, 60, 8, 38)
-	b := append([]byte(nil), artifactMagic[:]...)
-	b = binenc.AppendU16(b, artifactVersionNoFP)
-	b = binenc.AppendU8(b, kindAverage)
-	b = binenc.AppendU8(b, uint8(BeHot))
-	b = binenc.AppendU32(b, 1) // h
-	b = binenc.AppendU32(b, 3) // w
-	b = binenc.AppendI32(b, 27)
-	b = binenc.AppendString(b, "Average")
-	got, err := DecodeModel(b)
-	if err != nil {
-		t.Fatalf("version-1 envelope rejected: %v", err)
-	}
-	if got.DatasetFingerprint() != 0 {
-		t.Fatalf("version-1 artifact has fingerprint %016x, want 0", got.DatasetFingerprint())
-	}
-	if err := c.CheckArtifact(got); err != nil {
-		t.Fatalf("legacy artifact rejected: %v", err)
-	}
-	want, err := (AverageModel{}).Forecast(c, BeHot, 28, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := got.Predict(c, 28, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("sector %d: legacy artifact predicts %v, want %v", i, have[i], want[i])
-		}
+	zero := &baselineArtifact{artifactMeta{name: "Average", target: BeHot, h: 1, w: 3, cutoff: 27}, kindAverage}
+	if err := c.CheckArtifact(zero); err == nil || !strings.Contains(err.Error(), "different dataset") {
+		t.Fatalf("zero-fingerprint artifact passed CheckArtifact (err=%v)", err)
 	}
 }
 

@@ -168,16 +168,32 @@ func (m *ClassifierModel) fitFingerprint(c *Context) (string, bool) {
 		m.ModelName, m.Extractor.Name(), m.SingleTree, m.Unbalanced, c.ForestTrees, c.TrainDays, c.SplitAlgo), true
 }
 
-// Fit implements Model: train per Eq. 7 and capture the learner — plus the
-// feature representation needed to rebuild prediction matrices — in an
-// immutable artifact. A degenerate training slice (single-class labels)
+// Fit implements Model: train per Eq. 7 and capture the learner's flat
+// compilation — plus the feature representation needed to rebuild
+// prediction matrices — in an immutable artifact; the walked learner is
+// not kept. A degenerate training slice (single-class labels)
 // yields a fallback artifact that predicts the strongest baseline ranking
 // (Average) instead of fitting a single-class model; the paper's
 // country-scale data always has both classes, small reproductions
 // occasionally do not.
 func (m *ClassifierModel) Fit(c *Context, target Target, t, h, w int) (Trained, error) {
+	tr, _, err := m.fitLearner(c, target, t, h, w)
+	return tr, err
+}
+
+// walkedLearner is the pointer-based learner a classifier artifact's flat
+// engine is compiled from (*mltree.Tree, *mltree.Forest or *mltree.GBT);
+// the artifact's score for a row is PredictProbaInto's out[1].
+type walkedLearner interface {
+	PredictProbaInto(x, out []float64)
+}
+
+// fitLearner is Fit that also returns the walked learner the artifact's
+// engine was flattened from (nil for a fallback artifact), so the flat
+// engine can be checked against the pointer walk. Fit drops the learner.
+func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Trained, walkedLearner, error) {
 	if err := c.CheckFit(t, h, w); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := c.Sectors()
 	y := c.Labels(target)
@@ -194,7 +210,7 @@ func (m *ClassifierModel) Fit(c *Context, target Target, t, h, w int) (Trained, 
 	}
 	labels, positives := trainingLabels(c, y, trainSectors, t)
 	if positives == 0 || positives == len(labels) {
-		return &baselineArtifact{meta, kindFallback}, nil
+		return &baselineArtifact{meta, kindFallback}, nil, nil
 	}
 
 	// Resolve the split algorithm up front on the training-set shape: the
@@ -228,7 +244,7 @@ func (m *ClassifierModel) Fit(c *Context, target Target, t, h, w int) (Trained, 
 		x, width, err = features.BuildMatrix(c.View, m.Extractor, sectors, ends, w)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("forecast: building training matrix: %w", err)
+		return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
 	}
 	var weights []float64
 	if !m.Unbalanced {
@@ -237,6 +253,7 @@ func (m *ClassifierModel) Fit(c *Context, target Target, t, h, w int) (Trained, 
 
 	art := &classifierArtifact{artifactMeta: meta, extractor: m.Extractor, width: width}
 	seed := c.Seed ^ uint64(t)<<24 ^ uint64(h)<<12 ^ uint64(w)
+	var learner walkedLearner
 	if m.SingleTree {
 		rng := randx.DeriveIndexed(seed, 0x7e11, "tree-model", t)
 		var tree *mltree.Tree
@@ -246,11 +263,12 @@ func (m *ClassifierModel) Fit(c *Context, target Target, t, h, w int) (Trained, 
 			tree, err = mltree.FitTree(x, len(labels), width, labels, weights, 2, treeCfg, rng)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("forecast: fitting tree: %w", err)
+			return nil, nil, fmt.Errorf("forecast: fitting tree: %w", err)
 		}
 		art.kind = kindTree
-		art.tree = tree
+		art.engine = tree.Flatten()
 		art.importances = tree.Importances()
+		learner = tree
 	} else {
 		cfg := mltree.ForestConfig{
 			NumTrees:  c.ForestTrees,
@@ -266,14 +284,14 @@ func (m *ClassifierModel) Fit(c *Context, target Target, t, h, w int) (Trained, 
 			forest, err = mltree.FitForest(x, len(labels), width, labels, weights, 2, cfg)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("forecast: fitting forest: %w", err)
+			return nil, nil, fmt.Errorf("forecast: fitting forest: %w", err)
 		}
 		art.kind = kindForest
-		art.forest = forest
+		art.engine = forest.Flatten()
 		art.importances = forest.Importances()
+		learner = forest
 	}
-	art.flatten()
-	return art, nil
+	return art, learner, nil
 }
 
 // Forecast implements Model: the Fit+Predict shim, with fits served from

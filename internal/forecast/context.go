@@ -216,7 +216,7 @@ func (c *Context) DatasetFingerprint() uint64 {
 			put(math.Float64bits(k.Data[i]))
 		}
 		c.fp = h.Sum64()
-		if c.fp == 0 { // keep 0 free as the "legacy artifact, unknown" sentinel
+		if c.fp == 0 { // keep 0 free: decode rejects a zero-fingerprint artifact
 			c.fp = 1
 		}
 	})
@@ -224,14 +224,9 @@ func (c *Context) DatasetFingerprint() uint64 {
 }
 
 // CheckArtifact verifies that tr was trained on the dataset behind this
-// context, by fingerprint. Artifacts from the version-1 envelope carry no
-// fingerprint (zero) and pass unchecked — the caller keeps the pre-PR-4
-// trust model for those files.
+// context, by fingerprint.
 func (c *Context) CheckArtifact(tr Trained) error {
 	fp := tr.DatasetFingerprint()
-	if fp == 0 {
-		return nil
-	}
 	if got := c.DatasetFingerprint(); fp != got {
 		return fmt.Errorf("forecast: artifact %s (target %s, h=%d w=%d) was trained on a different dataset: fingerprint %016x, serving data %016x",
 			tr.ModelName(), tr.Target(), tr.Horizon(), tr.Window(), fp, got)

@@ -14,22 +14,28 @@ func flatModels() []Model {
 	return []Model{NewTreeModel(), NewRFR(), gbt}
 }
 
-// TestArtifactFlatMatchesWalked: Predict through the flat batch engine
-// must be bit-identical to the walked pointer fallback for every
-// classifier kind. The walked path is reached by clearing the flat twins
-// on a copy of the artifact.
+// TestArtifactFlatMatchesWalked: Predict through the artifact's flat batch
+// engine must be bit-identical, for every classifier kind, to walking the
+// pointer learner the engine was flattened from over the same prediction
+// matrix, and every Predict is one counted flat-engine batch call.
 func TestArtifactFlatMatchesWalked(t *testing.T) {
 	c := testContext(t, 120, 8, 41)
 	c.ForestTrees = 6
 	const fitT, h, w = 30, 2, 5
 	for _, m := range flatModels() {
-		tr, err := m.Fit(c, BeHot, fitT, h, w)
+		lf, ok := m.(interface {
+			fitLearner(c *Context, target Target, t, h, w int) (Trained, walkedLearner, error)
+		})
+		if !ok {
+			t.Fatalf("%s: model %T has no fitLearner", m.Name(), m)
+		}
+		tr, learner, err := lf.fitLearner(c, BeHot, fitT, h, w)
 		if err != nil {
 			t.Fatalf("%s: fit: %v", m.Name(), err)
 		}
 		ca, ok := tr.(*classifierArtifact)
-		if !ok {
-			t.Fatalf("%s: fit returned %T, want classifier artifact", m.Name(), tr)
+		if !ok || learner == nil {
+			t.Fatalf("%s: fit returned %T (learner %v), want classifier artifact", m.Name(), tr, learner != nil)
 		}
 		if ca.FlatBytes() <= 0 {
 			t.Fatalf("%s: artifact not flattened at fit", m.Name())
@@ -42,30 +48,27 @@ func TestArtifactFlatMatchesWalked(t *testing.T) {
 		if BatchPredictCalls() != before+1 {
 			t.Fatalf("%s: flat predict did not count a batch call", m.Name())
 		}
-		walkedArt := *ca
-		walkedArt.flatTree, walkedArt.flatForest, walkedArt.flatGBT = nil, nil, nil
-		if walkedArt.FlatBytes() != 0 {
-			t.Fatalf("%s: cleared artifact still reports flat bytes", m.Name())
-		}
-		walked, err := walkedArt.Predict(c, fitT, w)
+		pmat, err := c.FeatureMatrix(ca.extractor, fitT, w)
 		if err != nil {
-			t.Fatalf("%s: walked predict: %v", m.Name(), err)
+			t.Fatalf("%s: prediction matrix: %v", m.Name(), err)
 		}
-		if len(flat) != len(walked) || len(flat) != c.Sectors() {
-			t.Fatalf("%s: shape mismatch: flat %d walked %d sectors %d", m.Name(), len(flat), len(walked), c.Sectors())
+		if len(flat) != c.Sectors() || len(pmat.Data) != c.Sectors()*ca.width {
+			t.Fatalf("%s: shape mismatch: flat %d, matrix %d, sectors %d x width %d",
+				m.Name(), len(flat), len(pmat.Data), c.Sectors(), ca.width)
 		}
+		probs := make([]float64, 2)
 		for i := range flat {
-			if flat[i] != walked[i] {
-				t.Fatalf("%s: sector %d: flat %v, walked %v", m.Name(), i, flat[i], walked[i])
+			learner.PredictProbaInto(pmat.Data[i*ca.width:(i+1)*ca.width], probs)
+			if flat[i] != probs[1] {
+				t.Fatalf("%s: sector %d: flat %v, walked %v", m.Name(), i, flat[i], probs[1])
 			}
 		}
 	}
 }
 
-// TestArtifactFlatRoundTrip: the version-3 .hotm envelope carries the
-// flat engine itself; decoding it yields the same footprint and
-// bit-identical scores — the serialized form can never drift from the
-// fit-time compilation.
+// TestArtifactFlatRoundTrip: the .hotm envelope carries the flat engine
+// itself; decoding it yields the same footprint and bit-identical scores —
+// the serialized form can never drift from the fit-time compilation.
 func TestArtifactFlatRoundTrip(t *testing.T) {
 	c := testContext(t, 100, 8, 43)
 	c.ForestTrees = 5

@@ -43,11 +43,18 @@ func (m *GBTModel) fitFingerprint(c *Context) (string, bool) {
 }
 
 // Fit implements Model with the same Eq. 7 protocol as the paper's
-// classifiers, over the shared feature-matrix cache; the boosted ensemble
-// is captured in an immutable artifact.
+// classifiers, over the shared feature-matrix cache; the boosted ensemble's
+// flat compilation is captured in an immutable artifact.
 func (m *GBTModel) Fit(c *Context, target Target, t, h, w int) (Trained, error) {
+	tr, _, err := m.fitLearner(c, target, t, h, w)
+	return tr, err
+}
+
+// fitLearner is Fit that also returns the walked ensemble the artifact's
+// engine was flattened from (nil for a fallback artifact).
+func (m *GBTModel) fitLearner(c *Context, target Target, t, h, w int) (Trained, walkedLearner, error) {
 	if err := c.CheckFit(t, h, w); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := c.Sectors()
 	y := c.Labels(target)
@@ -58,7 +65,7 @@ func (m *GBTModel) Fit(c *Context, target Target, t, h, w int) (Trained, error) 
 	}
 	labels, positives := trainingLabels(c, y, trainSectors, t)
 	if positives == 0 || positives == len(labels) {
-		return &baselineArtifact{meta, kindFallback}, nil
+		return &baselineArtifact{meta, kindFallback}, nil, nil
 	}
 	cfg := m.Config
 	cfg.Seed = c.Seed ^ uint64(t)<<24 ^ uint64(h)<<12 ^ uint64(w) ^ 0xb005
@@ -72,27 +79,26 @@ func (m *GBTModel) Fit(c *Context, target Target, t, h, w int) (Trained, error) 
 		// (and any other model sharing it) via the cache.
 		mat, err := c.BinnedTrainingMatrix(m.Extractor, t, h, w)
 		if err != nil {
-			return nil, fmt.Errorf("forecast: building GBT training matrix: %w", err)
+			return nil, nil, fmt.Errorf("forecast: building GBT training matrix: %w", err)
 		}
 		width = mat.Width
 		g, err = mltree.FitGBTBinned(mat.Bin, labels, weights, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("forecast: fitting GBT: %w", err)
+			return nil, nil, fmt.Errorf("forecast: fitting GBT: %w", err)
 		}
 	} else {
 		x, w2, err := trainingMatrixAt(c, m.Extractor, t-h, w)
 		if err != nil {
-			return nil, fmt.Errorf("forecast: building GBT training matrix: %w", err)
+			return nil, nil, fmt.Errorf("forecast: building GBT training matrix: %w", err)
 		}
 		width = w2
 		g, err = mltree.FitGBT(x, len(labels), width, labels, weights, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("forecast: fitting GBT: %w", err)
+			return nil, nil, fmt.Errorf("forecast: fitting GBT: %w", err)
 		}
 	}
-	art := &classifierArtifact{artifactMeta: meta, kind: kindGBT, extractor: m.Extractor, width: width, gbt: g}
-	art.flatten()
-	return art, nil
+	return &classifierArtifact{artifactMeta: meta, kind: kindGBT, extractor: m.Extractor, width: width,
+		engine: g.Flatten()}, g, nil
 }
 
 // Forecast implements Model: the Fit+Predict shim, with fits served from

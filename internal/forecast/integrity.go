@@ -48,40 +48,34 @@ func stampEnvelope(b []byte, payloadOff int) {
 
 // EnvelopeChecksum returns the whole-envelope content checksum of an
 // encoded artifact — the value the registry stamps into its manifest at
-// publish and cross-checks at load. Pre-v4 envelopes carry no integrity
-// block and return the zero Sum.
+// publish and cross-checks at load. It does not verify the sections; data
+// that is not an envelope returns the zero Sum.
 func EnvelopeChecksum(data []byte) binenc.Sum {
 	if len(data) < envHeaderSize || string(data[:4]) != string(artifactMagic[:]) {
-		return binenc.Sum{}
-	}
-	if binary.LittleEndian.Uint16(data[4:]) < artifactVersionChecksum {
 		return binenc.Sum{}
 	}
 	return binenc.ChecksumBytes(data[:envHeaderSize])
 }
 
-// VerifyEnvelope checks a checksummed (v4+) envelope's section sums in one
-// streaming pass over the bytes and returns the whole-envelope checksum.
-// This is the load path's trust gate: it catches truncation, torn writes
-// and bit-flips before any section is aliased, at memory speed instead of
-// the O(nodes) structural scan. A pre-v4 envelope has no checksum to
-// verify; it returns the zero Sum and nil, and the caller must fall back
-// to the fully validating untrusted decode.
+// VerifyEnvelope checks an envelope's magic, version and section sums in
+// one streaming pass over the bytes and returns the whole-envelope
+// checksum. This is the load path's trust gate: it catches truncation,
+// torn writes, bit-flips and envelopes of any version but ArtifactVersion
+// before any section is aliased, at memory speed instead of the O(nodes)
+// structural scan.
 func VerifyEnvelope(data []byte) (binenc.Sum, error) {
 	if len(data) < len(artifactMagic) || string(data[:4]) != string(artifactMagic[:]) {
 		return binenc.Sum{}, fmt.Errorf("forecast: not a model artifact (bad magic)")
 	}
-	if len(data) < envHeaderSize {
-		// Legacy headers are shorter than the integrity block, so a short
-		// file is only corrupt if it claims a checksummed version.
-		if len(data) >= 6 && binary.LittleEndian.Uint16(data[4:]) >= artifactVersionChecksum {
-			return binenc.Sum{}, fmt.Errorf("forecast: artifact truncated inside its %d-byte header (%d bytes)",
-				envHeaderSize, len(data))
+	if len(data) >= 6 {
+		if v := binary.LittleEndian.Uint16(data[4:]); v != ArtifactVersion {
+			return binenc.Sum{}, fmt.Errorf("forecast: artifact version %d unsupported (this build reads version %d)",
+				v, ArtifactVersion)
 		}
-		return binenc.Sum{}, nil
 	}
-	if binary.LittleEndian.Uint16(data[4:]) < artifactVersionChecksum {
-		return binenc.Sum{}, nil
+	if len(data) < envHeaderSize {
+		return binenc.Sum{}, fmt.Errorf("forecast: artifact truncated inside its %d-byte header (%d bytes)",
+			envHeaderSize, len(data))
 	}
 	payloadOff := int(binary.LittleEndian.Uint32(data[envOffPayload:]))
 	if payloadOff < envHeaderSize || payloadOff > len(data) {

@@ -37,8 +37,8 @@ func TestVerifyEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fresh envelope fails verification: %v", err)
 	}
-	if sum.IsZero() {
-		t.Fatal("v4 envelope verified to the zero (absent) sum")
+	if sum == (binenc.Sum{}) {
+		t.Fatal("envelope verified to the zero sum")
 	}
 	if got := EnvelopeChecksum(data); got != sum {
 		t.Fatalf("EnvelopeChecksum %s != VerifyEnvelope %s", got, sum)
@@ -73,26 +73,6 @@ func TestVerifyEnvelope(t *testing.T) {
 	}
 }
 
-// TestVerifyEnvelopeLegacy: pre-v4 envelopes have no checksum — they
-// verify trivially to the zero sum, signalling "validate the long way".
-func TestVerifyEnvelopeLegacy(t *testing.T) {
-	b := append([]byte(nil), artifactMagic[:]...)
-	b = binenc.AppendU16(b, artifactVersionNoFP)
-	b = binenc.AppendU8(b, kindAverage)
-	b = binenc.AppendU8(b, uint8(BeHot))
-	b = binenc.AppendU32(b, 1)
-	b = binenc.AppendU32(b, 3)
-	b = binenc.AppendI32(b, 27)
-	b = binenc.AppendString(b, "Average")
-	sum, err := VerifyEnvelope(b)
-	if err != nil || !sum.IsZero() {
-		t.Fatalf("legacy envelope: sum=%v err=%v, want zero sum and nil", sum, err)
-	}
-	if got := EnvelopeChecksum(b); !got.IsZero() {
-		t.Fatalf("EnvelopeChecksum of a legacy envelope = %s, want zero", got)
-	}
-}
-
 // TestDecodeModelRejectsBitFlip: the untrusted decode enforces the v4
 // sums on top of the structural scan, so a value-level bit flip that
 // preserves structure still fails.
@@ -107,49 +87,6 @@ func TestDecodeModelRejectsBitFlip(t *testing.T) {
 	mut[len(mut)-10] ^= 0x01
 	if _, err := DecodeModel(mut); err == nil {
 		t.Fatal("bit-flipped envelope decoded cleanly")
-	}
-}
-
-// TestArtifactDecodeVersion3: the pre-checksum flat envelope written by
-// earlier builds still decodes — through the fully validating scan —
-// with predictions matching the artifact as fitted.
-func TestArtifactDecodeVersion3(t *testing.T) {
-	c := testContext(t, 100, 8, 59)
-	const fitT, h, w = 30, 2, 5
-	tr, err := NewTreeModel().Fit(c, BeHot, fitT, h, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := tr.(*classifierArtifact)
-	b := append([]byte(nil), artifactMagic[:]...)
-	b = binenc.AppendU16(b, artifactVersionFlat)
-	b = binenc.AppendU8(b, a.kind)
-	b = binenc.AppendU8(b, uint8(a.Target()))
-	b = binenc.AppendU32(b, uint32(a.Horizon()))
-	b = binenc.AppendU32(b, uint32(a.Window()))
-	b = binenc.AppendI32(b, int32(a.Cutoff()))
-	b = binenc.AppendU64(b, a.DatasetFingerprint())
-	b = binenc.AppendString(b, a.ModelName())
-	b = binenc.AppendString(b, a.extractor.Name())
-	b = binenc.AppendU32(b, uint32(a.width))
-	b = binenc.AppendF64s(b, a.importances)
-	b = a.flatTree.AppendBinary(b)
-	got, err := DecodeModel(b)
-	if err != nil {
-		t.Fatalf("version-3 envelope rejected: %v", err)
-	}
-	want, err := tr.Predict(c, fitT, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := got.Predict(c, fitT, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("sector %d: v3 decode predicts %v, want %v", i, have[i], want[i])
-		}
 	}
 }
 

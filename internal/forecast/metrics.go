@@ -11,9 +11,7 @@ import "repro/internal/obs"
 // its own output buffer.
 var (
 	batchPredictsTotal = obs.Default().Counter("forecast_batch_predicts_total",
-		"flat-engine batch evaluations served (the fast path)")
-	walkedPredictsTotal = obs.Default().Counter("forecast_walked_predicts_total",
-		"pointer-walked batch evaluations served (the fallback path)")
+		"flat-engine batch evaluations served")
 	featureFetchSeconds = obs.Default().Histogram("forecast_feature_fetch_seconds",
 		"time to build or fetch the all-sector feature matrix, per Predict",
 		obs.MicroLatencyBuckets)

@@ -3,8 +3,6 @@ package forecast
 import (
 	"path/filepath"
 	"testing"
-
-	"repro/internal/binenc"
 )
 
 // TestArtifactMmapLoad: LoadModelFile serves flat-payload classifiers
@@ -32,9 +30,6 @@ func TestArtifactMmapLoad(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: loaded %T", m.Name(), got)
 		}
-		if a.tree != nil || a.forest != nil || a.gbt != nil {
-			t.Fatalf("%s: flat-payload load rebuilt a walked learner", m.Name())
-		}
 		fitMode := tr.(*classifierArtifact).DescentMode()
 		if a.DescentMode() != fitMode {
 			t.Fatalf("%s: descent mode %q after load, fit had %q", m.Name(), a.DescentMode(), fitMode)
@@ -58,55 +53,6 @@ func TestArtifactMmapLoad(t *testing.T) {
 			if want[i] != have[i] {
 				t.Fatalf("%s: sector %d: mmap-loaded %v, fit %v", m.Name(), i, have[i], want[i])
 			}
-		}
-	}
-}
-
-// TestArtifactDecodeVersion2: the walked-learner envelope written by
-// earlier builds still decodes — the payload recompiles to a flat engine
-// whose predictions match the artifact as fitted.
-func TestArtifactDecodeVersion2(t *testing.T) {
-	c := testContext(t, 100, 8, 59)
-	const fitT, h, w = 30, 2, 5
-	tr, err := NewTreeModel().Fit(c, BeHot, fitT, h, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := tr.(*classifierArtifact)
-	if a.tree == nil {
-		t.Fatal("fit artifact lost its walked tree")
-	}
-	b := append([]byte(nil), artifactMagic[:]...)
-	b = binenc.AppendU16(b, artifactVersionWalked)
-	b = binenc.AppendU8(b, a.kind)
-	b = binenc.AppendU8(b, uint8(a.Target()))
-	b = binenc.AppendU32(b, uint32(a.Horizon()))
-	b = binenc.AppendU32(b, uint32(a.Window()))
-	b = binenc.AppendI32(b, int32(a.Cutoff()))
-	b = binenc.AppendU64(b, a.DatasetFingerprint())
-	b = binenc.AppendString(b, a.ModelName())
-	b = binenc.AppendString(b, a.extractor.Name())
-	b = binenc.AppendU32(b, uint32(a.width))
-	b = binenc.AppendF64s(b, a.importances)
-	b = a.tree.AppendBinary(b)
-	got, err := DecodeModel(b)
-	if err != nil {
-		t.Fatalf("version-2 envelope rejected: %v", err)
-	}
-	if got.DatasetFingerprint() != a.DatasetFingerprint() {
-		t.Fatal("version-2 fingerprint lost")
-	}
-	want, err := tr.Predict(c, fitT, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := got.Predict(c, fitT, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("sector %d: legacy decode predicts %v, want %v", i, have[i], want[i])
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package mltree
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/randx"
@@ -53,7 +53,7 @@ func TestBinSharedReusesQuantization(t *testing.T) {
 	if s2.Hits != s1.Hits+1 || s2.Misses != s1.Misses {
 		t.Fatalf("refit on identical matrix: stats %+v after %+v, want one new hit and no new miss", s2, s1)
 	}
-	if !bytes.Equal(tr1.AppendBinary(nil), tr2.AppendBinary(nil)) {
+	if !reflect.DeepEqual(tr1, tr2) {
 		t.Fatal("refit from cached quantization is not bit-identical")
 	}
 
@@ -153,7 +153,7 @@ func TestBinCacheDisabledMatchesCached(t *testing.T) {
 	if got := BinCacheStats(); got != (Stats{}) {
 		t.Fatalf("disabled cache recorded activity: %+v", got)
 	}
-	if !bytes.Equal(cached.AppendBinary(nil), fresh.AppendBinary(nil)) {
+	if !reflect.DeepEqual(cached, fresh) {
 		t.Fatal("cache-off fit differs from cached fit")
 	}
 }

@@ -3,6 +3,7 @@ package mltree
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/randx"
@@ -225,14 +226,6 @@ func TestFeatureSamplerMatchesRNG(t *testing.T) {
 	}
 }
 
-func encodeForest(fo *Forest) []byte {
-	var b []byte
-	for _, tr := range fo.Trees {
-		b = tr.AppendBinary(b)
-	}
-	return b
-}
-
 func TestFitForestBinnedDeterministicAcrossWorkers(t *testing.T) {
 	n, f := 600, 20
 	x, y := randMatrix(n, f, 31)
@@ -254,7 +247,7 @@ func TestFitForestBinnedDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(encodeForest(seq), encodeForest(par)) {
+		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("hist forest differs at %d workers", workers)
 		}
 	}

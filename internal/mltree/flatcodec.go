@@ -8,16 +8,14 @@ import (
 )
 
 // This file is the binary codec for the compiled flat learners — the
-// serialized form of version-3 forecast artifacts. Unlike the walked
-// codec (codec.go), whose decode rebuilds pointer-laden node structs and
-// then recompiles them, the flat codec writes the inference engine's own
-// arrays as fixed-offset little-endian sections, each 8-byte aligned
-// from the artifact's first byte. On a little-endian host a decode
-// aliases those sections in place (see binenc's zero-copy readers), so
-// loading a model from an aligned buffer — in particular an mmap'd
-// .hotm file — touches none of the node bytes: load time is independent
-// of node count, and the pages fault in lazily as descent first walks
-// them.
+// payload of forecast artifacts, and the only serialized form of a fitted
+// model. It writes the inference engine's own arrays as fixed-offset
+// little-endian sections, each 8-byte aligned from the artifact's first
+// byte. On a little-endian host a decode aliases those sections in place
+// (see binenc's zero-copy readers), so loading a model from an aligned
+// buffer — in particular an mmap'd .hotm file — touches none of the node
+// bytes: load time is independent of node count, and the pages fault in
+// lazily as descent first walks them.
 //
 // Decoding has two trust levels. The untrusted path (trusted=false,
 // used by forecast.DecodeModel on arbitrary bytes) validates every

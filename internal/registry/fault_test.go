@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,6 +85,89 @@ func TestQuarantineFallback(t *testing.T) {
 	}
 	if _, ok := r.Latest(key); !ok {
 		t.Fatal("Latest lost the task after quarantining one version")
+	}
+}
+
+// TestRetiredEnvelopeVersionQuarantined: an artifact whose envelope
+// version word is rewritten to a retired version (3) is corrupt, not a
+// format to fall back to. VerifyAll names the version and quarantines it,
+// and LoadLatest on a fresh handle serves the previous version.
+func TestRetiredEnvelopeVersionQuarantined(t *testing.T) {
+	c := testContext(t, 80, 8, 25)
+	dir := t.TempDir()
+	r := openTest(t, dir)
+	v1, err := r.Publish(fitAt(t, c, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := r.Publish(fitAt(t, c, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, v2.File)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(data[4:], 3)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range r.VerifyAll() {
+		switch res.Version.ID {
+		case v1.ID:
+			if res.Err != nil {
+				t.Fatalf("clean version %d fails fsck: %v", v1.ID, res.Err)
+			}
+		case v2.ID:
+			if res.Err == nil || !strings.Contains(res.Err.Error(), "artifact version 3 unsupported") {
+				t.Fatalf("version-3 envelope: fsck err=%v, want it to name version 3", res.Err)
+			}
+		}
+	}
+	if !r.IsQuarantined(v2.ID) {
+		t.Fatal("fsck did not quarantine the version-3 envelope")
+	}
+	fresh := openTest(t, dir)
+	_, served, err := fresh.LoadLatest(KeyFor(fitAt(t, c, 31)))
+	if err != nil {
+		t.Fatalf("fallback load failed: %v", err)
+	}
+	if served.ID != v1.ID || !fresh.IsQuarantined(v2.ID) {
+		t.Fatalf("served version %d (v2 quarantined: %v), want fallback to %d",
+			served.ID, fresh.IsQuarantined(v2.ID), v1.ID)
+	}
+}
+
+// TestVerifyAllRejectsMissingChecksum: every published entry carries a
+// checksum, so a manifest entry without one is reported as corrupt rather
+// than verified some weaker way.
+func TestVerifyAllRejectsMissingChecksum(t *testing.T) {
+	c := testContext(t, 80, 8, 26)
+	dir := t.TempDir()
+	v, err := openTest(t, dir).Publish(fitAt(t, c, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpath := filepath.Join(dir, manifestName)
+	mdata, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := strings.Replace(string(mdata), v.Checksum, "", 1)
+	if stripped == string(mdata) {
+		t.Fatal("checksum not found in manifest.json")
+	}
+	if err := os.WriteFile(mpath, []byte(stripped), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := openTest(t, dir)
+	res := r.VerifyAll()
+	if len(res) != 1 || res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "no checksum") {
+		t.Fatalf("checksum-less entry: %+v, want a \"no checksum\" error", res)
+	}
+	if _, err := r.Load(res[0].Version); err == nil || !strings.Contains(err.Error(), "no checksum") {
+		t.Fatalf("checksum-less entry loaded (err=%v)", err)
 	}
 }
 

@@ -88,12 +88,12 @@ type Version struct {
 	// freshness of the fit.
 	Cutoff int `json:"cutoff"`
 	// Fingerprint is the training-dataset fingerprint as 16 hex digits
-	// (forecast.Context.DatasetFingerprint); "" for legacy artifacts.
+	// (forecast.Context.DatasetFingerprint).
 	Fingerprint string `json:"fingerprint"`
 	// Checksum is the artifact's whole-envelope content checksum as 32 hex
-	// digits (forecast.EnvelopeChecksum), stamped at publish; "" for legacy
-	// (pre-checksum) envelopes. Load cross-checks it so an artifact swapped
-	// or corrupted after publish fails loudly before serving.
+	// digits (forecast.EnvelopeChecksum), stamped at publish. Load and
+	// VerifyAll cross-check it so an artifact swapped or corrupted after
+	// publish fails loudly before serving; an entry without one is corrupt.
 	Checksum string `json:"checksum,omitempty"`
 	// SizeBytes is the encoded artifact size on disk.
 	SizeBytes int64 `json:"size_bytes"`
@@ -390,14 +390,10 @@ func (r *Registry) Publish(tr forecast.Trained) (Version, error) {
 		ID:          id,
 		File:        artifactFile(id, tr.ModelName()),
 		Cutoff:      tr.Cutoff(),
+		Fingerprint: fmt.Sprintf("%016x", tr.DatasetFingerprint()),
+		Checksum:    forecast.EnvelopeChecksum(data).String(),
 		SizeBytes:   int64(len(data)),
 		CreatedUnix: time.Now().Unix(),
-	}
-	if fp := tr.DatasetFingerprint(); fp != 0 {
-		v.Fingerprint = fmt.Sprintf("%016x", fp)
-	}
-	if sum := forecast.EnvelopeChecksum(data); !sum.IsZero() {
-		v.Checksum = sum.String()
 	}
 	if err := r.writeFileAtomic(v.File, "artifact", data); err != nil {
 		return Version{}, err
@@ -541,21 +537,14 @@ func (r *Registry) Load(v Version) (forecast.Trained, error) {
 		if err != nil {
 			return nil, fmt.Errorf("registry: version %d: %w", v.ID, err)
 		}
-		if v.Checksum != "" {
-			want, perr := binenc.ParseSum(v.Checksum)
-			if perr != nil {
-				return nil, fmt.Errorf("registry: version %d: %w", v.ID, perr)
-			}
-			if sum != want {
-				return nil, fmt.Errorf("registry: version %d: artifact checksum %s does not match manifest %s",
-					v.ID, sum, want)
-			}
+		if err := checkSum(v, sum); err != nil {
+			return nil, err
 		}
 		if tr.Cutoff() != v.Cutoff {
 			return nil, fmt.Errorf("registry: version %d: artifact cutoff %d does not match manifest cutoff %d",
 				v.ID, tr.Cutoff(), v.Cutoff)
 		}
-		if fp := tr.DatasetFingerprint(); fp != 0 && v.Fingerprint != fmt.Sprintf("%016x", fp) {
+		if fp := tr.DatasetFingerprint(); v.Fingerprint != fmt.Sprintf("%016x", fp) {
 			return nil, fmt.Errorf("registry: version %d: artifact fingerprint %016x does not match manifest %q",
 				v.ID, fp, v.Fingerprint)
 		}
@@ -648,9 +637,8 @@ func (r *Registry) VerifyAll() []VerifyResult {
 }
 
 // verifyVersion checks one artifact file against its manifest entry without
-// decoding it into a servable model: size, envelope section checksums, the
-// manifest-stamped whole-envelope checksum, and — for legacy envelopes with
-// no checksum — the full structural decode.
+// decoding it into a servable model: size, envelope version and section
+// checksums, and the manifest-stamped whole-envelope checksum.
 func (r *Registry) verifyVersion(v Version) error {
 	data, err := r.fs.ReadFile(filepath.Join(r.dir, v.File))
 	if err != nil {
@@ -664,21 +652,22 @@ func (r *Registry) verifyVersion(v Version) error {
 	if err != nil {
 		return fmt.Errorf("registry: version %d: %w", v.ID, err)
 	}
-	if v.Checksum != "" {
-		want, perr := binenc.ParseSum(v.Checksum)
-		if perr != nil {
-			return fmt.Errorf("registry: version %d: %w", v.ID, perr)
-		}
-		if sum != want {
-			return fmt.Errorf("registry: version %d: artifact checksum %s does not match manifest %s",
-				v.ID, sum, want)
-		}
-	} else if sum.IsZero() {
-		// Legacy envelope with no integrity block: the structural decode is
-		// the only verification available.
-		if _, err := forecast.DecodeModel(data); err != nil {
-			return fmt.Errorf("registry: version %d: %w", v.ID, err)
-		}
+	return checkSum(v, sum)
+}
+
+// checkSum cross-checks an artifact's whole-envelope checksum against the
+// one its manifest entry stamped at publish.
+func checkSum(v Version, sum binenc.Sum) error {
+	if v.Checksum == "" {
+		return fmt.Errorf("registry: version %d: manifest entry has no checksum", v.ID)
+	}
+	want, err := binenc.ParseSum(v.Checksum)
+	if err != nil {
+		return fmt.Errorf("registry: version %d: %w", v.ID, err)
+	}
+	if sum != want {
+		return fmt.Errorf("registry: version %d: artifact checksum %s does not match manifest %s",
+			v.ID, sum, want)
 	}
 	return nil
 }
