@@ -468,13 +468,21 @@ type modelInfo struct {
 	// MmapBytes is the size of the memory-mapped artifact file this model
 	// serves from (zero-copy load); 0 when the model is heap-resident.
 	MmapBytes int64 `json:"mmap_bytes,omitempty"`
+	// FeaturesRead is how many feature columns a forecast builds — the
+	// distinct features the model splits on — out of Width, the
+	// extractor's full column count. Both are absent for baselines.
+	FeaturesRead int `json:"features_read,omitempty"`
+	Width        int `json:"width,omitempty"`
 }
 
 // descentModel is implemented by artifacts that expose their inference
-// kernel and residency (forecast's classifier artifacts).
+// kernel, residency and feature projection (forecast's classifier
+// artifacts).
 type descentModel interface {
 	DescentMode() string
 	MmapBytes() int64
+	FeaturesRead() int
+	FeatureWidth() int
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -125,6 +125,18 @@ func TestHealthz(t *testing.T) {
 	if d := second["descent"]; d != "binned" && d != "float" {
 		t.Fatalf("classifier descent mode = %v", d)
 	}
+	// The feature projection: the Tree reads a subset of its extractor's
+	// columns; the baseline reads none and omits both fields.
+	for _, field := range []string{"features_read", "width"} {
+		if v, ok := first[field]; ok {
+			t.Fatalf("baseline reports %s = %v", field, v)
+		}
+	}
+	read, _ := second["features_read"].(float64)
+	width, _ := second["width"].(float64)
+	if read < 1 || read > width {
+		t.Fatalf("classifier reads %v of %v feature columns", read, width)
+	}
 	// The inference block: the Tree artifact carries a flat engine (the
 	// Average baseline does not), and serving a forecast through it must
 	// move the batch-call counter. Static-mode artifacts live on the heap,

@@ -102,9 +102,10 @@ func (m *serverMetrics) observeStages(sp *obs.Span) {
 
 // registerInventory exports the active artifact set as scrape-time gauges:
 // the aggregate engine vitals /healthz reports, plus one labeled sample
-// per served artifact for descent mode and mmap residency. The functions
-// snapshot s.active at scrape time, so the series track hot swaps with no
-// bookkeeping on the reload path.
+// per served artifact for descent mode, mmap residency and (classifiers)
+// the feature columns a forecast reads. The functions snapshot s.active
+// at scrape time, so the series track hot swaps with no bookkeeping on
+// the reload path.
 func (s *server) registerInventory() {
 	reg := s.m.registry
 	sum := func() inventorySummary { return summarize(s.active.Load()) }
@@ -144,6 +145,20 @@ func (s *server) registerInventory() {
 					mb = dm.MmapBytes()
 				}
 				out = append(out, obs.LabeledValue{Labels: artifactLabels(sm, false), Value: float64(mb)})
+			}
+			return out
+		})
+	reg.GaugeSet("hotserve_artifact_features_read",
+		"per-artifact feature columns a forecast builds (classifiers only)", func() []obs.LabeledValue {
+			set := s.active.Load()
+			if set == nil {
+				return nil
+			}
+			var out []obs.LabeledValue
+			for _, sm := range set.models {
+				if dm, ok := sm.tr.(descentModel); ok {
+					out = append(out, obs.LabeledValue{Labels: artifactLabels(sm, false), Value: float64(dm.FeaturesRead())})
+				}
 			}
 			return out
 		})
@@ -209,6 +224,8 @@ func summarize(set *artifactSet) inventorySummary {
 		if dm, ok := sm.tr.(descentModel); ok {
 			sum.infos[i].Descent = dm.DescentMode()
 			sum.infos[i].MmapBytes = dm.MmapBytes()
+			sum.infos[i].FeaturesRead = dm.FeaturesRead()
+			sum.infos[i].Width = dm.FeatureWidth()
 			if dm.DescentMode() == "binned" {
 				sum.binned++
 			}

@@ -109,6 +109,30 @@ func TestArtifactInfoDescentLabel(t *testing.T) {
 	}
 }
 
+// TestArtifactFeaturesRead: hotserve_artifact_features_read carries one
+// sample per classifier artifact, equal to its /healthz features_read;
+// baselines, which build no feature matrix, have no sample.
+func TestArtifactFeaturesRead(t *testing.T) {
+	srv, _ := testServer(t, 8)
+	sc := scrape(t, srv)
+	_, body := get(t, srv, "/healthz")
+	tree := body["models"].([]any)[1].(map[string]any)
+	want := tree["features_read"].(float64)
+	if want < 1 || want >= tree["width"].(float64) {
+		t.Fatalf("Tree reads %v of %v columns, want a strict subset", want, tree["width"])
+	}
+	labels := []obs.Label{{Key: "model", Value: "Tree"}, {Key: "target", Value: forecast.BeHot.String()},
+		{Key: "h", Value: "3"}, {Key: "w", Value: "7"}}
+	if v, ok := sc.Value("hotserve_artifact_features_read", labels...); !ok || v != want {
+		t.Errorf("Tree features_read sample = %v (present=%v), want %v", v, ok, want)
+	}
+	for key := range sc {
+		if strings.HasPrefix(key, "hotserve_artifact_features_read{") && strings.Contains(key, `model="Average"`) {
+			t.Errorf("baseline has a features_read sample: %s", key)
+		}
+	}
+}
+
 // Two servers in one process must not share request counters — the
 // server-scoped registry exists exactly for this.
 func TestMetricsScopedPerServer(t *testing.T) {

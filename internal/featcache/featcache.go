@@ -1,10 +1,10 @@
 // Package featcache is the shared feature-matrix store behind the sweep
 // engine's plan-then-execute pipeline. The Table III sweep evaluates every
 // model over a (t, h, w) grid, and many grid points consume the identical
-// feature matrix — the prediction matrix at end day t is shared by every
-// horizon, and a training block at end day t-h-d is shared along the
-// anti-diagonals of the (t, h) plane — so sweep cost should scale with the
-// number of distinct (extractor, end, w) builds, not with grid size.
+// feature matrix — a training block at end day t-h-d is shared along the
+// anti-diagonals of the (t, h) plane and by every model using the
+// extractor — so sweep cost should scale with the number of distinct
+// (extractor, end, w) builds, not with grid size.
 //
 // Two pieces deliver that:
 //
@@ -15,6 +15,11 @@
 //     of distinct builds, ordered by demand, and executes them once through
 //     the shared worker pool before evaluation starts.
 //
+// Prediction reads narrower matrices: a fitted model's prediction
+// matrix holds only the columns the model splits on, cached under a key
+// that carries the exact column list (see Key.Cols). The sweep planner
+// does not prewarm them, since each depends on a fit's outcome.
+//
 // Feature extraction is deterministic per (sector, end, w), so serving a
 // cached matrix is bit-identical to rebuilding it; the forecast package's
 // determinism tests enforce cached == uncached end to end. The LRU and
@@ -23,6 +28,8 @@
 package featcache
 
 import (
+	"encoding/binary"
+
 	"repro/internal/bytelru"
 	"repro/internal/mltree"
 )
@@ -34,6 +41,7 @@ import (
 // entries (hist-mode fits) set Binned and Days: there End is the training
 // cutoff t-h and Days the number of stacked label days, because the
 // stacked matrix — unlike the per-day float blocks — depends on both.
+// Prediction matrices projected onto an artifact's columns set Cols.
 type Key struct {
 	// Extractor is the representation name (features.Extractor.Name).
 	Extractor string
@@ -48,6 +56,20 @@ type Key struct {
 	// Days is the number of stacked training label days (Binned entries
 	// only; zero for per-day float blocks).
 	Days int
+	// Cols is the exact column list of a projected matrix (ColsKey), empty
+	// for one holding every column. It is the list itself, not a hash, so
+	// two artifacts reading different columns can never share an entry.
+	Cols string
+}
+
+// ColsKey encodes a column list as a Key.Cols value: four little-endian
+// bytes per column.
+func ColsKey(cols []int) string {
+	b := make([]byte, 0, 4*len(cols))
+	for _, c := range cols {
+		b = binary.LittleEndian.AppendUint32(b, uint32(c))
+	}
+	return string(b)
 }
 
 // Matrix is an immutable feature-matrix handle: a row-major float matrix

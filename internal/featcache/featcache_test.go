@@ -147,19 +147,22 @@ func TestCompileDedupsSharedBuilds(t *testing.T) {
 	if plan.Points != 6 {
 		t.Fatalf("points = %d, want 6", plan.Points)
 	}
-	// Naive builds: per point, 1 prediction + 2 training = 6*3 = 18.
-	// Distinct ends: predictions {10, 11}; training {t-h-d} =
-	// {10,11}-{1,2,3}-{0,1} = {9,8,7,6} u {10,9,8,7} = {6,7,8,9,10}.
-	// Union with predictions: {6,7,8,9,10,11} = 6 distinct builds.
-	if len(plan.Builds) != 6 {
-		t.Fatalf("distinct builds = %d, want 6 (of 18 naive)", len(plan.Builds))
+	// Naive builds: per point, 2 training blocks = 6*2 = 12. Distinct
+	// ends {t-h-d} = {10,11}-{1,2,3}-{0,1} = {9,8,7,6} u {10,9,8,7} =
+	// {6,7,8,9,10}: 5 distinct builds. Prediction matrices are projected
+	// per fitted model and never planned.
+	if len(plan.Builds) != 5 {
+		t.Fatalf("distinct builds = %d, want 5 (of 12 naive)", len(plan.Builds))
 	}
 	totalUses := 0
 	for _, b := range plan.Builds {
 		totalUses += b.Uses
+		if b.Key.End > 10 {
+			t.Fatalf("plan holds a prediction-day build: %+v", b.Key)
+		}
 	}
-	if totalUses != 18 {
-		t.Fatalf("total uses = %d, want 18", totalUses)
+	if totalUses != 12 {
+		t.Fatalf("total uses = %d, want 12", totalUses)
 	}
 	// Demand-major order.
 	for i := 1; i < len(plan.Builds); i++ {
@@ -175,9 +178,9 @@ func TestCompileMultipleExtractorsAndWindows(t *testing.T) {
 		TrainDays:  1,
 		Extractors: []string{"raw", "percentiles"},
 	})
-	// Per (extractor, w): ends {20, 19} -> 2 builds; 2 extractors x 2 ws.
-	if len(plan.Builds) != 8 {
-		t.Fatalf("builds = %d, want 8", len(plan.Builds))
+	// Per (extractor, w): training end {19} -> 1 build; 2 extractors x 2 ws.
+	if len(plan.Builds) != 4 {
+		t.Fatalf("builds = %d, want 4", len(plan.Builds))
 	}
 }
 

@@ -41,12 +41,12 @@ type Plan struct {
 	Points int
 }
 
-// Compile enumerates the distinct matrix builds a sweep grid needs. Every
-// (t, h, w) point demands the prediction matrix at end day t plus
-// TrainDays training blocks at end days t-h-d, all with window w; points
-// that agree on (end, w) — every horizon at a fixed (t, w), and the
-// (t, h) anti-diagonals for training blocks — collapse to one build per
-// extractor.
+// Compile enumerates the distinct training-block builds a sweep grid
+// needs. Every (t, h, w) point demands TrainDays blocks at end days
+// t-h-d, all with window w; points on one (t, h) anti-diagonal collapse
+// to one build per extractor. Prediction matrices are not planned: each
+// holds only the columns its fitted model splits on, unknown before the
+// fit.
 func Compile(g Grid) *Plan {
 	trainDays := g.TrainDays
 	if trainDays < 1 {
@@ -56,8 +56,6 @@ func Compile(g Grid) *Plan {
 	uses := map[endW]int{}
 	for _, w := range g.Ws {
 		for _, t := range g.Ts {
-			// One prediction matrix at end day t serves every horizon.
-			uses[endW{t, w}] += len(g.Hs)
 			for _, h := range g.Hs {
 				for d := 0; d < trainDays; d++ {
 					uses[endW{t - h - d, w}]++

@@ -20,6 +20,7 @@ package features
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/mathx"
 	"repro/internal/tensor"
@@ -143,14 +144,21 @@ func (v *View) Materialize() *tensor.Tensor3 {
 // Extractor turns a (sector, window) slice of X into a flat feature vector.
 // Implementations must be deterministic and return vectors of constant
 // Width for a fixed window length.
+//
+// Extraction can be projected onto a subset of the vector's columns: a
+// model that splits on a few features needs only those, and computing
+// them alone is bit-identical to gathering them from the full vector.
 type Extractor interface {
 	// Name identifies the representation (raw / percentiles / handcrafted).
 	Name() string
 	// Width returns the vector length for a window of w days.
 	Width(v *View, w int) int
-	// Extract writes the features for sector i and the window of w days
-	// ending (exclusive) at day end into out, which has length Width.
-	Extract(v *View, i, end, w int, out []float64)
+	// Extract writes features of sector i for the window of w days ending
+	// (exclusive) at day end into out. cols selects the features as
+	// strictly ascending indices below Width, out[k] receiving feature
+	// cols[k]; nil selects all Width of them. In steady state Extract
+	// allocates nothing.
+	Extract(v *View, i, end, w int, cols []int, out []float64)
 }
 
 // ByName resolves an extractor from its Name, the inverse used when a
@@ -196,10 +204,16 @@ func (Raw) Name() string { return "raw" }
 // Width implements Extractor.
 func (Raw) Width(v *View, w int) int { return w * timegrid.HoursPerDay * v.Channels() }
 
-// Extract implements Extractor.
-func (Raw) Extract(v *View, i, end, w int, out []float64) {
+// Extract implements Extractor; a projected column is one cell of X.
+func (Raw) Extract(v *View, i, end, w int, cols []int, out []float64) {
 	h0, h1 := windowBounds(end, w)
 	ch := v.Channels()
+	if cols != nil {
+		for k, col := range cols {
+			out[k] = v.At(i, h0+col/ch, col%ch)
+		}
+		return
+	}
 	pos := 0
 	for j := h0; j < h1; j++ {
 		for c := 0; c < ch; c++ {
@@ -215,7 +229,7 @@ func (Raw) Extract(v *View, i, end, w int, out []float64) {
 type Percentiles struct{}
 
 // percentileLevels are the paper's five daily percentile estimators.
-var percentileLevels = []float64{5, 25, 50, 75, 95}
+var percentileLevels = [...]float64{5, 25, 50, 75, 95}
 
 // Name implements Extractor.
 func (Percentiles) Name() string { return "percentiles" }
@@ -223,22 +237,38 @@ func (Percentiles) Name() string { return "percentiles" }
 // Width implements Extractor.
 func (Percentiles) Width(v *View, w int) int { return w * len(percentileLevels) * v.Channels() }
 
-// Extract implements Extractor.
-func (Percentiles) Extract(v *View, i, end, w int, out []float64) {
+// Extract implements Extractor. Features come in (day, channel) groups of
+// five; a projection computes each group it touches once.
+func (Percentiles) Extract(v *View, i, end, w int, cols []int, out []float64) {
 	ch := v.Channels()
-	var day [timegrid.HoursPerDay]float64
-	pos := 0
-	for d := end - w; d < end; d++ {
-		base := d * timegrid.HoursPerDay
-		for c := 0; c < ch; c++ {
-			for h := 0; h < timegrid.HoursPerDay; h++ {
-				day[h] = v.At(i, base+h, c)
-			}
-			ps := mathx.Percentiles(day[:], percentileLevels)
-			copy(out[pos:pos+len(ps)], ps)
-			pos += len(ps)
+	np := len(percentileLevels)
+	if cols == nil {
+		for g := 0; g < w*ch; g++ {
+			dailyPercentiles(v, i, end-w, g, ch, out[g*np:(g+1)*np])
 		}
+		return
 	}
+	var ps [len(percentileLevels)]float64
+	last := -1
+	for k, col := range cols {
+		if g := col / np; g != last {
+			dailyPercentiles(v, i, end-w, g, ch, ps[:])
+			last = g
+		}
+		out[k] = ps[col%np]
+	}
+}
+
+// dailyPercentiles writes the five percentiles of feature group g — day
+// first+g/ch of the window, channel g%ch — into out.
+func dailyPercentiles(v *View, i, first, g, ch int, out []float64) {
+	var day [timegrid.HoursPerDay]float64
+	base := (first + g/ch) * timegrid.HoursPerDay
+	c := g % ch
+	for h := range day {
+		day[h] = v.At(i, base+h, c)
+	}
+	mathx.PercentilesInto(out, day[:], percentileLevels[:])
 }
 
 // HandCrafted is the RF-F2 representation (Sec. IV-D): per channel it emits
@@ -267,18 +297,44 @@ func (HandCrafted) Name() string { return "handcrafted" }
 // Width implements Extractor.
 func (HandCrafted) Width(v *View, w int) int { return handCraftedPerChannel * v.Channels() }
 
-// Extract implements Extractor.
-func (HandCrafted) Extract(v *View, i, end, w int, out []float64) {
+// seriesPool recycles HandCrafted's hourly series buffer across sectors
+// and builds, so extraction allocates nothing in steady state.
+var seriesPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// Extract implements Extractor. Features come in per-channel groups of
+// 106; a projection computes each channel it touches once.
+func (HandCrafted) Extract(v *View, i, end, w int, cols []int, out []float64) {
 	ch := v.Channels()
 	h0, h1 := windowBounds(end, w)
-	series := make([]float64, h1-h0)
-	pos := 0
-	for c := 0; c < ch; c++ {
+	buf := seriesPool.Get().(*[]float64)
+	if cap(*buf) < h1-h0 {
+		*buf = make([]float64, h1-h0)
+	}
+	series := (*buf)[:h1-h0]
+	fill := func(c int) {
 		for j := h0; j < h1; j++ {
 			series[j-h0] = v.At(i, j, c)
 		}
-		pos = emitHandCrafted(series, out, pos)
 	}
+	if cols == nil {
+		pos := 0
+		for c := 0; c < ch; c++ {
+			fill(c)
+			pos = emitHandCrafted(series, out, pos)
+		}
+	} else {
+		var group [handCraftedPerChannel]float64
+		last := -1
+		for k, col := range cols {
+			if c := col / handCraftedPerChannel; c != last {
+				fill(c)
+				emitHandCrafted(series, group[:], 0)
+				last = c
+			}
+			out[k] = group[col%handCraftedPerChannel]
+		}
+	}
+	seriesPool.Put(buf)
 }
 
 // emitHandCrafted writes the 106 per-channel features from an hourly series
@@ -377,7 +433,7 @@ func BuildMatrix(v *View, ex Extractor, sectors []int, ends []int, w int) ([]flo
 		if err := CheckWindow(v, ends[r], w); err != nil {
 			return nil, 0, err
 		}
-		ex.Extract(v, sectors[r], ends[r], w, out[r*width:(r+1)*width])
+		ex.Extract(v, sectors[r], ends[r], w, nil, out[r*width:(r+1)*width])
 	}
 	return out, width, nil
 }
@@ -387,14 +443,47 @@ func BuildMatrix(v *View, ex Extractor, sectors []int, ends []int, w int) ([]flo
 // cache stores and shares between grid points. It is value-identical to
 // BuildMatrix over sectors 0..n-1 with a constant end day.
 func BuildAllSectors(v *View, ex Extractor, end, w int) ([]float64, int, error) {
+	return BuildAllSectorsCols(v, ex, end, w, nil)
+}
+
+// BuildAllSectorsCols is BuildAllSectors projected onto the columns cols
+// (strictly ascending indices below the extractor's Width; nil = all): row
+// i holds sector i's features cols[0], cols[1], ..., bit-identical to
+// gathering them from the full build. The returned width is len(cols), or
+// the full Width for nil. The output matrix is the build's only
+// allocation.
+func BuildAllSectorsCols(v *View, ex Extractor, end, w int, cols []int) ([]float64, int, error) {
 	if err := CheckWindow(v, end, w); err != nil {
 		return nil, 0, err
 	}
-	n := v.Sectors()
 	width := ex.Width(v, w)
+	if cols != nil {
+		if err := CheckCols(cols, width); err != nil {
+			return nil, 0, err
+		}
+		width = len(cols)
+	}
+	n := v.Sectors()
 	out := make([]float64, n*width)
 	for i := 0; i < n; i++ {
-		ex.Extract(v, i, end, w, out[i*width:(i+1)*width])
+		ex.Extract(v, i, end, w, cols, out[i*width:(i+1)*width])
 	}
 	return out, width, nil
+}
+
+// CheckCols validates a column projection of a width-wide feature vector:
+// at least one column, strictly ascending, all below width.
+func CheckCols(cols []int, width int) error {
+	if len(cols) == 0 {
+		return fmt.Errorf("features: empty column projection")
+	}
+	for k, col := range cols {
+		if col < 0 || col >= width {
+			return fmt.Errorf("features: column %d outside width %d", col, width)
+		}
+		if k > 0 && col <= cols[k-1] {
+			return fmt.Errorf("features: columns not strictly ascending at %d (%d after %d)", k, col, cols[k-1])
+		}
+	}
+	return nil
 }

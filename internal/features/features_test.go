@@ -140,7 +140,7 @@ func TestRawExtract(t *testing.T) {
 	var raw Raw
 	w := 2
 	out := make([]float64, raw.Width(v, w))
-	raw.Extract(v, 1, 5, w, out)
+	raw.Extract(v, 1, 5, w, nil, out)
 	// First value: hour (5-2)*24 = 72, channel 0 -> K[1,72,0] = 1000+72.
 	if out[0] != 1072 {
 		t.Fatalf("raw[0] = %v, want 1072", out[0])
@@ -159,7 +159,7 @@ func TestPercentilesExtract(t *testing.T) {
 	var pct Percentiles
 	w := 1
 	out := make([]float64, pct.Width(v, w))
-	pct.Extract(v, 0, 1, w, out)
+	pct.Extract(v, 0, 1, w, nil, out)
 	// Channel 0 on day 0 is 0..23; median = 11.5, p5 = 1.15.
 	if math.Abs(out[2]-11.5) > 1e-9 {
 		t.Fatalf("median = %v, want 11.5", out[2])
@@ -177,7 +177,7 @@ func TestHandCraftedExtract(t *testing.T) {
 	var hc HandCrafted
 	w := 7
 	out := make([]float64, hc.Width(v, w))
-	hc.Extract(v, 0, 7, w, out)
+	hc.Extract(v, 0, 7, w, nil, out)
 	// Channel 0, whole-window mean of 0..167 = 83.5.
 	if math.Abs(out[0]-83.5) > 1e-9 {
 		t.Fatalf("mean = %v, want 83.5", out[0])
@@ -206,7 +206,7 @@ func TestHandCraftedShortWindow(t *testing.T) {
 	v := tinyView(t)
 	var hc HandCrafted
 	out := make([]float64, hc.Width(v, 2))
-	hc.Extract(v, 1, 2, 2, out)
+	hc.Extract(v, 1, 2, 2, nil, out)
 	for i, val := range out {
 		if math.IsNaN(val) {
 			t.Fatalf("NaN at feature %d", i)
@@ -360,7 +360,7 @@ func TestExtractorsOnSyntheticData(t *testing.T) {
 	}
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
 		out := make([]float64, ex.Width(v, 7))
-		ex.Extract(v, 3, 14, 7, out)
+		ex.Extract(v, 3, 14, 7, nil, out)
 		for i, val := range out {
 			if math.IsNaN(val) || math.IsInf(val, 0) {
 				t.Fatalf("%s: non-finite feature at %d", ex.Name(), i)
@@ -400,5 +400,108 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("bogus"); err == nil {
 		t.Fatal("unknown extractor accepted")
+	}
+}
+
+// nanHeavyView builds a TinyScale-sized network (200 sectors, seed 1)
+// with about 40% of its KPI cells missing, so every extractor sees long
+// runs of the zero fallback and tied order statistics.
+func nanHeavyView(t testing.TB) *View {
+	t.Helper()
+	cfg := simnet.DefaultConfig()
+	cfg.Sectors, cfg.Weeks, cfg.Seed = 200, 4, 1
+	cfg.MissingTarget = 0.4
+	ds, err := simnet.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := 0
+	for _, x := range ds.K.Data {
+		if math.IsNaN(x) {
+			missing++
+		}
+	}
+	if frac := float64(missing) / float64(len(ds.K.Data)); frac < 0.25 {
+		t.Fatalf("only %.2f of KPI cells missing", frac)
+	}
+	set := score.Compute(ds.K, score.DefaultWeighting())
+	v, err := NewView(ds.K, ds.Grid.Calendar(), set.Sh, set.Sd, set.Sw, set.Yd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// projections returns column sets over a width-wide vector: the first and
+// last columns alone, isolated columns between runs, runs straddling the
+// percentile (5) and hand-crafted (106) group boundaries, a sparse stride,
+// and every column.
+func projections(width int) [][]int {
+	pick := func(cs ...int) []int {
+		var out []int
+		for _, c := range cs {
+			if c >= 0 && c < width && (len(out) == 0 || c > out[len(out)-1]) {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	all := make([]int, width)
+	stride := []int{}
+	for c := range all {
+		all[c] = c
+		if c%37 == 3 {
+			stride = append(stride, c)
+		}
+	}
+	return [][]int{
+		pick(0),
+		pick(width - 1),
+		pick(0, width-1),
+		pick(0, 1, 4, 5, 6, 50, 105, 106, 107, width/2, width-2, width-1),
+		stride,
+		all,
+	}
+}
+
+// TestProjectedBuildMatchesGather: a projected build equals gathering its
+// columns from the full build, bit for bit, for every extractor.
+func TestProjectedBuildMatchesGather(t *testing.T) {
+	v := nanHeavyView(t)
+	const end, w = 14, 7
+	n := v.Sectors()
+	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
+		full, width, err := BuildAllSectors(v, ex, end, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cols := range projections(width) {
+			got, k, err := BuildAllSectorsCols(v, ex, end, w, cols)
+			if err != nil {
+				t.Fatalf("%s: %v", ex.Name(), err)
+			}
+			if k != len(cols) || len(got) != n*k {
+				t.Fatalf("%s: projected shape %d x %d, want %d x %d", ex.Name(), len(got)/max(k, 1), k, n, len(cols))
+			}
+			for i := 0; i < n; i++ {
+				for j, c := range cols {
+					if a, b := got[i*k+j], full[i*width+c]; math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("%s: sector %d column %d: projected %v, full %v", ex.Name(), i, c, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProjectedBuildRejectsBadColumns: a projection must be non-empty,
+// strictly ascending and inside the width.
+func TestProjectedBuildRejectsBadColumns(t *testing.T) {
+	v := tinyView(t)
+	width := Raw{}.Width(v, 2)
+	for _, cols := range [][]int{{}, {3, 3}, {4, 2}, {-1}, {width}} {
+		if _, _, err := BuildAllSectorsCols(v, Raw{}, 5, 2, cols); err == nil {
+			t.Errorf("columns %v accepted", cols)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/binenc"
 	"repro/internal/faultfs"
+	"repro/internal/featcache"
 	"repro/internal/features"
 	"repro/internal/mltree"
 	"repro/internal/mmapfile"
@@ -149,16 +150,22 @@ func (a *baselineArtifact) Predict(c *Context, t, w int) ([]float64, error) {
 
 // classifierArtifact is a fitted tree-based model: the compiled flat
 // inference engine (see mltree/flat.go) plus the feature representation
-// needed to rebuild prediction matrices. Fit flattens the learner and keeps
-// only the engine; decode reads the engine straight from the envelope.
-// Predict scores the whole sector block per tree pass with zero per-sector
+// needed to rebuild prediction matrices. Fit flattens the learner against
+// the features it splits on and keeps only the engine; decode reads the
+// engine straight from the envelope. Predict builds just those columns and
+// scores the whole sector block per tree pass with zero per-sector
 // allocation.
 type classifierArtifact struct {
 	artifactMeta
 	kind      uint8
 	extractor features.Extractor
 	width     int // trained feature-vector length; Predict windows must match
-	engine    flatEngine
+	// cols are the ascending feature indices, out of width, the engine
+	// reads: its NumFeatures is len(cols) and its rows hold only these.
+	cols []int
+	// colsKey is cols as the prediction matrix's exact cache key component.
+	colsKey string
+	engine  flatEngine
 	// importances of the fit (mean decrease in impurity); nil for GBT.
 	importances []float64
 	// backing keeps an mmap'd artifact file alive while the flat engine
@@ -201,14 +208,24 @@ func (a *classifierArtifact) MmapBytes() int64 { return a.mmapBytes }
 // FlatBytes implements FlatModel.
 func (a *classifierArtifact) FlatBytes() int64 { return a.engine.FlatBytes() }
 
+// FeaturesRead is how many feature columns Predict builds: the distinct
+// features the model splits on.
+func (a *classifierArtifact) FeaturesRead() int { return len(a.cols) }
+
+// FeatureWidth is the extractor's full feature-vector length at the
+// artifact's window, of which Predict reads FeaturesRead columns.
+func (a *classifierArtifact) FeatureWidth() int { return a.width }
+
 // Bytes implements Trained.
 func (a *classifierArtifact) Bytes() int64 {
-	return int64(160) + int64(len(a.importances))*8 + a.FlatBytes()
+	return int64(160) + int64(len(a.importances))*8 + int64(len(a.cols))*8 +
+		int64(len(a.colsKey)) + a.FlatBytes()
 }
 
 // Predict implements Trained: build (or fetch from the feature cache) the
-// all-sector matrix for the window ending at t and score every row, per
-// Eq. 6, in one flat-engine batch call for the whole sector block.
+// all-sector matrix of the artifact's columns for the window ending at t
+// and score every row, per Eq. 6, in one flat-engine batch call for the
+// whole sector block.
 func (a *classifierArtifact) Predict(c *Context, t, w int) ([]float64, error) {
 	if err := c.CheckPredict(t, w); err != nil {
 		return nil, err
@@ -224,7 +241,7 @@ func (a *classifierArtifact) Predict(c *Context, t, w int) ([]float64, error) {
 			a.name, a.width, w, got)
 	}
 	f0 := time.Now()
-	pmat, err := c.FeatureMatrix(a.extractor, t, w)
+	pmat, err := c.projectedMatrix(a.extractor, t, w, a.cols, a.colsKey)
 	if err != nil {
 		return nil, fmt.Errorf("forecast: building prediction matrix: %w", err)
 	}
@@ -252,12 +269,13 @@ var artifactMagic = [4]byte{'H', 'O', 'T', 'M'}
 // writes and reads. The envelope opens with a fixed 42-byte integrity block
 // (see integrity.go) carrying the payload-section offset and per-section
 // content checksums, so the load path verifies the whole file in one
-// streaming pass before aliasing anything. Classifier payloads are the
-// compiled flat engine's own arrays as 8-byte-aligned little-endian
-// sections (aligned from the file's first byte), so a decode over an
-// aligned buffer — in particular a memory-mapped file — aliases the
-// sections in place and costs O(1) in the node count.
-const ArtifactVersion uint16 = 4
+// streaming pass before aliasing anything. A classifier's meta section
+// carries the feature columns its engine reads (version 5). Classifier
+// payloads are the compiled flat engine's own arrays as 8-byte-aligned
+// little-endian sections (aligned from the file's first byte), so a decode
+// over an aligned buffer — in particular a memory-mapped file — aliases
+// the sections in place and costs O(1) in the node count.
+const ArtifactVersion uint16 = 5
 
 // EncodeModel serializes a trained artifact to the versioned binary
 // format. Decoding the result with DecodeModel yields an artifact whose
@@ -294,6 +312,7 @@ func EncodeModel(tr Trained) ([]byte, error) {
 		// than slicing the magic off.
 		b = binenc.AppendString(b, ca.extractor.Name())
 		b = binenc.AppendU32(b, uint32(ca.width))
+		b = binenc.AppendInts(b, ca.cols)
 		b = binenc.AppendF64s(b, ca.importances)
 		payloadOff = len(b)
 		b = ca.engine.AppendBinary(b)
@@ -363,6 +382,7 @@ func decodeModel(data []byte, trusted bool) (Trained, error) {
 		a := &classifierArtifact{artifactMeta: meta, kind: kind}
 		exName := r.String()
 		a.width = int(r.U32())
+		a.cols = r.Ints()
 		a.importances = r.F64s()
 		if err := r.Err(); err != nil {
 			return nil, err
@@ -375,6 +395,10 @@ func decodeModel(data []byte, trusted bool) (Trained, error) {
 		if a.width < 1 {
 			return nil, fmt.Errorf("forecast: artifact has invalid feature width %d", a.width)
 		}
+		if err := features.CheckCols(a.cols, a.width); err != nil {
+			return nil, fmt.Errorf("forecast: artifact columns: %w", err)
+		}
+		a.colsKey = featcache.ColsKey(a.cols)
 		var learnerFeatures int
 		switch kind {
 		case kindTree:
@@ -396,10 +420,10 @@ func decodeModel(data []byte, trusted bool) (Trained, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Predict slices prediction-matrix rows by width and hands them to
+		// Predict builds len(cols)-wide prediction rows and hands them to
 		// the engine; a mismatch would panic there, so reject it at decode.
-		if learnerFeatures != a.width {
-			return nil, fmt.Errorf("forecast: artifact width %d does not match its learner's %d features", a.width, learnerFeatures)
+		if learnerFeatures != len(a.cols) {
+			return nil, fmt.Errorf("forecast: artifact reads %d columns but its learner has %d features", len(a.cols), learnerFeatures)
 		}
 		tr = a
 	default:

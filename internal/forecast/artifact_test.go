@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -213,8 +214,8 @@ func TestClassifierArtifactRejectsMismatchedWindow(t *testing.T) {
 }
 
 // TestArtifactDecodeRejectsWidthMismatch: an artifact whose width field
-// disagrees with its embedded learner would panic at predict time; decode
-// must reject it instead.
+// no longer covers the columns its learner reads would gather features
+// the model never saw; decode must reject it instead.
 func TestArtifactDecodeRejectsWidthMismatch(t *testing.T) {
 	c := testContext(t, 80, 8, 41)
 	tr, err := NewTreeModel().Fit(c, BeHot, 28, 1, 3)
@@ -222,13 +223,77 @@ func TestArtifactDecodeRejectsWidthMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	art := *(tr.(*classifierArtifact))
-	art.width++ // desynchronise the width field from the learner
+	art.width = art.cols[len(art.cols)-1] // the last column falls outside
 	data, err := EncodeModel(&art)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DecodeModel(data); err == nil || !strings.Contains(err.Error(), "width") {
-		t.Fatalf("width/learner mismatch accepted (err=%v)", err)
+		t.Fatalf("width/column mismatch accepted (err=%v)", err)
+	}
+}
+
+// corruptColumnArtifacts re-encodes a fitted forest with each way its
+// column list can disagree with the envelope's invariants. Every envelope
+// carries valid checksums, so only decode's structural checks stand
+// between it and a panic in Predict.
+func corruptColumnArtifacts(t testing.TB, tr Trained) map[string][]byte {
+	t.Helper()
+	ca := tr.(*classifierArtifact)
+	if len(ca.cols) < 2 {
+		t.Fatalf("need at least 2 columns to corrupt, artifact reads %d", len(ca.cols))
+	}
+	n := len(ca.cols)
+	swapped := slices.Clone(ca.cols)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	repeated := slices.Clone(ca.cols)
+	repeated[1] = repeated[0]
+	outside := slices.Clone(ca.cols)
+	outside[n-1] = ca.width
+	// One well-formed column more than the engine reads.
+	more := slices.Clone(ca.cols)
+	for j := 0; j < ca.width; j++ {
+		if !slices.Contains(ca.cols, j) {
+			more = append(more, j)
+			break
+		}
+	}
+	slices.Sort(more)
+	cases := map[string][]int{
+		"empty":      nil,
+		"descending": swapped,
+		"repeated":   repeated,
+		"outside":    outside,
+		"fewer":      ca.cols[:n-1],
+		"more":       more,
+	}
+	out := map[string][]byte{}
+	for name, cols := range cases {
+		art := *ca
+		art.cols = cols
+		data, err := EncodeModel(&art)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		out[name] = data
+	}
+	return out
+}
+
+// TestArtifactDecodeRejectsBadColumns: a classifier's column list must be
+// non-empty, strictly ascending, inside the feature width, and exactly as
+// long as its engine's feature count.
+func TestArtifactDecodeRejectsBadColumns(t *testing.T) {
+	c := testContext(t, 80, 8, 41)
+	c.ForestTrees = 3
+	tr, err := NewRFF1().Fit(c, BeHot, 28, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range corruptColumnArtifacts(t, tr) {
+		if _, err := DecodeModel(data); err == nil || !strings.Contains(err.Error(), "column") {
+			t.Errorf("%s: corrupt column list accepted (err=%v)", name, err)
+		}
 	}
 }
 
@@ -281,7 +346,7 @@ func TestArtifactFingerprintRoundTrip(t *testing.T) {
 func TestArtifactRejectsForeignVersions(t *testing.T) {
 	data := encodeTestArtifact(t)
 	dir := t.TempDir()
-	for _, v := range []uint16{0, 1, 2, 3, ArtifactVersion + 1} {
+	for _, v := range []uint16{0, 1, 2, 3, 4, ArtifactVersion + 1} {
 		t.Run(fmt.Sprintf("version-%d", v), func(t *testing.T) {
 			mut := append([]byte(nil), data...)
 			binary.LittleEndian.PutUint16(mut[4:], v)

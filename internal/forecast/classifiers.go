@@ -169,13 +169,13 @@ func (m *ClassifierModel) fitFingerprint(c *Context) (string, bool) {
 }
 
 // Fit implements Model: train per Eq. 7 and capture the learner's flat
-// compilation — plus the feature representation needed to rebuild
-// prediction matrices — in an immutable artifact; the walked learner is
-// not kept. A degenerate training slice (single-class labels)
-// yields a fallback artifact that predicts the strongest baseline ranking
-// (Average) instead of fitting a single-class model; the paper's
-// country-scale data always has both classes, small reproductions
-// occasionally do not.
+// compilation — projected onto the features it splits on — plus the
+// feature representation needed to rebuild those columns in an immutable
+// artifact; the walked learner is not kept. A degenerate training slice
+// (single-class labels) yields a fallback artifact that predicts the
+// strongest baseline ranking (Average) instead of fitting a single-class
+// model; the paper's country-scale data always has both classes, small
+// reproductions occasionally do not.
 func (m *ClassifierModel) Fit(c *Context, target Target, t, h, w int) (Trained, error) {
 	tr, _, err := m.fitLearner(c, target, t, h, w)
 	return tr, err
@@ -266,7 +266,8 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 			return nil, nil, fmt.Errorf("forecast: fitting tree: %w", err)
 		}
 		art.kind = kindTree
-		art.engine = tree.Flatten()
+		ft, cols := tree.FlattenProjected()
+		art.engine, art.cols = ft, cols
 		art.importances = tree.Importances()
 		learner = tree
 	} else {
@@ -287,17 +288,18 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 			return nil, nil, fmt.Errorf("forecast: fitting forest: %w", err)
 		}
 		art.kind = kindForest
-		art.engine = forest.Flatten()
+		ff, cols := forest.FlattenProjected()
+		art.engine, art.cols = ff, cols
 		art.importances = forest.Importances()
 		learner = forest
 	}
+	art.colsKey = featcache.ColsKey(art.cols)
 	return art, learner, nil
 }
 
 // Forecast implements Model: the Fit+Predict shim, with fits served from
-// the trained-model cache. Prediction reads the (extractor, t, w) matrix
-// through the feature cache, so every horizon at a fixed (t, w) shares one
-// build.
+// the trained-model cache. Prediction reads the artifact's columns of the
+// (extractor, t, w) window through the feature cache.
 func (m *ClassifierModel) Forecast(c *Context, target Target, t, h, w int) ([]float64, error) {
 	if err := c.CheckTask(t, h, w); err != nil {
 		return nil, err

@@ -279,8 +279,15 @@ func (c *Context) FeatureCache() *featcache.Cache {
 // points; extraction is deterministic, so a cached matrix is bit-identical
 // to a fresh build.
 func (c *Context) FeatureMatrix(ex features.Extractor, end, w int) (*featcache.Matrix, error) {
+	return c.projectedMatrix(ex, end, w, nil, "")
+}
+
+// projectedMatrix is FeatureMatrix holding only the columns cols
+// (features.BuildAllSectorsCols; nil = all), cached under the exact
+// column list colsKey (featcache.ColsKey(cols), "" for nil).
+func (c *Context) projectedMatrix(ex features.Extractor, end, w int, cols []int, colsKey string) (*featcache.Matrix, error) {
 	build := func() (*featcache.Matrix, error) {
-		data, width, err := features.BuildAllSectors(c.View, ex, end, w)
+		data, width, err := features.BuildAllSectorsCols(c.View, ex, end, w, cols)
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +297,7 @@ func (c *Context) FeatureMatrix(ex features.Extractor, end, w int) (*featcache.M
 	if cache == nil {
 		return build()
 	}
-	return cache.GetOrBuild(featcache.Key{Extractor: ex.Name(), End: end, W: w}, build)
+	return cache.GetOrBuild(featcache.Key{Extractor: ex.Name(), End: end, W: w, Cols: colsKey}, build)
 }
 
 // BinnedTrainingMatrix returns the quantized Eq. 7 training matrix for a

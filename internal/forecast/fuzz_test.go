@@ -2,17 +2,19 @@ package forecast
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 )
 
 // fuzzSeedArtifacts encodes one artifact per kind family (baseline,
 // tree, forest, GBT) from a small deterministic fit, seeding the fuzz
 // corpus with real envelopes so mutations explore the format's interior
-// rather than bouncing off the magic check.
-func fuzzSeedArtifacts(f *testing.F) [][]byte {
+// rather than bouncing off the magic check. It also returns a forest's
+// envelopes with each column-list corruption (see
+// corruptColumnArtifacts), checksums intact.
+func fuzzSeedArtifacts(f *testing.F) (seeds, corrupt [][]byte) {
 	c := testContext(f, 80, 6, 61)
 	c.ForestTrees = 4
-	var seeds [][]byte
 	models := append([]Model{AverageModel{}}, flatModels()...)
 	for _, m := range models {
 		tr, err := m.Fit(c, BeHot, 30, 2, 5)
@@ -24,8 +26,19 @@ func fuzzSeedArtifacts(f *testing.F) [][]byte {
 			f.Fatalf("%s: encode: %v", m.Name(), err)
 		}
 		seeds = append(seeds, data)
+		if m.Name() == "RF-R" {
+			bad := corruptColumnArtifacts(f, tr)
+			names := make([]string, 0, len(bad))
+			for name := range bad {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				corrupt = append(corrupt, bad[name])
+			}
+		}
 	}
-	return seeds
+	return seeds, corrupt
 }
 
 // FuzzDecodeModel: DecodeModel on arbitrary bytes must reject corrupt
@@ -35,7 +48,11 @@ func fuzzSeedArtifacts(f *testing.F) [][]byte {
 // misaligned buffer (which forces the copy fallback instead of zero-copy
 // aliasing).
 func FuzzDecodeModel(f *testing.F) {
-	for _, s := range fuzzSeedArtifacts(f) {
+	seeds, corrupt := fuzzSeedArtifacts(f)
+	for _, s := range corrupt {
+		f.Add(s)
+	}
+	for _, s := range seeds {
 		f.Add(s)
 		f.Add(s[:len(s)-1])
 		// Bit-flip corpora: single flips in the integrity block, the meta

@@ -3,6 +3,7 @@ package forecast
 import (
 	"fmt"
 
+	"repro/internal/featcache"
 	"repro/internal/features"
 	"repro/internal/mltree"
 )
@@ -97,8 +98,9 @@ func (m *GBTModel) fitLearner(c *Context, target Target, t, h, w int) (Trained, 
 			return nil, nil, fmt.Errorf("forecast: fitting GBT: %w", err)
 		}
 	}
+	fg, cols := g.FlattenProjected()
 	return &classifierArtifact{artifactMeta: meta, kind: kindGBT, extractor: m.Extractor, width: width,
-		engine: g.Flatten()}, g, nil
+		cols: cols, colsKey: featcache.ColsKey(cols), engine: fg}, g, nil
 }
 
 // Forecast implements Model: the Fit+Predict shim, with fits served from

@@ -182,9 +182,9 @@ func Sweep(c *Context, cfg SweepConfig) (*Result, error) {
 	return res, nil
 }
 
-// warmFeatureCache compiles the grid's distinct (extractor, end, w) matrix
-// builds — float per-day blocks plus, for hist-mode fits, the quantized
-// stacked training matrices — and executes them once through the shared
+// warmFeatureCache compiles the grid's distinct (extractor, end, w)
+// training builds — float per-day blocks plus, for hist-mode fits, the
+// quantized stacked matrices — and executes them once through the shared
 // pool, so grid-point evaluation starts against a hot cache instead of
 // racing to build the same matrices. Best-effort: with the cache disabled
 // or no extractor models in the sweep it is a no-op, and build errors are

@@ -115,18 +115,38 @@ func Percentile(xs []float64, p float64) float64 {
 // Percentiles computes several percentiles in one pass over a single sort.
 func Percentiles(xs []float64, ps []float64) []float64 {
 	out := make([]float64, len(ps))
-	vals := finite(xs)
-	if len(vals) == 0 {
-		for i := range out {
-			out[i] = math.NaN()
+	PercentilesInto(out, xs, ps)
+	return out
+}
+
+// percentileStack is the input length PercentilesInto sorts in a stack
+// buffer; longer inputs pay one heap copy.
+const percentileStack = 64
+
+// PercentilesInto is Percentiles writing into dst (len(ps) values)
+// instead of allocating: inputs of up to 64 values are sorted in a stack
+// copy, with the same sort, so the results are bit-identical.
+func PercentilesInto(dst, xs, ps []float64) {
+	var buf [percentileStack]float64
+	vals := buf[:0]
+	if len(xs) > len(buf) {
+		vals = make([]float64, 0, len(xs))
+	}
+	for _, x := range xs {
+		if !math.IsNaN(x) {
+			vals = append(vals, x)
 		}
-		return out
+	}
+	if len(vals) == 0 {
+		for i := range ps {
+			dst[i] = math.NaN()
+		}
+		return
 	}
 	sort.Float64s(vals)
 	for i, p := range ps {
-		out[i] = percentileSorted(vals, p)
+		dst[i] = percentileSorted(vals, p)
 	}
-	return out
 }
 
 func percentileSorted(sorted []float64, p float64) float64 {

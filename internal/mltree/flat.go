@@ -1057,9 +1057,8 @@ func (fg *FlatGBT) RawBatch(x []float64, n int, out []float64) {
 // the slot — the walked path's exact association.
 func (fg *FlatGBT) accumulate(x []float64, n, f int, out []float64, stride int) {
 	if fg.useBinned() {
-		accumulateBinned(fg.binned, x, n, func(i int) float64 {
+		accumulateBinned(fg.binned, x, n, func(i int, s float64) float64 {
 			row := x[i*f : (i+1)*f]
-			s := 0.0
 			for _, root := range fg.roots {
 				s += fg.leafAdds[int(^fg.leaf(row, root))]
 			}

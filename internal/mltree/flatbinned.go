@@ -709,9 +709,10 @@ func scoreBatchBinned(be *binnedEnsemble, x []float64, n int, inv float64, tail 
 // accumulateBinned is the binned twin of FlatGBT.accumulate: stage sums
 // start from the value already in each row's out slot (the prior, or a
 // class-1 slot) and accumulate in boosting order, the walked path's
-// exact association. tail adds the remaining rows' stage sums via the
-// float layout's scalar walk.
-func accumulateBinned(be *binnedEnsemble, x []float64, n int, tail func(i int) float64, out []float64, stride int) {
+// exact association. tail continues the remaining rows' sums from their
+// slot values via the float layout's scalar walk, keeping that
+// association too.
+func accumulateBinned(be *binnedEnsemble, x []float64, n int, tail func(i int, s float64) float64, out []float64, stride int) {
 	f := be.f
 	ct, cb := getCodeTile(f)
 	defer codeTilePool.Put(ct)
@@ -727,7 +728,7 @@ func accumulateBinned(be *binnedEnsemble, x []float64, n int, tail func(i int) f
 			be.addTreeBlock(cb, g8, ti, out[i0*stride:], stride)
 		}
 		for i := i0 + g8; i < i1; i++ {
-			out[i*stride] += tail(i)
+			out[i*stride] = tail(i, out[i*stride])
 		}
 	}
 	quantizeSeconds.ObserveDuration(quant)

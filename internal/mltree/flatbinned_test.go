@@ -124,6 +124,32 @@ func TestBinnedGBTMatchesFloat(t *testing.T) {
 	}
 }
 
+// TestBinnedGBTTailRowsMatchWalked: rows past the last full 8-lane group
+// of a block take the scalar tail, which must continue each row's sum
+// from its prior exactly as the walked path associates it.
+func TestBinnedGBTTailRowsMatchWalked(t *testing.T) {
+	x, y, eval := flatTestData(83, 600, 8)
+	cfg := DefaultGBTConfig()
+	cfg.Rounds = 15
+	cfg.Algo = SplitHist
+	g, err := FitGBT(x, 600, 8, y, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fg := g.Flatten()
+	if fg.DescentMode() != "binned" {
+		t.Fatalf("hist GBT descent mode %q, want binned", fg.DescentMode())
+	}
+	const n = 263 // one full 256-row block, then 7 tail rows
+	raw := make([]float64, n)
+	fg.RawBatch(eval[:n*8], n, raw)
+	for i := 0; i < n; i++ {
+		if got := g.Raw(eval[i*8 : (i+1)*8]); raw[i] != got {
+			t.Fatalf("row %d: binned raw %v walked %v", i, raw[i], got)
+		}
+	}
+}
+
 // TestBinnedExactTreeStaysFloat: exact-trained models never compile a
 // binned twin (their thresholds need the full float total order).
 func TestBinnedExactTreeStaysFloat(t *testing.T) {
