@@ -34,16 +34,29 @@ type Stats struct {
 	MaxBytes int64
 }
 
+// Meter is a cache's counter block: the counters, the resident bytes and
+// the entry count. It is a separate object from the cache so that metrics
+// can hold it without holding the cache, whose entries then stay
+// collectable once the cache itself is dropped.
+type Meter struct {
+	mu    sync.Mutex // also guards the owning cache's entries
+	stats Stats
+}
+
+// Stats returns a snapshot of the counters.
+func (m *Meter) Stats() Stats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stats
+}
+
 // Cache is a byte-budgeted LRU with single-flight builds. All methods are
 // safe for concurrent use.
 type Cache[K comparable, V Sized] struct {
-	mu       sync.Mutex
-	max      int64 // <= 0 means unbounded
-	bytes    int64
+	m        *Meter     // m.mu guards the fields below
 	ll       *list.List // front = most recently used
 	entries  map[K]*list.Element
 	building map[K]*buildCall[V]
-	stats    Stats
 }
 
 type lruEntry[K comparable, V Sized] struct {
@@ -61,7 +74,7 @@ type buildCall[V Sized] struct {
 // unbounded).
 func New[K comparable, V Sized](maxBytes int64) *Cache[K, V] {
 	return &Cache[K, V]{
-		max:      maxBytes,
+		m:        &Meter{stats: Stats{MaxBytes: maxBytes}},
 		ll:       list.New(),
 		entries:  map[K]*list.Element{},
 		building: map[K]*buildCall[V]{},
@@ -69,78 +82,73 @@ func New[K comparable, V Sized](maxBytes int64) *Cache[K, V] {
 }
 
 // MaxBytes returns the configured byte budget (<= 0 means unbounded).
-func (c *Cache[K, V]) MaxBytes() int64 { return c.max }
+func (c *Cache[K, V]) MaxBytes() int64 { return c.m.stats.MaxBytes }
+
+// Meter returns the cache's counter block, which references no entry:
+// register it, not the cache, with metrics that may outlive the cache.
+func (c *Cache[K, V]) Meter() *Meter { return c.m }
 
 // GetOrBuild returns the value for key, building it with build on a miss.
 // Concurrent callers for the same key share one build (single flight): the
 // first caller builds, the rest block and receive the same value. Build
 // errors are not cached — the next caller retries.
 func (c *Cache[K, V]) GetOrBuild(key K, build func() (V, error)) (V, error) {
-	c.mu.Lock()
+	mu, s := &c.m.mu, &c.m.stats
+	mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		c.stats.Hits++
+		s.Hits++
 		v := el.Value.(*lruEntry[K, V]).v
-		c.mu.Unlock()
+		mu.Unlock()
 		return v, nil
 	}
 	if call, ok := c.building[key]; ok {
-		c.stats.Waits++
-		c.mu.Unlock()
+		s.Waits++
+		mu.Unlock()
 		<-call.done
 		return call.v, call.err
 	}
 	call := &buildCall[V]{done: make(chan struct{})}
 	c.building[key] = call
-	c.stats.Misses++
-	c.mu.Unlock()
+	s.Misses++
+	mu.Unlock()
 
 	call.v, call.err = build()
 
-	c.mu.Lock()
+	mu.Lock()
 	delete(c.building, key)
 	if call.err == nil {
 		c.insert(key, call.v)
 	}
-	c.mu.Unlock()
+	mu.Unlock()
 	close(call.done)
 	return call.v, call.err
 }
 
 // insert stores a freshly built value, evicting least-recently-used
 // entries until the byte budget holds. A value larger than the whole
-// budget is served but never stored. Callers hold c.mu.
+// budget is served but never stored. Callers hold c.m.mu.
 func (c *Cache[K, V]) insert(key K, v V) {
-	if c.max > 0 && v.Bytes() > c.max {
-		c.stats.Oversize++
+	s := &c.m.stats
+	if s.MaxBytes > 0 && v.Bytes() > s.MaxBytes {
+		s.Oversize++
 		return
 	}
 	c.entries[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, v: v})
-	c.bytes += v.Bytes()
-	for c.max > 0 && c.bytes > c.max {
+	s.Bytes += v.Bytes()
+	for s.MaxBytes > 0 && s.Bytes > s.MaxBytes {
 		back := c.ll.Back()
 		victim := back.Value.(*lruEntry[K, V])
 		c.ll.Remove(back)
 		delete(c.entries, victim.key)
-		c.bytes -= victim.v.Bytes()
-		c.stats.Evictions++
+		s.Bytes -= victim.v.Bytes()
+		s.Evictions++
 	}
+	s.Entries = len(c.entries)
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *Cache[K, V]) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Entries = len(c.entries)
-	s.Bytes = c.bytes
-	s.MaxBytes = c.max
-	return s
-}
+func (c *Cache[K, V]) Stats() Stats { return c.m.Stats() }
 
 // Len returns the number of cached values.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Cache[K, V]) Len() int { return c.Stats().Entries }

@@ -11,6 +11,11 @@ import "repro/internal/obs"
 // whose cache can be re-created (forecast.Context does this lazily) just
 // re-register with the new stats closure and the latest registration wins.
 //
+// The registry keeps stats for the life of the process, so stats must not
+// reference the cache's entries: pass the cache's Meter().Stats, never
+// the cache's own Stats method, or a replaced cache stays reachable, its
+// entries with it.
+//
 // The serving path pays nothing for this: the counters already exist
 // inside the cache, and func collectors only run when /metrics is scraped.
 func RegisterMetrics(reg *obs.Registry, name string, stats func() Stats) {

@@ -1,10 +1,16 @@
 // Package featcache is the shared feature-matrix store behind the sweep
 // engine's plan-then-execute pipeline. The Table III sweep evaluates every
 // model over a (t, h, w) grid, and many grid points consume the identical
-// feature matrix — a training block at end day t-h-d is shared along the
+// training matrix — the Eq. 7 matrix at cutoff t-h is shared along the
 // anti-diagonals of the (t, h) plane and by every model using the
 // extractor — so sweep cost should scale with the number of distinct
-// (extractor, end, w) builds, not with grid size.
+// (extractor, cutoff, w) builds, not with grid size.
+//
+// Each such build is cached once, in the form its fits read: the
+// TrainDays stacked day blocks as one float slab for exact fits, or only
+// their quantization for hist fits. Adjacent cutoffs do not share day
+// blocks; a day block is re-extracted for every cutoff that stacks it,
+// which is cheap beside binning the stacked slab.
 //
 // Two pieces deliver that:
 //
@@ -15,10 +21,10 @@
 //     of distinct builds, ordered by demand, and executes them once through
 //     the shared worker pool before evaluation starts.
 //
-// Prediction reads narrower matrices: a fitted model's prediction
-// matrix holds only the columns the model splits on, cached under a key
-// that carries the exact column list (see Key.Cols). The sweep planner
-// does not prewarm them, since each depends on a fit's outcome.
+// Prediction reads per-day matrices: a fitted model's prediction matrix
+// holds only the columns the model splits on, cached under a key that
+// carries the exact column list (see Key.Cols). The sweep planner does
+// not prewarm them, since each depends on a fit's outcome.
 //
 // Feature extraction is deterministic per (sector, end, w), so serving a
 // cached matrix is bit-identical to rebuilding it; the forecast package's
@@ -37,24 +43,24 @@ import (
 // Key identifies one distinct matrix build: the extractor name, the
 // exclusive end day of the feature window and the window length in days.
 // Matrices always cover every sector, so the sector axis is not part of
-// the key (subset builds bypass the cache). Quantized training-matrix
-// entries (hist-mode fits) set Binned and Days: there End is the training
-// cutoff t-h and Days the number of stacked label days, because the
-// stacked matrix — unlike the per-day float blocks — depends on both.
-// Prediction matrices projected onto an artifact's columns set Cols.
+// the key (subset builds bypass the cache). Stacked training matrices set
+// Days: there End is the training cutoff t-h and Days the number of
+// stacked label days, because the stacked matrix — unlike a per-day
+// block — depends on both; Binned marks the quantized form. Prediction
+// matrices projected onto an artifact's columns set Cols.
 type Key struct {
 	// Extractor is the representation name (features.Extractor.Name).
 	Extractor string
 	// End is the exclusive end day of the feature window (the training
-	// cutoff for Binned entries).
+	// cutoff for stacked entries).
 	End int
 	// W is the window length in days.
 	W int
 	// Binned marks a quantized stacked training matrix (Matrix.Bin set,
 	// Data nil).
 	Binned bool
-	// Days is the number of stacked training label days (Binned entries
-	// only; zero for per-day float blocks).
+	// Days is the number of stacked training label days (zero for
+	// per-day blocks).
 	Days int
 	// Cols is the exact column list of a projected matrix (ColsKey), empty
 	// for one holding every column. It is the list itself, not a hash, so

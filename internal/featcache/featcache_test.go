@@ -147,12 +147,11 @@ func TestCompileDedupsSharedBuilds(t *testing.T) {
 	if plan.Points != 6 {
 		t.Fatalf("points = %d, want 6", plan.Points)
 	}
-	// Naive builds: per point, 2 training blocks = 6*2 = 12. Distinct
-	// ends {t-h-d} = {10,11}-{1,2,3}-{0,1} = {9,8,7,6} u {10,9,8,7} =
-	// {6,7,8,9,10}: 5 distinct builds. Prediction matrices are projected
-	// per fitted model and never planned.
-	if len(plan.Builds) != 5 {
-		t.Fatalf("distinct builds = %d, want 5 (of 12 naive)", len(plan.Builds))
+	// One stacked build per cutoff t-h = {9,8,7} u {10,9,8} = {7,8,9,10}:
+	// 4 distinct builds over the 6 grid points. Prediction matrices are
+	// projected per fitted model and never planned.
+	if len(plan.Builds) != 4 {
+		t.Fatalf("distinct builds = %d, want 4 (of 6 naive)", len(plan.Builds))
 	}
 	totalUses := 0
 	for _, b := range plan.Builds {
@@ -160,9 +159,12 @@ func TestCompileDedupsSharedBuilds(t *testing.T) {
 		if b.Key.End > 10 {
 			t.Fatalf("plan holds a prediction-day build: %+v", b.Key)
 		}
+		if b.Key.Days != 2 || b.Key.Binned || b.Key.W != 7 {
+			t.Fatalf("want a float stacked 2-day build, got %+v", b.Key)
+		}
 	}
-	if totalUses != 12 {
-		t.Fatalf("total uses = %d, want 12", totalUses)
+	if totalUses != 6 {
+		t.Fatalf("total uses = %d, want 6", totalUses)
 	}
 	// Demand-major order.
 	for i := 1; i < len(plan.Builds); i++ {
@@ -231,6 +233,11 @@ func TestCompileBinnedDemand(t *testing.T) {
 		if b.Key.Binned {
 			binned = append(binned, b)
 		}
+	}
+	// Every (extractor, w) is planned in exactly one form: 3 cutoffs x
+	// (raw at 3 and 7, percentiles at 3 and 7) = 12 builds.
+	if len(plan.Builds) != 12 {
+		t.Fatalf("builds = %d, want 12 (one per extractor, cutoff and w)", len(plan.Builds))
 	}
 	// Cutoffs t-h: {10,11}-{1,2} = {8, 9, 10}; 9 is shared by (10,1) and
 	// (11,2), so 3 distinct builds carrying 4 grid-point uses.

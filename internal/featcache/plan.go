@@ -1,27 +1,27 @@
 package featcache
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/parallel"
 )
 
-// Grid describes the feature-matrix demand of one sweep grid: the (t, h, w)
-// axes, the number of stacked training label days, and the extractor names
-// in play. It mirrors forecast.SweepConfig without importing it, keeping
-// the dependency arrow pointed at this package.
+// Grid describes the training-matrix demand of one sweep grid: the
+// (t, h, w) axes, the number of stacked training label days, and the
+// extractor names in play. It mirrors forecast.SweepConfig without
+// importing it, keeping the dependency arrow pointed at this package.
 type Grid struct {
 	Ts, Hs, Ws []int
-	// TrainDays is how many label days each classifier fit stacks; every
-	// training day d contributes a matrix build at end day t-h-d.
+	// TrainDays is how many label days each classifier fit stacks into its
+	// training matrix.
 	TrainDays int
 	// Extractors are the representation names participating in the sweep.
 	Extractors []string
 	// Binned lists, per extractor name, the window lengths whose stacked
-	// training matrices the sweep will consume in quantized (hist) form.
-	// Each (t, h) grid point then demands one Binned build at cutoff t-h —
-	// the (t, h) anti-diagonals collapse exactly as the float blocks do.
-	// Extractors appearing here must also appear in Extractors.
+	// training matrices the sweep's fits read in quantized (hist) form;
+	// every other (extractor, w) is read as floats. Extractors appearing
+	// here must also appear in Extractors.
 	Binned map[string][]int
 }
 
@@ -33,118 +33,68 @@ type PlanBuild struct {
 }
 
 // Plan is a compiled sweep grid: the set of distinct matrix builds, in
-// descending demand order (ties broken by extractor, w, end so the order
-// is deterministic).
+// descending demand order (ties broken by extractor order, w, end so the
+// order is deterministic).
 type Plan struct {
 	Builds []PlanBuild
 	// Points is the number of (t, h, w) grid points the plan covers.
 	Points int
 }
 
-// Compile enumerates the distinct training-block builds a sweep grid
-// needs. Every (t, h, w) point demands TrainDays blocks at end days
-// t-h-d, all with window w; points on one (t, h) anti-diagonal collapse
-// to one build per extractor. Prediction matrices are not planned: each
-// holds only the columns its fitted model splits on, unknown before the
-// fit.
+// Compile enumerates the distinct training builds a sweep grid needs: one
+// stacked matrix per (extractor, cutoff t-h, w), quantized where Binned
+// lists the window and float otherwise. Points on one (t, h)
+// anti-diagonal share the cutoff, so they collapse to one build per
+// extractor. Prediction matrices are not planned: each holds only the
+// columns its fitted model splits on, unknown before the fit.
 func Compile(g Grid) *Plan {
-	trainDays := g.TrainDays
-	if trainDays < 1 {
-		trainDays = 1
-	}
-	type endW struct{ end, w int }
-	uses := map[endW]int{}
-	for _, w := range g.Ws {
-		for _, t := range g.Ts {
-			for _, h := range g.Hs {
-				for d := 0; d < trainDays; d++ {
-					uses[endW{t - h - d, w}]++
+	days := max(g.TrainDays, 1)
+	uses := map[Key]int{}
+	order := map[string]int{}
+	var keys []Key
+	for i, ex := range g.Extractors {
+		order[ex] = i
+		for _, w := range g.Ws {
+			binned := slices.Contains(g.Binned[ex], w)
+			for _, t := range g.Ts {
+				for _, h := range g.Hs {
+					k := Key{Extractor: ex, End: t - h, W: w, Binned: binned, Days: days}
+					if uses[k] == 0 {
+						keys = append(keys, k)
+					}
+					uses[k]++
 				}
 			}
 		}
 	}
-	var pairs []endW
-	for p := range uses {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		pa, pb := pairs[a], pairs[b]
-		if uses[pa] != uses[pb] {
-			return uses[pa] > uses[pb]
+	sort.Slice(keys, func(a, b int) bool {
+		ka, kb := keys[a], keys[b]
+		switch {
+		case uses[ka] != uses[kb]:
+			return uses[ka] > uses[kb]
+		case ka.Extractor != kb.Extractor:
+			return order[ka.Extractor] < order[kb.Extractor]
+		case ka.W != kb.W:
+			return ka.W < kb.W
 		}
-		if pa.w != pb.w {
-			return pa.w < pb.w
-		}
-		return pa.end < pb.end
+		return ka.End < kb.End
 	})
-	plan := &Plan{Points: len(g.Ts) * len(g.Hs) * len(g.Ws)}
-	for _, ex := range g.Extractors {
-		for _, p := range pairs {
-			plan.Builds = append(plan.Builds, PlanBuild{
-				Key:  Key{Extractor: ex, End: p.end, W: p.w},
-				Uses: uses[p],
-			})
-		}
-		plan.Builds = append(plan.Builds, compileBinned(g, ex, trainDays)...)
+	plan := &Plan{Points: len(g.Ts) * len(g.Hs) * len(g.Ws), Builds: make([]PlanBuild, len(keys))}
+	for i, k := range keys {
+		plan.Builds[i] = PlanBuild{Key: k, Uses: uses[k]}
 	}
-	// Across extractors, keep the global order demand-major too.
-	sort.SliceStable(plan.Builds, func(a, b int) bool {
-		return plan.Builds[a].Uses > plan.Builds[b].Uses
-	})
 	return plan
-}
-
-// compileBinned enumerates one extractor's quantized training builds: one
-// per distinct (cutoff t-h, w) over the windows the sweep consumes in hist
-// form. Iteration follows the caller-supplied Extractors order and sorted
-// (w, cutoff) within, so the plan stays deterministic regardless of the
-// Binned map's iteration order.
-func compileBinned(g Grid, ex string, trainDays int) []PlanBuild {
-	ws := g.Binned[ex]
-	if len(ws) == 0 {
-		return nil
-	}
-	type cutW struct{ cutoff, w int }
-	uses := map[cutW]int{}
-	for _, w := range ws {
-		for _, t := range g.Ts {
-			for _, h := range g.Hs {
-				uses[cutW{t - h, w}]++
-			}
-		}
-	}
-	var pairs []cutW
-	for p := range uses {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		pa, pb := pairs[a], pairs[b]
-		if uses[pa] != uses[pb] {
-			return uses[pa] > uses[pb]
-		}
-		if pa.w != pb.w {
-			return pa.w < pb.w
-		}
-		return pa.cutoff < pb.cutoff
-	})
-	builds := make([]PlanBuild, 0, len(pairs))
-	for _, p := range pairs {
-		builds = append(builds, PlanBuild{
-			Key:  Key{Extractor: ex, End: p.cutoff, W: p.w, Binned: true, Days: trainDays},
-			Uses: uses[p],
-		})
-	}
-	return builds
 }
 
 // Warm executes the plan's builds through the shared worker pool, hottest
 // keys first, greedily filling the byte budget (<= 0 means no limit): a
 // build whose estimated size no longer fits is skipped — it would only be
 // evicted again — but smaller colder builds after it may still be
-// admitted. size estimates a key's matrix payload in bytes;
-// fetch performs one cached build. Warming is best-effort — fetch errors
-// are ignored here and surface later, in grid order, from the evaluation
-// itself. Returns the number of builds executed.
+// admitted. size estimates a key's matrix payload in bytes and must not
+// fall below the built Matrix's Bytes; fetch performs one cached build.
+// Warming is best-effort — fetch errors are ignored here and surface
+// later, in grid order, from the evaluation itself. Returns the number of
+// builds executed.
 func (p *Plan) Warm(workers int, budget int64, size func(Key) int64, fetch func(Key) error) int {
 	var keys []Key
 	var total int64

@@ -5,11 +5,18 @@
 
 package features
 
-import "testing"
+import (
+	"runtime/debug"
+	"testing"
+)
 
 // TestBuildAllocatesOnlyOutput: a build, projected or full, allocates its
 // output matrix and nothing per sector or per cell.
 func TestBuildAllocatesOnlyOutput(t *testing.T) {
+	// A collection during the measured runs empties HandCrafted's
+	// sync.Pool, and refilling it would count against the build. Hold
+	// collection off; each measurement's warm-up run fills the pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	v := nanHeavyView(t)
 	const end, w = 14, 7
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {

@@ -109,8 +109,7 @@ func trainingLabels(c *Context, y *tensor.Matrix, trainSectors []int, t int) (la
 // trainingInstances assembles the Eq. 7 training rows — TrainDays blocks,
 // day-major then sector, feature windows ending at cutoff-d where cutoff is
 // t-h (h days before each label day) — the one place the row-ordering
-// convention lives (trainingLabels and the cached block order in
-// trainingMatrixAt must match it).
+// convention lives (trainingLabels must match it).
 func trainingInstances(c *Context, trainSectors []int, cutoff int) (sectors, ends []int) {
 	sectors = make([]int, 0, c.TrainDays*len(trainSectors))
 	ends = make([]int, 0, c.TrainDays*len(trainSectors))
@@ -121,39 +120,6 @@ func trainingInstances(c *Context, trainSectors []int, cutoff int) (sectors, end
 		}
 	}
 	return sectors, ends
-}
-
-// trainingMatrixAt builds the Eq. 7 training matrix for all sectors at a
-// training cutoff t-h: one all-sector block per training day d, at end day
-// cutoff-d, copied into a contiguous matrix. Each block is a shared
-// immutable cache handle — the same bytes every grid point on the cutoff
-// anti-diagonal consumes — so only the copy is per-point work. With the
-// cache disabled it extracts straight into one slab (the pre-cache path)
-// instead of paying per-day temporaries plus a copy.
-func trainingMatrixAt(c *Context, ex features.Extractor, cutoff, w int) ([]float64, int, error) {
-	if c.FeatureCache() == nil {
-		n := c.Sectors()
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		sectors, ends := trainingInstances(c, all, cutoff)
-		return features.BuildMatrix(c.View, ex, sectors, ends, w)
-	}
-	var x []float64
-	width := 0
-	for d := 0; d < c.TrainDays; d++ {
-		mat, err := c.FeatureMatrix(ex, cutoff-d, w)
-		if err != nil {
-			return nil, 0, err
-		}
-		if x == nil {
-			width = mat.Width
-			x = make([]float64, c.TrainDays*len(mat.Data))
-		}
-		copy(x[d*len(mat.Data):], mat.Data)
-	}
-	return x, width, nil
 }
 
 // fitFingerprint implements cacheableModel: the trained-model cache key's
@@ -227,16 +193,19 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 	var width int
 	var err error
 	switch {
-	case allSectors && treeCfg.Algo == mltree.SplitHist:
-		// One quantization per (extractor, cutoff, w) training build,
-		// shared by every tree, boosting round and model via the cache.
-		var mat *featcache.Matrix
-		mat, err = c.BinnedTrainingMatrix(m.Extractor, t, h, w)
-		if err == nil {
-			bin, width = mat.Bin, mat.Width
-		}
 	case allSectors:
-		x, width, err = trainingMatrixAt(c, m.Extractor, t-h, w)
+		// One training build per (extractor, cutoff, w), in the form the
+		// fit reads, shared by every tree, boosting round and model via
+		// the cache.
+		var mat *featcache.Matrix
+		if treeCfg.Algo == mltree.SplitHist {
+			mat, err = c.BinnedTrainingMatrix(m.Extractor, t, h, w)
+		} else {
+			mat, err = c.trainingMatrixAt(m.Extractor, t-h, w)
+		}
+		if err == nil {
+			x, bin, width = mat.Data, mat.Bin, mat.Width
+		}
 	default:
 		// Subset rows are bespoke; build them directly, bypassing the
 		// all-sector cache (a hist fit quantizes them privately).

@@ -268,7 +268,7 @@ func (c *Context) FeatureCache() *featcache.Cache {
 		c.cacheLimit = limit
 		// Rebind the exported series to the new cache (latest wins), so
 		// bytelru_*{cache="features"} always reflects the live cache.
-		bytelru.RegisterMetrics(obs.Default(), "features", c.cache.Stats)
+		bytelru.RegisterMetrics(obs.Default(), "features", c.cache.Meter().Stats)
 	}
 	return c.cache
 }
@@ -286,18 +286,24 @@ func (c *Context) FeatureMatrix(ex features.Extractor, end, w int) (*featcache.M
 // (features.BuildAllSectorsCols; nil = all), cached under the exact
 // column list colsKey (featcache.ColsKey(cols), "" for nil).
 func (c *Context) projectedMatrix(ex features.Extractor, end, w int, cols []int, colsKey string) (*featcache.Matrix, error) {
-	build := func() (*featcache.Matrix, error) {
+	key := featcache.Key{Extractor: ex.Name(), End: end, W: w, Cols: colsKey}
+	return c.cachedBuild(key, func() (*featcache.Matrix, error) {
 		data, width, err := features.BuildAllSectorsCols(c.View, ex, end, w, cols)
 		if err != nil {
 			return nil, err
 		}
 		return &featcache.Matrix{Data: data, Rows: c.Sectors(), Width: width}, nil
-	}
+	})
+}
+
+// cachedBuild returns key's matrix through the shared feature cache, or
+// builds it afresh when the cache is disabled.
+func (c *Context) cachedBuild(key featcache.Key, build func() (*featcache.Matrix, error)) (*featcache.Matrix, error) {
 	cache := c.FeatureCache()
 	if cache == nil {
 		return build()
 	}
-	return cache.GetOrBuild(featcache.Key{Extractor: ex.Name(), End: end, W: w, Cols: colsKey}, build)
+	return cache.GetOrBuild(key, build)
 }
 
 // BinnedTrainingMatrix returns the quantized Eq. 7 training matrix for a
@@ -306,12 +312,13 @@ func (c *Context) projectedMatrix(ex features.Extractor, end, w int, cols []int,
 // TrainDays, binned) when the feature cache is enabled, so every tree of a
 // forest, every boosting round, every model sharing the extractor, and
 // every grid point on the same (t-h) anti-diagonal reuses one
-// quantization. Cut points use uniform-weight quantiles by design: the
-// models sharing a handle carry different sample weights (balanced vs.
-// unbalanced, per-tree bootstrap draws, per-round boosting subsamples),
-// so the shared quantization cannot follow any one of them — direct
-// mltree fits, which own their weights, bin with them instead. Binning is
-// deterministic, so a cached handle is bit-identical to a fresh build.
+// quantization; the float slab it was binned from is not kept. Cut points
+// use uniform-weight quantiles by design: the models sharing a handle
+// carry different sample weights (balanced vs. unbalanced, per-tree
+// bootstrap draws, per-round boosting subsamples), so the shared
+// quantization cannot follow any one of them — direct mltree fits, which
+// own their weights, bin with them instead. Binning is deterministic, so a
+// cached handle is bit-identical to a fresh build.
 func (c *Context) BinnedTrainingMatrix(ex features.Extractor, t, h, w int) (*featcache.Matrix, error) {
 	return c.binnedTrainingMatrixAt(ex, t-h, w)
 }
@@ -321,24 +328,45 @@ func (c *Context) BinnedTrainingMatrix(ex features.Extractor, t, h, w int) (*fea
 // The sweep prewarmer calls it straight from plan keys (whose End is the
 // cutoff), so warming and fitting share one build per anti-diagonal.
 func (c *Context) binnedTrainingMatrixAt(ex features.Extractor, cutoff, w int) (*featcache.Matrix, error) {
-	build := func() (*featcache.Matrix, error) {
-		x, width, err := trainingMatrixAt(c, ex, cutoff, w)
-		if err != nil {
-			return nil, err
-		}
-		rows := c.TrainDays * c.Sectors()
-		bn, err := mltree.BinWorkers(x, rows, width, nil, mltree.DefaultMaxBins, c.FitWorkers)
-		if err != nil {
-			return nil, err
-		}
-		return &featcache.Matrix{Rows: rows, Width: width, Bin: bn}, nil
-	}
-	cache := c.FeatureCache()
-	if cache == nil {
-		return build()
-	}
 	key := featcache.Key{Extractor: ex.Name(), End: cutoff, W: w, Binned: true, Days: c.TrainDays}
-	return cache.GetOrBuild(key, build)
+	return c.cachedBuild(key, func() (*featcache.Matrix, error) {
+		m, err := c.stackedTrainingMatrix(ex, cutoff, w)
+		if err != nil {
+			return nil, err
+		}
+		bn, err := mltree.BinWorkers(m.Data, m.Rows, m.Width, nil, mltree.DefaultMaxBins, c.FitWorkers)
+		if err != nil {
+			return nil, err
+		}
+		return &featcache.Matrix{Rows: m.Rows, Width: m.Width, Bin: bn}, nil
+	})
+}
+
+// trainingMatrixAt returns the float Eq. 7 training matrix for all sectors
+// at a training cutoff t-h, cached as one stacked entry under (extractor,
+// cutoff, w, TrainDays). Exact fits read the shared slab in place: mltree
+// never writes a fit's x.
+func (c *Context) trainingMatrixAt(ex features.Extractor, cutoff, w int) (*featcache.Matrix, error) {
+	key := featcache.Key{Extractor: ex.Name(), End: cutoff, W: w, Days: c.TrainDays}
+	return c.cachedBuild(key, func() (*featcache.Matrix, error) {
+		return c.stackedTrainingMatrix(ex, cutoff, w)
+	})
+}
+
+// stackedTrainingMatrix extracts the all-sector training rows at a cutoff
+// (trainingInstances: TrainDays blocks, day-major then sector) straight
+// into one slab — the single builder behind both training forms.
+func (c *Context) stackedTrainingMatrix(ex features.Extractor, cutoff, w int) (*featcache.Matrix, error) {
+	all := make([]int, c.Sectors())
+	for i := range all {
+		all[i] = i
+	}
+	sectors, ends := trainingInstances(c, all, cutoff)
+	x, width, err := features.BuildMatrix(c.View, ex, sectors, ends, w)
+	if err != nil {
+		return nil, err
+	}
+	return &featcache.Matrix{Data: x, Rows: len(sectors), Width: width}, nil
 }
 
 // Model is a hot-spot forecaster. Given the data available at day t it
@@ -390,7 +418,7 @@ func (c *Context) ModelCache() *modelcache.Cache[Trained] {
 		c.models = modelcache.New[Trained](limit)
 		c.modelLimit = limit
 		// Latest-wins rebind, as with the feature cache above.
-		bytelru.RegisterMetrics(obs.Default(), "models", c.models.Stats)
+		bytelru.RegisterMetrics(obs.Default(), "models", c.models.Meter().Stats)
 	}
 	return c.models
 }

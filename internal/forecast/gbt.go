@@ -88,12 +88,12 @@ func (m *GBTModel) fitLearner(c *Context, target Target, t, h, w int) (Trained, 
 			return nil, nil, fmt.Errorf("forecast: fitting GBT: %w", err)
 		}
 	} else {
-		x, w2, err := trainingMatrixAt(c, m.Extractor, t-h, w)
+		mat, err := c.trainingMatrixAt(m.Extractor, t-h, w)
 		if err != nil {
 			return nil, nil, fmt.Errorf("forecast: building GBT training matrix: %w", err)
 		}
-		width = w2
-		g, err = mltree.FitGBT(x, len(labels), width, labels, weights, cfg)
+		width = mat.Width
+		g, err = mltree.FitGBT(mat.Data, len(labels), width, labels, weights, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("forecast: fitting GBT: %w", err)
 		}

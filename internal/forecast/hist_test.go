@@ -1,7 +1,6 @@
 package forecast
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -266,17 +265,11 @@ func TestWarmPrewarmsBinnedMatrices(t *testing.T) {
 
 	// With SplitHist forced, both models bin; the grid's binned keys are
 	// one per (extractor, cutoff t-h, w).
-	resident := func(ex string, cutoff, w int) bool {
-		key := featcache.Key{Extractor: ex, End: cutoff, W: w, Binned: true, Days: c.TrainDays}
-		_, err := cache.GetOrBuild(key, func() (*featcache.Matrix, error) {
-			return nil, fmt.Errorf("not warmed")
-		})
-		return err == nil
-	}
 	for _, ex := range []string{NewTreeModel().Extractor.Name(), gbt.Extractor.Name()} {
 		for _, tt := range cfg.Ts {
 			for _, h := range cfg.Hs {
-				if !resident(ex, tt-h, 7) {
+				key := featcache.Key{Extractor: ex, End: tt - h, W: 7, Binned: true, Days: c.TrainDays}
+				if !resident(cache, key) {
 					t.Fatalf("binned build (%s, cutoff=%d, w=7) not resident after warm", ex, tt-h)
 				}
 			}

@@ -182,13 +182,13 @@ func Sweep(c *Context, cfg SweepConfig) (*Result, error) {
 	return res, nil
 }
 
-// warmFeatureCache compiles the grid's distinct (extractor, end, w)
-// training builds — float per-day blocks plus, for hist-mode fits, the
-// quantized stacked matrices — and executes them once through the shared
-// pool, so grid-point evaluation starts against a hot cache instead of
-// racing to build the same matrices. Best-effort: with the cache disabled
-// or no extractor models in the sweep it is a no-op, and build errors are
-// left for the evaluation to surface in grid order.
+// warmFeatureCache compiles the grid's distinct (extractor, cutoff, w)
+// training builds — each in the form its fits read, quantized for
+// hist-mode fits and a float slab otherwise — and executes them once
+// through the shared pool, so grid-point evaluation starts against a hot
+// cache instead of racing to build the same matrices. Best-effort: with
+// the cache disabled or no extractor models in the sweep it is a no-op,
+// and build errors are left for the evaluation to surface in grid order.
 func warmFeatureCache(c *Context, cfg SweepConfig) {
 	cache := c.FeatureCache()
 	if cache == nil {
@@ -230,29 +230,37 @@ func warmFeatureCache(c *Context, cfg SweepConfig) {
 			return
 		}
 	}
-	rows := int64(c.Sectors())
 	plan.Warm(cfg.Workers, budget, func(k featcache.Key) int64 {
-		width := int64(extractors[k.Extractor].Width(c.View, k.W))
-		if k.Binned {
-			// One code byte per cell of the stacked matrix, plus the
-			// per-feature thresholds (<= maxBins-1 float64s each).
-			return int64(k.Days)*rows*width + width*int64(mltree.DefaultMaxBins)*8
-		}
-		return rows * width * 8
+		return warmBytes(c, extractors[k.Extractor], k)
 	}, func(k featcache.Key) error {
 		var err error
 		if k.Binned {
 			_, err = c.binnedTrainingMatrixAt(extractors[k.Extractor], k.End, k.W)
 		} else {
-			_, err = c.FeatureMatrix(extractors[k.Extractor], k.End, k.W)
+			_, err = c.trainingMatrixAt(extractors[k.Extractor], k.End, k.W)
 		}
 		return err
 	})
 }
 
+// warmBytes bounds from above the payload of a planned training build: a
+// float slab of 8 bytes per cell, or one code byte per cell plus each
+// feature's bin count and thresholds (at most DefaultMaxBins-1 float64s).
+func warmBytes(c *Context, ex features.Extractor, k featcache.Key) int64 {
+	width := int64(ex.Width(c.View, k.W))
+	cells := int64(k.Days) * int64(c.Sectors()) * width
+	if k.Binned {
+		return cells + width*int64(mltree.DefaultMaxBins)*8
+	}
+	return cells * 8
+}
+
 // binnedDemand mirrors the classifier and GBT fit paths' split-algorithm
 // resolution per (extractor, w): a quantized training matrix is prewarmed
-// exactly when some model in the sweep will consume it in hist form. The
+// exactly when some model in the sweep will consume it in hist form, and a
+// float one otherwise. (Under SplitAuto a lone Tree can resolve to hist
+// where a forest on the same matrix stays exact; the plan then warms the
+// quantized build and the forest builds its float slab on first use.) The
 // decision is a pure function of the training-set shape (the same
 // SplitWork estimate the fits use), never of data, so warming and fitting
 // cannot disagree.

@@ -193,7 +193,7 @@ func OpenFS(dir string, cacheBytes int64, fsys faultfs.FS) (*Registry, error) {
 		r.cache = modelcache.New[forecast.Trained](cacheBytes)
 		// Latest-wins rebind: a process that reopens its registry (tests,
 		// reconfiguration) reports the live handle's cache.
-		bytelru.RegisterMetrics(obs.Default(), "registry", r.cache.Stats)
+		bytelru.RegisterMetrics(obs.Default(), "registry", r.cache.Meter().Stats)
 	}
 	var st *state
 	err := r.retry.Do(context.Background(), func() error {
