@@ -433,13 +433,13 @@ func (s *server) reload() (bool, int, error) {
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	s.m.reqReload.Inc()
 	if s.reg == nil {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error": "not serving from a registry: restart with -registry to enable hot reload"})
+		writeJSON(w, http.StatusConflict, errorBody{
+			"not serving from a registry: restart with -registry to enable hot reload"})
 		return
 	}
 	swapped, n, err := s.reload()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+		writeJSON(w, http.StatusInternalServerError, errorBody{err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -598,12 +598,60 @@ type sectorScore struct {
 	Score  float64 `json:"score"`
 }
 
+// forecastResult is one successful ranking: a batch entry, and the GET
+// /forecast body after its elapsed_ms. Fields are declared in key order,
+// so the encoding sorts keys like a map's would.
+type forecastResult struct {
+	ForecastDay int           `json:"forecast_day"`
+	H           int           `json:"h"`
+	Model       string        `json:"model"`
+	T           int           `json:"t"`
+	Target      string        `json:"target"`
+	Top         []sectorScore `json:"top"`
+	W           int           `json:"w"`
+}
+
+// forecastResponse is the GET /forecast body.
+type forecastResponse struct {
+	ElapsedMS int64 `json:"elapsed_ms"`
+	*forecastResult
+}
+
+// batchEntry is one /forecast/batch result: a ranking, or the query's
+// error and the status a single /forecast call would have answered.
+type batchEntry struct {
+	*forecastResult
+	Error  string `json:"error,omitempty"`
+	Status int    `json:"status,omitempty"`
+}
+
+// batchResponse is the /forecast/batch body.
+type batchResponse struct {
+	ElapsedMS int64        `json:"elapsed_ms"`
+	Results   []batchEntry `json:"results"`
+}
+
+// errorBody is every error response's body.
+type errorBody struct {
+	Error string `json:"error"`
+}
+
+// rankBuffers is evaluate's per-query scratch: every sector's score and
+// the top-k selection. Pooled, so a forecast allocates O(k), not
+// O(sectors); nothing that outlives evaluate may alias them.
+type rankBuffers struct {
+	scores []float64
+	top    []int
+}
+
+var rankPool = sync.Pool{New: func() any { return new(rankBuffers) }}
+
 // evaluate resolves fq against the artifact-set snapshot, predicts and
 // ranks, charging each stage (artifact lookup, predict, rank) of a
 // successful evaluation to the stage histograms via sp. The single and
 // batch endpoints both come here, so their rankings are bit-identical by
 // construction (each batch query carries its own span).
-func (s *server) evaluate(set *artifactSet, fq forecastQuery, sp *obs.Span) (map[string]any, *httpError) {
+func (s *server) evaluate(set *artifactSet, fq forecastQuery, sp *obs.Span) (*forecastResult, *httpError) {
 	tr, herr := selectArtifact(set, fq)
 	if herr != nil {
 		return nil, herr
@@ -617,26 +665,29 @@ func (s *server) evaluate(set *artifactSet, fq forecastQuery, sp *obs.Span) (map
 		return nil, failf(http.StatusBadRequest, "bad k")
 	}
 	sp.Mark(stLookup)
-	scores, err := s.p.Predict(tr, t, tr.Window())
+	buf := rankPool.Get().(*rankBuffers)
+	defer rankPool.Put(buf)
+	scores, err := s.p.PredictInto(tr, t, tr.Window(), buf.scores)
 	if err != nil {
 		return nil, failf(http.StatusBadRequest, "%v", err)
 	}
+	buf.scores = scores
 	sp.Mark(stPredict)
-	top := core.TopK(scores, k)
-	ranked := make([]sectorScore, len(top))
-	for i, id := range top {
+	buf.top = core.TopKInto(buf.top, scores, k)
+	ranked := make([]sectorScore, len(buf.top))
+	for i, id := range buf.top {
 		ranked[i] = sectorScore{Sector: id, Score: scores[id]}
 	}
 	sp.Mark(stRank)
 	s.m.forecasts.Inc()
-	return map[string]any{
-		"model":        tr.ModelName(),
-		"target":       tr.Target().String(),
-		"t":            t,
-		"h":            tr.Horizon(),
-		"w":            tr.Window(),
-		"forecast_day": t + tr.Horizon(),
-		"top":          ranked,
+	return &forecastResult{
+		ForecastDay: t + tr.Horizon(),
+		H:           tr.Horizon(),
+		Model:       tr.ModelName(),
+		T:           t,
+		Target:      tr.Target().String(),
+		Top:         ranked,
+		W:           tr.Window(),
 	}, nil
 }
 
@@ -646,7 +697,7 @@ func (s *server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	if !s.sem.TryAcquire() {
 		s.m.shedForecast.Inc()
 		markShed(w, "capacity")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": "server at capacity, retry later"})
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{"server at capacity, retry later"})
 		return
 	}
 	defer s.sem.Release()
@@ -656,14 +707,13 @@ func (s *server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	body, herr := s.evaluate(s.active.Load(), queryFromURL(r.URL.Query()), &sp)
+	res, herr := s.evaluate(s.active.Load(), queryFromURL(r.URL.Query()), &sp)
 	if herr != nil {
 		s.m.errForecast.Inc()
-		writeJSON(w, herr.status, map[string]any{"error": herr.msg})
+		writeJSON(w, herr.status, errorBody{herr.msg})
 		return
 	}
-	body["elapsed_ms"] = time.Since(start).Milliseconds()
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, forecastResponse{ElapsedMS: time.Since(start).Milliseconds(), forecastResult: res})
 	sp.Mark(stEncode)
 	s.m.observeStages(&sp)
 	s.m.latForecast.ObserveDuration(sp.Total())
@@ -695,21 +745,24 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, 4096+int64(s.batchMax)*512)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.m.errBatch.Inc()
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": fmt.Sprintf("bad request body: %v", err)})
+		writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
 	if len(req.Queries) == 0 {
 		s.m.errBatch.Inc()
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "empty batch: pass at least one query"})
+		writeJSON(w, http.StatusBadRequest, errorBody{"empty batch: pass at least one query"})
 		return
 	}
 	if len(req.Queries) > s.batchMax {
 		s.m.errBatch.Inc()
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": fmt.Sprintf("batch of %d exceeds the %d-query limit", len(req.Queries), s.batchMax)})
+		writeJSON(w, http.StatusBadRequest, errorBody{
+			fmt.Sprintf("batch of %d exceeds the %d-query limit", len(req.Queries), s.batchMax)})
 		return
 	}
 	s.m.batchQueries.Add(uint64(len(req.Queries)))
+	// Admission is the slot claim alone; reading and parsing the body
+	// count toward the request, not this stage.
+	a0 := time.Now()
 	cost := len(req.Queries)
 	if max := s.sem.Cap(); cost > max {
 		cost = max
@@ -717,13 +770,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.sem.TryAcquireN(cost) {
 		s.m.shedBatch.Inc()
 		markShed(w, "capacity")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error": fmt.Sprintf("server at capacity: batch of %d needs %d of %d slots, retry later",
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{
+			fmt.Sprintf("server at capacity: batch of %d needs %d of %d slots, retry later",
 				len(req.Queries), cost, s.sem.Cap())})
 		return
 	}
 	defer s.sem.ReleaseN(cost)
-	s.m.stageAdmission.ObserveDuration(time.Since(t0))
+	s.m.stageAdmission.ObserveDuration(time.Since(a0))
 	if s.testHookForecast != nil {
 		s.testHookForecast()
 	}
@@ -734,25 +787,22 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if n := runtime.GOMAXPROCS(0); workers > n {
 		workers = n
 	}
-	results, _ := parallel.Map(workers, req.Queries, func(i int, q batchQuery) (map[string]any, error) {
+	results, _ := parallel.Map(workers, req.Queries, func(i int, q batchQuery) (batchEntry, error) {
 		// Each query gets its own span: lookup/predict/rank decompose per
 		// forecast, not per HTTP request.
 		qsp := obs.StartSpan()
-		body, herr := s.evaluate(set, q.normalize(), &qsp)
+		res, herr := s.evaluate(set, q.normalize(), &qsp)
 		if herr != nil {
 			s.m.errBatch.Inc()
-			return map[string]any{"error": herr.msg, "status": herr.status}, nil
+			return batchEntry{Error: herr.msg, Status: herr.status}, nil
 		}
 		s.m.stageLookup.ObserveDuration(qsp.Stage(stLookup))
 		s.m.stagePredict.ObserveDuration(qsp.Stage(stPredict))
 		s.m.stageRank.ObserveDuration(qsp.Stage(stRank))
-		return body, nil
+		return batchEntry{forecastResult: res}, nil
 	})
 	enc0 := time.Now()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"results":    results,
-		"elapsed_ms": time.Since(start).Milliseconds(),
-	})
+	writeJSON(w, http.StatusOK, batchResponse{ElapsedMS: time.Since(start).Milliseconds(), Results: results})
 	s.m.stageEncode.ObserveDuration(time.Since(enc0))
 	s.m.latBatch.ObserveDuration(time.Since(t0))
 }

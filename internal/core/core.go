@@ -17,10 +17,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/forecast"
 	"repro/internal/impute"
-	"repro/internal/mathx"
 	"repro/internal/mltree"
 	"repro/internal/registry"
 	"repro/internal/score"
@@ -212,10 +212,16 @@ func (p *Pipeline) Train(kind ModelKind, target forecast.Target, t, h, w int) (f
 // fingerprint must match this pipeline's data — a model trained on a
 // different network fails here instead of serving silently wrong rankings.
 func (p *Pipeline) Predict(tr forecast.Trained, t, w int) ([]float64, error) {
+	return p.PredictInto(tr, t, w, nil)
+}
+
+// PredictInto is Predict writing into dst (see forecast.Trained's
+// PredictInto for the buffer contract), after the same fingerprint check.
+func (p *Pipeline) PredictInto(tr forecast.Trained, t, w int, dst []float64) ([]float64, error) {
 	if err := p.CheckArtifact(tr); err != nil {
 		return nil, err
 	}
-	return tr.Predict(p.Ctx, t, w)
+	return tr.PredictInto(p.Ctx, t, w, dst)
 }
 
 // CheckArtifact verifies tr was trained on this pipeline's dataset, by
@@ -294,19 +300,88 @@ func (p *Pipeline) sweepConfig(target forecast.Target, ts, hs []int, w int) fore
 
 // TopK returns the k sector IDs with the highest forecast scores: the
 // operator-facing ranking of sectors to inspect (and the /forecast
-// response of cmd/hotserve).
+// response of cmd/hotserve). k is clamped to len(scores); k <= 0 yields an
+// empty ranking.
 //
-// Ordering contract: scores descend; tied scores break by ascending
-// sector index; NaN scores rank after every finite score (themselves
-// index-ordered). The ranking is therefore fully deterministic — two
-// calls over equal scores return identical slices, regardless of how the
-// scores were produced.
-func TopK(scores []float64, k int) []int {
-	idx := mathx.ArgsortDesc(scores)
-	if k > len(idx) {
-		k = len(idx)
+// Ordering contract: scores descend; tied scores (−0 ties +0) break by
+// ascending sector index; NaN scores rank after every other score
+// (themselves index-ordered). The ranking is therefore fully deterministic
+// and equals mathx.ArgsortDesc(scores)[:k] — two calls over equal scores
+// return identical slices, regardless of how the scores were produced.
+func TopK(scores []float64, k int) []int { return TopKInto(nil, scores, k) }
+
+// TopKInto is TopK writing into dst: it returns dst[:k] when dst has the
+// capacity (allocating nothing) and a fresh k-slice otherwise. It selects
+// through a bounded k-heap, O(n log k), without sorting all n scores.
+func TopKInto(dst []int, scores []float64, k int) []int {
+	k = min(k, len(scores))
+	if k <= 0 {
+		return dst[:0]
 	}
-	return idx[:k]
+	if cap(dst) < k {
+		dst = make([]int, k)
+	}
+	h := dst[:k]
+	// h[:k] is a heap whose root ranks last, so the retained set's worst
+	// member is the one a better score evicts.
+	for i := range h {
+		h[i] = i
+		siftUp(h, scores, i)
+	}
+	for i := k; i < len(scores); i++ {
+		if ranksBefore(scores, i, h[0]) {
+			h[0] = i
+			siftDown(h, scores, 0)
+		}
+	}
+	// Heap sort: moving each successive worst to the back leaves h in
+	// ranking order.
+	for end := k - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h[:end], scores, 0)
+	}
+	return h
+}
+
+// ranksBefore reports whether sector a ranks ahead of sector b under
+// TopK's ordering contract.
+func ranksBefore(scores []float64, a, b int) bool {
+	sa, sb := scores[a], scores[b]
+	switch na, nb := math.IsNaN(sa), math.IsNaN(sb); {
+	case na != nb:
+		return nb
+	case !na && sa != sb:
+		return sa > sb
+	default:
+		return a < b
+	}
+}
+
+func siftUp(h []int, scores []float64, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ranksBefore(scores, h[parent], h[i]) {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func siftDown(h []int, scores []float64, i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && ranksBefore(scores, h[worst], h[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // Days returns the number of days in the pipeline's grid.

@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"math"
+	"math/rand/v2"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/forecast"
 	"repro/internal/impute"
+	"repro/internal/mathx"
 	"repro/internal/registry"
 	"repro/internal/simnet"
 )
@@ -134,6 +137,62 @@ func TestTopK(t *testing.T) {
 	}
 	if got := TopK(scores, 10); len(got) != 3 {
 		t.Fatal("TopK should clamp to length")
+	}
+	for _, k := range []int{0, -1, math.MinInt} {
+		if got := TopK(scores, k); len(got) != 0 {
+			t.Fatalf("TopK(k=%d) = %v, want an empty ranking", k, got)
+		}
+	}
+	if got := TopK(nil, 3); len(got) != 0 {
+		t.Fatalf("TopK over no scores = %v", got)
+	}
+}
+
+// TestTopKIntoMatchesArgsort: the bounded selection returns exactly the
+// first k of the full descending argsort — ties by index, ±0 tied, NaNs
+// last — for every k, and reuses dst whatever it held.
+func TestTopKIntoMatchesArgsort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	pool := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		1, -1, 0.5, 0.5, 2, 1e-300, -1e300}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.IntN(40)
+		scores := make([]float64, n)
+		for i := range scores {
+			if rng.IntN(3) == 0 {
+				scores[i] = rng.NormFloat64()
+			} else {
+				scores[i] = pool[rng.IntN(len(pool))]
+			}
+		}
+		order := mathx.ArgsortDesc(scores)
+		for k := -1; k <= n+2; k++ {
+			want := order[:max(0, min(k, n))]
+			stale := make([]int, n+3)
+			for i := range stale {
+				stale[i] = -7
+			}
+			for name, dst := range map[string][]int{
+				"nil": nil, "stale": stale, "short": stale[:0:max(0, k-1)],
+			} {
+				got := TopKInto(dst, scores, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d, n=%d, k=%d, dst %s: TopKInto = %v, want %v (scores %v)",
+						trial, n, k, name, got, want, scores)
+				}
+				if name == "stale" && len(got) > 0 && &got[0] != &stale[0] {
+					t.Fatalf("k=%d: TopKInto reallocated a dst of capacity %d", k, cap(dst))
+				}
+			}
+		}
+	}
+	big := make([]float64, 600)
+	for i := range big {
+		big[i] = rng.Float64()
+	}
+	dst := make([]int, 0, 10)
+	if allocs := testing.AllocsPerRun(10, func() { TopKInto(dst, big, 10) }); allocs != 0 {
+		t.Fatalf("TopKInto with a large enough dst allocates %v times", allocs)
 	}
 }
 

@@ -41,6 +41,11 @@ type Trained interface {
 	// Predict returns one ranking score per sector for day t+Horizon(),
 	// from the window of w days ending at t.
 	Predict(c *Context, t, w int) ([]float64, error)
+	// PredictInto is Predict writing the scores into dst[:c.Sectors()]
+	// when dst has the capacity, and into a fresh slice otherwise; it
+	// returns the slice written. Every element is overwritten, so dst's
+	// stale contents never leak into the scores.
+	PredictInto(c *Context, t, w int, dst []float64) ([]float64, error)
 	// DatasetFingerprint is Context.DatasetFingerprint of the training data,
 	// stamped at Fit time; never zero (decode rejects a zero fingerprint).
 	DatasetFingerprint() uint64
@@ -104,6 +109,11 @@ func (a *baselineArtifact) Bytes() int64 { return 96 }
 // t < Days(); with a clamped window score.Mu would silently average fewer
 // days and bias the ranking.
 func (a *baselineArtifact) Predict(c *Context, t, w int) ([]float64, error) {
+	return a.PredictInto(c, t, w, nil)
+}
+
+// PredictInto implements Trained.
+func (a *baselineArtifact) PredictInto(c *Context, t, w int, dst []float64) ([]float64, error) {
 	if err := c.CheckPredict(t, w); err != nil {
 		return nil, err
 	}
@@ -113,7 +123,7 @@ func (a *baselineArtifact) Predict(c *Context, t, w int) ([]float64, error) {
 	if a.kind != kindRandom && t >= c.Days() {
 		return nil, fmt.Errorf("forecast: %s needs data at day t=%d, grid has %d days", a.name, t, c.Days())
 	}
-	out := make([]float64, c.Sectors())
+	out := sized(dst, c.Sectors())
 	switch a.kind {
 	case kindRandom:
 		rng := randomRNG(c, t, a.h)
@@ -227,6 +237,11 @@ func (a *classifierArtifact) Bytes() int64 {
 // and score every row, per Eq. 6, in one flat-engine batch call for the
 // whole sector block.
 func (a *classifierArtifact) Predict(c *Context, t, w int) ([]float64, error) {
+	return a.PredictInto(c, t, w, nil)
+}
+
+// PredictInto implements Trained.
+func (a *classifierArtifact) PredictInto(c *Context, t, w int, dst []float64) ([]float64, error) {
 	if err := c.CheckPredict(t, w); err != nil {
 		return nil, err
 	}
@@ -247,12 +262,20 @@ func (a *classifierArtifact) Predict(c *Context, t, w int) ([]float64, error) {
 	}
 	featureFetchSeconds.ObserveDuration(time.Since(f0))
 	n := c.Sectors()
-	out := make([]float64, n)
+	out := sized(dst, n)
 	d0 := time.Now()
 	a.engine.ScoreBatch(pmat.Data, n, out)
 	predictDescendSeconds.ObserveDuration(time.Since(d0))
 	batchPredictsTotal.Inc()
 	return out, nil
+}
+
+// sized returns dst[:n] when dst has the capacity, else a fresh n-slice.
+func sized(dst []float64, n int) []float64 {
+	if cap(dst) >= n {
+		return dst[:n]
+	}
+	return make([]float64, n)
 }
 
 // Importances returns the artifact's feature importances (nil for GBT and

@@ -3,6 +3,7 @@ package forecast
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -60,6 +61,42 @@ func TestArtifactRoundTripAllModels(t *testing.T) {
 				if want[i] != have[i] {
 					t.Fatalf("%s: t=%d sector %d: %v != %v after round trip", m.Name(), day, i, want[i], have[i])
 				}
+			}
+		}
+	}
+}
+
+// TestPredictIntoReusesDst: PredictInto overwrites a large enough dst in
+// place, whatever it held, and allocates when dst is too small; either way
+// its scores are bit-identical to Predict's, for every model kind.
+func TestPredictIntoReusesDst(t *testing.T) {
+	c := testContext(t, 100, 8, 31)
+	c.ForestTrees = 6
+	const fitT, h, w, day = 30, 2, 5, 32
+	n := c.Sectors()
+	for _, m := range artifactModels() {
+		tr, err := m.Fit(c, BeHot, fitT, h, w)
+		if err != nil {
+			t.Fatalf("%s: fit: %v", m.Name(), err)
+		}
+		want, err := tr.Predict(c, day, w)
+		if err != nil {
+			t.Fatalf("%s: predict: %v", m.Name(), err)
+		}
+		stale := make([]float64, n+5)
+		for i := range stale {
+			stale[i] = math.NaN()
+		}
+		for name, dst := range map[string][]float64{"stale": stale[:1], "short": stale[: 0 : n-1], "nil": nil} {
+			got, err := tr.PredictInto(c, day, w, dst)
+			if err != nil {
+				t.Fatalf("%s, dst %s: %v", m.Name(), name, err)
+			}
+			if reused := &got[0] == &stale[0]; reused != (name == "stale") {
+				t.Fatalf("%s, dst %s: reused dst = %v", m.Name(), name, reused)
+			}
+			if !slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatalf("%s, dst %s: PredictInto diverges from Predict", m.Name(), name)
 			}
 		}
 	}
