@@ -1,6 +1,7 @@
-package benchfmt
+package main
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -27,7 +28,7 @@ ok  	repro	12.3s
 	}
 	e := report.Benchmarks[0]
 	if e.Name != "FitForestExact" || e.Procs != 8 || e.Iterations != 1 {
-		t.Fatalf("entry 0 = %v", e)
+		t.Fatalf("entry 0 = %+v", e)
 	}
 	if e.Metrics["ns/op"] != 945123456 || e.Metrics["B/op"] != 123456 || e.Metrics["allocs/op"] != 7890 {
 		t.Fatalf("entry 0 metrics = %v", e.Metrics)
@@ -35,7 +36,7 @@ ok  	repro	12.3s
 	// No -procs suffix and a custom metric unit.
 	e = report.Benchmarks[2]
 	if e.Name != "ServeBatch" || e.Procs != 1 || e.Metrics["forecasts/s"] != 12345 {
-		t.Fatalf("entry 2 = %v", e)
+		t.Fatalf("entry 2 = %+v", e)
 	}
 }
 
@@ -68,23 +69,27 @@ func TestParseIgnoresNoise(t *testing.T) {
 
 func TestReportFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_x.json")
-	want := &Report{Benchmarks: []Entry{
-		{Name: "ServeBatch", Procs: 4, Iterations: 100,
-			Metrics: map[string]float64{"p99-ms": 1.5, "req/s": 200}},
-	}}
-	if err := WriteFile(path, want); err != nil {
+	doc := `{"benchmarks": [{"name": "FitGBTHist", "procs": 4, "iterations": 100,
+		"metrics": {"ns/op": 1.5, "B/op": 200}}]}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Benchmarks) != 1 || got.Benchmarks[0].Name != "ServeBatch" ||
-		got.Benchmarks[0].Metrics["p99-ms"] != 1.5 {
+	if len(got.Benchmarks) != 1 || got.Benchmarks[0].Name != "FitGBTHist" ||
+		got.Benchmarks[0].Procs != 4 || got.Benchmarks[0].Metrics["ns/op"] != 1.5 {
 		t.Fatalf("round trip lost data: %v", got.Benchmarks)
 	}
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file read without error")
+	}
+	if err := os.WriteFile(path, []byte(doc[:20]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(path); err == nil {
+		t.Fatal("truncated report read without error")
 	}
 }
 

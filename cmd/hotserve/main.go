@@ -503,8 +503,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// through the flat batch engine (and how many of those descend on
 		// quantized bin codes), their memory split between mmap-backed
 		// pages and heap-resident structures, and the process-wide count
-		// of batch evaluations. A zero batch_calls on a loaded server
-		// means predictions are falling back to the pointer-walking path.
+		// of batch evaluations. Every classifier artifact predicts through
+		// the flat engine, so batch_calls stays zero only until a
+		// tree-backed model serves its first forecast.
 		// mmap_bytes is artifact data served from the page cache (mapped
 		// files); heap_flat_bytes is the flat footprint of heap-resident
 		// classifiers; flat_bytes is every engine's full in-memory

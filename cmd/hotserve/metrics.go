@@ -29,8 +29,8 @@ type serverMetrics struct {
 	shedForecast, shedBatch                      *obs.Counter
 
 	// forecasts counts successful forecast evaluations — one per single
-	// call, one per batch query that succeeded. hotblast cross-checks this
-	// against its client-side count.
+	// call, one per batch query that succeeded. bench/hotperf cross-checks
+	// this against its client-side count.
 	forecasts    *obs.Counter
 	batchQueries *obs.Counter
 	reloads      *obs.Counter

@@ -165,8 +165,8 @@ func (h *Histogram) Reset() {
 // HistSnapshot is a point-in-time histogram capture: per-bucket (non-
 // cumulative) counts, one per bound plus the trailing overflow bucket.
 // Snapshots from histograms (or scrapes) with identical bounds can be
-// merged and subtracted, which is how hotblast isolates one load phase
-// from a server's lifetime totals.
+// subtracted, which is how hotperf isolates one load phase from a
+// server's lifetime totals.
 type HistSnapshot struct {
 	Bounds []float64
 	Counts []uint64
@@ -185,25 +185,6 @@ func boundsEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// Merge returns the element-wise sum of two snapshots. Panics when the
-// bucket layouts differ — merging histograms of different shapes is
-// meaningless.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	if !boundsEqual(s.Bounds, o.Bounds) {
-		panic("obs: merging histogram snapshots with different bucket bounds")
-	}
-	out := HistSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]uint64, len(s.Counts)),
-		Count:  s.Count + o.Count,
-		Sum:    s.Sum + o.Sum,
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return out
 }
 
 // Sub returns this snapshot minus an earlier one of the same histogram —
@@ -226,40 +207,6 @@ func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 	}
 	return out
 }
-
-// Quantile extracts the q-th quantile (0 < q <= 1) by linear
-// interpolation within the owning bucket, the same estimate PromQL's
-// histogram_quantile computes. Observations in the overflow bucket clamp
-// to the highest bound. Returns NaN on an empty snapshot.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(s.Count)
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i == len(s.Bounds) {
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		within := rank - float64(cum-c)
-		return lo + (s.Bounds[i]-lo)*(within/float64(c))
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
-// P50, P90, P99 and P999 are the standard latency quantiles.
-func (s HistSnapshot) P50() float64  { return s.Quantile(0.50) }
-func (s HistSnapshot) P90() float64  { return s.Quantile(0.90) }
-func (s HistSnapshot) P99() float64  { return s.Quantile(0.99) }
-func (s HistSnapshot) P999() float64 { return s.Quantile(0.999) }
 
 // LatencyBuckets is the default request-level bucket layout: 100µs to 10s,
 // roughly 2.5x per step. Suits end-to-end HTTP and stage latencies.

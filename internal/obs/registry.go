@@ -142,8 +142,8 @@ func escapeLabelValue(v string) string {
 }
 
 // SeriesName renders the canonical series identity `name{labels}` exactly
-// as WriteText emits it — scrape consumers (hotblast) construct lookup
-// keys with this.
+// as WriteText emits it — scrape consumers (bench/hotperf) construct
+// lookup keys with this.
 func SeriesName(name string, labels ...Label) string {
 	ls := renderLabels(labels)
 	if ls == "" {

@@ -11,7 +11,7 @@ import (
 // Scrape is a parsed /metrics payload: every sample line keyed by its
 // canonical series identity `name{labels}` (labels sorted by key), exactly
 // as SeriesName renders it. Comment and TYPE/HELP lines are dropped —
-// consumers here (hotblast's cross-checks) only need the samples.
+// consumers (hotperf's counter audit) only need the samples.
 type Scrape map[string]float64
 
 // ParseText parses a Prometheus text exposition payload. Lines that are
@@ -124,8 +124,7 @@ func (s Scrape) Counter(name string, labels ...Label) uint64 {
 // Histogram reassembles a HistSnapshot from a scraped histogram family's
 // `_bucket`/`_sum` series (the extra labels select one series of the
 // family). Scraped buckets are cumulative; the snapshot stores per-bucket
-// counts, so consecutive scrapes can be Sub'd and Quantile'd just like
-// local snapshots. Returns false when the family is absent.
+// counts, so consecutive scrapes can be Sub'd just like local snapshots. Returns false when the family is absent.
 func (s Scrape) Histogram(name string, labels ...Label) (HistSnapshot, bool) {
 	base := renderLabels(labels)
 	prefix := name + "_bucket{"

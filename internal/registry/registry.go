@@ -242,7 +242,37 @@ func (r *Registry) readManifest() (*state, error) {
 		return nil, fmt.Errorf("registry: manifest %s has format version %d (this build reads %d)",
 			path, m.FormatVersion, formatVersion)
 	}
+	if err := m.validate(); err != nil {
+		return nil, fmt.Errorf("registry: corrupt manifest %s: %w", path, err)
+	}
 	return &state{m: &m, modTime: fi.ModTime(), size: fi.Size()}, nil
+}
+
+// validate rejects a manifest whose entries would make the registry touch
+// files it does not own: every artifact must be a plain file name inside
+// the directory other than the manifest itself (Load, VerifyAll and Prune
+// join it onto the registry path; Base("") is "."), every version ID
+// positive and unique, and next_id above them all so Publish never reuses
+// an ID — and with it a live version's file name.
+func (m *manifest) validate() error {
+	seen := make(map[int]bool)
+	maxID := 0
+	for _, task := range m.Tasks {
+		for _, v := range task.Versions {
+			if v.ID < 1 || seen[v.ID] {
+				return fmt.Errorf("version ID %d is non-positive or duplicated", v.ID)
+			}
+			seen[v.ID] = true
+			maxID = max(maxID, v.ID)
+			if v.File == "." || v.File == ".." || v.File == manifestName || filepath.Base(v.File) != v.File {
+				return fmt.Errorf("version %d names file %q, not an artifact inside the registry directory", v.ID, v.File)
+			}
+		}
+	}
+	if m.NextID <= maxID {
+		return fmt.Errorf("next_id %d does not exceed version ID %d", m.NextID, maxID)
+	}
+	return nil
 }
 
 // Refresh re-reads the manifest if it changed on disk since this handle

@@ -14,7 +14,7 @@ import (
 )
 
 // testContext builds a tiny forecasting context for training artifacts.
-func testContext(t *testing.T, sectors, weeks int, seed uint64) *forecast.Context {
+func testContext(t testing.TB, sectors, weeks int, seed uint64) *forecast.Context {
 	t.Helper()
 	cfg := simnet.DefaultConfig()
 	cfg.Seed = seed
@@ -36,7 +36,7 @@ func testContext(t *testing.T, sectors, weeks int, seed uint64) *forecast.Contex
 // fitAt trains the Average baseline at forecast day t (h=3, w=7): cheap,
 // deterministic, and each t yields a distinct cutoff so successive
 // publishes are distinguishable versions.
-func fitAt(t *testing.T, c *forecast.Context, day int) forecast.Trained {
+func fitAt(t testing.TB, c *forecast.Context, day int) forecast.Trained {
 	t.Helper()
 	tr, err := (forecast.AverageModel{}).Fit(c, forecast.BeHot, day, 3, 7)
 	if err != nil {

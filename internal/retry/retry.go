@@ -1,13 +1,10 @@
 // Package retry implements context-aware retries with jittered exponential
-// backoff for transient I/O failures. The artifact lifecycle crosses several
+// backoff for transient I/O failures. The artifact lifecycle crosses
 // boundaries where a failure is usually a race rather than a fault — a
-// manifest read racing a publisher's rename, a connection refused while a
-// server finishes binding, an EINTR out of a slow disk — and before this
-// package each caller handled (or mishandled) those independently: the
-// manifest watcher dropped the whole poll, hotblast failed the run. A single
-// Policy gives every caller the same semantics: classify, back off with
-// decorrelated jitter, respect the context, and surface the last error once
-// attempts are exhausted.
+// manifest read racing a publisher's rename, an EINTR out of a slow disk —
+// and the model registry's Open, Refresh and Load all retry through one
+// Policy: classify, back off with decorrelated jitter, respect the context,
+// and surface the last error once attempts are exhausted.
 package retry
 
 import (
