@@ -736,32 +736,17 @@ func BenchmarkPredictBatchTreeWalked(b *testing.B) {
 
 func BenchmarkPredictBatchTreeFlat(b *testing.B) {
 	tree, _, _ := predictBenchModels(b)
-	benchPredictFlat(b, forceFloat(tree.Flatten()).ScoreBatch)
+	benchPredictFlat(b, mustFlat(b)(tree.Flatten()).ScoreBatch)
 }
 
-// forceFloat pins a flat model to the float-keyed kernels so the Flat
-// benchmarks keep measuring that path now that hist-trained models
-// default to the binned descent; the Binned benchmarks measure the
-// default on the same models.
-func forceFloat[M interface{ SetFloatDescent(bool) }](m M) M {
-	m.SetFloatDescent(true)
-	return m
-}
-
-// requireBinned asserts the bench model actually compiled a binned twin,
-// so the Binned benchmarks can never silently measure the float path.
-func requireBinned[M interface{ DescentMode() string }](b *testing.B, m M) M {
-	if m.DescentMode() != "binned" {
-		b.Fatalf("bench model descent mode %q, want binned", m.DescentMode())
+// mustFlat unwraps a Flatten result: mustFlat(b)(tree.Flatten()).
+func mustFlat(b *testing.B) func(*mltree.Flat, error) *mltree.Flat {
+	return func(fl *mltree.Flat, err error) *mltree.Flat {
+		if err != nil {
+			b.Fatal(err)
+		}
+		return fl
 	}
-	return m
-}
-
-func BenchmarkPredictBatchTreeBinned(b *testing.B) {
-	tree, _, _ := predictBenchModels(b)
-	ft := tree.Flatten()
-	ft.SetFloatDescent(false) // lone trees default to float; opt in
-	benchPredictFlat(b, requireBinned(b, ft).ScoreBatch)
 }
 
 func BenchmarkPredictBatchForestWalked(b *testing.B) {
@@ -774,12 +759,7 @@ func BenchmarkPredictBatchForestWalked(b *testing.B) {
 
 func BenchmarkPredictBatchForestFlat(b *testing.B) {
 	_, forest, _ := predictBenchModels(b)
-	benchPredictFlat(b, forceFloat(forest.Flatten()).ScoreBatch)
-}
-
-func BenchmarkPredictBatchForestBinned(b *testing.B) {
-	_, forest, _ := predictBenchModels(b)
-	benchPredictFlat(b, requireBinned(b, forest.Flatten()).ScoreBatch)
+	benchPredictFlat(b, mustFlat(b)(forest.Flatten()).ScoreBatch)
 }
 
 func BenchmarkPredictBatchGBTWalked(b *testing.B) {
@@ -792,10 +772,5 @@ func BenchmarkPredictBatchGBTWalked(b *testing.B) {
 
 func BenchmarkPredictBatchGBTFlat(b *testing.B) {
 	_, _, gbt := predictBenchModels(b)
-	benchPredictFlat(b, forceFloat(gbt.Flatten()).ScoreBatch)
-}
-
-func BenchmarkPredictBatchGBTBinned(b *testing.B) {
-	_, _, gbt := predictBenchModels(b)
-	benchPredictFlat(b, requireBinned(b, gbt.Flatten()).ScoreBatch)
+	benchPredictFlat(b, mustFlat(b)(gbt.Flatten()).ScoreBatch)
 }

@@ -8,10 +8,12 @@
 //
 // Each benchmark line becomes one entry with its parallelism suffix,
 // iteration count and every reported metric (ns/op, B/op, allocs/op and
-// any custom b.ReportMetric units). Non-benchmark lines are ignored, so
-// the tool can consume a full `go test` transcript. With -diff, the new
-// report is schema-compared against a committed baseline and any
-// vanished series fails the run.
+// any custom b.ReportMetric units). The transcript's goos, goarch and cpu
+// header lines, plus the Go version benchjson was built with, go into a
+// context block; other non-benchmark lines are ignored, so the tool can
+// consume a full `go test` transcript. With -diff, the new report is
+// schema-compared against a committed baseline and any vanished series
+// fails the run; the context block is never compared.
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 	"log"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,19 +88,38 @@ type Entry struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
+// Context records what the numbers were measured on: the transcript's
+// goos, goarch and cpu header lines, and the Go release that built
+// benchjson (the toolchain CI runs the benchmarks with).
+type Context struct {
+	GoOS   string `json:"goos,omitempty"`
+	GoArch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	Go     string `json:"go"`
+}
+
 // Report is the top-level JSON document.
 type Report struct {
-	Benchmarks []Entry `json:"benchmarks"`
+	Context    *Context `json:"context,omitempty"`
+	Benchmarks []Entry  `json:"benchmarks"`
 }
 
 // Parse scans a go-test transcript for benchmark result lines, keeping
-// only names matched by keep (nil keeps everything).
+// only names matched by keep (nil keeps everything), and for the header
+// lines that fill the report's context.
 func Parse(r io.Reader, keep *regexp.Regexp) (*Report, error) {
-	report := &Report{Benchmarks: []Entry{}}
+	ctx := &Context{Go: runtime.Version()}
+	report := &Report{Context: ctx, Benchmarks: []Entry{}}
+	headers := map[string]*string{"goos": &ctx.GoOS, "goarch": &ctx.GoArch, "cpu": &ctx.CPU}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		entry, ok := ParseLine(sc.Text())
+		line := sc.Text()
+		if key, val, ok := strings.Cut(line, ": "); ok && headers[key] != nil {
+			*headers[key] = strings.TrimSpace(val)
+			continue
+		}
+		entry, ok := ParseLine(line)
 		if ok && (keep == nil || keep.MatchString(entry.Name)) {
 			report.Benchmarks = append(report.Benchmarks, entry)
 		}
@@ -170,7 +192,7 @@ func (r *Report) Schema() map[string][]string {
 // CompareSchema checks that got covers want's shape: every benchmark name
 // in want exists in got with at least want's metric keys. Extra
 // benchmarks or metrics in got are allowed (additive change), and values
-// are never compared — only a vanished series fails, since that silently
+// and contexts are never compared — only a vanished series fails, since that silently
 // breaks the perf trajectory the committed baseline anchors.
 func CompareSchema(got, want *Report) error {
 	gs, ws := got.Schema(), want.Schema()

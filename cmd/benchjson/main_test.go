@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,35 @@ ok  	repro	12.3s
 	e = report.Benchmarks[2]
 	if e.Name != "ServeBatch" || e.Procs != 1 || e.Metrics["forecasts/s"] != 12345 {
 		t.Fatalf("entry 2 = %+v", e)
+	}
+}
+
+func TestParseContext(t *testing.T) {
+	transcript := `goos: linux
+goarch: amd64
+pkg: repro
+cpu: AMD EPYC 7B13
+BenchmarkPredictBatchTreeFlat 	    5128	    242105 ns/op
+`
+	report, err := Parse(strings.NewReader(transcript), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Context{GoOS: "linux", GoArch: "amd64", CPU: "AMD EPYC 7B13", Go: runtime.Version()}
+	if report.Context == nil || *report.Context != want {
+		t.Fatalf("context = %+v, want %+v", report.Context, want)
+	}
+	if len(report.Benchmarks) != 1 {
+		t.Fatalf("header lines leaked into benchmarks: %v", report.Benchmarks)
+	}
+	// The context is provenance, not schema: a baseline from another
+	// machine, or one predating the block, still diffs clean.
+	other := &Report{Context: &Context{GoOS: "darwin", CPU: "M2"}, Benchmarks: report.Benchmarks}
+	if err := CompareSchema(report, other); err != nil {
+		t.Fatalf("context difference failed the diff: %v", err)
+	}
+	if err := CompareSchema(report, &Report{Benchmarks: report.Benchmarks}); err != nil {
+		t.Fatalf("baseline without context failed the diff: %v", err)
 	}
 }
 

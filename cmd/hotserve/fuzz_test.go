@@ -30,6 +30,7 @@ func FuzzForecastQuery(f *testing.F) {
 		{"model=Average&k=03&model=Tree", `{"queries":[{"model":"Nope"}]}`},
 		{"%zz&model=Average;k=2", `{"queries":`},
 		{"", `not json`},
+		{"model=Tree&h=03&w=%2B7&t=030", `{"queries":[{"model":"Tree","h":3,"w":7,"t":30}]}`},
 	} {
 		f.Add(seed.query, []byte(seed.body))
 	}
@@ -48,10 +49,7 @@ func FuzzForecastQuery(f *testing.F) {
 		if single.Code != http.StatusOK {
 			return
 		}
-		batch, ok := batchOfOne(queryFromURL(req.URL.Query()))
-		if !ok {
-			return // a selector the JSON form spells differently, such as h=03
-		}
+		batch := batchOfOne(t, queryFromURL(req.URL.Query()))
 		rec = httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/forecast/batch", strings.NewReader(batch)))
 		var out struct {
@@ -76,10 +74,11 @@ func checkStatus(t *testing.T, route string, code int) {
 	}
 }
 
-// batchOfOne renders fq as a one-query /forecast/batch body. It reports
-// false when a numeric selector is not the canonical decimal the JSON
-// form's integers normalize to, so the two forms would not select alike.
-func batchOfOne(fq forecastQuery) (string, bool) {
+// batchOfOne renders fq as a one-query /forecast/batch body. Every
+// numeric selector of a GET that answered 200 parsed as an integer, and
+// the JSON form selects by the same integers.
+func batchOfOne(t *testing.T, fq forecastQuery) string {
+	t.Helper()
 	q := batchQuery{Model: fq.model, Target: fq.target}
 	for _, f := range []struct {
 		raw string
@@ -89,13 +88,16 @@ func batchOfOne(fq forecastQuery) (string, bool) {
 			continue
 		}
 		v, err := strconv.Atoi(f.raw)
-		if err != nil || strconv.Itoa(v) != f.raw {
-			return "", false
+		if err != nil {
+			t.Fatalf("a 200 GET carried the unparsable selector %q", f.raw)
 		}
 		*f.dst = &v
 	}
 	b, err := json.Marshal(struct {
 		Queries []batchQuery `json:"queries"`
 	}{[]batchQuery{q}})
-	return string(b), err == nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

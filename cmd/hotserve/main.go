@@ -461,10 +461,6 @@ type modelInfo struct {
 	W       int    `json:"w"`
 	Cutoff  int    `json:"cutoff"`
 	Version int    `json:"version,omitempty"`
-	// Descent is the flat engine's batch kernel for this artifact: "binned"
-	// (quantized uint8 codes) or "float" (raw key compares); absent for
-	// baselines, which have no descent at all.
-	Descent string `json:"descent,omitempty"`
 	// MmapBytes is the size of the memory-mapped artifact file this model
 	// serves from (zero-copy load); 0 when the model is heap-resident.
 	MmapBytes int64 `json:"mmap_bytes,omitempty"`
@@ -475,11 +471,9 @@ type modelInfo struct {
 	Width        int `json:"width,omitempty"`
 }
 
-// descentModel is implemented by artifacts that expose their inference
-// kernel, residency and feature projection (forecast's classifier
-// artifacts).
-type descentModel interface {
-	DescentMode() string
+// classifierModel is implemented by artifacts that expose their
+// residency and feature projection (forecast's classifier artifacts).
+type classifierModel interface {
 	MmapBytes() int64
 	FeaturesRead() int
 	FeatureWidth() int
@@ -500,19 +494,17 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptime_ms": time.Since(s.start).Milliseconds(),
 		"models":    sum.infos,
 		// The inference engine's vitals: how many active artifacts serve
-		// through the flat batch engine (and how many of those descend on
-		// quantized bin codes), their memory split between mmap-backed
-		// pages and heap-resident structures, and the process-wide count
-		// of batch evaluations. Every classifier artifact predicts through
-		// the flat engine, so batch_calls stays zero only until a
-		// tree-backed model serves its first forecast.
+		// through the flat batch engine, their memory split between
+		// mmap-backed pages and heap-resident structures, and the
+		// process-wide count of batch evaluations. Every classifier
+		// artifact predicts through the flat engine, so batch_calls stays
+		// zero only until a tree-backed model serves its first forecast.
 		// mmap_bytes is artifact data served from the page cache (mapped
 		// files); heap_flat_bytes is the flat footprint of heap-resident
 		// classifiers; flat_bytes is every engine's full in-memory
 		// accounting regardless of residency.
 		"inference": map[string]any{
 			"flattened_models": sum.flattened,
-			"binned_models":    sum.binned,
 			"mmap_models":      sum.mapped,
 			"flat_bytes":       sum.flatBytes,
 			"mmap_bytes":       sum.mmapBytes,
@@ -814,6 +806,14 @@ func selectArtifact(set *artifactSet, fq forecastQuery) (forecast.Trained, *http
 	if fq.target != "" && fq.target != "hot" && fq.target != "become" {
 		return nil, failf(http.StatusBadRequest, "unknown target %q (hot | become)", fq.target)
 	}
+	h, err := intOrDefault(fq.h, "h", 0)
+	if err != nil {
+		return nil, failf(http.StatusBadRequest, "%v", err)
+	}
+	w, err := intOrDefault(fq.w, "w", 0)
+	if err != nil {
+		return nil, failf(http.StatusBadRequest, "%v", err)
+	}
 	var matches []forecast.Trained
 	for _, sm := range set.models {
 		tr := sm.tr
@@ -826,10 +826,10 @@ func selectArtifact(set *artifactSet, fq forecastQuery) (forecast.Trained, *http
 		if fq.target == "become" && tr.Target() != forecast.BecomeHot {
 			continue
 		}
-		if fq.h != "" && fq.h != strconv.Itoa(tr.Horizon()) {
+		if fq.h != "" && h != tr.Horizon() {
 			continue
 		}
-		if fq.w != "" && fq.w != strconv.Itoa(tr.Window()) {
+		if fq.w != "" && w != tr.Window() {
 			continue
 		}
 		matches = append(matches, tr)

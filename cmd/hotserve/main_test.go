@@ -116,15 +116,7 @@ func TestHealthz(t *testing.T) {
 	if first["model"] != "Average" || first["h"].(float64) != 3 {
 		t.Fatalf("model inventory = %v", first)
 	}
-	// Per-model descent mode: the Tree artifact descends (binned or
-	// float), the Average baseline has no engine and omits the field.
-	if d, ok := first["descent"]; ok {
-		t.Fatalf("baseline reports a descent mode: %v", d)
-	}
 	second := models[1].(map[string]any)
-	if d := second["descent"]; d != "binned" && d != "float" {
-		t.Fatalf("classifier descent mode = %v", d)
-	}
 	// The feature projection: the Tree reads a subset of its extractor's
 	// columns; the baseline reads none and omits both fields.
 	for _, field := range []string{"features_read", "width"} {
@@ -164,7 +156,7 @@ func TestHealthz(t *testing.T) {
 
 // TestHealthzMmapRegistry: a classifier served out of a registry is
 // loaded through the mmap path, so /healthz must report it as
-// mmap-backed with a descent mode, and forecasts must still serve.
+// mmap-backed, and forecasts must still serve.
 func TestHealthzMmapRegistry(t *testing.T) {
 	p := testPipeline(t)
 	dir := t.TempDir()
@@ -189,9 +181,6 @@ func TestHealthzMmapRegistry(t *testing.T) {
 	}
 	_, body := get(t, srv, "/healthz")
 	m := body["models"].([]any)[0].(map[string]any)
-	if d := m["descent"]; d != "binned" && d != "float" {
-		t.Fatalf("registry classifier descent mode = %v", d)
-	}
 	inf := body["inference"].(map[string]any)
 	if inf["mmap_models"].(float64) != 1 || inf["mmap_bytes"].(float64) <= 0 {
 		t.Fatalf("registry artifact not mmap-backed: %v", inf)
@@ -264,6 +253,40 @@ func TestForecastSelectionErrors(t *testing.T) {
 	}
 	if code, _ := get(t, srv, "/forecast?target=bogus"); code != http.StatusBadRequest {
 		t.Fatalf("bad target = %d, want 400", code)
+	}
+}
+
+// TestForecastNumericSelectors: h and w select by integer value, like t
+// and k, so any spelling strconv.Atoi accepts selects the same artifact
+// and an unparsable one is a 400 naming the selector, not a 404.
+func TestForecastNumericSelectors(t *testing.T) {
+	srv, _ := testServer(t, 4)
+	for _, tc := range []struct {
+		query string
+		code  int
+		err   string
+	}{
+		{"model=Tree&h=3&t=30", http.StatusOK, ""},
+		{"model=Tree&h=03&t=30", http.StatusOK, ""},
+		{"model=Tree&h=%2B3&t=30", http.StatusOK, ""},
+		{"model=Tree&w=07&t=30", http.StatusOK, ""},
+		{"model=Tree&h=03&w=007&t=030", http.StatusOK, ""},
+		{"model=Tree&h=4&t=30", http.StatusNotFound, "no artifact matches"},
+		{"model=Tree&h=abc&t=30", http.StatusBadRequest, `bad h "abc"`},
+		{"model=Tree&w=7x&t=30", http.StatusBadRequest, `bad w "7x"`},
+	} {
+		code, body := get(t, srv, "/forecast?"+tc.query)
+		if code != tc.code {
+			t.Errorf("?%s = %d %v, want %d", tc.query, code, body, tc.code)
+			continue
+		}
+		if tc.err != "" {
+			if msg, _ := body["error"].(string); !strings.Contains(msg, tc.err) {
+				t.Errorf("?%s error %q, want it to contain %q", tc.query, msg, tc.err)
+			}
+		} else if body["model"] != "Tree" || body["h"].(float64) != 3 || body["w"].(float64) != 7 {
+			t.Errorf("?%s answered %v", tc.query, body)
+		}
 	}
 }
 

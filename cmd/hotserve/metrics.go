@@ -102,7 +102,7 @@ func (m *serverMetrics) observeStages(sp *obs.Span) {
 
 // registerInventory exports the active artifact set as scrape-time gauges:
 // the aggregate engine vitals /healthz reports, plus one labeled sample
-// per served artifact for descent mode, mmap residency and (classifiers)
+// per served artifact for its identity, mmap residency and (classifiers)
 // the feature columns a forecast reads. The functions snapshot s.active
 // at scrape time, so the series track hot swaps with no bookkeeping on
 // the reload path.
@@ -113,8 +113,6 @@ func (s *server) registerInventory() {
 		func() float64 { return float64(len(sum().infos)) })
 	reg.GaugeFunc("hotserve_flattened_models", "active artifacts serving through the flat batch engine",
 		func() float64 { return float64(sum().flattened) })
-	reg.GaugeFunc("hotserve_binned_models", "active flat artifacts descending on quantized bin codes",
-		func() float64 { return float64(sum().binned) })
 	reg.GaugeFunc("hotserve_mmap_models", "active artifacts serving off memory-mapped files",
 		func() float64 { return float64(sum().mapped) })
 	reg.GaugeFunc("hotserve_flat_bytes", "flat-engine in-memory footprint across active artifacts",
@@ -141,10 +139,10 @@ func (s *server) registerInventory() {
 			out := make([]obs.LabeledValue, 0, len(set.models))
 			for _, sm := range set.models {
 				var mb int64
-				if dm, ok := sm.tr.(descentModel); ok {
-					mb = dm.MmapBytes()
+				if cm, ok := sm.tr.(classifierModel); ok {
+					mb = cm.MmapBytes()
 				}
-				out = append(out, obs.LabeledValue{Labels: artifactLabels(sm, false), Value: float64(mb)})
+				out = append(out, obs.LabeledValue{Labels: artifactLabels(sm), Value: float64(mb)})
 			}
 			return out
 		})
@@ -156,30 +154,28 @@ func (s *server) registerInventory() {
 			}
 			var out []obs.LabeledValue
 			for _, sm := range set.models {
-				if dm, ok := sm.tr.(descentModel); ok {
-					out = append(out, obs.LabeledValue{Labels: artifactLabels(sm, false), Value: float64(dm.FeaturesRead())})
+				if cm, ok := sm.tr.(classifierModel); ok {
+					out = append(out, obs.LabeledValue{Labels: artifactLabels(sm), Value: float64(cm.FeaturesRead())})
 				}
 			}
 			return out
 		})
 	reg.GaugeSet("hotserve_artifact_info",
-		"one sample per served artifact; the descent label carries a classifier's kernel mode", func() []obs.LabeledValue {
+		"one sample per served artifact, labeled with its task and registry version", func() []obs.LabeledValue {
 			set := s.active.Load()
 			if set == nil {
 				return nil
 			}
 			out := make([]obs.LabeledValue, 0, len(set.models))
 			for _, sm := range set.models {
-				out = append(out, obs.LabeledValue{Labels: artifactLabels(sm, true), Value: 1})
+				out = append(out, obs.LabeledValue{Labels: artifactLabels(sm), Value: 1})
 			}
 			return out
 		})
 }
 
-// artifactLabels renders one served artifact's identity label set;
-// withDescent adds the kernel-mode label for the info series (classifier
-// artifacts only).
-func artifactLabels(sm servedModel, withDescent bool) []obs.Label {
+// artifactLabels renders one served artifact's identity label set.
+func artifactLabels(sm servedModel) []obs.Label {
 	ls := []obs.Label{
 		{Key: "model", Value: sm.tr.ModelName()},
 		{Key: "target", Value: sm.tr.Target().String()},
@@ -189,10 +185,6 @@ func artifactLabels(sm servedModel, withDescent bool) []obs.Label {
 	if sm.version > 0 {
 		ls = append(ls, obs.Label{Key: "version", Value: strconv.Itoa(sm.version)})
 	}
-	// Baselines have no descent kernel; like /healthz, omit the label.
-	if dm, ok := sm.tr.(descentModel); ok && withDescent {
-		ls = append(ls, obs.Label{Key: "descent", Value: dm.DescentMode()})
-	}
 	return ls
 }
 
@@ -200,7 +192,7 @@ func artifactLabels(sm servedModel, withDescent bool) []obs.Label {
 // source both /healthz's inference block and the hotserve_* gauges read.
 type inventorySummary struct {
 	infos                           []modelInfo
-	flattened, binned, mapped       int
+	flattened, mapped               int
 	flatBytes, mmapBytes, heapBytes int64
 }
 
@@ -221,17 +213,13 @@ func summarize(set *artifactSet) inventorySummary {
 			fb = fm.FlatBytes()
 			sum.flatBytes += fb
 		}
-		if dm, ok := sm.tr.(descentModel); ok {
-			sum.infos[i].Descent = dm.DescentMode()
-			sum.infos[i].MmapBytes = dm.MmapBytes()
-			sum.infos[i].FeaturesRead = dm.FeaturesRead()
-			sum.infos[i].Width = dm.FeatureWidth()
-			if dm.DescentMode() == "binned" {
-				sum.binned++
-			}
-			if dm.MmapBytes() > 0 {
+		if cm, ok := sm.tr.(classifierModel); ok {
+			sum.infos[i].MmapBytes = cm.MmapBytes()
+			sum.infos[i].FeaturesRead = cm.FeaturesRead()
+			sum.infos[i].Width = cm.FeatureWidth()
+			if cm.MmapBytes() > 0 {
 				sum.mapped++
-				sum.mmapBytes += dm.MmapBytes()
+				sum.mmapBytes += cm.MmapBytes()
 			} else {
 				sum.heapBytes += fb
 			}

@@ -89,6 +89,9 @@ const (
 	kindGBT      uint8 = 8
 )
 
+// kindPost is the per-row step each classifier kind's engine applies.
+var kindPost = map[uint8]mltree.Post{kindTree: mltree.PostNone, kindForest: mltree.PostMean, kindGBT: mltree.PostLogistic}
+
 // baselineArtifact is the state of a fitted baseline: nothing beyond the
 // task identity, because the baselines score directly from the serving
 // context's data. kindFallback is a classifier fit that hit a degenerate
@@ -175,7 +178,7 @@ type classifierArtifact struct {
 	cols []int
 	// colsKey is cols as the prediction matrix's exact cache key component.
 	colsKey string
-	engine  flatEngine
+	engine  *mltree.Flat
 	// importances of the fit (mean decrease in impurity); nil for GBT.
 	importances []float64
 	// backing keeps an mmap'd artifact file alive while the flat engine
@@ -183,16 +186,6 @@ type classifierArtifact struct {
 	// artifacts. mmapBytes is the mapped file size, 0 when heap-resident.
 	backing   *mmapfile.File
 	mmapBytes int64
-}
-
-// flatEngine is the batch inference engine a classifier artifact serves
-// from and serializes: mltree's FlatTree, FlatForest or FlatGBT, matching
-// the artifact kind.
-type flatEngine interface {
-	ScoreBatch(x []float64, n int, out []float64)
-	FlatBytes() int64
-	DescentMode() string
-	AppendBinary(b []byte) []byte
 }
 
 // BatchPredictCalls reports how many flat-engine batch evaluations have
@@ -205,11 +198,6 @@ func BatchPredictCalls() uint64 { return batchPredictsTotal.Value() }
 type FlatModel interface {
 	FlatBytes() int64
 }
-
-// DescentMode reports which batch kernel the artifact's flat engine
-// descends with: "binned" (quantized uint8 codes) or "float" (raw key
-// compares). Surfaced by hotserve /healthz.
-func (a *classifierArtifact) DescentMode() string { return a.engine.DescentMode() }
 
 // MmapBytes reports the size of the memory-mapped artifact file backing
 // this model's flat sections, or 0 when the model is heap-resident.
@@ -297,8 +285,10 @@ var artifactMagic = [4]byte{'H', 'O', 'T', 'M'}
 // payloads are the compiled flat engine's own arrays as 8-byte-aligned
 // little-endian sections (aligned from the file's first byte), so a decode
 // over an aligned buffer — in particular a memory-mapped file — aliases
-// the sections in place and costs O(1) in the node count.
-const ArtifactVersion uint16 = 5
+// the sections in place and costs O(1) in the node count. Version 6 made
+// that payload the quantized-code engine alone: its code-column map and
+// cut tables, with no float node section.
+const ArtifactVersion uint16 = 6
 
 // EncodeModel serializes a trained artifact to the versioned binary
 // format. Decoding the result with DecodeModel yields an artifact whose
@@ -422,31 +412,16 @@ func decodeModel(data []byte, trusted bool) (Trained, error) {
 			return nil, fmt.Errorf("forecast: artifact columns: %w", err)
 		}
 		a.colsKey = featcache.ColsKey(a.cols)
-		var learnerFeatures int
-		switch kind {
-		case kindTree:
-			var ft *mltree.FlatTree
-			if ft, err = mltree.DecodeFlatTree(r, trusted); err == nil {
-				a.engine, learnerFeatures = ft, ft.NumFeatures
-			}
-		case kindForest:
-			var ff *mltree.FlatForest
-			if ff, err = mltree.DecodeFlatForest(r, trusted); err == nil {
-				a.engine, learnerFeatures = ff, ff.NumFeatures
-			}
-		default:
-			var fg *mltree.FlatGBT
-			if fg, err = mltree.DecodeFlatGBT(r, trusted); err == nil {
-				a.engine, learnerFeatures = fg, fg.NumFeatures
-			}
-		}
-		if err != nil {
+		if a.engine, err = mltree.DecodeFlat(r, trusted); err != nil {
 			return nil, err
+		}
+		if want := kindPost[kind]; a.engine.Post() != want {
+			return nil, fmt.Errorf("forecast: artifact kind %d carries an engine with post-step %d, want %d", kind, a.engine.Post(), want)
 		}
 		// Predict builds len(cols)-wide prediction rows and hands them to
 		// the engine; a mismatch would panic there, so reject it at decode.
-		if learnerFeatures != len(a.cols) {
-			return nil, fmt.Errorf("forecast: artifact reads %d columns but its learner has %d features", len(a.cols), learnerFeatures)
+		if a.engine.NumFeatures != len(a.cols) {
+			return nil, fmt.Errorf("forecast: artifact reads %d columns but its learner has %d features", len(a.cols), a.engine.NumFeatures)
 		}
 		tr = a
 	default:

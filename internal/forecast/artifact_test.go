@@ -383,7 +383,7 @@ func TestArtifactFingerprintRoundTrip(t *testing.T) {
 func TestArtifactRejectsForeignVersions(t *testing.T) {
 	data := encodeTestArtifact(t)
 	dir := t.TempDir()
-	for _, v := range []uint16{0, 1, 2, 3, 4, ArtifactVersion + 1} {
+	for _, v := range []uint16{0, 1, 2, 3, 4, 5, ArtifactVersion + 1} {
 		t.Run(fmt.Sprintf("version-%d", v), func(t *testing.T) {
 			mut := append([]byte(nil), data...)
 			binary.LittleEndian.PutUint16(mut[4:], v)

@@ -235,8 +235,7 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 			return nil, nil, fmt.Errorf("forecast: fitting tree: %w", err)
 		}
 		art.kind = kindTree
-		ft, cols := tree.FlattenProjected()
-		art.engine, art.cols = ft, cols
+		art.engine, art.cols, err = tree.FlattenProjected()
 		art.importances = tree.Importances()
 		learner = tree
 	} else {
@@ -257,10 +256,12 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 			return nil, nil, fmt.Errorf("forecast: fitting forest: %w", err)
 		}
 		art.kind = kindForest
-		ff, cols := forest.FlattenProjected()
-		art.engine, art.cols = ff, cols
+		art.engine, art.cols, err = forest.FlattenProjected()
 		art.importances = forest.Importances()
 		learner = forest
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("forecast: compiling %s: %w", m.ModelName, err)
 	}
 	art.colsKey = featcache.ColsKey(art.cols)
 	return art, learner, nil

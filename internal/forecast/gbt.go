@@ -98,7 +98,10 @@ func (m *GBTModel) fitLearner(c *Context, target Target, t, h, w int) (Trained, 
 			return nil, nil, fmt.Errorf("forecast: fitting GBT: %w", err)
 		}
 	}
-	fg, cols := g.FlattenProjected()
+	fg, cols, err := g.FlattenProjected()
+	if err != nil {
+		return nil, nil, fmt.Errorf("forecast: compiling GBT: %w", err)
+	}
 	return &classifierArtifact{artifactMeta: meta, kind: kindGBT, extractor: m.Extractor, width: width,
 		cols: cols, colsKey: featcache.ColsKey(cols), engine: fg}, g, nil
 }

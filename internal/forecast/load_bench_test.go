@@ -47,8 +47,8 @@ func loadBenchSetup(b *testing.B) (string, []byte) {
 
 // BenchmarkLoadModelMmap: the trusted load path — mmap the file and
 // alias the flat sections in place. Cost is the envelope header, shape
-// checks and the O(features x bins) derived-structure rebuild for
-// binned models — independent of node count. The gap to the checked
+// checks and the O(code columns x cuts) derived-structure rebuild —
+// independent of node count. The gap to the checked
 // decode below is the per-node validation the mmap path skips.
 func BenchmarkLoadModelMmap(b *testing.B) {
 	path, _ := loadBenchSetup(b)

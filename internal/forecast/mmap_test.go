@@ -8,7 +8,7 @@ import (
 // TestArtifactMmapLoad: LoadModelFile serves flat-payload classifiers
 // straight from a memory mapping (where the platform has one) — after
 // the checksum gate passes — with predictions bit-identical to a heap
-// decode of the same bytes, and the descent mode surviving the trip.
+// decode of the same bytes, and the engine's shape surviving the trip.
 func TestArtifactMmapLoad(t *testing.T) {
 	c := testContext(t, 100, 8, 53)
 	c.ForestTrees = 5
@@ -30,9 +30,10 @@ func TestArtifactMmapLoad(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: loaded %T", m.Name(), got)
 		}
-		fitMode := tr.(*classifierArtifact).DescentMode()
-		if a.DescentMode() != fitMode {
-			t.Fatalf("%s: descent mode %q after load, fit had %q", m.Name(), a.DescentMode(), fitMode)
+		fit := tr.(*classifierArtifact).engine
+		if a.engine.Post() != fit.Post() || a.engine.NumTrees() != fit.NumTrees() {
+			t.Fatalf("%s: engine post-step %d with %d trees after load, fit had %d with %d",
+				m.Name(), a.engine.Post(), a.engine.NumTrees(), fit.Post(), fit.NumTrees())
 		}
 		if a.backing != nil {
 			if !a.backing.Mapped() || a.MmapBytes() <= 0 {

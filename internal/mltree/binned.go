@@ -351,7 +351,7 @@ func FitTreeBinned(bn *Binned, y []int, w []float64, numClasses int, cfg Config,
 		return nil, fmt.Errorf("mltree: zero total weight")
 	}
 
-	t := &Tree{NumFeatures: f, NumClasses: numClasses, importances: make([]float64, f), histTrained: true}
+	t := &Tree{NumFeatures: f, NumClasses: numClasses, importances: make([]float64, f)}
 	maxNB := 0
 	for _, nb := range bn.Bins {
 		if nb > maxNB {

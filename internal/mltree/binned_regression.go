@@ -42,7 +42,7 @@ func fitRegressionTreeBinned(bn *Binned, targets, w []float64, cfg RegressionCon
 	if cfg.MinSamplesLeaf < 1 {
 		cfg.MinSamplesLeaf = 1
 	}
-	t := &RegressionTree{NumFeatures: bn.F, histTrained: true}
+	t := &RegressionTree{NumFeatures: bn.F}
 	maxNB := 0
 	for _, nb := range bn.Bins {
 		if nb > maxNB {

@@ -4,82 +4,142 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 	"unsafe"
 )
 
-// This file is the batched flat inference engine: Flatten compiles each
-// fitted learner's pointer-laden node structs into one contiguous block
-// of packed 16-byte node records (threshold key plus one word packing
-// feature and both child codes),
-// with the leaf-vs-internal distinction folded into the child index
-// itself — a child code c >= 0 is the next internal node, c < 0 is leaf
-// ^c — and all leaf payloads pooled into one block (probabilities for
-// classifiers, values for regressors) instead of one heap slice per leaf
-// node. The packed record keeps a node visit to a single cache line; the
-// first cut used four parallel arrays (SoA), which touched four lines
-// per visit.
+// This file is the batched flat inference engine. Flatten compiles a
+// fitted Tree, Forest or GBT, whichever split engine grew it, into one
+// contiguous block of packed node words that compare one-byte codes
+// instead of floats, and ScoreBatch scores a row-major block through it
+// without allocating.
 //
-// Descent is fully branchless. Tree splits are near 50/50 by
-// construction, so a branchy walk eats a pipeline flush roughly every
-// other node and that — not memory latency — bounds per-row prediction
-// on cache-resident ensembles. The usual cure is a conditional move, but
-// the compiler refuses to emit one for a value that feeds a load address
-// (the next node index always does), so the child select is done in
-// integer arithmetic instead: thresholds are stored as order-preserving
-// uint64 keys (IEEE-754 sign-magnitude folded into a total order, see
-// floatKey), the comparison is a borrow bit out of a 64-bit subtract,
-// and the borrow expands to a mask that picks the child. Eight rows
-// descend a tree concurrently; their cursor chains are independent, so
-// the CPU overlaps the dependent node and feature loads that bound a
-// one-row-at-a-time walk, and the tree loop sits inside the descent
-// kernel so consecutive trees' chains overlap too.
+// Collect a feature's distinct split thresholds into an ascending cut
+// array and quantize a raw value to its lower-bound index
+// code(v) = #{i : cuts[i] < v}; then for every non-NaN v and every cut
+// index k,
 //
-// The batch entry points evaluate row blocks per tree pass (row-blocked,
-// tree-major iteration: a block of rows stays hot in cache while every
-// tree descends it, and each tree's nodes stay hot across the block),
-// and the steady state allocates nothing: callers own the output
-// buffers and accumulation writes straight into them.
+//	v <= cuts[k]  <=>  code(v) <= k
 //
-// Flat scores are bit-identical to the walked pointer path: descent
-// takes the same predicate (value <= threshold, see floatKey for the
-// NaN and signed-zero cases) on the same thresholds, and ensemble
-// accumulation adds per-row contributions in the same tree order with
-// the same final scaling (blocking and the multi-lane descent reorder row
-// scheduling, never a row's own additions), so flattened == walked
-// extends every cached == uncached / workers 1 == N determinism
-// invariant to the serving path.
+// (code(v) <= k iff cuts[k] >= v, by the ascending order). The argument
+// uses nothing about the cuts but their order, so it holds for the
+// histogram engine's bin boundaries and the exact engine's midpoints
+// alike. A NaN quantizes to m, the cut count (its total-order key sits
+// above every cut key), which exceeds every stored cut index, so NaN
+// routes right at every node: the walked path's "NaN <= t is false".
+// Descent on codes therefore takes the walked learner's child at every
+// node and reaches its leaf for every row.
+//
+// A code is one byte, so a code column holds at most 255 cuts (codes
+// 0..255, NaN included). A feature that splits on m distinct thresholds
+// gets ceil(m/255) code columns, each a run of consecutive cuts
+// quantized from the same input column: src maps code column to input
+// column. A node on the feature's k-th threshold compares column k/255
+// at local index k%255, and the lemma holds per column. Features the
+// model never splits on get no column and are never read.
+//
+// Nodes use a sibling-pair layout: an internal node's two children
+// always occupy adjacent slots, so the descent step is an add of the
+// compare bit instead of a two-way select —
+//
+//	internal: column<<48 | cutCode<<40 | firstChild   (bit 63 clear)
+//	leaf:     1<<63 | 0xFF<<40 | leafIdx<<20 | ownSlot
+//
+// with firstChild/ownSlot in bits 0..19 and code columns capped below
+// 2^15 so bit 63 distinguishes the two. A step extracts t = word>>40,
+// loads the row's code for the node's column at tile offset t&0x7FFF00
+// (exactly column*256 — the code tile's row stride is 256), and advances
+// to firstChild + ((cut-code)>>31): borrow set means cut < code, the
+// go-right condition. A leaf word is a fixed point of that step: its
+// cut field 0xFF is >= every code, so it self-loops on its own slot.
+// The counted phase can therefore run any number of levels past a
+// shallow leaf, and the clamped phase tests "all lanes done" as the sign
+// of the AND of the eight node words in flight. Past the layout's
+// capacity (2^20 node slots or leaves, 2^15 code columns) Flatten
+// returns an error; there is no other kernel to fall back to.
+//
+// The batch loop quantizes once per 256-row block, column-major, so its
+// cost is amortized over every tree level the model descends, then
+// descends tree-major: one tree's nodes (8 bytes each, a few KB for
+// typical trees) stay L1-resident across all of the block's 8-lane
+// groups. Rows past the block's last full group descend as one more
+// group into an 8-slot scratch; its spare lanes read stale tile codes
+// and are discarded. Each row adds tree 0, then tree 1, ... to its
+// running sum, and the per-row post-step (none for a lone tree, the
+// forest's 1/T scaling, the GBT's logistic function) is the walked
+// path's own, so scores are bit-identical to the walked learner and
+// flattened == walked extends every cached == uncached / workers 1 == N
+// determinism invariant to the serving path.
 
-// flatNode is one packed internal node: 16 bytes — the threshold key and
-// a single word holding feature (16 bits) and both child codes (24 bits
-// each, sign-extended on unpack). A descent level issues exactly two node
-// loads; the field shifts are plain ALU work that overlaps the
-// comparison chain. A child code c >= 0 continues to internal node c,
-// c < 0 terminates at pooled leaf ^c.
-type flatNode struct {
-	tkey uint64 // floatKey(threshold), -0 canonicalized to +0
-	pack uint64 // feature<<48 | (left&0xFFFFFF)<<24 | right&0xFFFFFF
+// Post is the step a Flat applies to each row's tree sum.
+type Post uint8
+
+const (
+	// PostNone serves a lone tree: the sum is its leaf's class-1
+	// probability.
+	PostNone Post = iota
+	// PostMean serves a forest: the sum of class-1 probabilities times
+	// 1/T.
+	PostMean
+	// PostLogistic serves a GBT: the prior plus every shrunk stage value,
+	// through the logistic function.
+	PostLogistic
+)
+
+// Flat is a fitted Tree, Forest or GBT compiled into the flat layout.
+type Flat struct {
+	// NumFeatures is the width of the rows ScoreBatch reads.
+	NumFeatures int
+	post        Post
+	base        float64 // every row's sum starts here: 0, or a GBT's prior
+	nodes       []uint64
+	roots       []int32
+	// phase1[t] is tree t's counted clamp-free descent depth, at most its
+	// depth (exactly it for GBT stages, so the clamped loop exits on its
+	// first test); self-looping leaves make any count safe.
+	phase1   []int32
+	leafVals []float64 // pooled per-leaf payload: class-1 prob or shrunk stage value
+	src      []int32   // code column -> input column, non-decreasing
+	cuts     []float64 // concatenated ascending per-column cut values
+	cutOff   []int32   // len(src)+1; column c's cuts are cuts[cutOff[c]:cutOff[c+1]]
+
+	// Everything below is derived from the fields above by finishDerived
+	// (called by the compiler and by the decoder), never serialized.
+	pkeys []uint64      // per-column ascending cut keys, each run + one ^0 sentinel
+	pkOff []int32       // len(src); column c's padded keys start at pkOff[c]
+	fq    []binnedQuant // per-column radix acceleration (zero value = search)
+	meta  []uint64      // per-exponent sub-table descriptors (subOff<<32|mask<<8|shift)
+	tab   []uint8       // concatenated sub-bucket -> lower-bound-code tables
 }
 
-// packNode packs a split's feature and child codes into the node word.
-func packNode(feature, left, right int32) uint64 {
-	return uint64(uint16(feature))<<48 | uint64(uint32(left)&0xFFFFFF)<<24 | uint64(uint32(right)&0xFFFFFF)
-}
+// Layout capacity: 20-bit child slots and leaf indexes, 15-bit code
+// columns (bit 63 of a node word is the leaf flag), 8-bit cut codes.
+const (
+	flatMaxNodes = 1 << 20
+	flatMaxCuts  = 255
+	flatMaxCols  = 1 << 15
+)
 
-// unpackLeft and unpackRight sign-extend the 24-bit child codes.
-func unpackLeft(pack uint64) int32  { return int32(uint32(pack>>24)<<8) >> 8 }
-func unpackRight(pack uint64) int32 { return int32(uint32(pack)<<8) >> 8 }
+// flatRowBlock is the batch loop's row-block size: a block's code tile
+// (flatRowBlock bytes per code column) stays L1/L2-resident while every
+// tree descends it.
+const flatRowBlock = 256
 
-// flatCap guards the packed layout's capacity: 24-bit child codes (8M
-// internal nodes and 8M leaves per block) and 16-bit features. Every
-// ensemble this repo trains sits orders of magnitude below these; a
-// hypothetical giant one must keep scoring walked.
-func flatCap(internal, leaves, features int) {
-	if internal >= 1<<23 || leaves >= 1<<23 || features >= 1<<16 {
-		panic(fmt.Sprintf("mltree: ensemble exceeds flat layout capacity (%d internal nodes, %d leaves, %d features)",
-			internal, leaves, features))
-	}
-}
+// forestPadDepth caps a classification tree's counted clamp-free descent
+// phase: forest trees are deep and unbalanced, so the general clamped
+// loop takes over for the deep tail past this many levels (measured best
+// between 11 and 14 on the benchmark forest, whose mean leaf depth is
+// about 12). Boosting stages are shallow and near complete, so their
+// counted phase is their full depth.
+const forestPadDepth = 12
+
+// The descent step addresses the code tile as (word>>40)&0x7FFF00 =
+// column*256, which is only the tile offset if the row-block stride
+// is exactly 256.
+var _ [flatRowBlock - 256][0]byte
 
 // floatKey maps float64 bit patterns to uint64 keys whose unsigned order
 // is the IEEE-754 value order: non-negative floats keep their bits with
@@ -88,8 +148,7 @@ func flatCap(internal, leaves, features int) {
 // non-negatives). The map is strictly monotone on everything except the
 // two zeros, which land adjacent (key(-0) < key(+0)); thresholdKey
 // canonicalizes -0 thresholds to +0 so "v <= t" and "key(v) <= key(t)"
-// agree for every non-NaN v. NaNs are handled by the explicit guard in
-// the descent (a NaN feature value must compare false, i.e. go right).
+// agree for every non-NaN v. rowKey handles NaN row values.
 func floatKey(b uint64) uint64 {
 	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
@@ -102,23 +161,10 @@ func thresholdKey(t float64) uint64 {
 	return floatKey(math.Float64bits(t))
 }
 
-// vGT reports row-value bits vb > threshold key tk — the negation of
-// the walked path's v <= t predicate — as the borrow bit out of
-// tk - key(vb), returning 1 or 0 as a uint64 so callers can expand it
-// into a child-select mask. NaNs must compare "not <=", i.e. greater:
-// positive NaNs key above every threshold naturally, and the one guard
-// maps negative NaNs (bit patterns above negative infinity's, which the
-// key map would otherwise sort below everything) to the top key — the
-// compiler turns it into a conditional move, so no input data steers a
-// branch.
-func vGT(vb, tk uint64) uint64 {
-	_, borrow := bits.Sub64(tk, rowKey(vb), 0)
-	return borrow
-}
-
 // rowKey maps a row value's bit pattern to its comparison key: floatKey
-// with negative NaNs lifted to the top key (the compiler turns the guard
-// into a conditional move, so no input data steers a branch).
+// with negative NaNs lifted to the top key, so every NaN compares above
+// every cut (the compiler turns the guard into a conditional move, so
+// no input data steers a branch).
 func rowKey(vb uint64) uint64 {
 	vk := floatKey(vb)
 	if vb > 0xfff0000000000000 { // negative NaN
@@ -127,1010 +173,621 @@ func rowKey(vb uint64) uint64 {
 	return vk
 }
 
-// fillKeyTile compiles an 8-row group's values into a transposed f x 8
-// key tile: kb[ft*8+lane] = rowKey(rows[lane][ft]). Hoisting the key map
-// out of the descent pays it once per value instead of once per tree
-// visit, and the transposed layout lets the descent kernel address all
-// eight lanes off one base pointer — the per-lane byte offset folds into
-// the load's addressing mode instead of occupying eight registers.
-func fillKeyTile(x []float64, f, lanes int, kb []uint64) {
-	for lane := 0; lane < lanes; lane++ {
-		row := x[lane*f : (lane+1)*f]
-		for ft, v := range row {
-			kb[ft*lanes+lane] = rowKey(math.Float64bits(v))
+// packNode packs an internal node word.
+func packNode(col int32, cut uint8, firstChild int32) uint64 {
+	return uint64(uint16(col))<<48 | uint64(cut)<<40 | uint64(uint32(firstChild)&0xFFFFF)
+}
+
+// leafWord packs a self-looping leaf word occupying slot.
+func leafWord(leafIdx, slot int32) uint64 {
+	return 1<<63 | uint64(0xFF)<<40 | uint64(uint32(leafIdx)&0xFFFFF)<<20 | uint64(uint32(slot)&0xFFFFF)
+}
+
+// splitNode is one node of a tree on its way into the compiler, whichever
+// learner grew it.
+type splitNode struct {
+	feature     int32 // -1 for leaves
+	threshold   float64
+	left, right int32
+	leaf        float64 // a leaf's payload
+}
+
+// compileFlat compiles trees (each rooted at its node 0) over f-wide rows.
+// Every tree's counted descent phase is its depth, capped at padCap.
+func compileFlat(f int, post Post, base float64, trees [][]splitNode, padCap int32) (*Flat, error) {
+	// Each feature's distinct thresholds, ascending. A NaN threshold
+	// sends every row right (v <= NaN is false), so the compiler replaces
+	// its node by the right subtree and the cut tables never hold one.
+	perFeat := make([][]float64, f)
+	for _, nodes := range trees {
+		if len(nodes) == 0 {
+			return nil, fmt.Errorf("mltree: Flatten on an empty tree")
+		}
+		for _, nd := range nodes {
+			if nd.feature >= 0 && !math.IsNaN(nd.threshold) {
+				perFeat[nd.feature] = append(perFeat[nd.feature], nd.threshold)
+			}
 		}
 	}
-}
-
-// keyTilePool recycles key tiles across batch calls so the steady state
-// allocates nothing.
-var keyTilePool = sync.Pool{New: func() any { return new([]uint64) }}
-
-func getKeyTile(f int) (*[]uint64, []uint64) {
-	p := keyTilePool.Get().(*[]uint64)
-	if cap(*p) < f*8 {
-		*p = make([]uint64, f*8)
-	}
-	return p, (*p)[:f*8]
-}
-
-// flatNodes is the shared flat node block for all four learner kinds.
-type flatNodes struct {
-	nodes []flatNode
-}
-
-// leaf descends one row from code c to its (negative) leaf code — the
-// remainder path for rows past the last full 4-wide group, taking the
-// identical predicate on the identical thresholds.
-func (fn *flatNodes) leaf(row []float64, c int32) int32 {
-	nodes := fn.nodes
-	for c >= 0 {
-		nd := &nodes[c]
-		vb := math.Float64bits(row[nd.pack>>48])
-		if vGT(vb, nd.tkey) == 0 {
-			c = unpackLeft(nd.pack)
-		} else {
-			c = unpackRight(nd.pack)
+	fl := &Flat{NumFeatures: f, post: post, base: base, cutOff: []int32{0},
+		roots: make([]int32, len(trees)), phase1: make([]int32, len(trees))}
+	colBase := make([]int32, f) // feature j's first code column
+	for j, ts := range perFeat {
+		slices.Sort(ts)
+		ts = slices.Compact(ts)
+		perFeat[j] = ts
+		colBase[j] = int32(len(fl.src))
+		for lo := 0; lo < len(ts); lo += flatMaxCuts {
+			fl.src = append(fl.src, int32(j))
+			fl.cuts = append(fl.cuts, ts[lo:min(lo+flatMaxCuts, len(ts))]...)
+			fl.cutOff = append(fl.cutOff, int32(len(fl.cuts)))
 		}
 	}
-	return c
-}
-
-// leaf4 descends rows base/f..base/f+3 of the row-major block x
-// concurrently from the same root, with no data-dependent branches: per
-// lane and level, the comparison borrow (vLE) expands to a mask that
-// picks the child in integer arithmetic. The four cursor chains carry no
-// dependencies on each other, so the CPU overlaps their node and
-// feature-value loads — the dependent load chain that bounds a one-row
-// walk; each row still takes exactly the comparisons leaf takes, in the
-// same order. A finished cursor (negative code) redoes node 0's loads
-// with a clamped index — node 0 is always cache-hot — and its final mask
-// keeps the leaf code, so a lane that bottoms out early costs no
-// mispredicted exit branch while its neighbours keep descending (the
-// continue condition ANDs the four codes: negative only once every lane
-// holds a leaf). The lane bodies are written out rather than factored
-// into a helper, and the rows addressed as offsets into the shared block
-// rather than four slice headers: the helper ends up past the inlining
-// budget, and the extra slice headers spill the loop out of registers.
-func (fn *flatNodes) leaf4(x []float64, base, f int, root int32) (int32, int32, int32, int32) {
-	nodes := fn.nodes
-	// Reinterpret the rows as raw bit patterns: the descent compares
-	// order-preserving integer keys, so loading through a uint64 view
-	// skips a float-register round trip on the critical load-to-address
-	// dependency chain.
-	xb := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(x))), len(x))
-	b0, b1, b2, b3 := base, base+f, base+2*f, base+3*f
-	c0, c1, c2, c3 := root, root, root, root
-	for c0&c1&c2&c3 >= 0 {
-		{
-			nd := &nodes[c0&^(c0>>31)]
-			pk := nd.pack
-			gm := -int32(vGT(xb[b0+int(pk>>48)], nd.tkey))
-			l, r := unpackLeft(pk), unpackRight(pk)
-			n := l ^ ((l ^ r) & gm)
-			c0 = n ^ ((n ^ c0) & (c0 >> 31))
-		}
-		{
-			nd := &nodes[c1&^(c1>>31)]
-			pk := nd.pack
-			gm := -int32(vGT(xb[b1+int(pk>>48)], nd.tkey))
-			l, r := unpackLeft(pk), unpackRight(pk)
-			n := l ^ ((l ^ r) & gm)
-			c1 = n ^ ((n ^ c1) & (c1 >> 31))
-		}
-		{
-			nd := &nodes[c2&^(c2>>31)]
-			pk := nd.pack
-			gm := -int32(vGT(xb[b2+int(pk>>48)], nd.tkey))
-			l, r := unpackLeft(pk), unpackRight(pk)
-			n := l ^ ((l ^ r) & gm)
-			c2 = n ^ ((n ^ c2) & (c2 >> 31))
-		}
-		{
-			nd := &nodes[c3&^(c3>>31)]
-			pk := nd.pack
-			gm := -int32(vGT(xb[b3+int(pk>>48)], nd.tkey))
-			l, r := unpackLeft(pk), unpackRight(pk)
-			n := l ^ ((l ^ r) & gm)
-			c3 = n ^ ((n ^ c3) & (c3 >> 31))
-		}
+	if len(fl.src) >= flatMaxCols {
+		return nil, fmt.Errorf("mltree: %d code columns exceed the flat layout's %d", len(fl.src), flatMaxCols)
 	}
-	return c0, c1, c2, c3
-}
-
-// sumLeaves8 descends every tree of a forest for the 8-row group whose
-// transposed key tile is kb (see fillKeyTile), accumulating vals[^leaf]
-// per tree into the eight running sums — in ensemble order per lane, so
-// each row's additions associate exactly as the walked path's. The
-// structural facts shaping the kernel: iteration latency is the
-// per-level dependency chain (node index -> node load -> key load ->
-// borrow compare -> child select, ~20-25 cycles), and the lanes plus
-// the trees behind them are independent chains the out-of-order core
-// runs underneath it, so throughput is lanes / chain. The key tile is
-// addressed off a single base register (the lane offset is a constant
-// displacement in the load), which keeps the eight cursors in registers.
-// Descent is two-phase per tree: the Flatten-time padding guarantees
-// every path at least phase1[t] edges, so the first loop is counted and
-// clamp-free (see sumLeavesPadded8); the second is the general loop for
-// the deep tail, where a finished lane (negative code) spins on node 0
-// with a clamped index while its final mask keeps the leaf code, the
-// continue condition ANDing the eight codes. Lane bodies are written
-// out rather than factored into a helper (a helper lands past the
-// inlining budget and a call per lane-level costs more than the step
-// itself), and loads go through unchecked pointer arithmetic: every
-// index is in range by construction — child codes index the node block
-// they were compiled into, flatCap bounds them at pack time, and
-// features are < f by fitting. The unsafe.Pointer locals keep the
-// backing arrays reachable for the duration of the call. The child
-// select runs on the packed 24-bit codes (h holds feature-low bits and
-// left, the low word holds left-low bits and right; the stray high byte
-// shifts out during sign extension).
-func (fn *flatNodes) sumLeaves8(kb []uint64, roots, phase1 []int32, vals []float64,
-	s0, s1, s2, s3, s4, s5, s6, s7 float64) (float64, float64, float64, float64, float64, float64, float64, float64) {
-	np := unsafe.Pointer(unsafe.SliceData(fn.nodes))
-	kp := unsafe.Pointer(unsafe.SliceData(kb))
-	for ti, root := range roots {
-		c0, c1, c2, c3, c4, c5, c6, c7 := root, root, root, root, root, root, root, root
-		for d := phase1[ti]; d > 0; d-- {
-			{
-				a := unsafe.Add(np, uintptr(uint32(c0))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+0))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c0 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
+	fl.finishDerived()
+	for ti, nodes := range trees {
+		// emit compiles the subtree under node i into slot and returns
+		// its compiled depth.
+		var emit func(i, slot int32) int32
+		emit = func(i, slot int32) int32 {
+			nd := &nodes[i]
+			if nd.feature < 0 {
+				fl.nodes[slot] = leafWord(int32(len(fl.leafVals)), slot)
+				fl.leafVals = append(fl.leafVals, nd.leaf)
+				return 0
 			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c1))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+8))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c1 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
+			if math.IsNaN(nd.threshold) {
+				return emit(nd.right, slot)
 			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c2))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+16))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c2 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c3))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+24))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c3 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c4))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+32))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c4 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c5))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+40))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c5 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c6))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+48))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c6 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c7))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+56))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c7 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
+			k, _ := slices.BinarySearch(perFeat[nd.feature], nd.threshold)
+			fc := int32(len(fl.nodes))
+			fl.nodes = append(fl.nodes, 0, 0)
+			fl.nodes[slot] = packNode(colBase[nd.feature]+int32(k/flatMaxCuts), uint8(k%flatMaxCuts), fc)
+			return 1 + max(emit(nd.left, fc), emit(nd.right, fc+1))
 		}
-		for c0&c1&c2&c3&c4&c5&c6&c7 >= 0 {
-			{
-				a := unsafe.Add(np, uintptr(uint32(c0&^(c0>>31)))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+0))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				nn := int32((h^((h^uint32(pk))&gm))<<8) >> 8
-				c0 = nn ^ ((nn ^ c0) & (c0 >> 31))
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c1&^(c1>>31)))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+8))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				nn := int32((h^((h^uint32(pk))&gm))<<8) >> 8
-				c1 = nn ^ ((nn ^ c1) & (c1 >> 31))
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c2&^(c2>>31)))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+16))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				nn := int32((h^((h^uint32(pk))&gm))<<8) >> 8
-				c2 = nn ^ ((nn ^ c2) & (c2 >> 31))
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c3&^(c3>>31)))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+24))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				nn := int32((h^((h^uint32(pk))&gm))<<8) >> 8
-				c3 = nn ^ ((nn ^ c3) & (c3 >> 31))
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c4&^(c4>>31)))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+32))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				nn := int32((h^((h^uint32(pk))&gm))<<8) >> 8
-				c4 = nn ^ ((nn ^ c4) & (c4 >> 31))
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c5&^(c5>>31)))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+40))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				nn := int32((h^((h^uint32(pk))&gm))<<8) >> 8
-				c5 = nn ^ ((nn ^ c5) & (c5 >> 31))
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c6&^(c6>>31)))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+48))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				nn := int32((h^((h^uint32(pk))&gm))<<8) >> 8
-				c6 = nn ^ ((nn ^ c6) & (c6 >> 31))
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c7&^(c7>>31)))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+56))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				nn := int32((h^((h^uint32(pk))&gm))<<8) >> 8
-				c7 = nn ^ ((nn ^ c7) & (c7 >> 31))
-			}
-		}
-		s0 += vals[int(^c0)]
-		s1 += vals[int(^c1)]
-		s2 += vals[int(^c2)]
-		s3 += vals[int(^c3)]
-		s4 += vals[int(^c4)]
-		s5 += vals[int(^c5)]
-		s6 += vals[int(^c6)]
-		s7 += vals[int(^c7)]
+		fl.roots[ti] = int32(len(fl.nodes))
+		fl.nodes = append(fl.nodes, 0)
+		fl.phase1[ti] = min(padCap, emit(0, fl.roots[ti]))
 	}
-	return s0, s1, s2, s3, s4, s5, s6, s7
+	if len(fl.nodes) > flatMaxNodes || len(fl.leafVals) > flatMaxNodes {
+		return nil, fmt.Errorf("mltree: %d node slots, %d leaves exceed the flat layout's %d",
+			len(fl.nodes), len(fl.leafVals), flatMaxNodes)
+	}
+	return fl, nil
 }
 
-// sumLeavesPadded8 is the boosted-ensemble descent kernel: it requires a
-// node block compiled with depth padding (see GBT.Flatten), where every
-// root-to-leaf path of stage t has exactly depths[t] edges — dummy
-// pass-through nodes with both child codes equal extend short paths, so
-// a comparison on them cannot change the leaf reached. Two properties
-// follow. The inner loop is a counted loop (no data steers any branch in
-// the descent, so no tree-exit misprediction ever flushes the cross-tree
-// work the out-of-order window has started), and a cursor is a valid
-// internal index for every one of the depths[t] iterations, so the
-// clamp and leaf-keep masks the general kernels carry vanish from the
-// dependency chain: a lane step is two node loads, one key-tile load,
-// a borrow compare, and the masked child select — light enough that
-// eight lanes hold in registers where the general kernel's clamp and
-// keep temps would spill. Unchecked addressing and liveness are as in
-// sumLeaves8.
-func (fn *flatNodes) sumLeavesPadded8(kb []uint64, roots, depths []int32, vals []float64,
-	s0, s1, s2, s3, s4, s5, s6, s7 float64) (float64, float64, float64, float64, float64, float64, float64, float64) {
-	np := unsafe.Pointer(unsafe.SliceData(fn.nodes))
-	kp := unsafe.Pointer(unsafe.SliceData(kb))
-	for ti, root := range roots {
-		c0, c1, c2, c3, c4, c5, c6, c7 := root, root, root, root, root, root, root, root
-		for d := depths[ti]; d > 0; d-- {
-			{
-				a := unsafe.Add(np, uintptr(uint32(c0))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+0))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c0 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c1))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+8))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c1 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c2))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+16))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c2 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c3))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+24))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c3 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c4))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+32))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c4 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c5))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+40))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c5 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c6))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+48))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c6 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-			{
-				a := unsafe.Add(np, uintptr(uint32(c7))*16)
-				pk := *(*uint64)(unsafe.Add(a, 8))
-				vk := *(*uint64)(unsafe.Add(kp, uintptr(pk>>48)*64+56))
-				_, borrow := bits.Sub64(*(*uint64)(a), vk, 0)
-				gm := uint32(0) - uint32(borrow)
-				h := uint32(pk >> 24)
-				c7 = int32((h^((h^uint32(pk))&gm))<<8) >> 8
-			}
-		}
-		s0 += vals[int(^c0)]
-		s1 += vals[int(^c1)]
-		s2 += vals[int(^c2)]
-		s3 += vals[int(^c3)]
-		s4 += vals[int(^c4)]
-		s5 += vals[int(^c5)]
-		s6 += vals[int(^c6)]
-		s7 += vals[int(^c7)]
-	}
-	return s0, s1, s2, s3, s4, s5, s6, s7
-}
-
-// flatRowBlock is the ensemble batch loops' row-block size: a block's
-// feature rows (flatRowBlock x F floats) stay L2-resident while every
-// tree of the ensemble descends them, instead of restreaming the whole
-// batch once per tree.
-const flatRowBlock = 256
-
-// FlatTree is a Tree compiled into the flat layout. Unlike the ensemble
-// compilers it neither pads nor key-tiles: a single tree's descent is a
-// dozen levels per row, far too little work to amortize mapping every
-// feature value to its comparison key, so the score path keeps the
-// 4-wide raw-value descent.
-type FlatTree struct {
-	NumFeatures int
-	NumClasses  int
-	flatNodes
-	descentMode
-	leafProbs []float64 // pooled: leaf l's probabilities at [l*NumClasses, (l+1)*NumClasses)
-	root      int32     // root code; a leaf code for single-leaf trees
-}
-
-// descentMode carries a flat learner's optional binned twin (see
-// flatbinned.go) and the override that forces the float-keyed kernels.
-// Flatten compiles the twin only for hist-trained models, where the
-// quantized descent is bit-identical by construction.
-type descentMode struct {
-	binned      *binnedEnsemble
-	floatForced bool
-}
-
-func (dm *descentMode) useBinned() bool { return dm.binned != nil && !dm.floatForced }
-
-// DescentMode reports the comparison kernel batch scoring uses:
-// "binned" (uint8 bin-code compares over quantized row tiles) or
-// "float" (total-order key compares). Hist-trained models within the
-// binned layout's capacity run binned; everything else runs float.
-func (dm *descentMode) DescentMode() string {
-	if dm.useBinned() {
-		return "binned"
-	}
-	return "float"
-}
-
-// SetFloatDescent forces (true) or re-allows (false) the float-keyed
-// descent on a model whose binned twin exists — the benchmark and test
-// hook for measuring or cross-checking both kernels on one model. Not
-// safe to call concurrently with batch scoring.
-func (dm *descentMode) SetFloatDescent(force bool) { dm.floatForced = force }
-
-// flatIndex assigns every node its flat code: internal nodes get dense
-// indices in node order, leaves get pooled leaf codes in node order. The
-// shared compiler core for all four learners (rnode uses its twin below).
-func flatIndexTree(nodes []node) (codes []int32, internal, leaves int) {
-	codes = make([]int32, len(nodes))
-	for i := range nodes {
-		if nodes[i].feature < 0 {
-			codes[i] = ^int32(leaves)
-			leaves++
-		} else {
-			codes[i] = int32(internal)
-			internal++
-		}
-	}
-	return codes, internal, leaves
-}
-
-// Flatten compiles the tree into the flat batched layout. The tree must
-// hold at least one node (every fitted or decoded tree does).
-func (t *Tree) Flatten() *FlatTree {
-	if len(t.nodes) == 0 {
-		panic("mltree: Flatten on empty tree")
-	}
-	codes, internal, leaves := flatIndexTree(t.nodes)
-	flatCap(internal, leaves, t.NumFeatures)
-	ft := &FlatTree{
-		NumFeatures: t.NumFeatures,
-		NumClasses:  t.NumClasses,
-		flatNodes:   newFlatNodes(internal),
-		leafProbs:   make([]float64, leaves*t.NumClasses),
-		root:        codes[0],
-	}
-	for i := range t.nodes {
-		nd := &t.nodes[i]
-		c := codes[i]
+// splitNodes lists the tree's nodes for the compiler, with each split
+// feature mapped through index (nil keeps them) and each leaf carrying
+// its class-1 probability.
+func (t *Tree) splitNodes(index []int32) []splitNode {
+	out := make([]splitNode, len(t.nodes))
+	for i, nd := range t.nodes {
+		out[i] = splitNode{feature: remap(index, nd.feature), threshold: nd.threshold, left: nd.left, right: nd.right}
 		if nd.feature < 0 {
-			copy(ft.leafProbs[int(^c)*t.NumClasses:], nd.probs)
-			continue
+			out[i].leaf = nd.probs[1]
 		}
-		ft.nodes[c] = flatNode{tkey: thresholdKey(nd.threshold),
-			pack: packNode(nd.feature, codes[nd.left], codes[nd.right])}
 	}
-	if t.histTrained {
-		ft.binned = compileBinnedTrees([]*Tree{t}, t.NumFeatures, forestPadDepth)
-		// A lone tree defaults to the float kernel: quantizing every
-		// row-feature pays off only when the codes amortize over many
-		// trees, and a single descent per row never recoups it.
-		// SetFloatDescent(false) opts back in.
-		ft.floatForced = true
-	}
-	return ft
+	return out
 }
 
-// newFlatNodes allocates the packed record block for n internal nodes.
-func newFlatNodes(n int) flatNodes {
-	return flatNodes{nodes: make([]flatNode, n)}
+// splitNodes lists the stage's nodes for the compiler, with each split
+// feature mapped through index (nil keeps them) and each leaf carrying
+// shrinkage*value: the walked path's per-stage addend, the product of the
+// same two floats.
+func (t *RegressionTree) splitNodes(index []int32, shrinkage float64) []splitNode {
+	out := make([]splitNode, len(t.nodes))
+	for i, nd := range t.nodes {
+		out[i] = splitNode{feature: remap(index, nd.feature), threshold: nd.threshold, left: nd.left, right: nd.right}
+		if nd.feature < 0 {
+			out[i].leaf = shrinkage * nd.value
+		}
+	}
+	return out
 }
 
-// checkBatch validates a batch call's shapes once, up front, so the hot
-// descent loops can index unchecked.
-func checkBatch(x []float64, n, f int, out []float64, perRow int) {
+// remap maps a split feature through index; leaves (-1) and a nil index
+// keep it.
+func remap(index []int32, feature int32) int32 {
+	if feature < 0 || index == nil {
+		return feature
+	}
+	return index[feature]
+}
+
+// Flatten compiles the tree into the flat layout.
+func (t *Tree) Flatten() (*Flat, error) { return t.flatten(nil, t.NumFeatures) }
+
+func (t *Tree) flatten(index []int32, f int) (*Flat, error) {
+	return compileFlat(f, PostNone, 0, [][]splitNode{t.splitNodes(index)}, forestPadDepth)
+}
+
+// Flatten compiles the forest into the flat layout.
+func (fo *Forest) Flatten() (*Flat, error) { return fo.flatten(nil, fo.NumFeatures) }
+
+func (fo *Forest) flatten(index []int32, f int) (*Flat, error) {
+	trees := make([][]splitNode, len(fo.Trees))
+	for i, t := range fo.Trees {
+		trees[i] = t.splitNodes(index)
+	}
+	return compileFlat(f, PostMean, 0, trees, forestPadDepth)
+}
+
+// Flatten compiles the boosted ensemble into the flat layout.
+func (g *GBT) Flatten() (*Flat, error) { return g.flatten(nil, g.NumFeatures) }
+
+func (g *GBT) flatten(index []int32, f int) (*Flat, error) {
+	stages := make([][]splitNode, len(g.trees))
+	for i, t := range g.trees {
+		stages[i] = t.splitNodes(index, g.shrinkage)
+	}
+	return compileFlat(f, PostLogistic, g.prior, stages, math.MaxInt32)
+}
+
+// codeTiles recycles code tiles across batch calls so the steady state
+// allocates nothing. Class k holds tiles for up to 2^k code columns (k <=
+// 15, since code columns stay below flatMaxCols): one pool shared by
+// models of different sizes would keep trading undersized tiles for new
+// ones. Each class keeps its last idle tile outside the sync.Pool, because
+// a pooled tile sits in the putting P's private slot, where a Get on
+// another P cannot see it: a goroutine that migrates between Ps would
+// otherwise reallocate the tile now and then.
+var codeTiles [16]struct {
+	last atomic.Pointer[[]uint8]
+	pool sync.Pool
+}
+
+// getCodeTile returns a tile of class k: (1<<k) x flatRowBlock bytes.
+func getCodeTile(k int) *[]uint8 {
+	c := &codeTiles[k]
+	if p := c.last.Swap(nil); p != nil {
+		return p
+	}
+	if p, ok := c.pool.Get().(*[]uint8); ok {
+		return p
+	}
+	cb := make([]uint8, (1<<k)*flatRowBlock)
+	return &cb
+}
+
+// putCodeTile returns a tile got from getCodeTile(k).
+func putCodeTile(k int, p *[]uint8) {
+	c := &codeTiles[k]
+	if !c.last.CompareAndSwap(nil, p) {
+		c.pool.Put(p)
+	}
+}
+
+// ScoreBatch writes each row's score into out[i] for the n x NumFeatures
+// row-major block x: a lone tree's or a forest's class-1 probability, or
+// a GBT's P(class 1). Bit-identical to the walked learner's
+// PredictProbaInto(row)[1]; allocates nothing.
+func (fl *Flat) ScoreBatch(x []float64, n int, out []float64) {
+	f := fl.NumFeatures
 	if n < 0 || len(x) != n*f {
 		panic(fmt.Sprintf("mltree: batch of %d values is not %d rows x %d features", len(x), n, f))
 	}
-	if len(out) < n*perRow {
-		panic(fmt.Sprintf("mltree: batch output of %d values for %d rows x %d per row", len(out), n, perRow))
+	if len(out) < n {
+		panic(fmt.Sprintf("mltree: batch output of %d values for %d rows", len(out), n))
 	}
-}
-
-// PredictProbaBatch writes each row's class probability vector into
-// out[i*NumClasses:(i+1)*NumClasses] for the n x NumFeatures row-major
-// block x. Bit-identical to Tree.PredictProbaInto per row; allocates
-// nothing.
-func (ft *FlatTree) PredictProbaBatch(x []float64, n int, out []float64) {
-	checkBatch(x, n, ft.NumFeatures, out, ft.NumClasses)
-	f, k := ft.NumFeatures, ft.NumClasses
-	put := func(i int, c int32) {
-		copy(out[i*k:(i+1)*k], ft.leafProbs[int(^c)*k:(int(^c)+1)*k])
-	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		c0, c1, c2, c3 := ft.leaf4(x, i*f, f, ft.root)
-		put(i, c0)
-		put(i+1, c1)
-		put(i+2, c2)
-		put(i+3, c3)
-	}
-	for ; i < n; i++ {
-		put(i, ft.leaf(x[i*f:(i+1)*f], ft.root))
-	}
-}
-
-// ScoreBatch writes each row's class-1 probability into out[i] — the
-// serving path's ranking score. Bit-identical to PredictProba(row)[1].
-func (ft *FlatTree) ScoreBatch(x []float64, n int, out []float64) {
-	checkBatch(x, n, ft.NumFeatures, out, 1)
-	f, k := ft.NumFeatures, ft.NumClasses
-	if ft.useBinned() {
-		scoreBatchBinned(ft.binned, x, n, 1, func(i int) float64 {
-			return ft.leafProbs[int(^ft.leaf(x[i*f:(i+1)*f], ft.root))*k+1]
-		}, out)
-		return
-	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		c0, c1, c2, c3 := ft.leaf4(x, i*f, f, ft.root)
-		out[i] = ft.leafProbs[int(^c0)*k+1]
-		out[i+1] = ft.leafProbs[int(^c1)*k+1]
-		out[i+2] = ft.leafProbs[int(^c2)*k+1]
-		out[i+3] = ft.leafProbs[int(^c3)*k+1]
-	}
-	for ; i < n; i++ {
-		out[i] = ft.leafProbs[int(^ft.leaf(x[i*f:(i+1)*f], ft.root))*k+1]
-	}
-}
-
-// FlatBytes reports the flat layout's memory footprint.
-func (ft *FlatTree) FlatBytes() int64 {
-	b := int64(len(ft.nodes))*16 + int64(len(ft.leafProbs))*8 + 64
-	if ft.binned != nil {
-		b += ft.binned.bytes()
-	}
-	return b
-}
-
-// FlatForest is a Forest compiled into one pooled SoA block: every tree's
-// internal nodes share the same parallel arrays (per-tree roots index into
-// them) and every leaf probability vector lives in one contiguous pool.
-type FlatForest struct {
-	NumFeatures int
-	NumClasses  int
-	flatNodes
-	descentMode
-	roots     []int32   // per-tree root codes (global)
-	phase1    []int32   // per-tree clamp-free descent depth: every path has at least this many edges
-	leafProbs []float64 // pooled across all trees
-	leafP1    []float64 // pooled class-1 probability per leaf: the serving score path's view
-}
-
-// forestPadDepth caps the forest's leaf padding: leaves shallower than
-// min(cap, tree depth) get dummy pass-through links (see GBT.Flatten)
-// so the descent kernel can run that many clamp-free counted levels
-// before switching to the general clamped loop for the deep tail.
-// Forest trees are deep and unbalanced, so padding to full depth would
-// inflate the node block severalfold; the cap trades a modest inflation
-// for stripping the clamp and keep masks from most levels walked
-// (measured best between 11 and 14 on the benchmark forest, whose mean
-// leaf depth is ~12; deeper caps lose more to node inflation than the
-// cheaper levels save).
-const forestPadDepth = 12
-
-// Flatten compiles the forest into the pooled flat layout, padding
-// shallow leaves up to forestPadDepth.
-func (fo *Forest) Flatten() *FlatForest {
-	ff := &FlatForest{NumFeatures: fo.NumFeatures, NumClasses: fo.NumClasses,
-		roots:  make([]int32, len(fo.Trees)),
-		phase1: make([]int32, len(fo.Trees))}
-	for ti, t := range fo.Trees {
-		if len(t.nodes) == 0 {
-			panic("mltree: Flatten on forest with empty tree")
-		}
-		pad := min(int32(forestPadDepth), treeDepth(t.nodes, 0))
-		var emit func(i, depth int32) int32
-		emit = func(i, depth int32) int32 {
-			nd := &t.nodes[i]
-			if nd.feature < 0 {
-				c := ^int32(len(ff.leafP1))
-				ff.leafProbs = append(ff.leafProbs, nd.probs...)
-				ff.leafP1 = append(ff.leafP1, nd.probs[1])
-				for d := depth; d < pad; d++ {
-					link := int32(len(ff.nodes))
-					ff.nodes = append(ff.nodes, flatNode{pack: packNode(0, c, c)})
-					c = link
-				}
-				return c
-			}
-			c := int32(len(ff.nodes))
-			ff.nodes = append(ff.nodes, flatNode{})
-			l := emit(nd.left, depth+1)
-			r := emit(nd.right, depth+1)
-			ff.nodes[c] = flatNode{tkey: thresholdKey(nd.threshold),
-				pack: packNode(nd.feature, l, r)}
-			return c
-		}
-		ff.roots[ti] = emit(0, 0)
-		ff.phase1[ti] = pad
-	}
-	flatCap(len(ff.nodes), len(ff.leafP1), fo.NumFeatures)
-	if histTrainedAll(fo.Trees) {
-		ff.binned = compileBinnedTrees(fo.Trees, fo.NumFeatures, forestPadDepth)
-	}
-	return ff
-}
-
-// PredictProbaBatch writes each row's ensemble-averaged probability vector
-// into out[i*NumClasses:(i+1)*NumClasses]. Iteration is row-blocked
-// tree-major with a 4-wide descent (see the file comment); per row the
-// trees accumulate in ensemble order with the same final 1/T scaling as
-// the walked path, so the result is bit-identical to
-// Forest.PredictProbaInto. Allocates nothing.
-func (ff *FlatForest) PredictProbaBatch(x []float64, n int, out []float64) {
-	checkBatch(x, n, ff.NumFeatures, out, ff.NumClasses)
-	f, k := ff.NumFeatures, ff.NumClasses
-	for i := range out[:n*k] {
-		out[i] = 0
-	}
-	add := func(i int, c int32) {
-		lp := ff.leafProbs[int(^c)*k : (int(^c)+1)*k]
-		o := out[i*k : (i+1)*k]
-		for j := range o {
-			o[j] += lp[j]
-		}
-	}
+	k := bits.Len(uint(len(fl.src)))
+	ct := getCodeTile(k)
+	defer putCodeTile(k, ct)
+	cb := *ct
+	start := time.Now()
+	var quant time.Duration
+	inv := 1 / float64(len(fl.roots))
 	for i0 := 0; i0 < n; i0 += flatRowBlock {
-		i1 := min(i0+flatRowBlock, n)
-		for _, root := range ff.roots {
-			i := i0
-			for ; i+4 <= i1; i += 4 {
-				c0, c1, c2, c3 := ff.leaf4(x, i*f, f, root)
-				add(i, c0)
-				add(i+1, c1)
-				add(i+2, c2)
-				add(i+3, c3)
+		rows := min(flatRowBlock, n-i0)
+		q0 := time.Now()
+		fl.quantize(x[i0*f:], rows, cb)
+		quant += time.Since(q0)
+		blk := out[i0 : i0+rows]
+		g8 := rows &^ 7
+		var tail [8]float64
+		for i := range blk {
+			blk[i] = fl.base
+		}
+		copy(tail[:], blk[g8:])
+		for ti := range fl.roots {
+			fl.addTreeBlock(cb, 0, g8, ti, blk)
+			if g8 < rows {
+				fl.addTreeBlock(cb, g8, 8, ti, tail[:])
 			}
-			for ; i < i1; i++ {
-				add(i, ff.leaf(x[i*f:(i+1)*f], root))
+		}
+		copy(blk[g8:], tail[:])
+		switch fl.post {
+		case PostMean:
+			for i := range blk {
+				blk[i] *= inv
+			}
+		case PostLogistic:
+			for i := range blk {
+				blk[i] = sigmoid(blk[i])
 			}
 		}
 	}
-	inv := 1.0 / float64(len(ff.roots))
-	for i := range out[:n*k] {
-		out[i] *= inv
+	quantizeSeconds.ObserveDuration(quant)
+	descendSeconds.ObserveDuration(time.Since(start) - quant)
+}
+
+// NumTrees returns the compiled tree (or boosting stage) count.
+func (fl *Flat) NumTrees() int { return len(fl.roots) }
+
+// Post returns the per-row step the engine applies to its tree sums.
+func (fl *Flat) Post() Post { return fl.post }
+
+// FlatBytes reports the engine's memory footprint.
+func (fl *Flat) FlatBytes() int64 {
+	return int64(len(fl.nodes))*8 + int64(len(fl.leafVals))*8 +
+		int64(len(fl.cuts))*8 + int64(len(fl.cutOff))*4 + int64(len(fl.src))*4 +
+		int64(len(fl.pkeys))*8 + int64(len(fl.pkOff))*4 +
+		int64(len(fl.fq))*24 + int64(len(fl.meta))*8 + int64(len(fl.tab)) +
+		int64(len(fl.roots))*8 + 112
+}
+
+// finishDerived populates the derived search structures (pkeys, pkOff,
+// fq, meta, tab) from cuts/cutOff.
+func (fl *Flat) finishDerived() {
+	nc := len(fl.src)
+	fl.pkeys = fl.pkeys[:0]
+	fl.meta = fl.meta[:0]
+	fl.tab = fl.tab[:0]
+	fl.pkOff = make([]int32, nc)
+	fl.fq = make([]binnedQuant, nc)
+	for c := 0; c < nc; c++ {
+		fl.pkOff[c] = int32(len(fl.pkeys))
+		for _, v := range fl.cuts[fl.cutOff[c]:fl.cutOff[c+1]] {
+			fl.pkeys = append(fl.pkeys, thresholdKey(v))
+		}
+		fl.pkeys = append(fl.pkeys, ^uint64(0))
+		if m := int(fl.cutOff[c+1] - fl.cutOff[c]); m > binnedRadixMinCuts {
+			keys := fl.pkeys[fl.pkOff[c] : int(fl.pkOff[c])+m]
+			fl.fq[c] = buildRadix(keys, &fl.meta, &fl.tab)
+		}
 	}
 }
 
-// ScoreBatch writes each row's ensemble-averaged class-1 probability into
-// out[i]. Per row the trees accumulate in ensemble order with the same
-// final 1/T scaling as the walked path, so the scores are bit-identical
-// to PredictProba(row)[1]. Allocates nothing.
-func (ff *FlatForest) ScoreBatch(x []float64, n int, out []float64) {
-	checkBatch(x, n, ff.NumFeatures, out, 1)
-	f := ff.NumFeatures
-	inv := 1.0 / float64(len(ff.roots))
-	if ff.useBinned() {
-		scoreBatchBinned(ff.binned, x, n, inv, func(i int) float64 {
-			row := x[i*f : (i+1)*f]
-			s := 0.0
-			for _, root := range ff.roots {
-				s += ff.leafP1[int(^ff.leaf(row, root))]
+// binnedQuant is one code column's two-level radix quantization table.
+// Total-order keys stratify by the float's sign and exponent (the top
+// 12 bits), so a single linear bucket scale cannot separate quantile
+// cuts — they cluster around the data's dense exponents. Level one
+// therefore indexes meta by exactly those 12 bits, kc>>52 - e1base,
+// after clamping the row key into [kbase, klast] (clamping only moves
+// keys that sit outside every cut, and the residual compare below uses
+// the unclamped key, so below-range rows still code 0 and above-range
+// and NaN rows still code m). Each meta word packs a per-exponent
+// sub-table: subOff<<32 | mask<<8 | shift, where bucket (kc>>shift)&mask
+// slices the mantissa bits just below the exponent — keys within one
+// exponent are linear in those bits, so a small power-of-two sub-table
+// reaches at most one cut per bucket. tab[subOff+bucket] is the
+// lower-bound code at the bucket's base; the residual is one masked
+// key compare. radix is false for columns with few cuts (a 3-4 level
+// search beats the table's fixed overhead) or degenerate cut sets (an
+// exponent whose cuts are denser than the 10-bit sub-table cap), which
+// keep the binary search.
+// The level-one axis spans every raw exponent slot between the first
+// and last cut — at most 4096 of them (12 bits), and in practice a few
+// dozen because only slots between the extreme cuts exist. meta is
+// derived, never serialized, and only the slots near real data are
+// ever loaded, so the axis is left uncompressed to keep the per-row
+// lookup at its minimum op count.
+type binnedQuant struct {
+	kbase   uint64
+	klast   uint64
+	metaOff int32
+	e1base  uint32
+	radix   bool
+}
+
+// binnedRadixMinCuts is the cut count above which quantize prefers the
+// radix table to the binary search. Below it the search needs few
+// levels and the feature's whole key run sits in one or two L1 lines,
+// beating the table's three dependent loads over a sparse meta array.
+const binnedRadixMinCuts = 16
+
+// binnedRadixMaxExp caps a feature's level-one table at the full
+// 4096-slot axis of the key's top 12 bits (sign+exponent), which the
+// raw span klast>>52 - kbase>>52 can never exceed; the check documents
+// the invariant more than it gates. binnedRadixMaxSubBits caps a
+// sub-table at 2^10 buckets (a slot needs more only for near-duplicate
+// thresholds differing far down the mantissa); cut sets past it keep
+// the binary search.
+const (
+	binnedRadixMaxExp     = 4096
+	binnedRadixMaxSubBits = 10
+)
+
+// buildRadix builds one feature's two-level table over its ascending
+// cut keys. The level-one axis is the raw exponent slot keys[i]>>52
+// over the span [kbase>>52, klast>>52] (see binnedQuant for why it is
+// left uncompressed). For every slot it picks the smallest
+// power-of-two sub-table over the mantissa bits below bit 52 that
+// separates the slot's cuts into distinct buckets — within
+// a slot the keys share their top 12 bits, so those next bits order
+// them and a consecutive-pair scan proves distinctness. Sub-table
+// entry b holds the absolute lower-bound code at the bucket's base
+// (the count of cuts in earlier slots plus earlier buckets), with one
+// trailing entry per slot so entry b+1 always bounds the bucket's cut
+// count. Returns the zero binnedQuant — binary-search fallback — when
+// a slot's required sub-table exceeds its cap, restoring meta and tab.
+func buildRadix(keys []uint64, meta *[]uint64, tab *[]uint8) binnedQuant {
+	m := len(keys)
+	kbase, klast := keys[0], keys[m-1]
+	e1base := kbase >> 52
+	e1len := int(klast>>52-e1base) + 1
+	if e1len > binnedRadixMaxExp {
+		return binnedQuant{}
+	}
+	metaOff, tabOff := len(*meta), len(*tab)
+	ci := 0
+	for e := 0; e < e1len; e++ {
+		cj := ci
+		for cj < m && keys[cj]>>52 == e1base+uint64(e) {
+			cj++
+		}
+		sb := 0
+		for ; sb <= binnedRadixMaxSubBits; sb++ {
+			shift := uint(52 - sb)
+			mask := uint64(1)<<sb - 1
+			distinct := true
+			for i := ci + 1; i < cj; i++ {
+				if (keys[i]>>shift)&mask == (keys[i-1]>>shift)&mask {
+					distinct = false
+					break
+				}
 			}
-			return s
-		}, out)
-		return
-	}
-	kt, kb := getKeyTile(f)
-	defer keyTilePool.Put(kt)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		fillKeyTile(x[i*f:(i+8)*f], f, 8, kb)
-		s0, s1, s2, s3, s4, s5, s6, s7 := ff.sumLeaves8(kb, ff.roots, ff.phase1, ff.leafP1,
-			0, 0, 0, 0, 0, 0, 0, 0)
-		out[i] = s0 * inv
-		out[i+1] = s1 * inv
-		out[i+2] = s2 * inv
-		out[i+3] = s3 * inv
-		out[i+4] = s4 * inv
-		out[i+5] = s5 * inv
-		out[i+6] = s6 * inv
-		out[i+7] = s7 * inv
-	}
-	for ; i < n; i++ {
-		row := x[i*f : (i+1)*f]
-		s := 0.0
-		for _, root := range ff.roots {
-			s += ff.leafP1[int(^ff.leaf(row, root))]
+			if distinct {
+				break
+			}
 		}
-		out[i] = s * inv
-	}
-}
-
-// NumTrees returns the compiled ensemble size.
-func (ff *FlatForest) NumTrees() int { return len(ff.roots) }
-
-// FlatBytes reports the flat layout's memory footprint.
-func (ff *FlatForest) FlatBytes() int64 {
-	b := int64(len(ff.nodes))*16 + int64(len(ff.leafProbs))*8 +
-		int64(len(ff.leafP1))*8 + int64(len(ff.roots))*8 + 64
-	if ff.binned != nil {
-		b += ff.binned.bytes()
-	}
-	return b
-}
-
-// FlatRegressionTree is a RegressionTree compiled into the SoA layout.
-type FlatRegressionTree struct {
-	NumFeatures int
-	flatNodes
-	leafValues []float64 // pooled: one value per leaf
-	root       int32
-}
-
-// flatIndexRTree is flatIndexTree over regression nodes.
-func flatIndexRTree(nodes []rnode) (codes []int32, internal, leaves int) {
-	codes = make([]int32, len(nodes))
-	for i := range nodes {
-		if nodes[i].feature < 0 {
-			codes[i] = ^int32(leaves)
-			leaves++
-		} else {
-			codes[i] = int32(internal)
-			internal++
+		if sb > binnedRadixMaxSubBits {
+			*meta = (*meta)[:metaOff]
+			*tab = (*tab)[:tabOff]
+			return binnedQuant{}
 		}
+		shift := uint64(52 - sb)
+		mask := uint64(1)<<sb - 1
+		subOff := len(*tab)
+		k := ci
+		for b := uint64(0); b <= mask; b++ {
+			for k < cj && (keys[k]>>shift)&mask < b {
+				k++
+			}
+			*tab = append(*tab, uint8(k))
+		}
+		*tab = append(*tab, uint8(cj))
+		*meta = append(*meta, uint64(subOff)<<32|mask<<8|shift)
+		ci = cj
 	}
-	return codes, internal, leaves
+	return binnedQuant{kbase: kbase, klast: klast, metaOff: int32(metaOff),
+		e1base: uint32(e1base), radix: true}
 }
 
-// treeDepth returns the longest root-to-leaf edge count under node i.
-func treeDepth(nodes []node, i int32) int32 {
-	if nodes[i].feature < 0 {
-		return 0
-	}
-	return 1 + max(treeDepth(nodes, nodes[i].left), treeDepth(nodes, nodes[i].right))
-}
-
-// rtreeDepth returns the longest root-to-leaf edge count under node i.
-func rtreeDepth(nodes []rnode, i int32) int32 {
-	if nodes[i].feature < 0 {
-		return 0
-	}
-	return 1 + max(rtreeDepth(nodes, nodes[i].left), rtreeDepth(nodes, nodes[i].right))
-}
-
-// Flatten compiles the regression tree into the flat batched layout.
-func (t *RegressionTree) Flatten() *FlatRegressionTree {
-	if len(t.nodes) == 0 {
-		panic("mltree: Flatten on empty regression tree")
-	}
-	codes, internal, leaves := flatIndexRTree(t.nodes)
-	flatCap(internal, leaves, t.NumFeatures)
-	ft := &FlatRegressionTree{
-		NumFeatures: t.NumFeatures,
-		flatNodes:   newFlatNodes(internal),
-		leafValues:  make([]float64, leaves),
-		root:        codes[0],
-	}
-	for i := range t.nodes {
-		nd := &t.nodes[i]
-		c := codes[i]
-		if nd.feature < 0 {
-			ft.leafValues[int(^c)] = nd.value
+// quantize fills the code tile for a row block: cb[c*flatRowBlock+r]
+// is row r's code in code column c, for the first rows rows of the
+// row-major block x. Iteration is column-major so one column's search
+// structures (at most 2KB of keys plus a small two-level radix table)
+// stay L1-resident for the whole block and the tile writes are
+// sequential. The lower bound runs in total-order key space (v <= cut
+// iff rowKey(v) <= cutKey, see floatKey),
+// which makes every compare pure integer arithmetic with no
+// data-dependent branch for the predictor to miss on, and NaN needs no
+// special case — its key sits above every finite cut key, so it
+// lower-bounds to m, above every stored cut code, routing right at
+// each node exactly like the walked path. Radix-mapped columns clamp
+// the key into the cut span (the residual compares the unclamped key,
+// so out-of-span rows stay exact), index the exponent's meta word, and
+// resolve in two table loads plus one masked compare; the rest take a
+// borrow-mask binary search. Four rows run concurrently so the load
+// chains pipeline. Only the input columns the model splits on are
+// read, each once per code column it feeds.
+func (fl *Flat) quantize(x []float64, rows int, cb []uint8) {
+	stride := uintptr(fl.NumFeatures) * 8
+	xp := unsafe.Pointer(unsafe.SliceData(x))
+	cbp := unsafe.Pointer(unsafe.SliceData(cb))
+	for c, col := range fl.src {
+		kp := unsafe.Pointer(&fl.pkeys[fl.pkOff[c]])
+		dp := unsafe.Add(cbp, c*flatRowBlock)
+		p := unsafe.Add(xp, uintptr(col)*8)
+		r := 0
+		m := int(fl.cutOff[c+1] - fl.cutOff[c])
+		if binnedHaveAVX512 && m <= binnedSIMDMaxCuts {
+			// AVX-512 linear compare-count over all the cuts at once;
+			// leftover rows past the last multiple of 8 fall through to
+			// the scalar binary search below.
+			if g8 := rows &^ 7; g8 > 0 {
+				quantCmpAVX512(p, stride, dp, g8, kp, m)
+				r = g8
+				p = unsafe.Add(p, uintptr(g8)*stride)
+			}
+		} else if q := &fl.fq[c]; q.radix {
+			// One row per iteration, every op branchless: with no
+			// data-dependent branch in the body, out-of-order execution
+			// overlaps the per-row load chains across iterations on its
+			// own, and the small live set keeps the clamp in CMOVs
+			// instead of the spill-and-branch code a manually
+			// interleaved body provokes.
+			kb, kl := q.kbase, q.klast
+			e1b := uint64(q.e1base)
+			mp := unsafe.Pointer(&fl.meta[q.metaOff])
+			tp := unsafe.Pointer(unsafe.SliceData(fl.tab))
+			for ; r < rows; r++ {
+				k := rowKey(math.Float64bits(*(*float64)(p)))
+				p = unsafe.Add(p, stride)
+				kc := min(max(k, kb), kl)
+				mw := *(*uint64)(unsafe.Add(mp, uintptr(kc>>52-e1b)*8))
+				i := uintptr(mw>>32) + uintptr(kc>>(mw&63)&(mw>>8&0xFFFFFF))
+				lo := uint32(*(*uint8)(unsafe.Add(tp, i)))
+				nn := uint32(*(*uint8)(unsafe.Add(tp, i+1))) - lo
+				_, c := bits.Sub64(*(*uint64)(unsafe.Add(kp, uintptr(lo)*8)), k, 0)
+				*(*uint8)(unsafe.Add(dp, r)) = uint8(lo + uint32(c)&nn)
+			}
 			continue
 		}
-		ft.nodes[c] = flatNode{tkey: thresholdKey(nd.threshold),
-			pack: packNode(nd.feature, codes[nd.left], codes[nd.right])}
-	}
-	return ft
-}
-
-// PredictBatch writes each row's leaf value into out[i]. Bit-identical to
-// RegressionTree.Predict per row; allocates nothing.
-func (ft *FlatRegressionTree) PredictBatch(x []float64, n int, out []float64) {
-	checkBatch(x, n, ft.NumFeatures, out, 1)
-	f := ft.NumFeatures
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		c0, c1, c2, c3 := ft.leaf4(x, i*f, f, ft.root)
-		out[i] = ft.leafValues[int(^c0)]
-		out[i+1] = ft.leafValues[int(^c1)]
-		out[i+2] = ft.leafValues[int(^c2)]
-		out[i+3] = ft.leafValues[int(^c3)]
-	}
-	for ; i < n; i++ {
-		out[i] = ft.leafValues[int(^ft.leaf(x[i*f:(i+1)*f], ft.root))]
-	}
-}
-
-// FlatBytes reports the flat layout's memory footprint.
-func (ft *FlatRegressionTree) FlatBytes() int64 {
-	return int64(len(ft.nodes))*16 + int64(len(ft.leafValues))*8 + 64
-}
-
-// FlatGBT is a GBT compiled into one pooled SoA block across all boosting
-// stages, with every leaf value in one contiguous pool.
-type FlatGBT struct {
-	NumFeatures int
-	prior       float64
-	flatNodes
-	descentMode
-	roots    []int32
-	depths   []int32   // per-stage max depth: the counted-descent iteration bound
-	leafAdds []float64 // pooled shrinkage * leaf value per leaf: exactly the walked path's per-stage addend
-}
-
-// Flatten compiles the boosted ensemble into the pooled flat layout,
-// padding every stage to uniform depth: a leaf shallower than its
-// stage's max depth gets a chain of dummy pass-through nodes (both
-// child codes point at the next link, so the comparison outcome is
-// irrelevant and any in-range feature serves as the probe). The padding
-// buys the descent kernel a fully counted, clamp-free inner loop — see
-// sumLeavesPadded8 — for a few percent more nodes on the shallow,
-// near-complete trees boosting grows.
-func (g *GBT) Flatten() *FlatGBT {
-	fg := &FlatGBT{NumFeatures: g.NumFeatures, prior: g.prior,
-		roots:  make([]int32, len(g.trees)),
-		depths: make([]int32, len(g.trees))}
-	for ti := range g.trees {
-		t := g.trees[ti]
-		if len(t.nodes) == 0 {
-			panic("mltree: Flatten on GBT with empty stage")
-		}
-		maxDepth := rtreeDepth(t.nodes, 0)
-		var emit func(i, depth int32) int32
-		emit = func(i, depth int32) int32 {
-			nd := &t.nodes[i]
-			if nd.feature < 0 {
-				// The walked path adds shrinkage*value per stage; the
-				// product of the same two floats is the same float here.
-				c := ^int32(len(fg.leafAdds))
-				fg.leafAdds = append(fg.leafAdds, g.shrinkage*nd.value)
-				for k := depth; k < maxDepth; k++ {
-					link := int32(len(fg.nodes))
-					fg.nodes = append(fg.nodes, flatNode{pack: packNode(0, c, c)})
-					c = link
-				}
-				return c
+		for ; r+4 <= rows; r += 4 {
+			k0 := rowKey(math.Float64bits(*(*float64)(p)))
+			k1 := rowKey(math.Float64bits(*(*float64)(unsafe.Add(p, stride))))
+			k2 := rowKey(math.Float64bits(*(*float64)(unsafe.Add(p, 2*stride))))
+			k3 := rowKey(math.Float64bits(*(*float64)(unsafe.Add(p, 3*stride))))
+			p = unsafe.Add(p, 4*stride)
+			var b0, b1, b2, b3 int
+			for n := m; n > 1; n -= n >> 1 {
+				h := n >> 1
+				q := unsafe.Add(kp, uintptr(h-1)*8)
+				_, w0 := bits.Sub64(*(*uint64)(unsafe.Add(q, uintptr(b0)*8)), k0, 0)
+				_, w1 := bits.Sub64(*(*uint64)(unsafe.Add(q, uintptr(b1)*8)), k1, 0)
+				_, w2 := bits.Sub64(*(*uint64)(unsafe.Add(q, uintptr(b2)*8)), k2, 0)
+				_, w3 := bits.Sub64(*(*uint64)(unsafe.Add(q, uintptr(b3)*8)), k3, 0)
+				b0 += h & -int(w0)
+				b1 += h & -int(w1)
+				b2 += h & -int(w2)
+				b3 += h & -int(w3)
 			}
-			c := int32(len(fg.nodes))
-			fg.nodes = append(fg.nodes, flatNode{})
-			l := emit(nd.left, depth+1)
-			r := emit(nd.right, depth+1)
-			fg.nodes[c] = flatNode{tkey: thresholdKey(nd.threshold),
-				pack: packNode(nd.feature, l, r)}
-			return c
+			_, w0 := bits.Sub64(*(*uint64)(unsafe.Add(kp, uintptr(b0)*8)), k0, 0)
+			_, w1 := bits.Sub64(*(*uint64)(unsafe.Add(kp, uintptr(b1)*8)), k1, 0)
+			_, w2 := bits.Sub64(*(*uint64)(unsafe.Add(kp, uintptr(b2)*8)), k2, 0)
+			_, w3 := bits.Sub64(*(*uint64)(unsafe.Add(kp, uintptr(b3)*8)), k3, 0)
+			*(*uint8)(unsafe.Add(dp, r)) = uint8(b0 + int(w0))
+			*(*uint8)(unsafe.Add(dp, r+1)) = uint8(b1 + int(w1))
+			*(*uint8)(unsafe.Add(dp, r+2)) = uint8(b2 + int(w2))
+			*(*uint8)(unsafe.Add(dp, r+3)) = uint8(b3 + int(w3))
 		}
-		fg.roots[ti] = emit(0, 0)
-		fg.depths[ti] = maxDepth
-	}
-	flatCap(len(fg.nodes), len(fg.leafAdds), g.NumFeatures)
-	if histTrainedGBT(g.trees) {
-		fg.binned = compileBinnedGBT(g)
-	}
-	return fg
-}
-
-// RawBatch writes each row's margin F(x) (log-odds scale) into out[i].
-// Row-blocked tree-major iteration with the 4-wide descent; per row the
-// stages accumulate in boosting order, so the margins are bit-identical
-// to GBT.Raw. Allocates nothing.
-func (fg *FlatGBT) RawBatch(x []float64, n int, out []float64) {
-	checkBatch(x, n, fg.NumFeatures, out, 1)
-	f := fg.NumFeatures
-	for i := range out[:n] {
-		out[i] = fg.prior
-	}
-	fg.accumulate(x, n, f, out, 1)
-}
-
-// accumulate adds every stage's shrunk leaf value to out[i*stride] per
-// row (stride 1 = RawBatch's layout, 2 = PredictProbaBatch's class-1
-// slots), in boosting order per row starting from the value already in
-// the slot — the walked path's exact association.
-func (fg *FlatGBT) accumulate(x []float64, n, f int, out []float64, stride int) {
-	if fg.useBinned() {
-		accumulateBinned(fg.binned, x, n, func(i int, s float64) float64 {
-			row := x[i*f : (i+1)*f]
-			for _, root := range fg.roots {
-				s += fg.leafAdds[int(^fg.leaf(row, root))]
+		for ; r < rows; r++ {
+			k := rowKey(math.Float64bits(*(*float64)(p)))
+			p = unsafe.Add(p, stride)
+			var b int
+			for n := m; n > 1; n -= n >> 1 {
+				h := n >> 1
+				_, w := bits.Sub64(*(*uint64)(unsafe.Add(kp, uintptr(b+h-1)*8)), k, 0)
+				b += h & -int(w)
 			}
-			return s
-		}, out, stride)
-		return
-	}
-	kt, kb := getKeyTile(f)
-	defer keyTilePool.Put(kt)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		fillKeyTile(x[i*f:(i+8)*f], f, 8, kb)
-		s0, s1, s2, s3, s4, s5, s6, s7 := fg.sumLeavesPadded8(kb, fg.roots, fg.depths, fg.leafAdds,
-			out[i*stride], out[(i+1)*stride], out[(i+2)*stride], out[(i+3)*stride],
-			out[(i+4)*stride], out[(i+5)*stride], out[(i+6)*stride], out[(i+7)*stride])
-		out[i*stride] = s0
-		out[(i+1)*stride] = s1
-		out[(i+2)*stride] = s2
-		out[(i+3)*stride] = s3
-		out[(i+4)*stride] = s4
-		out[(i+5)*stride] = s5
-		out[(i+6)*stride] = s6
-		out[(i+7)*stride] = s7
-	}
-	for ; i < n; i++ {
-		row := x[i*f : (i+1)*f]
-		s := out[i*stride]
-		for _, root := range fg.roots {
-			s += fg.leafAdds[int(^fg.leaf(row, root))]
+			_, w := bits.Sub64(*(*uint64)(unsafe.Add(kp, uintptr(b)*8)), k, 0)
+			*(*uint8)(unsafe.Add(dp, r)) = uint8(b + int(w))
 		}
-		out[i*stride] = s
 	}
 }
 
-// ScoreBatch writes each row's P(class 1) into out[i] — bit-identical to
-// PredictProba(row)[1] on the walked path.
-func (fg *FlatGBT) ScoreBatch(x []float64, n int, out []float64) {
-	fg.RawBatch(x, n, out)
-	for i := range out[:n] {
-		out[i] = sigmoid(out[i])
+// addTreeBlock descends tree ti for the 8-lane groups of code-tile rows
+// [r0, r0+rows8) (rows8 a multiple of 8), adding each row's leaf value
+// into out[r-r0]. Phase one is the counted
+// clamp-free loop over the tree's compiled depth bound; phase two is
+// the general loop, running while the AND of the eight node words in
+// flight is non-negative (bit 63 set on all words means every lane
+// rests on a self-looping leaf — for GBT stages the counted depth is
+// exact, so this fails immediately). A lane step is one 8-byte node
+// word load, one 1-byte code load at tile offset (word>>40)&0x7FFF00
+// (the node's code column times the 256-row tile stride), and an add of
+// the cut<code borrow bit to the adjacent-children base slot. Loads go
+// through unchecked pointer arithmetic: child slots index the block they
+// were compiled into, code columns index the tile, and rows stay below
+// the tile's 256, all by construction (and by decode validation for a
+// loaded model). The unsafe.Pointer locals keep the backing arrays
+// reachable for the duration of the call. Lane bodies are written out
+// rather than factored into a helper: a helper lands past the inlining
+// budget, and a call per lane-level costs more than the step itself.
+func (fl *Flat) addTreeBlock(cb []uint8, r0, rows8, ti int, out []float64) {
+	np := unsafe.Pointer(unsafe.SliceData(fl.nodes))
+	cbp := unsafe.Pointer(unsafe.SliceData(cb))
+	vals := fl.leafVals
+	rw := *(*uint64)(unsafe.Add(np, uintptr(fl.roots[ti])*8))
+	p1 := fl.phase1[ti]
+	for g := 0; g < rows8; g += 8 {
+		cp := unsafe.Add(cbp, r0+g)
+		w0, w1, w2, w3, w4, w5, w6, w7 := rw, rw, rw, rw, rw, rw, rw, rw
+		for d := p1; d > 0; d-- {
+			{
+				t := uint32(w0 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+0)))
+				w0 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w0)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w1 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+1)))
+				w1 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w1)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w2 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+2)))
+				w2 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w2)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w3 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+3)))
+				w3 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w3)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w4 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+4)))
+				w4 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w4)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w5 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+5)))
+				w5 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w5)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w6 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+6)))
+				w6 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w6)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w7 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+7)))
+				w7 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w7)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+		}
+		for int64(w0&w1&w2&w3&w4&w5&w6&w7) >= 0 {
+			{
+				t := uint32(w0 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+0)))
+				w0 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w0)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w1 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+1)))
+				w1 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w1)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w2 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+2)))
+				w2 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w2)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w3 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+3)))
+				w3 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w3)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w4 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+4)))
+				w4 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w4)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w5 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+5)))
+				w5 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w5)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w6 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+6)))
+				w6 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w6)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+			{
+				t := uint32(w7 >> 40)
+				code := uint32(*(*uint8)(unsafe.Add(cp, uintptr(t&0x7FFF00)+7)))
+				w7 = *(*uint64)(unsafe.Add(np, uintptr((uint32(w7)&0xFFFFF)+((t&0xFF)-code)>>31)*8))
+			}
+		}
+		o := out[g : g+8]
+		o[0] += vals[uint32(w0>>20)&0xFFFFF]
+		o[1] += vals[uint32(w1>>20)&0xFFFFF]
+		o[2] += vals[uint32(w2>>20)&0xFFFFF]
+		o[3] += vals[uint32(w3>>20)&0xFFFFF]
+		o[4] += vals[uint32(w4>>20)&0xFFFFF]
+		o[5] += vals[uint32(w5>>20)&0xFFFFF]
+		o[6] += vals[uint32(w6>>20)&0xFFFFF]
+		o[7] += vals[uint32(w7>>20)&0xFFFFF]
 	}
-}
-
-// PredictProbaBatch writes each row's [P(0), P(1)] pair into
-// out[i*2:(i+1)*2]. Allocates nothing: margins accumulate in the class-1
-// slots, then collapse through the logistic function in place.
-func (fg *FlatGBT) PredictProbaBatch(x []float64, n int, out []float64) {
-	checkBatch(x, n, fg.NumFeatures, out, 2)
-	f := fg.NumFeatures
-	for i := 0; i < n; i++ {
-		out[i*2+1] = fg.prior
-	}
-	if n > 0 {
-		// out[1:] at stride 2 lands each addition in row i's class-1 slot.
-		fg.accumulate(x, n, f, out[1:], 2)
-	}
-	for i := 0; i < n; i++ {
-		p := sigmoid(out[i*2+1])
-		out[i*2] = 1 - p
-		out[i*2+1] = p
-	}
-}
-
-// Rounds returns the compiled stage count.
-func (fg *FlatGBT) Rounds() int { return len(fg.roots) }
-
-// FlatBytes reports the flat layout's memory footprint.
-func (fg *FlatGBT) FlatBytes() int64 {
-	b := int64(len(fg.nodes))*16 + int64(len(fg.leafAdds))*8 +
-		int64(len(fg.roots))*8 + 80
-	if fg.binned != nil {
-		b += fg.binned.bytes()
-	}
-	return b
 }

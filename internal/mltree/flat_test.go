@@ -1,8 +1,10 @@
 package mltree
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/randx"
 )
 
@@ -33,6 +35,17 @@ func flatTestData(seed uint64, n, f int) (x []float64, y []int, eval []float64) 
 	return x, y, eval
 }
 
+// mustFlat unwraps a Flatten result: mustFlat(t)(tree.Flatten()).
+func mustFlat(t testing.TB) func(*Flat, error) *Flat {
+	return func(fl *Flat, err error) *Flat {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fl
+	}
+}
+
 func TestFlatTreeMatchesWalked(t *testing.T) {
 	for _, algo := range []SplitAlgo{SplitExact, SplitHist} {
 		x, y, eval := flatTestData(uint64(3+algo), 400, 12)
@@ -42,21 +55,16 @@ func TestFlatTreeMatchesWalked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ft := tree.Flatten()
+		ft := mustFlat(t)(tree.Flatten())
 		if ft.FlatBytes() <= 0 {
 			t.Fatal("flat tree reports no bytes")
 		}
 		n := 400
-		probs := make([]float64, n*2)
 		scores := make([]float64, n)
-		ft.PredictProbaBatch(eval, n, probs)
 		ft.ScoreBatch(eval, n, scores)
 		want := make([]float64, 2)
 		for i := 0; i < n; i++ {
 			tree.PredictProbaInto(eval[i*12:(i+1)*12], want)
-			if probs[i*2] != want[0] || probs[i*2+1] != want[1] {
-				t.Fatalf("algo %v row %d: flat %v, walked %v", algo, i, probs[i*2:i*2+2], want)
-			}
 			if scores[i] != want[1] {
 				t.Fatalf("algo %v row %d: score %v, walked %v", algo, i, scores[i], want[1])
 			}
@@ -72,21 +80,16 @@ func TestFlatForestMatchesWalked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff := fo.Flatten()
+	ff := mustFlat(t)(fo.Flatten())
 	if ff.NumTrees() != 9 || ff.FlatBytes() <= 0 {
 		t.Fatalf("flat forest shape: trees %d bytes %d", ff.NumTrees(), ff.FlatBytes())
 	}
 	n := 500
-	probs := make([]float64, n*2)
 	scores := make([]float64, n)
-	ff.PredictProbaBatch(eval, n, probs)
 	ff.ScoreBatch(eval, n, scores)
 	want := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		fo.PredictProbaInto(eval[i*10:(i+1)*10], want)
-		if probs[i*2] != want[0] || probs[i*2+1] != want[1] {
-			t.Fatalf("row %d: flat %v, walked %v", i, probs[i*2:i*2+2], want)
-		}
 		if scores[i] != want[1] {
 			t.Fatalf("row %d: score %v, walked probs[1] %v", i, scores[i], want[1])
 		}
@@ -105,59 +108,24 @@ func TestFlatGBTMatchesWalked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fg := g.Flatten()
-	if fg.Rounds() != 12 || fg.FlatBytes() <= 0 {
-		t.Fatalf("flat GBT shape: rounds %d bytes %d", fg.Rounds(), fg.FlatBytes())
+	fg := mustFlat(t)(g.Flatten())
+	if fg.NumTrees() != 12 || fg.FlatBytes() <= 0 {
+		t.Fatalf("flat GBT shape: rounds %d bytes %d", fg.NumTrees(), fg.FlatBytes())
 	}
 	n := 600
-	raw := make([]float64, n)
-	probs := make([]float64, n*2)
 	scores := make([]float64, n)
-	fg.RawBatch(eval, n, raw)
-	fg.PredictProbaBatch(eval, n, probs)
 	fg.ScoreBatch(eval, n, scores)
 	want := make([]float64, 2)
 	for i := 0; i < n; i++ {
-		row := eval[i*8 : (i+1)*8]
-		if got := g.Raw(row); raw[i] != got {
-			t.Fatalf("row %d: flat raw %v, walked %v", i, raw[i], got)
-		}
-		g.PredictProbaInto(row, want)
-		if probs[i*2] != want[0] || probs[i*2+1] != want[1] {
-			t.Fatalf("row %d: flat %v, walked %v", i, probs[i*2:i*2+2], want)
-		}
+		g.PredictProbaInto(eval[i*8:(i+1)*8], want)
 		if scores[i] != want[1] {
 			t.Fatalf("row %d: score %v, walked probs[1] %v", i, scores[i], want[1])
 		}
 	}
 }
 
-func TestFlatRegressionTreeMatchesWalked(t *testing.T) {
-	x, _, eval := flatTestData(31, 400, 6)
-	targets := make([]float64, 400)
-	for i := range targets {
-		targets[i] = x[i*6] + 0.5*x[i*6+1]
-	}
-	cfg := RegressionConfig{MaxDepth: 5, MinSamplesLeaf: 4}
-	rt, err := FitRegressionTree(x, 400, 6, targets, nil, cfg, randx.New(9, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frt := rt.Flatten()
-	if frt.FlatBytes() <= 0 {
-		t.Fatal("flat regression tree reports no bytes")
-	}
-	out := make([]float64, 400)
-	frt.PredictBatch(eval, 400, out)
-	for i := 0; i < 400; i++ {
-		if got := rt.Predict(eval[i*6 : (i+1)*6]); out[i] != got {
-			t.Fatalf("row %d: flat %v, walked %v", i, out[i], got)
-		}
-	}
-}
-
 // TestFlatSingleLeaf exercises the degenerate encoding: a tree that never
-// splits has no internal nodes and its root code is itself a leaf code.
+// splits compiles to one self-looping leaf word and no code column.
 func TestFlatSingleLeaf(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6}
 	y := []int{0, 0, 0} // pure labels: the root is a leaf
@@ -168,32 +136,91 @@ func TestFlatSingleLeaf(t *testing.T) {
 	if tree.NodeCount() != 1 {
 		t.Fatalf("expected a single-leaf tree, got %d nodes", tree.NodeCount())
 	}
-	ft := tree.Flatten()
-	probs := make([]float64, 3*2)
-	ft.PredictProbaBatch(x, 3, probs)
+	ft := mustFlat(t)(tree.Flatten())
+	scores := make([]float64, 3)
+	ft.ScoreBatch(x, 3, scores)
 	want := make([]float64, 2)
 	for i := 0; i < 3; i++ {
 		tree.PredictProbaInto(x[i*2:(i+1)*2], want)
-		if probs[i*2] != want[0] || probs[i*2+1] != want[1] {
-			t.Fatalf("row %d: flat %v, walked %v", i, probs[i*2:i*2+2], want)
+		if scores[i] != want[1] {
+			t.Fatalf("row %d: flat %v, walked %v", i, scores[i], want[1])
 		}
 	}
+}
 
-	targets := []float64{5, 5, 5} // constant target: no gain, single leaf
-	rt, err := FitRegressionTree(x, 3, 2, targets, nil, RegressionConfig{}, randx.New(3, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.LeafCount() != 1 {
-		t.Fatalf("expected a single-leaf regression tree, got %d leaves", rt.LeafCount())
-	}
-	out := make([]float64, 3)
-	rt.Flatten().PredictBatch(x, 3, out)
-	for i, v := range out {
-		if got := rt.Predict(x[i*2 : (i+1)*2]); v != got {
-			t.Fatalf("row %d: flat %v, walked %v", i, v, got)
+// TestFlatNaNThreshold: a NaN split threshold (the exact engine's
+// midpoint between -Inf and +Inf) sends every row right, since v <= NaN
+// is false; the compiler inlines the right subtree and keeps NaN out of
+// the cut tables.
+func TestFlatNaNThreshold(t *testing.T) {
+	tree := &Tree{NumFeatures: 2, NumClasses: 2, nodes: []node{
+		{feature: 0, threshold: math.NaN(), left: 1, right: 2},
+		{feature: -1, probs: []float64{1, 0}},
+		{feature: 1, threshold: 0.5, left: 3, right: 4},
+		{feature: -1, probs: []float64{0.2, 0.8}},
+		{feature: -1, probs: []float64{0.6, 0.4}},
+	}}
+	ft := mustFlat(t)(tree.Flatten())
+	x := []float64{0, 0, math.Inf(-1), 1, math.NaN(), 0.5, 1, math.NaN(), -1, math.Inf(1)}
+	n := len(x) / 2
+	scores := make([]float64, n)
+	ft.ScoreBatch(x, n, scores)
+	want := make([]float64, 2)
+	for i := 0; i < n; i++ {
+		tree.PredictProbaInto(x[i*2:(i+1)*2], want)
+		if scores[i] != want[1] {
+			t.Fatalf("row %d %v: flat %v, walked %v", i, x[i*2:(i+1)*2], scores[i], want[1])
 		}
 	}
+}
+
+// flatKind is a compiled model with its walked learner's class-1 score.
+type flatKind struct {
+	fl     *Flat
+	walked func(row []float64) float64
+}
+
+// flatKinds fits one model of each kind under each split engine, keyed
+// kind/engine.
+func flatKinds(t testing.TB, x []float64, n, f int, y []int) map[string]flatKind {
+	t.Helper()
+	out := map[string]flatKind{}
+	add := func(name string, fl *Flat, err error, learner interface{ PredictProbaInto(x, out []float64) }) {
+		probs := make([]float64, 2)
+		out[name] = flatKind{mustFlat(t)(fl, err), func(row []float64) float64 {
+			learner.PredictProbaInto(row, probs)
+			return probs[1]
+		}}
+	}
+	for _, algo := range []SplitAlgo{SplitExact, SplitHist} {
+		cfg := TreeConfig()
+		cfg.Algo = algo
+		tree, err := FitTree(x, n, f, y, nil, 2, cfg, randx.New(5, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl, err := tree.Flatten()
+		add("tree/"+algo.String(), fl, err, tree)
+		fcfg := DefaultForestConfig()
+		fcfg.NumTrees = 5
+		fcfg.Tree.Algo = algo
+		fo, err := FitForest(x, n, f, y, nil, 2, fcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl, err = fo.Flatten()
+		add("forest/"+algo.String(), fl, err, fo)
+		gcfg := DefaultGBTConfig()
+		gcfg.Rounds = 8
+		gcfg.Algo = algo
+		g, err := FitGBT(x, n, f, y, nil, gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl, err = g.Flatten()
+		add("gbt/"+algo.String(), fl, err, g)
+	}
+	return out
 }
 
 // TestFlatBatchChunkEquality: scoring a block in chunks of 1, 7 and n must
@@ -207,22 +234,56 @@ func TestFlatBatchChunkEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff := fo.Flatten()
+	ff := mustFlat(t)(fo.Flatten())
 	n, f := 300, 9
-	full := make([]float64, n*2)
-	ff.PredictProbaBatch(eval, n, full)
+	full := make([]float64, n)
+	ff.ScoreBatch(eval, n, full)
 	for _, chunk := range []int{1, 7, n} {
-		got := make([]float64, n*2)
+		got := make([]float64, n)
 		for start := 0; start < n; start += chunk {
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			ff.PredictProbaBatch(eval[start*f:end*f], end-start, got[start*2:end*2])
+			end := min(start+chunk, n)
+			ff.ScoreBatch(eval[start*f:end*f], end-start, got[start:end])
 		}
 		for i := range full {
 			if got[i] != full[i] {
 				t.Fatalf("chunk %d: value %d is %v, full batch %v", chunk, i, got[i], full[i])
+			}
+		}
+	}
+}
+
+// TestFlatEveryBatchSizeMatches: scoring a block in batches of every size
+// from 1 to 17 rows, and of 255, 256 and 257, writes exactly the bytes
+// of the one-shot batch, which matches the walked learner, for every
+// model kind under both split engines. Batches under 8 rows run only the
+// partial-group path; larger ones mix it with full groups and cross the
+// 256-row block boundary.
+func TestFlatEveryBatchSizeMatches(t *testing.T) {
+	const n, f = 300, 9
+	x, y, eval := flatTestData(43, n, f)
+	poisonRows(eval, f)
+	for name, k := range flatKinds(t, x, n, f, y) {
+		full := make([]float64, n)
+		k.fl.ScoreBatch(eval, n, full)
+		for i := range full {
+			if want := k.walked(eval[i*f : (i+1)*f]); full[i] != want {
+				t.Fatalf("%s: row %d scores %v, walked %v", name, i, full[i], want)
+			}
+		}
+		sizes := []int{255, 256, 257}
+		for size := 1; size <= 17; size++ {
+			sizes = append(sizes, size)
+		}
+		for _, size := range sizes {
+			got := make([]float64, n)
+			for start := 0; start < n; start += size {
+				end := min(start+size, n)
+				k.fl.ScoreBatch(eval[start*f:end*f], end-start, got[start:end])
+			}
+			for i := range full {
+				if math.Float64bits(got[i]) != math.Float64bits(full[i]) {
+					t.Fatalf("%s batch size %d: row %d is %v, one-shot %v", name, size, i, got[i], full[i])
+				}
 			}
 		}
 	}
@@ -234,10 +295,10 @@ func TestFlatBatchShapePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := tree.Flatten()
+	ft := mustFlat(t)(tree.Flatten())
 	for name, call := range map[string]func(){
-		"short x":   func() { ft.PredictProbaBatch(x[:7], 2, make([]float64, 4)) },
-		"short out": func() { ft.PredictProbaBatch(x[:8], 2, make([]float64, 3)) },
+		"short x":   func() { ft.ScoreBatch(x[:7], 2, make([]float64, 2)) },
+		"short out": func() { ft.ScoreBatch(x[:8], 2, make([]float64, 1)) },
 	} {
 		func() {
 			defer func() {
@@ -247,5 +308,232 @@ func TestFlatBatchShapePanics(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// poisonRows drops NaNs into a few evaluation rows: the quantizer must
+// send them down the walked path's NaN route (right at every node).
+func poisonRows(eval []float64, f int) {
+	for i := 0; i*f+i < len(eval); i += 17 {
+		eval[i*f+i%f] = math.NaN()
+	}
+}
+
+// TestBinnedTreeMatchesFloat: a lone tree's code descent over rows with
+// NaNs matches the walked tree's float compares, whichever split engine
+// grew it.
+func TestBinnedTreeMatchesFloat(t *testing.T) {
+	for _, algo := range []SplitAlgo{SplitExact, SplitHist} {
+		x, y, eval := flatTestData(61, 500, 12)
+		poisonRows(eval, 12)
+		cfg := TreeConfig()
+		cfg.Algo = algo
+		tree, err := FitTree(x, 500, 12, y, nil, 2, cfg, randx.New(7, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 500
+		scores := make([]float64, n)
+		mustFlat(t)(tree.Flatten()).ScoreBatch(eval, n, scores)
+		want := make([]float64, 2)
+		for i := 0; i < n; i++ {
+			tree.PredictProbaInto(eval[i*12:(i+1)*12], want)
+			if scores[i] != want[1] {
+				t.Fatalf("%v row %d: flat %v walked %v", algo, i, scores[i], want[1])
+			}
+		}
+	}
+}
+
+func TestBinnedForestMatchesFloat(t *testing.T) {
+	for _, algo := range []SplitAlgo{SplitExact, SplitHist} {
+		x, y, eval := flatTestData(71, 600, 10)
+		poisonRows(eval, 10)
+		cfg := DefaultForestConfig()
+		cfg.NumTrees = 7
+		cfg.Tree.Algo = algo
+		fo, err := FitForest(x, 600, 10, y, nil, 2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 600
+		scores := make([]float64, n)
+		mustFlat(t)(fo.Flatten()).ScoreBatch(eval, n, scores)
+		want := make([]float64, 2)
+		for i := 0; i < n; i++ {
+			fo.PredictProbaInto(eval[i*10:(i+1)*10], want)
+			if scores[i] != want[1] {
+				t.Fatalf("%v row %d: flat %v walked %v", algo, i, scores[i], want[1])
+			}
+		}
+	}
+}
+
+func TestBinnedGBTMatchesFloat(t *testing.T) {
+	for _, algo := range []SplitAlgo{SplitExact, SplitHist} {
+		x, y, eval := flatTestData(81, 600, 8)
+		poisonRows(eval, 8)
+		cfg := DefaultGBTConfig()
+		cfg.Rounds = 15
+		cfg.Algo = algo
+		g, err := FitGBT(x, 600, 8, y, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 600
+		scores := make([]float64, n)
+		mustFlat(t)(g.Flatten()).ScoreBatch(eval, n, scores)
+		want := make([]float64, 2)
+		for i := 0; i < n; i++ {
+			g.PredictProbaInto(eval[i*8:(i+1)*8], want)
+			if scores[i] != want[1] {
+				t.Fatalf("%v row %d: flat %v walked %v", algo, i, scores[i], want[1])
+			}
+		}
+	}
+}
+
+// TestBinnedGBTTailRowsMatchWalked: rows past the last full 8-lane group
+// of a block descend as a partial group, which must continue each row's
+// sum from its prior exactly as the walked path associates it.
+func TestBinnedGBTTailRowsMatchWalked(t *testing.T) {
+	x, y, eval := flatTestData(83, 600, 8)
+	cfg := DefaultGBTConfig()
+	cfg.Rounds = 15
+	cfg.Algo = SplitHist
+	g, err := FitGBT(x, 600, 8, y, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fg := mustFlat(t)(g.Flatten())
+	const n = 263 // one full 256-row block, then 7 tail rows
+	scores := make([]float64, n)
+	fg.ScoreBatch(eval[:n*8], n, scores)
+	want := make([]float64, 2)
+	for i := 0; i < n; i++ {
+		g.PredictProbaInto(eval[i*8:(i+1)*8], want)
+		if scores[i] != want[1] {
+			t.Fatalf("row %d: flat %v walked %v", i, scores[i], want[1])
+		}
+	}
+}
+
+// TestBinnedChunkEquality: scoring in odd chunk sizes (which leave
+// partial 8-lane groups) writes exactly the bytes of the one-shot batch.
+func TestBinnedChunkEquality(t *testing.T) {
+	x, y, eval := flatTestData(101, 300, 9)
+	poisonRows(eval, 9)
+	cfg := DefaultForestConfig()
+	cfg.NumTrees = 5
+	cfg.Tree.Algo = SplitHist
+	fo, err := FitForest(x, 300, 9, y, nil, 2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := mustFlat(t)(fo.Flatten())
+	n, f := 300, 9
+	full := make([]float64, n)
+	ff.ScoreBatch(eval, n, full)
+	for _, chunk := range []int{1, 3, 11, 257} {
+		got := make([]float64, n)
+		for start := 0; start < n; start += chunk {
+			end := min(start+chunk, n)
+			ff.ScoreBatch(eval[start*f:end*f], end-start, got[start:end])
+		}
+		for i := range full {
+			if got[i] != full[i] {
+				t.Fatalf("chunk %d: row %d is %v, full batch %v", chunk, i, got[i], full[i])
+			}
+		}
+	}
+}
+
+// manyCutForest fits an exact forest on a label that flips with a fast
+// oscillation of feature 0, so its deep trees split on feature 0 at more
+// than 255 distinct thresholds: the compiler must give that feature
+// several code columns.
+func manyCutForest(t testing.TB) (*Forest, *Flat) {
+	t.Helper()
+	const n, f = 3000, 3
+	rng := randx.New(131, 0x3c)
+	x := make([]float64, n*f)
+	y := make([]int, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < f; j++ {
+			x[i*f+j] = rng.Norm(0, 1)
+		}
+		if math.Sin(9*x[i*f])+0.4*x[i*f+1] > 0 {
+			y[i] = 1
+		}
+	}
+	cfg := DefaultForestConfig()
+	cfg.NumTrees = 8
+	cfg.Tree.Algo = SplitExact
+	fo, err := FitForest(x, n, f, y, nil, 2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := mustFlat(t)(fo.Flatten())
+	cols := 0
+	for _, src := range ff.src {
+		if src == 0 {
+			cols++
+		}
+	}
+	if cols < 2 {
+		t.Fatalf("feature 0 compiled to %d code column(s) over %d cuts; the fixture needs more than %d cuts",
+			cols, ff.cutOff[cols], flatMaxCuts)
+	}
+	return fo, ff
+}
+
+// TestFlatManyCutsMatchesWalked: an exact forest with more than 255
+// distinct thresholds on one feature scores bit-identically to its walked
+// learner, directly and after an untrusted and a trusted codec round
+// trip. The rows hold NaN, ±Inf and -0 in every feature, and each code
+// column's first and last cut (the values on either side of a column
+// boundary) in its input column.
+func TestFlatManyCutsMatchesWalked(t *testing.T) {
+	fo, ff := manyCutForest(t)
+	f := ff.NumFeatures
+	_, _, base := flatTestData(133, 40, f)
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	var rows []float64
+	addRow := func(col int, v float64) {
+		r := len(rows)
+		rows = append(rows, base[(r/f%40)*f:(r/f%40+1)*f]...)
+		rows[r+col] = v
+	}
+	for col := 0; col < f; col++ {
+		for _, v := range special {
+			addRow(col, v)
+		}
+	}
+	for c, col := range ff.src {
+		addRow(int(col), ff.cuts[ff.cutOff[c]])
+		addRow(int(col), ff.cuts[ff.cutOff[c+1]-1])
+	}
+	rows = append(rows, base...)
+	n := len(rows) / f
+	want := make([]float64, n)
+	probs := make([]float64, 2)
+	for i := range want {
+		fo.PredictProbaInto(rows[i*f:(i+1)*f], probs)
+		want[i] = probs[1]
+	}
+	enc := ff.AppendBinary(nil)
+	for name, decode := range map[string]func() (*Flat, error){
+		"direct":    func() (*Flat, error) { return ff, nil },
+		"untrusted": func() (*Flat, error) { return DecodeFlat(binenc.NewReader(enc), false) },
+		"trusted":   func() (*Flat, error) { return DecodeFlat(binenc.NewReader(enc), true) },
+	} {
+		got := mustFlat(t)(decode())
+		scores := make([]float64, n)
+		got.ScoreBatch(rows, n, scores)
+		for i := range want {
+			if math.Float64bits(scores[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: row %d %v: flat %v, walked %v", name, i, rows[i*f:(i+1)*f], scores[i], want[i])
+			}
+		}
 	}
 }

@@ -23,18 +23,25 @@ func fuzzEval(n, f int) []float64 {
 // fuzzFlatDecode is the shared fuzz body: decoding arbitrary bytes on the
 // untrusted path must never panic, and anything that decodes cleanly must
 // score a batch without stepping outside its arrays (the run is bounds- and
-// race-checked under `go test -fuzz`).
-func fuzzFlatDecode(t *testing.T, data []byte, decode func(r *binenc.Reader) (interface {
-	ScoreBatch(x []float64, n int, out []float64)
-}, int, error)) {
+// race-checked under `go test -fuzz`). 19 rows cover a full 8-lane group
+// and a partial one.
+func fuzzFlatDecode(t *testing.T, data []byte) {
 	r := binenc.NewReader(data)
-	m, f, err := decode(r)
+	m, err := DecodeFlat(r, false)
 	if err != nil || r.Close() != nil {
 		return
 	}
-	const n = 16
+	const n = 19
 	out := make([]float64, n)
-	m.ScoreBatch(fuzzEval(n, f), n, out)
+	m.ScoreBatch(fuzzEval(n, m.NumFeatures), n, out)
+}
+
+func FuzzDecodeFlatTree(f *testing.F) {
+	_, ftE, _, _, _, _, _ := codecModels(f)
+	enc := ftE.AppendBinary(nil)
+	f.Add(enc)
+	f.Add(enc[:len(enc)-3])
+	f.Fuzz(fuzzFlatDecode)
 }
 
 func FuzzDecodeFlatForest(f *testing.F) {
@@ -43,34 +50,18 @@ func FuzzDecodeFlatForest(f *testing.F) {
 	f.Add(enc)
 	f.Add(enc[:len(enc)/2])
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzFlatDecode(t, data, func(r *binenc.Reader) (interface {
-			ScoreBatch(x []float64, n int, out []float64)
-		}, int, error) {
-			m, err := DecodeFlatForest(r, false)
-			if err != nil {
-				return nil, 0, err
-			}
-			return m, m.NumFeatures, nil
-		})
-	})
+	// A feature split into several code columns, so mutations reach the
+	// src map's validation.
+	_, many := manyCutForest(f)
+	f.Add(many.AppendBinary(nil))
+	f.Fuzz(fuzzFlatDecode)
 }
 
 func FuzzDecodeFlatGBT(f *testing.F) {
 	_, _, _, fg, _, _, _ := codecModels(f)
 	f.Add(fg.AppendBinary(nil))
 	f.Add([]byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzFlatDecode(t, data, func(r *binenc.Reader) (interface {
-			ScoreBatch(x []float64, n int, out []float64)
-		}, int, error) {
-			m, err := DecodeFlatGBT(r, false)
-			if err != nil {
-				return nil, 0, err
-			}
-			return m, m.NumFeatures, nil
-		})
-	})
+	f.Fuzz(fuzzFlatDecode)
 }
 
 // TestFlatCodecMisaligned: the artifact bytes at a misaligned address
@@ -81,7 +72,7 @@ func TestFlatCodecMisaligned(t *testing.T) {
 	enc := ff.AppendBinary(nil)
 	shifted := make([]byte, len(enc)+1)
 	copy(shifted[1:], enc)
-	got, err := DecodeFlatForest(binenc.NewReader(shifted[1:]), false)
+	got, err := DecodeFlat(binenc.NewReader(shifted[1:]), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mltree
 
 import (
+	"encoding/binary"
 	"testing"
 	"unsafe"
 
@@ -8,9 +9,9 @@ import (
 	"repro/internal/randx"
 )
 
-// codecModels builds one hist-trained model of each flat kind plus an
-// exact-trained tree (no binned twin), with an evaluation batch.
-func codecModels(t testing.TB) (ftH, ftE *FlatTree, ff *FlatForest, fg *FlatGBT, eval []float64, n, f int) {
+// codecModels compiles one hist-trained model of each kind plus an
+// exact-trained tree, with an evaluation batch.
+func codecModels(t testing.TB) (ftH, ftE, ff, fg *Flat, eval []float64, n, f int) {
 	t.Helper()
 	n, f = 300, 10
 	x, y, ev := flatTestData(131, n, f)
@@ -40,21 +41,8 @@ func codecModels(t testing.TB) (ftH, ftE *FlatTree, ff *FlatForest, fg *FlatGBT,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr.Flatten(), te.Flatten(), fo.Flatten(), g.Flatten(), ev, n, f
-}
-
-// mustMatch asserts two flat learners produce bit-identical scores and
-// probabilities over the batch.
-func mustMatch(t *testing.T, kind string, n, classes int, score func(*testing.T, []float64, []float64)) {
-	t.Helper()
-	a := make([]float64, n*classes)
-	b := make([]float64, n*classes)
-	score(t, a, b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s: output %d decoded %v, original %v", kind, i, b[i], a[i])
-		}
-	}
+	must := mustFlat(t)
+	return must(tr.Flatten()), must(te.Flatten()), must(fo.Flatten()), must(g.Flatten()), ev, n, f
 }
 
 func TestFlatCodecRoundTrip(t *testing.T) {
@@ -62,96 +50,41 @@ func TestFlatCodecRoundTrip(t *testing.T) {
 	for _, trusted := range []bool{false, true} {
 		for _, tc := range []struct {
 			kind string
-			run  func(t *testing.T)
+			fl   *Flat
+			post Post
 		}{
-			{"tree-hist", func(t *testing.T) {
-				r := binenc.NewReader(ftH.AppendBinary(nil))
-				got, err := DecodeFlatTree(r, trusted)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if got.DescentMode() != "float" {
-					t.Fatalf("decoded lone hist tree mode %q, want float (opt-in default)", got.DescentMode())
-				}
-				got.SetFloatDescent(false)
-				ftH.SetFloatDescent(false)
-				if got.DescentMode() != "binned" {
-					t.Fatal("decoded tree lost its binned twin")
-				}
-				mustMatch(t, "tree-hist score", n, 1, func(t *testing.T, a, b []float64) {
-					ftH.ScoreBatch(eval, n, a)
-					got.ScoreBatch(eval, n, b)
-				})
-				mustMatch(t, "tree-hist proba", n, ftH.NumClasses, func(t *testing.T, a, b []float64) {
-					ftH.PredictProbaBatch(eval, n, a)
-					got.PredictProbaBatch(eval, n, b)
-				})
-			}},
-			{"tree-exact", func(t *testing.T) {
-				r := binenc.NewReader(ftE.AppendBinary(nil))
-				got, err := DecodeFlatTree(r, trusted)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.DescentMode() != "float" {
-					t.Fatalf("exact tree decoded mode %q", got.DescentMode())
-				}
-				mustMatch(t, "tree-exact score", n, 1, func(t *testing.T, a, b []float64) {
-					ftE.ScoreBatch(eval, n, a)
-					got.ScoreBatch(eval, n, b)
-				})
-			}},
-			{"forest", func(t *testing.T) {
-				r := binenc.NewReader(ff.AppendBinary(nil))
-				got, err := DecodeFlatForest(r, trusted)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if got.DescentMode() != "binned" {
-					t.Fatalf("decoded hist forest mode %q, want binned", got.DescentMode())
-				}
-				mustMatch(t, "forest score", n, 1, func(t *testing.T, a, b []float64) {
-					ff.ScoreBatch(eval, n, a)
-					got.ScoreBatch(eval, n, b)
-				})
-				mustMatch(t, "forest proba", n, ff.NumClasses, func(t *testing.T, a, b []float64) {
-					ff.PredictProbaBatch(eval, n, a)
-					got.PredictProbaBatch(eval, n, b)
-				})
-			}},
-			{"gbt", func(t *testing.T) {
-				r := binenc.NewReader(fg.AppendBinary(nil))
-				got, err := DecodeFlatGBT(r, trusted)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if got.DescentMode() != "binned" {
-					t.Fatalf("decoded hist GBT mode %q, want binned", got.DescentMode())
-				}
-				mustMatch(t, "gbt raw", n, 1, func(t *testing.T, a, b []float64) {
-					fg.RawBatch(eval, n, a)
-					got.RawBatch(eval, n, b)
-				})
-				mustMatch(t, "gbt proba", n, 2, func(t *testing.T, a, b []float64) {
-					fg.PredictProbaBatch(eval, n, a)
-					got.PredictProbaBatch(eval, n, b)
-				})
-			}},
+			{"tree-hist", ftH, PostNone},
+			{"tree-exact", ftE, PostNone},
+			{"forest", ff, PostMean},
+			{"gbt", fg, PostLogistic},
 		} {
 			name := tc.kind
 			if trusted {
 				name += "-trusted"
 			}
-			t.Run(name, tc.run)
+			t.Run(name, func(t *testing.T) {
+				r := binenc.NewReader(tc.fl.AppendBinary(nil))
+				got, err := DecodeFlat(r, trusted)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got.Post() != tc.post || got.NumTrees() != tc.fl.NumTrees() || got.FlatBytes() != tc.fl.FlatBytes() {
+					t.Fatalf("decoded post %d, %d trees, %d bytes; compiled %d, %d, %d",
+						got.Post(), got.NumTrees(), got.FlatBytes(), tc.post, tc.fl.NumTrees(), tc.fl.FlatBytes())
+				}
+				want := make([]float64, n)
+				have := make([]float64, n)
+				tc.fl.ScoreBatch(eval, n, want)
+				got.ScoreBatch(eval, n, have)
+				for i := range want {
+					if want[i] != have[i] {
+						t.Fatalf("row %d: decoded %v, original %v", i, have[i], want[i])
+					}
+				}
+			})
 		}
 	}
 }
@@ -165,27 +98,21 @@ func TestFlatCodecZeroCopy(t *testing.T) {
 	}
 	_, _, ff, _, _, _, _ := codecModels(t)
 	buf := ff.AppendBinary(nil)
-	got, err := DecodeFlatForest(binenc.NewReader(buf), false)
+	got, err := DecodeFlat(binenc.NewReader(buf), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
 	hi := lo + uintptr(len(buf))
 	inside := func(p unsafe.Pointer) bool { return uintptr(p) >= lo && uintptr(p) < hi }
-	if len(got.nodes) > 0 && !inside(unsafe.Pointer(unsafe.SliceData(got.nodes))) {
-		t.Error("float nodes were copied, want aliased")
+	if !inside(unsafe.Pointer(unsafe.SliceData(got.nodes))) {
+		t.Error("nodes were copied, want aliased")
 	}
-	if !inside(unsafe.Pointer(unsafe.SliceData(got.leafProbs))) {
-		t.Error("leafProbs were copied, want aliased")
+	if !inside(unsafe.Pointer(unsafe.SliceData(got.leafVals))) {
+		t.Error("leafVals were copied, want aliased")
 	}
-	if got.binned == nil {
-		t.Fatal("expected binned twin")
-	}
-	if !inside(unsafe.Pointer(unsafe.SliceData(got.binned.nodes))) {
-		t.Error("binned nodes were copied, want aliased")
-	}
-	if !inside(unsafe.Pointer(unsafe.SliceData(got.binned.leafVals))) {
-		t.Error("binned leafVals were copied, want aliased")
+	if !inside(unsafe.Pointer(unsafe.SliceData(got.cuts))) {
+		t.Error("cuts were copied, want aliased")
 	}
 }
 
@@ -194,11 +121,11 @@ func TestFlatCodecZeroCopy(t *testing.T) {
 // never a panic, and never a structure the unchecked kernels could walk
 // out of bounds.
 func TestFlatCodecRejectsCorruption(t *testing.T) {
-	_, _, ff, fg, _, _, _ := codecModels(t)
+	_, _, ff, _, _, _, _ := codecModels(t)
 	buf := ff.AppendBinary(nil)
 	decode := func(b []byte) error {
 		r := binenc.NewReader(b)
-		_, err := DecodeFlatForest(r, false)
+		_, err := DecodeFlat(r, false)
 		if err == nil {
 			err = r.Close()
 		}
@@ -217,7 +144,7 @@ func TestFlatCodecRejectsCorruption(t *testing.T) {
 		mut := append([]byte(nil), buf...)
 		mut[off] ^= 0x40
 		r := binenc.NewReader(mut)
-		got, err := DecodeFlatForest(r, false)
+		got, err := DecodeFlat(r, false)
 		if err != nil || r.Close() != nil {
 			continue
 		}
@@ -225,24 +152,54 @@ func TestFlatCodecRejectsCorruption(t *testing.T) {
 		out := make([]float64, 64)
 		got.ScoreBatch(x, 64, out)
 	}
-	// GBT depth contract: shrinking a stage depth must be rejected, since
-	// the counted descent would read non-leaf codes as leaf indexes.
-	gbuf := fg.AppendBinary(nil)
-	gr := binenc.NewReader(gbuf)
-	got, err := DecodeFlatGBT(gr, false)
+	// The quantizer reads input column src[c] unchecked, on the trusted
+	// path too: a code column reading past the row, or columns out of
+	// order, must be rejected at either trust level.
+	if len(ff.src) < 2 {
+		t.Fatalf("fixture forest has %d code columns, want at least 2", len(ff.src))
+	}
+	srcOff := int(uintptr(unsafe.Pointer(unsafe.SliceData(mustDecode(t, buf).src))) -
+		uintptr(unsafe.Pointer(unsafe.SliceData(buf))))
+	last := srcOff + 4*(len(ff.src)-1)
+	for name, mutate := range map[string]func(b []byte){
+		"src past the row":  func(b []byte) { binary.LittleEndian.PutUint32(b[last:], uint32(ff.NumFeatures)) },
+		"src out of order":  func(b []byte) { binary.LittleEndian.PutUint32(b[srcOff:], uint32(ff.src[len(ff.src)-1]+1)) },
+		"src negative":      func(b []byte) { binary.LittleEndian.PutUint32(b[srcOff:], ^uint32(0)) },
+		"node column range": func(b []byte) { corruptRootColumn(t, b, ff) },
+	} {
+		bad := append([]byte(nil), buf...)
+		mutate(bad)
+		for _, trusted := range []bool{false, true} {
+			if name == "node column range" && trusted {
+				continue // per-node words are the untrusted path's check
+			}
+			if _, err := DecodeFlat(binenc.NewReader(bad), trusted); err == nil {
+				t.Errorf("%s (trusted=%v) decoded cleanly", name, trusted)
+			}
+		}
+	}
+}
+
+// mustDecode decodes an engine that must be valid.
+func mustDecode(t *testing.T, b []byte) *Flat {
+	t.Helper()
+	fl, err := DecodeFlat(binenc.NewReader(b), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.depths) > 0 && got.depths[0] > 0 {
-		bad := append([]byte(nil), gbuf...)
-		// depths is the second raw i32 section; corrupt it through the
-		// decoded alias' position in the buffer instead of computing
-		// offsets by hand.
-		depOff := int(uintptr(unsafe.Pointer(unsafe.SliceData(got.depths))) -
-			uintptr(unsafe.Pointer(unsafe.SliceData(gbuf))))
-		bad[depOff]--
-		if _, err := DecodeFlatGBT(binenc.NewReader(bad), false); err == nil {
-			t.Error("shrunken GBT stage depth decoded cleanly")
-		}
+	return fl
+}
+
+// corruptRootColumn points the first tree's root node at a code column
+// one past the last.
+func corruptRootColumn(t *testing.T, b []byte, ff *Flat) {
+	t.Helper()
+	got := mustDecode(t, b)
+	root := got.roots[0]
+	if got.nodes[root]>>63 == 1 {
+		t.Fatal("fixture forest's first tree is a lone leaf")
 	}
+	off := int(uintptr(unsafe.Pointer(&got.nodes[root])) - uintptr(unsafe.Pointer(unsafe.SliceData(b))))
+	w := got.nodes[root]&^(0x7FFF<<48) | uint64(len(ff.src))<<48
+	binary.LittleEndian.PutUint64(b[off:], w)
 }

@@ -5,10 +5,10 @@ package mltree
 // on thousands of columns often reads a few hundred or fewer, so a caller
 // that builds prediction rows holding only those columns (in ascending
 // original order) feeds an engine whose NumFeatures is the compact count.
-// The projected learner is the original with every node's feature index
-// remapped; Flatten compiles it unchanged, so the flat and binned kernels
-// descend exactly as they would on the full rows — same thresholds, same
-// child at every node — and the scores are bit-identical.
+// The compiler maps every node's feature into the compact space and
+// leaves the thresholds alone, so the engine descends exactly as it
+// would on the full rows — same thresholds, same child at every node —
+// and the scores are bit-identical.
 
 // projection maps original feature indices onto the compact space.
 type projection struct {
@@ -51,66 +51,38 @@ func (t *RegressionTree) markSplits(used []bool) {
 	}
 }
 
-// tree returns a copy of t whose split features are compact indices.
-// Leaf probability slices are shared: Flatten only reads them.
-func (p projection) tree(t *Tree) *Tree {
-	nodes := append([]node(nil), t.nodes...)
-	for i := range nodes {
-		if nodes[i].feature >= 0 {
-			nodes[i].feature = p.index[nodes[i].feature]
-		}
-	}
-	return &Tree{nodes: nodes, NumFeatures: len(p.cols), NumClasses: t.NumClasses, histTrained: t.histTrained}
-}
-
-// regressionTree is tree for a boosting stage.
-func (p projection) regressionTree(t *RegressionTree) *RegressionTree {
-	nodes := append([]rnode(nil), t.nodes...)
-	for i := range nodes {
-		if nodes[i].feature >= 0 {
-			nodes[i].feature = p.index[nodes[i].feature]
-		}
-	}
-	return &RegressionTree{nodes: nodes, NumFeatures: len(p.cols), histTrained: t.histTrained}
-}
-
 // FlattenProjected compiles the tree against the features it splits on.
 // It returns the engine, whose NumFeatures is len(cols), and cols, the
 // ascending original feature indices: a row for the engine holds original
 // features cols[0], cols[1], ... . Scores equal Flatten's on the full rows
 // bit for bit.
-func (t *Tree) FlattenProjected() (*FlatTree, []int) {
+func (t *Tree) FlattenProjected() (*Flat, []int, error) {
 	used := make([]bool, t.NumFeatures)
 	t.markSplits(used)
 	p := newProjection(used)
-	return p.tree(t).Flatten(), p.cols
+	fl, err := t.flatten(p.index, len(p.cols))
+	return fl, p.cols, err
 }
 
 // FlattenProjected is Tree.FlattenProjected over the whole forest: the
 // compact space is the union of every tree's split features.
-func (fo *Forest) FlattenProjected() (*FlatForest, []int) {
+func (fo *Forest) FlattenProjected() (*Flat, []int, error) {
 	used := make([]bool, fo.NumFeatures)
 	for _, t := range fo.Trees {
 		t.markSplits(used)
 	}
 	p := newProjection(used)
-	trees := make([]*Tree, len(fo.Trees))
-	for i, t := range fo.Trees {
-		trees[i] = p.tree(t)
-	}
-	return (&Forest{Trees: trees, NumFeatures: len(p.cols), NumClasses: fo.NumClasses}).Flatten(), p.cols
+	fl, err := fo.flatten(p.index, len(p.cols))
+	return fl, p.cols, err
 }
 
 // FlattenProjected is Tree.FlattenProjected over every boosting stage.
-func (g *GBT) FlattenProjected() (*FlatGBT, []int) {
+func (g *GBT) FlattenProjected() (*Flat, []int, error) {
 	used := make([]bool, g.NumFeatures)
 	for _, t := range g.trees {
 		t.markSplits(used)
 	}
 	p := newProjection(used)
-	stages := make([]*RegressionTree, len(g.trees))
-	for i, t := range g.trees {
-		stages[i] = p.regressionTree(t)
-	}
-	return (&GBT{prior: g.prior, shrinkage: g.shrinkage, trees: stages, NumFeatures: len(p.cols)}).Flatten(), p.cols
+	fl, err := g.flatten(p.index, len(p.cols))
+	return fl, p.cols, err
 }

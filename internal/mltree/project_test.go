@@ -7,12 +7,6 @@ import (
 	"repro/internal/randx"
 )
 
-// batchScorer is the batch scoring surface every flat learner shares.
-type batchScorer interface {
-	ScoreBatch(x []float64, n int, out []float64)
-	DescentMode() string
-}
-
 // gatherCols copies columns cols out of n f-wide rows.
 func gatherCols(x []float64, n, f int, cols []int) []float64 {
 	out := make([]float64, 0, n*len(cols))
@@ -26,14 +20,14 @@ func gatherCols(x []float64, n, f int, cols []int) []float64 {
 
 // TestFlattenProjectedMatchesFlatten: an engine compiled against the
 // features its learner splits on scores rows holding only those columns
-// bit-identically to the full engine on full rows, in the same descent
-// mode, for every learner and split engine. 597 rows leave a tail past
+// bit-identically to the full engine on full rows, for every learner and
+// split engine. 597 rows leave a tail past
 // the last 8-lane group and 256-row block.
 func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 	const rows, f, n = 600, 40, 597
 	x, y, eval := flatTestData(101, rows, f)
 	poisonRows(eval, f)
-	check := func(name string, full, proj batchScorer, cols []int) {
+	check := func(name string, full, proj *Flat, cols []int) {
 		t.Helper()
 		for k, c := range cols {
 			if c < 0 || c >= f || (k > 0 && c <= cols[k-1]) {
@@ -42,9 +36,6 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 		}
 		if len(cols) == 0 {
 			t.Fatalf("%s: empty column list", name)
-		}
-		if full.DescentMode() != proj.DescentMode() {
-			t.Fatalf("%s: descent mode %q, projected %q", name, full.DescentMode(), proj.DescentMode())
 		}
 		want := make([]float64, n)
 		full.ScoreBatch(eval[:n*f], n, want)
@@ -63,17 +54,14 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ft, cols := tree.FlattenProjected()
+		ft, cols, err := tree.FlattenProjected()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ft.NumFeatures != len(cols) {
 			t.Fatalf("tree: engine reads %d features, cols %d", ft.NumFeatures, len(cols))
 		}
-		check("tree/"+algo.String(), tree.Flatten(), ft, cols)
-		if algo == SplitHist {
-			full := tree.Flatten()
-			full.SetFloatDescent(false)
-			ft.SetFloatDescent(false)
-			check("tree/binned", full, ft, cols)
-		}
+		check("tree/"+algo.String(), mustFlat(t)(tree.Flatten()), ft, cols)
 
 		fcfg := DefaultForestConfig()
 		fcfg.NumTrees = 5
@@ -82,8 +70,11 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ff, cols := fo.FlattenProjected()
-		check("forest/"+algo.String(), fo.Flatten(), ff, cols)
+		ff, cols, err := fo.FlattenProjected()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("forest/"+algo.String(), mustFlat(t)(fo.Flatten()), ff, cols)
 
 		gcfg := DefaultGBTConfig()
 		gcfg.Rounds = 6
@@ -93,11 +84,14 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fg, cols := g.FlattenProjected()
+		fg, cols, err := g.FlattenProjected()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(cols) >= f {
 			t.Fatalf("gbt: %d shallow stages read all %d features", gcfg.Rounds, f)
 		}
-		check("gbt/"+algo.String(), g.Flatten(), fg, cols)
+		check("gbt/"+algo.String(), mustFlat(t)(g.Flatten()), fg, cols)
 	}
 }
 
@@ -105,7 +99,10 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 // one-column space, so its engine has a row to read.
 func TestFlattenProjectedLeafOnly(t *testing.T) {
 	tree := &Tree{nodes: []node{{feature: -1, probs: []float64{0.25, 0.75}}}, NumFeatures: 9, NumClasses: 2}
-	ft, cols := tree.FlattenProjected()
+	ft, cols, err := tree.FlattenProjected()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cols) != 1 || cols[0] != 0 || ft.NumFeatures != 1 {
 		t.Fatalf("leaf-only tree: cols %v, engine features %d", cols, ft.NumFeatures)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // refCode is the quantizer's specification: the lower-bound code is the
-// count of cut keys strictly below the row key (flatbinned.go's lemma).
+// count of cut keys strictly below the row key (flat.go's lemma).
 func refCode(cuts []float64, v float64) uint8 {
 	k := rowKey(math.Float64bits(v))
 	c := 0
@@ -70,18 +70,18 @@ func quantPool(cuts []float64) []float64 {
 func TestQuantizeDifferential(t *testing.T) {
 	features := quantFeatures()
 	f := len(features)
-	var cuts []float64
-	cutOff := make([]int32, f+1)
+	fl := &Flat{NumFeatures: f, cutOff: []int32{0}}
 	for j, cs := range features {
-		cutOff[j] = int32(len(cuts))
-		cuts = append(cuts, cs...)
+		if len(cs) > 0 {
+			fl.src = append(fl.src, int32(j))
+			fl.cuts = append(fl.cuts, cs...)
+			fl.cutOff = append(fl.cutOff, int32(len(fl.cuts)))
+		}
 	}
-	cutOff[f] = int32(len(cuts))
-	be := &binnedEnsemble{f: f, cuts: cuts, cutOff: cutOff}
-	be.finishDerived()
+	fl.finishDerived()
 
 	radix := 0
-	for _, q := range be.fq {
+	for _, q := range fl.fq {
 		if q.radix {
 			radix++
 		}
@@ -106,16 +106,16 @@ func TestQuantizeDifferential(t *testing.T) {
 			}
 		}
 		binnedHaveAVX512 = saved
-		simd := make([]uint8, f*flatRowBlock)
-		be.quantize(x, rows, simd)
+		simd := make([]uint8, len(fl.src)*flatRowBlock)
+		fl.quantize(x, rows, simd)
 		binnedHaveAVX512 = false
-		scalar := make([]uint8, f*flatRowBlock)
-		be.quantize(x, rows, scalar)
-		for _, j := range be.used {
+		scalar := make([]uint8, len(fl.src)*flatRowBlock)
+		fl.quantize(x, rows, scalar)
+		for c, j := range fl.src {
 			cs := features[j]
 			for r := 0; r < rows; r++ {
 				want := refCode(cs, x[r*f+int(j)])
-				at := int(j)*flatRowBlock + r
+				at := c*flatRowBlock + r
 				if simd[at] != want {
 					t.Fatalf("rows=%d feature %d row %d: default path code %d, reference %d (v=%v)",
 						rows, j, r, simd[at], want, x[r*f+int(j)])

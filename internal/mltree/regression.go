@@ -14,12 +14,7 @@ import (
 type RegressionTree struct {
 	nodes       []rnode
 	NumFeatures int
-	// histTrained marks trees grown by the histogram engine (see Tree).
-	histTrained bool
 }
-
-// HistTrained reports whether the tree was grown by the histogram engine.
-func (t *RegressionTree) HistTrained() bool { return t.histTrained }
 
 type rnode struct {
 	feature   int32 // -1 for leaves

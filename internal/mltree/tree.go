@@ -78,15 +78,7 @@ type Tree struct {
 	NumFeatures int
 	NumClasses  int
 	importances []float64 // normalised mean decrease in impurity
-	// histTrained marks trees grown by the histogram engine: every split
-	// threshold is one of the binner's cut points, so the flat engine can
-	// compile the tree to uint8 bin-code comparisons (see flatbinned.go).
-	histTrained bool
 }
-
-// HistTrained reports whether the tree was grown by the histogram engine
-// (all thresholds drawn from the binner's cut points).
-func (t *Tree) HistTrained() bool { return t.histTrained }
 
 // BalancedWeights returns sample weights inversely proportional to class
 // frequency ("balanced" mode): w_i = total / (classes * count(y_i)). This

@@ -38,10 +38,6 @@ type Policy struct {
 	// Rand supplies jitter randomness; nil uses the global source. Tests
 	// inject a seeded source for reproducible schedules.
 	Rand *rand.Rand
-
-	// OnRetry, if set, observes each scheduled retry (attempt number just
-	// failed, the error, the upcoming delay). Used for logging/metrics.
-	OnRetry func(attempt int, err error, delay time.Duration)
 }
 
 // Default returns the policy used by the registry and serving layers:
@@ -87,9 +83,6 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 		if p.Jitter > 0 && d > 0 {
 			f := p.rand()
 			d = time.Duration(float64(d) * (1 - p.Jitter*f))
-		}
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, err, d)
 		}
 		if serr := p.sleep(ctx, d); serr != nil {
 			return serr

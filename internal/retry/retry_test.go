@@ -159,23 +159,3 @@ type timeoutErr struct{}
 
 func (timeoutErr) Error() string { return "deadline exceeded" }
 func (timeoutErr) Timeout() bool { return true }
-
-func TestOnRetryObserves(t *testing.T) {
-	clock := &fakeClock{}
-	p := testPolicy(clock)
-	var attempts []int
-	p.OnRetry = func(attempt int, err error, delay time.Duration) {
-		attempts = append(attempts, attempt)
-	}
-	calls := 0
-	_ = p.Do(context.Background(), func() error {
-		calls++
-		if calls < 2 {
-			return syscall.ECONNRESET
-		}
-		return nil
-	})
-	if len(attempts) != 1 || attempts[0] != 1 {
-		t.Fatalf("OnRetry attempts = %v, want [1]", attempts)
-	}
-}
