@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -49,7 +48,11 @@ func FuzzForecastQuery(f *testing.F) {
 		if single.Code != http.StatusOK {
 			return
 		}
-		batch := batchOfOne(t, queryFromURL(req.URL.Query()))
+		q, err := queryFromURL(req.URL.Query())
+		if err != nil {
+			t.Fatalf("a 200 GET ?%s does not parse: %v", query, err)
+		}
+		batch := batchOfOne(t, q)
 		rec = httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/forecast/batch", strings.NewReader(batch)))
 		var out struct {
@@ -74,25 +77,10 @@ func checkStatus(t *testing.T, route string, code int) {
 	}
 }
 
-// batchOfOne renders fq as a one-query /forecast/batch body. Every
-// numeric selector of a GET that answered 200 parsed as an integer, and
-// the JSON form selects by the same integers.
-func batchOfOne(t *testing.T, fq forecastQuery) string {
+// batchOfOne renders q, as a 200 GET parsed it, as a one-query
+// /forecast/batch body.
+func batchOfOne(t *testing.T, q batchQuery) string {
 	t.Helper()
-	q := batchQuery{Model: fq.model, Target: fq.target}
-	for _, f := range []struct {
-		raw string
-		dst **int
-	}{{fq.h, &q.H}, {fq.w, &q.W}, {fq.t, &q.T}, {fq.k, &q.K}} {
-		if f.raw == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f.raw)
-		if err != nil {
-			t.Fatalf("a 200 GET carried the unparsable selector %q", f.raw)
-		}
-		*f.dst = &v
-	}
 	b, err := json.Marshal(struct {
 		Queries []batchQuery `json:"queries"`
 	}{[]batchQuery{q}})

@@ -25,22 +25,22 @@
 //	                      registry version IDs
 //	GET  /forecast        top-k sector ranking; params: model, target
 //	                      (hot|become), h, w (artifact selectors), t
-//	                      (predict day, default latest), k (default 10)
+//	                      (predict day, default latest), k (default 10);
+//	                      served as a batch of one
 //	POST /forecast/batch  JSON {"queries": [{model, target, h, w, t, k}]}:
 //	                      many rankings per round trip, fanned across
-//	                      cores; results are bit-identical to the same
-//	                      queries issued as single /forecast calls
+//	                      cores on the same path as GET /forecast, so
+//	                      results are bit-identical to single calls
 //	POST /reload          re-read the registry manifest and hot-swap the
 //	                      active artifact set (registry mode only)
 //
 // Concurrent forecast work is bounded by -max-inflight (admission control
-// through internal/parallel's semaphore) with weighted charging: a
-// /forecast call costs one slot, a /forecast/batch of k queries costs
-// min(k, -max-inflight) slots all-or-nothing — so the bound tracks
+// through internal/parallel's semaphore) with weighted charging: a batch
+// of k queries costs min(k, -max-inflight) slots all-or-nothing, and a
+// GET /forecast, a batch of one, costs one — so the bound tracks
 // forecasts in flight, not requests. Excess work gets 503 rather than
-// queuing without bound. SIGINT/SIGTERM
-// stop the listener and drain in-flight requests for up to -drain before
-// the process exits.
+// queuing without bound. SIGINT/SIGTERM stop the listener and drain
+// in-flight requests for up to -drain before the process exits.
 package main
 
 import (
@@ -471,9 +471,11 @@ type modelInfo struct {
 	Width        int `json:"width,omitempty"`
 }
 
-// classifierModel is implemented by artifacts that expose their
-// residency and feature projection (forecast's classifier artifacts).
+// classifierModel is implemented by artifacts that expose their flat
+// engine's footprint, residency and feature projection (forecast's
+// classifier artifacts).
 type classifierModel interface {
+	FlatBytes() int64
 	MmapBytes() int64
 	FeaturesRead() int
 	FeatureWidth() int
@@ -531,27 +533,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// forecastQuery is one normalized query: raw selector strings ("" =
-// absent), shared by the URL and batch JSON forms so both endpoints
-// resolve and score identically.
-type forecastQuery struct {
-	model, target, h, w, t, k string
-}
-
-// queryFromURL normalizes URL parameters.
-func queryFromURL(q url.Values) forecastQuery {
-	get := func(key string) string {
-		if vs := q[key]; len(vs) > 0 {
-			return vs[0]
-		}
-		return ""
-	}
-	return forecastQuery{model: get("model"), target: get("target"),
-		h: get("h"), w: get("w"), t: get("t"), k: get("k")}
-}
-
-// batchQuery is one element of the /forecast/batch request body. Absent
-// fields mean the same as absent URL parameters.
+// batchQuery is one forecast query: an element of the /forecast/batch
+// body, or GET /forecast's parameters as queryFromURL parses them. A nil
+// selector matches every artifact; a nil t is the latest day, a nil k 10.
 type batchQuery struct {
 	Model  string `json:"model,omitempty"`
 	Target string `json:"target,omitempty"`
@@ -561,28 +545,29 @@ type batchQuery struct {
 	K      *int   `json:"k,omitempty"`
 }
 
-// normalize maps the JSON form onto the shared query shape.
-func (q batchQuery) normalize() forecastQuery {
-	opt := func(v *int) string {
-		if v == nil {
-			return ""
+// queryFromURL parses GET /forecast's parameters into a batch query. An
+// empty parameter counts as absent. The integers are parsed here, before
+// admission, as a batch body's are by its JSON decode.
+func queryFromURL(v url.Values) (batchQuery, error) {
+	var ints [4]int
+	var opt [4]*int
+	for i, key := range [...]string{"h", "w", "t", "k"} {
+		raw := v.Get(key)
+		if raw == "" {
+			continue
 		}
-		return strconv.Itoa(*v)
+		n, err := strconv.Atoi(raw)
+		if err != nil {
+			if key == "k" {
+				return batchQuery{}, errors.New("bad k")
+			}
+			return batchQuery{}, fmt.Errorf("bad %s %q", key, raw)
+		}
+		ints[i] = n
+		opt[i] = &ints[i]
 	}
-	return forecastQuery{model: q.Model, target: q.Target,
-		h: opt(q.H), w: opt(q.W), t: opt(q.T), k: opt(q.K)}
-}
-
-// httpError is a handler failure with its response status.
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func failf(status int, format string, args ...any) *httpError {
-	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
+	return batchQuery{Model: v.Get("model"), Target: v.Get("target"),
+		H: opt[0], W: opt[1], T: opt[2], K: opt[3]}, nil
 }
 
 // sectorScore is one ranking entry.
@@ -610,12 +595,16 @@ type forecastResponse struct {
 	*forecastResult
 }
 
-// batchEntry is one /forecast/batch result: a ranking, or the query's
-// error and the status a single /forecast call would have answered.
+// batchEntry is one query's answer: a ranking, or the query's error and
+// the status a GET /forecast of it answers.
 type batchEntry struct {
 	*forecastResult
 	Error  string `json:"error,omitempty"`
 	Status int    `json:"status,omitempty"`
+}
+
+func failf(status int, format string, args ...any) batchEntry {
+	return batchEntry{Error: fmt.Sprintf(format, args...), Status: status}
 }
 
 // batchResponse is the /forecast/batch body.
@@ -639,30 +628,32 @@ type rankBuffers struct {
 
 var rankPool = sync.Pool{New: func() any { return new(rankBuffers) }}
 
-// evaluate resolves fq against the artifact-set snapshot, predicts and
+// evaluate resolves q against the artifact-set snapshot, predicts and
 // ranks, charging each stage (artifact lookup, predict, rank) of a
-// successful evaluation to the stage histograms via sp. The single and
-// batch endpoints both come here, so their rankings are bit-identical by
-// construction (each batch query carries its own span).
-func (s *server) evaluate(set *artifactSet, fq forecastQuery, sp *obs.Span) (*forecastResult, *httpError) {
-	tr, herr := selectArtifact(set, fq)
-	if herr != nil {
-		return nil, herr
+// successful evaluation to the stage histograms. Every query of either
+// forecast route comes here through serveQueries.
+func (s *server) evaluate(set *artifactSet, q batchQuery) batchEntry {
+	sp := obs.StartSpan()
+	tr, failed := selectArtifact(set, q)
+	if tr == nil {
+		return failed
 	}
-	t, err := intOrDefault(fq.t, "t", s.p.Days()-1)
-	if err != nil {
-		return nil, failf(http.StatusBadRequest, "%v", err)
+	t, k := s.p.Days()-1, 10
+	if q.T != nil {
+		t = *q.T
 	}
-	k, err := intOrDefault(fq.k, "k", 10)
-	if err != nil || k < 1 {
-		return nil, failf(http.StatusBadRequest, "bad k")
+	if q.K != nil {
+		k = *q.K
+	}
+	if k < 1 {
+		return failf(http.StatusBadRequest, "bad k")
 	}
 	sp.Mark(stLookup)
 	buf := rankPool.Get().(*rankBuffers)
 	defer rankPool.Put(buf)
 	scores, err := s.p.PredictInto(tr, t, tr.Window(), buf.scores)
 	if err != nil {
-		return nil, failf(http.StatusBadRequest, "%v", err)
+		return failf(http.StatusBadRequest, "%v", err)
 	}
 	buf.scores = scores
 	sp.Mark(stPredict)
@@ -673,7 +664,10 @@ func (s *server) evaluate(set *artifactSet, fq forecastQuery, sp *obs.Span) (*fo
 	}
 	sp.Mark(stRank)
 	s.m.forecasts.Inc()
-	return &forecastResult{
+	s.m.stageLookup.ObserveDuration(sp.Stage(stLookup))
+	s.m.stagePredict.ObserveDuration(sp.Stage(stPredict))
+	s.m.stageRank.ObserveDuration(sp.Stage(stRank))
+	return batchEntry{forecastResult: &forecastResult{
 		ForecastDay: t + tr.Horizon(),
 		H:           tr.Horizon(),
 		Model:       tr.ModelName(),
@@ -681,91 +675,29 @@ func (s *server) evaluate(set *artifactSet, fq forecastQuery, sp *obs.Span) (*fo
 		Target:      tr.Target().String(),
 		Top:         ranked,
 		W:           tr.Window(),
-	}, nil
+	}}
 }
 
-func (s *server) handleForecast(w http.ResponseWriter, r *http.Request) {
-	s.m.reqForecast.Inc()
-	sp := obs.StartSpan()
-	if !s.sem.TryAcquire() {
-		s.m.shedForecast.Inc()
-		markShed(w, "capacity")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{"server at capacity, retry later"})
-		return
-	}
-	defer s.sem.Release()
-	sp.Mark(stAdmission)
-	if s.testHookForecast != nil {
-		s.testHookForecast()
-	}
-
-	start := time.Now()
-	res, herr := s.evaluate(s.active.Load(), queryFromURL(r.URL.Query()), &sp)
-	if herr != nil {
-		s.m.errForecast.Inc()
-		writeJSON(w, herr.status, errorBody{herr.msg})
-		return
-	}
-	writeJSON(w, http.StatusOK, forecastResponse{ElapsedMS: time.Since(start).Milliseconds(), forecastResult: res})
-	sp.Mark(stEncode)
-	s.m.observeStages(&sp)
-	s.m.latForecast.ObserveDuration(sp.Total())
-}
-
-// handleBatch scores many queries in one round trip with weighted
-// admission: a batch of k queries charges min(k, -max-inflight) slots —
-// not the single slot of a /forecast call — so -max-inflight bounds
-// concurrent forecast work rather than concurrent requests, and a burst of
-// large batches sheds load exactly like the same burst of single calls.
-// The charge is one atomic all-or-nothing claim after parsing (503 when
-// the remaining capacity cannot cover it; the cap keeps a full batch
-// admissible on an idle server; parsing itself is cheap and body-bounded,
-// so it runs unadmitted — holding a partial claim across the parse would
-// let two concurrent batches starve each other into mutual 503s). The
-// handler snapshots the active artifact set once (every query in a batch
-// sees one generation, even across a concurrent hot swap) and fans the
-// queries across cores through internal/parallel. Per-query failures land
-// inline so one bad query cannot void its siblings.
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.m.reqBatch.Inc()
-	t0 := time.Now()
-	var req struct {
-		Queries []batchQuery `json:"queries"`
-	}
-	// Bound the body before decoding — the decoder must not buffer an
-	// arbitrarily large request first. The cap scales with -batch-max
-	// (512 bytes per query is several times a fully specified one).
-	r.Body = http.MaxBytesReader(w, r.Body, 4096+int64(s.batchMax)*512)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.m.errBatch.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	if len(req.Queries) == 0 {
-		s.m.errBatch.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{"empty batch: pass at least one query"})
-		return
-	}
-	if len(req.Queries) > s.batchMax {
-		s.m.errBatch.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{
-			fmt.Sprintf("batch of %d exceeds the %d-query limit", len(req.Queries), s.batchMax)})
-		return
-	}
-	s.m.batchQueries.Add(uint64(len(req.Queries)))
-	// Admission is the slot claim alone; reading and parsing the body
-	// count toward the request, not this stage.
+// serveQueries is the one forecast request path; GET /forecast is a batch
+// of one. Admission is weighted: the queries charge min(len(queries),
+// -max-inflight) slots in one all-or-nothing claim, so -max-inflight
+// bounds forecasts in flight, not requests. Excess work gets 503; the cap
+// keeps a full batch admissible on an idle server. The active artifact set
+// is snapshotted once, so every query sees one generation even across a
+// concurrent hot swap, and the queries fan across cores through
+// internal/parallel. A failed query lands in its entry, where it counts
+// toward rt's errors and cannot void its siblings. render encodes the
+// entries; t0 is when the request arrived.
+func (s *server) serveQueries(w http.ResponseWriter, rt *routeMetrics, t0 time.Time, queries []batchQuery,
+	render func(w http.ResponseWriter, elapsedMS int64, results []batchEntry)) {
 	a0 := time.Now()
-	cost := len(req.Queries)
-	if max := s.sem.Cap(); cost > max {
-		cost = max
-	}
+	cost := min(len(queries), s.sem.Cap())
 	if !s.sem.TryAcquireN(cost) {
-		s.m.shedBatch.Inc()
+		rt.sheds.Inc()
 		markShed(w, "capacity")
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{
 			fmt.Sprintf("server at capacity: batch of %d needs %d of %d slots, retry later",
-				len(req.Queries), cost, s.sem.Cap())})
+				len(queries), cost, s.sem.Cap())})
 		return
 	}
 	defer s.sem.ReleaseN(cost)
@@ -776,67 +708,103 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	set := s.active.Load()
-	workers := cost
-	if n := runtime.GOMAXPROCS(0); workers > n {
-		workers = n
-	}
-	results, _ := parallel.Map(workers, req.Queries, func(i int, q batchQuery) (batchEntry, error) {
-		// Each query gets its own span: lookup/predict/rank decompose per
-		// forecast, not per HTTP request.
-		qsp := obs.StartSpan()
-		res, herr := s.evaluate(set, q.normalize(), &qsp)
-		if herr != nil {
-			s.m.errBatch.Inc()
-			return batchEntry{Error: herr.msg, Status: herr.status}, nil
+	results, _ := parallel.Map(min(cost, runtime.GOMAXPROCS(0)), queries, func(_ int, q batchQuery) (batchEntry, error) {
+		e := s.evaluate(set, q)
+		if e.forecastResult == nil {
+			rt.errors.Inc()
 		}
-		s.m.stageLookup.ObserveDuration(qsp.Stage(stLookup))
-		s.m.stagePredict.ObserveDuration(qsp.Stage(stPredict))
-		s.m.stageRank.ObserveDuration(qsp.Stage(stRank))
-		return batchEntry{forecastResult: res}, nil
+		return e, nil
 	})
 	enc0 := time.Now()
-	writeJSON(w, http.StatusOK, batchResponse{ElapsedMS: time.Since(start).Milliseconds(), Results: results})
+	render(w, time.Since(start).Milliseconds(), results)
 	s.m.stageEncode.ObserveDuration(time.Since(enc0))
-	s.m.latBatch.ObserveDuration(time.Since(t0))
+	rt.latency.ObserveDuration(time.Since(t0))
+}
+
+// reject answers a malformed request with 400, before admission.
+func (rt *routeMetrics) reject(w http.ResponseWriter, msg string) {
+	rt.errors.Inc()
+	writeJSON(w, http.StatusBadRequest, errorBody{msg})
+}
+
+func (s *server) handleForecast(w http.ResponseWriter, r *http.Request) {
+	t0 := time.Now()
+	rt := &s.m.get
+	rt.requests.Inc()
+	q, err := queryFromURL(r.URL.Query())
+	if err != nil {
+		rt.reject(w, err.Error())
+		return
+	}
+	s.serveQueries(w, rt, t0, []batchQuery{q}, renderOne)
+}
+
+// renderOne encodes a batch of one as the GET /forecast body: the ranking
+// after its elapsed_ms, or the entry's error with its status.
+func renderOne(w http.ResponseWriter, elapsedMS int64, results []batchEntry) {
+	if e := results[0]; e.forecastResult == nil {
+		writeJSON(w, e.Status, errorBody{e.Error})
+	} else {
+		writeJSON(w, http.StatusOK, forecastResponse{ElapsedMS: elapsedMS, forecastResult: e.forecastResult})
+	}
+}
+
+// handleBatch scores many queries in one round trip. Parsing is cheap and
+// body-bounded, so it runs unadmitted: holding a partial claim across the
+// parse would let two concurrent batches starve each other into mutual
+// 503s.
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	t0 := time.Now()
+	rt := &s.m.batch
+	rt.requests.Inc()
+	var req struct {
+		Queries []batchQuery `json:"queries"`
+	}
+	// Bound the body before decoding — the decoder must not buffer an
+	// arbitrarily large request first. The cap scales with -batch-max
+	// (512 bytes per query is several times a fully specified one).
+	r.Body = http.MaxBytesReader(w, r.Body, 4096+int64(s.batchMax)*512)
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		rt.reject(w, fmt.Sprintf("bad request body: %v", err))
+		return
+	}
+	if len(req.Queries) == 0 {
+		rt.reject(w, "empty batch: pass at least one query")
+		return
+	}
+	if len(req.Queries) > s.batchMax {
+		rt.reject(w, fmt.Sprintf("batch of %d exceeds the %d-query limit", len(req.Queries), s.batchMax))
+		return
+	}
+	s.m.batchQueries.Add(uint64(len(req.Queries)))
+	s.serveQueries(w, rt, t0, req.Queries, func(w http.ResponseWriter, elapsedMS int64, results []batchEntry) {
+		writeJSON(w, http.StatusOK, batchResponse{ElapsedMS: elapsedMS, Results: results})
+	})
 }
 
 // selectArtifact resolves the query's model/target/h/w selectors to
-// exactly one artifact of the set snapshot.
-func selectArtifact(set *artifactSet, fq forecastQuery) (forecast.Trained, *httpError) {
-	if fq.target != "" && fq.target != "hot" && fq.target != "become" {
-		return nil, failf(http.StatusBadRequest, "unknown target %q (hot | become)", fq.target)
+// exactly one artifact of the set snapshot, or answers why it cannot.
+func selectArtifact(set *artifactSet, q batchQuery) (forecast.Trained, batchEntry) {
+	if q.Target != "" && q.Target != "hot" && q.Target != "become" {
+		return nil, failf(http.StatusBadRequest, "unknown target %q (hot | become)", q.Target)
 	}
-	h, err := intOrDefault(fq.h, "h", 0)
-	if err != nil {
-		return nil, failf(http.StatusBadRequest, "%v", err)
-	}
-	w, err := intOrDefault(fq.w, "w", 0)
-	if err != nil {
-		return nil, failf(http.StatusBadRequest, "%v", err)
-	}
-	var matches []forecast.Trained
+	var one [1]forecast.Trained // a match allocates nothing unless ambiguous
+	matches := one[:0]
 	for _, sm := range set.models {
 		tr := sm.tr
-		if fq.model != "" && fq.model != tr.ModelName() {
-			continue
-		}
-		if fq.target == "hot" && tr.Target() != forecast.BeHot {
-			continue
-		}
-		if fq.target == "become" && tr.Target() != forecast.BecomeHot {
-			continue
-		}
-		if fq.h != "" && h != tr.Horizon() {
-			continue
-		}
-		if fq.w != "" && w != tr.Window() {
+		switch {
+		case q.Model != "" && q.Model != tr.ModelName(),
+			q.Target == "hot" && tr.Target() != forecast.BeHot,
+			q.Target == "become" && tr.Target() != forecast.BecomeHot,
+			q.H != nil && *q.H != tr.Horizon(),
+			q.W != nil && *q.W != tr.Window():
 			continue
 		}
 		matches = append(matches, tr)
 	}
 	switch len(matches) {
 	case 1:
-		return matches[0], nil
+		return matches[0], batchEntry{}
 	case 0:
 		return nil, failf(http.StatusNotFound, "no artifact matches the request; /healthz lists the loaded models")
 	default:
@@ -846,17 +814,6 @@ func selectArtifact(set *artifactSet, fq forecastQuery) (forecast.Trained, *http
 		}
 		return nil, failf(http.StatusBadRequest, "ambiguous request matches %s; add model/target/h/w selectors", strings.Join(ids, ", "))
 	}
-}
-
-func intOrDefault(raw, key string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", key, raw)
-	}
-	return v, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

@@ -274,6 +274,13 @@ func TestForecastNumericSelectors(t *testing.T) {
 		{"model=Tree&h=4&t=30", http.StatusNotFound, "no artifact matches"},
 		{"model=Tree&h=abc&t=30", http.StatusBadRequest, `bad h "abc"`},
 		{"model=Tree&w=7x&t=30", http.StatusBadRequest, `bad w "7x"`},
+		// Integer selectors parse before lookup, as a batch body's do, so
+		// a bad one is named even when no artifact matches or the target
+		// is unknown.
+		{"model=Nope&t=bogus", http.StatusBadRequest, `bad t "bogus"`},
+		{"target=bogus&h=x", http.StatusBadRequest, `bad h "x"`},
+		{"model=Nope&k=ten", http.StatusBadRequest, "bad k"},
+		{"model=Tree&k=0", http.StatusBadRequest, "bad k"},
 	} {
 		code, body := get(t, srv, "/forecast?"+tc.query)
 		if code != tc.code {
@@ -299,6 +306,14 @@ func TestForecastAdmissionControl(t *testing.T) {
 	code, body := get(t, srv, "/forecast?model=Tree")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated forecast = %d %v, want 503", code, body)
+	}
+	// A GET is a batch of one: it costs one slot and says so.
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "batch of 1 needs 1 of 1 slots") {
+		t.Fatalf("503 body does not explain the charge: %v", body)
+	}
+	// A query that does not parse is refused before admission.
+	if code, body := get(t, srv, "/forecast?model=Tree&t=bogus"); code != http.StatusBadRequest {
+		t.Fatalf("saturated unparsable forecast = %d %v, want 400", code, body)
 	}
 	if code, _ := post(t, srv, "/forecast/batch", `{"queries":[{"model":"Tree"}]}`); code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated batch = %d, want 503", code)

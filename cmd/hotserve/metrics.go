@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/forecast"
 	"repro/internal/obs"
 )
 
@@ -24,31 +23,35 @@ import (
 type serverMetrics struct {
 	registry *obs.Registry
 
-	reqForecast, reqBatch, reqHealthz, reqReload *obs.Counter
-	errForecast, errBatch                        *obs.Counter
-	shedForecast, shedBatch                      *obs.Counter
+	// get and batch are the series of GET /forecast and POST
+	// /forecast/batch, labeled by route.
+	get, batch            routeMetrics
+	reqHealthz, reqReload *obs.Counter
 
-	// forecasts counts successful forecast evaluations — one per single
-	// call, one per batch query that succeeded. bench/hotperf cross-checks
-	// this against its client-side count.
+	// forecasts counts successful forecast evaluations — one per query
+	// that succeeded, on either route. bench/hotperf cross-checks this
+	// against its client-side count.
 	forecasts    *obs.Counter
 	batchQueries *obs.Counter
 	reloads      *obs.Counter
 
-	latForecast, latBatch *obs.Histogram
-
 	stageAdmission, stageLookup, stagePredict, stageRank, stageEncode *obs.Histogram
 }
 
-// Span stage indices for the request decomposition. The library layers
-// time their own finer stages (mltree_quantize/descend, forecast_feature_
-// fetch) on the process registry; these five add up to a request.
+// routeMetrics is one forecast route's series.
+type routeMetrics struct {
+	requests, errors, sheds *obs.Counter
+	latency                 *obs.Histogram
+}
+
+// Span stage indices for one query's evaluation. Admission and encode are
+// timed once per request; the library layers time their own finer stages
+// (mltree_quantize/descend, forecast_feature_fetch) on the process
+// registry.
 const (
-	stAdmission = iota
-	stLookup
+	stLookup = iota
 	stPredict
 	stRank
-	stEncode
 )
 
 func newServerMetrics() *serverMetrics {
@@ -58,18 +61,21 @@ func newServerMetrics() *serverMetrics {
 	stage := func(s string) obs.Label { return obs.Label{Key: "stage", Value: s} }
 
 	const reqHelp = "HTTP requests received"
-	m.reqForecast = reg.Counter("hotserve_requests_total", reqHelp, route("/forecast"))
-	m.reqBatch = reg.Counter("hotserve_requests_total", reqHelp, route("/forecast/batch"))
+	forecastRoute := func(r string) routeMetrics {
+		return routeMetrics{
+			requests: reg.Counter("hotserve_requests_total", reqHelp, route(r)),
+			errors: reg.Counter("hotserve_errors_total",
+				"failed forecast queries (a batch counts each one, even when it answers 200) "+
+					"plus requests rejected as malformed before admission; sheds counted separately", route(r)),
+			sheds: reg.Counter("hotserve_sheds_total", "requests shed with 503 by admission control", route(r)),
+			latency: reg.Histogram("hotserve_request_seconds", "end-to-end request latency",
+				obs.LatencyBuckets, route(r)),
+		}
+	}
+	m.get = forecastRoute("/forecast")
+	m.batch = forecastRoute("/forecast/batch")
 	m.reqHealthz = reg.Counter("hotserve_requests_total", reqHelp, route("/healthz"))
 	m.reqReload = reg.Counter("hotserve_requests_total", reqHelp, route("/reload"))
-
-	const errHelp = "requests answered with an error status (sheds counted separately)"
-	m.errForecast = reg.Counter("hotserve_errors_total", errHelp, route("/forecast"))
-	m.errBatch = reg.Counter("hotserve_errors_total", errHelp, route("/forecast/batch"))
-
-	const shedHelp = "requests shed with 503 by admission control"
-	m.shedForecast = reg.Counter("hotserve_sheds_total", shedHelp, route("/forecast"))
-	m.shedBatch = reg.Counter("hotserve_sheds_total", shedHelp, route("/forecast/batch"))
 
 	m.forecasts = reg.Counter("hotserve_forecasts_total",
 		"successful forecast evaluations (single calls and batch queries)")
@@ -78,10 +84,6 @@ func newServerMetrics() *serverMetrics {
 	m.reloads = reg.Counter("hotserve_reloads_total",
 		"artifact-set hot swaps (watch ticks and POST /reload)")
 
-	const latHelp = "end-to-end request latency"
-	m.latForecast = reg.Histogram("hotserve_request_seconds", latHelp, obs.LatencyBuckets, route("/forecast"))
-	m.latBatch = reg.Histogram("hotserve_request_seconds", latHelp, obs.LatencyBuckets, route("/forecast/batch"))
-
 	const stageHelp = "per-stage request latency decomposition"
 	m.stageAdmission = reg.Histogram("hotserve_stage_seconds", stageHelp, obs.MicroLatencyBuckets, stage("admission"))
 	m.stageLookup = reg.Histogram("hotserve_stage_seconds", stageHelp, obs.MicroLatencyBuckets, stage("lookup"))
@@ -89,15 +91,6 @@ func newServerMetrics() *serverMetrics {
 	m.stageRank = reg.Histogram("hotserve_stage_seconds", stageHelp, obs.MicroLatencyBuckets, stage("rank"))
 	m.stageEncode = reg.Histogram("hotserve_stage_seconds", stageHelp, obs.MicroLatencyBuckets, stage("encode"))
 	return m
-}
-
-// observeStages folds a completed request span into the stage histograms.
-func (m *serverMetrics) observeStages(sp *obs.Span) {
-	m.stageAdmission.ObserveDuration(sp.Stage(stAdmission))
-	m.stageLookup.ObserveDuration(sp.Stage(stLookup))
-	m.stagePredict.ObserveDuration(sp.Stage(stPredict))
-	m.stageRank.ObserveDuration(sp.Stage(stRank))
-	m.stageEncode.ObserveDuration(sp.Stage(stEncode))
 }
 
 // registerInventory exports the active artifact set as scrape-time gauges:
@@ -207,13 +200,12 @@ func summarize(set *artifactSet) inventorySummary {
 	for i, sm := range set.models {
 		sum.infos[i] = modelInfo{Model: sm.tr.ModelName(), Target: sm.tr.Target().String(),
 			H: sm.tr.Horizon(), W: sm.tr.Window(), Cutoff: sm.tr.Cutoff(), Version: sm.version}
-		fb := int64(0)
-		if fm, ok := sm.tr.(forecast.FlatModel); ok && fm.FlatBytes() > 0 {
-			sum.flattened++
-			fb = fm.FlatBytes()
-			sum.flatBytes += fb
-		}
 		if cm, ok := sm.tr.(classifierModel); ok {
+			fb := cm.FlatBytes()
+			if fb > 0 {
+				sum.flattened++
+				sum.flatBytes += fb
+			}
 			sum.infos[i].MmapBytes = cm.MmapBytes()
 			sum.infos[i].FeaturesRead = cm.FeaturesRead()
 			sum.infos[i].Width = cm.FeatureWidth()

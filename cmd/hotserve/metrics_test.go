@@ -50,10 +50,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("error counter delta = %d, want 1", got)
 	}
 
-	// The end-to-end and stage histograms recorded the successful request.
+	// The end-to-end histogram recorded both admitted requests, the 404
+	// too; the stage histograms recorded the successful one.
 	lat, ok := after.Histogram("hotserve_request_seconds", route)
-	if !ok || lat.Count == 0 {
-		t.Errorf("request latency histogram empty (present=%v)", ok)
+	if prev, _ := before.Histogram("hotserve_request_seconds", route); !ok || lat.Count-prev.Count != 2 {
+		t.Errorf("request latency histogram gained %d observations (present=%v), want 2", lat.Count-prev.Count, ok)
 	}
 	for _, stage := range []string{"admission", "lookup", "predict", "rank", "encode"} {
 		h, ok := after.Histogram("hotserve_stage_seconds", obs.Label{Key: "stage", Value: stage})
@@ -76,6 +77,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if after.Counter("forecast_batch_predicts_total") == 0 {
 		t.Error("forecast_batch_predicts_total did not advance")
+	}
+}
+
+// TestBatchErrorsCountFailedQueries: hotserve_errors_total counts failed
+// queries, not error responses, so a 200 batch with two bad queries of
+// three moves it by two.
+func TestBatchErrorsCountFailedQueries(t *testing.T) {
+	srv, _ := testServer(t, 8)
+	route := obs.Label{Key: "route", Value: "/forecast/batch"}
+	before := scrape(t, srv)
+	code, body := post(t, srv, "/forecast/batch",
+		`{"queries":[{"model":"Tree","t":30},{"model":"Nope"},{"model":"Tree","k":0}]}`)
+	if code != 200 {
+		t.Fatalf("batch = %d %v", code, body)
+	}
+	after := scrape(t, srv)
+	for _, c := range []struct {
+		name   string
+		labels []obs.Label
+		want   int64
+	}{
+		{"hotserve_requests_total", []obs.Label{route}, 1},
+		{"hotserve_errors_total", []obs.Label{route}, 2},
+		{"hotserve_forecasts_total", nil, 1},
+	} {
+		if got := int64(after.Counter(c.name, c.labels...)) - int64(before.Counter(c.name, c.labels...)); got != c.want {
+			t.Errorf("%s moved by %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 

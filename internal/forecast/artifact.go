@@ -193,17 +193,11 @@ type classifierArtifact struct {
 // /healthz and the forecast_batch_predicts_total series).
 func BatchPredictCalls() uint64 { return batchPredictsTotal.Value() }
 
-// FlatModel is implemented by artifacts carrying a compiled batch
-// inference engine; FlatBytes reports its footprint.
-type FlatModel interface {
-	FlatBytes() int64
-}
-
 // MmapBytes reports the size of the memory-mapped artifact file backing
 // this model's flat sections, or 0 when the model is heap-resident.
 func (a *classifierArtifact) MmapBytes() int64 { return a.mmapBytes }
 
-// FlatBytes implements FlatModel.
+// FlatBytes reports the flat engine's memory footprint.
 func (a *classifierArtifact) FlatBytes() int64 { return a.engine.FlatBytes() }
 
 // FeaturesRead is how many feature columns Predict builds: the distinct

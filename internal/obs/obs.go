@@ -229,21 +229,19 @@ var MicroLatencyBuckets = []float64{
 const MaxSpanStages = 8
 
 // Span is a lightweight per-request stage timer: Mark(stage) charges the
-// time since the previous mark to that stage, so a handler interleaving
-// stages (admission wait, artifact lookup, predict, rank, encode) ends up
-// with an additive decomposition of its total latency. A Span is a plain
+// time since the previous mark to that stage, so code interleaving stages
+// (say artifact lookup, predict and rank) ends up with an additive
+// decomposition of the time since the span started. A Span is a plain
 // value — declare it as a local, no pool, no allocation — and is not safe
 // for concurrent use (one request, one goroutine, one span).
 type Span struct {
-	begin time.Time
-	mark  time.Time
-	dur   [MaxSpanStages]time.Duration
+	mark time.Time
+	dur  [MaxSpanStages]time.Duration
 }
 
 // StartSpan begins a span at now.
 func StartSpan() Span {
-	now := time.Now()
-	return Span{begin: now, mark: now}
+	return Span{mark: time.Now()}
 }
 
 // Mark charges the time since the previous mark (or the start) to stage
@@ -256,6 +254,3 @@ func (s *Span) Mark(stage int) {
 
 // Stage returns the accumulated duration of one stage.
 func (s *Span) Stage(stage int) time.Duration { return s.dur[stage] }
-
-// Total returns the time since the span started.
-func (s *Span) Total() time.Duration { return time.Since(s.begin) }

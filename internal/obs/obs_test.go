@@ -143,9 +143,6 @@ func TestSpanStages(t *testing.T) {
 	if sp.Stage(0) <= 0 || sp.Stage(1) <= 0 {
 		t.Fatalf("stages not recorded: %v %v", sp.Stage(0), sp.Stage(1))
 	}
-	if sp.Total() < sp.Stage(0)+sp.Stage(1) {
-		t.Fatalf("total %v < stage sum %v", sp.Total(), sp.Stage(0)+sp.Stage(1))
-	}
 }
 
 // The hot-path contract: recording into pre-registered series allocates

@@ -242,13 +242,13 @@ func (s *Semaphore) InUse() int { return len(s.slots) }
 // charges a cost proportional to the work it carries (a batch of k
 // forecasts costs k slots, not 1). Bulk claims are serialized against each
 // other so partial grabs cannot livelock two claimants into mutual 503s;
-// single TryAcquire calls interleave freely (a lost race there just means
-// the capacity genuinely went elsewhere). n above the capacity can never
-// succeed; n <= 0 trivially succeeds. Callers that got true must
-// ReleaseN(n).
+// single-slot claims (TryAcquire, or n == 1) skip that lock and interleave
+// freely (a lost race there just means the capacity genuinely went
+// elsewhere). n above the capacity can never succeed; n <= 0 trivially
+// succeeds. Callers that got true must ReleaseN(n).
 func (s *Semaphore) TryAcquireN(n int) bool {
-	if n <= 0 {
-		return true
+	if n <= 1 {
+		return n <= 0 || s.TryAcquire()
 	}
 	s.bulk.Lock()
 	defer s.bulk.Unlock()
