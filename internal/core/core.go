@@ -4,7 +4,7 @@
 // prescribes:
 //
 //	generate (or load) KPIs  ->  filter sectors with >50% missing weeks
-//	->  (optional) autoencoder imputation  ->  score chain S', S^h/d/w, Y
+//	->  score chain S', S^h/d/w, Y
 //	->  forecast with baselines and tree-based models  ->  lift evaluation
 //
 // Example:
@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/forecast"
-	"repro/internal/impute"
 	"repro/internal/mltree"
 	"repro/internal/registry"
 	"repro/internal/score"
@@ -80,11 +79,6 @@ type Config struct {
 	Sectors int
 	// Weeks is the observation window (default: the paper's 18).
 	Weeks int
-	// Impute enables autoencoder missing-value imputation before scoring
-	// (slower; off by default, the score chain tolerates missing values).
-	Impute bool
-	// ImputeConfig overrides the imputation settings when Impute is set.
-	ImputeConfig *impute.Config
 	// TrainDays and ForestTrees tune the classifier models.
 	TrainDays   int
 	ForestTrees int
@@ -133,34 +127,19 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 // FromDataset prepares a pipeline from an existing dataset (e.g. loaded
 // from disk via simnet.LoadFile).
 //
-// It consumes ds: the missing-data filter restricts ds in place
-// (simnet.Dataset.SelectSectors), so no second copy of K is made, and ds
-// then holds the filtered sectors the pipeline serves from
-// (Pipeline.Dataset). Callers must not use ds as the unfiltered dataset
-// afterwards; save it or read its shape first, or reload it.
+// One per-sector pass over K (score.Weighting.FilterHourly) applies the
+// missing-data filter and scores the survivors' hourly S'. The filter
+// then restricts ds in place (simnet.Dataset.SelectSectors), so no second
+// copy of K is made, and ds holds the filtered sectors the pipeline
+// serves from (Pipeline.Dataset). Callers must not use ds as the
+// unfiltered dataset afterwards; save it or read its shape first, or
+// reload it.
 func FromDataset(ds *simnet.Dataset, cfg Config) (*Pipeline, error) {
-	keep := score.FilterSectors(ds.K, 0.5)
+	w := score.DefaultWeighting()
+	keep, sh := w.FilterHourly(ds.K, 0.5)
 	discarded := ds.N() - len(keep)
 	ds.SelectSectors(keep)
-
-	if cfg.Impute {
-		icfg := impute.DefaultConfig()
-		if cfg.ImputeConfig != nil {
-			icfg = *cfg.ImputeConfig
-		}
-		icfg.Seed = genSeed(cfg)
-		im, err := impute.Train(ds.K, icfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: training imputer: %w", err)
-		}
-		filled, err := im.Impute(ds.K)
-		if err != nil {
-			return nil, fmt.Errorf("core: imputing: %w", err)
-		}
-		ds.K = filled
-	}
-
-	set := score.Compute(ds.K, score.DefaultWeighting())
+	set := score.FromHourly(sh, w)
 	ctx, err := forecast.NewContext(ds.K, ds.Grid.Calendar(), set, genSeed(cfg))
 	if err != nil {
 		return nil, err

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/forecast"
-	"repro/internal/impute"
 	"repro/internal/mathx"
 	"repro/internal/registry"
 	"repro/internal/simnet"
@@ -286,24 +285,6 @@ func TestPipelineModelCacheDisabled(t *testing.T) {
 	}
 	if p.Ctx.ModelCache() != nil {
 		t.Fatal("negative ModelCacheBytes should disable the trained-model cache")
-	}
-}
-
-func TestPipelineWithImputation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("imputation training is slow")
-	}
-	icfg := impute.DefaultConfig()
-	icfg.Depth = 2
-	icfg.Epochs = 2
-	icfg.BatchSize = 16
-	p, err := NewPipeline(Config{Seed: 4, Sectors: 40, Weeks: 4, Impute: true,
-		ImputeConfig: &icfg, TrainDays: 2, ForestTrees: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac := p.Dataset.K.MissingFraction(); frac != 0 {
-		t.Fatalf("imputation left %.3f missing", frac)
 	}
 }
 

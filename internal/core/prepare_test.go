@@ -122,3 +122,35 @@ func TestFromDatasetAllocatesNoSecondK(t *testing.T) {
 		t.Fatalf("FromDataset allocated %d bytes, want < half of K's %d", got, kBytes)
 	}
 }
+
+// BenchmarkFromDataset times preparing a pipeline from a loaded
+// 150-sector, 18-week dataset: the one pass that filters and scores the
+// sectors, the in-place compaction and the rest of the score chain. Each
+// iteration prepares a fresh load, outside the timer, because FromDataset
+// consumes its dataset.
+func BenchmarkFromDataset(b *testing.B) {
+	gen := simnet.DefaultConfig()
+	gen.Sectors, gen.Weeks = 150, 18
+	ds, err := simnet.Generate(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ds.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(8 * len(ds.K.Data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh, err := simnet.Load(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := FromDataset(fresh, Config{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

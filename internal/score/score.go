@@ -28,7 +28,8 @@ type Weighting struct {
 	HotThreshold float64
 }
 
-// NewWeighting validates and returns a Weighting.
+// NewWeighting validates and returns a Weighting. Weights must be finite
+// and non-negative, not all zero.
 func NewWeighting(omega, epsilon []float64, hotThreshold float64) (*Weighting, error) {
 	if len(omega) != len(epsilon) {
 		return nil, fmt.Errorf("score: %d weights vs %d thresholds", len(omega), len(epsilon))
@@ -38,7 +39,7 @@ func NewWeighting(omega, epsilon []float64, hotThreshold float64) (*Weighting, e
 	}
 	total := 0.0
 	for i, w := range omega {
-		if w < 0 || math.IsNaN(w) {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return nil, fmt.Errorf("score: weight %d is %v", i, w)
 		}
 		total += w
@@ -68,35 +69,112 @@ func (w *Weighting) TotalWeight() float64 {
 // uses the full weight so scores remain comparable across hours. Hours where
 // every KPI is missing yield NaN.
 func (w *Weighting) Hourly(k *tensor.Tensor3) *tensor.Matrix {
-	if k.F != len(w.Omega) {
-		panic(fmt.Sprintf("score: tensor has %d KPIs, weighting has %d", k.F, len(w.Omega)))
-	}
+	w.checkKPIs(k)
 	out := tensor.NewMatrix(k.N, k.T)
 	total := w.TotalWeight()
 	// Sectors are independent rows, so they score on the shared pool with
 	// results bit-identical at any worker count. The body cannot fail.
 	_ = parallel.For(0, k.N, func(i int) error {
-		row := out.Row(i)
-		for j := 0; j < k.T; j++ {
-			cell := k.Cell(i, j)
-			sum := 0.0
-			missing := 0
-			for f, v := range cell {
-				if math.IsNaN(v) {
-					missing++
-					continue
-				}
-				sum += w.Omega[f] * mathx.Heaviside(v-w.Epsilon[f])
-			}
-			if missing == len(cell) {
-				row[j] = math.NaN()
-				continue
-			}
-			row[j] = sum / total
-		}
+		w.scoreSector(out.Row(i), k.Sector(i), total, math.Inf(1))
 		return nil
 	})
 	return out
+}
+
+// FilterHourly is FilterSectors and Hourly in one per-sector pass over K
+// on the shared pool: each sector's KPIs are read once, both to count its
+// missing entries week by week and to score its hours, and a sector stops
+// at its first week that breaks the missing-data rule. It returns the
+// survivors in ascending order and their S' rows, equal bit for bit to
+// FilterSectors(k, maxWeekMissing) and Hourly(k).SelectRows(keep). K
+// itself is left as it is.
+func (w *Weighting) FilterHourly(k *tensor.Tensor3, maxWeekMissing float64) (keep []int, sh *tensor.Matrix) {
+	w.checkKPIs(k)
+	sh = tensor.NewMatrix(k.N, k.T)
+	total := w.TotalWeight()
+	ok := make([]bool, k.N)
+	_ = parallel.For(0, k.N, func(i int) error { // cannot fail
+		ok[i] = w.scoreSector(sh.Row(i), k.Sector(i), total, maxWeekMissing)
+		return nil
+	})
+	keep = survivors(ok)
+	return keep, sh.SelectRows(keep)
+}
+
+// checkKPIs panics unless k has one KPI per weight.
+func (w *Weighting) checkKPIs(k *tensor.Tensor3) {
+	if k.F != len(w.Omega) {
+		panic(fmt.Sprintf("score: tensor has %d KPIs, weighting has %d", k.F, len(w.Omega)))
+	}
+}
+
+// scoreSector writes the S' row of one sector into row from its KPI
+// block sec (one cell of len(w.Omega) KPIs per hour), given the total
+// weight, and reports whether the sector passes the missing-data rule
+// (see FilterSectors). It returns false after the first whole week that
+// breaks the rule, with the rest of row unwritten.
+func (w *Weighting) scoreSector(row, sec []float64, total, maxWeekMissing float64) bool {
+	f := len(w.Omega)
+	for lo := 0; lo < len(row); lo += timegrid.HoursPerWeek {
+		hi := min(lo+timegrid.HoursPerWeek, len(row))
+		missing := w.scoreHours(row[lo:hi], sec[lo*f:hi*f], total)
+		if hi-lo == timegrid.HoursPerWeek && weekFails(missing, f, maxWeekMissing) {
+			return false
+		}
+	}
+	return true
+}
+
+// scoreHours writes the S' of len(row) consecutive hours from their KPI
+// cells and returns how many of the cells' entries are missing. It scores
+// four hours at a time (a short last block repeats its last hour and
+// keeps only the hours it has): their sums are independent, so
+// interleaving them hides the latency of the additions, while each is
+// still added in KPI order, bit for bit as an hour scored alone.
+func (w *Weighting) scoreHours(row, cells []float64, total float64) int {
+	omega := w.Omega
+	f := len(omega)
+	eps := w.Epsilon[:f]
+	cell := func(j int) []float64 { return cells[min(j, len(row)-1)*f:][:f] }
+	missing := 0
+	for j := 0; j < len(row); j += 4 {
+		c0, c1, c2, c3 := cell(j), cell(j+1), cell(j+2), cell(j+3)
+		var s0, s1, s2, s3 float64
+		var m0, m1, m2, m3 int
+		for c, o := range omega {
+			e := eps[c]
+			s0, m0 = addTerm(s0, m0, o, c0[c], e)
+			s1, m1 = addTerm(s1, m1, o, c1[c], e)
+			s2, m2 = addTerm(s2, m2, o, c2[c], e)
+			s3, m3 = addTerm(s3, m3, o, c3[c], e)
+		}
+		sums, miss := [4]float64{s0, s1, s2, s3}, [4]int{m0, m1, m2, m3}
+		for q := 0; q < 4 && j+q < len(row); q++ {
+			row[j+q] = sums[q] / total
+			if miss[q] == f {
+				row[j+q] = math.NaN()
+			}
+			missing += miss[q]
+		}
+	}
+	return missing
+}
+
+// addTerm adds one KPI's Eq. 1 term to an hour's running sum and counts
+// it in missing when v is NaN. It has no branch: v >= eps adds omega, and
+// anything else (NaN v included) adds +0, which leaves a sum that started
+// at +0 unchanged, exactly as adding omega * Heaviside(v - eps) for a
+// finite omega would.
+func addTerm(sum float64, missing int, omega, v, eps float64) (float64, int) {
+	return sum + math.Float64frombits(math.Float64bits(omega)&-b2u(v-eps >= 0)), missing + int(b2u(v != v))
+}
+
+// b2u is 1 for true and 0 for false, compiled without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Mu is the temporal averaging function of Eq. 3: the mean of z over the
@@ -126,30 +204,37 @@ func Mu(x, y int, z []float64) float64 {
 
 // Integrate computes the S^Gamma matrix of Eq. 2 for integration length
 // delta (hours): entry (i, j) is the average of the delta hourly scores in
-// block j. delta must divide the number of columns.
+// block j. delta must divide the number of columns. Rows run on the
+// shared pool.
 func Integrate(hourly *tensor.Matrix, delta int) *tensor.Matrix {
 	if delta <= 0 || hourly.Cols%delta != 0 {
 		panic(fmt.Sprintf("score: integration length %d does not divide %d hours", delta, hourly.Cols))
 	}
 	blocks := hourly.Cols / delta
 	out := tensor.NewMatrix(hourly.Rows, blocks)
-	for i := 0; i < hourly.Rows; i++ {
+	_ = parallel.For(0, hourly.Rows, func(i int) error { // cannot fail
 		src := hourly.Row(i)
 		dst := out.Row(i)
-		for b := 0; b < blocks; b++ {
+		for b := range dst {
 			dst[b] = mathx.Mean(src[b*delta : (b+1)*delta])
 		}
-	}
+		return nil
+	})
 	return out
 }
 
 // Labels applies Eq. 4: Y = H(S - threshold) elementwise. NaN scores yield
-// label 0 (a sector with no data cannot be declared hot).
+// label 0 (a sector with no data cannot be declared hot). Rows run on the
+// shared pool.
 func (w *Weighting) Labels(s *tensor.Matrix) *tensor.Matrix {
 	out := tensor.NewMatrix(s.Rows, s.Cols)
-	for i := range s.Data {
-		out.Data[i] = mathx.Heaviside(s.Data[i] - w.HotThreshold)
-	}
+	_ = parallel.For(0, s.Rows, func(i int) error { // cannot fail
+		dst := out.Row(i)
+		for j, v := range s.Row(i) {
+			dst[j] = mathx.Heaviside(v - w.HotThreshold)
+		}
+		return nil
+	})
 	return out
 }
 
@@ -165,7 +250,13 @@ type Set struct {
 
 // Compute runs the full chain on a KPI tensor.
 func Compute(k *tensor.Tensor3, w *Weighting) *Set {
-	sh := w.Hourly(k)
+	return FromHourly(w.Hourly(k), w)
+}
+
+// FromHourly runs the rest of the chain from the hourly scores S' (as
+// Hourly or FilterHourly returns them): the daily and weekly integration
+// and the labels of every resolution. The Set holds sh itself.
+func FromHourly(sh *tensor.Matrix, w *Weighting) *Set {
 	sd := Integrate(sh, timegrid.HoursPerDay)
 	sw := Integrate(sh, timegrid.HoursPerWeek)
 	return &Set{
@@ -228,24 +319,41 @@ func becomeAt(sd []float64, j int, threshold float64) bool {
 // ascending order, the form tensor.Tensor3.SelectSectors requires. Sectors
 // are checked on the shared pool.
 func FilterSectors(k *tensor.Tensor3, maxWeekMissing float64) []int {
-	weeks := k.T / timegrid.HoursPerWeek
-	total := timegrid.HoursPerWeek * k.F
 	ok := make([]bool, k.N)
 	_ = parallel.For(0, k.N, func(i int) error { // cannot fail
-		for w := 0; w < weeks; w++ {
-			missing := 0
-			for _, v := range k.Sector(i)[w*total : (w+1)*total] {
-				if math.IsNaN(v) {
-					missing++
-				}
-			}
-			if float64(missing)/float64(total) > maxWeekMissing {
-				return nil
-			}
-		}
-		ok[i] = true
+		ok[i] = keepSector(k.Sector(i), k.F, maxWeekMissing)
 		return nil
 	})
+	return survivors(ok)
+}
+
+// keepSector reports whether one sector's KPI block sec (one cell of f
+// KPIs per hour) passes the missing-data rule: no whole week has more
+// than maxWeekMissing of its entries missing.
+func keepSector(sec []float64, f int, maxWeekMissing float64) bool {
+	total := timegrid.HoursPerWeek * f
+	for lo := 0; lo+total <= len(sec) && total > 0; lo += total {
+		missing := 0
+		for _, v := range sec[lo : lo+total] {
+			if math.IsNaN(v) {
+				missing++
+			}
+		}
+		if weekFails(missing, f, maxWeekMissing) {
+			return false
+		}
+	}
+	return true
+}
+
+// weekFails is the missing-data rule for one week of f KPIs per hour with
+// missing entries absent.
+func weekFails(missing, f int, maxWeekMissing float64) bool {
+	return float64(missing)/float64(timegrid.HoursPerWeek*f) > maxWeekMissing
+}
+
+// survivors returns the indices i with ok[i], ascending.
+func survivors(ok []bool) []int {
 	var keep []int
 	for i, survives := range ok {
 		if survives {

@@ -2,11 +2,13 @@ package score
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/mathx"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
@@ -25,13 +27,14 @@ func TestNewWeightingValidation(t *testing.T) {
 		omega, eps []float64
 		thr        float64
 	}{
-		{[]float64{1}, []float64{1, 2}, 0.5},       // length mismatch
-		{nil, nil, 0.5},                            // empty
-		{[]float64{-1}, []float64{0}, 0.5},         // negative weight
-		{[]float64{0}, []float64{0}, 0.5},          // all-zero weights
-		{[]float64{1}, []float64{0}, 0},            // bad threshold
-		{[]float64{1}, []float64{0}, 1},            // bad threshold
-		{[]float64{math.NaN()}, []float64{0}, 0.5}, // NaN weight
+		{[]float64{1}, []float64{1, 2}, 0.5},        // length mismatch
+		{nil, nil, 0.5},                             // empty
+		{[]float64{-1}, []float64{0}, 0.5},          // negative weight
+		{[]float64{0}, []float64{0}, 0.5},           // all-zero weights
+		{[]float64{1}, []float64{0}, 0},             // bad threshold
+		{[]float64{1}, []float64{0}, 1},             // bad threshold
+		{[]float64{math.NaN()}, []float64{0}, 0.5},  // NaN weight
+		{[]float64{math.Inf(1)}, []float64{0}, 0.5}, // infinite weight
 	}
 	for i, c := range cases {
 		if _, err := NewWeighting(c.omega, c.eps, c.thr); err == nil {
@@ -461,8 +464,20 @@ func TestWorkersBitIdentical(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		return FilterSectors(ds.K, 0.5), Compute(ds.K, DefaultWeighting())
 	}
+	fused := func(procs int) ([]int, *tensor.Matrix) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return DefaultWeighting().FilterHourly(ds.K, 0.5)
+	}
 	keep1, set1 := run(1)
 	keepN, setN := run(max(4, runtime.NumCPU()))
+	fusedKeep1, fusedSh1 := fused(1)
+	fusedKeepN, fusedShN := fused(max(4, runtime.NumCPU()))
+	if !reflect.DeepEqual(fusedKeep1, keep1) || !reflect.DeepEqual(fusedKeepN, keep1) {
+		t.Fatalf("fused pass keeps %d sectors at 1 proc and %d at N, filter keeps %d", len(fusedKeep1), len(fusedKeepN), len(keep1))
+	}
+	if i, ok := sameBits(fusedSh1.Data, fusedShN.Data); !ok {
+		t.Fatalf("fused S' differs at %d between 1 and N procs", i)
+	}
 	if len(keep1) == ds.N() || !reflect.DeepEqual(keep1, keepN) {
 		t.Fatalf("survivors: %d of %d at 1 proc, %d at N", len(keep1), ds.N(), len(keepN))
 	}
@@ -513,5 +528,144 @@ func TestWeeklyScoreNaturalThreshold(t *testing.T) {
 	// width (low bucket is ~3x wider).
 	if float64(mid) > float64(low)/3*0.8 {
 		t.Fatalf("no valley near 0.6: low=%d mid=%d high=%d", low, mid, high)
+	}
+}
+
+// sameBits reports the first index where a and b differ bit for bit.
+func sameBits(a, b []float64) (int, bool) {
+	if len(a) != len(b) {
+		return -1, false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// refHourly is Eq. 1 as written, one KPI at a time: the reference the
+// branch-free scoring kernel must match bit for bit.
+func refHourly(w *Weighting, k *tensor.Tensor3) *tensor.Matrix {
+	out := tensor.NewMatrix(k.N, k.T)
+	total := w.TotalWeight()
+	for i := 0; i < k.N; i++ {
+		for j := 0; j < k.T; j++ {
+			sum, missing := 0.0, 0
+			for f, v := range k.Cell(i, j) {
+				if math.IsNaN(v) {
+					missing++
+					continue
+				}
+				sum += w.Omega[f] * mathx.Heaviside(v-w.Epsilon[f])
+			}
+			if missing == k.F {
+				out.Set(i, j, math.NaN())
+			} else {
+				out.Set(i, j, sum/total)
+			}
+		}
+	}
+	return out
+}
+
+// edgeTensor is KPI data around the default thresholds with every edge of
+// Eq. 1 and the missing-data rule: +-Inf, -0, values exactly at
+// Epsilon[f], NaN entries and all-NaN hours; sector 1 has exactly half of
+// one week missing (kept), and sector 2 one entry more (discarded), sector
+// 3 breaks the rule only in its last whole week. extra hours after the
+// two weeks make a partial week, which the rule ignores, and can leave an
+// hour count that is not a multiple of the kernel's four-hour blocks.
+func edgeTensor(w *Weighting, extra int) *tensor.Tensor3 {
+	const weeks = 2
+	k := tensor.NewTensor3(6, weeks*168+extra, len(w.Omega))
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < k.N; i++ {
+		for j := 0; j < k.T; j++ {
+			for f, eps := range w.Epsilon {
+				v := eps * (0.5 + rng.Float64())
+				switch r := rng.Intn(40); {
+				case r == 0:
+					v = math.NaN()
+				case r == 1:
+					v = eps
+				case r == 2:
+					v = math.Inf(1)
+				case r == 3:
+					v = math.Inf(-1)
+				case r == 4:
+					v = math.Copysign(0, -1)
+				}
+				k.Set(i, j, f, v)
+			}
+		}
+	}
+	nanEntries := func(i, week, n int) {
+		cells := k.Sector(i)[week*168*k.F : (week+1)*168*k.F]
+		for c := range cells {
+			if math.IsNaN(cells[c]) {
+				cells[c] = w.Epsilon[c%k.F]
+			}
+		}
+		for c := 0; c < n; c++ {
+			cells[c] = math.NaN()
+		}
+	}
+	half := 168 * k.F / 2
+	nanEntries(1, 0, half)
+	nanEntries(2, 0, half+1)
+	nanEntries(3, weeks-1, half+1)
+	for j := 10; j < 14; j++ { // all-NaN hours on a survivor
+		for f := 0; f < k.F; f++ {
+			k.Set(4, j, f, math.NaN())
+		}
+	}
+	return k
+}
+
+// TestFilterHourlyMatchesFilterThenHourly: the fused pass equals
+// FilterSectors followed by the survivors' rows of Hourly, and both equal
+// Eq. 1 evaluated one KPI at a time, bit for bit on every edge case.
+func TestFilterHourlyMatchesFilterThenHourly(t *testing.T) {
+	w := DefaultWeighting()
+	k := edgeTensor(w, 3)
+	keep := FilterSectors(k, 0.5)
+	if !reflect.DeepEqual(keep, []int{0, 1, 4, 5}) {
+		t.Fatalf("filter keeps %v, want [0 1 4 5]", keep)
+	}
+	ref := refHourly(w, k)
+	if i, ok := sameBits(w.Hourly(k).Data, ref.Data); !ok {
+		t.Fatalf("Hourly differs from Eq. 1 at %d", i)
+	}
+	gotKeep, gotSh := w.FilterHourly(k, 0.5)
+	if !reflect.DeepEqual(gotKeep, keep) {
+		t.Fatalf("fused pass keeps %v, filter keeps %v", gotKeep, keep)
+	}
+	want := ref.SelectRows(keep)
+	if gotSh.Rows != want.Rows || gotSh.Cols != want.Cols {
+		t.Fatalf("fused S' is %dx%d, want %dx%d", gotSh.Rows, gotSh.Cols, want.Rows, want.Cols)
+	}
+	if i, ok := sameBits(gotSh.Data, want.Data); !ok {
+		t.Fatalf("fused S' differs at %d", i)
+	}
+}
+
+// TestFromHourlyMatchesCompute: the chain run from the fused pass's S'
+// equals Compute on the filtered tensor, matrix by matrix.
+func TestFromHourlyMatchesCompute(t *testing.T) {
+	w := DefaultWeighting()
+	k := edgeTensor(w, 0) // whole weeks, as Integrate requires
+	keep, sh := w.FilterHourly(k, 0.5)
+	got, want := FromHourly(sh, w), Compute(k.SelectSectors(keep), w)
+	for _, m := range []struct {
+		name string
+		a, b *tensor.Matrix
+	}{
+		{"Sh", got.Sh, want.Sh}, {"Sd", got.Sd, want.Sd}, {"Sw", got.Sw, want.Sw},
+		{"Yh", got.Yh, want.Yh}, {"Yd", got.Yd, want.Yd}, {"Yw", got.Yw, want.Yw},
+	} {
+		if i, ok := sameBits(m.a.Data, m.b.Data); !ok {
+			t.Fatalf("%s differs at %d", m.name, i)
+		}
 	}
 }

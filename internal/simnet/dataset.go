@@ -122,40 +122,45 @@ func (d *Dataset) Save(w io.Writer) error {
 // Load reads a dataset previously written with Save. The input is
 // untrusted: every checksum is verified, and the sizes the header
 // declares are checked against the bytes r holds before the bulk
-// sections are allocated. A seekable r (a file, *bytes.Reader) is sized
-// by seeking; any other reader is read into memory first.
+// sections are allocated. A reader that can seek and read at offsets (a
+// file, *bytes.Reader) is read in place from its current offset and left
+// at its end; any other reader is read into memory first. The bulk
+// sections are read and verified chunk by chunk on all cores
+// (binenc.ReadChecksummed).
 func Load(r io.Reader) (*Dataset, error) {
-	r, size, err := sized(r)
+	ra, size, err := sized(r)
 	if err != nil {
 		return nil, fmt.Errorf("simnet: reading dataset: %w", err)
 	}
-	ds, err := decodeDataset(r, size)
+	ds, err := decodeDataset(ra, size)
 	if err != nil {
 		return nil, fmt.Errorf("simnet: loading dataset: %w", err)
 	}
 	return ds, nil
 }
 
-// sized returns a reader over r's remaining bytes and their count.
-func sized(r io.Reader) (io.Reader, int64, error) {
-	if s, ok := r.(io.ReadSeeker); ok {
+// sized returns r's remaining bytes as a ReaderAt starting at offset 0,
+// and their count.
+func sized(r io.Reader) (io.ReaderAt, int64, error) {
+	if s, ok := r.(interface {
+		io.ReaderAt
+		io.Seeker
+	}); ok {
 		if cur, err := s.Seek(0, io.SeekCurrent); err == nil {
 			end, err := s.Seek(0, io.SeekEnd)
 			if err != nil {
 				return nil, 0, err
 			}
-			if _, err := s.Seek(cur, io.SeekStart); err != nil {
-				return nil, 0, err
-			}
-			return s, end - cur, nil
+			return io.NewSectionReader(s, cur, end-cur), end - cur, nil
 		}
 	}
 	b, err := io.ReadAll(r)
 	return bytes.NewReader(b), int64(len(b)), err
 }
 
-// decodeDataset reads a DatasetVersion file of exactly size bytes from r.
-func decodeDataset(r io.Reader, size int64) (*Dataset, error) {
+// decodeDataset reads a DatasetVersion file of exactly size bytes from ra.
+func decodeDataset(ra io.ReaderAt, size int64) (*Dataset, error) {
+	r := io.NewSectionReader(ra, 0, size)
 	var head [datasetHeaderSize]byte
 	n, err := io.ReadFull(r, head[:])
 	if !bytes.HasPrefix(head[:n], []byte(datasetMagic)) {
@@ -225,12 +230,13 @@ func decodeDataset(r io.Reader, size int64) (*Dataset, error) {
 		return nil, fmt.Errorf("%d trailing bytes", extra)
 	}
 
+	off := size - left
 	k := &tensor.Tensor3{N: meta.N, T: meta.T, F: meta.F, Data: make([]float64, kLen)}
-	if err := readSection(r, k.Data, sumK, "K"); err != nil {
+	if err := readSection(ra, off, k.Data, sumK, "K"); err != nil {
 		return nil, err
 	}
 	hot := &tensor.Matrix{Rows: meta.HotRows, Cols: meta.HotCols, Data: make([]float64, hotLen)}
-	if err := readSection(r, hot.Data, sumHot, "HotDrive"); err != nil {
+	if err := readSection(ra, off+8*int64(kLen), hot.Data, sumHot, "HotDrive"); err != nil {
 		return nil, err
 	}
 	return &Dataset{
@@ -268,15 +274,17 @@ func leBytes(vs []float64) []byte {
 	return b
 }
 
-// readSection fills vs with little-endian words read straight into its
-// memory, verifies them against want, and on a big-endian host swaps them
-// to native order in place.
-func readSection(r io.Reader, vs []float64, want binenc.Sum, name string) error {
+// readSection fills vs with the little-endian words at offset off of r,
+// read straight into its memory and verified against want as they arrive
+// (binenc.ReadChecksummed), and on a big-endian host swaps them to native
+// order in place.
+func readSection(r io.ReaderAt, off int64, vs []float64, want binenc.Sum, name string) error {
 	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)*8)
-	if _, err := io.ReadFull(r, raw); err != nil {
+	got, err := binenc.ReadChecksummed(r, off, raw)
+	if err != nil {
 		return fmt.Errorf("reading %s: %w", name, err)
 	}
-	if got := binenc.ChecksumChunked(raw); got != want {
+	if got != want {
 		return fmt.Errorf("%s checksum mismatch: stored %v, computed %v", name, want, got)
 	}
 	if !binenc.NativeLittle() {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/binenc"
@@ -293,4 +296,138 @@ func FuzzLoadDataset(f *testing.F) {
 			t.Fatalf("re-save differs: %d bytes in, %d out", len(data), out.Len())
 		}
 	})
+}
+
+// loadFixture is a dataset whose K section spans many 64 KiB checksum
+// chunks, so Load's chunk workers each take several.
+func loadFixture(t *testing.T) *Dataset {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Sectors, cfg.Weeks, cfg.Seed = 20, 4, 6
+	ds, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.K.Data[len(ds.K.Data)/2] = nanPayload
+	return ds
+}
+
+// TestLoadBitIdenticalAcrossReaders: every way into Load — a file, a
+// *bytes.Reader, a plain reader that is read into memory first, and a
+// file or reader positioned after a prefix — yields the saved K and
+// HotDrive bit for bit, at GOMAXPROCS 1 and N.
+func TestLoadBitIdenticalAcrossReaders(t *testing.T) {
+	ds := loadFixture(t)
+	data := saveBytes(t, ds)
+	prefix := []byte("not part of the dataset")
+	dir := t.TempDir()
+	plain, prefixed := filepath.Join(dir, "net.hotd"), filepath.Join(dir, "prefixed.hotd")
+	if err := os.WriteFile(plain, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(prefixed, append(append([]byte(nil), prefix...), data...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file := func(path string, skip int) io.Reader {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		if _, err := f.Seek(int64(skip), io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	reader := func(skip int) io.Reader {
+		r := bytes.NewReader(append(append([]byte(nil), prefix[:skip]...), data...))
+		r.Seek(int64(skip), io.SeekStart)
+		return r
+	}
+	for _, procs := range []int{1, max(4, runtime.NumCPU())} {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		for _, c := range []struct {
+			name string
+			r    io.Reader
+			end  int64 // offset a seekable reader is left at
+		}{
+			{"file", file(plain, 0), int64(len(data))},
+			{"file after prefix", file(prefixed, len(prefix)), int64(len(prefix) + len(data))},
+			{"bytes.Reader", reader(0), int64(len(data))},
+			{"bytes.Reader after prefix", reader(len(prefix)), int64(len(prefix) + len(data))},
+			{"plain reader", iotest.OneByteReader(bytes.NewReader(data)), 0},
+		} {
+			got, err := Load(c.r)
+			if err != nil {
+				t.Fatalf("%s at %d procs: %v", c.name, procs, err)
+			}
+			if i, ok := sameBits(got.K.Data, ds.K.Data); !ok {
+				t.Fatalf("%s at %d procs: K differs at %d", c.name, procs, i)
+			}
+			if i, ok := sameBits(got.Truth.HotDrive.Data, ds.Truth.HotDrive.Data); !ok {
+				t.Fatalf("%s at %d procs: HotDrive differs at %d", c.name, procs, i)
+			}
+			if s, ok := c.r.(io.Seeker); ok {
+				if at, _ := s.Seek(0, io.SeekCurrent); at != c.end {
+					t.Fatalf("%s at %d procs: left at offset %d, want %d", c.name, procs, at, c.end)
+				}
+			}
+		}
+	}
+}
+
+// failingReaderAt serves data but fails every ReadAt that touches offset
+// bad.
+type failingReaderAt struct {
+	*bytes.Reader
+	bad int64
+	err error
+}
+
+func (r failingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off <= r.bad && r.bad < off+int64(len(p)) {
+		return 0, r.err
+	}
+	return r.Reader.ReadAt(p, off)
+}
+
+// TestLoadReadAtErrorMidChunk: a read error in a chunk in the middle of
+// K fails the load with a wrapped "reading K" error and no dataset, at
+// GOMAXPROCS 1 and N.
+func TestLoadReadAtErrorMidChunk(t *testing.T) {
+	data := saveBytes(t, loadFixture(t))
+	kStart := (datasetHeaderSize + int64(binary.LittleEndian.Uint64(data[8:])) + 7) &^ 7
+	injected := errors.New("injected read failure")
+	for _, procs := range []int{1, max(4, runtime.NumCPU())} {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r := failingReaderAt{Reader: bytes.NewReader(data), bad: kStart + 5*(64<<10) + 100, err: injected}
+		ds, err := Load(r)
+		if ds != nil || !errors.Is(err, injected) || !strings.Contains(err.Error(), "reading K") {
+			t.Fatalf("at %d procs: Load = %v, %v; want no dataset and a wrapped reading K error", procs, ds, err)
+		}
+	}
+}
+
+// BenchmarkLoadFile times loading a 150-sector, 18-week dataset file
+// (about 80 MB): the chunk-parallel read and checksum of K and HotDrive
+// plus the metadata decode.
+func BenchmarkLoadFile(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Sectors, cfg.Weeks = 150, 18
+	ds, err := Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "net.hotd")
+	if err := ds.SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(8 * (len(ds.K.Data) + len(ds.Truth.HotDrive.Data))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

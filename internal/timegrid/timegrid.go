@@ -36,7 +36,7 @@ const PaperWeeks = 18
 type Grid struct {
 	Start    time.Time
 	Weeks    int
-	holidays map[string]bool // "2006-01-02" formatted dates
+	holidays map[int]bool // day indices from Start's date
 }
 
 // New constructs a Grid of the given number of weeks starting at start,
@@ -52,7 +52,7 @@ func New(start time.Time, weeks int) (*Grid, error) {
 	if h, m, s := start.Clock(); h != 0 || m != 0 || s != 0 {
 		return nil, fmt.Errorf("timegrid: start %v is not midnight", start)
 	}
-	g := &Grid{Start: start, Weeks: weeks, holidays: map[string]bool{}}
+	g := &Grid{Start: start, Weeks: weeks}
 	g.SetHolidays(DefaultHolidays())
 	return g, nil
 }
@@ -80,12 +80,22 @@ func DefaultHolidays() []time.Time {
 	}
 }
 
-// SetHolidays replaces the holiday set.
+// SetHolidays replaces the holiday set. Each holiday is the calendar date
+// of its time in its own location; dates before or after the grid are
+// kept but match no day of it.
 func (g *Grid) SetHolidays(days []time.Time) {
-	g.holidays = make(map[string]bool, len(days))
+	g.holidays = make(map[int]bool, len(days))
 	for _, d := range days {
-		g.holidays[d.Format("2006-01-02")] = true
+		g.holidays[daysBetween(g.Start, d)] = true
 	}
+}
+
+// daysBetween is the number of calendar days from a's date to b's date,
+// each read in its own location.
+func daysBetween(a, b time.Time) int {
+	ay, am, ad := a.Date()
+	by, bm, bd := b.Date()
+	return int(time.Date(by, bm, bd, 0, 0, 0, 0, time.UTC).Sub(time.Date(ay, am, ad, 0, 0, 0, 0, time.UTC)) / (24 * time.Hour))
 }
 
 // Hours returns m^h, the number of hourly samples.
@@ -118,11 +128,9 @@ func DayOfWeek(d int) int { return d % DaysPerWeek }
 // IsWeekendDay reports whether day index d is a Saturday or Sunday.
 func IsWeekendDay(d int) bool { dow := DayOfWeek(d); return dow >= 5 }
 
-// IsHoliday reports whether day index d is a configured holiday.
-func (g *Grid) IsHoliday(d int) bool {
-	date := g.Start.AddDate(0, 0, d)
-	return g.holidays[date.Format("2006-01-02")]
-}
+// IsHoliday reports whether day index d is a configured holiday. It does
+// not allocate.
+func (g *Grid) IsHoliday(d int) bool { return g.holidays[d] }
 
 // IsOffDay reports whether day d is a weekend day or a holiday; the paper's
 // Fig. 2 shades exactly these days.

@@ -163,3 +163,41 @@ func TestTimeAtProgression(t *testing.T) {
 		t.Fatalf("hour 24 should be Dec 1, got %v", g.TimeAt(24))
 	}
 }
+
+// TestIsHolidayMatchesCalendarDates: a day is a holiday exactly when its
+// calendar date equals a holiday's date read in the holiday's own
+// location, for holidays in and around the grid.
+func TestIsHolidayMatchesCalendarDates(t *testing.T) {
+	g := Paper()
+	east := time.FixedZone("UTC+9", 9*3600)
+	days := []time.Time{
+		PaperStart.AddDate(0, 0, -3),                              // before the grid
+		time.Date(2015, time.December, 8, 23, 30, 0, 0, time.UTC), // late in the day
+		time.Date(2015, time.December, 31, 2, 0, 0, 0, east),      // Dec 30 in UTC
+		PaperStart.AddDate(0, 0, g.Days()+1),                      // after the grid
+		time.Date(2016, time.February, 29, 0, 0, 0, 0, time.UTC),  // leap day
+	}
+	g.SetHolidays(days)
+	for d := -5; d < g.Days()+5; d++ {
+		date := g.Start.AddDate(0, 0, d).Format("2006-01-02")
+		want := false
+		for _, h := range days {
+			want = want || h.Format("2006-01-02") == date
+		}
+		if got := g.IsHoliday(d); got != want {
+			t.Fatalf("day %d (%s): holiday %v, want %v", d, date, got, want)
+		}
+	}
+}
+
+// TestIsHolidayAllocatesNothing: dataset generation asks once per
+// sector-hour, so the lookup must not build a date per call.
+func TestIsHolidayAllocatesNothing(t *testing.T) {
+	g := Paper()
+	if n := testing.AllocsPerRun(100, func() {
+		g.IsHoliday(25)
+		g.IsHoliday(3)
+	}); n != 0 {
+		t.Fatalf("IsHoliday allocates %v times per call pair", n)
+	}
+}
