@@ -551,14 +551,12 @@ func BenchmarkForestFit(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram-engine fit benchmarks: the exact (sort-based) split search
-// against the binned O(bins) one, per learner, on one shared synthetic
-// training set. Each hist arm includes its quantization cost — in the
-// serving/sweep stack the binned matrix is additionally cached and shared
-// across models and grid points, so these are conservative. CI runs them
-// with -benchmem and distills a machine-readable BENCH_train.json
-// baseline via cmd/benchjson; the acceptance bar is a >=3x forest/GBT
-// speedup of hist over exact.
+// Fit benchmarks: one float-matrix fit per learner (quantize, then grow on
+// the histogram engine) on one shared synthetic training set. Fits on the
+// same matrix and weights share one quantization through mltree's bin
+// cache, so after the first fit of a run the arms time tree growing
+// alone. CI runs them with -benchmem and distills a machine-readable
+// BENCH_train.json baseline via cmd/benchjson.
 
 var (
 	trainBenchOnce sync.Once
@@ -600,28 +598,22 @@ func trainBenchData() ([]float64, []int, []float64) {
 	return trainBenchX, trainBenchY, trainBenchW
 }
 
-func benchFitTree(b *testing.B, algo mltree.SplitAlgo) {
+func BenchmarkFitTreeHist(b *testing.B) {
 	x, y, w := trainBenchData()
-	cfg := mltree.TreeConfig()
-	cfg.Algo = algo
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := randx.New(uint64(i+1), 7)
-		if _, err := mltree.FitTree(x, trainBenchN, trainBenchF, y, w, 2, cfg, rng); err != nil {
+		if _, err := mltree.FitTree(x, trainBenchN, trainBenchF, y, w, 2, mltree.TreeConfig(), rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFitTreeExact(b *testing.B) { benchFitTree(b, mltree.SplitExact) }
-func BenchmarkFitTreeHist(b *testing.B)  { benchFitTree(b, mltree.SplitHist) }
-
-func benchFitForest(b *testing.B, algo mltree.SplitAlgo) {
+func BenchmarkFitForestHist(b *testing.B) {
 	x, y, w := trainBenchData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := mltree.DefaultForestConfig()
-		cfg.Tree.Algo = algo
 		cfg.Seed = uint64(i + 1)
 		if _, err := mltree.FitForest(x, trainBenchN, trainBenchF, y, w, 2, cfg); err != nil {
 			b.Fatal(err)
@@ -629,24 +621,17 @@ func benchFitForest(b *testing.B, algo mltree.SplitAlgo) {
 	}
 }
 
-func BenchmarkFitForestExact(b *testing.B) { benchFitForest(b, mltree.SplitExact) }
-func BenchmarkFitForestHist(b *testing.B)  { benchFitForest(b, mltree.SplitHist) }
-
-func benchFitGBT(b *testing.B, algo mltree.SplitAlgo) {
+func BenchmarkFitGBTHist(b *testing.B) {
 	x, y, w := trainBenchData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := mltree.DefaultGBTConfig()
-		cfg.Algo = algo
 		cfg.Seed = uint64(i + 1)
 		if _, err := mltree.FitGBT(x, trainBenchN, trainBenchF, y, w, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkFitGBTExact(b *testing.B) { benchFitGBT(b, mltree.SplitExact) }
-func BenchmarkFitGBTHist(b *testing.B)  { benchFitGBT(b, mltree.SplitHist) }
 
 // ---------------------------------------------------------------------------
 // Batched inference benchmarks: the walked (pointer-chasing, row-at-a-time)
@@ -666,19 +651,16 @@ var (
 )
 
 // predictBenchModels fits one model of each kind on the shared training
-// set (hist engine — the fit is setup cost, not the measurement).
+// set (the fit is setup cost, not the measurement).
 func predictBenchModels(b *testing.B) (*mltree.Tree, *mltree.Forest, *mltree.GBT) {
 	x, y, w := trainBenchData()
 	predictBenchOnce.Do(func() {
-		treeCfg := mltree.TreeConfig()
-		treeCfg.Algo = mltree.SplitHist
 		predictBenchTree, predictBenchErr = mltree.FitTree(
-			x, trainBenchN, trainBenchF, y, w, 2, treeCfg, randx.New(21, 22))
+			x, trainBenchN, trainBenchF, y, w, 2, mltree.TreeConfig(), randx.New(21, 22))
 		if predictBenchErr != nil {
 			return
 		}
 		foCfg := mltree.DefaultForestConfig()
-		foCfg.Tree.Algo = mltree.SplitHist
 		foCfg.Seed = 23
 		predictBenchForest, predictBenchErr = mltree.FitForest(
 			x, trainBenchN, trainBenchF, y, w, 2, foCfg)
@@ -686,7 +668,6 @@ func predictBenchModels(b *testing.B) (*mltree.Tree, *mltree.Forest, *mltree.GBT
 			return
 		}
 		gbtCfg := mltree.DefaultGBTConfig()
-		gbtCfg.Algo = mltree.SplitHist
 		gbtCfg.Seed = 25
 		predictBenchGBT, predictBenchErr = mltree.FitGBT(
 			x, trainBenchN, trainBenchF, y, w, gbtCfg)

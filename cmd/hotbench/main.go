@@ -11,9 +11,9 @@
 //	hotbench -scale default   # tens of minutes
 //	hotbench -scale full      # paper-sized t grid; hours
 //	hotbench -skip-forecast   # descriptive analyses only
+//	hotbench -in net.hotd -skip-forecast   # descriptive analyses of a saved dataset
 //	hotbench -workers 8       # bound the parallel sweep engine
 //	hotbench -cache-mb 512    # feature-matrix cache budget (0 disables)
-//	hotbench -split-algo hist # histogram-binned tree training (exact | hist | auto)
 //	hotbench -csv sweep.csv   # stream the Table III sweep to CSV live
 //	hotbench -cpuprofile cpu.pprof -memprofile mem.pprof   # profile the run
 package main
@@ -32,8 +32,8 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/forecast"
-	"repro/internal/mltree"
 	"repro/internal/obs"
+	"repro/internal/simnet"
 )
 
 func main() {
@@ -59,7 +59,7 @@ func run(args []string, out io.Writer) (err error) {
 		seed         = fs.Uint64("seed", 1, "random seed")
 		workers      = fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		cacheMB      = fs.Int("cache-mb", 256, "feature-matrix cache budget in MiB (0 disables caching)")
-		splitAlgo    = fs.String("split-algo", "auto", "tree-training split search: exact | hist | auto")
+		in           = fs.String("in", "", "dataset path (hotgen output) to analyse instead of generating one at -scale")
 		csvPath      = fs.String("csv", "", "stream the scale's full model sweep to this CSV file as records complete")
 		skipForecast = fs.Bool("skip-forecast", false, "run only the descriptive analyses")
 		skipImpute   = fs.Bool("skip-impute", false, "skip the Fig 5 autoencoder comparison")
@@ -122,14 +122,9 @@ func run(args []string, out io.Writer) (err error) {
 	scale.Seed = *seed
 	scale.Workers = *workers
 	scale.CacheBytes = forecast.CacheBytesMB(*cacheMB)
-	algo, err := mltree.ParseSplitAlgo(*splitAlgo)
-	if err != nil {
-		return err
-	}
-	scale.SplitAlgo = algo
 
 	start := time.Now()
-	env, err := experiments.Prepare(scale)
+	env, err := prepare(*in, scale)
 	if err != nil {
 		return err
 	}
@@ -283,6 +278,19 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	fmt.Fprintf(out, "total runtime %v\n", time.Since(start).Round(time.Second))
 	return nil
+}
+
+// prepare builds the experiment environment from the dataset file at path,
+// or generates one at the scale when path is empty.
+func prepare(path string, scale experiments.Scale) (*experiments.Env, error) {
+	if path == "" {
+		return experiments.Prepare(scale)
+	}
+	ds, err := simnet.LoadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return experiments.FromDataset(ds, scale)
 }
 
 // streamCSV runs the scale's full Table III model sweep once through the

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/simnet"
 )
 
 // TestRunDescriptiveSmoke runs the descriptive analyses at tiny scale and
@@ -53,6 +55,37 @@ func TestRunForecastSmoke(t *testing.T) {
 	}
 	if !strings.Contains(got, "headline: RF-F1 vs Average") {
 		t.Fatalf("missing headline line:\n%s", got)
+	}
+}
+
+// TestRunDescriptiveFromFile: -in analyses a saved dataset instead of
+// generating one, and a missing file is an error.
+func TestRunDescriptiveFromFile(t *testing.T) {
+	cfg := simnet.DefaultConfig()
+	cfg.Sectors, cfg.Weeks, cfg.Seed = 60, 4, 9
+	ds, err := simnet.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "net.hotd")
+	if err := ds.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := run([]string{"-in", path, "-skip-forecast", "-skip-impute", "-workers", "2"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	got := buf.String()
+	if !strings.Contains(got, " x 28 days ") {
+		t.Fatalf("report is not of the 4-week dataset file:\n%s", got)
+	}
+	for _, section := range []string{"Fig 1", "Fig 4", "Fig 6", "Fig 7", "Table II", "Fig 8"} {
+		if !strings.Contains(got, "["+section+" took ") {
+			t.Fatalf("section %q missing from report", section)
+		}
+	}
+	if err := run([]string{"-in", filepath.Join(t.TempDir(), "missing.hotd"), "-skip-forecast"}, &strings.Builder{}); err == nil {
+		t.Fatal("missing -in file accepted")
 	}
 }
 

@@ -8,7 +8,6 @@
 //	hotforecast -in network.hotd -models Average,RF-F1 -target become
 //	hotforecast -workers 8      # bound the parallel sweep engine
 //	hotforecast -cache-mb 512   # feature-matrix cache budget (0 disables)
-//	hotforecast -split-algo hist # histogram-binned tree training (exact | hist | auto)
 //	hotforecast -csv sweep.csv  # stream records to CSV as they complete
 //
 // Train-once workflow (see cmd/hotserve for the serving side):
@@ -55,7 +54,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/forecast"
 	"repro/internal/mathx"
-	"repro/internal/mltree"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/simnet"
@@ -86,7 +84,6 @@ func run(args []string, out io.Writer) (err error) {
 		trees    = fs.Int("trees", 24, "random-forest size")
 		workers  = fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		cacheMB  = fs.Int("cache-mb", 256, "feature-matrix cache budget in MiB (0 disables caching)")
-		split    = fs.String("split-algo", "auto", "tree-training split search: exact | hist | auto")
 		csvPath  = fs.String("csv", "", "also stream sweep records to this CSV file as they complete")
 		modelOut = fs.String("model-out", "", "train the single selected model at the single (t, h, w) and write the artifact here (skips the sweep)")
 		modelIn  = fs.String("model-in", "", "load a trained artifact and predict at each -t instead of training (skips the sweep)")
@@ -166,12 +163,7 @@ func run(args []string, out io.Writer) (err error) {
 		return nil
 	}
 
-	splitAlgo, err := mltree.ParseSplitAlgo(*split)
-	if err != nil {
-		return fmt.Errorf("bad -split-algo: %w", err)
-	}
-
-	p, err := buildPipeline(*in, *sectors, *weeks, *seed, *trees, *cacheMB, splitAlgo)
+	p, err := buildPipeline(*in, *sectors, *weeks, *seed, *trees, *cacheMB)
 	if err != nil {
 		return err
 	}
@@ -402,9 +394,9 @@ func predictFromArtifact(p *core.Pipeline, path string, ts []int, out io.Writer)
 	return nil
 }
 
-func buildPipeline(path string, sectors, weeks int, seed uint64, trees, cacheMB int, split mltree.SplitAlgo) (*core.Pipeline, error) {
+func buildPipeline(path string, sectors, weeks int, seed uint64, trees, cacheMB int) (*core.Pipeline, error) {
 	cfg := core.Config{Seed: seed, Sectors: sectors, Weeks: weeks, ForestTrees: trees, TrainDays: 4,
-		CacheBytes: forecast.CacheBytesMB(cacheMB), SplitAlgo: split}
+		CacheBytes: forecast.CacheBytesMB(cacheMB)}
 	if path == "" {
 		return core.NewPipeline(cfg)
 	}

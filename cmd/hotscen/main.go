@@ -8,9 +8,12 @@
 //	hotscen -packs baseline,outage-wave -models Random,Average,Tree -o matrix.json
 //	hotscen -packs all -diff BENCH_scenarios.json
 //
-// With -diff, the freshly computed matrix's schema (packs, models, cell
-// structure) is compared against a committed baseline artifact; CI uses
-// this to catch silent matrix-shape drift.
+// With -diff, the freshly computed matrix is compared against a committed
+// baseline artifact: its schema (packs, models, cell structure) must match,
+// and every cell's mean_psi and mean_lift must lie within the band the
+// baseline stores. The written matrix carries the baseline's band, so after
+// an intended change it can replace the baseline as it stands. CI uses this
+// to catch matrix-shape drift and lost forecast quality.
 package main
 
 import (
@@ -23,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/mltree"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/scenario/evalmatrix"
@@ -45,7 +47,7 @@ func run(args []string, out io.Writer) (err error) {
 		packsFlag = fs.String("packs", "all", "comma-separated pack names, or \"all\"")
 		models    = fs.String("models", "all", "comma-separated model kinds, or \"all\"")
 		outPath   = fs.String("o", "", "output path for the matrix artifact (default: stdout)")
-		diffPath  = fs.String("diff", "", "baseline artifact to compare the matrix schema against")
+		diffPath  = fs.String("diff", "", "baseline artifact to compare the matrix schema and values against")
 		sectors   = fs.Int("sectors", 200, "approximate sector count")
 		weeks     = fs.Int("weeks", 10, "observation window in weeks")
 		seed      = fs.Uint64("seed", 1, "random seed")
@@ -56,7 +58,6 @@ func run(args []string, out io.Writer) (err error) {
 		trees     = fs.Int("trees", 4, "forest size")
 		repeats   = fs.Int("repeats", 2, "random rankings per grid point (lift denominator)")
 		workers   = fs.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS)")
-		splitAlgo = fs.String("split-algo", "auto", "tree split algorithm: exact, hist or auto")
 		metrics   = fs.String("metrics", "", "write the process metrics exposition to this path at exit (\"-\" = stderr)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -92,10 +93,6 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return fmt.Errorf("bad -hs: %w", err)
 	}
-	algo, err := mltree.ParseSplitAlgo(*splitAlgo)
-	if err != nil {
-		return err
-	}
 
 	cfg := evalmatrix.Config{
 		Packs:         packs,
@@ -110,11 +107,19 @@ func run(args []string, out io.Writer) (err error) {
 		ForestTrees:   *trees,
 		RandomRepeats: *repeats,
 		Workers:       *workers,
-		SplitAlgo:     algo,
+	}
+	var base *evalmatrix.Matrix
+	if *diffPath != "" {
+		if base, err = evalmatrix.ReadFile(*diffPath); err != nil {
+			return err
+		}
 	}
 	m, err := evalmatrix.Run(cfg)
 	if err != nil {
 		return err
+	}
+	if base != nil {
+		m.Band = base.Band
 	}
 
 	if *outPath != "" {
@@ -135,15 +140,15 @@ func run(args []string, out io.Writer) (err error) {
 		return err
 	}
 
-	if *diffPath != "" {
-		base, err := evalmatrix.ReadFile(*diffPath)
-		if err != nil {
-			return err
-		}
+	if base != nil {
 		if err := evalmatrix.CompareSchema(m, base); err != nil {
 			return fmt.Errorf("schema drift against %s: %w", *diffPath, err)
 		}
 		fmt.Fprintf(out, "schema matches %s\n", *diffPath)
+		if err := evalmatrix.CompareValues(m, base); err != nil {
+			return fmt.Errorf("values outside the band of %s:\n%w", *diffPath, err)
+		}
+		fmt.Fprintf(out, "values within the band of %s\n", *diffPath)
 	}
 	return nil
 }

@@ -84,6 +84,49 @@ func TestDiffCatchesDrift(t *testing.T) {
 	}
 }
 
+// TestDiffGatesValues: -diff fails when a cell leaves the baseline's band
+// and passes inside it, and the written matrix carries the baseline's band.
+func TestDiffGatesValues(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "matrix.json")
+	if err := run(tinyArgs("-o", path), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := evalmatrix.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, m *evalmatrix.Matrix) string {
+		p := filepath.Join(dir, name)
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	m.Band = &evalmatrix.Band{Psi: 0.01, Lift: 0.2}
+	m.Cells[1].MeanLift += 0.15
+	inBand := write("in.json", m)
+	out := filepath.Join(dir, "out.json")
+	if err := run(tinyArgs("-diff", inBand, "-o", out), &bytes.Buffer{}); err != nil {
+		t.Fatalf("in-band baseline rejected: %v", err)
+	}
+	got, err := evalmatrix.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Band == nil || *got.Band != *m.Band {
+		t.Fatalf("written matrix band %+v, baseline %+v", got.Band, m.Band)
+	}
+	m.Cells[1].MeanLift += 0.1
+	if err := run(tinyArgs("-diff", write("out-of-band.json", m), "-o", out), &bytes.Buffer{}); err == nil {
+		t.Fatal("a cell outside the band passed -diff")
+	}
+}
+
 // TestStdoutAndBadFlags covers the stdout path and flag validation.
 func TestStdoutAndBadFlags(t *testing.T) {
 	var out bytes.Buffer

@@ -88,8 +88,9 @@ type Config struct {
 	// ModelCacheBytes bounds the shared trained-model cache
 	// (0 = forecast.DefaultModelCacheBytes, negative disables).
 	ModelCacheBytes int64
-	// SplitAlgo selects the tree-training split search (auto by default:
-	// hist on large fits, exact on small; see forecast.Context.SplitAlgo).
+	// SplitAlgo once selected the tree-training split search.
+	//
+	// Deprecated: ignored; hist is the only engine.
 	SplitAlgo mltree.SplitAlgo
 }
 
@@ -152,7 +153,6 @@ func FromDataset(ds *simnet.Dataset, cfg Config) (*Pipeline, error) {
 	}
 	ctx.CacheBytes = cfg.CacheBytes
 	ctx.ModelCacheBytes = cfg.ModelCacheBytes
-	ctx.SplitAlgo = cfg.SplitAlgo
 	return &Pipeline{Dataset: ds, Scores: set, Ctx: ctx, Discarded: discarded}, nil
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/forecast"
-	"repro/internal/mltree"
 	"repro/internal/score"
 	"repro/internal/simnet"
 	"repro/internal/timegrid"
@@ -38,9 +37,6 @@ type Scale struct {
 	// CacheBytes bounds the shared feature-matrix cache
 	// (0 = forecast.DefaultCacheBytes, negative disables).
 	CacheBytes int64
-	// SplitAlgo selects the tree-training split search (auto by default:
-	// hist on large fits, exact on small; see forecast.Context.SplitAlgo).
-	SplitAlgo mltree.SplitAlgo
 }
 
 // TinyScale is for smoke tests and -short runs (seconds of CPU). The
@@ -142,7 +138,6 @@ func FromDataset(ds *simnet.Dataset, s Scale) (*Env, error) {
 		TrainDays:   s.TrainDays,
 		ForestTrees: s.ForestTrees,
 		CacheBytes:  s.CacheBytes,
-		SplitAlgo:   s.SplitAlgo,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building context: %w", err)

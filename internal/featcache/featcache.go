@@ -6,9 +6,9 @@
 // extractor — so sweep cost should scale with the number of distinct
 // (extractor, cutoff, w) builds, not with grid size.
 //
-// Each such build is cached once, in the form its fits read: the
-// TrainDays stacked day blocks as one float slab for exact fits, or only
-// their quantization for hist fits. Adjacent cutoffs do not share day
+// Each such build is cached once, in the one form fits read: the
+// quantization of the TrainDays stacked day blocks (the float slab it is
+// binned from is not kept). Adjacent cutoffs do not share day
 // blocks; a day block is re-extracted for every cutoff that stacks it,
 // which is cheap beside binning the stacked slab.
 //
@@ -43,11 +43,11 @@ import (
 // Key identifies one distinct matrix build: the extractor name, the
 // exclusive end day of the feature window and the window length in days.
 // Matrices always cover every sector, so the sector axis is not part of
-// the key (subset builds bypass the cache). Stacked training matrices set
-// Days: there End is the training cutoff t-h and Days the number of
-// stacked label days, because the stacked matrix — unlike a per-day
-// block — depends on both; Binned marks the quantized form. Prediction
-// matrices projected onto an artifact's columns set Cols.
+// the key (subset builds bypass the cache). Stacked training matrices,
+// always quantized, set Days: there End is the training cutoff t-h and
+// Days the number of stacked label days, because the stacked matrix —
+// unlike a per-day block — depends on both. Prediction matrices projected
+// onto an artifact's columns set Cols.
 type Key struct {
 	// Extractor is the representation name (features.Extractor.Name).
 	Extractor string
@@ -56,11 +56,9 @@ type Key struct {
 	End int
 	// W is the window length in days.
 	W int
-	// Binned marks a quantized stacked training matrix (Matrix.Bin set,
-	// Data nil).
-	Binned bool
-	// Days is the number of stacked training label days (zero for
-	// per-day blocks).
+	// Days is the number of stacked training label days, set on the
+	// quantized training matrices (Matrix.Bin set, Data nil) and zero for
+	// per-day blocks.
 	Days int
 	// Cols is the exact column list of a projected matrix (ColsKey), empty
 	// for one holding every column. It is the list itself, not a hash, so
@@ -79,16 +77,16 @@ func ColsKey(cols []int) string {
 }
 
 // Matrix is an immutable feature-matrix handle: a row-major float matrix
-// (Data), a quantized one (Bin), or both. Holders must not write through
+// (Data) or a quantized one (Bin). Holders must not write through
 // either: the same backing arrays are shared by every grid point (and
 // every worker) that agrees on the Key.
 type Matrix struct {
-	Data  []float64 // len = Rows*Width (nil for binned-only entries)
+	Data  []float64 // len = Rows*Width (nil for training entries)
 	Rows  int
 	Width int
 	// Bin is the histogram-quantized form (internal/mltree.Binned), set on
-	// Binned-keyed entries so every tree, boosting round and model sharing
-	// one training build reuses a single quantization.
+	// training entries (Key.Days > 0) so every tree, boosting round and
+	// model sharing one training build reuses a single quantization.
 	Bin *mltree.Binned
 }
 

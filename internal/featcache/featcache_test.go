@@ -159,8 +159,8 @@ func TestCompileDedupsSharedBuilds(t *testing.T) {
 		if b.Key.End > 10 {
 			t.Fatalf("plan holds a prediction-day build: %+v", b.Key)
 		}
-		if b.Key.Days != 2 || b.Key.Binned || b.Key.W != 7 {
-			t.Fatalf("want a float stacked 2-day build, got %+v", b.Key)
+		if b.Key.Days != 2 || b.Key.W != 7 {
+			t.Fatalf("want a stacked 2-day build, got %+v", b.Key)
 		}
 	}
 	if totalUses != 6 {
@@ -221,47 +221,39 @@ func TestWarmIgnoresFetchErrors(t *testing.T) {
 }
 
 func TestCompileBinnedDemand(t *testing.T) {
-	// Two extractors; only "percentiles" is consumed in hist form, at w=7.
+	// Two extractors at two windows: every (extractor, w) is planned as
+	// quantized training builds, one per cutoff.
 	plan := Compile(Grid{
 		Ts: []int{10, 11}, Hs: []int{1, 2}, Ws: []int{3, 7},
 		TrainDays:  2,
 		Extractors: []string{"raw", "percentiles"},
-		Binned:     map[string][]int{"percentiles": {7}},
 	})
-	var binned []PlanBuild
-	for _, b := range plan.Builds {
-		if b.Key.Binned {
-			binned = append(binned, b)
-		}
-	}
-	// Every (extractor, w) is planned in exactly one form: 3 cutoffs x
-	// (raw at 3 and 7, percentiles at 3 and 7) = 12 builds.
+	// 3 cutoffs x (raw at 3 and 7, percentiles at 3 and 7) = 12 builds.
 	if len(plan.Builds) != 12 {
 		t.Fatalf("builds = %d, want 12 (one per extractor, cutoff and w)", len(plan.Builds))
 	}
 	// Cutoffs t-h: {10,11}-{1,2} = {8, 9, 10}; 9 is shared by (10,1) and
-	// (11,2), so 3 distinct builds carrying 4 grid-point uses.
-	if len(binned) != 3 {
-		t.Fatalf("binned builds = %d, want 3: %+v", len(binned), binned)
-	}
-	uses := 0
-	cutoffs := map[int]bool{}
-	for _, b := range binned {
-		if b.Key.Extractor != "percentiles" || b.Key.W != 7 || b.Key.Days != 2 {
-			t.Fatalf("bad binned key: %+v", b.Key)
+	// (11,2), so each (extractor, w) has 3 distinct builds carrying 4
+	// grid-point uses.
+	uses := map[[2]string]int{}
+	cutoffs := map[[2]string]map[int]bool{}
+	for _, b := range plan.Builds {
+		if b.Key.Days != 2 {
+			t.Fatalf("bad training key: %+v", b.Key)
 		}
-		uses += b.Uses
-		cutoffs[b.Key.End] = true
+		k := [2]string{b.Key.Extractor, fmt.Sprint(b.Key.W)}
+		uses[k] += b.Uses
+		if cutoffs[k] == nil {
+			cutoffs[k] = map[int]bool{}
+		}
+		cutoffs[k][b.Key.End] = true
 	}
-	if uses != 4 {
-		t.Fatalf("binned uses = %d, want 4", uses)
-	}
-	for _, want := range []int{8, 9, 10} {
-		if !cutoffs[want] {
-			t.Fatalf("missing binned cutoff %d (have %v)", want, cutoffs)
+	for k, u := range uses {
+		if u != 4 || len(cutoffs[k]) != 3 || !cutoffs[k][8] || !cutoffs[k][9] || !cutoffs[k][10] {
+			t.Fatalf("%v: %d uses over cutoffs %v, want 4 over {8, 9, 10}", k, u, cutoffs[k])
 		}
 	}
-	// The global order must stay demand-major with binned builds mixed in.
+	// The global order must stay demand-major.
 	for i := 1; i < len(plan.Builds); i++ {
 		if plan.Builds[i].Uses > plan.Builds[i-1].Uses {
 			t.Fatalf("builds not in descending demand order: %+v", plan.Builds)
@@ -274,7 +266,6 @@ func TestCompileBinnedDeterministic(t *testing.T) {
 		Ts: []int{10, 11, 12}, Hs: []int{1, 2}, Ws: []int{3, 7},
 		TrainDays:  2,
 		Extractors: []string{"raw", "percentiles"},
-		Binned:     map[string][]int{"percentiles": {3, 7}, "raw": {7}},
 	}
 	want := Compile(grid)
 	for r := 0; r < 10; r++ {

@@ -1,7 +1,6 @@
 package featcache
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/parallel"
@@ -18,11 +17,6 @@ type Grid struct {
 	TrainDays int
 	// Extractors are the representation names participating in the sweep.
 	Extractors []string
-	// Binned lists, per extractor name, the window lengths whose stacked
-	// training matrices the sweep's fits read in quantized (hist) form;
-	// every other (extractor, w) is read as floats. Extractors appearing
-	// here must also appear in Extractors.
-	Binned map[string][]int
 }
 
 // PlanBuild is one distinct matrix build plus its demand: how many grid
@@ -42,8 +36,7 @@ type Plan struct {
 }
 
 // Compile enumerates the distinct training builds a sweep grid needs: one
-// stacked matrix per (extractor, cutoff t-h, w), quantized where Binned
-// lists the window and float otherwise. Points on one (t, h)
+// quantized stacked matrix per (extractor, cutoff t-h, w). Points on one (t, h)
 // anti-diagonal share the cutoff, so they collapse to one build per
 // extractor. Prediction matrices are not planned: each holds only the
 // columns its fitted model splits on, unknown before the fit.
@@ -55,10 +48,9 @@ func Compile(g Grid) *Plan {
 	for i, ex := range g.Extractors {
 		order[ex] = i
 		for _, w := range g.Ws {
-			binned := slices.Contains(g.Binned[ex], w)
 			for _, t := range g.Ts {
 				for _, h := range g.Hs {
-					k := Key{Extractor: ex, End: t - h, W: w, Binned: binned, Days: days}
+					k := Key{Extractor: ex, End: t - h, W: w, Days: days}
 					if uses[k] == 0 {
 						keys = append(keys, k)
 					}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/featcache"
 	"repro/internal/features"
-	"repro/internal/mltree"
 )
 
 // resident reports whether key is in cache, without building it.
@@ -49,16 +48,14 @@ func TestDroppedContextFreesFeatureCache(t *testing.T) {
 	}
 }
 
-// A sweep caches one training build per (extractor, cutoff, w) in the
-// form its fits read: quantized only under hist, a stacked float slab
-// only under exact, and never a full-width per-day block.
+// A sweep caches one quantized training build per (extractor, cutoff, w),
+// and never a full-width per-day block.
 func TestSweepCachesOneBuildPerCutoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("classifier sweeps are slow")
 	}
 	c := testContext(t, 80, 8, 53)
 	c.ForestTrees = 4
-	defer func() { c.SplitAlgo = mltree.SplitAuto }()
 	cfg := SweepConfig{
 		Models:        []Model{NewTreeModel(), NewRFF1()},
 		Target:        BeHot,
@@ -75,29 +72,20 @@ func TestSweepCachesOneBuildPerCutoff(t *testing.T) {
 		}
 	}
 	defer func() { c.CacheBytes = 0 }()
-	for i, algo := range []mltree.SplitAlgo{mltree.SplitHist, mltree.SplitExact} {
-		c.SplitAlgo = algo
-		c.CacheBytes = DefaultCacheBytes + int64(i) // a new budget starts an empty cache
-		if _, err := Sweep(c, cfg); err != nil {
-			t.Fatal(err)
-		}
-		cache := c.FeatureCache()
-		hist := algo == mltree.SplitHist
-		for _, ex := range []string{"raw", "percentiles"} {
-			for end := 0; end <= c.Days(); end++ {
-				perDay := featcache.Key{Extractor: ex, End: end, W: 7}
-				if resident(cache, perDay) {
-					t.Errorf("%s: full-width per-day block %+v resident", algo, perDay)
-				}
-				stacked := featcache.Key{Extractor: ex, End: end, W: 7, Days: c.TrainDays}
-				binned := stacked
-				binned.Binned = true
-				if got, want := resident(cache, stacked), !hist && cutoffs[end]; got != want {
-					t.Errorf("%s: float stacked %+v resident = %t, want %t", algo, stacked, got, want)
-				}
-				if got, want := resident(cache, binned), hist && cutoffs[end]; got != want {
-					t.Errorf("%s: binned %+v resident = %t, want %t", algo, binned, got, want)
-				}
+	c.CacheBytes = DefaultCacheBytes + 1 // a new budget starts an empty cache
+	if _, err := Sweep(c, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cache := c.FeatureCache()
+	for _, ex := range []string{"raw", "percentiles"} {
+		for end := 0; end <= c.Days(); end++ {
+			perDay := featcache.Key{Extractor: ex, End: end, W: 7}
+			if resident(cache, perDay) {
+				t.Errorf("full-width per-day block %+v resident", perDay)
+			}
+			stacked := featcache.Key{Extractor: ex, End: end, W: 7, Days: c.TrainDays}
+			if got, want := resident(cache, stacked), cutoffs[end]; got != want {
+				t.Errorf("training build %+v resident = %t, want %t", stacked, got, want)
 			}
 		}
 	}
@@ -112,15 +100,7 @@ func TestWarmBytesBoundsBuilds(t *testing.T) {
 	const cutoff, w = 25, 5
 	for _, ex := range []features.Extractor{features.Raw{}, features.Percentiles{}, features.HandCrafted{}} {
 		key := featcache.Key{Extractor: ex.Name(), End: cutoff, W: w, Days: c.TrainDays}
-		m, err := c.trainingMatrixAt(ex, cutoff, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est := warmBytes(c, ex, key); est < m.Bytes() {
-			t.Errorf("%s float: estimate %d < built %d bytes", ex.Name(), est, m.Bytes())
-		}
-		key.Binned = true
-		m, err = c.binnedTrainingMatrixAt(ex, cutoff, w)
+		m, err := c.binnedTrainingMatrixAt(ex, cutoff, w)
 		if err != nil {
 			t.Fatal(err)
 		}

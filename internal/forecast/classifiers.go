@@ -130,8 +130,8 @@ func (m *ClassifierModel) fitFingerprint(c *Context) (string, bool) {
 	if m.SectorSubset != nil {
 		return "", false
 	}
-	return fmt.Sprintf("%s|ex=%s|single=%t|unbal=%t|trees=%d|days=%d|algo=%s",
-		m.ModelName, m.Extractor.Name(), m.SingleTree, m.Unbalanced, c.ForestTrees, c.TrainDays, c.SplitAlgo), true
+	return fmt.Sprintf("%s|ex=%s|single=%t|unbal=%t|trees=%d|days=%d",
+		m.ModelName, m.Extractor.Name(), m.SingleTree, m.Unbalanced, c.ForestTrees, c.TrainDays), true
 }
 
 // Fit implements Model: train per Eq. 7 and capture the learner's flat
@@ -179,59 +179,43 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 		return &baselineArtifact{meta, kindFallback}, nil, nil
 	}
 
-	// Resolve the split algorithm up front on the training-set shape: the
-	// hist path consumes the cached quantized matrix instead of the floats.
-	treeCfg := mltree.ForestTreeConfig()
-	if m.SingleTree {
-		treeCfg = mltree.TreeConfig()
-	}
-	treeCfg.Algo = c.SplitAlgo.Resolve(
-		mltree.SplitWork(treeCfg, len(labels), m.Extractor.Width(c.View, w)))
-
-	var x []float64
-	var bin *mltree.Binned
-	var width int
-	var err error
-	switch {
-	case allSectors:
-		// One training build per (extractor, cutoff, w), in the form the
-		// fit reads, shared by every tree, boosting round and model via
-		// the cache.
-		var mat *featcache.Matrix
-		if treeCfg.Algo == mltree.SplitHist {
-			mat, err = c.BinnedTrainingMatrix(m.Extractor, t, h, w)
-		} else {
-			mat, err = c.trainingMatrixAt(m.Extractor, t-h, w)
-		}
-		if err == nil {
-			x, bin, width = mat.Data, mat.Bin, mat.Width
-		}
-	default:
-		// Subset rows are bespoke; build them directly, bypassing the
-		// all-sector cache (a hist fit quantizes them privately).
-		sectors, ends := trainingInstances(c, trainSectors, t-h)
-		x, width, err = features.BuildMatrix(c.View, m.Extractor, sectors, ends, w)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
-	}
 	var weights []float64
 	if !m.Unbalanced {
 		weights = mltree.BalancedWeights(labels, 2)
+	}
+	var bin *mltree.Binned
+	var width int
+	if allSectors {
+		// One training build per (extractor, cutoff, w), shared by every
+		// tree, boosting round and model via the cache.
+		mat, err := c.BinnedTrainingMatrix(m.Extractor, t, h, w)
+		if err != nil {
+			return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
+		}
+		bin, width = mat.Bin, mat.Width
+	} else {
+		// Subset rows are bespoke: build and quantize them privately,
+		// bypassing the all-sector cache, at quantiles of the fit's own
+		// weights (as a float-matrix mltree fit would).
+		sectors, ends := trainingInstances(c, trainSectors, t-h)
+		x, wd, err := features.BuildMatrix(c.View, m.Extractor, sectors, ends, w)
+		if err != nil {
+			return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
+		}
+		if bin, err = mltree.BinWorkers(x, len(sectors), wd, weights, mltree.DefaultMaxBins, c.FitWorkers); err != nil {
+			return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
+		}
+		width = wd
 	}
 
 	art := &classifierArtifact{artifactMeta: meta, extractor: m.Extractor, width: width}
 	seed := c.Seed ^ uint64(t)<<24 ^ uint64(h)<<12 ^ uint64(w)
 	var learner walkedLearner
+	var err error
 	if m.SingleTree {
 		rng := randx.DeriveIndexed(seed, 0x7e11, "tree-model", t)
 		var tree *mltree.Tree
-		if bin != nil {
-			tree, err = mltree.FitTreeBinned(bin, labels, weights, 2, treeCfg, rng)
-		} else {
-			tree, err = mltree.FitTree(x, len(labels), width, labels, weights, 2, treeCfg, rng)
-		}
-		if err != nil {
+		if tree, err = mltree.FitTreeBinned(bin, labels, weights, 2, mltree.TreeConfig(), rng); err != nil {
 			return nil, nil, fmt.Errorf("forecast: fitting tree: %w", err)
 		}
 		art.kind = kindTree
@@ -241,18 +225,13 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 	} else {
 		cfg := mltree.ForestConfig{
 			NumTrees:  c.ForestTrees,
-			Tree:      treeCfg,
+			Tree:      mltree.ForestTreeConfig(),
 			Bootstrap: true,
 			Seed:      seed,
 			Workers:   c.FitWorkers,
 		}
 		var forest *mltree.Forest
-		if bin != nil {
-			forest, err = mltree.FitForestBinned(bin, labels, weights, 2, cfg)
-		} else {
-			forest, err = mltree.FitForest(x, len(labels), width, labels, weights, 2, cfg)
-		}
-		if err != nil {
+		if forest, err = mltree.FitForestBinned(bin, labels, weights, 2, cfg); err != nil {
 			return nil, nil, fmt.Errorf("forecast: fitting forest: %w", err)
 		}
 		art.kind = kindForest

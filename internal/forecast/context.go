@@ -85,18 +85,9 @@ type Context struct {
 	// refit; disable it only to measure raw fit cost (the perf benches do).
 	// Reconfigure only between sweeps, never while one is running.
 	ModelCacheBytes int64
-	// SplitAlgo selects the tree-training split search for the classifier
-	// and GBT models: SplitAuto (the default) resolves per fit, picking
-	// hist when the root-split work clears the engine's threshold and
-	// exact below it — so small fits stay bit-identical to the historical
-	// records while large ones get the fast engine; SplitExact forces the
-	// sort-based CART search, bit-identical to every pre-knob record at
-	// any scale; SplitHist forces quantized training matrices (<=256 bins,
-	// cached beside the float matrices, one quantization per training
-	// build) with O(bins) boundary scans per candidate feature. Hist fits
-	// are deterministic at any worker count but not bit-identical to exact
-	// ones (thresholds are quantized); accuracy parity is enforced by the
-	// tiny-scale sweep tests.
+	// SplitAlgo once selected the tree-training split search.
+	//
+	// Deprecated: ignored; hist is the only engine.
 	SplitAlgo mltree.SplitAlgo
 
 	cacheMu    sync.Mutex
@@ -308,17 +299,18 @@ func (c *Context) cachedBuild(key featcache.Key, build func() (*featcache.Matrix
 
 // BinnedTrainingMatrix returns the quantized Eq. 7 training matrix for a
 // fit with cutoff t-h: the TrainDays stacked all-sector blocks, binned
-// once with mltree.Bin. The handle is cached under (extractor, cutoff, w,
-// TrainDays, binned) when the feature cache is enabled, so every tree of a
-// forest, every boosting round, every model sharing the extractor, and
-// every grid point on the same (t-h) anti-diagonal reuses one
-// quantization; the float slab it was binned from is not kept. Cut points
-// use uniform-weight quantiles by design: the models sharing a handle
-// carry different sample weights (balanced vs. unbalanced, per-tree
-// bootstrap draws, per-round boosting subsamples), so the shared
-// quantization cannot follow any one of them — direct mltree fits, which
-// own their weights, bin with them instead. Binning is deterministic, so a
-// cached handle is bit-identical to a fresh build.
+// once with mltree.BinWorkers — the one form every tree, forest and GBT
+// fit reads. The handle is cached under (extractor, cutoff, w, TrainDays)
+// when the feature cache is enabled, so every tree of a forest, every
+// boosting round, every model sharing the extractor, and every grid point
+// on the same (t-h) anti-diagonal reuses one quantization; the float slab
+// it was binned from is not kept. Cut points use uniform-weight quantiles
+// by design: the models sharing a handle carry different sample weights
+// (balanced vs. unbalanced, per-tree bootstrap draws, per-round boosting
+// subsamples), so the shared quantization cannot follow any one of them —
+// direct mltree fits, which own their weights, bin with them instead.
+// Binning is deterministic, so a cached handle is bit-identical to a fresh
+// build.
 func (c *Context) BinnedTrainingMatrix(ex features.Extractor, t, h, w int) (*featcache.Matrix, error) {
 	return c.binnedTrainingMatrixAt(ex, t-h, w)
 }
@@ -328,45 +320,23 @@ func (c *Context) BinnedTrainingMatrix(ex features.Extractor, t, h, w int) (*fea
 // The sweep prewarmer calls it straight from plan keys (whose End is the
 // cutoff), so warming and fitting share one build per anti-diagonal.
 func (c *Context) binnedTrainingMatrixAt(ex features.Extractor, cutoff, w int) (*featcache.Matrix, error) {
-	key := featcache.Key{Extractor: ex.Name(), End: cutoff, W: w, Binned: true, Days: c.TrainDays}
-	return c.cachedBuild(key, func() (*featcache.Matrix, error) {
-		m, err := c.stackedTrainingMatrix(ex, cutoff, w)
-		if err != nil {
-			return nil, err
-		}
-		bn, err := mltree.BinWorkers(m.Data, m.Rows, m.Width, nil, mltree.DefaultMaxBins, c.FitWorkers)
-		if err != nil {
-			return nil, err
-		}
-		return &featcache.Matrix{Rows: m.Rows, Width: m.Width, Bin: bn}, nil
-	})
-}
-
-// trainingMatrixAt returns the float Eq. 7 training matrix for all sectors
-// at a training cutoff t-h, cached as one stacked entry under (extractor,
-// cutoff, w, TrainDays). Exact fits read the shared slab in place: mltree
-// never writes a fit's x.
-func (c *Context) trainingMatrixAt(ex features.Extractor, cutoff, w int) (*featcache.Matrix, error) {
 	key := featcache.Key{Extractor: ex.Name(), End: cutoff, W: w, Days: c.TrainDays}
 	return c.cachedBuild(key, func() (*featcache.Matrix, error) {
-		return c.stackedTrainingMatrix(ex, cutoff, w)
+		all := make([]int, c.Sectors())
+		for i := range all {
+			all[i] = i
+		}
+		sectors, ends := trainingInstances(c, all, cutoff)
+		x, width, err := features.BuildMatrix(c.View, ex, sectors, ends, w)
+		if err != nil {
+			return nil, err
+		}
+		bn, err := mltree.BinWorkers(x, len(sectors), width, nil, mltree.DefaultMaxBins, c.FitWorkers)
+		if err != nil {
+			return nil, err
+		}
+		return &featcache.Matrix{Rows: len(sectors), Width: width, Bin: bn}, nil
 	})
-}
-
-// stackedTrainingMatrix extracts the all-sector training rows at a cutoff
-// (trainingInstances: TrainDays blocks, day-major then sector) straight
-// into one slab — the single builder behind both training forms.
-func (c *Context) stackedTrainingMatrix(ex features.Extractor, cutoff, w int) (*featcache.Matrix, error) {
-	all := make([]int, c.Sectors())
-	for i := range all {
-		all[i] = i
-	}
-	sectors, ends := trainingInstances(c, all, cutoff)
-	x, width, err := features.BuildMatrix(c.View, ex, sectors, ends, w)
-	if err != nil {
-		return nil, err
-	}
-	return &featcache.Matrix{Data: x, Rows: len(sectors), Width: width}, nil
 }
 
 // Model is a hot-spot forecaster. Given the data available at day t it

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/mltree"
 )
 
 // flatModels returns one model per classifier kind (tree, forest, GBT),
@@ -18,63 +16,59 @@ func flatModels() []Model {
 
 // TestArtifactFlatMatchesWalked: Predict through the artifact's flat batch
 // engine — which reads only the columns the model splits on — must be
-// bit-identical, for every classifier model under both split engines, to
-// walking the pointer learner the engine was flattened from over the full
-// prediction matrix, and every Predict is one counted flat-engine batch
-// call.
+// bit-identical, for every classifier model, to walking the pointer
+// learner the engine was flattened from over the full prediction matrix,
+// and every Predict is one counted flat-engine batch call.
 func TestArtifactFlatMatchesWalked(t *testing.T) {
 	gbt := NewGBT()
 	gbt.Config.Rounds = 8
 	models := []Model{NewTreeModel(), NewRFR(), NewRFF1(), NewRFF2(), gbt}
 	const fitT, h, w = 30, 2, 5
-	for _, algo := range []mltree.SplitAlgo{mltree.SplitExact, mltree.SplitHist} {
-		c := testContext(t, 120, 8, 41)
-		c.ForestTrees = 6
-		c.SplitAlgo = algo
-		for _, m := range models {
-			name := fmt.Sprintf("%s/%s", m.Name(), algo)
-			lf, ok := m.(interface {
-				fitLearner(c *Context, target Target, t, h, w int) (Trained, walkedLearner, error)
-			})
-			if !ok {
-				t.Fatalf("%s: model %T has no fitLearner", name, m)
-			}
-			tr, learner, err := lf.fitLearner(c, BeHot, fitT, h, w)
-			if err != nil {
-				t.Fatalf("%s: fit: %v", name, err)
-			}
-			ca, ok := tr.(*classifierArtifact)
-			if !ok || learner == nil {
-				t.Fatalf("%s: fit returned %T (learner %v), want classifier artifact", name, tr, learner != nil)
-			}
-			if ca.FlatBytes() <= 0 {
-				t.Fatalf("%s: artifact not flattened at fit", name)
-			}
-			if ca.FeaturesRead() < 1 || ca.FeaturesRead() > ca.FeatureWidth() {
-				t.Fatalf("%s: reads %d of %d columns", name, ca.FeaturesRead(), ca.FeatureWidth())
-			}
-			before := BatchPredictCalls()
-			flat, err := ca.Predict(c, fitT, w)
-			if err != nil {
-				t.Fatalf("%s: flat predict: %v", name, err)
-			}
-			if BatchPredictCalls() != before+1 {
-				t.Fatalf("%s: flat predict did not count a batch call", name)
-			}
-			pmat, err := c.FeatureMatrix(ca.extractor, fitT, w)
-			if err != nil {
-				t.Fatalf("%s: prediction matrix: %v", name, err)
-			}
-			if len(flat) != c.Sectors() || len(pmat.Data) != c.Sectors()*ca.width {
-				t.Fatalf("%s: shape mismatch: flat %d, matrix %d, sectors %d x width %d",
-					name, len(flat), len(pmat.Data), c.Sectors(), ca.width)
-			}
-			probs := make([]float64, 2)
-			for i := range flat {
-				learner.PredictProbaInto(pmat.Data[i*ca.width:(i+1)*ca.width], probs)
-				if flat[i] != probs[1] {
-					t.Fatalf("%s: sector %d: flat %v, walked %v", name, i, flat[i], probs[1])
-				}
+	c := testContext(t, 120, 8, 41)
+	c.ForestTrees = 6
+	for _, m := range models {
+		name := m.Name()
+		lf, ok := m.(interface {
+			fitLearner(c *Context, target Target, t, h, w int) (Trained, walkedLearner, error)
+		})
+		if !ok {
+			t.Fatalf("%s: model %T has no fitLearner", name, m)
+		}
+		tr, learner, err := lf.fitLearner(c, BeHot, fitT, h, w)
+		if err != nil {
+			t.Fatalf("%s: fit: %v", name, err)
+		}
+		ca, ok := tr.(*classifierArtifact)
+		if !ok || learner == nil {
+			t.Fatalf("%s: fit returned %T (learner %v), want classifier artifact", name, tr, learner != nil)
+		}
+		if ca.FlatBytes() <= 0 {
+			t.Fatalf("%s: artifact not flattened at fit", name)
+		}
+		if ca.FeaturesRead() < 1 || ca.FeaturesRead() > ca.FeatureWidth() {
+			t.Fatalf("%s: reads %d of %d columns", name, ca.FeaturesRead(), ca.FeatureWidth())
+		}
+		before := BatchPredictCalls()
+		flat, err := ca.Predict(c, fitT, w)
+		if err != nil {
+			t.Fatalf("%s: flat predict: %v", name, err)
+		}
+		if BatchPredictCalls() != before+1 {
+			t.Fatalf("%s: flat predict did not count a batch call", name)
+		}
+		pmat, err := c.FeatureMatrix(ca.extractor, fitT, w)
+		if err != nil {
+			t.Fatalf("%s: prediction matrix: %v", name, err)
+		}
+		if len(flat) != c.Sectors() || len(pmat.Data) != c.Sectors()*ca.width {
+			t.Fatalf("%s: shape mismatch: flat %d, matrix %d, sectors %d x width %d",
+				name, len(flat), len(pmat.Data), c.Sectors(), ca.width)
+		}
+		probs := make([]float64, 2)
+		for i := range flat {
+			learner.PredictProbaInto(pmat.Data[i*ca.width:(i+1)*ca.width], probs)
+			if flat[i] != probs[1] {
+				t.Fatalf("%s: sector %d: flat %v, walked %v", name, i, flat[i], probs[1])
 			}
 		}
 	}

@@ -38,9 +38,9 @@ func (m *GBTModel) featureExtractor() features.Extractor { return m.Extractor }
 // the context and task, overwriting it.
 func (m *GBTModel) fitFingerprint(c *Context) (string, bool) {
 	cfg := m.Config
-	return fmt.Sprintf("GBT|ex=%s|r=%d|lr=%g|depth=%d|leaf=%d|sub=%g|days=%d|algo=%s",
+	return fmt.Sprintf("GBT|ex=%s|r=%d|lr=%g|depth=%d|leaf=%d|sub=%g|days=%d",
 		m.Extractor.Name(), cfg.Rounds, cfg.Shrinkage, cfg.MaxDepth, cfg.MinSamplesLeaf,
-		cfg.SubsampleFraction, c.TrainDays, c.SplitAlgo), true
+		cfg.SubsampleFraction, c.TrainDays), true
 }
 
 // Fit implements Model with the same Eq. 7 protocol as the paper's
@@ -70,39 +70,21 @@ func (m *GBTModel) fitLearner(c *Context, target Target, t, h, w int) (Trained, 
 	}
 	cfg := m.Config
 	cfg.Seed = c.Seed ^ uint64(t)<<24 ^ uint64(h)<<12 ^ uint64(w) ^ 0xb005
-	cfg.Algo = c.SplitAlgo.Resolve(mltree.SplitWork(
-		mltree.Config{Rule: mltree.SqrtFeatures}, len(labels), m.Extractor.Width(c.View, w)))
-	weights := mltree.BalancedWeights(labels, 2)
-	var g *mltree.GBT
-	var width int
-	if cfg.Algo == mltree.SplitHist {
-		// One quantization per training build serves all boosting rounds
-		// (and any other model sharing it) via the cache.
-		mat, err := c.BinnedTrainingMatrix(m.Extractor, t, h, w)
-		if err != nil {
-			return nil, nil, fmt.Errorf("forecast: building GBT training matrix: %w", err)
-		}
-		width = mat.Width
-		g, err = mltree.FitGBTBinned(mat.Bin, labels, weights, cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("forecast: fitting GBT: %w", err)
-		}
-	} else {
-		mat, err := c.trainingMatrixAt(m.Extractor, t-h, w)
-		if err != nil {
-			return nil, nil, fmt.Errorf("forecast: building GBT training matrix: %w", err)
-		}
-		width = mat.Width
-		g, err = mltree.FitGBT(mat.Data, len(labels), width, labels, weights, cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("forecast: fitting GBT: %w", err)
-		}
+	// One quantization per training build serves all boosting rounds (and
+	// any other model sharing it) via the cache.
+	mat, err := c.BinnedTrainingMatrix(m.Extractor, t, h, w)
+	if err != nil {
+		return nil, nil, fmt.Errorf("forecast: building GBT training matrix: %w", err)
+	}
+	g, err := mltree.FitGBTBinned(mat.Bin, labels, mltree.BalancedWeights(labels, 2), cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("forecast: fitting GBT: %w", err)
 	}
 	fg, cols, err := g.FlattenProjected()
 	if err != nil {
 		return nil, nil, fmt.Errorf("forecast: compiling GBT: %w", err)
 	}
-	return &classifierArtifact{artifactMeta: meta, kind: kindGBT, extractor: m.Extractor, width: width,
+	return &classifierArtifact{artifactMeta: meta, kind: kindGBT, extractor: m.Extractor, width: mat.Width,
 		cols: cols, colsKey: featcache.ColsKey(cols), engine: fg}, g, nil
 }
 

@@ -1,14 +1,12 @@
 package forecast
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/featcache"
-	"repro/internal/mltree"
 )
 
-// histSweepConfig is the shared tiny grid for the hist-mode sweep tests:
+// histSweepConfig is the shared tiny grid for the sweep tests:
 // every classifier plus GBT, two forecast days, two horizons.
 func histSweepConfig(workers int) SweepConfig {
 	gbt := NewGBT()
@@ -24,66 +22,6 @@ func histSweepConfig(workers int) SweepConfig {
 	}
 }
 
-// TestSweepHistParityTiny is the accuracy-parity gate for the histogram
-// engine: on the tiny-scale grid, hist-mode sweep metrics must track the
-// exact-mode ones — the quantized split search may move individual
-// thresholds but not degrade ranking quality.
-func TestSweepHistParityTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("classifier sweeps are slow")
-	}
-	c := testContext(t, 200, 10, 17)
-	c.ForestTrees = 6
-
-	run := func(algo mltree.SplitAlgo) *Result {
-		c.SplitAlgo = algo
-		c.ModelCacheBytes = -1 // refit per sweep; the cache would key on algo anyway
-		res, err := Sweep(c, histSweepConfig(2))
-		if err != nil {
-			t.Fatalf("%v sweep: %v", algo, err)
-		}
-		return res
-	}
-	exact := run(mltree.SplitExact)
-	hist := run(mltree.SplitHist)
-	defer func() { c.SplitAlgo = mltree.SplitExact }()
-
-	if len(exact.Records) != len(hist.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(exact.Records), len(hist.Records))
-	}
-	// Per-model mean psi over the grid must agree within tolerance; the
-	// chance-level psi is model-free and must be bit-identical.
-	sums := map[string][2]float64{}
-	counts := map[string]int{}
-	for i := range exact.Records {
-		re, rh := exact.Records[i], hist.Records[i]
-		if re.Model != rh.Model || re.T != rh.T || re.H != rh.H || re.W != rh.W {
-			t.Fatalf("record %d identity differs: %+v vs %+v", i, re, rh)
-		}
-		if !(math.IsNaN(re.PsiRandom) && math.IsNaN(rh.PsiRandom)) && re.PsiRandom != rh.PsiRandom {
-			t.Fatalf("record %d: chance-level psi differs: %v vs %v", i, re.PsiRandom, rh.PsiRandom)
-		}
-		if math.IsNaN(re.Psi) != math.IsNaN(rh.Psi) {
-			t.Fatalf("record %d: NaN pattern differs: %v vs %v", i, re.Psi, rh.Psi)
-		}
-		if math.IsNaN(re.Psi) {
-			continue
-		}
-		s := sums[re.Model]
-		sums[re.Model] = [2]float64{s[0] + re.Psi, s[1] + rh.Psi}
-		counts[re.Model]++
-	}
-	const tolerance = 0.12
-	for model, s := range sums {
-		n := float64(counts[model])
-		meanExact, meanHist := s[0]/n, s[1]/n
-		if diff := math.Abs(meanExact - meanHist); diff > tolerance {
-			t.Errorf("%s: mean psi exact %.3f vs hist %.3f (|diff| %.3f > %.2f)",
-				model, meanExact, meanHist, diff, tolerance)
-		}
-	}
-}
-
 // TestSweepHistDeterministic: hist-mode records must be bit-identical at
 // any worker count and with the feature cache (which also holds the
 // binned training matrices) on or off — RNG streams are keyed by item
@@ -94,8 +32,6 @@ func TestSweepHistDeterministic(t *testing.T) {
 	}
 	c := testContext(t, 150, 10, 23)
 	c.ForestTrees = 5
-	c.SplitAlgo = mltree.SplitHist
-	defer func() { c.SplitAlgo = mltree.SplitExact }()
 
 	c.CacheBytes = 0 // default budget, cache on
 	base, err := Sweep(c, histSweepConfig(1))
@@ -121,39 +57,12 @@ func TestSweepHistDeterministic(t *testing.T) {
 	c.CacheBytes = 0
 }
 
-// TestSweepAutoResolvesExactOnTinyGrids: on tiny training sets the auto
-// knob (now the default) must land on the exact engine (the work estimate
-// sits below the hist threshold), keeping small-scale records
-// bit-identical to the historical exact-by-default ones.
-func TestSweepAutoResolvesExactOnTinyGrids(t *testing.T) {
-	c := testContext(t, 100, 10, 29)
-	c.ForestTrees = 4
-	c.ModelCacheBytes = -1
-
-	cfg := histSweepConfig(2)
-	cfg.Models = []Model{NewRFF1()}
-	c.SplitAlgo = mltree.SplitExact
-	exact, err := Sweep(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SplitAlgo = mltree.SplitAuto
-	auto, err := Sweep(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SplitAlgo = mltree.SplitExact
-	sameRecords(t, exact, auto, "auto-on-tiny")
-}
-
 // TestHistArtifactRoundTrip: hist-trained artifacts run through the same
 // versioned envelope as exact ones — encode, decode, and predict
 // bit-identically at the fit day and a later serving day.
 func TestHistArtifactRoundTrip(t *testing.T) {
 	c := testContext(t, 120, 8, 37)
 	c.ForestTrees = 5
-	c.SplitAlgo = mltree.SplitHist
-	defer func() { c.SplitAlgo = mltree.SplitExact }()
 
 	gbt := NewGBT()
 	gbt.Config.Rounds = 8
@@ -234,7 +143,7 @@ func TestBinnedTrainingMatrixCachedMatchesUncached(t *testing.T) {
 }
 
 // TestWarmPrewarmsBinnedMatrices: the sweep prewarmer must build the
-// quantized training matrices hist-mode fits consume — every (extractor,
+// quantized training matrices fits consume — every (extractor,
 // cutoff, w) the grid demands is resident before evaluation starts — and
 // the warmed cached sweep must stay bit-identical to the uncached one.
 func TestWarmPrewarmsBinnedMatrices(t *testing.T) {
@@ -243,9 +152,7 @@ func TestWarmPrewarmsBinnedMatrices(t *testing.T) {
 	}
 	c := testContext(t, 120, 10, 47)
 	c.ForestTrees = 4
-	c.SplitAlgo = mltree.SplitHist
 	c.ModelCacheBytes = -1
-	defer func() { c.SplitAlgo = mltree.SplitExact }()
 
 	gbt := NewGBT()
 	gbt.Config.Rounds = 8
@@ -263,12 +170,12 @@ func TestWarmPrewarmsBinnedMatrices(t *testing.T) {
 	cache := c.FeatureCache()
 	warmFeatureCache(c, cfg)
 
-	// With SplitHist forced, both models bin; the grid's binned keys are
-	// one per (extractor, cutoff t-h, w).
+	// Both models bin; the grid's binned keys are one per (extractor,
+	// cutoff t-h, w).
 	for _, ex := range []string{NewTreeModel().Extractor.Name(), gbt.Extractor.Name()} {
 		for _, tt := range cfg.Ts {
 			for _, h := range cfg.Hs {
-				key := featcache.Key{Extractor: ex, End: tt - h, W: 7, Binned: true, Days: c.TrainDays}
+				key := featcache.Key{Extractor: ex, End: tt - h, W: 7, Days: c.TrainDays}
 				if !resident(cache, key) {
 					t.Fatalf("binned build (%s, cutoff=%d, w=7) not resident after warm", ex, tt-h)
 				}
@@ -291,50 +198,31 @@ func TestWarmPrewarmsBinnedMatrices(t *testing.T) {
 	sameRecords(t, uncached, warmed, "warmed-binned")
 }
 
-// TestBinnedDemandMirrorsFitDecisions: the prewarmer quantizes exactly the
-// (extractor, w) combinations some model will consume in hist form —
-// nothing under exact mode, everything under forced hist, and the
-// work-threshold subset under auto.
+// TestBinnedDemandMirrorsFitDecisions: the prewarmer quantizes exactly
+// the training builds the sweep's fits read — for every extractor some
+// model fits from, one per (cutoff t-h, w) of the grid, and no other.
 func TestBinnedDemandMirrorsFitDecisions(t *testing.T) {
 	c := testContext(t, 100, 10, 53)
+	c.CacheBytes = DefaultCacheBytes + 1 // a new budget starts an empty cache
+	defer func() { c.CacheBytes = 0 }()
 	cfg := histSweepConfig(1)
-
-	c.SplitAlgo = mltree.SplitExact
-	if got := binnedDemand(c, cfg); got != nil {
-		t.Fatalf("exact mode demands binned builds: %v", got)
+	warmFeatureCache(c, cfg)
+	cache := c.FeatureCache()
+	cutoffs := map[int]bool{}
+	for _, tt := range cfg.Ts {
+		for _, h := range cfg.Hs {
+			cutoffs[tt-h] = true
+		}
 	}
-
-	c.SplitAlgo = mltree.SplitHist
-	got := binnedDemand(c, cfg)
 	for _, m := range cfg.Models {
-		fm, ok := m.(featureModel)
-		if !ok || fm.featureExtractor() == nil {
-			continue
-		}
-		name := fm.featureExtractor().Name()
-		if len(got[name]) != len(cfg.Ws) {
-			t.Fatalf("hist mode: extractor %s demands ws %v, want %v", name, got[name], cfg.Ws)
-		}
-	}
-
-	// Auto must agree with each fit's own resolution.
-	c.SplitAlgo = mltree.SplitAuto
-	got = binnedDemand(c, cfg)
-	rows := c.TrainDays * c.Sectors()
-	gbt := NewGBT()
-	for _, w := range cfg.Ws {
-		work := mltree.SplitWork(mltree.Config{Rule: mltree.SqrtFeatures}, rows, gbt.Extractor.Width(c.View, w))
-		wantHist := mltree.SplitAuto.Resolve(work) == mltree.SplitHist
-		has := false
-		for _, gw := range got[gbt.Extractor.Name()] {
-			if gw == w {
-				has = true
+		ex := m.(featureModel).featureExtractor()
+		for _, w := range cfg.Ws {
+			for end := 0; end <= c.Days(); end++ {
+				key := featcache.Key{Extractor: ex.Name(), End: end, W: w, Days: c.TrainDays}
+				if got := resident(cache, key); got != cutoffs[end] {
+					t.Fatalf("%s: training build %+v resident = %t, want %t", m.Name(), key, got, cutoffs[end])
+				}
 			}
 		}
-		if has != wantHist {
-			t.Fatalf("auto mode: extractor %s w=%d prewarm=%t, fit resolves hist=%t",
-				gbt.Extractor.Name(), w, has, wantHist)
-		}
 	}
-	c.SplitAlgo = mltree.SplitExact
 }

@@ -3,7 +3,6 @@ package forecast
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 
 	"repro/internal/eval"
@@ -183,9 +182,8 @@ func Sweep(c *Context, cfg SweepConfig) (*Result, error) {
 }
 
 // warmFeatureCache compiles the grid's distinct (extractor, cutoff, w)
-// training builds — each in the form its fits read, quantized for
-// hist-mode fits and a float slab otherwise — and executes them once
-// through the shared pool, so grid-point evaluation starts against a hot
+// training builds — quantized, the one form fits read — and executes them
+// once through the shared pool, so grid-point evaluation starts against a hot
 // cache instead of racing to build the same matrices. Best-effort: with
 // the cache disabled or no extractor models in the sweep it is a no-op,
 // and build errors are left for the evaluation to surface in grid order.
@@ -217,7 +215,6 @@ func warmFeatureCache(c *Context, cfg SweepConfig) {
 		Ts: cfg.Ts, Hs: cfg.Hs, Ws: cfg.Ws,
 		TrainDays:  c.TrainDays,
 		Extractors: names,
-		Binned:     binnedDemand(c, cfg),
 	})
 	// Warm only into the budget headroom left by earlier sweeps, so a
 	// prewarm never evicts matrices that are still hot. (Keys already
@@ -233,80 +230,17 @@ func warmFeatureCache(c *Context, cfg SweepConfig) {
 	plan.Warm(cfg.Workers, budget, func(k featcache.Key) int64 {
 		return warmBytes(c, extractors[k.Extractor], k)
 	}, func(k featcache.Key) error {
-		var err error
-		if k.Binned {
-			_, err = c.binnedTrainingMatrixAt(extractors[k.Extractor], k.End, k.W)
-		} else {
-			_, err = c.trainingMatrixAt(extractors[k.Extractor], k.End, k.W)
-		}
+		_, err := c.binnedTrainingMatrixAt(extractors[k.Extractor], k.End, k.W)
 		return err
 	})
 }
 
-// warmBytes bounds from above the payload of a planned training build: a
-// float slab of 8 bytes per cell, or one code byte per cell plus each
-// feature's bin count and thresholds (at most DefaultMaxBins-1 float64s).
+// warmBytes bounds from above the payload of a planned training build:
+// one code byte per cell plus each feature's bin count and thresholds (at
+// most DefaultMaxBins-1 float64s).
 func warmBytes(c *Context, ex features.Extractor, k featcache.Key) int64 {
 	width := int64(ex.Width(c.View, k.W))
-	cells := int64(k.Days) * int64(c.Sectors()) * width
-	if k.Binned {
-		return cells + width*int64(mltree.DefaultMaxBins)*8
-	}
-	return cells * 8
-}
-
-// binnedDemand mirrors the classifier and GBT fit paths' split-algorithm
-// resolution per (extractor, w): a quantized training matrix is prewarmed
-// exactly when some model in the sweep will consume it in hist form, and a
-// float one otherwise. (Under SplitAuto a lone Tree can resolve to hist
-// where a forest on the same matrix stays exact; the plan then warms the
-// quantized build and the forest builds its float slab on first use.) The
-// decision is a pure function of the training-set shape (the same
-// SplitWork estimate the fits use), never of data, so warming and fitting
-// cannot disagree.
-func binnedDemand(c *Context, cfg SweepConfig) map[string][]int {
-	rows := c.TrainDays * c.Sectors()
-	need := map[string]map[int]bool{}
-	add := func(ex features.Extractor, treeCfg mltree.Config) {
-		for _, w := range cfg.Ws {
-			work := mltree.SplitWork(treeCfg, rows, ex.Width(c.View, w))
-			if c.SplitAlgo.Resolve(work) != mltree.SplitHist {
-				continue
-			}
-			ws := need[ex.Name()]
-			if ws == nil {
-				ws = map[int]bool{}
-				need[ex.Name()] = ws
-			}
-			ws[w] = true
-		}
-	}
-	for _, m := range cfg.Models {
-		switch mm := m.(type) {
-		case *ClassifierModel:
-			if mm.SectorSubset != nil {
-				continue // bespoke rows bypass the all-sector cache
-			}
-			treeCfg := mltree.ForestTreeConfig()
-			if mm.SingleTree {
-				treeCfg = mltree.TreeConfig()
-			}
-			add(mm.Extractor, treeCfg)
-		case *GBTModel:
-			add(mm.Extractor, mltree.Config{Rule: mltree.SqrtFeatures})
-		}
-	}
-	if len(need) == 0 {
-		return nil
-	}
-	out := map[string][]int{}
-	for name, ws := range need {
-		for w := range ws {
-			out[name] = append(out[name], w)
-		}
-		sort.Ints(out[name])
-	}
-	return out
+	return int64(k.Days)*int64(c.Sectors())*width + width*int64(mltree.DefaultMaxBins)*8
 }
 
 // evalPoint evaluates all models at one grid point.

@@ -7,7 +7,7 @@ import (
 	"repro/internal/bytelru"
 )
 
-// This file is the shared quantization layer under the raw hist-mode fit
+// This file is the shared quantization layer under the float-matrix fit
 // entry points (FitTree, FitForest, FitGBT, FitRegressionTree): callers
 // that pass float matrices — ablation benches, direct library users,
 // anything below the forecast layer's cutoff-keyed cache — were paying a
@@ -61,9 +61,9 @@ func binCache() *bytelru.Cache[binKey, *Binned] {
 }
 
 // SetBinCacheBytes rebounds the shared quantization cache: 0 restores
-// DefaultBinCacheBytes, a negative value disables caching entirely (raw
-// hist fits then re-bin per call, the pre-cache behavior the perf benches
-// measure). The cache is replaced with a freshly budgeted empty one;
+// DefaultBinCacheBytes, a negative value disables caching entirely
+// (float-matrix fits then re-bin per call, the pre-cache behavior the perf
+// benches measure). The cache is replaced with a freshly budgeted empty one;
 // reconfigure only between fits, never while fits are running.
 func SetBinCacheBytes(maxBytes int64) {
 	binCacheMu.Lock()
@@ -118,7 +118,7 @@ func hashWord(h1, h2, bits uint64) (uint64, uint64) {
 	return h1, h2
 }
 
-// binShared is the caching front of BinWorkers for the raw hist fit
+// binShared is the caching front of BinWorkers for the float-matrix fit
 // paths. The worker count is not part of the key — BinWorkers is
 // bit-identical at any worker count by contract.
 func binShared(x []float64, n, f int, w []float64, maxBins, workers int) (*Binned, error) {

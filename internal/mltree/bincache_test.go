@@ -34,7 +34,6 @@ func binCacheFixture(t *testing.T, n, f int, seed uint64) (x []float64, y []int)
 func TestBinSharedReusesQuantization(t *testing.T) {
 	x, y := binCacheFixture(t, 400, 10, 3)
 	cfg := TreeConfig()
-	cfg.Algo = SplitHist
 
 	tr1, err := FitTree(x, 400, 10, y, nil, 2, cfg, randx.New(1, 2))
 	if err != nil {
@@ -86,7 +85,6 @@ func TestBinSharedAcrossFitEntryPoints(t *testing.T) {
 	x, y := binCacheFixture(t, 300, 8, 9)
 
 	treeCfg := ForestTreeConfig()
-	treeCfg.Algo = SplitHist
 	if _, err := FitTree(x, 300, 8, y, nil, 2, treeCfg, randx.New(4, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +101,6 @@ func TestBinSharedAcrossFitEntryPoints(t *testing.T) {
 
 	gcfg := DefaultGBTConfig()
 	gcfg.Rounds = 4
-	gcfg.Algo = SplitHist
 	if _, err := FitGBT(x, 300, 8, y, nil, gcfg); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +116,7 @@ func TestBinSharedAcrossFitEntryPoints(t *testing.T) {
 	for i, c := range y {
 		targets[i] = float64(c)
 	}
-	rcfg := RegressionConfig{MaxDepth: 4, MinSamplesLeaf: 5, Rule: SqrtFeatures, Algo: SplitHist}
+	rcfg := RegressionConfig{MaxDepth: 4, MinSamplesLeaf: 5, Rule: SqrtFeatures}
 	if _, err := FitRegressionTree(x, 300, 8, targets, nil, rcfg, randx.New(6, 7)); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +132,6 @@ func TestBinSharedAcrossFitEntryPoints(t *testing.T) {
 func TestBinCacheDisabledMatchesCached(t *testing.T) {
 	x, y := binCacheFixture(t, 250, 6, 13)
 	cfg := TreeConfig()
-	cfg.Algo = SplitHist
 
 	cached, err := FitTree(x, 250, 6, y, nil, 2, cfg, randx.New(8, 9))
 	if err != nil {

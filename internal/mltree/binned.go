@@ -9,18 +9,18 @@ import (
 	"repro/internal/randx"
 )
 
-// This file is the histogram-binned training engine (LightGBM-style): a
-// Binner that quantizes a feature matrix once into at most 256 uint8 bins
-// per column, and histogram-based split searches for the classification
-// builder that scan O(bins) boundaries per candidate feature instead of
-// sorting the node's values. Bin thresholds are placed at midpoints between
-// adjacent bin extremes, so a tree grown on bin codes applies unchanged to
-// raw float features at predict time — hist-trained artifacts serialize and
-// serve exactly like exact-trained ones.
+// This file is the training engine (LightGBM-style), the only split
+// search there is: a Binner that quantizes a feature matrix once into at
+// most 256 uint8 bins per column, and histogram-based split searches for
+// the classification builder that scan O(bins) boundaries per candidate
+// feature instead of sorting the node's values. Bin thresholds are placed
+// at midpoints between adjacent bin extremes, so a tree grown on bin codes
+// applies unchanged to raw float features at predict time, and a feature
+// never carries more than DefaultMaxBins-1 distinct thresholds — the most
+// one code column of the flat layout holds.
 //
 // The per-node cost model:
 //
-//	exact:  O(candidates x m log m) per node (gather + sort each column)
 //	chain:  O(m_small x F) accumulation + O(candidates x bins) scan
 //	direct: O(candidates x m) accumulation + O(touched bins) scan
 //
@@ -37,77 +37,19 @@ import (
 // is a pure function of node sizes and the feature rule — never of
 // scheduling — so a fit is reproducible at any worker count.
 
-// SplitAlgo selects the split-search strategy for tree training.
+// SplitAlgo once selected between two split searches.
+//
+// Deprecated: ignored; hist is the only engine.
 type SplitAlgo uint8
 
-// Split-search strategies. The zero value is SplitAuto: callers that never
-// set the knob get the histogram engine on large fits and the exact search
-// on small ones. Below histThreshold auto resolves to exact, so tiny fits
-// (including most test-scale ones) stay bit-identical to the historical
-// sort-based path; SplitExact remains reachable everywhere the knob is
-// exposed for strict reproduction of pre-hist results at any scale.
-const (
-	// SplitAuto picks SplitHist when the estimated root-split work clears
-	// histThreshold (cf. presortThreshold) and SplitExact below it.
-	SplitAuto SplitAlgo = iota
-	// SplitExact is the sort-based CART search (bit-compatible with the
-	// historical fits at every scale).
-	SplitExact
-	// SplitHist quantizes features into bins and scans bin boundaries.
-	SplitHist
-)
-
-// histThreshold is the work level (candidate features x instances) above
-// which SplitAuto switches to the histogram engine. Binning costs one
-// column sort up front, so tiny fits stay on the exact path.
-const histThreshold = 1 << 17
+// SplitHist named the histogram split search.
+//
+// Deprecated: ignored; hist is the only engine.
+const SplitHist SplitAlgo = 2
 
 // DefaultMaxBins is the bin budget used when a caller passes maxBins <= 0:
 // the largest count addressable by a uint8 code.
 const DefaultMaxBins = 256
-
-// String names the algorithm as the CLI -split-algo flag spells it.
-func (a SplitAlgo) String() string {
-	switch a {
-	case SplitHist:
-		return "hist"
-	case SplitAuto:
-		return "auto"
-	default:
-		return "exact"
-	}
-}
-
-// ParseSplitAlgo parses a -split-algo flag value.
-func ParseSplitAlgo(s string) (SplitAlgo, error) {
-	switch s {
-	case "exact":
-		return SplitExact, nil
-	case "hist":
-		return SplitHist, nil
-	case "auto":
-		return SplitAuto, nil
-	default:
-		return SplitExact, fmt.Errorf("mltree: unknown split algorithm %q (exact | hist | auto)", s)
-	}
-}
-
-// Resolve collapses SplitAuto to a concrete strategy for the given
-// root-split work estimate (SplitWork).
-func (a SplitAlgo) Resolve(work int) SplitAlgo {
-	if a != SplitAuto {
-		return a
-	}
-	if work >= histThreshold {
-		return SplitHist
-	}
-	return SplitExact
-}
-
-// SplitWork estimates the root-split cost of a fit: candidate features x
-// instances, the quantity SplitAuto (and the presort heuristic) threshold
-// on.
-func SplitWork(cfg Config, n, f int) int { return splitWork(cfg, n, f) }
 
 // Binned is a feature matrix quantized for histogram training: one uint8
 // bin code per cell plus, per feature, the float thresholds separating
@@ -306,9 +248,8 @@ func searchThresholds(thresholds []float64, v float64) int {
 }
 
 // midpoint returns the split threshold between adjacent values lo < hi:
-// the halfway point, clamped back to lo when rounding would reach hi (the
-// same guard the exact search applies), so x <= threshold cleanly separates
-// the two.
+// the halfway point, clamped back to lo when rounding would reach hi, so
+// x <= threshold cleanly separates the two.
 func midpoint(lo, hi float64) float64 {
 	m := lo + (hi-lo)/2
 	if m >= hi {
@@ -317,11 +258,9 @@ func midpoint(lo, hi float64) float64 {
 	return m
 }
 
-// FitTreeBinned grows a CART classifier with the histogram engine on a
-// pre-binned matrix. Labels, weights and stopping rules follow FitTree; the
-// split search scans bin boundaries, so thresholds are quantized to the
-// binner's cut points (accuracy parity is enforced by the forecast-level
-// tests, not bit-identity with the exact search).
+// FitTreeBinned grows a CART classifier on a pre-binned matrix: labels y
+// in [0, numClasses), optional sample weights w (nil = uniform). The split
+// search scans bin boundaries, so thresholds are the binner's cut points.
 func FitTreeBinned(bn *Binned, y []int, w []float64, numClasses int, cfg Config, rng *randx.RNG) (*Tree, error) {
 	n, f := bn.N, bn.F
 	if len(y) != n {
@@ -502,8 +441,8 @@ func (b *hbuilder) freeHist(h []float64) { b.histPool = append(b.histPool, h) }
 
 // accumulate adds the class-weight histogram of every feature over the
 // node's instances — the O(m x F) half of the engine. The inner loop walks
-// one row of codes sequentially, so it is cache-friendly where the exact
-// search's per-column gathers are not.
+// one row of codes sequentially, so it is cache-friendly where per-column
+// gathers are not.
 func (b *hbuilder) accumulate(hist []float64, idx []int32) {
 	f := b.bn.F
 	c := b.numClasses
@@ -808,7 +747,7 @@ func (b *hbuilder) scanDirect2(features []int, classW []float64, nodeW, impurity
 
 func (b *hbuilder) featureCount() int { return featureCountFor(b.cfg, b.bn.F) }
 
-// FitForestBinned grows a random forest with the histogram engine: the
+// FitForestBinned grows a random forest on a pre-binned matrix: the
 // matrix is quantized once (by the caller) and shared by every tree, and
 // each tree's RNG is keyed by its index so the forest is identical at any
 // worker count.

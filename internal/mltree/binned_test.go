@@ -253,43 +253,12 @@ func TestFitForestBinnedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestFitTreeBinnedAccuracyParity(t *testing.T) {
-	n, f := 1500, 30
-	x, y := randMatrix(n, f, 41)
-	w := BalancedWeights(y, 2)
-	acc := func(predict func([]float64) []float64) float64 {
-		right := 0
-		for i := 0; i < n; i++ {
-			p := predict(x[i*f : (i+1)*f])
-			if (p[1] > p[0]) == (y[i] == 1) {
-				right++
-			}
-		}
-		return float64(right) / float64(n)
-	}
-	exact, err := FitTree(x, n, f, y, w, 2, TreeConfig(), randx.New(7, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := TreeConfig()
-	cfg.Algo = SplitHist
-	hist, err := FitTree(x, n, f, y, w, 2, cfg, randx.New(7, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ae, ah := acc(exact.PredictProba), acc(hist.PredictProba)
-	if ah < ae-0.05 {
-		t.Fatalf("hist tree accuracy %.3f trails exact %.3f by more than 0.05", ah, ae)
-	}
-}
-
 func TestFitGBTBinnedDeterministicAndAccurate(t *testing.T) {
 	n, f := 1200, 25
 	x, y := randMatrix(n, f, 51)
 	w := BalancedWeights(y, 2)
 	cfg := DefaultGBTConfig()
 	cfg.Rounds = 20
-	cfg.Algo = SplitHist
 	g1, err := FitGBT(x, n, f, y, w, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -344,35 +313,5 @@ func TestRegressionBinnedLeafAssignment(t *testing.T) {
 		if cnt < cfg.MinSamplesLeaf {
 			t.Fatalf("leaf %d holds %d rows, below MinSamplesLeaf %d", l, cnt, cfg.MinSamplesLeaf)
 		}
-	}
-}
-
-func TestSplitAlgoParseAndResolve(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SplitAlgo
-	}{{"exact", SplitExact}, {"hist", SplitHist}, {"auto", SplitAuto}} {
-		got, err := ParseSplitAlgo(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseSplitAlgo(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("String() round-trip broke for %q", tc.in)
-		}
-	}
-	if _, err := ParseSplitAlgo("bogus"); err == nil {
-		t.Fatal("bogus algo accepted")
-	}
-	if SplitAuto.Resolve(histThreshold) != SplitHist || SplitAuto.Resolve(histThreshold-1) != SplitExact {
-		t.Fatal("auto does not flip at the work threshold")
-	}
-	if SplitExact.Resolve(1<<30) != SplitExact || SplitHist.Resolve(0) != SplitHist {
-		t.Fatal("explicit algos must not auto-resolve")
-	}
-	// The zero value is the default every un-set knob gets: auto, which
-	// resolves to exact on tiny fits and hist on large ones.
-	var def SplitAlgo
-	if def != SplitAuto || def.String() != "auto" {
-		t.Fatalf("zero-value SplitAlgo is %v, want auto", def)
 	}
 }

@@ -12,10 +12,9 @@ import (
 )
 
 // This file is the batched flat inference engine. Flatten compiles a
-// fitted Tree, Forest or GBT, whichever split engine grew it, into one
-// contiguous block of packed node words that compare one-byte codes
-// instead of floats, and ScoreBatch scores a row-major block through it
-// without allocating.
+// fitted Tree, Forest or GBT into one contiguous block of packed node
+// words that compare one-byte codes instead of floats, and ScoreBatch
+// scores a row-major block through it without allocating.
 //
 // Collect a feature's distinct split thresholds into an ascending cut
 // array and quantize a raw value to its lower-bound index
@@ -25,21 +24,17 @@ import (
 //	v <= cuts[k]  <=>  code(v) <= k
 //
 // (code(v) <= k iff cuts[k] >= v, by the ascending order). The argument
-// uses nothing about the cuts but their order, so it holds for the
-// histogram engine's bin boundaries and the exact engine's midpoints
-// alike. A NaN quantizes to m, the cut count (its total-order key sits
-// above every cut key), which exceeds every stored cut index, so NaN
-// routes right at every node: the walked path's "NaN <= t is false".
-// Descent on codes therefore takes the walked learner's child at every
-// node and reaches its leaf for every row.
+// uses nothing about the cuts but their order. A NaN quantizes to m, the
+// cut count (its total-order key sits above every cut key), which exceeds
+// every stored cut index, so NaN routes right at every node: the walked
+// path's "NaN <= t is false". Descent on codes therefore takes the walked
+// learner's child at every node and reaches its leaf for every row.
 //
-// A code is one byte, so a code column holds at most 255 cuts (codes
-// 0..255, NaN included). A feature that splits on m distinct thresholds
-// gets ceil(m/255) code columns, each a run of consecutive cuts
-// quantized from the same input column: src maps code column to input
-// column. A node on the feature's k-th threshold compares column k/255
-// at local index k%255, and the lemma holds per column. Features the
-// model never splits on get no column and are never read.
+// A code is one byte, so a feature holds at most 255 cuts (codes 0..255,
+// NaN included) — as many as the training engine's bin boundaries ever
+// produce. Each feature the model splits on is one code column; src maps
+// code column to input column. Features the model never splits on get no
+// column and are never read, and a feature with more cuts is refused.
 //
 // Nodes use a sibling-pair layout: an internal node's two children
 // always occupy adjacent slots, so the descent step is an add of the
@@ -102,7 +97,7 @@ type Flat struct {
 	// first test); self-looping leaves make any count safe.
 	phase1   []int32
 	leafVals []float64 // pooled per-leaf payload: class-1 prob or shrunk stage value
-	src      []int32   // code column -> input column, non-decreasing
+	src      []int32   // code column -> input column, strictly ascending
 	cuts     []float64 // concatenated ascending per-column cut values
 	cutOff   []int32   // len(src)+1; column c's cuts are cuts[cutOff[c]:cutOff[c+1]]
 
@@ -211,17 +206,21 @@ func compileFlat(f int, post Post, base float64, trees [][]splitNode, padCap int
 	}
 	fl := &Flat{NumFeatures: f, post: post, base: base, cutOff: []int32{0},
 		roots: make([]int32, len(trees)), phase1: make([]int32, len(trees))}
-	colBase := make([]int32, f) // feature j's first code column
+	col := make([]int32, f) // feature j's code column
 	for j, ts := range perFeat {
+		if len(ts) == 0 {
+			continue
+		}
 		slices.Sort(ts)
 		ts = slices.Compact(ts)
-		perFeat[j] = ts
-		colBase[j] = int32(len(fl.src))
-		for lo := 0; lo < len(ts); lo += flatMaxCuts {
-			fl.src = append(fl.src, int32(j))
-			fl.cuts = append(fl.cuts, ts[lo:min(lo+flatMaxCuts, len(ts))]...)
-			fl.cutOff = append(fl.cutOff, int32(len(fl.cuts)))
+		if len(ts) > flatMaxCuts {
+			return nil, fmt.Errorf("mltree: feature %d splits on %d thresholds; the flat layout holds %d", j, len(ts), flatMaxCuts)
 		}
+		perFeat[j] = ts
+		col[j] = int32(len(fl.src))
+		fl.src = append(fl.src, int32(j))
+		fl.cuts = append(fl.cuts, ts...)
+		fl.cutOff = append(fl.cutOff, int32(len(fl.cuts)))
 	}
 	if len(fl.src) >= flatMaxCols {
 		return nil, fmt.Errorf("mltree: %d code columns exceed the flat layout's %d", len(fl.src), flatMaxCols)
@@ -244,7 +243,7 @@ func compileFlat(f int, post Post, base float64, trees [][]splitNode, padCap int
 			k, _ := slices.BinarySearch(perFeat[nd.feature], nd.threshold)
 			fc := int32(len(fl.nodes))
 			fl.nodes = append(fl.nodes, 0, 0)
-			fl.nodes[slot] = packNode(colBase[nd.feature]+int32(k/flatMaxCuts), uint8(k%flatMaxCuts), fc)
+			fl.nodes[slot] = packNode(col[nd.feature], uint8(k), fc)
 			return 1 + max(emit(nd.left, fc), emit(nd.right, fc+1))
 		}
 		fl.roots[ti] = int32(len(fl.nodes))
@@ -582,7 +581,7 @@ func buildRadix(keys []uint64, meta *[]uint64, tab *[]uint8) binnedQuant {
 // resolve in two table loads plus one masked compare; the rest take a
 // borrow-mask binary search. Four rows run concurrently so the load
 // chains pipeline. Only the input columns the model splits on are
-// read, each once per code column it feeds.
+// read, each once.
 func (fl *Flat) quantize(x []float64, rows int, cb []uint8) {
 	stride := uintptr(fl.NumFeatures) * 8
 	xp := unsafe.Pointer(unsafe.SliceData(x))

@@ -2,6 +2,8 @@ package mltree
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/binenc"
@@ -47,27 +49,23 @@ func mustFlat(t testing.TB) func(*Flat, error) *Flat {
 }
 
 func TestFlatTreeMatchesWalked(t *testing.T) {
-	for _, algo := range []SplitAlgo{SplitExact, SplitHist} {
-		x, y, eval := flatTestData(uint64(3+algo), 400, 12)
-		cfg := TreeConfig()
-		cfg.Algo = algo
-		tree, err := FitTree(x, 400, 12, y, nil, 2, cfg, randx.New(7, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ft := mustFlat(t)(tree.Flatten())
-		if ft.FlatBytes() <= 0 {
-			t.Fatal("flat tree reports no bytes")
-		}
-		n := 400
-		scores := make([]float64, n)
-		ft.ScoreBatch(eval, n, scores)
-		want := make([]float64, 2)
-		for i := 0; i < n; i++ {
-			tree.PredictProbaInto(eval[i*12:(i+1)*12], want)
-			if scores[i] != want[1] {
-				t.Fatalf("algo %v row %d: score %v, walked %v", algo, i, scores[i], want[1])
-			}
+	x, y, eval := flatTestData(5, 400, 12)
+	tree, err := FitTree(x, 400, 12, y, nil, 2, TreeConfig(), randx.New(7, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := mustFlat(t)(tree.Flatten())
+	if ft.FlatBytes() <= 0 {
+		t.Fatal("flat tree reports no bytes")
+	}
+	n := 400
+	scores := make([]float64, n)
+	ft.ScoreBatch(eval, n, scores)
+	want := make([]float64, 2)
+	for i := 0; i < n; i++ {
+		tree.PredictProbaInto(eval[i*12:(i+1)*12], want)
+		if scores[i] != want[1] {
+			t.Fatalf("row %d: score %v, walked %v", i, scores[i], want[1])
 		}
 	}
 }
@@ -148,8 +146,8 @@ func TestFlatSingleLeaf(t *testing.T) {
 	}
 }
 
-// TestFlatNaNThreshold: a NaN split threshold (the exact engine's
-// midpoint between -Inf and +Inf) sends every row right, since v <= NaN
+// TestFlatNaNThreshold: a NaN split threshold (the binner's midpoint
+// between adjacent -Inf and +Inf values) sends every row right, since v <= NaN
 // is false; the compiler inlines the right subtree and keeps NaN out of
 // the cut tables.
 func TestFlatNaNThreshold(t *testing.T) {
@@ -180,8 +178,7 @@ type flatKind struct {
 	walked func(row []float64) float64
 }
 
-// flatKinds fits one model of each kind under each split engine, keyed
-// kind/engine.
+// flatKinds fits one model of each kind, keyed by kind.
 func flatKinds(t testing.TB, x []float64, n, f int, y []int) map[string]flatKind {
 	t.Helper()
 	out := map[string]flatKind{}
@@ -192,34 +189,28 @@ func flatKinds(t testing.TB, x []float64, n, f int, y []int) map[string]flatKind
 			return probs[1]
 		}}
 	}
-	for _, algo := range []SplitAlgo{SplitExact, SplitHist} {
-		cfg := TreeConfig()
-		cfg.Algo = algo
-		tree, err := FitTree(x, n, f, y, nil, 2, cfg, randx.New(5, 6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fl, err := tree.Flatten()
-		add("tree/"+algo.String(), fl, err, tree)
-		fcfg := DefaultForestConfig()
-		fcfg.NumTrees = 5
-		fcfg.Tree.Algo = algo
-		fo, err := FitForest(x, n, f, y, nil, 2, fcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fl, err = fo.Flatten()
-		add("forest/"+algo.String(), fl, err, fo)
-		gcfg := DefaultGBTConfig()
-		gcfg.Rounds = 8
-		gcfg.Algo = algo
-		g, err := FitGBT(x, n, f, y, nil, gcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fl, err = g.Flatten()
-		add("gbt/"+algo.String(), fl, err, g)
+	tree, err := FitTree(x, n, f, y, nil, 2, TreeConfig(), randx.New(5, 6))
+	if err != nil {
+		t.Fatal(err)
 	}
+	fl, err := tree.Flatten()
+	add("tree", fl, err, tree)
+	fcfg := DefaultForestConfig()
+	fcfg.NumTrees = 5
+	fo, err := FitForest(x, n, f, y, nil, 2, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err = fo.Flatten()
+	add("forest", fl, err, fo)
+	gcfg := DefaultGBTConfig()
+	gcfg.Rounds = 8
+	g, err := FitGBT(x, n, f, y, nil, gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err = g.Flatten()
+	add("gbt", fl, err, g)
 	return out
 }
 
@@ -255,7 +246,7 @@ func TestFlatBatchChunkEquality(t *testing.T) {
 // TestFlatEveryBatchSizeMatches: scoring a block in batches of every size
 // from 1 to 17 rows, and of 255, 256 and 257, writes exactly the bytes
 // of the one-shot batch, which matches the walked learner, for every
-// model kind under both split engines. Batches under 8 rows run only the
+// model kind. Batches under 8 rows run only the
 // partial-group path; larger ones mix it with full groups and cross the
 // 256-row block boundary.
 func TestFlatEveryBatchSizeMatches(t *testing.T) {
@@ -320,75 +311,64 @@ func poisonRows(eval []float64, f int) {
 }
 
 // TestBinnedTreeMatchesFloat: a lone tree's code descent over rows with
-// NaNs matches the walked tree's float compares, whichever split engine
-// grew it.
+// NaNs matches the walked tree's float compares.
 func TestBinnedTreeMatchesFloat(t *testing.T) {
-	for _, algo := range []SplitAlgo{SplitExact, SplitHist} {
-		x, y, eval := flatTestData(61, 500, 12)
-		poisonRows(eval, 12)
-		cfg := TreeConfig()
-		cfg.Algo = algo
-		tree, err := FitTree(x, 500, 12, y, nil, 2, cfg, randx.New(7, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 500
-		scores := make([]float64, n)
-		mustFlat(t)(tree.Flatten()).ScoreBatch(eval, n, scores)
-		want := make([]float64, 2)
-		for i := 0; i < n; i++ {
-			tree.PredictProbaInto(eval[i*12:(i+1)*12], want)
-			if scores[i] != want[1] {
-				t.Fatalf("%v row %d: flat %v walked %v", algo, i, scores[i], want[1])
-			}
+	x, y, eval := flatTestData(61, 500, 12)
+	poisonRows(eval, 12)
+	tree, err := FitTree(x, 500, 12, y, nil, 2, TreeConfig(), randx.New(7, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 500
+	scores := make([]float64, n)
+	mustFlat(t)(tree.Flatten()).ScoreBatch(eval, n, scores)
+	want := make([]float64, 2)
+	for i := 0; i < n; i++ {
+		tree.PredictProbaInto(eval[i*12:(i+1)*12], want)
+		if scores[i] != want[1] {
+			t.Fatalf("row %d: flat %v walked %v", i, scores[i], want[1])
 		}
 	}
 }
 
 func TestBinnedForestMatchesFloat(t *testing.T) {
-	for _, algo := range []SplitAlgo{SplitExact, SplitHist} {
-		x, y, eval := flatTestData(71, 600, 10)
-		poisonRows(eval, 10)
-		cfg := DefaultForestConfig()
-		cfg.NumTrees = 7
-		cfg.Tree.Algo = algo
-		fo, err := FitForest(x, 600, 10, y, nil, 2, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 600
-		scores := make([]float64, n)
-		mustFlat(t)(fo.Flatten()).ScoreBatch(eval, n, scores)
-		want := make([]float64, 2)
-		for i := 0; i < n; i++ {
-			fo.PredictProbaInto(eval[i*10:(i+1)*10], want)
-			if scores[i] != want[1] {
-				t.Fatalf("%v row %d: flat %v walked %v", algo, i, scores[i], want[1])
-			}
+	x, y, eval := flatTestData(71, 600, 10)
+	poisonRows(eval, 10)
+	cfg := DefaultForestConfig()
+	cfg.NumTrees = 7
+	fo, err := FitForest(x, 600, 10, y, nil, 2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 600
+	scores := make([]float64, n)
+	mustFlat(t)(fo.Flatten()).ScoreBatch(eval, n, scores)
+	want := make([]float64, 2)
+	for i := 0; i < n; i++ {
+		fo.PredictProbaInto(eval[i*10:(i+1)*10], want)
+		if scores[i] != want[1] {
+			t.Fatalf("row %d: flat %v walked %v", i, scores[i], want[1])
 		}
 	}
 }
 
 func TestBinnedGBTMatchesFloat(t *testing.T) {
-	for _, algo := range []SplitAlgo{SplitExact, SplitHist} {
-		x, y, eval := flatTestData(81, 600, 8)
-		poisonRows(eval, 8)
-		cfg := DefaultGBTConfig()
-		cfg.Rounds = 15
-		cfg.Algo = algo
-		g, err := FitGBT(x, 600, 8, y, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 600
-		scores := make([]float64, n)
-		mustFlat(t)(g.Flatten()).ScoreBatch(eval, n, scores)
-		want := make([]float64, 2)
-		for i := 0; i < n; i++ {
-			g.PredictProbaInto(eval[i*8:(i+1)*8], want)
-			if scores[i] != want[1] {
-				t.Fatalf("%v row %d: flat %v walked %v", algo, i, scores[i], want[1])
-			}
+	x, y, eval := flatTestData(81, 600, 8)
+	poisonRows(eval, 8)
+	cfg := DefaultGBTConfig()
+	cfg.Rounds = 15
+	g, err := FitGBT(x, 600, 8, y, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 600
+	scores := make([]float64, n)
+	mustFlat(t)(g.Flatten()).ScoreBatch(eval, n, scores)
+	want := make([]float64, 2)
+	for i := 0; i < n; i++ {
+		g.PredictProbaInto(eval[i*8:(i+1)*8], want)
+		if scores[i] != want[1] {
+			t.Fatalf("row %d: flat %v walked %v", i, scores[i], want[1])
 		}
 	}
 }
@@ -400,7 +380,6 @@ func TestBinnedGBTTailRowsMatchWalked(t *testing.T) {
 	x, y, eval := flatTestData(83, 600, 8)
 	cfg := DefaultGBTConfig()
 	cfg.Rounds = 15
-	cfg.Algo = SplitHist
 	g, err := FitGBT(x, 600, 8, y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +404,6 @@ func TestBinnedChunkEquality(t *testing.T) {
 	poisonRows(eval, 9)
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 5
-	cfg.Tree.Algo = SplitHist
 	fo, err := FitForest(x, 300, 9, y, nil, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -448,11 +426,11 @@ func TestBinnedChunkEquality(t *testing.T) {
 	}
 }
 
-// manyCutForest fits an exact forest on a label that flips with a fast
-// oscillation of feature 0, so its deep trees split on feature 0 at more
-// than 255 distinct thresholds: the compiler must give that feature
-// several code columns.
-func manyCutForest(t testing.TB) (*Forest, *Flat) {
+// fullCutForest fits a forest on a label that flips with a fast
+// oscillation of feature 0, so its deep trees split feature 0 at most of
+// its 255 bin boundaries: one code column near the layout's cut capacity,
+// beside the other features' columns.
+func fullCutForest(t testing.TB) (*Forest, *Flat) {
 	t.Helper()
 	const n, f = 3000, 3
 	rng := randx.New(131, 0x3c)
@@ -468,72 +446,41 @@ func manyCutForest(t testing.TB) (*Forest, *Flat) {
 	}
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 8
-	cfg.Tree.Algo = SplitExact
 	fo, err := FitForest(x, n, f, y, nil, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ff := mustFlat(t)(fo.Flatten())
-	cols := 0
-	for _, src := range ff.src {
-		if src == 0 {
-			cols++
-		}
-	}
-	if cols < 2 {
-		t.Fatalf("feature 0 compiled to %d code column(s) over %d cuts; the fixture needs more than %d cuts",
-			cols, ff.cutOff[cols], flatMaxCuts)
+	if len(ff.src) < 2 || ff.src[0] != 0 || ff.cutOff[1] < 128 {
+		t.Fatalf("fixture compiled to code columns %v with cut offsets %v; it needs feature 0 at over 128 cuts beside another column",
+			ff.src, ff.cutOff)
 	}
 	return fo, ff
 }
 
-// TestFlatManyCutsMatchesWalked: an exact forest with more than 255
-// distinct thresholds on one feature scores bit-identically to its walked
-// learner, directly and after an untrusted and a trusted codec round
-// trip. The rows hold NaN, ±Inf and -0 in every feature, and each code
-// column's first and last cut (the values on either side of a column
-// boundary) in its input column.
-func TestFlatManyCutsMatchesWalked(t *testing.T) {
-	fo, ff := manyCutForest(t)
-	f := ff.NumFeatures
-	_, _, base := flatTestData(133, 40, f)
-	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
-	var rows []float64
-	addRow := func(col int, v float64) {
-		r := len(rows)
-		rows = append(rows, base[(r/f%40)*f:(r/f%40+1)*f]...)
-		rows[r+col] = v
+// TestFlatRejectsMoreThan255Cuts: a feature split at 256 distinct
+// thresholds does not fit one code column, so Flatten refuses it, and the
+// decoder refuses an engine that spreads one feature over two columns.
+func TestFlatRejectsMoreThan255Cuts(t *testing.T) {
+	const m = flatMaxCuts + 1
+	tree := &Tree{NumFeatures: 2, NumClasses: 2, importances: make([]float64, 2)}
+	for i := 0; i < m; i++ {
+		// Node 2i splits at threshold i; its left child is leaf 2i+1 and
+		// its right child the next split, or the final leaf.
+		tree.nodes = append(tree.nodes,
+			node{feature: 0, threshold: float64(i), left: int32(2*i + 1), right: int32(2*i + 2)},
+			node{feature: -1, probs: []float64{0.5, 0.5}})
 	}
-	for col := 0; col < f; col++ {
-		for _, v := range special {
-			addRow(col, v)
-		}
+	tree.nodes = append(tree.nodes, node{feature: -1, probs: []float64{1, 0}})
+	if _, err := tree.Flatten(); err == nil || !strings.Contains(err.Error(), "256 thresholds") {
+		t.Fatalf("Flatten of a feature with %d cuts: err %v", m, err)
 	}
-	for c, col := range ff.src {
-		addRow(int(col), ff.cuts[ff.cutOff[c]])
-		addRow(int(col), ff.cuts[ff.cutOff[c+1]-1])
-	}
-	rows = append(rows, base...)
-	n := len(rows) / f
-	want := make([]float64, n)
-	probs := make([]float64, 2)
-	for i := range want {
-		fo.PredictProbaInto(rows[i*f:(i+1)*f], probs)
-		want[i] = probs[1]
-	}
-	enc := ff.AppendBinary(nil)
-	for name, decode := range map[string]func() (*Flat, error){
-		"direct":    func() (*Flat, error) { return ff, nil },
-		"untrusted": func() (*Flat, error) { return DecodeFlat(binenc.NewReader(enc), false) },
-		"trusted":   func() (*Flat, error) { return DecodeFlat(binenc.NewReader(enc), true) },
-	} {
-		got := mustFlat(t)(decode())
-		scores := make([]float64, n)
-		got.ScoreBatch(rows, n, scores)
-		for i := range want {
-			if math.Float64bits(scores[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: row %d %v: flat %v, walked %v", name, i, rows[i*f:(i+1)*f], scores[i], want[i])
-			}
-		}
+
+	_, ff := fullCutForest(t)
+	split := *ff
+	split.src = slices.Clone(ff.src)
+	split.src[1] = split.src[0]
+	if _, err := DecodeFlat(binenc.NewReader(split.AppendBinary(nil)), true); err == nil {
+		t.Fatal("decoder accepted two code columns on one feature")
 	}
 }

@@ -20,18 +20,18 @@ import (
 //
 // Decoding has two trust levels. Both run the shape checks, which cost
 // O(trees + code columns), never O(nodes): section lengths, capacity,
-// root and phase ranges, every code column's source input column and
-// cut run. The untrusted path (trusted=false, used by
-// forecast.DecodeModel on arbitrary bytes) also verifies every packed
-// node word, because the descent addresses nodes, code tiles and leaf
-// values without bounds checks: an internal word must point strictly
-// forward to an in-range sibling pair on an in-range code column, and a
-// leaf word must be exactly the self-looping fixed point leafWord
-// compiles (anything else could step the descent out of the block or
-// read another column's tile stripe). The trusted path (forecast's mmap
-// loader, for checksummed operator-provisioned files — the same trust as
-// the serving binary itself) skips that per-node pass, which is what
-// keeps the mmap load constant-time in the node count.
+// root and phase ranges, every code column's source input column (one
+// column per feature) and cut run (at most 255 cuts). The untrusted path
+// (trusted=false, used by forecast.DecodeModel on arbitrary bytes) also
+// verifies every packed node word, because the descent addresses nodes,
+// code tiles and leaf values without bounds checks: an internal word must
+// point strictly forward to an in-range sibling pair on an in-range code
+// column, and a leaf word must be exactly the self-looping fixed point
+// leafWord compiles (anything else could step the descent out of the
+// block or read another column's tile stripe). The trusted path
+// (forecast's mmap loader, for checksummed operator-provisioned files —
+// the same trust as the serving binary itself) skips that per-node pass,
+// which is what keeps the mmap load constant-time in the node count.
 
 // AppendBinary appends the engine's serialized form.
 func (fl *Flat) AppendBinary(b []byte) []byte {
@@ -82,10 +82,12 @@ func DecodeFlat(r *binenc.Reader, trusted bool) (*Flat, error) {
 			return nil, fmt.Errorf("mltree: flat tree %d phase bound %d of %d nodes", ti, p, n)
 		}
 	}
-	// The quantizer reads input column src[c] of every row unchecked.
+	// The quantizer reads input column src[c] of every row unchecked. One
+	// column per feature, so with the cut-run check below no feature holds
+	// more than flatMaxCuts cuts.
 	for c, col := range fl.src {
-		if col < 0 || int(col) >= fl.NumFeatures || (c > 0 && col < fl.src[c-1]) {
-			return nil, fmt.Errorf("mltree: code column %d reads input column %d of %d (not ascending)", c, col, fl.NumFeatures)
+		if col < 0 || int(col) >= fl.NumFeatures || (c > 0 && col <= fl.src[c-1]) {
+			return nil, fmt.Errorf("mltree: code column %d reads input column %d of %d (not strictly ascending)", c, col, fl.NumFeatures)
 		}
 	}
 	if fl.cutOff[0] != 0 || int(fl.cutOff[nc]) != len(fl.cuts) {

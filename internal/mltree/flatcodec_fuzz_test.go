@@ -37,28 +37,28 @@ func fuzzFlatDecode(t *testing.T, data []byte) {
 }
 
 func FuzzDecodeFlatTree(f *testing.F) {
-	_, ftE, _, _, _, _, _ := codecModels(f)
-	enc := ftE.AppendBinary(nil)
+	ft, _, _, _, _, _ := codecModels(f)
+	enc := ft.AppendBinary(nil)
 	f.Add(enc)
 	f.Add(enc[:len(enc)-3])
 	f.Fuzz(fuzzFlatDecode)
 }
 
 func FuzzDecodeFlatForest(f *testing.F) {
-	_, _, ff, _, _, _, _ := codecModels(f)
+	_, ff, _, _, _, _ := codecModels(f)
 	enc := ff.AppendBinary(nil)
 	f.Add(enc)
 	f.Add(enc[:len(enc)/2])
 	f.Add([]byte{})
-	// A feature split into several code columns, so mutations reach the
-	// src map's validation.
-	_, many := manyCutForest(f)
-	f.Add(many.AppendBinary(nil))
+	// Several code columns, one of them near the cut capacity, so
+	// mutations reach the src map's and the cut runs' validation.
+	_, full := fullCutForest(f)
+	f.Add(full.AppendBinary(nil))
 	f.Fuzz(fuzzFlatDecode)
 }
 
 func FuzzDecodeFlatGBT(f *testing.F) {
-	_, _, _, fg, _, _, _ := codecModels(f)
+	_, _, fg, _, _, _ := codecModels(f)
 	f.Add(fg.AppendBinary(nil))
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(fuzzFlatDecode)
@@ -68,7 +68,7 @@ func FuzzDecodeFlatGBT(f *testing.F) {
 // (where zero-copy aliasing is impossible) decode through the copy
 // fallback, bit-identical to the aligned decode.
 func TestFlatCodecMisaligned(t *testing.T) {
-	_, _, ff, _, eval, n, _ := codecModels(t)
+	_, ff, _, eval, n, _ := codecModels(t)
 	enc := ff.AppendBinary(nil)
 	shifted := make([]byte, len(enc)+1)
 	copy(shifted[1:], enc)

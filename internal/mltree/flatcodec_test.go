@@ -9,52 +9,41 @@ import (
 	"repro/internal/randx"
 )
 
-// codecModels compiles one hist-trained model of each kind plus an
-// exact-trained tree, with an evaluation batch.
-func codecModels(t testing.TB) (ftH, ftE, ff, fg *Flat, eval []float64, n, f int) {
+// codecModels compiles one model of each kind, with an evaluation batch.
+func codecModels(t testing.TB) (ft, ff, fg *Flat, eval []float64, n, f int) {
 	t.Helper()
 	n, f = 300, 10
 	x, y, ev := flatTestData(131, n, f)
 	poisonRows(ev, f)
-	cfg := TreeConfig()
-	cfg.Algo = SplitHist
-	tr, err := FitTree(x, n, f, y, nil, 2, cfg, randx.New(3, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Algo = SplitExact
-	te, err := FitTree(x, n, f, y, nil, 2, cfg, randx.New(3, 4))
+	tr, err := FitTree(x, n, f, y, nil, 2, TreeConfig(), randx.New(3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fcfg := DefaultForestConfig()
 	fcfg.NumTrees = 6
-	fcfg.Tree.Algo = SplitHist
 	fo, err := FitForest(x, n, f, y, nil, 2, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gcfg := DefaultGBTConfig()
 	gcfg.Rounds = 12
-	gcfg.Algo = SplitHist
 	g, err := FitGBT(x, n, f, y, nil, gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	must := mustFlat(t)
-	return must(tr.Flatten()), must(te.Flatten()), must(fo.Flatten()), must(g.Flatten()), ev, n, f
+	return must(tr.Flatten()), must(fo.Flatten()), must(g.Flatten()), ev, n, f
 }
 
 func TestFlatCodecRoundTrip(t *testing.T) {
-	ftH, ftE, ff, fg, eval, n, _ := codecModels(t)
+	ft, ff, fg, eval, n, _ := codecModels(t)
 	for _, trusted := range []bool{false, true} {
 		for _, tc := range []struct {
 			kind string
 			fl   *Flat
 			post Post
 		}{
-			{"tree-hist", ftH, PostNone},
-			{"tree-exact", ftE, PostNone},
+			{"tree", ft, PostNone},
 			{"forest", ff, PostMean},
 			{"gbt", fg, PostLogistic},
 		} {
@@ -96,7 +85,7 @@ func TestFlatCodecZeroCopy(t *testing.T) {
 	if !binenc.NativeLittle() {
 		t.Skip("zero-copy aliasing requires a little-endian host")
 	}
-	_, _, ff, _, _, _, _ := codecModels(t)
+	_, ff, _, _, _, _ := codecModels(t)
 	buf := ff.AppendBinary(nil)
 	got, err := DecodeFlat(binenc.NewReader(buf), false)
 	if err != nil {
@@ -121,7 +110,7 @@ func TestFlatCodecZeroCopy(t *testing.T) {
 // never a panic, and never a structure the unchecked kernels could walk
 // out of bounds.
 func TestFlatCodecRejectsCorruption(t *testing.T) {
-	_, _, ff, _, _, _, _ := codecModels(t)
+	_, ff, _, _, _, _ := codecModels(t)
 	buf := ff.AppendBinary(nil)
 	decode := func(b []byte) error {
 		r := binenc.NewReader(b)

@@ -1,11 +1,6 @@
 package mltree
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/randx"
-)
+import "math"
 
 // GBT is a gradient-boosted-tree binary classifier with logistic loss and
 // per-leaf Newton updates (Friedman's gradient boosting with the standard
@@ -35,9 +30,6 @@ type GBTConfig struct {
 	SubsampleFraction float64
 	// Seed makes training deterministic.
 	Seed uint64
-	// Algo selects the split search for every stage (see Config.Algo). The
-	// hist path quantizes the matrix once and reuses it across all rounds.
-	Algo SplitAlgo
 }
 
 // DefaultGBTConfig returns sensible boosting settings for the forecasting
@@ -50,113 +42,14 @@ func DefaultGBTConfig() GBTConfig {
 }
 
 // FitGBT trains a boosted classifier on binary labels y with optional
-// sample weights.
+// sample weights. X is quantized once, at weighted quantiles of w, and the
+// binned matrix serves every round (FitGBTBinned).
 func FitGBT(x []float64, n, f int, y []int, w []float64, cfg GBTConfig) (*GBT, error) {
-	if n <= 0 || f <= 0 || len(x) != n*f {
-		return nil, fmt.Errorf("mltree: bad shapes: %d values for %dx%d", len(x), n, f)
+	bn, err := binShared(x, n, f, w, DefaultMaxBins, 1)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Algo.Resolve(splitWork(Config{Rule: SqrtFeatures}, n, f)) == SplitHist {
-		// Quantiles follow the caller's base weights; the per-round
-		// subsample reweighting happens after binning and shares the one
-		// quantization across all rounds.
-		bn, err := binShared(x, n, f, w, DefaultMaxBins, 1)
-		if err != nil {
-			return nil, err
-		}
-		return FitGBTBinned(bn, y, w, cfg)
-	}
-	if len(y) != n {
-		return nil, fmt.Errorf("mltree: %d labels for %d instances", len(y), n)
-	}
-	if cfg.Rounds < 1 || cfg.Shrinkage <= 0 {
-		return nil, fmt.Errorf("mltree: bad GBT config %+v", cfg)
-	}
-	if cfg.SubsampleFraction <= 0 || cfg.SubsampleFraction > 1 {
-		cfg.SubsampleFraction = 1
-	}
-	if w == nil {
-		w = make([]float64, n)
-		for i := range w {
-			w[i] = 1
-		}
-	}
-	// Weighted prior log-odds.
-	var wpos, wtot float64
-	for i, c := range y {
-		if c != 0 && c != 1 {
-			return nil, fmt.Errorf("mltree: GBT labels must be binary, got %d", c)
-		}
-		if c == 1 {
-			wpos += w[i]
-		}
-		wtot += w[i]
-	}
-	if wpos == 0 || wpos == wtot {
-		return nil, fmt.Errorf("mltree: GBT needs both classes")
-	}
-	p0 := wpos / wtot
-	model := &GBT{prior: math.Log(p0 / (1 - p0)), shrinkage: cfg.Shrinkage, NumFeatures: f}
-
-	rng := randx.New(cfg.Seed, 0x9b7)
-	raw := make([]float64, n) // current margin F(x_i)
-	for i := range raw {
-		raw[i] = model.prior
-	}
-	residual := make([]float64, n)
-	subW := make([]float64, n)
-	treeCfg := RegressionConfig{
-		MaxDepth: cfg.MaxDepth, MinSamplesLeaf: cfg.MinSamplesLeaf,
-		Rule: SqrtFeatures,
-	}
-	for round := 0; round < cfg.Rounds; round++ {
-		// Gradient of the logistic loss: r_i = y_i - p_i.
-		for i := 0; i < n; i++ {
-			p := sigmoid(raw[i])
-			residual[i] = float64(y[i]) - p
-			if cfg.SubsampleFraction < 1 && !rng.Bool(cfg.SubsampleFraction) {
-				subW[i] = 0
-			} else {
-				subW[i] = w[i]
-			}
-		}
-		tree, err := FitRegressionTree(x, n, f, residual, subW, treeCfg, rng.Derive("stage"))
-		if err != nil {
-			return nil, err
-		}
-		// Newton leaf step: value_l = sum_l w*r / sum_l w*p*(1-p).
-		leaves := tree.LeafCount()
-		num := make([]float64, leaves)
-		den := make([]float64, leaves)
-		for i := 0; i < n; i++ {
-			if subW[i] == 0 {
-				continue
-			}
-			l := tree.LeafID(x[i*f : (i+1)*f])
-			p := sigmoid(raw[i])
-			num[l] += subW[i] * residual[i]
-			den[l] += subW[i] * p * (1 - p)
-		}
-		values := make([]float64, leaves)
-		for l := range values {
-			if den[l] > 1e-9 {
-				values[l] = num[l] / den[l]
-			}
-			// Clip aggressive steps for numerical stability.
-			if values[l] > 4 {
-				values[l] = 4
-			}
-			if values[l] < -4 {
-				values[l] = -4
-			}
-		}
-		tree.SetLeafValues(values)
-		// Update margins on ALL instances (including out-of-subsample).
-		for i := 0; i < n; i++ {
-			raw[i] += cfg.Shrinkage * tree.Predict(x[i*f:(i+1)*f])
-		}
-		model.trees = append(model.trees, tree)
-	}
-	return model, nil
+	return FitGBTBinned(bn, y, w, cfg)
 }
 
 func sigmoid(x float64) float64 {

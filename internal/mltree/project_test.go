@@ -20,8 +20,8 @@ func gatherCols(x []float64, n, f int, cols []int) []float64 {
 
 // TestFlattenProjectedMatchesFlatten: an engine compiled against the
 // features its learner splits on scores rows holding only those columns
-// bit-identically to the full engine on full rows, for every learner and
-// split engine. 597 rows leave a tail past
+// bit-identically to the full engine on full rows, for every learner.
+// 597 rows leave a tail past
 // the last 8-lane group and 256-row block.
 func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 	const rows, f, n = 600, 40, 597
@@ -47,52 +47,46 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 			}
 		}
 	}
-	for _, algo := range []SplitAlgo{SplitExact, SplitHist} {
-		cfg := TreeConfig()
-		cfg.Algo = algo
-		tree, err := FitTree(x, rows, f, y, nil, 2, cfg, randx.New(3, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ft, cols, err := tree.FlattenProjected()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ft.NumFeatures != len(cols) {
-			t.Fatalf("tree: engine reads %d features, cols %d", ft.NumFeatures, len(cols))
-		}
-		check("tree/"+algo.String(), mustFlat(t)(tree.Flatten()), ft, cols)
-
-		fcfg := DefaultForestConfig()
-		fcfg.NumTrees = 5
-		fcfg.Tree.Algo = algo
-		fo, err := FitForest(x, rows, f, y, nil, 2, fcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ff, cols, err := fo.FlattenProjected()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("forest/"+algo.String(), mustFlat(t)(fo.Flatten()), ff, cols)
-
-		gcfg := DefaultGBTConfig()
-		gcfg.Rounds = 6
-		gcfg.MaxDepth = 2
-		gcfg.Algo = algo
-		g, err := FitGBT(x, rows, f, y, nil, gcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fg, cols, err := g.FlattenProjected()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cols) >= f {
-			t.Fatalf("gbt: %d shallow stages read all %d features", gcfg.Rounds, f)
-		}
-		check("gbt/"+algo.String(), mustFlat(t)(g.Flatten()), fg, cols)
+	tree, err := FitTree(x, rows, f, y, nil, 2, TreeConfig(), randx.New(3, 4))
+	if err != nil {
+		t.Fatal(err)
 	}
+	ft, cols, err := tree.FlattenProjected()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ft.NumFeatures != len(cols) {
+		t.Fatalf("tree: engine reads %d features, cols %d", ft.NumFeatures, len(cols))
+	}
+	check("tree", mustFlat(t)(tree.Flatten()), ft, cols)
+
+	fcfg := DefaultForestConfig()
+	fcfg.NumTrees = 5
+	fo, err := FitForest(x, rows, f, y, nil, 2, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff, cols, err := fo.FlattenProjected()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("forest", mustFlat(t)(fo.Flatten()), ff, cols)
+
+	gcfg := DefaultGBTConfig()
+	gcfg.Rounds = 6
+	gcfg.MaxDepth = 2
+	g, err := FitGBT(x, rows, f, y, nil, gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fg, cols, err := g.FlattenProjected()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cols) >= f {
+		t.Fatalf("gbt: %d shallow stages read all %d features", gcfg.Rounds, f)
+	}
+	check("gbt", mustFlat(t)(g.Flatten()), fg, cols)
 }
 
 // TestFlattenProjectedLeafOnly: a learner that never splits still gets a

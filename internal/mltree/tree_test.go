@@ -72,6 +72,22 @@ func TestFitTreeValidation(t *testing.T) {
 	}
 }
 
+// TestFloatFitsRejectNaNWeights: binning a float matrix before the fit
+// must not let a NaN weight through any float-matrix entry point.
+func TestFloatFitsRejectNaNWeights(t *testing.T) {
+	x := []float64{1, 2, 3, 4}
+	y := []int{0, 1, 0, 1}
+	w := []float64{1, math.NaN(), 1, 1}
+	if _, err := FitTree(x, 4, 1, y, w, 2, TreeConfig(), randx.New(1, 1)); err == nil {
+		t.Error("FitTree accepted a NaN weight")
+	}
+	cfg := DefaultForestConfig()
+	cfg.Bootstrap = false
+	if _, err := FitForest(x, 4, 1, y, w, 2, cfg); err == nil {
+		t.Error("FitForest accepted a NaN weight")
+	}
+}
+
 func TestPureNodeBecomesLeaf(t *testing.T) {
 	rng := randx.New(3, 3)
 	x := []float64{1, 2, 3, 4}
@@ -393,51 +409,6 @@ func TestThreeClasses(t *testing.T) {
 	p = tree.PredictProba([]float64{2.5})
 	if p[2] < 0.9 {
 		t.Fatalf("class 2 region predicted %v", p)
-	}
-}
-
-func TestPresortMatchesLocalSort(t *testing.T) {
-	// The presorted split search must produce exactly the same tree as the
-	// local-sort path: same splits, same predictions.
-	rng := randx.New(20, 20)
-	n, f := 300, 8
-	x := make([]float64, n*f)
-	y := make([]int, n)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for j := 0; j < f; j++ {
-			v := rng.Norm(0, 1)
-			x[i*f+j] = v
-			s += v
-		}
-		if s > 0 {
-			y[i] = 1
-		}
-	}
-	cfg := Config{Rule: AllFeatures, MinWeightFraction: 0.01}
-	plain, err := fitTreePresorted(x, n, f, y, nil, 2, cfg, randx.New(9, 9), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := fitTreePresorted(x, n, f, y, nil, 2, cfg, randx.New(9, 9), Presort(x, n, f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.NodeCount() != pre.NodeCount() {
-		t.Fatalf("node counts differ: %d vs %d", plain.NodeCount(), pre.NodeCount())
-	}
-	for i := 0; i < n; i++ {
-		a := plain.PredictProba(x[i*f : (i+1)*f])
-		b := pre.PredictProba(x[i*f : (i+1)*f])
-		if a[0] != b[0] || a[1] != b[1] {
-			t.Fatalf("prediction mismatch at %d: %v vs %v", i, a, b)
-		}
-	}
-	ia, ib := plain.Importances(), pre.Importances()
-	for k := range ia {
-		if math.Abs(ia[k]-ib[k]) > 1e-12 {
-			t.Fatalf("importances differ at %d: %v vs %v", k, ia[k], ib[k])
-		}
 	}
 }
 

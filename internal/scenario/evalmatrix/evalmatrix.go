@@ -8,6 +8,7 @@ package evalmatrix
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/forecast"
-	"repro/internal/mltree"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
 )
@@ -55,8 +55,6 @@ type Config struct {
 	RandomRepeats int
 	// Workers bounds sweep parallelism (0 = GOMAXPROCS).
 	Workers int
-	// SplitAlgo selects the tree-training split search.
-	SplitAlgo mltree.SplitAlgo
 }
 
 // DefaultConfig returns a small but non-trivial matrix configuration
@@ -150,6 +148,16 @@ type PackInfo struct {
 	Sectors int `json:"sectors"`
 }
 
+// Band is the value gate's tolerance. A cell passes when its mean_psi and
+// mean_lift each differ from the baseline cell's by at most the band's
+// field of the same name. It lives in the committed baseline, so widening
+// a gate is a visible edit to data, not to code; a baseline without one
+// gates at zero width, i.e. exact equality.
+type Band struct {
+	Psi  float64 `json:"mean_psi"`
+	Lift float64 `json:"mean_lift"`
+}
+
 // Matrix is the evaluation-matrix artifact.
 type Matrix struct {
 	Schema        int        `json:"schema"`
@@ -169,6 +177,9 @@ type Matrix struct {
 	// Cells hold one aggregate per (pack, model), pack-major in Packs x
 	// Models order.
 	Cells []Cell `json:"cells"`
+	// Band is the tolerance CompareValues applies when this matrix is the
+	// baseline.
+	Band *Band `json:"band,omitempty"`
 }
 
 // cellAccum folds sweep records for one model.
@@ -225,7 +236,6 @@ func Run(cfg Config) (*Matrix, error) {
 			Seed:        cfg.Seed,
 			TrainDays:   cfg.TrainDays,
 			ForestTrees: cfg.ForestTrees,
-			SplitAlgo:   cfg.SplitAlgo,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("evalmatrix: pack %s: %w", pack.Name, err)
@@ -315,10 +325,7 @@ func ReadFile(path string) (*Matrix, error) {
 
 // CompareSchema checks that got has the same shape as want: schema
 // version, kind, model list, pack list, and the (pack, model) cell
-// structure. Metric values are deliberately not compared — they are
-// deterministic for a fixed build but may drift across compilers and
-// platforms (FMA fusion), so CI tracks shape here and values via the
-// committed artifact history.
+// structure. CompareValues gates the cells' metric values.
 func CompareSchema(got, want *Matrix) error {
 	if got.Schema != want.Schema {
 		return fmt.Errorf("evalmatrix: schema %d != baseline %d", got.Schema, want.Schema)
@@ -352,4 +359,30 @@ func CompareSchema(got, want *Matrix) error {
 		}
 	}
 	return nil
+}
+
+// CompareValues checks every cell of got against the same cell of want,
+// whose shape must already match (CompareSchema): mean_psi and mean_lift
+// must each lie within want's Band. Values are deterministic for a fixed
+// build; the band only absorbs float drift across compilers and platforms
+// (FMA fusion), so a model that loses forecast quality leaves it. Every
+// cell outside the band is reported.
+func CompareValues(got, want *Matrix) error {
+	band := Band{}
+	if want.Band != nil {
+		band = *want.Band
+	}
+	var errs []error
+	for i, c := range got.Cells {
+		w := want.Cells[i]
+		if d := math.Abs(c.MeanPsi - w.MeanPsi); !(d <= band.Psi) {
+			errs = append(errs, fmt.Errorf("evalmatrix: (%s, %s) mean_psi %.4f, baseline %.4f: outside band %g",
+				c.Pack, c.Model, c.MeanPsi, w.MeanPsi, band.Psi))
+		}
+		if d := math.Abs(c.MeanLift - w.MeanLift); !(d <= band.Lift) {
+			errs = append(errs, fmt.Errorf("evalmatrix: (%s, %s) mean_lift %.3f, baseline %.3f: outside band %g",
+				c.Pack, c.Model, c.MeanLift, w.MeanLift, band.Lift))
+		}
+	}
+	return errors.Join(errs...)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -116,6 +117,42 @@ func TestJSONRoundTripAndSchemaCompare(t *testing.T) {
 	bumped.Schema++
 	if err := CompareSchema(m, &bumped); err == nil {
 		t.Fatal("schema-version drift not caught")
+	}
+}
+
+// TestCompareValuesBand: a cell passes at most the baseline's band away on
+// either metric and fails past it, every failing cell is named, and a
+// baseline without a band demands exact equality.
+func TestCompareValuesBand(t *testing.T) {
+	want := &Matrix{Band: &Band{Psi: 0.02, Lift: 0.5}, Cells: []Cell{
+		{Pack: "baseline", Model: "Tree", MeanPsi: 0.44, MeanLift: 12.5},
+		{Pack: "baseline", Model: "RF-F1", MeanPsi: 0.60, MeanLift: 9.0},
+	}}
+	got := &Matrix{Cells: append([]Cell(nil), want.Cells...)}
+	got.Cells[0].MeanPsi += 0.015
+	got.Cells[1].MeanLift -= 0.4
+	if err := CompareValues(got, want); err != nil {
+		t.Fatalf("in-band drift rejected: %v", err)
+	}
+	got.Cells[0].MeanLift = 11.61
+	got.Cells[1].MeanPsi = 0.5
+	err := CompareValues(got, want)
+	if err == nil {
+		t.Fatal("out-of-band cells accepted")
+	}
+	for _, cell := range []string{"(baseline, Tree) mean_lift", "(baseline, RF-F1) mean_psi"} {
+		if !strings.Contains(err.Error(), cell) {
+			t.Fatalf("error does not name %s: %v", cell, err)
+		}
+	}
+	exact := &Matrix{Cells: want.Cells}
+	if err := CompareValues(want, exact); err != nil {
+		t.Fatalf("identical cells rejected without a band: %v", err)
+	}
+	nudged := &Matrix{Cells: append([]Cell(nil), want.Cells...)}
+	nudged.Cells[1].MeanPsi += 1e-12
+	if err := CompareValues(nudged, exact); err == nil {
+		t.Fatal("a baseline without a band accepted a changed value")
 	}
 }
 
