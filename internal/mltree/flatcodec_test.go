@@ -2,6 +2,7 @@ package mltree
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 	"unsafe"
 
@@ -35,15 +36,36 @@ func codecModels(t testing.TB) (ft, ff, fg *Flat, eval []float64, n, f int) {
 	return must(tr.Flatten()), must(fo.Flatten()), must(g.Flatten()), ev, n, f
 }
 
+// exactGridTree fits a tree on the codec test data rounded to a 1/16
+// grid: each feature then has far fewer than DefaultMaxBins distinct
+// values, so every value keeps its own bin and the tree's cuts sit at the
+// midpoints an exact sort-based search would choose — a threshold layout
+// unlike the quantile-binned tree's.
+func exactGridTree(t testing.TB) *Flat {
+	t.Helper()
+	n, f := 300, 10
+	x, y, _ := flatTestData(131, n, f)
+	for i, v := range x {
+		x[i] = math.Round(v*16) / 16
+	}
+	tr, err := FitTree(x, n, f, y, nil, 2, TreeConfig(), randx.New(3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustFlat(t)(tr.Flatten())
+}
+
 func TestFlatCodecRoundTrip(t *testing.T) {
 	ft, ff, fg, eval, n, _ := codecModels(t)
+	fe := exactGridTree(t)
 	for _, trusted := range []bool{false, true} {
 		for _, tc := range []struct {
 			kind string
 			fl   *Flat
 			post Post
 		}{
-			{"tree", ft, PostNone},
+			{"tree-hist", ft, PostNone},
+			{"tree-exact", fe, PostNone},
 			{"forest", ff, PostMean},
 			{"gbt", fg, PostLogistic},
 		} {
