@@ -2,9 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -12,11 +17,37 @@ import (
 // elapsedField is the one field a GET body carries beyond its batch entry.
 var elapsedField = regexp.MustCompile(`^\{"elapsed_ms":\d+,`)
 
+// queryFromURL is the reference for parseQuery: GET /forecast's
+// parameters read through url.Values, as the server once parsed them. An
+// empty parameter counts as absent.
+func queryFromURL(v url.Values) (batchQuery, error) {
+	var ints [4]int
+	var opt [4]*int
+	for i, key := range [...]string{"h", "w", "t", "k"} {
+		raw := v.Get(key)
+		if raw == "" {
+			continue
+		}
+		n, err := strconv.Atoi(raw)
+		if err != nil {
+			if key == "k" {
+				return batchQuery{}, errors.New("bad k")
+			}
+			return batchQuery{}, fmt.Errorf("bad %s %q", key, raw)
+		}
+		ints[i] = n
+		opt[i] = &ints[i]
+	}
+	return batchQuery{Model: v.Get("model"), Target: v.Get("target"),
+		H: opt[0], W: opt[1], T: opt[2], K: opt[3]}, nil
+}
+
 // FuzzForecastQuery feeds untrusted input to both forecast endpoints: an
-// arbitrary GET /forecast query string (parsed through queryFromURL) and
-// an arbitrary /forecast/batch body. Neither may panic or answer outside
-// 200/400/404/503, and a GET that succeeds must return, byte for byte,
-// the entry the same query gets as a batch of one.
+// arbitrary GET /forecast query string and an arbitrary /forecast/batch
+// body. parseQuery must read the query exactly as queryFromURL reads its
+// url.Values (same query, same error). Neither endpoint may panic or
+// answer outside 200/400/404/503, and a GET that succeeds must return,
+// byte for byte, the entry the same query gets as a batch of one.
 func FuzzForecastQuery(f *testing.F) {
 	for _, seed := range []struct{ query, body string }{
 		{"model=Tree&t=30&k=5", `{"queries":[{"model":"Tree","t":30,"k":5}]}`},
@@ -30,11 +61,22 @@ func FuzzForecastQuery(f *testing.F) {
 		{"%zz&model=Average;k=2", `{"queries":`},
 		{"", `not json`},
 		{"model=Tree&h=03&w=%2B7&t=030", `{"queries":[{"model":"Tree","h":3,"w":7,"t":30}]}`},
+		{"t=&t=30&k=%zz&k=4&mod%65l=Tree+A&model=Average&h=1;2&h=x", `{"queries":[{"model":"Tree A"}]}`},
+		{"&&=&model&target=%68ot&w=+7&k=+", `{"queries":[{"target":"hot","w":7}]}`},
 	} {
 		f.Add(seed.query, []byte(seed.body))
 	}
 	srv, _ := testServer(f, 8)
 	f.Fuzz(func(t *testing.T, query string, body []byte) {
+		values, _ := url.ParseQuery(query)
+		want, wantErr := queryFromURL(values)
+		q, err := parseQuery(query)
+		if !reflect.DeepEqual(q, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			got, _ := json.Marshal(q)
+			ref, _ := json.Marshal(want)
+			t.Fatalf("parseQuery(%q) = %s, %v; url.Values reads %s, %v", query, got, err, ref, wantErr)
+		}
+
 		req := httptest.NewRequest("GET", "/forecast", nil)
 		req.URL.RawQuery = query
 		single := httptest.NewRecorder()
@@ -48,7 +90,6 @@ func FuzzForecastQuery(f *testing.F) {
 		if single.Code != http.StatusOK {
 			return
 		}
-		q, err := queryFromURL(req.URL.Query())
 		if err != nil {
 			t.Fatalf("a 200 GET ?%s does not parse: %v", query, err)
 		}

@@ -57,6 +57,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -534,7 +535,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchQuery is one forecast query: an element of the /forecast/batch
-// body, or GET /forecast's parameters as queryFromURL parses them. A nil
+// body, or GET /forecast's parameters as parseQuery parses them. A nil
 // selector matches every artifact; a nil t is the latest day, a nil k 10.
 type batchQuery struct {
 	Model  string `json:"model,omitempty"`
@@ -545,29 +546,55 @@ type batchQuery struct {
 	K      *int   `json:"k,omitempty"`
 }
 
-// queryFromURL parses GET /forecast's parameters into a batch query. An
-// empty parameter counts as absent. The integers are parsed here, before
-// admission, as a batch body's are by its JSON decode.
-func queryFromURL(v url.Values) (batchQuery, error) {
-	var ints [4]int
-	var opt [4]*int
-	for i, key := range [...]string{"h", "w", "t", "k"} {
-		raw := v.Get(key)
-		if raw == "" {
+// queryKeys are GET /forecast's parameters: the integers, in batchQuery's
+// field order, then the strings.
+var queryKeys = [...]string{"h", "w", "t", "k", "model", "target"}
+
+// parseQuery parses GET /forecast's raw query string into a batch query,
+// reading it in place instead of building url.Values, with the same
+// meaning: a pair holding a ';' or a bad escape is skipped, '+' decodes
+// to a space, the first value of a parameter wins, and an empty value
+// counts as absent. The integers are parsed here, before admission, as a
+// batch body's are by its JSON decode.
+func parseQuery(raw string) (batchQuery, error) {
+	var vals [len(queryKeys)]string
+	var seen [len(queryKeys)]bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
 			continue
 		}
-		n, err := strconv.Atoi(raw)
+		key, val, _ := strings.Cut(pair, "=")
+		key, err := url.QueryUnescape(key)
 		if err != nil {
-			if key == "k" {
+			continue
+		}
+		i := slices.Index(queryKeys[:], key)
+		if i < 0 || seen[i] {
+			continue
+		}
+		if v, err := url.QueryUnescape(val); err == nil {
+			vals[i], seen[i] = v, true
+		}
+	}
+	var ints [4]int
+	var opt [4]*int
+	for i, s := range vals[:4] {
+		if s == "" {
+			continue
+		}
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			if queryKeys[i] == "k" {
 				return batchQuery{}, errors.New("bad k")
 			}
-			return batchQuery{}, fmt.Errorf("bad %s %q", key, raw)
+			return batchQuery{}, fmt.Errorf("bad %s %q", queryKeys[i], s)
 		}
 		ints[i] = n
 		opt[i] = &ints[i]
 	}
-	return batchQuery{Model: v.Get("model"), Target: v.Get("target"),
-		H: opt[0], W: opt[1], T: opt[2], K: opt[3]}, nil
+	return batchQuery{Model: vals[4], Target: vals[5], H: opt[0], W: opt[1], T: opt[2], K: opt[3]}, nil
 }
 
 // sectorScore is one ranking entry.
@@ -731,7 +758,7 @@ func (s *server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	rt := &s.m.get
 	rt.requests.Inc()
-	q, err := queryFromURL(r.URL.Query())
+	q, err := parseQuery(r.URL.RawQuery)
 	if err != nil {
 		rt.reject(w, err.Error())
 		return

@@ -22,8 +22,10 @@ func main() {
 	}
 	fmt.Printf("network: %d sectors over %d days\n\n", p.Sectors(), p.Days())
 
-	// How long do hot spots last?
-	hours := dynamics.HoursPerDayHistogram(p.Scores.Yh)
+	// How long do hot spots last? The pipeline keeps the daily labels;
+	// the hourly ones are derived here from the hourly scores.
+	yh := p.Scores.Weighting.Labels(p.Scores.Sh)
+	hours := dynamics.HoursPerDayHistogram(yh)
 	fmt.Println("hours per day as hot spot (relative count):")
 	for _, h := range []int{4, 8, 12, 16, 20, 24} {
 		fmt.Printf("  %2dh: %.3f\n", h, hours[h-1])
@@ -54,7 +56,7 @@ func main() {
 	cfg := spatial.DefaultCorrelationConfig()
 	cfg.NeighborsPerSector = p.Sectors() / 2
 	cfg.TopCorrelated = p.Sectors() / 5
-	corr := spatial.CorrelationByDistance(p.Scores.Yh, pts, cfg)
+	corr := spatial.CorrelationByDistance(yh, pts, cfg)
 	fmt.Println("\ncorrelation vs distance (median per bucket):")
 	fmt.Println("  km      avg     best-of-top")
 	for i := range corr.Average {

@@ -202,9 +202,10 @@ func TestSyntheticDynamicsShapes(t *testing.T) {
 	keep := score.FilterSectors(ds.K, 0.5)
 	sub := ds.SelectSectors(keep)
 	set := score.Compute(sub.K, score.DefaultWeighting())
+	yh := set.Weighting.Labels(set.Sh)
 
 	t.Run("SixteenHourMode", func(t *testing.T) {
-		hist := HoursPerDayHistogram(set.Yh)
+		hist := HoursPerDayHistogram(yh)
 		// 16 hours should be the dominant multi-hour bin (Fig. 6A).
 		best := 0
 		for h := 4; h < 24; h++ { // ignore 1-3h noise bins
@@ -228,7 +229,7 @@ func TestSyntheticDynamicsShapes(t *testing.T) {
 	})
 
 	t.Run("ConsecutiveHourPeaks", func(t *testing.T) {
-		runs := RunLengths(set.Yh)
+		runs := RunLengths(yh)
 		hist := RunHistogram(runs, 90)
 		// 16h runs outnumber 15h and 17h runs (Fig. 7A).
 		if hist[15] <= hist[14] || hist[15] <= hist[16] {
@@ -281,9 +282,9 @@ func TestHistogramsAreDistributions(t *testing.T) {
 	}
 	set := score.Compute(ds.K, score.DefaultWeighting())
 	for name, hist := range map[string][]float64{
-		"hours": HoursPerDayHistogram(set.Yh),
+		"hours": HoursPerDayHistogram(set.Weighting.Labels(set.Sh)),
 		"days":  DaysPerWeekHistogram(set.Yd),
-		"weeks": WeeksHistogram(set.Yw),
+		"weeks": WeeksHistogram(set.Weighting.Labels(set.Sw)),
 	} {
 		sum := 0.0
 		for _, v := range hist {

@@ -347,9 +347,9 @@ type Fig06Result struct {
 // Fig06HotSpotHistograms computes all three panels.
 func Fig06HotSpotHistograms(env *Env) *Fig06Result {
 	res := &Fig06Result{
-		HoursPerDay: dynamics.HoursPerDayHistogram(env.Set.Yh),
+		HoursPerDay: dynamics.HoursPerDayHistogram(env.HourlyLabels()),
 		DaysPerWeek: dynamics.DaysPerWeekHistogram(env.Set.Yd),
-		Weeks:       dynamics.WeeksHistogram(env.Set.Yw),
+		Weeks:       dynamics.WeeksHistogram(env.WeeklyLabels()),
 	}
 	best := 3
 	for h := 4; h < len(res.HoursPerDay); h++ {
@@ -400,7 +400,7 @@ type Fig07Result struct {
 
 // Fig07ConsecutiveRuns computes both panels.
 func Fig07ConsecutiveRuns(env *Env) *Fig07Result {
-	hours := dynamics.RunHistogram(dynamics.RunLengths(env.Set.Yh), 90)
+	hours := dynamics.RunHistogram(dynamics.RunLengths(env.HourlyLabels()), 90)
 	days := dynamics.RunHistogram(dynamics.RunLengths(env.Set.Yd), 70)
 	res := &Fig07Result{ConsecutiveHours: hours, ConsecutiveDays: days}
 	res.Peak16h = hours[15] > hours[14] && hours[15] > hours[16]
@@ -474,7 +474,7 @@ func Fig08SpatialCorrelation(env *Env) *Fig08Result {
 		cfg.NeighborsPerSector = env.Ctx.Sectors() / 2
 		cfg.TopCorrelated = env.Ctx.Sectors() / 5
 	}
-	res := spatial.CorrelationByDistance(env.Set.Yh, pts, cfg)
+	res := spatial.CorrelationByDistance(env.HourlyLabels(), pts, cfg)
 	out := &Fig08Result{Result: res}
 	out.ZeroDistanceMedianAvg = res.Average[0].Stats.Median
 	for b := len(res.Best) - 1; b >= 0; b-- {

@@ -8,11 +8,13 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/forecast"
 	"repro/internal/score"
 	"repro/internal/simnet"
+	"repro/internal/tensor"
 	"repro/internal/timegrid"
 )
 
@@ -114,7 +116,17 @@ type Env struct {
 	// Discarded is the number of sectors removed by the missing-data
 	// filter.
 	Discarded int
+
+	hourlyLabels, weeklyLabels func() *tensor.Matrix
 }
+
+// HourlyLabels returns the hourly hot-spot labels Yh = Labels(Sh) (Figs.
+// 6-8), derived on first use and shared by every figure.
+func (e *Env) HourlyLabels() *tensor.Matrix { return e.hourlyLabels() }
+
+// WeeklyLabels returns the weekly hot-spot labels Yw = Labels(Sw) (Fig.
+// 6), derived on first use.
+func (e *Env) WeeklyLabels() *tensor.Matrix { return e.weeklyLabels() }
 
 // Prepare generates the synthetic network, applies the paper's sector
 // filter, computes the score chain and builds the forecasting context.
@@ -146,5 +158,9 @@ func FromDataset(ds *simnet.Dataset, s Scale) (*Env, error) {
 	// parallelism lever; serialise each forest fit to keep the total
 	// goroutine count at Workers (and make Workers=1 truly sequential).
 	p.Ctx.FitWorkers = 1
-	return &Env{Scale: s, Dataset: p.Dataset, Set: p.Scores, Ctx: p.Ctx, Discarded: p.Discarded}, nil
+	set := p.Scores
+	return &Env{Scale: s, Dataset: p.Dataset, Set: set, Ctx: p.Ctx, Discarded: p.Discarded,
+		hourlyLabels: sync.OnceValue(func() *tensor.Matrix { return set.Weighting.Labels(set.Sh) }),
+		weeklyLabels: sync.OnceValue(func() *tensor.Matrix { return set.Weighting.Labels(set.Sw) }),
+	}, nil
 }

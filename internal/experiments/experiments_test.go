@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/forecast"
+	"repro/internal/tensor"
 )
 
 // sharedEnv is prepared once; descriptive experiments are cheap on it.
@@ -40,6 +43,41 @@ func getTinyEnv(t *testing.T) *Env {
 	}
 	sharedTinyEnv = env
 	return env
+}
+
+// TestEnvDerivesLabelsOnce: the hourly and weekly labels the figures read
+// are Labels(Sh) and Labels(Sw), derived once per Env: every caller,
+// concurrent ones included, gets the same matrix.
+func TestEnvDerivesLabelsOnce(t *testing.T) {
+	env, err := Prepare(TinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		get    func() *tensor.Matrix
+		scores *tensor.Matrix
+	}{{"hourly", env.HourlyLabels, env.Set.Sh}, {"weekly", env.WeeklyLabels, env.Set.Sw}} {
+		got := make([]*tensor.Matrix, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = c.get()
+			}(i)
+		}
+		wg.Wait()
+		for _, m := range got[1:] {
+			if m != got[0] {
+				t.Fatalf("%s labels derived more than once", c.name)
+			}
+		}
+		want := env.Set.Weighting.Labels(c.scores)
+		if !reflect.DeepEqual(got[0], want) {
+			t.Fatalf("%s labels differ from Labels of the scores", c.name)
+		}
+	}
 }
 
 func TestScaleTs(t *testing.T) {

@@ -258,6 +258,22 @@ func midpoint(lo, hi float64) float64 {
 	return m
 }
 
+// checkWeights checks that w holds n sample weights, none negative or
+// NaN, and returns their sum.
+func checkWeights(w []float64, n int) (float64, error) {
+	if len(w) != n {
+		return 0, fmt.Errorf("mltree: %d weights for %d instances", len(w), n)
+	}
+	total := 0.0
+	for _, v := range w {
+		if v < 0 || math.IsNaN(v) {
+			return 0, fmt.Errorf("mltree: invalid weight %v", v)
+		}
+		total += v
+	}
+	return total, nil
+}
+
 // FitTreeBinned grows a CART classifier on a pre-binned matrix: labels y
 // in [0, numClasses), optional sample weights w (nil = uniform). The split
 // search scans bin boundaries, so thresholds are the binner's cut points.
@@ -276,15 +292,10 @@ func FitTreeBinned(bn *Binned, y []int, w []float64, numClasses int, cfg Config,
 	}
 	if w == nil {
 		w = uniformWeights(n)
-	} else if len(w) != n {
-		return nil, fmt.Errorf("mltree: %d weights for %d instances", len(w), n)
 	}
-	totalW := 0.0
-	for _, v := range w {
-		if v < 0 || math.IsNaN(v) {
-			return nil, fmt.Errorf("mltree: invalid weight %v", v)
-		}
-		totalW += v
+	totalW, err := checkWeights(w, n)
+	if err != nil {
+		return nil, err
 	}
 	if totalW == 0 {
 		return nil, fmt.Errorf("mltree: zero total weight")
@@ -756,6 +767,14 @@ func FitForestBinned(bn *Binned, y []int, w []float64, numClasses int, cfg Fores
 		return nil, fmt.Errorf("mltree: forest needs at least 1 tree")
 	}
 	n := bn.N
+	// The caller's weights are checked before bootstrapping: a draw that
+	// misses a row scales its weight by 0, which would turn -5 into a
+	// -0 that passes the per-tree check.
+	if w != nil {
+		if _, err := checkWeights(w, n); err != nil {
+			return nil, err
+		}
+	}
 	// Uniform weights are read-only: one shared allocation serves every
 	// tree instead of one per tree inside the fit.
 	if w == nil && !cfg.Bootstrap {

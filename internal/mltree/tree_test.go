@@ -2,6 +2,7 @@ package mltree
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,33 @@ func TestFitTreeValidation(t *testing.T) {
 	for i, c := range cases {
 		if _, err := FitTree(c.x, c.n, c.f, c.y, c.w, c.nc, TreeConfig(), rng); err == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+	}
+}
+
+// TestForestRejectsNegativeWeightAnyDraw: a forest validates the caller's
+// weights before bootstrapping, so a negative weight fails the fit even
+// when the draw misses its row (which scales it to -0).
+func TestForestRejectsNegativeWeightAnyDraw(t *testing.T) {
+	rng := randx.New(9, 9)
+	x, y := xorData(40, rng)
+	w := make([]float64, 40)
+	for i := range w {
+		w[i] = 1
+	}
+	w[17] = -5
+	bn, err := Bin(x, 40, 2, nil, DefaultMaxBins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 39; seed++ {
+		cfg := DefaultForestConfig()
+		cfg.NumTrees, cfg.Seed, cfg.Bootstrap = 1, seed, true
+		if _, err := FitForestBinned(bn, y, w, 2, cfg); err == nil || !strings.Contains(err.Error(), "invalid weight") {
+			t.Errorf("seed %d: FitForestBinned err = %v, want invalid weight", seed, err)
+		}
+		if _, err := FitForest(x, 40, 2, y, w, 2, cfg); err == nil || !strings.Contains(err.Error(), "invalid weight") {
+			t.Errorf("seed %d: FitForest err = %v, want invalid weight", seed, err)
 		}
 	}
 }

@@ -43,8 +43,18 @@ func Workers(requested, n int) int {
 // scheduling); all invocations still run to completion.
 //
 // workers <= 0 means GOMAXPROCS. With workers == 1 (or a single item) the
-// items run on the calling goroutine with no pool overhead.
+// items run on the calling goroutine with no pool overhead; a single item
+// allocates only its one-element result.
 func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
+	if len(items) == 1 {
+		poolRuns.Inc()
+		r, err := fn(0, items[0])
+		poolTasks.Inc()
+		if err != nil {
+			return nil, err
+		}
+		return []R{r}, nil
+	}
 	out := make([]R, len(items))
 	errs := make([]error, len(items))
 	run(workers, len(items), func(i int) {

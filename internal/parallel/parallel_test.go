@@ -334,3 +334,26 @@ func TestNewSemaphoreClampsToOne(t *testing.T) {
 	}
 	sem.Release()
 }
+
+// TestMapOneItemRunsOnCaller: a one-item Map calls fn directly, allocates
+// only its one-element result, passes fn's error through, and still
+// counts one pool run of one task.
+func TestMapOneItemRunsOnCaller(t *testing.T) {
+	double := func(i, item int) (int, error) { return 2*item + i, nil }
+	runs, tasks := poolRuns.Value(), poolTasks.Value()
+	out, err := Map(8, []int{21}, double)
+	if err != nil || len(out) != 1 || out[0] != 42 {
+		t.Fatalf("Map of one = (%v, %v), want [42]", out, err)
+	}
+	if dr, dt := poolRuns.Value()-runs, poolTasks.Value()-tasks; dr != 1 || dt != 1 {
+		t.Fatalf("Map of one counted %d runs and %d tasks, want 1 and 1", dr, dt)
+	}
+	boom := fmt.Errorf("boom")
+	if out, err := Map(8, []int{1}, func(int, int) (int, error) { return 7, boom }); out != nil || err != boom {
+		t.Fatalf("failing Map of one = (%v, %v), want (nil, boom)", out, err)
+	}
+	items := []int{21}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = Map(8, items, double) }); allocs > 1 {
+		t.Fatalf("Map of one allocates %v times, want at most 1 (its result)", allocs)
+	}
+}

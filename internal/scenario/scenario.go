@@ -41,7 +41,7 @@ type Env struct {
 type SectorBlock struct {
 	T, F int
 	K    []float64 // T x F KPI values
-	Hot  []float64 // T-hour ground-truth hot-drive row (0/1)
+	Hot  []uint8   // T-hour ground-truth hot-drive row (0/1)
 }
 
 // At returns KPI f at hour j.

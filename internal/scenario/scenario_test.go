@@ -26,7 +26,7 @@ func equalOrBothNaN(a, b float64) bool {
 
 // assembleScenarioStream regenerates through the streamed scenario path and
 // reassembles the chunks.
-func assembleScenarioStream(t *testing.T, cfg simnet.Config, pack Pack, chunk int) (*tensor.Tensor3, *tensor.Matrix) {
+func assembleScenarioStream(t *testing.T, cfg simnet.Config, pack Pack, chunk int) (*tensor.Tensor3, *tensor.Mask) {
 	t.Helper()
 	s, err := simnet.NewStream(cfg)
 	if err != nil {
@@ -34,7 +34,7 @@ func assembleScenarioStream(t *testing.T, cfg simnet.Config, pack Pack, chunk in
 	}
 	n, mh := s.N(), s.Grid().Hours()
 	k := tensor.NewTensor3(n, mh, simnet.NumKPIs)
-	hot := tensor.NewMatrix(n, mh)
+	hot := tensor.NewMask(n, mh)
 	if err := GenerateStream(cfg, pack, chunk, func(c *simnet.Chunk) error {
 		for r := 0; r < c.Hi-c.Lo; r++ {
 			copy(k.Sector(c.Lo+r), c.K.Sector(r))
@@ -134,8 +134,12 @@ func TestPackByName(t *testing.T) {
 	}
 }
 
-func hotCount(m *tensor.Matrix) int {
-	return m.CountIf(func(v float64) bool { return v > 0 })
+func hotCount(m *tensor.Mask) int {
+	n := 0
+	for _, v := range m.Data {
+		n += int(v)
+	}
+	return n
 }
 
 // TestFlashCrowdAddsLocalizedHotHours: the crowd overlay must add hot-drive

@@ -238,14 +238,17 @@ func (w *Weighting) Labels(s *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// Set bundles every resolution of the score chain for one dataset.
+// Set bundles what forecasting reads of the score chain for one dataset:
+// the scores at every resolution and the daily labels. The hourly and
+// weekly labels, which only descriptive analyses read, are derived on
+// demand as Weighting.Labels(Sh) and Weighting.Labels(Sw).
 type Set struct {
 	Weighting *Weighting
 	// Sh, Sd, Sw are the hourly / daily / weekly rescaled scores
 	// (n x mh, n x md, n x mw).
 	Sh, Sd, Sw *tensor.Matrix
-	// Yh, Yd, Yw are the corresponding binary hot-spot labels.
-	Yh, Yd, Yw *tensor.Matrix
+	// Yd holds the daily binary hot-spot labels, Labels(Sd).
+	Yd *tensor.Matrix
 }
 
 // Compute runs the full chain on a KPI tensor.
@@ -255,14 +258,14 @@ func Compute(k *tensor.Tensor3, w *Weighting) *Set {
 
 // FromHourly runs the rest of the chain from the hourly scores S' (as
 // Hourly or FilterHourly returns them): the daily and weekly integration
-// and the labels of every resolution. The Set holds sh itself.
+// and the daily labels. The Set holds sh itself.
 func FromHourly(sh *tensor.Matrix, w *Weighting) *Set {
 	sd := Integrate(sh, timegrid.HoursPerDay)
 	sw := Integrate(sh, timegrid.HoursPerWeek)
 	return &Set{
 		Weighting: w,
 		Sh:        sh, Sd: sd, Sw: sw,
-		Yh: w.Labels(sh), Yd: w.Labels(sd), Yw: w.Labels(sw),
+		Yd: w.Labels(sd),
 	}
 }
 

@@ -233,7 +233,7 @@ func TestComputeShapes(t *testing.T) {
 	if set.Sd.Cols != 28 || set.Sw.Cols != 4 {
 		t.Fatal("Sd/Sw shape wrong")
 	}
-	if set.Yd.Rows != n || set.Yw.Cols != 4 {
+	if yw := set.Weighting.Labels(set.Sw); set.Yd.Rows != n || set.Yd.Cols != 28 || yw.Cols != 4 {
 		t.Fatal("label shapes wrong")
 	}
 	// Scores are in [0,1] or NaN.
@@ -460,16 +460,19 @@ func TestWorkersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(procs int) ([]int, *Set) {
+	// The hourly and weekly labels the analyses derive are labelled at the
+	// same proc count.
+	run := func(procs int) ([]int, *Set, [2]*tensor.Matrix) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		return FilterSectors(ds.K, 0.5), Compute(ds.K, DefaultWeighting())
+		set := Compute(ds.K, DefaultWeighting())
+		return FilterSectors(ds.K, 0.5), set, [2]*tensor.Matrix{set.Weighting.Labels(set.Sh), set.Weighting.Labels(set.Sw)}
 	}
 	fused := func(procs int) ([]int, *tensor.Matrix) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		return DefaultWeighting().FilterHourly(ds.K, 0.5)
 	}
-	keep1, set1 := run(1)
-	keepN, setN := run(max(4, runtime.NumCPU()))
+	keep1, set1, y1 := run(1)
+	keepN, setN, yN := run(max(4, runtime.NumCPU()))
 	fusedKeep1, fusedSh1 := fused(1)
 	fusedKeepN, fusedShN := fused(max(4, runtime.NumCPU()))
 	if !reflect.DeepEqual(fusedKeep1, keep1) || !reflect.DeepEqual(fusedKeepN, keep1) {
@@ -486,7 +489,7 @@ func TestWorkersBitIdentical(t *testing.T) {
 		a, b *tensor.Matrix
 	}{
 		{"Sh", set1.Sh, setN.Sh}, {"Sd", set1.Sd, setN.Sd}, {"Sw", set1.Sw, setN.Sw},
-		{"Yh", set1.Yh, setN.Yh}, {"Yd", set1.Yd, setN.Yd}, {"Yw", set1.Yw, setN.Yw},
+		{"Yh", y1[0], yN[0]}, {"Yd", set1.Yd, setN.Yd}, {"Yw", y1[1], yN[1]},
 	} {
 		for i := range m.a.Data {
 			if math.Float64bits(m.a.Data[i]) != math.Float64bits(m.b.Data[i]) {
@@ -662,7 +665,7 @@ func TestFromHourlyMatchesCompute(t *testing.T) {
 		a, b *tensor.Matrix
 	}{
 		{"Sh", got.Sh, want.Sh}, {"Sd", got.Sd, want.Sd}, {"Sw", got.Sw, want.Sw},
-		{"Yh", got.Yh, want.Yh}, {"Yd", got.Yd, want.Yd}, {"Yw", got.Yw, want.Yw},
+		{"Yd", got.Yd, want.Yd},
 	} {
 		if i, ok := sameBits(m.a.Data, m.b.Data); !ok {
 			t.Fatalf("%s differs at %d", m.name, i)

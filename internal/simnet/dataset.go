@@ -20,7 +20,7 @@ import (
 // DatasetVersion is the dataset file format Save writes and Load reads.
 // Load rejects every other version; bump it on any layout change.
 //
-// Version 2 layout (integers little-endian):
+// Version 3 layout (integers little-endian):
 //
 //	offset  size       field
 //	0       4          magic "HOTD"
@@ -32,11 +32,12 @@ import (
 //	64      m          metadata: gob-encoded datasetMeta
 //	64+m    0..7       zero padding to a multiple of 8
 //	        8·N·T·F    K.Data, raw IEEE-754 words
-//	        8·N·T      Truth.HotDrive.Data, raw IEEE-754 words
+//	        N·T        Truth.HotDrive.Data, one byte per sector-hour, 0 or 1
 //
 // Checksums are binenc.ChecksumChunked over each section's stored bytes.
-// Version 1 was a single gob stream.
-const DatasetVersion = 2
+// Version 2 stored HotDrive as 8·N·T IEEE-754 words; version 1 was a
+// single gob stream.
+const DatasetVersion = 3
 
 const (
 	datasetMagic      = "HOTD"
@@ -47,7 +48,7 @@ const (
 )
 
 // datasetMeta is the gob-encoded metadata block: everything except the
-// two bulk float sections, plus their shapes. The grid is reduced to its
+// two bulk sections, plus their shapes. The grid is reduced to its
 // defining parameters so unexported state round-trips cleanly.
 type datasetMeta struct {
 	StartUnix        int64
@@ -60,11 +61,15 @@ type datasetMeta struct {
 	HotRows, HotCols int
 }
 
-// check reports shapes that disagree with each other.
+// check reports shapes that disagree with each other. A dataset needs a
+// sector: with none, both bulk sections are empty whatever the grid, so
+// the file size would no longer bound the grid it declares.
 func (m *datasetMeta) check() error {
 	switch {
 	case m.Topo == nil:
 		return errors.New("no topology")
+	case m.N <= 0:
+		return fmt.Errorf("no sectors (N=%d)", m.N)
 	case len(m.Topo.Sectors) != m.N:
 		return fmt.Errorf("topology has %d sectors but K has N=%d", len(m.Topo.Sectors), m.N)
 	case m.HotRows != m.N || m.HotCols != m.T:
@@ -98,11 +103,14 @@ func (d *Dataset) Save(w io.Writer) error {
 	if err := meta.check(); err != nil {
 		return fmt.Errorf("simnet: saving dataset: %w", err)
 	}
+	if err := checkFlags(hot.Data); err != nil {
+		return fmt.Errorf("simnet: saving dataset: %w", err)
+	}
 	var mb bytes.Buffer
 	if err := gob.NewEncoder(&mb).Encode(&meta); err != nil {
 		return fmt.Errorf("simnet: encoding dataset metadata: %w", err)
 	}
-	k, h := leBytes(d.K.Data), leBytes(hot.Data)
+	k, h := leBytes(d.K.Data), hot.Data
 	head := make([]byte, 0, datasetHeaderSize+mb.Len()+7)
 	head = append(head, datasetMagic...)
 	head = binenc.AppendU32(head, DatasetVersion)
@@ -223,20 +231,29 @@ func decodeDataset(ra io.ReaderAt, size int64) (*Dataset, error) {
 	if !okK || !okHot {
 		return nil, fmt.Errorf("section shapes %dx%dx%d and %dx%d overflow", meta.N, meta.T, meta.F, meta.HotRows, meta.HotCols)
 	}
-	if int64(kLen) > left/8 || int64(hotLen) > (left-8*int64(kLen))/8 {
+	if int64(kLen) > left/8 || int64(hotLen) > left-8*int64(kLen) {
 		return nil, fmt.Errorf("truncated: sections need %d+%d values, %d bytes left", kLen, hotLen, left)
 	}
-	if extra := left - 8*int64(kLen+hotLen); extra != 0 {
+	if extra := left - 8*int64(kLen) - int64(hotLen); extra != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", extra)
 	}
 
 	off := size - left
 	k := &tensor.Tensor3{N: meta.N, T: meta.T, F: meta.F, Data: make([]float64, kLen)}
-	if err := readSection(ra, off, k.Data, sumK, "K"); err != nil {
+	if err := readSection(ra, off, f64Bytes(k.Data), sumK, "K"); err != nil {
 		return nil, err
 	}
-	hot := &tensor.Matrix{Rows: meta.HotRows, Cols: meta.HotCols, Data: make([]float64, hotLen)}
+	if !binenc.NativeLittle() {
+		raw := f64Bytes(k.Data)
+		for i := range k.Data {
+			k.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+		}
+	}
+	hot := &tensor.Mask{Rows: meta.HotRows, Cols: meta.HotCols, Data: make([]uint8, hotLen)}
 	if err := readSection(ra, off+8*int64(kLen), hot.Data, sumHot, "HotDrive"); err != nil {
+		return nil, err
+	}
+	if err := checkFlags(hot.Data); err != nil {
 		return nil, err
 	}
 	return &Dataset{
@@ -261,11 +278,26 @@ func elems(dims ...int) (int, bool) {
 	return n, true
 }
 
+// checkFlags reports the first HotDrive byte that is neither 0 nor 1.
+func checkFlags(hot []uint8) error {
+	for i, v := range hot {
+		if v > 1 {
+			return fmt.Errorf("HotDrive byte %d is %d, want 0 or 1", i, v)
+		}
+	}
+	return nil
+}
+
+// f64Bytes aliases vs's memory as bytes.
+func f64Bytes(vs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)*8)
+}
+
 // leBytes returns vs as little-endian bytes: an alias of vs's memory on a
 // little-endian host, a converted copy otherwise.
 func leBytes(vs []float64) []byte {
 	if binenc.NativeLittle() {
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)*8)
+		return f64Bytes(vs)
 	}
 	b := make([]byte, 0, len(vs)*8)
 	for _, v := range vs {
@@ -274,23 +306,16 @@ func leBytes(vs []float64) []byte {
 	return b
 }
 
-// readSection fills vs with the little-endian words at offset off of r,
-// read straight into its memory and verified against want as they arrive
-// (binenc.ReadChecksummed), and on a big-endian host swaps them to native
-// order in place.
-func readSection(r io.ReaderAt, off int64, vs []float64, want binenc.Sum, name string) error {
-	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)*8)
+// readSection fills raw with the bytes at offset off of r, read straight
+// into its memory and verified against want as they arrive
+// (binenc.ReadChecksummed).
+func readSection(r io.ReaderAt, off int64, raw []byte, want binenc.Sum, name string) error {
 	got, err := binenc.ReadChecksummed(r, off, raw)
 	if err != nil {
 		return fmt.Errorf("reading %s: %w", name, err)
 	}
 	if got != want {
 		return fmt.Errorf("%s checksum mismatch: stored %v, computed %v", name, want, got)
-	}
-	if !binenc.NativeLittle() {
-		for i := range vs {
-			vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-		}
 	}
 	return nil
 }

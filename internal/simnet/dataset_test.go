@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -37,8 +38,8 @@ func tinyDataset(t testing.TB) *Dataset {
 		k.Data[i] = float64(i) / 7
 	}
 	k.Data[3], k.Data[4] = math.NaN(), nanPayload
-	hot := tensor.NewMatrix(2, grid.Hours())
-	hot.Data[30] = 1
+	hot := tensor.NewMask(2, grid.Hours())
+	hot.Data[30], hot.Data[len(hot.Data)-1] = 1, 1
 	return &Dataset{
 		Grid:   grid,
 		Config: DefaultConfig(),
@@ -106,8 +107,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if hot.Rows != want.Rows || hot.Cols != want.Cols {
 			t.Fatalf("%s: HotDrive %dx%d, want %dx%d", name, hot.Rows, hot.Cols, want.Rows, want.Cols)
 		}
-		if i, ok := sameBits(hot.Data, want.Data); !ok {
-			t.Fatalf("%s: HotDrive differs at %d", name, i)
+		if !bytes.Equal(hot.Data, want.Data) {
+			t.Fatalf("%s: HotDrive differs", name)
 		}
 		if !reflect.DeepEqual(got.Topo, ds.Topo) {
 			t.Fatalf("%s: topology differs", name)
@@ -162,8 +163,8 @@ func TestLoadRejectsDamagedFiles(t *testing.T) {
 	metaEnd := datasetHeaderSize + int(binary.LittleEndian.Uint64(good[8:]))
 	kStart := (metaEnd + 7) &^ 7
 	kEnd := kStart + 8*len(ds.K.Data)
-	if kEnd+8*len(ds.Truth.HotDrive.Data) != len(good) {
-		t.Fatalf("file is %d bytes, layout predicts %d", len(good), kEnd+8*len(ds.Truth.HotDrive.Data))
+	if kEnd+len(ds.Truth.HotDrive.Data) != len(good) {
+		t.Fatalf("file is %d bytes, layout predicts %d", len(good), kEnd+len(ds.Truth.HotDrive.Data))
 	}
 	mutate := func(off int, v byte) []byte {
 		b := append([]byte(nil), good...)
@@ -178,7 +179,7 @@ func TestLoadRejectsDamagedFiles(t *testing.T) {
 		{"version 1 gob", "version 1", v1.Bytes()},
 		{"bad magic", "bad magic", mutate(0, 0x04)},
 		{"empty", "bad magic", nil},
-		{"future version", "version 6", mutate(4, 0x04)},
+		{"future version", "version 7", mutate(4, 0x04)},
 		{"trailing byte", "1 trailing bytes", append(append([]byte(nil), good...), 0)},
 		{"metadata bit flip", "metadata checksum", mutate(metaEnd-2, 0x04)},
 		{"K bit flip", "K checksum", mutate(kStart+8*4+1, 0x04)},
@@ -189,10 +190,80 @@ func TestLoadRejectsDamagedFiles(t *testing.T) {
 		cases = append(cases, rejectCase{"padding", "nonzero padding", mutate(kStart-1, 1)})
 	}
 	// Every section boundary, and inside every section.
-	for _, cut := range []int{2, 4, 30, datasetHeaderSize, datasetHeaderSize + 5, metaEnd, kStart, kStart + 13, kEnd, kEnd + 8, len(good) - 1} {
+	for _, cut := range []int{2, 4, 30, datasetHeaderSize, datasetHeaderSize + 5, metaEnd, kStart, kStart + 13, kEnd, kEnd + 1, len(good) - 1} {
 		cases = append(cases, rejectCase{"truncated", "", good[:cut]})
 	}
 	checkRejects(t, cases)
+}
+
+// withHotByte returns a copy of the saved file data whose HotDrive byte i
+// (of hotLen) is v, under a recomputed HotDrive checksum, so only the
+// value check can reject it.
+func withHotByte(data []byte, hotLen, i int, v byte) []byte {
+	b := append([]byte(nil), data...)
+	hot := b[len(b)-hotLen:]
+	hot[i] = v
+	copy(b[48:64], binenc.AppendSum(nil, binenc.ChecksumChunked(hot)))
+	return b
+}
+
+// asVersion2 rewrites a saved file in the version-2 layout: the version
+// word 2 and HotDrive (hotLen bytes) as one float64 word per sector-hour
+// under its own checksum.
+func asVersion2(data []byte, hotLen int) []byte {
+	b := append([]byte(nil), data[:len(data)-hotLen]...)
+	words := make([]byte, 0, 8*hotLen)
+	for _, v := range data[len(data)-hotLen:] {
+		words = binenc.AppendF64(words, float64(v))
+	}
+	binary.LittleEndian.PutUint32(b[4:], 2)
+	copy(b[48:64], binenc.AppendSum(nil, binenc.ChecksumChunked(words)))
+	return append(b, words...)
+}
+
+// TestLoadRejectsHotDriveOutsideFlags: a HotDrive byte other than 0 or 1
+// fails the load under a valid checksum, wherever it sits, and Save
+// refuses to write one.
+func TestLoadRejectsHotDriveOutsideFlags(t *testing.T) {
+	ds := tinyDataset(t)
+	good := saveBytes(t, ds)
+	n := len(ds.Truth.HotDrive.Data)
+	if _, err := Load(bytes.NewReader(withHotByte(good, n, 0, 1))); err != nil {
+		t.Fatalf("a re-summed file of flags was rejected: %v", err)
+	}
+	var cases []rejectCase
+	for _, c := range []struct {
+		i int
+		v byte
+	}{{0, 2}, {30, 2}, {n / 2, 0x80}, {n - 1, 255}} {
+		cases = append(cases, rejectCase{fmt.Sprintf("byte %d = %d", c.i, c.v),
+			fmt.Sprintf("HotDrive byte %d is %d, want 0 or 1", c.i, c.v), withHotByte(good, n, c.i, c.v)})
+	}
+	checkRejects(t, cases)
+
+	ds.Truth.HotDrive.Data[5] = 2
+	if err := ds.Save(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "HotDrive byte 5 is 2") {
+		t.Fatalf("Save of a HotDrive byte 2: err = %v", err)
+	}
+}
+
+// TestLoadRejectsVersion2File: a file in the previous layout, HotDrive as
+// float64 words, is refused by its version, through Load and LoadFile,
+// with the advice to regenerate it.
+func TestLoadRejectsVersion2File(t *testing.T) {
+	ds := tinyDataset(t)
+	v2 := asVersion2(saveBytes(t, ds), len(ds.Truth.HotDrive.Data))
+	path := filepath.Join(t.TempDir(), "v2.hotd")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, fromFile := LoadFile(path)
+	_, fromReader := Load(bytes.NewReader(v2))
+	for _, err := range []error{fromFile, fromReader} {
+		if err == nil || !strings.Contains(err.Error(), "dataset version 2;") || !strings.Contains(err.Error(), "regenerate it with hotgen") {
+			t.Fatalf("version-2 file: err = %v, want it to name version 2 and hotgen", err)
+		}
+	}
 }
 
 // forge builds a file around meta with valid checksums. Each bulk section
@@ -206,7 +277,7 @@ func forge(t testing.TB, meta datasetMeta, limit int) []byte {
 	}
 	kLen, _ := elems(meta.N, meta.T, meta.F)
 	hotLen, _ := elems(meta.HotRows, meta.HotCols)
-	k, h := make([]byte, 8*min(kLen, limit)), make([]byte, 8*min(hotLen, limit))
+	k, h := make([]byte, 8*min(kLen, limit)), make([]byte, min(hotLen, limit))
 	b := append([]byte(datasetMagic), 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(b[4:], DatasetVersion)
 	b = binenc.AppendU64(b, uint64(mb.Len()))
@@ -236,6 +307,10 @@ func TestLoadRejectsInconsistentShapes(t *testing.T) {
 			m.Topo = &Topology{Sectors: ds.Topo.Sectors[:1]}
 		})},
 		{"no topology", "no topology", forged(func(m *datasetMeta) { m.Topo = nil })},
+		{"no sectors, huge grid", "no sectors (N=0)", forged(func(m *datasetMeta) {
+			m.N, m.HotRows, m.Topo = 0, 0, &Topology{}
+			m.Weeks, m.T, m.HotCols = 1<<40, week<<40, week<<40
+		})},
 		{"grid hours", "grid of 1 weeks does not match T=336", forged(func(m *datasetMeta) { m.T, m.HotCols = 2*week, 2*week })},
 		{"empty grid", "grid of 0 weeks", forged(func(m *datasetMeta) { m.Weeks, m.T, m.HotCols = 0, 0, 0 })},
 		{"not a Monday", "not a Monday", forged(func(m *datasetMeta) { m.StartUnix += 86400 })},
@@ -270,11 +345,17 @@ func TestLoadRejectsInconsistentShapes(t *testing.T) {
 }
 
 // FuzzLoadDataset feeds Load arbitrary bytes: it must reject them with an
-// error, never panic or over-allocate, and whatever it accepts must
-// re-Save to the identical bytes.
+// error, never panic or over-allocate; a file with a whole header of
+// another version must be refused naming that version; and whatever it
+// accepts must hold only 0/1 HotDrive bytes and re-Save to the identical
+// bytes.
 func FuzzLoadDataset(f *testing.F) {
-	good := saveBytes(f, tinyDataset(f))
+	ds := tinyDataset(f)
+	good := saveBytes(f, ds)
+	hotLen := len(ds.Truth.HotDrive.Data)
 	f.Add(good)
+	f.Add(withHotByte(good, hotLen, 30, 2))
+	f.Add(asVersion2(good, hotLen))
 	for _, cut := range []int{0, 4, datasetHeaderSize, len(good) / 2, len(good) - 1} {
 		f.Add(good[:cut])
 	}
@@ -285,8 +366,17 @@ func FuzzLoadDataset(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, err := Load(bytes.NewReader(data))
+		if len(data) >= datasetHeaderSize && string(data[:4]) == datasetMagic {
+			if v := binary.LittleEndian.Uint32(data[4:]); v != DatasetVersion &&
+				(err == nil || !strings.Contains(err.Error(), fmt.Sprintf("dataset version %d;", v))) {
+				t.Fatalf("version-%d file: err = %v, want it to name the version", v, err)
+			}
+		}
 		if err != nil {
 			return
+		}
+		if err := checkFlags(ds.Truth.HotDrive.Data); err != nil {
+			t.Fatalf("accepted a dataset whose %v", err)
 		}
 		var out bytes.Buffer
 		if err := ds.Save(&out); err != nil {
@@ -364,8 +454,8 @@ func TestLoadBitIdenticalAcrossReaders(t *testing.T) {
 			if i, ok := sameBits(got.K.Data, ds.K.Data); !ok {
 				t.Fatalf("%s at %d procs: K differs at %d", c.name, procs, i)
 			}
-			if i, ok := sameBits(got.Truth.HotDrive.Data, ds.Truth.HotDrive.Data); !ok {
-				t.Fatalf("%s at %d procs: HotDrive differs at %d", c.name, procs, i)
+			if !bytes.Equal(got.Truth.HotDrive.Data, ds.Truth.HotDrive.Data) {
+				t.Fatalf("%s at %d procs: HotDrive differs", c.name, procs)
 			}
 			if s, ok := c.r.(io.Seeker); ok {
 				if at, _ := s.Seek(0, io.SeekCurrent); at != c.end {
@@ -409,7 +499,7 @@ func TestLoadReadAtErrorMidChunk(t *testing.T) {
 }
 
 // BenchmarkLoadFile times loading a 150-sector, 18-week dataset file
-// (about 80 MB): the chunk-parallel read and checksum of K and HotDrive
+// (about 64 MB): the chunk-parallel read and checksum of K and HotDrive
 // plus the metadata decode.
 func BenchmarkLoadFile(b *testing.B) {
 	cfg := DefaultConfig()
@@ -422,7 +512,7 @@ func BenchmarkLoadFile(b *testing.B) {
 	if err := ds.SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(8 * (len(ds.K.Data) + len(ds.Truth.HotDrive.Data))))
+	b.SetBytes(int64(8*len(ds.K.Data) + len(ds.Truth.HotDrive.Data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -104,11 +104,13 @@ func (c Config) Validate() error {
 }
 
 // Truth is the generator's ground truth, available to tests and analyses
-// but never to the forecasting models.
+// but never to the forecasting models: they see only the KPIs.
 type Truth struct {
-	// HotDrive marks the hours during which the generator drove the sector
-	// into degradation (n x mh, values 0/1).
-	HotDrive *tensor.Matrix
+	// HotDrive marks the hours during which the generator (or a scenario
+	// overlay) drove the sector into degradation: n x mh, one byte per
+	// sector-hour, 1 for driven and 0 otherwise. Load rejects any other
+	// byte value.
+	HotDrive *tensor.Mask
 	// Episodes lists every emerging episode (including aborted near
 	// misses).
 	Episodes []Episode
@@ -139,7 +141,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	n := s.N()
 	mh := s.grid.Hours()
 	k := tensor.NewTensor3(n, mh, NumKPIs)
-	hot := tensor.NewMatrix(n, mh)
+	hot := tensor.NewMask(n, mh)
 	episodesPerSector := make([][]Episode, n)
 
 	// Fan sectors out on the shared pool; each sector's RNG is keyed by its
@@ -313,7 +315,7 @@ func classWeekday(class LandUse, dow int, holiday bool) float64 {
 // rather than the full tensors lets the chunked Stream reuse the exact same
 // emission path.
 func emitSector(i int, topo *Topology, g *timegrid.Grid, sched *schedule,
-	shared *sharedEvents, kRow, hotRow []float64, rng *randx.RNG) {
+	shared *sharedEvents, kRow []float64, hotRow []uint8, rng *randx.RNG) {
 	sec := &topo.Sectors[i]
 	mh := g.Hours()
 	// Per-KPI AR(1) noise state.

@@ -158,7 +158,7 @@ func TestHotDriveRespectsProfiles(t *testing.T) {
 		row := ds.Truth.HotDrive.Row(sec.ID)
 		sum := 0.0
 		for _, v := range row {
-			sum += v
+			sum += float64(v)
 		}
 		switch sec.Profile {
 		case Persistent:
@@ -309,8 +309,8 @@ func TestSelectSectors(t *testing.T) {
 		if at, ok := sameBits(sub.K.Sector(id), ref.K.Sector(old)); !ok {
 			t.Fatalf("sector %d (was %d): K differs at %d", id, old, at)
 		}
-		if at, ok := sameBits(sub.Truth.HotDrive.Row(id), ref.Truth.HotDrive.Row(old)); !ok {
-			t.Fatalf("sector %d (was %d): HotDrive differs at %d", id, old, at)
+		if !bytes.Equal(sub.Truth.HotDrive.Row(id), ref.Truth.HotDrive.Row(old)) {
+			t.Fatalf("sector %d (was %d): HotDrive differs", id, old)
 		}
 		want := ref.Topo.Sectors[old]
 		if _, ok := newTower[want.Tower]; !ok {

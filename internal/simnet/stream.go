@@ -75,14 +75,14 @@ func (s *Stream) Config() Config { return s.cfg }
 type Chunk struct {
 	Lo, Hi   int
 	K        *tensor.Tensor3 // (Hi-Lo) x mh x NumKPIs
-	Hot      *tensor.Matrix  // (Hi-Lo) x mh
+	Hot      *tensor.Mask    // (Hi-Lo) x mh, 0/1
 	Episodes []Episode
 }
 
 // emitInto generates sector i into the given row views: kRow is the mh x
 // NumKPIs block, hotRow the mh-hour ground-truth row. It returns the
 // sector's emerging episodes.
-func (s *Stream) emitInto(i int, kRow, hotRow []float64) []Episode {
+func (s *Stream) emitInto(i int, kRow []float64, hotRow []uint8) []Episode {
 	rng := randx.DeriveIndexed(s.cfg.Seed, 0x5bf03635, "sector", i)
 	sched, eps := buildSchedule(&s.topo.Sectors[i], s.grid, rng, s.cfg)
 	emitSector(i, s.topo, s.grid, &sched, s.shared, kRow, hotRow, rng)
@@ -101,7 +101,7 @@ func (s *Stream) Chunk(lo, hi int) (*Chunk, error) {
 		Lo:  lo,
 		Hi:  hi,
 		K:   tensor.NewTensor3(hi-lo, mh, NumKPIs),
-		Hot: tensor.NewMatrix(hi-lo, mh),
+		Hot: tensor.NewMask(hi-lo, mh),
 	}
 	eps := make([][]Episode, hi-lo)
 	if err := parallel.For(0, hi-lo, func(r int) error {

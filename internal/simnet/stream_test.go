@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"runtime"
@@ -20,7 +21,7 @@ func equalOrBothNaN(a, b float64) bool {
 
 // assembleStream regenerates cfg through the chunked path and reassembles
 // the chunks into full tensors.
-func assembleStream(t *testing.T, cfg Config, chunkSectors int) (*tensor.Tensor3, *tensor.Matrix, []Episode) {
+func assembleStream(t *testing.T, cfg Config, chunkSectors int) (*tensor.Tensor3, *tensor.Mask, []Episode) {
 	t.Helper()
 	s, err := NewStream(cfg)
 	if err != nil {
@@ -28,7 +29,7 @@ func assembleStream(t *testing.T, cfg Config, chunkSectors int) (*tensor.Tensor3
 	}
 	n, mh := s.N(), s.Grid().Hours()
 	k := tensor.NewTensor3(n, mh, NumKPIs)
-	hot := tensor.NewMatrix(n, mh)
+	hot := tensor.NewMask(n, mh)
 	var episodes []Episode
 	next := 0
 	if err := s.Stream(chunkSectors, func(c *Chunk) error {
@@ -73,9 +74,12 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 				t.Fatalf("chunk=%d: K mismatch at flat index %d: %v vs %v", chunk, i, v, ds.K.Data[i])
 			}
 		}
-		for i, v := range hot.Data {
-			if v != ds.Truth.HotDrive.Data[i] {
-				t.Fatalf("chunk=%d: hot mismatch at flat index %d: %v vs %v", chunk, i, v, ds.Truth.HotDrive.Data[i])
+		if hot.Rows != ds.Truth.HotDrive.Rows || hot.Cols != ds.Truth.HotDrive.Cols {
+			t.Fatalf("chunk=%d: hot is %dx%d, want %dx%d", chunk, hot.Rows, hot.Cols, ds.Truth.HotDrive.Rows, ds.Truth.HotDrive.Cols)
+		}
+		for i := 0; i < hot.Rows; i++ {
+			if !bytes.Equal(hot.Row(i), ds.Truth.HotDrive.Row(i)) {
+				t.Fatalf("chunk=%d: hot row of sector %d differs", chunk, i)
 			}
 		}
 		if len(episodes) != len(ds.Truth.Episodes) {
@@ -98,7 +102,7 @@ func TestStreamDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg.Weeks = 4
 	cfg.Seed = 11
 
-	run := func(procs int) (*tensor.Tensor3, *tensor.Matrix, []Episode) {
+	run := func(procs int) (*tensor.Tensor3, *tensor.Mask, []Episode) {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		k, hot, eps := assembleStream(t, cfg, 16)
@@ -111,10 +115,8 @@ func TestStreamDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			t.Fatalf("K differs at flat index %d: %v vs %v", i, v, k4.Data[i])
 		}
 	}
-	for i, v := range hot1.Data {
-		if v != hot4.Data[i] {
-			t.Fatalf("hot differs at flat index %d: %v vs %v", i, v, hot4.Data[i])
-		}
+	if !bytes.Equal(hot1.Data, hot4.Data) {
+		t.Fatal("hot rows differ between 1 and 4 procs")
 	}
 	if len(eps1) != len(eps4) {
 		t.Fatalf("episode counts differ: %d vs %d", len(eps1), len(eps4))

@@ -80,6 +80,27 @@ func (m *Matrix) CountIf(pred func(float64) bool) int {
 	return n
 }
 
+// Mask is a dense 2-D array of 0/1 flags (rows x cols), one byte per
+// element, row-major: a Matrix of labels at an eighth of its size.
+type Mask struct {
+	Rows, Cols int
+	Data       []uint8
+}
+
+// NewMask allocates an all-zero Rows x Cols mask.
+func NewMask(rows, cols int) *Mask {
+	if rows < 0 || cols < 0 {
+		panic("tensor: negative mask dimension")
+	}
+	return &Mask{Rows: rows, Cols: cols, Data: make([]uint8, rows*cols)}
+}
+
+// At returns element (i, j).
+func (m *Mask) At(i, j int) uint8 { return m.Data[i*m.Cols+j] }
+
+// Row returns row i as a slice sharing the mask's storage.
+func (m *Mask) Row(i int) []uint8 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+
 // Tensor3 is a dense 3-D array (N x T x F), row-major with the feature axis
 // fastest. For the paper's K this is sectors x hours x KPIs.
 type Tensor3 struct {
@@ -181,9 +202,17 @@ func (m *Matrix) SelectRows(keep []int) *Matrix {
 	return m
 }
 
+// SelectRows is SelectSectors for a mask: it restricts m in place to the
+// listed rows, which must be strictly ascending, and returns m.
+func (m *Mask) SelectRows(keep []int) *Mask {
+	m.Data = compactRows(m.Data, m.Rows, m.Cols, keep)
+	m.Rows = len(keep)
+	return m
+}
+
 // compactRows moves rows keep[i] of data (n rows of stride elements) to
 // row i and returns the survivors as a capacity-capped slice.
-func compactRows(data []float64, n, stride int, keep []int) []float64 {
+func compactRows[E any](data []E, n, stride int, keep []int) []E {
 	for i, r := range keep {
 		if r < 0 || r >= n || (i > 0 && r <= keep[i-1]) {
 			panic(fmt.Sprintf("tensor: selected row %d (entry %d) is out of range [0:%d) or not above its predecessor", r, i, n))

@@ -178,6 +178,37 @@ func TestSelectRows(t *testing.T) {
 	}
 }
 
+func TestMaskSelectRows(t *testing.T) {
+	m := NewMask(4, 3)
+	for i := range m.Data {
+		m.Data[i] = uint8(i % 2)
+	}
+	storage := &m.Data[0]
+	if got := m.SelectRows([]int{1, 2}); got != m || &m.Data[0] != storage {
+		t.Fatal("SelectRows did not compact the mask in place")
+	}
+	if want := []uint8{1, 0, 1, 0, 1, 0}; m.Rows != 2 || m.Cols != 3 || !reflect.DeepEqual(m.Data, want) || cap(m.Data) != 6 {
+		t.Fatalf("SelectRows = %dx%d %v (cap %d), want 2x3 %v", m.Rows, m.Cols, m.Data, cap(m.Data), want)
+	}
+	if m.At(1, 0) != 0 || m.Row(1)[1] != 1 {
+		t.Fatalf("At/Row disagree with Data %v", m.Data)
+	}
+	for _, keep := range [][]int{{2, 0}, {1, 1}, {-1}, {0, 4}} {
+		m := NewMask(4, 3)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("keep %v: no panic", keep)
+				}
+			}()
+			m.SelectRows(keep)
+		}()
+		if m.Rows != 4 || len(m.Data) != 12 {
+			t.Errorf("keep %v: rejected selection changed the mask", keep)
+		}
+	}
+}
+
 func TestConcatFeatures(t *testing.T) {
 	a := NewTensor3(2, 2, 1)
 	b := NewTensor3(2, 2, 2)
