@@ -538,13 +538,13 @@ func BenchmarkForestFit(b *testing.B) {
 			y[i] = 1
 		}
 	}
-	w := mltree.BalancedWeights(y, 2)
+	w := mltree.BalancedWeights(y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := mltree.DefaultForestConfig()
 		cfg.NumTrees = 10
 		cfg.Seed = uint64(i + 1)
-		if _, err := mltree.FitForest(x, n, f, y, w, 2, cfg); err != nil {
+		if _, err := mltree.FitForest(x, n, f, y, w, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -593,7 +593,7 @@ func trainBenchData() ([]float64, []int, []float64) {
 				trainBenchY[i] = 1
 			}
 		}
-		trainBenchW = mltree.BalancedWeights(trainBenchY, 2)
+		trainBenchW = mltree.BalancedWeights(trainBenchY)
 	})
 	return trainBenchX, trainBenchY, trainBenchW
 }
@@ -603,7 +603,7 @@ func BenchmarkFitTreeHist(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := randx.New(uint64(i+1), 7)
-		if _, err := mltree.FitTree(x, trainBenchN, trainBenchF, y, w, 2, mltree.TreeConfig(), rng); err != nil {
+		if _, err := mltree.FitTree(x, trainBenchN, trainBenchF, y, w, mltree.TreeConfig(), rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -615,7 +615,7 @@ func BenchmarkFitForestHist(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := mltree.DefaultForestConfig()
 		cfg.Seed = uint64(i + 1)
-		if _, err := mltree.FitForest(x, trainBenchN, trainBenchF, y, w, 2, cfg); err != nil {
+		if _, err := mltree.FitForest(x, trainBenchN, trainBenchF, y, w, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -656,14 +656,14 @@ func predictBenchModels(b *testing.B) (*mltree.Tree, *mltree.Forest, *mltree.GBT
 	x, y, w := trainBenchData()
 	predictBenchOnce.Do(func() {
 		predictBenchTree, predictBenchErr = mltree.FitTree(
-			x, trainBenchN, trainBenchF, y, w, 2, mltree.TreeConfig(), randx.New(21, 22))
+			x, trainBenchN, trainBenchF, y, w, mltree.TreeConfig(), randx.New(21, 22))
 		if predictBenchErr != nil {
 			return
 		}
 		foCfg := mltree.DefaultForestConfig()
 		foCfg.Seed = 23
 		predictBenchForest, predictBenchErr = mltree.FitForest(
-			x, trainBenchN, trainBenchF, y, w, 2, foCfg)
+			x, trainBenchN, trainBenchF, y, w, foCfg)
 		if predictBenchErr != nil {
 			return
 		}

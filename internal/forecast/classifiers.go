@@ -181,7 +181,7 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 
 	var weights []float64
 	if !m.Unbalanced {
-		weights = mltree.BalancedWeights(labels, 2)
+		weights = mltree.BalancedWeights(labels)
 	}
 	var bin *mltree.Binned
 	var width int
@@ -215,7 +215,7 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 	if m.SingleTree {
 		rng := randx.DeriveIndexed(seed, 0x7e11, "tree-model", t)
 		var tree *mltree.Tree
-		if tree, err = mltree.FitTreeBinned(bin, labels, weights, 2, mltree.TreeConfig(), rng); err != nil {
+		if tree, err = mltree.FitTreeBinned(bin, labels, weights, mltree.TreeConfig(), rng); err != nil {
 			return nil, nil, fmt.Errorf("forecast: fitting tree: %w", err)
 		}
 		art.kind = kindTree
@@ -231,7 +231,7 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 			Workers:   c.FitWorkers,
 		}
 		var forest *mltree.Forest
-		if forest, err = mltree.FitForestBinned(bin, labels, weights, 2, cfg); err != nil {
+		if forest, err = mltree.FitForestBinned(bin, labels, weights, cfg); err != nil {
 			return nil, nil, fmt.Errorf("forecast: fitting forest: %w", err)
 		}
 		art.kind = kindForest

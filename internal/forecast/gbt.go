@@ -76,7 +76,7 @@ func (m *GBTModel) fitLearner(c *Context, target Target, t, h, w int) (Trained, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("forecast: building GBT training matrix: %w", err)
 	}
-	g, err := mltree.FitGBTBinned(mat.Bin, labels, mltree.BalancedWeights(labels, 2), cfg)
+	g, err := mltree.FitGBTBinned(mat.Bin, labels, mltree.BalancedWeights(labels), cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("forecast: fitting GBT: %w", err)
 	}

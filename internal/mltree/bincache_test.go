@@ -35,7 +35,7 @@ func TestBinSharedReusesQuantization(t *testing.T) {
 	x, y := binCacheFixture(t, 400, 10, 3)
 	cfg := TreeConfig()
 
-	tr1, err := FitTree(x, 400, 10, y, nil, 2, cfg, randx.New(1, 2))
+	tr1, err := FitTree(x, 400, 10, y, nil, cfg, randx.New(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestBinSharedReusesQuantization(t *testing.T) {
 		t.Fatalf("first fit: stats %+v, want one miss and one entry", s1)
 	}
 
-	tr2, err := FitTree(x, 400, 10, y, nil, 2, cfg, randx.New(1, 2))
+	tr2, err := FitTree(x, 400, 10, y, nil, cfg, randx.New(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestBinSharedReusesQuantization(t *testing.T) {
 
 	// A single mutated cell changes the content fingerprint.
 	x[17] += 0.5
-	if _, err := FitTree(x, 400, 10, y, nil, 2, cfg, randx.New(1, 2)); err != nil {
+	if _, err := FitTree(x, 400, 10, y, nil, cfg, randx.New(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	s3 := BinCacheStats()
@@ -67,8 +67,8 @@ func TestBinSharedReusesQuantization(t *testing.T) {
 	}
 
 	// Weighted quantiles differ from uniform ones: same matrix, new key.
-	w := BalancedWeights(y, 2)
-	if _, err := FitTree(x, 400, 10, y, w, 2, cfg, randx.New(1, 2)); err != nil {
+	w := BalancedWeights(y)
+	if _, err := FitTree(x, 400, 10, y, w, cfg, randx.New(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	s4 := BinCacheStats()
@@ -85,13 +85,13 @@ func TestBinSharedAcrossFitEntryPoints(t *testing.T) {
 	x, y := binCacheFixture(t, 300, 8, 9)
 
 	treeCfg := ForestTreeConfig()
-	if _, err := FitTree(x, 300, 8, y, nil, 2, treeCfg, randx.New(4, 5)); err != nil {
+	if _, err := FitTree(x, 300, 8, y, nil, treeCfg, randx.New(4, 5)); err != nil {
 		t.Fatal(err)
 	}
 	after1 := BinCacheStats()
 
 	fcfg := ForestConfig{NumTrees: 3, Tree: treeCfg, Bootstrap: true, Seed: 11}
-	if _, err := FitForest(x, 300, 8, y, nil, 2, fcfg); err != nil {
+	if _, err := FitForest(x, 300, 8, y, nil, fcfg); err != nil {
 		t.Fatal(err)
 	}
 	after2 := BinCacheStats()
@@ -116,7 +116,7 @@ func TestBinSharedAcrossFitEntryPoints(t *testing.T) {
 	for i, c := range y {
 		targets[i] = float64(c)
 	}
-	rcfg := RegressionConfig{MaxDepth: 4, MinSamplesLeaf: 5, Rule: SqrtFeatures}
+	rcfg := Config{MaxDepth: 4, MinSamplesLeaf: 5, Rule: SqrtFeatures}
 	if _, err := FitRegressionTree(x, 300, 8, targets, nil, rcfg, randx.New(6, 7)); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestBinCacheDisabledMatchesCached(t *testing.T) {
 	x, y := binCacheFixture(t, 250, 6, 13)
 	cfg := TreeConfig()
 
-	cached, err := FitTree(x, 250, 6, y, nil, 2, cfg, randx.New(8, 9))
+	cached, err := FitTree(x, 250, 6, y, nil, cfg, randx.New(8, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestBinCacheDisabledMatchesCached(t *testing.T) {
 	if got := BinCacheStats(); got != (Stats{}) {
 		t.Fatalf("disabled cache reports stats %+v", got)
 	}
-	fresh, err := FitTree(x, 250, 6, y, nil, 2, cfg, randx.New(8, 9))
+	fresh, err := FitTree(x, 250, 6, y, nil, cfg, randx.New(8, 9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,21 +274,46 @@ func checkWeights(w []float64, n int) (float64, error) {
 	return total, nil
 }
 
-// FitTreeBinned grows a CART classifier on a pre-binned matrix: labels y
-// in [0, numClasses), optional sample weights w (nil = uniform). The split
+// FitTreeBinned grows a CART classifier on a pre-binned matrix: binary
+// labels y (0 or 1), optional sample weights w (nil = uniform). The split
 // search scans bin boundaries, so thresholds are the binner's cut points.
-func FitTreeBinned(bn *Binned, y []int, w []float64, numClasses int, cfg Config, rng *randx.RNG) (*Tree, error) {
-	n, f := bn.N, bn.F
+func FitTreeBinned(bn *Binned, y []int, w []float64, cfg Config, rng *randx.RNG) (*Tree, error) {
+	targets, err := binaryTargets(y, bn.N)
+	if err != nil {
+		return nil, err
+	}
+	return growTree(bn, targets, w, cfg, rng, true, nil)
+}
+
+// binaryTargets checks that y holds n labels, each 0 or 1, and returns
+// them as regression targets.
+func binaryTargets(y []int, n int) ([]float64, error) {
 	if len(y) != n {
 		return nil, fmt.Errorf("mltree: %d labels for %d instances", len(y), n)
 	}
-	if numClasses < 2 {
-		return nil, fmt.Errorf("mltree: need at least 2 classes")
-	}
-	for _, c := range y {
-		if c < 0 || c >= numClasses {
-			return nil, fmt.Errorf("mltree: label %d outside [0,%d)", c, numClasses)
+	targets := make([]float64, n)
+	for i, c := range y {
+		if c != 0 && c != 1 {
+			return nil, fmt.Errorf("mltree: label %d is not binary (0 or 1)", c)
 		}
+		targets[i] = float64(c)
+	}
+	return targets, nil
+}
+
+// minGain is the weighted SSE reduction a split must exceed: any real
+// split clears it, so it stops only splits on float rounding noise.
+const minGain = 1e-12
+
+// growTree is every tree fit's entry: it checks the targets and the
+// caller's weights (nil = uniform) and grows one tree. A classifier
+// (classify) grows on its 0/1 labels: its pure nodes become leaves, as
+// Gini impurity 0 did, and it records feature importances. leafOf, when
+// non-nil, receives every row's dense leaf index.
+func growTree(bn *Binned, y, w []float64, cfg Config, rng *randx.RNG, classify bool, leafOf []int32) (*Tree, error) {
+	n, f := bn.N, bn.F
+	if len(y) != n {
+		return nil, fmt.Errorf("mltree: %d targets for %d instances", len(y), n)
 	}
 	if w == nil {
 		w = uniformWeights(n)
@@ -300,25 +325,27 @@ func FitTreeBinned(bn *Binned, y []int, w []float64, numClasses int, cfg Config,
 	if totalW == 0 {
 		return nil, fmt.Errorf("mltree: zero total weight")
 	}
-
-	t := &Tree{NumFeatures: f, NumClasses: numClasses, importances: make([]float64, f)}
-	maxNB := 0
-	for _, nb := range bn.Bins {
-		if nb > maxNB {
-			maxNB = nb
-		}
+	if cfg.MinSamplesLeaf < 1 {
+		cfg.MinSamplesLeaf = 1
 	}
-	b := &hbuilder{
-		bn: bn, y: y, w: w,
-		numClasses: numClasses, cfg: cfg, rng: rng,
+	t := &Tree{NumFeatures: f}
+	if classify {
+		t.importances = make([]float64, f)
+	}
+	b := &grower{
+		bn: bn, y: y, w: w, cfg: cfg, rng: rng, tree: t,
 		minWeight: cfg.MinWeightFraction * totalW,
-		totalW:    totalW,
-		tree:      t,
+		classify:  classify,
+		stride:    2,
 		binOffset: binOffsets(bn),
-		classW:    make([]float64, numClasses),
-		leftW:     make([]float64, numClasses),
-		maxNB:     maxNB,
+		leafOf:    leafOf,
 		sampler:   newFeatureSampler(f),
+	}
+	if cfg.MinSamplesLeaf > 1 {
+		b.stride, b.minLeaf = 3, cfg.MinSamplesLeaf
+	}
+	for _, nb := range bn.Bins {
+		b.maxNB = max(b.maxNB, nb)
 	}
 	idx := make([]int32, n)
 	for i := range idx {
@@ -344,7 +371,7 @@ func FitTreeBinned(bn *Binned, y []int, w []float64, numClasses int, cfg Config,
 	return t, nil
 }
 
-// featureSampler draws random feature subsets for the hist builders. It
+// featureSampler draws random feature subsets for the grower. It
 // mirrors randx.RNG.SampleWithoutReplacement draw-for-draw — a partial
 // Fisher-Yates whose swaps are undone after every sample, so the persistent
 // permutation is the identity at each call — but without that method's
@@ -396,30 +423,29 @@ func binOffsets(bn *Binned) []int {
 	return off
 }
 
-// hbuilder grows one classification tree with histogram split search.
-type hbuilder struct {
-	bn         *Binned
-	y          []int
-	w          []float64
-	numClasses int
-	cfg        Config
-	rng        *randx.RNG
-	minWeight  float64
-	totalW     float64
-	tree       *Tree
+// grower grows one tree with histogram split search. Each histogram bin
+// holds stride slots: the bin's weight Σw, its weighted target sum Σw·y
+// and, only when MinSamplesLeaf bounds leaves by rows, its row count.
+type grower struct {
+	bn        *Binned
+	y, w      []float64
+	cfg       Config
+	rng       *randx.RNG
+	tree      *Tree
+	minWeight float64 // nodes lighter than this become leaves
+	classify  bool    // y holds 0/1 labels: pure nodes become leaves
+	stride    int     // histogram slots per bin: 2, or 3 with counts
+	minLeaf   int     // rows per leaf the scans enforce (0 without counts)
+	leaves    int32
+	leafOf    []int32 // nil unless the caller wants row -> leaf
 
-	// binOffset[j] is feature j's start in a flat histogram; the histogram
-	// entry for (feature j, bin b, class c) lives at
-	// (binOffset[j]+b)*numClasses + c.
+	// binOffset[j] is feature j's first bin in a flat histogram; bin b
+	// of feature j starts at slot (binOffset[j]+b)*stride.
 	binOffset []int
 	// histPool recycles chain-mode histogram buffers: at most O(log n) are
 	// live at a time because a fresh buffer is only ever needed for the
 	// smaller child.
 	histPool [][]float64
-	// classW and leftW are per-node class-weight scratch, reused across
-	// grow calls (a node never touches them after recursing).
-	classW []float64
-	leftW  []float64
 	// Direct-mode scratch: every candidate feature's histogram, filled in
 	// one row-major pass per node (rows are contiguous in Codes, so this
 	// touches each row's cache lines once where a per-column gather would
@@ -436,33 +462,37 @@ type hbuilder struct {
 	sampler  *featureSampler
 }
 
-func (b *hbuilder) newHist() []float64 {
+func (b *grower) featureCount() int { return featureCountFor(b.cfg, b.bn.F) }
+
+func (b *grower) newHist() []float64 {
 	if k := len(b.histPool); k > 0 {
 		h := b.histPool[k-1]
 		b.histPool = b.histPool[:k-1]
-		for i := range h {
-			h[i] = 0
-		}
+		clear(h)
 		return h
 	}
-	return make([]float64, b.binOffset[len(b.binOffset)-1]*b.numClasses)
+	return make([]float64, b.binOffset[len(b.binOffset)-1]*b.stride)
 }
 
-func (b *hbuilder) freeHist(h []float64) { b.histPool = append(b.histPool, h) }
+func (b *grower) freeHist(h []float64) { b.histPool = append(b.histPool, h) }
 
-// accumulate adds the class-weight histogram of every feature over the
-// node's instances — the O(m x F) half of the engine. The inner loop walks
-// one row of codes sequentially, so it is cache-friendly where per-column
+// accumulate adds the histogram of every feature over the node's
+// instances — the O(m x F) half of the engine. The inner loop walks one
+// row of codes sequentially, so it is cache-friendly where per-column
 // gathers are not.
-func (b *hbuilder) accumulate(hist []float64, idx []int32) {
-	f := b.bn.F
-	c := b.numClasses
+func (b *grower) accumulate(hist []float64, idx []int32) {
+	f, stride := b.bn.F, b.stride
 	for _, i := range idx {
 		row := b.bn.Codes[int(i)*f : int(i)*f+f]
-		wy := b.w[i]
-		cls := b.y[i]
+		wi := b.w[i]
+		wy := wi * b.y[i]
 		for j, code := range row {
-			hist[(b.binOffset[j]+int(code))*c+cls] += wy
+			s := (b.binOffset[j] + int(code)) * stride
+			hist[s] += wi
+			hist[s+1] += wy
+			if stride == 3 {
+				hist[s+2]++
+			}
 		}
 	}
 }
@@ -473,50 +503,49 @@ func (b *hbuilder) accumulate(hist []float64, idx []int32) {
 // hist in place for the larger; a node whose split is too skewed for the
 // chain to pay drops its subtree to direct mode. Hist buffers are recycled
 // once their subtree is built.
-func (b *hbuilder) grow(idx []int32, depth int, hist []float64) int32 {
-	classW := b.classW
-	for c := range classW {
-		classW[c] = 0
-	}
-	nodeW := 0.0
+func (b *grower) grow(idx []int32, depth int, hist []float64) int32 {
+	var sw, swy float64
 	for _, i := range idx {
-		classW[b.y[i]] += b.w[i]
-		nodeW += b.w[i]
+		sw += b.w[i]
+		swy += b.w[i] * b.y[i]
 	}
-	impurity := gini(classW, nodeW)
-
 	leaf := func() int32 {
-		probs := make([]float64, b.numClasses)
-		if nodeW > 0 {
-			for c := range probs {
-				probs[c] = classW[c] / nodeW
+		mean := 0.0
+		if sw > 0 {
+			mean = swy / sw
+		}
+		id := b.leaves
+		b.leaves++
+		if b.leafOf != nil {
+			for _, i := range idx {
+				b.leafOf[i] = id
 			}
 		}
 		if hist != nil {
 			b.freeHist(hist)
 		}
-		b.tree.nodes = append(b.tree.nodes, node{feature: -1, probs: probs})
+		b.tree.nodes = append(b.tree.nodes, node{feature: -1, value: mean, leafID: id})
 		return int32(len(b.tree.nodes) - 1)
 	}
-
-	if impurity == 0 || nodeW < b.minWeight || len(idx) < 2 ||
-		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
+	if len(idx) < 2*b.cfg.MinSamplesLeaf || sw <= 0 || sw < b.minWeight ||
+		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
+		(b.classify && (swy == 0 || swy == sw)) {
 		return leaf()
 	}
 
-	var feat, binCut int
-	var thr, decrease float64
+	scan := splitScan{m: len(idx), minLeaf: b.minLeaf, sw: sw, swy: swy, base: swy * swy / sw, feat: -1}
 	if hist != nil {
-		feat, binCut, thr, decrease = b.bestSplit(hist, classW, nodeW, impurity)
+		b.scanChain(&scan, hist)
 	} else {
-		feat, binCut, thr, decrease = b.bestSplitDirect(idx, classW, nodeW, impurity)
+		b.scanDirect(&scan, idx)
 	}
-	if feat < 0 || decrease <= b.cfg.MinImpurityDecrease {
+	if scan.feat < 0 || scan.gain <= minGain {
 		return leaf()
 	}
+	feat, binCut := scan.feat, scan.cut
 
-	// Partition idx by bin code; code <= binCut is exactly x <= thr on the
-	// training data by the binner's threshold construction.
+	// Partition idx by bin code; code <= binCut is exactly x <= threshold
+	// on the training data by the binner's threshold construction.
 	lo, hi := 0, len(idx)
 	f := b.bn.F
 	for lo < hi {
@@ -527,14 +556,20 @@ func (b *hbuilder) grow(idx []int32, depth int, hist []float64) int32 {
 			idx[lo], idx[hi] = idx[hi], idx[lo]
 		}
 	}
-	if lo == 0 || lo == len(idx) {
-		return leaf() // degenerate split (possible only via zero-weight rows)
+	// A side below MinSamplesLeaf (or empty, possible only via zero-weight
+	// rows) makes the split degenerate.
+	if lo < b.cfg.MinSamplesLeaf || len(idx)-lo < b.cfg.MinSamplesLeaf {
+		return leaf()
+	}
+	if b.tree.importances != nil {
+		// The gain is the Gini decrease times W/2, and W/2 times the
+		// node's share W/W_total of the weight is the same constant for
+		// every node, which normalisation cancels.
+		b.tree.importances[feat] += scan.gain
 	}
 
-	b.tree.importances[feat] += nodeW / b.totalW * decrease
-
 	self := int32(len(b.tree.nodes))
-	b.tree.nodes = append(b.tree.nodes, node{feature: int32(feat), threshold: thr})
+	b.tree.nodes = append(b.tree.nodes, node{feature: int32(feat), threshold: b.bn.Thresholds[feat][binCut], leafID: -1})
 
 	left, right := idx[:lo], idx[lo:]
 	small := left
@@ -571,202 +606,135 @@ func (b *hbuilder) grow(idx []int32, depth int, hist []float64) int32 {
 	return self
 }
 
-// bestSplit scans a random feature subset's bin boundaries for the largest
-// weighted Gini decrease. Returns feature -1 when no valid split exists;
-// otherwise the winning feature, its bin cut (codes <= cut go left) and the
-// float threshold implementing the same cut on raw features.
-func (b *hbuilder) bestSplit(hist, classW []float64, nodeW, impurity float64) (int, int, float64, float64) {
-	nFeat := b.featureCount()
-	features := b.sampler.sample(b.rng, nFeat)
-	c := b.numClasses
-
-	bestFeat, bestCut, bestDec := -1, 0, 0.0
-	bestThr := 0.0
-	leftW := b.leftW
-	for _, feat := range features {
-		nb := b.bn.Bins[feat]
-		if nb < 2 {
-			continue // constant column
-		}
-		base := b.binOffset[feat]
-		for k := range leftW {
-			leftW[k] = 0
-		}
-		wl := 0.0
-		for bin := 0; bin < nb-1; bin++ {
-			slot := hist[(base+bin)*c : (base+bin)*c+c]
-			for k, v := range slot {
-				leftW[k] += v
-				wl += v
-			}
-			wr := nodeW - wl
-			if wl <= 0 || wr <= 0 {
-				continue
-			}
-			gl := gini(leftW, wl)
-			gr := giniComplement(classW, leftW, wr)
-			dec := impurity - (wl*gl+wr*gr)/nodeW
-			if dec > bestDec {
-				bestDec = dec
-				bestFeat = feat
-				bestCut = bin
-				bestThr = b.bn.Thresholds[feat][bin]
-			}
-		}
-	}
-	return bestFeat, bestCut, bestThr, bestDec
+// splitScan is one node's split search: the node's rows m, weight sw,
+// weighted target sum swy and base = swy²/sw, and the best boundary seen.
+type splitScan struct {
+	m, minLeaf int
+	sw, swy    float64
+	base       float64
+	gain       float64
+	feat, cut  int
 }
 
-// bestSplitDirect is the direct-mode search: all candidate features'
+// consider scores the boundary after bin cut of feature feat, whose left
+// side holds weight wl, weighted target sum wyl and nl rows, by weighted
+// variance reduction wyl²/wl + wyr²/wr - swy²/sw. Only a strictly larger
+// gain wins, so the first of equal candidates is kept.
+func (s *splitScan) consider(feat, cut int, wl, wyl float64, nl int) {
+	if nl < s.minLeaf || s.m-nl < s.minLeaf {
+		return
+	}
+	wr := s.sw - wl
+	if wl <= 0 || wr <= 0 {
+		return
+	}
+	wyr := s.swy - wyl
+	if gain := wyl*wyl/wl + wyr*wyr/wr - s.base; gain > s.gain {
+		s.gain, s.feat, s.cut = gain, feat, cut
+	}
+}
+
+// scanChain scans a random feature subset's bin boundaries in the node's
+// full-F histogram.
+func (b *grower) scanChain(s *splitScan, hist []float64) {
+	stride := b.stride
+	for _, feat := range b.sampler.sample(b.rng, b.featureCount()) {
+		base := b.binOffset[feat]
+		var wl, wyl float64
+		nl := 0
+		for bin := 0; bin < b.bn.Bins[feat]-1; bin++ {
+			h := (base + bin) * stride
+			wl += hist[h]
+			wyl += hist[h+1]
+			if stride == 3 {
+				nl += int(hist[h+2])
+			}
+			s.consider(feat, bin, wl, wyl, nl)
+		}
+	}
+}
+
+// scanDirect is the direct-mode search: all candidate features'
 // histograms are accumulated in one row-major pass over the node, then
 // each candidate's occupied code range is scanned for the best boundary.
 // Empty bins are skipped by stamp — their boundaries would only repeat the
-// previous decrease, which the strict comparison never re-selects, so the
+// previous gain, which the strict comparison never re-selects, so the
 // sparse scan picks exactly the split a dense scan would.
-func (b *hbuilder) bestSplitDirect(idx []int32, classW []float64, nodeW, impurity float64) (int, int, float64, float64) {
+func (b *grower) scanDirect(s *splitScan, idx []int32) {
 	nFeat := b.featureCount()
 	features := b.sampler.sample(b.rng, nFeat)
-	c := b.numClasses
-	f := b.bn.F
+	f, stride, maxNB := b.bn.F, b.stride, b.maxNB
 
-	if len(b.dirStamp) < nFeat*b.maxNB {
-		b.dirSlot = make([]float64, nFeat*b.maxNB*c)
-		b.dirStamp = make([]uint32, nFeat*b.maxNB)
+	if len(b.dirStamp) < nFeat*maxNB {
+		b.dirSlot = make([]float64, nFeat*maxNB*stride)
+		b.dirStamp = make([]uint32, nFeat*maxNB)
 		b.dirLo = make([]int32, nFeat)
 		b.dirHi = make([]int32, nFeat)
 	}
 	b.stamp++
 	stamp := b.stamp
 	for k := 0; k < nFeat; k++ {
-		b.dirLo[k] = int32(b.maxNB)
+		b.dirLo[k] = int32(maxNB)
 		b.dirHi[k] = 0
 	}
 	for _, i := range idx {
 		row := b.bn.Codes[int(i)*f : int(i)*f+f]
 		wi := b.w[i]
-		cls := b.y[i]
+		wy := wi * b.y[i]
 		for k, feat := range features {
 			code := int32(row[feat])
-			si := k*b.maxNB + int(code)
+			si := k*maxNB + int(code)
+			h := si * stride
 			if b.dirStamp[si] != stamp {
 				b.dirStamp[si] = stamp
-				s := si * c
-				for q := 0; q < c; q++ {
-					b.dirSlot[s+q] = 0
+				b.dirSlot[h], b.dirSlot[h+1] = 0, 0
+				if stride == 3 {
+					b.dirSlot[h+2] = 0
 				}
-				if code < b.dirLo[k] {
-					b.dirLo[k] = code
-				}
-				if code > b.dirHi[k] {
-					b.dirHi[k] = code
-				}
+				b.dirLo[k] = min(b.dirLo[k], code)
+				b.dirHi[k] = max(b.dirHi[k], code)
 			}
-			b.dirSlot[si*c+cls] += wi
+			b.dirSlot[h] += wi
+			b.dirSlot[h+1] += wy
+			if stride == 3 {
+				b.dirSlot[h+2]++
+			}
 		}
-	}
-	if c == 2 {
-		return b.scanDirect2(features, classW, nodeW, impurity, stamp)
 	}
 
-	bestFeat, bestCut, bestDec := -1, 0, 0.0
-	bestThr := 0.0
-	leftW := b.leftW
 	for k, feat := range features {
-		lo, hi := int(b.dirLo[k]), int(b.dirHi[k])
-		if lo >= hi {
-			continue // constant within this node
-		}
-		for q := range leftW {
-			leftW[q] = 0
-		}
-		wl := 0.0
-		base := k * b.maxNB
-		for bin := lo; bin < hi; bin++ {
+		var wl, wyl float64
+		nl := 0
+		base := k * maxNB
+		for bin := int(b.dirLo[k]); bin < int(b.dirHi[k]); bin++ {
 			si := base + bin
 			if b.dirStamp[si] != stamp {
 				continue // empty bin
 			}
-			s := si * c
-			for q := 0; q < c; q++ {
-				v := b.dirSlot[s+q]
-				leftW[q] += v
-				wl += v
+			h := si * stride
+			wl += b.dirSlot[h]
+			wyl += b.dirSlot[h+1]
+			if stride == 3 {
+				nl += int(b.dirSlot[h+2])
 			}
-			wr := nodeW - wl
-			if wl <= 0 || wr <= 0 {
-				continue
-			}
-			gl := gini(leftW, wl)
-			gr := giniComplement(classW, leftW, wr)
-			dec := impurity - (wl*gl+wr*gr)/nodeW
-			if dec > bestDec {
-				bestDec, bestFeat, bestCut = dec, feat, bin
-				bestThr = b.bn.Thresholds[feat][bin]
-			}
+			s.consider(feat, bin, wl, wyl, nl)
 		}
 	}
-	return bestFeat, bestCut, bestThr, bestDec
 }
-
-// scanDirect2 is the binary-classification boundary scan: class weights
-// stay in scalar registers and the two Gini terms collapse to
-// dec = impurity - 1 + ((l0²+l1²)/wl + (r0²+r1²)/wr)/nodeW, so the scan
-// maximises the bracketed score and materialises the decrease once at the
-// end. Algebraically identical to the generic path up to the usual float
-// reassociation; the stack's classifiers are all binary, so this is the
-// split search they actually run.
-func (b *hbuilder) scanDirect2(features []int, classW []float64, nodeW, impurity float64, stamp uint32) (int, int, float64, float64) {
-	c0, c1 := classW[0], classW[1]
-	bestFeat, bestCut := -1, 0
-	bestThr := 0.0
-	// score > bestScore  <=>  dec > bestDec with dec = impurity - 1 + score/nodeW;
-	// seed at dec = 0 so only strictly positive decreases win.
-	bestScore := (1 - impurity) * nodeW
-	startScore := bestScore
-	for k, feat := range features {
-		lo, hi := int(b.dirLo[k]), int(b.dirHi[k])
-		if lo >= hi {
-			continue // constant within this node
-		}
-		var l0, l1 float64
-		base := k * b.maxNB
-		for bin := lo; bin < hi; bin++ {
-			si := base + bin
-			if b.dirStamp[si] != stamp {
-				continue // empty bin
-			}
-			l0 += b.dirSlot[si*2]
-			l1 += b.dirSlot[si*2+1]
-			wl := l0 + l1
-			wr := nodeW - wl
-			if wl <= 0 || wr <= 0 {
-				continue
-			}
-			r0, r1 := c0-l0, c1-l1
-			score := (l0*l0+l1*l1)/wl + (r0*r0+r1*r1)/wr
-			if score > bestScore {
-				bestScore, bestFeat, bestCut = score, feat, bin
-				bestThr = b.bn.Thresholds[feat][bin]
-			}
-		}
-	}
-	if bestFeat < 0 || bestScore <= startScore {
-		return -1, 0, 0, 0
-	}
-	return bestFeat, bestCut, bestThr, impurity - 1 + bestScore/nodeW
-}
-
-func (b *hbuilder) featureCount() int { return featureCountFor(b.cfg, b.bn.F) }
 
 // FitForestBinned grows a random forest on a pre-binned matrix: the
 // matrix is quantized once (by the caller) and shared by every tree, and
 // each tree's RNG is keyed by its index so the forest is identical at any
 // worker count.
-func FitForestBinned(bn *Binned, y []int, w []float64, numClasses int, cfg ForestConfig) (*Forest, error) {
+func FitForestBinned(bn *Binned, y []int, w []float64, cfg ForestConfig) (*Forest, error) {
 	if cfg.NumTrees < 1 {
 		return nil, fmt.Errorf("mltree: forest needs at least 1 tree")
 	}
 	n := bn.N
+	targets, err := binaryTargets(y, n)
+	if err != nil {
+		return nil, err
+	}
 	// The caller's weights are checked before bootstrapping: a draw that
 	// misses a row scales its weight by 0, which would turn -5 into a
 	// -0 that passes the per-tree check.
@@ -781,18 +749,18 @@ func FitForestBinned(bn *Binned, y []int, w []float64, numClasses int, cfg Fores
 		w = uniformWeights(n)
 	}
 	trees := make([]*Tree, cfg.NumTrees)
-	err := parallel.For(cfg.Workers, cfg.NumTrees, func(ti int) error {
+	err = parallel.For(cfg.Workers, cfg.NumTrees, func(ti int) error {
 		rng := randx.DeriveIndexed(cfg.Seed, 0x7ee5, "tree", ti)
 		wi := w
 		if cfg.Bootstrap {
 			wi = bootstrapWeights(rng, n, w)
 		}
 		var err error
-		trees[ti], err = FitTreeBinned(bn, y, wi, numClasses, cfg.Tree, rng)
+		trees[ti], err = growTree(bn, targets, wi, cfg.Tree, rng, true, nil)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Forest{Trees: trees, NumFeatures: bn.F, NumClasses: numClasses}, nil
+	return &Forest{Trees: trees, NumFeatures: bn.F}, nil
 }

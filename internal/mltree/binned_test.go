@@ -60,7 +60,7 @@ func TestBinConstantColumn(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	tree, err := FitTreeBinned(bn, y, nil, 2, Config{Rule: AllFeatures}, randx.New(3, 4))
+	tree, err := FitTreeBinned(bn, y, nil, Config{Rule: AllFeatures}, randx.New(3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestFeatureSamplerMatchesRNG(t *testing.T) {
 func TestFitForestBinnedDeterministicAcrossWorkers(t *testing.T) {
 	n, f := 600, 20
 	x, y := randMatrix(n, f, 31)
-	w := BalancedWeights(y, 2)
+	w := BalancedWeights(y)
 	bn, err := Bin(x, n, f, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -237,13 +237,13 @@ func TestFitForestBinnedDeterministicAcrossWorkers(t *testing.T) {
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 6
 	cfg.Workers = 1
-	seq, err := FitForestBinned(bn, y, w, 2, cfg)
+	seq, err := FitForestBinned(bn, y, w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
 		cfg.Workers = workers
-		par, err := FitForestBinned(bn, y, w, 2, cfg)
+		par, err := FitForestBinned(bn, y, w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestFitForestBinnedDeterministicAcrossWorkers(t *testing.T) {
 func TestFitGBTBinnedDeterministicAndAccurate(t *testing.T) {
 	n, f := 1200, 25
 	x, y := randMatrix(n, f, 51)
-	w := BalancedWeights(y, 2)
+	w := BalancedWeights(y)
 	cfg := DefaultGBTConfig()
 	cfg.Rounds = 20
 	g1, err := FitGBT(x, n, f, y, w, cfg)
@@ -297,8 +297,8 @@ func TestRegressionBinnedLeafAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	leafOf := make([]int32, n)
-	cfg := RegressionConfig{MaxDepth: 5, MinSamplesLeaf: 7, Rule: SqrtFeatures}
-	tree, err := fitRegressionTreeBinned(bn, targets, nil, cfg, randx.New(9, 10), leafOf)
+	cfg := Config{MaxDepth: 5, MinSamplesLeaf: 7, Rule: SqrtFeatures}
+	tree, err := growTree(bn, targets, nil, cfg, randx.New(9, 10), false, leafOf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,28 +259,15 @@ func compileFlat(f int, post Post, base float64, trees [][]splitNode, padCap int
 
 // splitNodes lists the tree's nodes for the compiler, with each split
 // feature mapped through index (nil keeps them) and each leaf carrying
-// its class-1 probability.
-func (t *Tree) splitNodes(index []int32) []splitNode {
+// scale*value: a classifier's class-1 probability at scale 1, or a
+// boosting stage's shrinkage*value, the walked path's per-stage addend
+// (the product of the same two floats).
+func (t *Tree) splitNodes(index []int32, scale float64) []splitNode {
 	out := make([]splitNode, len(t.nodes))
 	for i, nd := range t.nodes {
 		out[i] = splitNode{feature: remap(index, nd.feature), threshold: nd.threshold, left: nd.left, right: nd.right}
 		if nd.feature < 0 {
-			out[i].leaf = nd.probs[1]
-		}
-	}
-	return out
-}
-
-// splitNodes lists the stage's nodes for the compiler, with each split
-// feature mapped through index (nil keeps them) and each leaf carrying
-// shrinkage*value: the walked path's per-stage addend, the product of the
-// same two floats.
-func (t *RegressionTree) splitNodes(index []int32, shrinkage float64) []splitNode {
-	out := make([]splitNode, len(t.nodes))
-	for i, nd := range t.nodes {
-		out[i] = splitNode{feature: remap(index, nd.feature), threshold: nd.threshold, left: nd.left, right: nd.right}
-		if nd.feature < 0 {
-			out[i].leaf = shrinkage * nd.value
+			out[i].leaf = scale * nd.value
 		}
 	}
 	return out
@@ -299,7 +286,7 @@ func remap(index []int32, feature int32) int32 {
 func (t *Tree) Flatten() (*Flat, error) { return t.flatten(nil, t.NumFeatures) }
 
 func (t *Tree) flatten(index []int32, f int) (*Flat, error) {
-	return compileFlat(f, PostNone, 0, [][]splitNode{t.splitNodes(index)}, forestPadDepth)
+	return compileFlat(f, PostNone, 0, [][]splitNode{t.splitNodes(index, 1)}, forestPadDepth)
 }
 
 // Flatten compiles the forest into the flat layout.
@@ -308,7 +295,7 @@ func (fo *Forest) Flatten() (*Flat, error) { return fo.flatten(nil, fo.NumFeatur
 func (fo *Forest) flatten(index []int32, f int) (*Flat, error) {
 	trees := make([][]splitNode, len(fo.Trees))
 	for i, t := range fo.Trees {
-		trees[i] = t.splitNodes(index)
+		trees[i] = t.splitNodes(index, 1)
 	}
 	return compileFlat(f, PostMean, 0, trees, forestPadDepth)
 }

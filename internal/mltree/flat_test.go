@@ -50,7 +50,7 @@ func mustFlat(t testing.TB) func(*Flat, error) *Flat {
 
 func TestFlatTreeMatchesWalked(t *testing.T) {
 	x, y, eval := flatTestData(5, 400, 12)
-	tree, err := FitTree(x, 400, 12, y, nil, 2, TreeConfig(), randx.New(7, 8))
+	tree, err := FitTree(x, 400, 12, y, nil, TreeConfig(), randx.New(7, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFlatForestMatchesWalked(t *testing.T) {
 	x, y, eval := flatTestData(11, 500, 10)
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 9
-	fo, err := FitForest(x, 500, 10, y, nil, 2, cfg)
+	fo, err := FitForest(x, 500, 10, y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFlatGBTMatchesWalked(t *testing.T) {
 func TestFlatSingleLeaf(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6}
 	y := []int{0, 0, 0} // pure labels: the root is a leaf
-	tree, err := FitTree(x, 3, 2, y, nil, 2, TreeConfig(), randx.New(1, 2))
+	tree, err := FitTree(x, 3, 2, y, nil, TreeConfig(), randx.New(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +151,12 @@ func TestFlatSingleLeaf(t *testing.T) {
 // is false; the compiler inlines the right subtree and keeps NaN out of
 // the cut tables.
 func TestFlatNaNThreshold(t *testing.T) {
-	tree := &Tree{NumFeatures: 2, NumClasses: 2, nodes: []node{
+	tree := &Tree{NumFeatures: 2, nodes: []node{
 		{feature: 0, threshold: math.NaN(), left: 1, right: 2},
-		{feature: -1, probs: []float64{1, 0}},
+		{feature: -1, value: 0},
 		{feature: 1, threshold: 0.5, left: 3, right: 4},
-		{feature: -1, probs: []float64{0.2, 0.8}},
-		{feature: -1, probs: []float64{0.6, 0.4}},
+		{feature: -1, value: 0.8},
+		{feature: -1, value: 0.4},
 	}}
 	ft := mustFlat(t)(tree.Flatten())
 	x := []float64{0, 0, math.Inf(-1), 1, math.NaN(), 0.5, 1, math.NaN(), -1, math.Inf(1)}
@@ -189,7 +189,7 @@ func flatKinds(t testing.TB, x []float64, n, f int, y []int) map[string]flatKind
 			return probs[1]
 		}}
 	}
-	tree, err := FitTree(x, n, f, y, nil, 2, TreeConfig(), randx.New(5, 6))
+	tree, err := FitTree(x, n, f, y, nil, TreeConfig(), randx.New(5, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func flatKinds(t testing.TB, x []float64, n, f int, y []int) map[string]flatKind
 	add("tree", fl, err, tree)
 	fcfg := DefaultForestConfig()
 	fcfg.NumTrees = 5
-	fo, err := FitForest(x, n, f, y, nil, 2, fcfg)
+	fo, err := FitForest(x, n, f, y, nil, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestFlatBatchChunkEquality(t *testing.T) {
 	x, y, eval := flatTestData(41, 300, 9)
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 5
-	fo, err := FitForest(x, 300, 9, y, nil, 2, cfg)
+	fo, err := FitForest(x, 300, 9, y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestFlatEveryBatchSizeMatches(t *testing.T) {
 
 func TestFlatBatchShapePanics(t *testing.T) {
 	x, y, _ := flatTestData(51, 100, 4)
-	tree, err := FitTree(x, 100, 4, y, nil, 2, TreeConfig(), randx.New(5, 6))
+	tree, err := FitTree(x, 100, 4, y, nil, TreeConfig(), randx.New(5, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func poisonRows(eval []float64, f int) {
 func TestBinnedTreeMatchesFloat(t *testing.T) {
 	x, y, eval := flatTestData(61, 500, 12)
 	poisonRows(eval, 12)
-	tree, err := FitTree(x, 500, 12, y, nil, 2, TreeConfig(), randx.New(7, 8))
+	tree, err := FitTree(x, 500, 12, y, nil, TreeConfig(), randx.New(7, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestBinnedForestMatchesFloat(t *testing.T) {
 	poisonRows(eval, 10)
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 7
-	fo, err := FitForest(x, 600, 10, y, nil, 2, cfg)
+	fo, err := FitForest(x, 600, 10, y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestBinnedChunkEquality(t *testing.T) {
 	poisonRows(eval, 9)
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 5
-	fo, err := FitForest(x, 300, 9, y, nil, 2, cfg)
+	fo, err := FitForest(x, 300, 9, y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func fullCutForest(t testing.TB) (*Forest, *Flat) {
 	}
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 8
-	fo, err := FitForest(x, n, f, y, nil, 2, cfg)
+	fo, err := FitForest(x, n, f, y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,15 +463,15 @@ func fullCutForest(t testing.TB) (*Forest, *Flat) {
 // decoder refuses an engine that spreads one feature over two columns.
 func TestFlatRejectsMoreThan255Cuts(t *testing.T) {
 	const m = flatMaxCuts + 1
-	tree := &Tree{NumFeatures: 2, NumClasses: 2, importances: make([]float64, 2)}
+	tree := &Tree{NumFeatures: 2, importances: make([]float64, 2)}
 	for i := 0; i < m; i++ {
 		// Node 2i splits at threshold i; its left child is leaf 2i+1 and
 		// its right child the next split, or the final leaf.
 		tree.nodes = append(tree.nodes,
 			node{feature: 0, threshold: float64(i), left: int32(2*i + 1), right: int32(2*i + 2)},
-			node{feature: -1, probs: []float64{0.5, 0.5}})
+			node{feature: -1, value: 0.5})
 	}
-	tree.nodes = append(tree.nodes, node{feature: -1, probs: []float64{1, 0}})
+	tree.nodes = append(tree.nodes, node{feature: -1, value: 0})
 	if _, err := tree.Flatten(); err == nil || !strings.Contains(err.Error(), "256 thresholds") {
 		t.Fatalf("Flatten of a feature with %d cuts: err %v", m, err)
 	}

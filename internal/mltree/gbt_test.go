@@ -17,7 +17,7 @@ func TestRegressionTreeFitsStep(t *testing.T) {
 			y[i] = 5
 		}
 	}
-	tree, err := FitRegressionTree(x, n, 1, y, nil, RegressionConfig{MaxDepth: 2, MinSamplesLeaf: 5}, randx.New(1, 1))
+	tree, err := FitRegressionTree(x, n, 1, y, nil, Config{MaxDepth: 2, MinSamplesLeaf: 5}, randx.New(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRegressionTreeRespectsMinSamplesLeaf(t *testing.T) {
 		x[i] = float64(i)
 		y[i] = float64(i % 2)
 	}
-	tree, err := FitRegressionTree(x, n, 1, y, nil, RegressionConfig{MaxDepth: 10, MinSamplesLeaf: 8}, randx.New(2, 2))
+	tree, err := FitRegressionTree(x, n, 1, y, nil, Config{MaxDepth: 10, MinSamplesLeaf: 8}, randx.New(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func TestRegressionTreeRespectsMinSamplesLeaf(t *testing.T) {
 
 func TestRegressionTreeValidation(t *testing.T) {
 	rng := randx.New(1, 1)
-	if _, err := FitRegressionTree(nil, 0, 0, nil, nil, RegressionConfig{}, rng); err == nil {
+	if _, err := FitRegressionTree(nil, 0, 0, nil, nil, Config{}, rng); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := FitRegressionTree([]float64{1}, 1, 1, []float64{1, 2}, nil, RegressionConfig{}, rng); err == nil {
+	if _, err := FitRegressionTree([]float64{1}, 1, 1, []float64{1, 2}, nil, Config{}, rng); err == nil {
 		t.Fatal("target length mismatch accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestRegressionTreeLeafIDsDense(t *testing.T) {
 		x[i*2+1] = rng.Float64()
 		y[i] = x[i*2]*3 + x[i*2+1]
 	}
-	tree, err := FitRegressionTree(x, n, 2, y, nil, RegressionConfig{MaxDepth: 4, MinSamplesLeaf: 5}, rng)
+	tree, err := FitRegressionTree(x, n, 2, y, nil, Config{MaxDepth: 4, MinSamplesLeaf: 5}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRegressionTreeLeafIDsDense(t *testing.T) {
 func TestSetLeafValues(t *testing.T) {
 	x := []float64{0, 1, 2, 3}
 	y := []float64{0, 0, 1, 1}
-	tree, err := FitRegressionTree(x, 4, 1, y, nil, RegressionConfig{MaxDepth: 1, MinSamplesLeaf: 1}, randx.New(4, 4))
+	tree, err := FitRegressionTree(x, 4, 1, y, nil, Config{MaxDepth: 1, MinSamplesLeaf: 1}, randx.New(4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,14 +28,14 @@ func TestForestParallelMatchesSequential(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	w := BalancedWeights(y, 2)
+	w := BalancedWeights(y)
 
 	fit := func(workers int) *Forest {
 		cfg := DefaultForestConfig()
 		cfg.NumTrees = 9
 		cfg.Seed = 42
 		cfg.Workers = workers
-		forest, err := FitForest(x, n, f, y, w, 2, cfg)
+		forest, err := FitForest(x, n, f, y, w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

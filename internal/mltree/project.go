@@ -42,15 +42,6 @@ func (t *Tree) markSplits(used []bool) {
 	}
 }
 
-// markSplits sets used[j] for every feature j the tree splits on.
-func (t *RegressionTree) markSplits(used []bool) {
-	for i := range t.nodes {
-		if t.nodes[i].feature >= 0 {
-			used[t.nodes[i].feature] = true
-		}
-	}
-}
-
 // FlattenProjected compiles the tree against the features it splits on.
 // It returns the engine, whose NumFeatures is len(cols), and cols, the
 // ascending original feature indices: a row for the engine holds original

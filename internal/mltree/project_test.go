@@ -47,7 +47,7 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 			}
 		}
 	}
-	tree, err := FitTree(x, rows, f, y, nil, 2, TreeConfig(), randx.New(3, 4))
+	tree, err := FitTree(x, rows, f, y, nil, TreeConfig(), randx.New(3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 
 	fcfg := DefaultForestConfig()
 	fcfg.NumTrees = 5
-	fo, err := FitForest(x, rows, f, y, nil, 2, fcfg)
+	fo, err := FitForest(x, rows, f, y, nil, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 // TestFlattenProjectedLeafOnly: a learner that never splits still gets a
 // one-column space, so its engine has a row to read.
 func TestFlattenProjectedLeafOnly(t *testing.T) {
-	tree := &Tree{nodes: []node{{feature: -1, probs: []float64{0.25, 0.75}}}, NumFeatures: 9, NumClasses: 2}
+	tree := &Tree{nodes: []node{{feature: -1, value: 0.75}}, NumFeatures: 9}
 	ft, cols, err := tree.FlattenProjected()
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,24 @@
-// Package mltree implements the paper's learners from scratch:
-// classification and regression trees (CART) with the Gini split criterion,
-// and bagged random forests with probability averaging and
-// mean-decrease-in-impurity feature importances. Every tree grows on one
-// histogram split search over quantized features (binned.go), and every
-// fitted model compiles to one flat inference engine (flat.go).
+// Package mltree implements the paper's learners from scratch: CART
+// trees on a binary target, bagged random forests with probability
+// averaging and mean-decrease-in-impurity feature importances, and
+// gradient-boosted trees whose stages are regression trees. Every tree —
+// a lone classifier, a forest member or a boosting stage — grows on one
+// histogram grower over quantized features (binned.go), and every fitted
+// model compiles to one flat inference engine (flat.go).
+//
+// Labels are binary (0 or 1): the paper's target is "is or becomes a hot
+// spot". The grower scores every split by weighted variance reduction,
+// and a classifier is the regression tree on its 0/1 labels. For 0/1
+// targets the two criteria agree: with W, W_L, W_R the node's and its
+// sides' weights and P, P_L, P_R their positive weights, the weighted
+// Gini decrease is
+//
+//	(2/W) * (P_L²/W_L + P_R²/W_R - P²/W),
+//
+// exactly 2/W times the variance reduction, so both pick the same split
+// up to float rounding between near-tied candidates. A leaf's value is
+// its weighted target mean: a classifier's class-1 probability, or a
+// boosting stage's output.
 //
 // The hyper-parameters mirror Sec. IV-D:
 //
@@ -34,7 +49,8 @@ const (
 	SqrtFeatures
 )
 
-// Config controls tree induction.
+// Config controls tree induction, for classifiers and boosting stages
+// alike.
 type Config struct {
 	// Rule and Fraction select the per-split feature subset.
 	Rule     FeatureRule
@@ -44,8 +60,9 @@ type Config struct {
 	MinWeightFraction float64
 	// MaxDepth caps tree depth (0 = unlimited).
 	MaxDepth int
-	// MinImpurityDecrease skips splits with negligible improvement.
-	MinImpurityDecrease float64
+	// MinSamplesLeaf is the minimum instance count per leaf (0 or 1 = no
+	// bound beyond a non-empty leaf).
+	MinSamplesLeaf int
 }
 
 // TreeConfig returns the paper's single-tree configuration.
@@ -59,49 +76,63 @@ func ForestTreeConfig() Config {
 	return Config{Rule: SqrtFeatures, MinWeightFraction: 0.0002}
 }
 
-// node is one tree node; leaves carry class probabilities.
+// node is one tree node.
 type node struct {
-	feature   int32 // -1 for leaves
 	threshold float64
+	value     float64 // a leaf's weighted target mean (or boosting step)
+	feature   int32   // -1 for leaves
 	left      int32
 	right     int32
-	probs     []float64
+	leafID    int32 // dense leaf index, -1 for internal nodes
 }
 
-// Tree is a fitted CART classifier.
+// Tree is a fitted CART tree: a classifier whose leaf values are class-1
+// probabilities, or a regression tree (a boosting stage).
 type Tree struct {
 	nodes       []node
 	NumFeatures int
-	NumClasses  int
-	importances []float64 // normalised mean decrease in impurity
+	importances []float64 // normalised mean decrease in impurity; nil for regression trees
 }
 
 // BalancedWeights returns sample weights inversely proportional to class
-// frequency ("balanced" mode): w_i = total / (classes * count(y_i)). This
-// is the weighting the paper applies for both the Tree and RF models.
-func BalancedWeights(y []int, numClasses int) []float64 {
-	counts := make([]float64, numClasses)
+// frequency ("balanced" mode) for binary labels: w_i = total / (2 *
+// count(y_i)). This is the weighting the paper applies for both the Tree
+// and RF models.
+func BalancedWeights(y []int) []float64 {
+	var counts [2]float64
 	for _, c := range y {
 		counts[c]++
 	}
 	total := float64(len(y))
 	w := make([]float64, len(y))
 	for i, c := range y {
-		w[i] = total / (float64(numClasses) * counts[c])
+		w[i] = total / (2 * counts[c])
 	}
 	return w
 }
 
 // FitTree grows a CART classifier on X (n x f, row-major, NaN-free),
-// labels y in [0, numClasses) and optional sample weights w (nil =
-// uniform): it quantizes X at weighted quantiles of w through the shared
-// quantization cache, then grows the tree with FitTreeBinned.
-func FitTree(x []float64, n, f int, y []int, w []float64, numClasses int, cfg Config, rng *randx.RNG) (*Tree, error) {
+// binary labels y and optional sample weights w (nil = uniform): it
+// quantizes X at weighted quantiles of w through the shared quantization
+// cache, then grows the tree with FitTreeBinned.
+func FitTree(x []float64, n, f int, y []int, w []float64, cfg Config, rng *randx.RNG) (*Tree, error) {
 	bn, err := binShared(x, n, f, w, DefaultMaxBins, 1)
 	if err != nil {
 		return nil, err
 	}
-	return FitTreeBinned(bn, y, w, numClasses, cfg, rng)
+	return FitTreeBinned(bn, y, w, cfg, rng)
+}
+
+// FitRegressionTree fits targets (any real values) with optional weights
+// on a NaN-free X: it quantizes X at weighted quantiles of w through the
+// shared quantization cache, then grows the tree on the grower boosting
+// stages grow on.
+func FitRegressionTree(x []float64, n, f int, targets, w []float64, cfg Config, rng *randx.RNG) (*Tree, error) {
+	bn, err := binShared(x, n, f, w, DefaultMaxBins, 1)
+	if err != nil {
+		return nil, err
+	}
+	return growTree(bn, targets, w, cfg, rng, false, nil)
 }
 
 // uniformWeights returns the shared all-ones weight vector for the w == nil
@@ -221,41 +252,32 @@ func pairLess(v1 float64, i1 int32, v2 float64, i2 int32) bool {
 	return i1 < i2
 }
 
-// gini returns 1 - sum_c p_c^2 for class weights summing to total.
-func gini(classW []float64, total float64) float64 {
-	if total <= 0 {
-		return 0
-	}
-	s := 0.0
-	for _, w := range classW {
-		p := w / total
-		s += p * p
-	}
-	return 1 - s
-}
-
-// giniComplement computes the Gini of (classW - leftW) with weight total.
-func giniComplement(classW, leftW []float64, total float64) float64 {
-	if total <= 0 {
-		return 0
-	}
-	s := 0.0
-	for c := range classW {
-		p := (classW[c] - leftW[c]) / total
-		s += p * p
-	}
-	return 1 - s
-}
-
-// PredictProba returns the class probability vector for one instance.
+// PredictProba returns [P(class 0), P(class 1)] for one instance.
 func (t *Tree) PredictProba(x []float64) []float64 {
-	out := make([]float64, t.NumClasses)
+	out := make([]float64, 2)
 	t.PredictProbaInto(x, out)
 	return out
 }
 
-// PredictProbaInto writes class probabilities into out (len NumClasses).
+// PredictProbaInto writes [P(class 0), P(class 1)] into out (len 2).
 func (t *Tree) PredictProbaInto(x []float64, out []float64) {
+	p := t.Predict(x)
+	out[0], out[1] = 1-p, p
+}
+
+// Predict returns the leaf value for one instance: a classifier's class-1
+// probability, a regression tree's prediction.
+func (t *Tree) Predict(x []float64) float64 {
+	return t.nodes[t.leaf(x)].value
+}
+
+// LeafID returns the dense leaf index an instance falls into.
+func (t *Tree) LeafID(x []float64) int {
+	return int(t.nodes[t.leaf(x)].leafID)
+}
+
+// leaf returns the index of the leaf node x descends to.
+func (t *Tree) leaf(x []float64) int32 {
 	if len(x) != t.NumFeatures {
 		panic(fmt.Sprintf("mltree: instance has %d features, tree expects %d", len(x), t.NumFeatures))
 	}
@@ -263,13 +285,33 @@ func (t *Tree) PredictProbaInto(x []float64, out []float64) {
 	for {
 		nd := &t.nodes[cur]
 		if nd.feature < 0 {
-			copy(out, nd.probs)
-			return
+			return cur
 		}
 		if x[nd.feature] <= nd.threshold {
 			cur = nd.left
 		} else {
 			cur = nd.right
+		}
+	}
+}
+
+// LeafCount returns the number of leaves.
+func (t *Tree) LeafCount() int {
+	n := 0
+	for _, nd := range t.nodes {
+		if nd.feature < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// SetLeafValues overwrites leaf values by dense leaf index (used by the
+// boosting Newton step).
+func (t *Tree) SetLeafValues(values []float64) {
+	for i := range t.nodes {
+		if t.nodes[i].feature < 0 {
+			t.nodes[i].value = values[t.nodes[i].leafID]
 		}
 	}
 }
@@ -338,13 +380,12 @@ func DefaultForestConfig() ForestConfig {
 type Forest struct {
 	Trees       []*Tree
 	NumFeatures int
-	NumClasses  int
 }
 
 // FitForest grows cfg.NumTrees trees in parallel on bootstrap resamples.
 // X is quantized once, at weighted quantiles of the caller's base weights,
 // and the binned matrix is shared by the whole ensemble (FitForestBinned).
-func FitForest(x []float64, n, f int, y []int, w []float64, numClasses int, cfg ForestConfig) (*Forest, error) {
+func FitForest(x []float64, n, f int, y []int, w []float64, cfg ForestConfig) (*Forest, error) {
 	if cfg.NumTrees < 1 {
 		return nil, fmt.Errorf("mltree: forest needs at least 1 tree")
 	}
@@ -352,48 +393,29 @@ func FitForest(x []float64, n, f int, y []int, w []float64, numClasses int, cfg 
 	if err != nil {
 		return nil, err
 	}
-	return FitForestBinned(bn, y, w, numClasses, cfg)
+	return FitForestBinned(bn, y, w, cfg)
 }
 
 // PredictProba averages class probabilities over the ensemble.
 func (fo *Forest) PredictProba(x []float64) []float64 {
-	out := make([]float64, fo.NumClasses)
+	out := make([]float64, 2)
 	fo.PredictProbaInto(x, out)
 	return out
 }
 
-// PredictProbaInto writes the ensemble-averaged class probabilities into
-// out (len NumClasses) without allocating: each tree's leaf probabilities
-// accumulate straight from its node table, in ensemble order, so the
-// result is bit-identical to the historical copy-then-add path.
+// PredictProbaInto writes the ensemble-averaged [P(class 0), P(class 1)]
+// into out (len 2) without allocating: the trees' leaf values add up in
+// ensemble order, the sum the flat engine's mean takes.
 func (fo *Forest) PredictProbaInto(x, out []float64) {
 	if len(x) != fo.NumFeatures {
 		panic(fmt.Sprintf("mltree: instance has %d features, forest expects %d", len(x), fo.NumFeatures))
 	}
-	for c := range out {
-		out[c] = 0
-	}
+	p := 0.0
 	for _, t := range fo.Trees {
-		cur := int32(0)
-		for {
-			nd := &t.nodes[cur]
-			if nd.feature < 0 {
-				for c, p := range nd.probs {
-					out[c] += p
-				}
-				break
-			}
-			if x[nd.feature] <= nd.threshold {
-				cur = nd.left
-			} else {
-				cur = nd.right
-			}
-		}
+		p += t.Predict(x)
 	}
-	inv := 1.0 / float64(len(fo.Trees))
-	for c := range out {
-		out[c] *= inv
-	}
+	p *= 1.0 / float64(len(fo.Trees))
+	out[0], out[1] = 1-p, p
 }
 
 // Importances averages the trees' normalised feature importances.

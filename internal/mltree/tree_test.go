@@ -28,7 +28,7 @@ func xorData(n int, rng *randx.RNG) ([]float64, []int) {
 func TestFitTreeSolvesXOR(t *testing.T) {
 	rng := randx.New(1, 2)
 	x, y := xorData(400, rng)
-	tree, err := FitTree(x, 400, 2, y, nil, 2, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
+	tree, err := FitTree(x, 400, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,19 +55,18 @@ func TestFitTreeValidation(t *testing.T) {
 		n, f int
 		y    []int
 		w    []float64
-		nc   int
 	}{
-		{[]float64{1, 2}, 2, 2, []int{0, 1}, nil, 2},              // wrong x size
-		{[]float64{1, 2}, 2, 1, []int{0}, nil, 2},                 // wrong y len
-		{[]float64{1, 2}, 2, 1, []int{0, 5}, nil, 2},              // label out of range
-		{[]float64{1, 2}, 2, 1, []int{0, 1}, []float64{1}, 2},     // wrong w len
-		{[]float64{1, 2}, 2, 1, []int{0, 1}, []float64{-1, 1}, 2}, // negative weight
-		{[]float64{1, 2}, 2, 1, []int{0, 1}, []float64{0, 0}, 2},  // zero weight
-		{[]float64{1, 2}, 2, 1, []int{0, 1}, nil, 1},              // 1 class
-		{nil, 0, 0, nil, nil, 2},                                  // empty
+		{[]float64{1, 2}, 2, 2, []int{0, 1}, nil},              // wrong x size
+		{[]float64{1, 2}, 2, 1, []int{0}, nil},                 // wrong y len
+		{[]float64{1, 2}, 2, 1, []int{0, 5}, nil},              // label out of range
+		{[]float64{1, 2}, 2, 1, []int{0, 1}, []float64{1}},     // wrong w len
+		{[]float64{1, 2}, 2, 1, []int{0, 1}, []float64{-1, 1}}, // negative weight
+		{[]float64{1, 2}, 2, 1, []int{0, 1}, []float64{0, 0}},  // zero weight
+		{[]float64{1, 2}, 2, 1, []int{0, -1}, nil},             // negative label
+		{nil, 0, 0, nil, nil},                                  // empty
 	}
 	for i, c := range cases {
-		if _, err := FitTree(c.x, c.n, c.f, c.y, c.w, c.nc, TreeConfig(), rng); err == nil {
+		if _, err := FitTree(c.x, c.n, c.f, c.y, c.w, TreeConfig(), rng); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -91,10 +90,10 @@ func TestForestRejectsNegativeWeightAnyDraw(t *testing.T) {
 	for seed := uint64(1); seed <= 39; seed++ {
 		cfg := DefaultForestConfig()
 		cfg.NumTrees, cfg.Seed, cfg.Bootstrap = 1, seed, true
-		if _, err := FitForestBinned(bn, y, w, 2, cfg); err == nil || !strings.Contains(err.Error(), "invalid weight") {
+		if _, err := FitForestBinned(bn, y, w, cfg); err == nil || !strings.Contains(err.Error(), "invalid weight") {
 			t.Errorf("seed %d: FitForestBinned err = %v, want invalid weight", seed, err)
 		}
-		if _, err := FitForest(x, 40, 2, y, w, 2, cfg); err == nil || !strings.Contains(err.Error(), "invalid weight") {
+		if _, err := FitForest(x, 40, 2, y, w, cfg); err == nil || !strings.Contains(err.Error(), "invalid weight") {
 			t.Errorf("seed %d: FitForest err = %v, want invalid weight", seed, err)
 		}
 	}
@@ -106,13 +105,124 @@ func TestFloatFitsRejectNaNWeights(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []int{0, 1, 0, 1}
 	w := []float64{1, math.NaN(), 1, 1}
-	if _, err := FitTree(x, 4, 1, y, w, 2, TreeConfig(), randx.New(1, 1)); err == nil {
+	if _, err := FitTree(x, 4, 1, y, w, TreeConfig(), randx.New(1, 1)); err == nil {
 		t.Error("FitTree accepted a NaN weight")
 	}
 	cfg := DefaultForestConfig()
 	cfg.Bootstrap = false
-	if _, err := FitForest(x, 4, 1, y, w, 2, cfg); err == nil {
+	if _, err := FitForest(x, 4, 1, y, w, cfg); err == nil {
 		t.Error("FitForest accepted a NaN weight")
+	}
+	// Boosting checks the caller's weights before subsampling, NaN and
+	// negative alike.
+	bn, err := Bin(x, 4, 1, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		w    []float64
+	}{{"NaN", w}, {"negative", []float64{1, -5, 1, 1}}} {
+		if _, err := FitGBT(x, 4, 1, y, c.w, DefaultGBTConfig()); err == nil || !strings.Contains(err.Error(), "invalid weight") {
+			t.Errorf("FitGBT with a %s weight: err = %v, want invalid weight", c.name, err)
+		}
+		if _, err := FitGBTBinned(bn, y, c.w, DefaultGBTConfig()); err == nil || !strings.Contains(err.Error(), "invalid weight") {
+			t.Errorf("FitGBTBinned with a %s weight: err = %v, want invalid weight", c.name, err)
+		}
+	}
+}
+
+// giniRootSplit is the reference the grower's criterion is held to: a
+// brute-force root split scored by weighted Gini decrease from per-class
+// sums, over every boundary of every feature of bn. A boundary whose bin
+// holds no weight repeats its predecessor's partition sums and is
+// skipped. It returns the best (feature, cut) and the best and runner-up
+// decreases (runner-up -Inf when there is one candidate).
+func giniRootSplit(bn *Binned, y []int, w []float64) (feat, cut int, best, second float64) {
+	gini := func(c0, c1 float64) float64 {
+		t := c0 + c1
+		return 1 - (c0/t)*(c0/t) - (c1/t)*(c1/t)
+	}
+	var c [2]float64
+	for i, l := range y {
+		c[l] += w[i]
+	}
+	total := c[0] + c[1]
+	parent := gini(c[0], c[1])
+	feat, best, second = -1, math.Inf(-1), math.Inf(-1)
+	for j := 0; j < bn.F; j++ {
+		for b := 0; b < bn.Bins[j]-1; b++ {
+			var l [2]float64
+			binW := 0.0
+			for i, lab := range y {
+				code := int(bn.Codes[i*bn.F+j])
+				if code <= b {
+					l[lab] += w[i]
+				}
+				if code == b {
+					binW += w[i]
+				}
+			}
+			wl := l[0] + l[1]
+			wr := total - wl
+			if binW == 0 || wl == 0 || wr == 0 {
+				continue
+			}
+			dec := parent - wl/total*gini(l[0], l[1]) - wr/total*gini(c[0]-l[0], c[1]-l[1])
+			switch {
+			case dec > best:
+				second, best, feat, cut = best, dec, j, b
+			case dec > second:
+				second = dec
+			}
+		}
+	}
+	return feat, cut, best, second
+}
+
+// TestRootSplitMatchesGini holds the variance-reduction grower to the
+// weighted Gini criterion: wherever the brute-force Gini root split beats
+// its runner-up by more than 1e-9 relative, the grower's root splits on
+// the same feature at the same cut.
+func TestRootSplitMatchesGini(t *testing.T) {
+	rng := randx.New(31, 37)
+	checked := 0
+	for trial := 0; trial < 400; trial++ {
+		n, f := rng.IntInclusive(4, 40), rng.IntInclusive(1, 5)
+		bn := &Binned{Codes: make([]uint8, n*f), N: n, F: f, Bins: make([]int, f), Thresholds: make([][]float64, f)}
+		for j := range bn.Bins {
+			bn.Bins[j] = rng.IntInclusive(1, 8)
+			for b := 0; b < bn.Bins[j]-1; b++ {
+				bn.Thresholds[j] = append(bn.Thresholds[j], float64(b)+0.5)
+			}
+		}
+		y := make([]int, n)
+		w := make([]float64, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < f; j++ {
+				bn.Codes[i*f+j] = uint8(rng.IntN(bn.Bins[j]))
+			}
+			y[i] = rng.IntN(2)
+			w[i] = float64(rng.IntN(4))
+		}
+		w[0]++ // a positive total weight
+		feat, cut, best, second := giniRootSplit(bn, y, w)
+		if feat < 0 || best <= 1e-9 || best-second <= 1e-9*best {
+			continue // no split, or a near-tie either criterion may break either way
+		}
+		tree, err := FitTreeBinned(bn, y, w, Config{Rule: AllFeatures, MaxDepth: 1}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := tree.nodes[0]
+		if int(root.feature) != feat || root.threshold != bn.Thresholds[feat][cut] {
+			t.Fatalf("trial %d: grower's root splits feature %d at %v, Gini reference feature %d at cut %d (decrease %v, runner-up %v)",
+				trial, root.feature, root.threshold, feat, cut, best, second)
+		}
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("only %d of 400 trials had a clear Gini winner", checked)
 	}
 }
 
@@ -120,7 +230,7 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 	rng := randx.New(3, 3)
 	x := []float64{1, 2, 3, 4}
 	y := []int{1, 1, 1, 1}
-	tree, err := FitTree(x, 4, 1, y, nil, 2, TreeConfig(), rng)
+	tree, err := FitTree(x, 4, 1, y, nil, TreeConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +246,11 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 func TestMinWeightFractionStops(t *testing.T) {
 	rng := randx.New(4, 4)
 	x, y := xorData(400, rng)
-	shallow, err := FitTree(x, 400, 2, y, nil, 2, Config{Rule: AllFeatures, MinWeightFraction: 0.6}, rng)
+	shallow, err := FitTree(x, 400, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.6}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep, err := FitTree(x, 400, 2, y, nil, 2, Config{Rule: AllFeatures, MinWeightFraction: 0.0001}, randx.New(4, 4))
+	deep, err := FitTree(x, 400, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.0001}, randx.New(4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +265,7 @@ func TestMinWeightFractionStops(t *testing.T) {
 func TestMaxDepth(t *testing.T) {
 	rng := randx.New(5, 5)
 	x, y := xorData(300, rng)
-	tree, err := FitTree(x, 300, 2, y, nil, 2, Config{Rule: AllFeatures, MinWeightFraction: 0.0001, MaxDepth: 1}, rng)
+	tree, err := FitTree(x, 300, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.0001, MaxDepth: 1}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +276,7 @@ func TestMaxDepth(t *testing.T) {
 
 func TestBalancedWeights(t *testing.T) {
 	y := []int{0, 0, 0, 1}
-	w := BalancedWeights(y, 2)
+	w := BalancedWeights(y)
 	// class 0: 4/(2*3)=2/3 each; class 1: 4/(2*1)=2.
 	if math.Abs(w[0]-2.0/3) > 1e-12 || math.Abs(w[3]-2) > 1e-12 {
 		t.Fatalf("weights = %v", w)
@@ -192,8 +302,8 @@ func TestBalancedWeightsFocusMinority(t *testing.T) {
 			x[i] = rng.Uniform(0, 0.79)
 		}
 	}
-	w := BalancedWeights(y, 2)
-	tree, err := FitTree(x, n, 1, y, w, 2, Config{Rule: AllFeatures, MinWeightFraction: 0.05}, rng)
+	w := BalancedWeights(y)
+	tree, err := FitTree(x, n, 1, y, w, Config{Rule: AllFeatures, MinWeightFraction: 0.05}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,22 +313,10 @@ func TestBalancedWeightsFocusMinority(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	if g := gini([]float64{1, 1}, 2); math.Abs(g-0.5) > 1e-12 {
-		t.Fatalf("gini(50/50) = %v, want 0.5", g)
-	}
-	if g := gini([]float64{2, 0}, 2); g != 0 {
-		t.Fatalf("gini(pure) = %v, want 0", g)
-	}
-	if g := gini([]float64{0, 0}, 0); g != 0 {
-		t.Fatalf("gini(empty) = %v, want 0", g)
-	}
-}
-
 func TestImportancesSumToOne(t *testing.T) {
 	rng := randx.New(7, 7)
 	x, y := xorData(300, rng)
-	tree, err := FitTree(x, 300, 2, y, nil, 2, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
+	tree, err := FitTree(x, 300, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +346,7 @@ func TestImportancesFindInformativeFeature(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	tree, err := FitTree(x, n, 2, y, nil, 2, Config{Rule: AllFeatures, MinWeightFraction: 0.01}, rng)
+	tree, err := FitTree(x, n, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.01}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +381,12 @@ func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
 	}
 	// Holdout split.
 	trainN := 400
-	forest, err := FitForest(x[:trainN*f], trainN, f, y[:trainN], nil, 2,
+	forest, err := FitForest(x[:trainN*f], trainN, f, y[:trainN], nil,
 		ForestConfig{NumTrees: 40, Tree: ForestTreeConfig(), Bootstrap: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := FitTree(x[:trainN*f], trainN, f, y[:trainN], nil, 2,
+	tree, err := FitTree(x[:trainN*f], trainN, f, y[:trainN], nil,
 		Config{Rule: AllFeatures, MinWeightFraction: 0.0002}, randx.New(10, 10))
 	if err != nil {
 		t.Fatal(err)
@@ -321,11 +419,11 @@ func TestForestDeterministicGivenSeed(t *testing.T) {
 	rng := randx.New(11, 11)
 	x, y := xorData(200, rng)
 	cfg := ForestConfig{NumTrees: 8, Tree: ForestTreeConfig(), Bootstrap: true, Seed: 5, Workers: 4}
-	a, err := FitForest(x, 200, 2, y, nil, 2, cfg)
+	a, err := FitForest(x, 200, 2, y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FitForest(x, 200, 2, y, nil, 2, cfg)
+	b, err := FitForest(x, 200, 2, y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +435,7 @@ func TestForestDeterministicGivenSeed(t *testing.T) {
 }
 
 func TestForestConfigValidation(t *testing.T) {
-	if _, err := FitForest(nil, 0, 0, nil, nil, 2, ForestConfig{NumTrees: 0}); err == nil {
+	if _, err := FitForest(nil, 0, 0, nil, nil, ForestConfig{NumTrees: 0}); err == nil {
 		t.Fatal("expected error for zero trees")
 	}
 }
@@ -345,7 +443,7 @@ func TestForestConfigValidation(t *testing.T) {
 func TestForestImportancesNormalised(t *testing.T) {
 	rng := randx.New(12, 12)
 	x, y := xorData(300, rng)
-	forest, err := FitForest(x, 300, 2, y, nil, 2,
+	forest, err := FitForest(x, 300, 2, y, nil,
 		ForestConfig{NumTrees: 10, Tree: ForestTreeConfig(), Bootstrap: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +464,7 @@ func TestForestImportancesNormalised(t *testing.T) {
 func TestPredictProbaDistributionProperty(t *testing.T) {
 	rng := randx.New(13, 13)
 	x, y := xorData(200, rng)
-	tree, err := FitTree(x, 200, 2, y, nil, 2, TreeConfig(), rng)
+	tree, err := FitTree(x, 200, 2, y, nil, TreeConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +500,7 @@ func TestSeparableDataPerfectFit(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	tree, err := FitTree(x, n, 1, y, nil, 2, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
+	tree, err := FitTree(x, n, 1, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,32 +509,6 @@ func TestSeparableDataPerfectFit(t *testing.T) {
 		if p[y[i]] != 1 {
 			t.Fatalf("separable data mispredicted at %d: %v", i, p)
 		}
-	}
-}
-
-func TestThreeClasses(t *testing.T) {
-	rng := randx.New(15, 15)
-	n := 300
-	x := make([]float64, n)
-	y := make([]int, n)
-	for i := 0; i < n; i++ {
-		x[i] = rng.Float64() * 3
-		y[i] = int(x[i])
-		if y[i] > 2 {
-			y[i] = 2
-		}
-	}
-	tree, err := FitTree(x, n, 1, y, nil, 3, Config{Rule: AllFeatures, MinWeightFraction: 0.01}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := tree.PredictProba([]float64{0.5})
-	if p[0] < 0.9 {
-		t.Fatalf("class 0 region predicted %v", p)
-	}
-	p = tree.PredictProba([]float64{2.5})
-	if p[2] < 0.9 {
-		t.Fatalf("class 2 region predicted %v", p)
 	}
 }
 
