@@ -520,47 +520,17 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-func BenchmarkForestFit(b *testing.B) {
-	rng := randx.New(1, 2)
-	n, f := 2000, 100
-	x := make([]float64, n*f)
-	y := make([]int, n)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for j := 0; j < f; j++ {
-			v := rng.Norm(0, 1)
-			x[i*f+j] = v
-			if j < 5 {
-				s += v
-			}
-		}
-		if s > 0 {
-			y[i] = 1
-		}
-	}
-	w := mltree.BalancedWeights(y)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := mltree.DefaultForestConfig()
-		cfg.NumTrees = 10
-		cfg.Seed = uint64(i + 1)
-		if _, err := mltree.FitForest(x, n, f, y, w, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Fit benchmarks: one float-matrix fit per learner (quantize, then grow on
-// the histogram engine) on one shared synthetic training set. Fits on the
-// same matrix and weights share one quantization through mltree's bin
-// cache, so after the first fit of a run the arms time tree growing
+// Fit benchmarks: one fit per learner on one shared synthetic training
+// set, quantized once outside the timer, so every arm times tree growing
 // alone. CI runs them with -benchmem and distills a machine-readable
 // BENCH_train.json baseline via cmd/benchjson.
 
 var (
 	trainBenchOnce sync.Once
 	trainBenchX    []float64
+	trainBenchBin  *mltree.Binned
+	trainBenchErr  error
 	trainBenchY    []int
 	trainBenchW    []float64
 )
@@ -570,11 +540,11 @@ const (
 	trainBenchF = 100
 )
 
-// trainBenchData builds the shared fit-benchmark training set: the
-// BenchmarkForestFit distribution (five informative of 100 features) at
-// 4000 instances, roughly the default-scale sweep's training-block size
-// (TrainDays x sectors).
-func trainBenchData() ([]float64, []int, []float64) {
+// trainBenchData builds the shared fit-benchmark training set — five
+// informative of 100 features at 4000 instances, roughly the
+// default-scale sweep's training-block size (TrainDays x sectors) — and
+// its quantization.
+func trainBenchData(b *testing.B) ([]float64, *mltree.Binned, []int, []float64) {
 	trainBenchOnce.Do(func() {
 		rng := randx.New(11, 12)
 		n, f := trainBenchN, trainBenchF
@@ -594,40 +564,44 @@ func trainBenchData() ([]float64, []int, []float64) {
 			}
 		}
 		trainBenchW = mltree.BalancedWeights(trainBenchY)
+		trainBenchBin, trainBenchErr = mltree.Bin(trainBenchX, n, f, 1)
 	})
-	return trainBenchX, trainBenchY, trainBenchW
+	if trainBenchErr != nil {
+		b.Fatal(trainBenchErr)
+	}
+	return trainBenchX, trainBenchBin, trainBenchY, trainBenchW
 }
 
 func BenchmarkFitTreeHist(b *testing.B) {
-	x, y, w := trainBenchData()
+	_, bn, y, w := trainBenchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := randx.New(uint64(i+1), 7)
-		if _, err := mltree.FitTree(x, trainBenchN, trainBenchF, y, w, mltree.TreeConfig(), rng); err != nil {
+		if _, err := mltree.FitTreeBinned(bn, y, w, mltree.TreeConfig(), rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFitForestHist(b *testing.B) {
-	x, y, w := trainBenchData()
+	_, bn, y, w := trainBenchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := mltree.DefaultForestConfig()
 		cfg.Seed = uint64(i + 1)
-		if _, err := mltree.FitForest(x, trainBenchN, trainBenchF, y, w, cfg); err != nil {
+		if _, err := mltree.FitForestBinned(bn, y, w, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFitGBTHist(b *testing.B) {
-	x, y, w := trainBenchData()
+	_, bn, y, w := trainBenchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := mltree.DefaultGBTConfig()
 		cfg.Seed = uint64(i + 1)
-		if _, err := mltree.FitGBT(x, trainBenchN, trainBenchF, y, w, cfg); err != nil {
+		if _, err := mltree.FitGBTBinned(bn, y, w, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -653,24 +627,22 @@ var (
 // predictBenchModels fits one model of each kind on the shared training
 // set (the fit is setup cost, not the measurement).
 func predictBenchModels(b *testing.B) (*mltree.Tree, *mltree.Forest, *mltree.GBT) {
-	x, y, w := trainBenchData()
+	_, bn, y, w := trainBenchData(b)
 	predictBenchOnce.Do(func() {
-		predictBenchTree, predictBenchErr = mltree.FitTree(
-			x, trainBenchN, trainBenchF, y, w, mltree.TreeConfig(), randx.New(21, 22))
+		predictBenchTree, predictBenchErr = mltree.FitTreeBinned(
+			bn, y, w, mltree.TreeConfig(), randx.New(21, 22))
 		if predictBenchErr != nil {
 			return
 		}
 		foCfg := mltree.DefaultForestConfig()
 		foCfg.Seed = 23
-		predictBenchForest, predictBenchErr = mltree.FitForest(
-			x, trainBenchN, trainBenchF, y, w, foCfg)
+		predictBenchForest, predictBenchErr = mltree.FitForestBinned(bn, y, w, foCfg)
 		if predictBenchErr != nil {
 			return
 		}
 		gbtCfg := mltree.DefaultGBTConfig()
 		gbtCfg.Seed = 25
-		predictBenchGBT, predictBenchErr = mltree.FitGBT(
-			x, trainBenchN, trainBenchF, y, w, gbtCfg)
+		predictBenchGBT, predictBenchErr = mltree.FitGBTBinned(bn, y, w, gbtCfg)
 	})
 	if predictBenchErr != nil {
 		b.Fatal(predictBenchErr)
@@ -682,7 +654,7 @@ func predictBenchModels(b *testing.B) (*mltree.Tree, *mltree.Forest, *mltree.GBT
 // probability buffer, score() per row, as artifact.Predict's fallback
 // does.
 func benchPredictWalked(b *testing.B, score func(row, probs []float64) float64) {
-	x, _, _ := trainBenchData()
+	x, _, _, _ := trainBenchData(b)
 	out := make([]float64, trainBenchN)
 	probs := make([]float64, 2)
 	b.ResetTimer()
@@ -697,7 +669,7 @@ func benchPredictWalked(b *testing.B, score func(row, probs []float64) float64) 
 
 // benchPredictFlat measures the flat engine's one-call batch path.
 func benchPredictFlat(b *testing.B, scoreBatch func(x []float64, n int, out []float64)) {
-	x, _, _ := trainBenchData()
+	x, _, _, _ := trainBenchData(b)
 	out := make([]float64, trainBenchN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

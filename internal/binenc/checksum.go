@@ -13,10 +13,9 @@ import (
 // This file is the artifact integrity primitive: a fast streaming content
 // checksum stamped into every version-4 envelope (and the registry
 // manifest) and verified before the unchecked flat kernels may run over a
-// trusted (mmap) load. It follows the bin cache's dual-hash reasoning —
-// one 64-bit hash makes silent collisions merely unlikely; two independent
-// 64-bit folds of the same wide state make them implausible — but is built
-// for throughput: the inner loop runs eight independent lanes, each
+// trusted (mmap) load. It is 128 bits wide because one 64-bit hash makes
+// silent collisions merely unlikely, while two independent 64-bit folds of
+// the same wide state make them implausible. It is built for throughput: the inner loop runs eight independent lanes, each
 // consuming 16 bytes per step through a single widening multiply
 // (wyhash-style mix: hi ^ lo of a 64x64→128 product), so one multiply
 // covers 16 bytes and the eight latency chains overlap to saturate the

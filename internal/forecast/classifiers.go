@@ -195,14 +195,13 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 		bin, width = mat.Bin, mat.Width
 	} else {
 		// Subset rows are bespoke: build and quantize them privately,
-		// bypassing the all-sector cache, at quantiles of the fit's own
-		// weights (as a float-matrix mltree fit would).
+		// bypassing the all-sector cache.
 		sectors, ends := trainingInstances(c, trainSectors, t-h)
 		x, wd, err := features.BuildMatrix(c.View, m.Extractor, sectors, ends, w)
 		if err != nil {
 			return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
 		}
-		if bin, err = mltree.BinWorkers(x, len(sectors), wd, weights, mltree.DefaultMaxBins, c.FitWorkers); err != nil {
+		if bin, err = mltree.Bin(x, len(sectors), wd, c.FitWorkers); err != nil {
 			return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
 		}
 		width = wd

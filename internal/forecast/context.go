@@ -299,18 +299,16 @@ func (c *Context) cachedBuild(key featcache.Key, build func() (*featcache.Matrix
 
 // BinnedTrainingMatrix returns the quantized Eq. 7 training matrix for a
 // fit with cutoff t-h: the TrainDays stacked all-sector blocks, binned
-// once with mltree.BinWorkers — the one form every tree, forest and GBT
-// fit reads. The handle is cached under (extractor, cutoff, w, TrainDays)
+// once with mltree.Bin — the one form every tree, forest and GBT fit
+// reads. The handle is cached under (extractor, cutoff, w, TrainDays)
 // when the feature cache is enabled, so every tree of a forest, every
 // boosting round, every model sharing the extractor, and every grid point
 // on the same (t-h) anti-diagonal reuses one quantization; the float slab
-// it was binned from is not kept. Cut points use uniform-weight quantiles
-// by design: the models sharing a handle carry different sample weights
-// (balanced vs. unbalanced, per-tree bootstrap draws, per-round boosting
-// subsamples), so the shared quantization cannot follow any one of them —
-// direct mltree fits, which own their weights, bin with them instead.
-// Binning is deterministic, so a cached handle is bit-identical to a fresh
-// build.
+// it was binned from is not kept. Cut points sit at uniform quantiles,
+// which suits the models sharing a handle: they carry different sample
+// weights (balanced vs. unbalanced, per-tree bootstrap draws, per-round
+// boosting subsamples), so no one weighting could serve them all. Binning
+// is deterministic, so a cached handle is bit-identical to a fresh build.
 func (c *Context) BinnedTrainingMatrix(ex features.Extractor, t, h, w int) (*featcache.Matrix, error) {
 	return c.binnedTrainingMatrixAt(ex, t-h, w)
 }
@@ -331,7 +329,7 @@ func (c *Context) binnedTrainingMatrixAt(ex features.Extractor, cutoff, w int) (
 		if err != nil {
 			return nil, err
 		}
-		bn, err := mltree.BinWorkers(x, len(sectors), width, nil, mltree.DefaultMaxBins, c.FitWorkers)
+		bn, err := mltree.Bin(x, len(sectors), width, c.FitWorkers)
 		if err != nil {
 			return nil, err
 		}

@@ -47,8 +47,13 @@ type SplitAlgo uint8
 // Deprecated: ignored; hist is the only engine.
 const SplitHist SplitAlgo = 2
 
-// DefaultMaxBins is the bin budget used when a caller passes maxBins <= 0:
-// the largest count addressable by a uint8 code.
+// SetBinCacheBytes once bounded a process-wide quantization cache.
+//
+// Deprecated: a no-op; Bin keeps no cache.
+func SetBinCacheBytes(int64) {}
+
+// DefaultMaxBins is the bin budget of every column: the largest count
+// addressable by a uint8 code.
 const DefaultMaxBins = 256
 
 // Binned is a feature matrix quantized for histogram training: one uint8
@@ -61,7 +66,7 @@ type Binned struct {
 	Codes []uint8
 	// N and F are the instance and feature counts.
 	N, F int
-	// Bins[j] is the number of bins of feature j (1..maxBins).
+	// Bins[j] is the number of bins of feature j (1..DefaultMaxBins).
 	Bins []int
 	// Thresholds[j] holds Bins[j]-1 ascending split values: code <= b on
 	// feature j is equivalent to x <= Thresholds[j][b] on the raw floats,
@@ -80,33 +85,16 @@ func (bn *Binned) Bytes() int64 {
 	return total
 }
 
-// Bin quantizes X (n x f, row-major, NaN-free) into at most maxBins bins
-// per column (<= 0 selects DefaultMaxBins, values above 256 are clamped —
-// codes must fit a uint8). Cut points sit at weighted quantiles of the
-// column distribution (w nil = uniform): columns with at most maxBins
-// distinct values keep every distinct value in its own bin, so small or
-// categorical-like columns lose nothing to quantization.
-func Bin(x []float64, n, f int, w []float64, maxBins int) (*Binned, error) {
-	return BinWorkers(x, n, f, w, maxBins, 1)
-}
-
-// BinWorkers is Bin with column-parallel quantization (workers <= 0 means
-// GOMAXPROCS): columns are independent, so the result is bit-identical at
-// any worker count. FitForest routes its worker budget here — binning is
-// the fit's only serial phase, and leaving it sequential would bound the
-// ensemble's parallel speedup.
-func BinWorkers(x []float64, n, f int, w []float64, maxBins, workers int) (*Binned, error) {
+// Bin quantizes X (n x f, row-major, NaN-free) into at most
+// DefaultMaxBins bins per column, cut at uniform quantiles of the column
+// distribution: columns with at most DefaultMaxBins distinct values keep
+// every distinct value in its own bin, so small or categorical-like
+// columns lose nothing to quantization. Columns are independent and bin in
+// parallel on up to workers goroutines (<= 0 means GOMAXPROCS); the result
+// is bit-identical at any worker count.
+func Bin(x []float64, n, f, workers int) (*Binned, error) {
 	if n <= 0 || f <= 0 || len(x) != n*f {
 		return nil, fmt.Errorf("mltree: bad shapes: %d values for %dx%d", len(x), n, f)
-	}
-	if w != nil && len(w) != n {
-		return nil, fmt.Errorf("mltree: %d weights for %d instances", len(w), n)
-	}
-	if maxBins <= 0 {
-		maxBins = DefaultMaxBins
-	}
-	if maxBins > 256 {
-		maxBins = 256
 	}
 	bn := &Binned{
 		Codes:      make([]uint8, n*f),
@@ -119,19 +107,8 @@ func BinWorkers(x []float64, n, f int, w []float64, maxBins, workers int) (*Binn
 	chunk := (f + workers - 1) / workers
 	err := parallel.For(workers, workers, func(wi int) error {
 		vals := make([]float64, n)
-		var order []int32
-		if w != nil {
-			// Weighted cuts need each sorted element's weight, so the sort
-			// carries row indices in tandem; the uniform path sorts bare
-			// values (cheaper) because only counts matter.
-			order = make([]int32, n)
-		}
-		hi := (wi + 1) * chunk
-		if hi > f {
-			hi = f
-		}
-		for feat := wi * chunk; feat < hi; feat++ {
-			if err := binColumn(x, n, f, feat, w, maxBins, vals, order, bn); err != nil {
+		for feat := wi * chunk; feat < min((wi+1)*chunk, f); feat++ {
+			if err := binColumn(x, n, f, feat, vals, bn); err != nil {
 				return err
 			}
 		}
@@ -146,7 +123,7 @@ func BinWorkers(x []float64, n, f int, w []float64, maxBins, workers int) (*Binn
 // binColumn quantizes one column into bn (its own Codes stripe, Bins and
 // Thresholds entries — disjoint from every other column's, so columns bin
 // concurrently).
-func binColumn(x []float64, n, f, feat int, w []float64, maxBins int, vals []float64, order []int32, bn *Binned) error {
+func binColumn(x []float64, n, f, feat int, vals []float64, bn *Binned) error {
 	for i := 0; i < n; i++ {
 		v := x[i*f+feat]
 		if math.IsNaN(v) {
@@ -154,17 +131,8 @@ func binColumn(x []float64, n, f, feat int, w []float64, maxBins int, vals []flo
 		}
 		vals[i] = v
 	}
-	if w != nil {
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sortPairsByVal(vals, order)
-	} else {
-		// Bare values sort with stdlib pdqsort: the interface-call overhead
-		// that justifies the hand-rolled pair sort does not apply here.
-		slices.Sort(vals)
-	}
-	thresholds := binThresholds(vals, order, w, maxBins)
+	slices.Sort(vals)
+	thresholds := binThresholds(vals)
 	bn.Bins[feat] = len(thresholds) + 1
 	bn.Thresholds[feat] = thresholds
 	for i := 0; i < n; i++ {
@@ -174,13 +142,12 @@ func binColumn(x []float64, n, f, feat int, w []float64, maxBins int, vals []flo
 }
 
 // binThresholds computes one sorted column's cut points. Columns with at
-// most maxBins distinct values cut between every adjacent pair
-// (quantization-free); larger columns cut at weighted quantiles — the
-// current bin closes at the first value change past its quantile of the
-// remaining mass, re-spreading the bin budget so heavy repeated values
-// cannot starve the tail of the distribution. order is the sort
-// permutation, needed only for the weighted (w != nil) path.
-func binThresholds(vals []float64, order []int32, w []float64, maxBins int) []float64 {
+// most DefaultMaxBins distinct values cut between every adjacent pair
+// (quantization-free); larger columns cut at uniform quantiles — the
+// current bin closes at the first value change past its share of the
+// remaining rows, re-spreading the bin budget so heavy repeated values
+// cannot starve the tail of the distribution.
+func binThresholds(vals []float64) []float64 {
 	n := len(vals)
 	distinct := 1
 	for i := 1; i < n; i++ {
@@ -189,7 +156,7 @@ func binThresholds(vals []float64, order []int32, w []float64, maxBins int) []fl
 		}
 	}
 	var thresholds []float64
-	if distinct <= maxBins {
+	if distinct <= DefaultMaxBins {
 		thresholds = make([]float64, 0, distinct-1)
 		for i := 1; i < n; i++ {
 			if vals[i] != vals[i-1] {
@@ -198,34 +165,18 @@ func binThresholds(vals []float64, order []int32, w []float64, maxBins int) []fl
 		}
 		return thresholds
 	}
-	totalW := float64(n)
-	if w != nil {
-		totalW = 0
-		for _, v := range w {
-			totalW += v
-		}
-		if totalW <= 0 {
-			totalW = float64(n)
-			w = nil
-		}
-	}
-	bins := 0
-	acc := 0.0
-	used := 0.0
-	for i := 0; i < n; i++ {
-		if i > 0 && vals[i] != vals[i-1] && bins < maxBins-1 {
-			remainingBins := float64(maxBins - bins)
-			target := used + (totalW-used)/remainingBins
-			if acc >= target {
+	bins, used := 0, 0
+	for i := 1; i < n; i++ {
+		if vals[i] != vals[i-1] && bins < DefaultMaxBins-1 {
+			// The bin closes once its rows reach an equal share of the
+			// rows left for the remaining bins.
+			remainingBins := float64(DefaultMaxBins - bins)
+			target := float64(used) + float64(n-used)/remainingBins
+			if float64(i) >= target {
 				thresholds = append(thresholds, midpoint(vals[i-1], vals[i]))
 				bins++
-				used = acc
+				used = i
 			}
-		}
-		if w != nil {
-			acc += w[int(order[i])]
-		} else {
-			acc++
 		}
 	}
 	return thresholds

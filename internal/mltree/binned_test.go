@@ -40,7 +40,7 @@ func TestBinConstantColumn(t *testing.T) {
 		x[i*f+1] = float64(i % 4)
 		x[i*f+2] = float64(i)
 	}
-	bn, err := Bin(x, n, f, nil, 0)
+	bn, err := Bin(x, n, f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestBinConstantColumn(t *testing.T) {
 }
 
 func TestBinFewDistinctKeepsExactThresholds(t *testing.T) {
-	// <= maxBins distinct values: every distinct value keeps its own bin
+	// <= DefaultMaxBins distinct values: every distinct value keeps its own bin
 	// and thresholds sit at midpoints, exactly as the sort-based search
 	// would cut.
 	n, f := 40, 1
@@ -81,7 +81,7 @@ func TestBinFewDistinctKeepsExactThresholds(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i % 5) // distinct values 0..4
 	}
-	bn, err := Bin(x, n, f, nil, 0)
+	bn, err := Bin(x, n, f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +108,14 @@ func TestBinFewDistinctKeepsExactThresholds(t *testing.T) {
 func TestBinCodesRespectThresholds(t *testing.T) {
 	n, f := 1000, 4
 	x, _ := randMatrix(n, f, 11)
-	bn, err := Bin(x, n, f, nil, 64) // force real quantization
+	// 1000 distinct values per column force real quantization.
+	bn, err := Bin(x, n, f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for feat := 0; feat < f; feat++ {
-		if bn.Bins[feat] > 64 {
-			t.Fatalf("feature %d has %d bins, budget 64", feat, bn.Bins[feat])
+		if bn.Bins[feat] != DefaultMaxBins {
+			t.Fatalf("feature %d has %d bins, want the full budget %d", feat, bn.Bins[feat], DefaultMaxBins)
 		}
 		thr := bn.Thresholds[feat]
 		for i := 1; i < len(thr); i++ {
@@ -140,56 +141,23 @@ func TestBinCodesRespectThresholds(t *testing.T) {
 }
 
 func TestBinRejectsNaNAndBadShapes(t *testing.T) {
-	if _, err := Bin([]float64{1, 2, 3}, 2, 2, nil, 0); err == nil {
+	if _, err := Bin([]float64{1, 2, 3}, 2, 2, 1); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	if _, err := Bin([]float64{1, math.NaN(), 3, 4}, 2, 2, nil, 0); err == nil {
+	if _, err := Bin([]float64{1, math.NaN(), 3, 4}, 2, 2, 1); err == nil {
 		t.Fatal("NaN accepted (binning requires the NaN-free contract)")
-	}
-	if _, err := Bin([]float64{1, 2, 3, 4}, 2, 2, []float64{1}, 0); err == nil {
-		t.Fatal("weight length mismatch accepted")
-	}
-}
-
-func TestBinWeightedQuantilesFollowMass(t *testing.T) {
-	// With weight concentrated on large values, the cut points must crowd
-	// toward them: more than half the thresholds should sit above the
-	// unweighted median.
-	n := 1000
-	x := make([]float64, n)
-	w := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i)
-		if i >= n/2 {
-			w[i] = 9
-		} else {
-			w[i] = 1
-		}
-	}
-	bn, err := Bin(x, n, 1, w, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	above := 0
-	for _, thr := range bn.Thresholds[0] {
-		if thr > float64(n)/2 {
-			above++
-		}
-	}
-	if above <= len(bn.Thresholds[0])/2 {
-		t.Fatalf("only %d of %d cut points follow the weighted mass", above, len(bn.Thresholds[0]))
 	}
 }
 
 func TestBinWorkersBitIdentical(t *testing.T) {
 	n, f := 500, 12
 	x, _ := randMatrix(n, f, 21)
-	seq, err := BinWorkers(x, n, f, nil, 0, 1)
+	seq, err := Bin(x, n, f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		par, err := BinWorkers(x, n, f, nil, 0, workers)
+		par, err := Bin(x, n, f, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +198,7 @@ func TestFitForestBinnedDeterministicAcrossWorkers(t *testing.T) {
 	n, f := 600, 20
 	x, y := randMatrix(n, f, 31)
 	w := BalancedWeights(y)
-	bn, err := Bin(x, n, f, nil, 0)
+	bn, err := Bin(x, n, f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +227,11 @@ func TestFitGBTBinnedDeterministicAndAccurate(t *testing.T) {
 	w := BalancedWeights(y)
 	cfg := DefaultGBTConfig()
 	cfg.Rounds = 20
-	g1, err := FitGBT(x, n, f, y, w, cfg)
+	g1, err := FitGBTBinned(mustBin(t, x, n, f), y, w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := FitGBT(x, n, f, y, w, cfg)
+	g2, err := FitGBTBinned(mustBin(t, x, n, f), y, w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +260,7 @@ func TestRegressionBinnedLeafAssignment(t *testing.T) {
 	for i := 0; i < n; i++ {
 		targets[i] = 3*x[i*f] - 2*x[i*f+1]
 	}
-	bn, err := Bin(x, n, f, nil, 0)
+	bn, err := Bin(x, n, f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,4 +282,14 @@ func TestRegressionBinnedLeafAssignment(t *testing.T) {
 			t.Fatalf("leaf %d holds %d rows, below MinSamplesLeaf %d", l, cnt, cfg.MinSamplesLeaf)
 		}
 	}
+}
+
+// mustBin quantizes a test matrix, failing the test on a binning error.
+func mustBin(t testing.TB, x []float64, n, f int) *Binned {
+	t.Helper()
+	bn, err := Bin(x, n, f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bn
 }

@@ -50,7 +50,7 @@ func mustFlat(t testing.TB) func(*Flat, error) *Flat {
 
 func TestFlatTreeMatchesWalked(t *testing.T) {
 	x, y, eval := flatTestData(5, 400, 12)
-	tree, err := FitTree(x, 400, 12, y, nil, TreeConfig(), randx.New(7, 8))
+	tree, err := FitTreeBinned(mustBin(t, x, 400, 12), y, nil, TreeConfig(), randx.New(7, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFlatForestMatchesWalked(t *testing.T) {
 	x, y, eval := flatTestData(11, 500, 10)
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 9
-	fo, err := FitForest(x, 500, 10, y, nil, cfg)
+	fo, err := FitForestBinned(mustBin(t, x, 500, 10), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFlatGBTMatchesWalked(t *testing.T) {
 	x, y, eval := flatTestData(23, 600, 8)
 	cfg := DefaultGBTConfig()
 	cfg.Rounds = 12
-	g, err := FitGBT(x, 600, 8, y, nil, cfg)
+	g, err := FitGBTBinned(mustBin(t, x, 600, 8), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFlatGBTMatchesWalked(t *testing.T) {
 func TestFlatSingleLeaf(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6}
 	y := []int{0, 0, 0} // pure labels: the root is a leaf
-	tree, err := FitTree(x, 3, 2, y, nil, TreeConfig(), randx.New(1, 2))
+	tree, err := FitTreeBinned(mustBin(t, x, 3, 2), y, nil, TreeConfig(), randx.New(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func flatKinds(t testing.TB, x []float64, n, f int, y []int) map[string]flatKind
 			return probs[1]
 		}}
 	}
-	tree, err := FitTree(x, n, f, y, nil, TreeConfig(), randx.New(5, 6))
+	tree, err := FitTreeBinned(mustBin(t, x, n, f), y, nil, TreeConfig(), randx.New(5, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func flatKinds(t testing.TB, x []float64, n, f int, y []int) map[string]flatKind
 	add("tree", fl, err, tree)
 	fcfg := DefaultForestConfig()
 	fcfg.NumTrees = 5
-	fo, err := FitForest(x, n, f, y, nil, fcfg)
+	fo, err := FitForestBinned(mustBin(t, x, n, f), y, nil, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func flatKinds(t testing.TB, x []float64, n, f int, y []int) map[string]flatKind
 	add("forest", fl, err, fo)
 	gcfg := DefaultGBTConfig()
 	gcfg.Rounds = 8
-	g, err := FitGBT(x, n, f, y, nil, gcfg)
+	g, err := FitGBTBinned(mustBin(t, x, n, f), y, nil, gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestFlatBatchChunkEquality(t *testing.T) {
 	x, y, eval := flatTestData(41, 300, 9)
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 5
-	fo, err := FitForest(x, 300, 9, y, nil, cfg)
+	fo, err := FitForestBinned(mustBin(t, x, 300, 9), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestFlatEveryBatchSizeMatches(t *testing.T) {
 
 func TestFlatBatchShapePanics(t *testing.T) {
 	x, y, _ := flatTestData(51, 100, 4)
-	tree, err := FitTree(x, 100, 4, y, nil, TreeConfig(), randx.New(5, 6))
+	tree, err := FitTreeBinned(mustBin(t, x, 100, 4), y, nil, TreeConfig(), randx.New(5, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func poisonRows(eval []float64, f int) {
 func TestBinnedTreeMatchesFloat(t *testing.T) {
 	x, y, eval := flatTestData(61, 500, 12)
 	poisonRows(eval, 12)
-	tree, err := FitTree(x, 500, 12, y, nil, TreeConfig(), randx.New(7, 8))
+	tree, err := FitTreeBinned(mustBin(t, x, 500, 12), y, nil, TreeConfig(), randx.New(7, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestBinnedForestMatchesFloat(t *testing.T) {
 	poisonRows(eval, 10)
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 7
-	fo, err := FitForest(x, 600, 10, y, nil, cfg)
+	fo, err := FitForestBinned(mustBin(t, x, 600, 10), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestBinnedGBTMatchesFloat(t *testing.T) {
 	poisonRows(eval, 8)
 	cfg := DefaultGBTConfig()
 	cfg.Rounds = 15
-	g, err := FitGBT(x, 600, 8, y, nil, cfg)
+	g, err := FitGBTBinned(mustBin(t, x, 600, 8), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestBinnedGBTTailRowsMatchWalked(t *testing.T) {
 	x, y, eval := flatTestData(83, 600, 8)
 	cfg := DefaultGBTConfig()
 	cfg.Rounds = 15
-	g, err := FitGBT(x, 600, 8, y, nil, cfg)
+	g, err := FitGBTBinned(mustBin(t, x, 600, 8), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestBinnedChunkEquality(t *testing.T) {
 	poisonRows(eval, 9)
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 5
-	fo, err := FitForest(x, 300, 9, y, nil, cfg)
+	fo, err := FitForestBinned(mustBin(t, x, 300, 9), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func fullCutForest(t testing.TB) (*Forest, *Flat) {
 	}
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 8
-	fo, err := FitForest(x, n, f, y, nil, cfg)
+	fo, err := FitForestBinned(mustBin(t, x, n, f), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

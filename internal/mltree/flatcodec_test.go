@@ -16,19 +16,19 @@ func codecModels(t testing.TB) (ft, ff, fg *Flat, eval []float64, n, f int) {
 	n, f = 300, 10
 	x, y, ev := flatTestData(131, n, f)
 	poisonRows(ev, f)
-	tr, err := FitTree(x, n, f, y, nil, TreeConfig(), randx.New(3, 4))
+	tr, err := FitTreeBinned(mustBin(t, x, n, f), y, nil, TreeConfig(), randx.New(3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fcfg := DefaultForestConfig()
 	fcfg.NumTrees = 6
-	fo, err := FitForest(x, n, f, y, nil, fcfg)
+	fo, err := FitForestBinned(mustBin(t, x, n, f), y, nil, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gcfg := DefaultGBTConfig()
 	gcfg.Rounds = 12
-	g, err := FitGBT(x, n, f, y, nil, gcfg)
+	g, err := FitGBTBinned(mustBin(t, x, n, f), y, nil, gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func exactGridTree(t testing.TB) *Flat {
 	for i, v := range x {
 		x[i] = math.Round(v*16) / 16
 	}
-	tr, err := FitTree(x, n, f, y, nil, TreeConfig(), randx.New(3, 4))
+	tr, err := FitTreeBinned(mustBin(t, x, n, f), y, nil, TreeConfig(), randx.New(3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,17 +46,6 @@ func DefaultGBTConfig() GBTConfig {
 	}
 }
 
-// FitGBT trains a boosted classifier on binary labels y with optional
-// sample weights. X is quantized once, at weighted quantiles of w, and the
-// binned matrix serves every round (FitGBTBinned).
-func FitGBT(x []float64, n, f int, y []int, w []float64, cfg GBTConfig) (*GBT, error) {
-	bn, err := binShared(x, n, f, w, DefaultMaxBins, 1)
-	if err != nil {
-		return nil, err
-	}
-	return FitGBTBinned(bn, y, w, cfg)
-}
-
 func sigmoid(x float64) float64 {
 	if x < -40 {
 		return 0
@@ -96,8 +85,8 @@ func (g *GBT) Rounds() int { return len(g.trees) }
 // FitGBTBinned trains a boosted classifier with the histogram engine on a
 // pre-binned matrix: one quantization serves all rounds, and per-round leaf
 // assignments come from the growth partition instead of tree traversals.
-// Semantics follow FitGBT (logistic loss, Newton leaf steps, shrinkage,
-// stochastic subsampling).
+// The loss is logistic, with Newton leaf steps, shrinkage and
+// stochastic subsampling.
 func FitGBTBinned(bn *Binned, y []int, w []float64, cfg GBTConfig) (*GBT, error) {
 	n := bn.N
 	labels, err := binaryTargets(y, n)

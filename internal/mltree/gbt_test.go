@@ -17,7 +17,7 @@ func TestRegressionTreeFitsStep(t *testing.T) {
 			y[i] = 5
 		}
 	}
-	tree, err := FitRegressionTree(x, n, 1, y, nil, Config{MaxDepth: 2, MinSamplesLeaf: 5}, randx.New(1, 1))
+	tree, err := growTree(mustBin(t, x, n, 1), y, nil, Config{MaxDepth: 2, MinSamplesLeaf: 5}, randx.New(1, 1), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRegressionTreeRespectsMinSamplesLeaf(t *testing.T) {
 		x[i] = float64(i)
 		y[i] = float64(i % 2)
 	}
-	tree, err := FitRegressionTree(x, n, 1, y, nil, Config{MaxDepth: 10, MinSamplesLeaf: 8}, randx.New(2, 2))
+	tree, err := growTree(mustBin(t, x, n, 1), y, nil, Config{MaxDepth: 10, MinSamplesLeaf: 8}, randx.New(2, 2), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func TestRegressionTreeRespectsMinSamplesLeaf(t *testing.T) {
 
 func TestRegressionTreeValidation(t *testing.T) {
 	rng := randx.New(1, 1)
-	if _, err := FitRegressionTree(nil, 0, 0, nil, nil, Config{}, rng); err == nil {
+	if _, err := Bin(nil, 0, 0, 1); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := FitRegressionTree([]float64{1}, 1, 1, []float64{1, 2}, nil, Config{}, rng); err == nil {
+	if _, err := growTree(mustBin(t, []float64{1}, 1, 1), []float64{1, 2}, nil, Config{}, rng, false, nil); err == nil {
 		t.Fatal("target length mismatch accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestRegressionTreeLeafIDsDense(t *testing.T) {
 		x[i*2+1] = rng.Float64()
 		y[i] = x[i*2]*3 + x[i*2+1]
 	}
-	tree, err := FitRegressionTree(x, n, 2, y, nil, Config{MaxDepth: 4, MinSamplesLeaf: 5}, rng)
+	tree, err := growTree(mustBin(t, x, n, 2), y, nil, Config{MaxDepth: 4, MinSamplesLeaf: 5}, rng, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRegressionTreeLeafIDsDense(t *testing.T) {
 func TestSetLeafValues(t *testing.T) {
 	x := []float64{0, 1, 2, 3}
 	y := []float64{0, 0, 1, 1}
-	tree, err := FitRegressionTree(x, 4, 1, y, nil, Config{MaxDepth: 1, MinSamplesLeaf: 1}, randx.New(4, 4))
+	tree, err := growTree(mustBin(t, x, 4, 1), y, nil, Config{MaxDepth: 1, MinSamplesLeaf: 1}, randx.New(4, 4), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestGBTSolvesXOR(t *testing.T) {
 	x, y := xorData(600, rng)
 	cfg := DefaultGBTConfig()
 	cfg.Rounds = 80
-	g, err := FitGBT(x, 600, 2, y, nil, cfg)
+	g, err := FitGBTBinned(mustBin(t, x, 600, 2), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestGBTSolvesXOR(t *testing.T) {
 func TestGBTProbabilitiesValid(t *testing.T) {
 	rng := randx.New(6, 6)
 	x, y := xorData(200, rng)
-	g, err := FitGBT(x, 200, 2, y, nil, DefaultGBTConfig())
+	g, err := FitGBTBinned(mustBin(t, x, 200, 2), y, nil, DefaultGBTConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +147,19 @@ func TestGBTProbabilitiesValid(t *testing.T) {
 }
 
 func TestGBTValidation(t *testing.T) {
-	if _, err := FitGBT(nil, 0, 0, nil, nil, DefaultGBTConfig()); err == nil {
+	if _, err := Bin(nil, 0, 0, 1); err == nil {
 		t.Fatal("empty input accepted")
 	}
 	x := []float64{1, 2}
-	if _, err := FitGBT(x, 2, 1, []int{0, 0}, nil, DefaultGBTConfig()); err == nil {
+	if _, err := FitGBTBinned(mustBin(t, x, 2, 1), []int{0, 0}, nil, DefaultGBTConfig()); err == nil {
 		t.Fatal("single-class labels accepted")
 	}
-	if _, err := FitGBT(x, 2, 1, []int{0, 2}, nil, DefaultGBTConfig()); err == nil {
+	if _, err := FitGBTBinned(mustBin(t, x, 2, 1), []int{0, 2}, nil, DefaultGBTConfig()); err == nil {
 		t.Fatal("non-binary label accepted")
 	}
 	bad := DefaultGBTConfig()
 	bad.Rounds = 0
-	if _, err := FitGBT(x, 2, 1, []int{0, 1}, nil, bad); err == nil {
+	if _, err := FitGBTBinned(mustBin(t, x, 2, 1), []int{0, 1}, nil, bad); err == nil {
 		t.Fatal("zero rounds accepted")
 	}
 }
@@ -169,11 +169,11 @@ func TestGBTDeterministic(t *testing.T) {
 	x, y := xorData(150, rng)
 	cfg := DefaultGBTConfig()
 	cfg.Rounds = 20
-	a, err := FitGBT(x, 150, 2, y, nil, cfg)
+	a, err := FitGBTBinned(mustBin(t, x, 150, 2), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FitGBT(x, 150, 2, y, nil, cfg)
+	b, err := FitGBTBinned(mustBin(t, x, 150, 2), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestGBTImprovesWithRounds(t *testing.T) {
 		cfg := DefaultGBTConfig()
 		cfg.Rounds = rounds
 		cfg.SubsampleFraction = 1
-		g, err := FitGBT(x, n, 3, y, nil, cfg)
+		g, err := FitGBTBinned(mustBin(t, x, n, 3), y, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,6 @@
 package mltree
 
-import (
-	"repro/internal/bytelru"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Kernel-stage histograms on the process registry. The flat engine
 // observes once per ScoreBatch call, not per block: durations
@@ -18,10 +15,3 @@ var (
 		"time spent descending trees over quantized codes, per flat batch call",
 		obs.MicroLatencyBuckets)
 )
-
-// The shared quantization cache exports as bytelru_*{cache="bins"}.
-// BinCacheStats already tolerates the cache being disabled or rebuilt, so
-// one registration at init covers every configuration.
-func init() {
-	bytelru.RegisterMetrics(obs.Default(), "bins", BinCacheStats)
-}

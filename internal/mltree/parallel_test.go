@@ -35,7 +35,7 @@ func TestForestParallelMatchesSequential(t *testing.T) {
 		cfg.NumTrees = 9
 		cfg.Seed = 42
 		cfg.Workers = workers
-		forest, err := FitForest(x, n, f, y, w, cfg)
+		forest, err := FitForestBinned(mustBin(t, x, n, f), y, w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 			}
 		}
 	}
-	tree, err := FitTree(x, rows, f, y, nil, TreeConfig(), randx.New(3, 4))
+	tree, err := FitTreeBinned(mustBin(t, x, rows, f), y, nil, TreeConfig(), randx.New(3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 
 	fcfg := DefaultForestConfig()
 	fcfg.NumTrees = 5
-	fo, err := FitForest(x, rows, f, y, nil, fcfg)
+	fo, err := FitForestBinned(mustBin(t, x, rows, f), y, nil, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFlattenProjectedMatchesFlatten(t *testing.T) {
 	gcfg := DefaultGBTConfig()
 	gcfg.Rounds = 6
 	gcfg.MaxDepth = 2
-	g, err := FitGBT(x, rows, f, y, nil, gcfg)
+	g, err := FitGBTBinned(mustBin(t, x, rows, f), y, nil, gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,30 +111,6 @@ func BalancedWeights(y []int) []float64 {
 	return w
 }
 
-// FitTree grows a CART classifier on X (n x f, row-major, NaN-free),
-// binary labels y and optional sample weights w (nil = uniform): it
-// quantizes X at weighted quantiles of w through the shared quantization
-// cache, then grows the tree with FitTreeBinned.
-func FitTree(x []float64, n, f int, y []int, w []float64, cfg Config, rng *randx.RNG) (*Tree, error) {
-	bn, err := binShared(x, n, f, w, DefaultMaxBins, 1)
-	if err != nil {
-		return nil, err
-	}
-	return FitTreeBinned(bn, y, w, cfg, rng)
-}
-
-// FitRegressionTree fits targets (any real values) with optional weights
-// on a NaN-free X: it quantizes X at weighted quantiles of w through the
-// shared quantization cache, then grows the tree on the grower boosting
-// stages grow on.
-func FitRegressionTree(x []float64, n, f int, targets, w []float64, cfg Config, rng *randx.RNG) (*Tree, error) {
-	bn, err := binShared(x, n, f, w, DefaultMaxBins, 1)
-	if err != nil {
-		return nil, err
-	}
-	return growTree(bn, targets, w, cfg, rng, false, nil)
-}
-
 // uniformWeights returns the shared all-ones weight vector for the w == nil
 // path, allocated once per fit (and hoisted to once per forest).
 func uniformWeights(n int) []float64 {
@@ -185,71 +161,6 @@ func featureCountFor(cfg Config, f int) int {
 	default:
 		return f
 	}
-}
-
-// sortPairsByVal sorts vals ascending, permuting idx in tandem; ties are
-// broken by idx so the order is deterministic. Hand-rolled quicksort with an
-// insertion-sort tail: measurably faster than sort.Sort's interface calls
-// when weighted binning sorts a column with its row indices.
-func sortPairsByVal(vals []float64, idx []int32) {
-	for len(vals) > 16 {
-		// Median-of-three pivot.
-		m := len(vals) / 2
-		hi := len(vals) - 1
-		if pairLess(vals[m], idx[m], vals[0], idx[0]) {
-			vals[m], vals[0] = vals[0], vals[m]
-			idx[m], idx[0] = idx[0], idx[m]
-		}
-		if pairLess(vals[hi], idx[hi], vals[0], idx[0]) {
-			vals[hi], vals[0] = vals[0], vals[hi]
-			idx[hi], idx[0] = idx[0], idx[hi]
-		}
-		if pairLess(vals[hi], idx[hi], vals[m], idx[m]) {
-			vals[hi], vals[m] = vals[m], vals[hi]
-			idx[hi], idx[m] = idx[m], idx[hi]
-		}
-		pv, pi := vals[m], idx[m]
-		i, j := 0, hi
-		for i <= j {
-			for pairLess(vals[i], idx[i], pv, pi) {
-				i++
-			}
-			for pairLess(pv, pi, vals[j], idx[j]) {
-				j--
-			}
-			if i <= j {
-				vals[i], vals[j] = vals[j], vals[i]
-				idx[i], idx[j] = idx[j], idx[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller half, loop on the larger.
-		if j < len(vals)-i {
-			sortPairsByVal(vals[:j+1], idx[:j+1])
-			vals, idx = vals[i:], idx[i:]
-		} else {
-			sortPairsByVal(vals[i:], idx[i:])
-			vals, idx = vals[:j+1], idx[:j+1]
-		}
-	}
-	// Insertion sort for small ranges.
-	for i := 1; i < len(vals); i++ {
-		v, id := vals[i], idx[i]
-		j := i - 1
-		for j >= 0 && pairLess(v, id, vals[j], idx[j]) {
-			vals[j+1], idx[j+1] = vals[j], idx[j]
-			j--
-		}
-		vals[j+1], idx[j+1] = v, id
-	}
-}
-
-func pairLess(v1 float64, i1 int32, v2 float64, i2 int32) bool {
-	if v1 != v2 {
-		return v1 < v2
-	}
-	return i1 < i2
 }
 
 // PredictProba returns [P(class 0), P(class 1)] for one instance.
@@ -380,20 +291,6 @@ func DefaultForestConfig() ForestConfig {
 type Forest struct {
 	Trees       []*Tree
 	NumFeatures int
-}
-
-// FitForest grows cfg.NumTrees trees in parallel on bootstrap resamples.
-// X is quantized once, at weighted quantiles of the caller's base weights,
-// and the binned matrix is shared by the whole ensemble (FitForestBinned).
-func FitForest(x []float64, n, f int, y []int, w []float64, cfg ForestConfig) (*Forest, error) {
-	if cfg.NumTrees < 1 {
-		return nil, fmt.Errorf("mltree: forest needs at least 1 tree")
-	}
-	bn, err := binShared(x, n, f, w, DefaultMaxBins, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return FitForestBinned(bn, y, w, cfg)
 }
 
 // PredictProba averages class probabilities over the ensemble.

@@ -28,7 +28,7 @@ func xorData(n int, rng *randx.RNG) ([]float64, []int) {
 func TestFitTreeSolvesXOR(t *testing.T) {
 	rng := randx.New(1, 2)
 	x, y := xorData(400, rng)
-	tree, err := FitTree(x, 400, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
+	tree, err := FitTreeBinned(mustBin(t, x, 400, 2), y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,11 @@ func TestFitTreeValidation(t *testing.T) {
 		{nil, 0, 0, nil, nil},                                  // empty
 	}
 	for i, c := range cases {
-		if _, err := FitTree(c.x, c.n, c.f, c.y, c.w, TreeConfig(), rng); err == nil {
+		bn, err := Bin(c.x, c.n, c.f, 1)
+		if err == nil {
+			_, err = FitTreeBinned(bn, c.y, c.w, TreeConfig(), rng)
+		}
+		if err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -83,7 +87,7 @@ func TestForestRejectsNegativeWeightAnyDraw(t *testing.T) {
 		w[i] = 1
 	}
 	w[17] = -5
-	bn, err := Bin(x, 40, 2, nil, DefaultMaxBins)
+	bn, err := Bin(x, 40, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,39 +97,29 @@ func TestForestRejectsNegativeWeightAnyDraw(t *testing.T) {
 		if _, err := FitForestBinned(bn, y, w, cfg); err == nil || !strings.Contains(err.Error(), "invalid weight") {
 			t.Errorf("seed %d: FitForestBinned err = %v, want invalid weight", seed, err)
 		}
-		if _, err := FitForest(x, 40, 2, y, w, cfg); err == nil || !strings.Contains(err.Error(), "invalid weight") {
-			t.Errorf("seed %d: FitForest err = %v, want invalid weight", seed, err)
-		}
 	}
 }
 
-// TestFloatFitsRejectNaNWeights: binning a float matrix before the fit
-// must not let a NaN weight through any float-matrix entry point.
+// TestFloatFitsRejectNaNWeights: no fit entry point lets a NaN weight
+// through, and boosting checks the caller's weights before subsampling,
+// NaN and negative alike.
 func TestFloatFitsRejectNaNWeights(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []int{0, 1, 0, 1}
 	w := []float64{1, math.NaN(), 1, 1}
-	if _, err := FitTree(x, 4, 1, y, w, TreeConfig(), randx.New(1, 1)); err == nil {
-		t.Error("FitTree accepted a NaN weight")
+	bn := mustBin(t, x, 4, 1)
+	if _, err := FitTreeBinned(bn, y, w, TreeConfig(), randx.New(1, 1)); err == nil {
+		t.Error("FitTreeBinned accepted a NaN weight")
 	}
 	cfg := DefaultForestConfig()
 	cfg.Bootstrap = false
-	if _, err := FitForest(x, 4, 1, y, w, cfg); err == nil {
-		t.Error("FitForest accepted a NaN weight")
-	}
-	// Boosting checks the caller's weights before subsampling, NaN and
-	// negative alike.
-	bn, err := Bin(x, 4, 1, nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := FitForestBinned(bn, y, w, cfg); err == nil {
+		t.Error("FitForestBinned accepted a NaN weight")
 	}
 	for _, c := range []struct {
 		name string
 		w    []float64
 	}{{"NaN", w}, {"negative", []float64{1, -5, 1, 1}}} {
-		if _, err := FitGBT(x, 4, 1, y, c.w, DefaultGBTConfig()); err == nil || !strings.Contains(err.Error(), "invalid weight") {
-			t.Errorf("FitGBT with a %s weight: err = %v, want invalid weight", c.name, err)
-		}
 		if _, err := FitGBTBinned(bn, y, c.w, DefaultGBTConfig()); err == nil || !strings.Contains(err.Error(), "invalid weight") {
 			t.Errorf("FitGBTBinned with a %s weight: err = %v, want invalid weight", c.name, err)
 		}
@@ -230,7 +224,7 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 	rng := randx.New(3, 3)
 	x := []float64{1, 2, 3, 4}
 	y := []int{1, 1, 1, 1}
-	tree, err := FitTree(x, 4, 1, y, nil, TreeConfig(), rng)
+	tree, err := FitTreeBinned(mustBin(t, x, 4, 1), y, nil, TreeConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +240,11 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 func TestMinWeightFractionStops(t *testing.T) {
 	rng := randx.New(4, 4)
 	x, y := xorData(400, rng)
-	shallow, err := FitTree(x, 400, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.6}, rng)
+	shallow, err := FitTreeBinned(mustBin(t, x, 400, 2), y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.6}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep, err := FitTree(x, 400, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.0001}, randx.New(4, 4))
+	deep, err := FitTreeBinned(mustBin(t, x, 400, 2), y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.0001}, randx.New(4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +259,7 @@ func TestMinWeightFractionStops(t *testing.T) {
 func TestMaxDepth(t *testing.T) {
 	rng := randx.New(5, 5)
 	x, y := xorData(300, rng)
-	tree, err := FitTree(x, 300, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.0001, MaxDepth: 1}, rng)
+	tree, err := FitTreeBinned(mustBin(t, x, 300, 2), y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.0001, MaxDepth: 1}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +297,7 @@ func TestBalancedWeightsFocusMinority(t *testing.T) {
 		}
 	}
 	w := BalancedWeights(y)
-	tree, err := FitTree(x, n, 1, y, w, Config{Rule: AllFeatures, MinWeightFraction: 0.05}, rng)
+	tree, err := FitTreeBinned(mustBin(t, x, n, 1), y, w, Config{Rule: AllFeatures, MinWeightFraction: 0.05}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +310,7 @@ func TestBalancedWeightsFocusMinority(t *testing.T) {
 func TestImportancesSumToOne(t *testing.T) {
 	rng := randx.New(7, 7)
 	x, y := xorData(300, rng)
-	tree, err := FitTree(x, 300, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
+	tree, err := FitTreeBinned(mustBin(t, x, 300, 2), y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +340,7 @@ func TestImportancesFindInformativeFeature(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	tree, err := FitTree(x, n, 2, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.01}, rng)
+	tree, err := FitTreeBinned(mustBin(t, x, n, 2), y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.01}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,12 +375,12 @@ func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
 	}
 	// Holdout split.
 	trainN := 400
-	forest, err := FitForest(x[:trainN*f], trainN, f, y[:trainN], nil,
+	forest, err := FitForestBinned(mustBin(t, x[:trainN*f], trainN, f), y[:trainN], nil,
 		ForestConfig{NumTrees: 40, Tree: ForestTreeConfig(), Bootstrap: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := FitTree(x[:trainN*f], trainN, f, y[:trainN], nil,
+	tree, err := FitTreeBinned(mustBin(t, x[:trainN*f], trainN, f), y[:trainN], nil,
 		Config{Rule: AllFeatures, MinWeightFraction: 0.0002}, randx.New(10, 10))
 	if err != nil {
 		t.Fatal(err)
@@ -419,11 +413,11 @@ func TestForestDeterministicGivenSeed(t *testing.T) {
 	rng := randx.New(11, 11)
 	x, y := xorData(200, rng)
 	cfg := ForestConfig{NumTrees: 8, Tree: ForestTreeConfig(), Bootstrap: true, Seed: 5, Workers: 4}
-	a, err := FitForest(x, 200, 2, y, nil, cfg)
+	a, err := FitForestBinned(mustBin(t, x, 200, 2), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FitForest(x, 200, 2, y, nil, cfg)
+	b, err := FitForestBinned(mustBin(t, x, 200, 2), y, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +429,7 @@ func TestForestDeterministicGivenSeed(t *testing.T) {
 }
 
 func TestForestConfigValidation(t *testing.T) {
-	if _, err := FitForest(nil, 0, 0, nil, nil, ForestConfig{NumTrees: 0}); err == nil {
+	if _, err := FitForestBinned(mustBin(t, []float64{1, 2}, 2, 1), []int{0, 1}, nil, ForestConfig{NumTrees: 0}); err == nil {
 		t.Fatal("expected error for zero trees")
 	}
 }
@@ -443,7 +437,7 @@ func TestForestConfigValidation(t *testing.T) {
 func TestForestImportancesNormalised(t *testing.T) {
 	rng := randx.New(12, 12)
 	x, y := xorData(300, rng)
-	forest, err := FitForest(x, 300, 2, y, nil,
+	forest, err := FitForestBinned(mustBin(t, x, 300, 2), y, nil,
 		ForestConfig{NumTrees: 10, Tree: ForestTreeConfig(), Bootstrap: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -464,7 +458,7 @@ func TestForestImportancesNormalised(t *testing.T) {
 func TestPredictProbaDistributionProperty(t *testing.T) {
 	rng := randx.New(13, 13)
 	x, y := xorData(200, rng)
-	tree, err := FitTree(x, 200, 2, y, nil, TreeConfig(), rng)
+	tree, err := FitTreeBinned(mustBin(t, x, 200, 2), y, nil, TreeConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +494,7 @@ func TestSeparableDataPerfectFit(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	tree, err := FitTree(x, n, 1, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
+	tree, err := FitTreeBinned(mustBin(t, x, n, 1), y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.001}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,28 +502,6 @@ func TestSeparableDataPerfectFit(t *testing.T) {
 		p := tree.PredictProba(x[i : i+1])
 		if p[y[i]] != 1 {
 			t.Fatalf("separable data mispredicted at %d: %v", i, p)
-		}
-	}
-}
-
-func TestSortPairsByVal(t *testing.T) {
-	rng := randx.New(21, 21)
-	for round := 0; round < 50; round++ {
-		m := rng.IntInclusive(1, 200)
-		vals := make([]float64, m)
-		idx := make([]int32, m)
-		for i := range vals {
-			vals[i] = float64(rng.IntN(20)) // many ties
-			idx[i] = int32(i)
-		}
-		sortPairsByVal(vals, idx)
-		for i := 1; i < m; i++ {
-			if vals[i] < vals[i-1] {
-				t.Fatal("values not sorted")
-			}
-			if vals[i] == vals[i-1] && idx[i] < idx[i-1] {
-				t.Fatal("ties not broken by index")
-			}
 		}
 	}
 }
