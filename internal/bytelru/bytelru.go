@@ -1,9 +1,9 @@
 // Package bytelru is the byte-budgeted LRU with single-flight builds that
-// backs both value stores on the sweep engine's hot path: the
-// feature-matrix cache (internal/featcache) and the trained-model cache
-// (internal/modelcache). The two wrappers contribute their key/value types
-// and domain docs; the eviction and single-flight concurrency logic lives
-// only here.
+// backs every value store: the feature-matrix cache (internal/featcache),
+// the trained-model cache (forecast.Context.ModelCache) and the
+// registry's decoded-artifact cache. Callers contribute their key/value
+// types and domain docs; the eviction and single-flight concurrency logic
+// lives only here.
 package bytelru
 
 import (

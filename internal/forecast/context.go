@@ -16,7 +16,6 @@ import (
 	"repro/internal/featcache"
 	"repro/internal/features"
 	"repro/internal/mltree"
-	"repro/internal/modelcache"
 	"repro/internal/obs"
 	"repro/internal/score"
 	"repro/internal/tensor"
@@ -79,7 +78,8 @@ type Context struct {
 	// sweeps, never while one is running.
 	CacheBytes int64
 	// ModelCacheBytes bounds the shared trained-model cache (an LRU by byte
-	// budget, see internal/modelcache): 0 selects DefaultModelCacheBytes, a
+	// budget with single-flight fits, see internal/bytelru): 0 selects
+	// DefaultModelCacheBytes, a
 	// negative value disables trained-model caching. Fits are deterministic
 	// per training task, so a cached artifact predicts bit-identically to a
 	// refit; disable it only to measure raw fit cost (the perf benches do).
@@ -95,7 +95,7 @@ type Context struct {
 	cacheLimit int64
 
 	modelMu    sync.Mutex
-	models     *modelcache.Cache[Trained]
+	models     *bytelru.Cache[fitKey, Trained]
 	modelLimit int64
 
 	fpOnce sync.Once
@@ -369,10 +369,21 @@ type cacheableModel interface {
 	fitFingerprint(c *Context) (fp string, ok bool)
 }
 
+// fitKey identifies one distinct training task: the model fingerprint
+// (see cacheableModel), the forecast target, the train cutoff t-h (the
+// exclusive end day of the latest feature window the fit consumes), the
+// Eq. 7 label gap h (labels sit h days after each feature window, so
+// tasks sharing a cutoff but not h differ) and the past window w.
+type fitKey struct {
+	model        string
+	target       Target
+	cutoff, h, w int
+}
+
 // ModelCache returns the shared trained-model cache, creating it on first
 // use; nil when ModelCacheBytes is negative. Changing ModelCacheBytes
 // between sweeps replaces the cache with a freshly budgeted (empty) one.
-func (c *Context) ModelCache() *modelcache.Cache[Trained] {
+func (c *Context) ModelCache() *bytelru.Cache[fitKey, Trained] {
 	if c.ModelCacheBytes < 0 {
 		return nil
 	}
@@ -383,7 +394,7 @@ func (c *Context) ModelCache() *modelcache.Cache[Trained] {
 	c.modelMu.Lock()
 	defer c.modelMu.Unlock()
 	if c.models == nil || c.modelLimit != limit {
-		c.models = modelcache.New[Trained](limit)
+		c.models = bytelru.New[fitKey, Trained](limit)
 		c.modelLimit = limit
 		// Latest-wins rebind, as with the feature cache above.
 		bytelru.RegisterMetrics(obs.Default(), "models", c.models.Meter().Stats)
@@ -400,8 +411,8 @@ func (c *Context) TrainedModel(m Model, target Target, t, h, w int) (Trained, er
 	if cm, ok := m.(cacheableModel); ok {
 		if cache := c.ModelCache(); cache != nil {
 			if fp, cacheable := cm.fitFingerprint(c); cacheable {
-				key := modelcache.Key{Model: fp, Target: int(target), Cutoff: t - h, H: h, W: w}
-				return cache.GetOrFit(key, func() (Trained, error) {
+				key := fitKey{model: fp, target: target, cutoff: t - h, h: h, w: w}
+				return cache.GetOrBuild(key, func() (Trained, error) {
 					return m.Fit(c, target, t, h, w)
 				})
 			}

@@ -2,6 +2,8 @@ package forecast
 
 import (
 	"testing"
+
+	"repro/internal/bytelru"
 )
 
 // TestForecastMatchesFitPredict: Forecast is a thin Fit+Predict shim —
@@ -105,6 +107,33 @@ func TestTrainedModelCacheReusesFits(t *testing.T) {
 	}
 	if m2.LastImportances == nil {
 		t.Fatal("cache-served forecast did not surface importances")
+	}
+}
+
+type sizedBlob int64
+
+func (b sizedBlob) Bytes() int64 { return int64(b) }
+
+// TestKeyFieldsDistinguishTasks: each fitKey field is part of the task
+// identity — notably h, the Eq. 7 label gap, at a fixed cutoff.
+func TestKeyFieldsDistinguishTasks(t *testing.T) {
+	c := bytelru.New[fitKey, sizedBlob](1 << 20)
+	fits := 0
+	variants := []fitKey{
+		{model: "rf", target: BeHot, cutoff: 50, h: 1, w: 7},
+		{model: "rf|unbal", target: BeHot, cutoff: 50, h: 1, w: 7},
+		{model: "rf", target: BecomeHot, cutoff: 50, h: 1, w: 7},
+		{model: "rf", target: BeHot, cutoff: 51, h: 1, w: 7},
+		{model: "rf", target: BeHot, cutoff: 50, h: 2, w: 7},
+		{model: "rf", target: BeHot, cutoff: 50, h: 1, w: 14},
+	}
+	for _, k := range variants {
+		if _, err := c.GetOrBuild(k, func() (sizedBlob, error) { fits++; return 10, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fits != len(variants) {
+		t.Fatalf("fits = %d, want %d distinct tasks", fits, len(variants))
 	}
 }
 

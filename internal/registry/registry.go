@@ -23,8 +23,8 @@
 // Concurrency model: one process may publish and many may read. Readers
 // work from an immutable manifest snapshot behind an atomic pointer, so
 // List/Latest/Load never block behind a publish; decoded artifacts are
-// shared through a single-flight byte-budgeted cache (internal/modelcache),
-// so concurrent requests for one version decode it once. A reader in
+// shared through a single-flight byte-budgeted cache (internal/bytelru)
+// keyed by version, so concurrent requests for one version decode it once. A reader in
 // another process calls Refresh (cmd/hotserve polls the manifest mtime or
 // reloads on demand) to pick up published versions.
 package registry
@@ -45,7 +45,6 @@ import (
 	"repro/internal/bytelru"
 	"repro/internal/faultfs"
 	"repro/internal/forecast"
-	"repro/internal/modelcache"
 	"repro/internal/obs"
 	"repro/internal/retry"
 )
@@ -140,9 +139,9 @@ type state struct {
 // concurrent use; writes (Publish, Prune, Refresh) are serialized.
 type Registry struct {
 	dir   string
-	fs    faultfs.FS                          // all disk I/O goes through this (faultfs.OS in production)
-	retry retry.Policy                        // transient-I/O backoff for Open/Refresh/Load
-	cache *modelcache.Cache[forecast.Trained] // nil when caching is disabled
+	fs    faultfs.FS                            // all disk I/O goes through this (faultfs.OS in production)
+	retry retry.Policy                          // transient-I/O backoff for Open/Refresh/Load
+	cache *bytelru.Cache[int, forecast.Trained] // by version ID; nil when caching is disabled
 
 	mu  sync.Mutex // serializes writers and manifest swaps
 	cur atomic.Pointer[state]
@@ -190,7 +189,7 @@ func OpenFS(dir string, cacheBytes int64, fsys faultfs.FS) (*Registry, error) {
 		if cacheBytes == 0 {
 			cacheBytes = forecast.DefaultModelCacheBytes
 		}
-		r.cache = modelcache.New[forecast.Trained](cacheBytes)
+		r.cache = bytelru.New[int, forecast.Trained](cacheBytes)
 		// Latest-wins rebind: a process that reopens its registry (tests,
 		// reconfiguration) reports the live handle's cache.
 		bytelru.RegisterMetrics(obs.Default(), "registry", r.cache.Meter().Stats)
@@ -595,9 +594,9 @@ func (r *Registry) load(v Version, build func() (forecast.Trained, error)) (fore
 	if r.cache == nil {
 		return build()
 	}
-	// The file name is unique per version within the registry, so it is the
-	// cache identity; the remaining key fields disambiguate nothing further.
-	return r.cache.GetOrFit(modelcache.Key{Model: "registry:" + v.File, Cutoff: v.ID}, build)
+	// Version IDs are registry-wide and never reused, so one names one
+	// artifact.
+	return r.cache.GetOrBuild(v.ID, build)
 }
 
 // LoadLatest resolves and decodes the newest loadable version of key,
@@ -704,9 +703,9 @@ func checkSum(v Version, sum binenc.Sum) error {
 
 // CacheStats reports the decoded-artifact cache counters (zero value when
 // caching is disabled).
-func (r *Registry) CacheStats() modelcache.Stats {
+func (r *Registry) CacheStats() bytelru.Stats {
 	if r.cache == nil {
-		return modelcache.Stats{}
+		return bytelru.Stats{}
 	}
 	return r.cache.Stats()
 }
