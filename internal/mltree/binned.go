@@ -567,10 +567,17 @@ type splitScan struct {
 	feat, cut  int
 }
 
+// tieMargin is the relative gain difference below which two candidate
+// splits count as tied: far above the float rounding that separates
+// equivalent forms of one criterion, far below any real gain difference.
+const tieMargin = 1e-9
+
 // consider scores the boundary after bin cut of feature feat, whose left
 // side holds weight wl, weighted target sum wyl and nl rows, by weighted
-// variance reduction wyl²/wl + wyr²/wr - swy²/sw. Only a strictly larger
-// gain wins, so the first of equal candidates is kept.
+// variance reduction wyl²/wl + wyr²/wr - swy²/sw. A gain replaces the best
+// only when it is larger by more than tieMargin relative; within that
+// margin the lower (feature, cut) wins, so the winner does not depend on
+// the order the random feature subset is scanned in.
 func (s *splitScan) consider(feat, cut int, wl, wyl float64, nl int) {
 	if nl < s.minLeaf || s.m-nl < s.minLeaf {
 		return
@@ -580,7 +587,10 @@ func (s *splitScan) consider(feat, cut int, wl, wyl float64, nl int) {
 		return
 	}
 	wyr := s.swy - wyl
-	if gain := wyl*wyl/wl + wyr*wyr/wr - s.base; gain > s.gain {
+	gain := wyl*wyl/wl + wyr*wyr/wr - s.base
+	margin := tieMargin * s.gain
+	if gain > s.gain+margin ||
+		(s.feat >= 0 && gain >= s.gain-margin && (feat < s.feat || feat == s.feat && cut < s.cut)) {
 		s.gain, s.feat, s.cut = gain, feat, cut
 	}
 }
@@ -609,7 +619,8 @@ func (b *grower) scanChain(s *splitScan, hist []float64) {
 // histograms are accumulated in one row-major pass over the node, then
 // each candidate's occupied code range is scanned for the best boundary.
 // Empty bins are skipped by stamp — their boundaries would only repeat the
-// previous gain, which the strict comparison never re-selects, so the
+// previous boundary's gain at a higher cut of the same feature, which
+// neither beats the best by the tie margin nor wins its tie-break, so the
 // sparse scan picks exactly the split a dense scan would.
 func (b *grower) scanDirect(s *splitScan, idx []int32) {
 	nFeat := b.featureCount()

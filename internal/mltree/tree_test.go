@@ -505,3 +505,35 @@ func TestSeparableDataPerfectFit(t *testing.T) {
 		}
 	}
 }
+
+// TestTiedSplitsGoToLowerFeature: two copies of the one informative
+// column tie at every boundary, so whatever order the random feature
+// sampling scans them in, every split lands on the lower copy.
+func TestTiedSplitsGoToLowerFeature(t *testing.T) {
+	rng := randx.New(41, 43)
+	n := 300
+	x := make([]float64, n*3)
+	y := make([]int, n)
+	for i := 0; i < n; i++ {
+		v := rng.Float64()
+		x[i*3], x[i*3+1], x[i*3+2] = rng.Float64(), v, v
+		if v > 0.4 {
+			y[i] = 1
+		}
+	}
+	bn := mustBin(t, x, n, 3)
+	for seed := uint64(1); seed <= 20; seed++ {
+		tree, err := FitTreeBinned(bn, y, nil, Config{Rule: AllFeatures, MinWeightFraction: 0.01}, randx.New(seed, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nd := range tree.nodes {
+			if nd.feature == 2 {
+				t.Fatalf("seed %d: a split took the higher copy of a tied column", seed)
+			}
+		}
+		if tree.RootFeature() != 1 {
+			t.Fatalf("seed %d: root splits on feature %d, want 1", seed, tree.RootFeature())
+		}
+	}
+}
