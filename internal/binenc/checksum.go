@@ -15,13 +15,14 @@ import (
 // manifest) and verified before the unchecked flat kernels may run over a
 // trusted (mmap) load. It is 128 bits wide because one 64-bit hash makes
 // silent collisions merely unlikely, while two independent 64-bit folds of
-// the same wide state make them implausible. It is built for throughput: the inner loop runs eight independent lanes, each
-// consuming 16 bytes per step through a single widening multiply
-// (wyhash-style mix: hi ^ lo of a 64x64→128 product), so one multiply
-// covers 16 bytes and the eight latency chains overlap to saturate the
-// multiplier port. The gate must cost a small fraction of a zero-copy
-// artifact load (BenchmarkChecksumBytes tracks the pass against
-// BenchmarkLoadModelMmap via forecast's BenchmarkVerifyEnvelope).
+// the same wide state make them implausible. It is built for throughput:
+// the inner loop runs eight independent lanes, each consuming 16 bytes per
+// step through a single widening multiply (wyhash-style mix: hi ^ lo of a
+// 64x64→128 product), so one multiply covers 16 bytes and the eight
+// latency chains overlap to saturate the multiplier port. The gate must
+// cost a small fraction of a zero-copy artifact load
+// (BenchmarkChecksumBytes tracks the pass against BenchmarkLoadModelMmap
+// via forecast's BenchmarkVerifyEnvelope).
 //
 // This is corruption detection, not cryptography: an adversary who can
 // write the file can also restamp the sums. The design only has to make

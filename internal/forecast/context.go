@@ -79,10 +79,10 @@ type Context struct {
 	CacheBytes int64
 	// ModelCacheBytes bounds the shared trained-model cache (an LRU by byte
 	// budget with single-flight fits, see internal/bytelru): 0 selects
-	// DefaultModelCacheBytes, a
-	// negative value disables trained-model caching. Fits are deterministic
-	// per training task, so a cached artifact predicts bit-identically to a
-	// refit; disable it only to measure raw fit cost (the perf benches do).
+	// DefaultModelCacheBytes, a negative value disables trained-model
+	// caching. Fits are deterministic per training task, so a cached
+	// artifact predicts bit-identically to a refit; disable it only to
+	// measure raw fit cost (the perf benches do).
 	// Reconfigure only between sweeps, never while one is running.
 	ModelCacheBytes int64
 	// SplitAlgo once selected the tree-training split search.
