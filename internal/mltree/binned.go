@@ -565,6 +565,9 @@ type splitScan struct {
 	base       float64
 	gain       float64
 	feat, cut  int
+	// floor is the lowest gain still in reach of the best: the best gain
+	// less its tie margin (0 before the first best).
+	floor float64
 }
 
 // tieMargin is the relative gain difference below which two candidate
@@ -572,26 +575,32 @@ type splitScan struct {
 // equivalent forms of one criterion, far below any real gain difference.
 const tieMargin = 1e-9
 
-// consider scores the boundary after bin cut of feature feat, whose left
-// side holds weight wl, weighted target sum wyl and nl rows, by weighted
-// variance reduction wyl²/wl + wyr²/wr - swy²/sw. A gain replaces the best
-// only when it is larger by more than tieMargin relative; within that
-// margin the lower (feature, cut) wins, so the winner does not depend on
-// the order the random feature subset is scanned in.
-func (s *splitScan) consider(feat, cut int, wl, wyl float64, nl int) {
+// gainAt scores a boundary whose left side holds weight wl, weighted
+// target sum wyl and nl rows by weighted variance reduction
+// wyl²/wl + wyr²/wr - swy²/sw, or returns -1 when a side is empty or
+// below minLeaf. The scans offer consider only gains at or above the
+// floor, so the common case costs one inlined comparison.
+func (s *splitScan) gainAt(wl, wyl float64, nl int) float64 {
 	if nl < s.minLeaf || s.m-nl < s.minLeaf {
-		return
+		return -1
 	}
 	wr := s.sw - wl
 	if wl <= 0 || wr <= 0 {
-		return
+		return -1
 	}
 	wyr := s.swy - wyl
-	gain := wyl*wyl/wl + wyr*wyr/wr - s.base
-	margin := tieMargin * s.gain
-	if gain > s.gain+margin ||
-		(s.feat >= 0 && gain >= s.gain-margin && (feat < s.feat || feat == s.feat && cut < s.cut)) {
+	return wyl*wyl/wl + wyr*wyr/wr - s.base
+}
+
+// consider offers the boundary after bin cut of feature feat, of gain at
+// or above the floor. It replaces the best only when larger by more than
+// tieMargin relative; within that margin the lower (feature, cut) wins,
+// so the winner does not depend on the order the random feature subset is
+// scanned in. Before the first best (feat -1) only a positive gain wins.
+func (s *splitScan) consider(feat, cut int, gain float64) {
+	if gain > s.gain+tieMargin*s.gain || feat < s.feat || feat == s.feat && cut < s.cut {
 		s.gain, s.feat, s.cut = gain, feat, cut
+		s.floor = gain - tieMargin*gain
 	}
 }
 
@@ -610,7 +619,9 @@ func (b *grower) scanChain(s *splitScan, hist []float64) {
 			if stride == 3 {
 				nl += int(hist[h+2])
 			}
-			s.consider(feat, bin, wl, wyl, nl)
+			if g := s.gainAt(wl, wyl, nl); g >= s.floor {
+				s.consider(feat, bin, g)
+			}
 		}
 	}
 }
@@ -679,7 +690,9 @@ func (b *grower) scanDirect(s *splitScan, idx []int32) {
 			if stride == 3 {
 				nl += int(b.dirSlot[h+2])
 			}
-			s.consider(feat, bin, wl, wyl, nl)
+			if g := s.gainAt(wl, wyl, nl); g >= s.floor {
+				s.consider(feat, bin, g)
+			}
 		}
 	}
 }
