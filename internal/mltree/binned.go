@@ -578,8 +578,9 @@ const tieMargin = 1e-9
 // gainAt scores a boundary whose left side holds weight wl, weighted
 // target sum wyl and nl rows by weighted variance reduction
 // wyl²/wl + wyr²/wr - swy²/sw, or returns -1 when a side is empty or
-// below minLeaf. The scans offer consider only gains at or above the
-// floor, so the common case costs one inlined comparison.
+// below minLeaf. The scans pass consider only gains at or above the
+// floor; kept apart, both functions inline, so a boundary out of reach of
+// the best costs one comparison.
 func (s *splitScan) gainAt(wl, wyl float64, nl int) float64 {
 	if nl < s.minLeaf || s.m-nl < s.minLeaf {
 		return -1
