@@ -423,7 +423,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepCached measures the feature-plan compiler's point: the
+// BenchmarkSweepCached measures the feature cache's point: the
 // grid below holds 4 horizons per distinct (t, w), so the cached arm
 // builds each distinct (end, w) matrix once and serves every other grid
 // point from the LRU, while the uncached arm re-extracts per point (the

@@ -81,9 +81,6 @@ func New[K comparable, V Sized](maxBytes int64) *Cache[K, V] {
 	}
 }
 
-// MaxBytes returns the configured byte budget (<= 0 means unbounded).
-func (c *Cache[K, V]) MaxBytes() int64 { return c.m.stats.MaxBytes }
-
 // Meter returns the cache's counter block, which references no entry:
 // register it, not the cache, with metrics that may outlive the cache.
 func (c *Cache[K, V]) Meter() *Meter { return c.m }

@@ -99,13 +99,6 @@ func (s Scale) Ts() []int {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Env is the prepared experimental environment shared by all runners: the
 // filtered dataset, its score set, and a forecasting context.
 type Env struct {

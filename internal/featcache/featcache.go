@@ -1,10 +1,13 @@
 // Package featcache is the shared feature-matrix store behind the sweep
-// engine's plan-then-execute pipeline. The Table III sweep evaluates every
-// model over a (t, h, w) grid, and many grid points consume the identical
-// training matrix — the Eq. 7 matrix at cutoff t-h is shared along the
-// anti-diagonals of the (t, h) plane and by every model using the
-// extractor — so sweep cost should scale with the number of distinct
-// (extractor, cutoff, w) builds, not with grid size.
+// engine and the serving path: a byte-budgeted LRU of immutable matrices
+// with single-flight builds, so concurrent callers that need the same
+// matrix build it exactly once and share the result. The Table III sweep
+// evaluates every model over a (t, h, w) grid, and many grid points
+// consume the identical training matrix — the Eq. 7 matrix at cutoff t-h
+// is shared along the anti-diagonals of the (t, h) plane and by every
+// model using the extractor — so sweep cost scales with the number of
+// distinct (extractor, cutoff, w) builds, not with grid size. Fits fetch
+// each build on demand; the first to ask builds it.
 //
 // Each such build is cached once, in the one form fits read: the
 // quantization of the TrainDays stacked day blocks (the float slab it is
@@ -12,19 +15,9 @@
 // blocks; a day block is re-extracted for every cutoff that stacks it,
 // which is cheap beside binning the stacked slab.
 //
-// Two pieces deliver that:
-//
-//   - Cache: a byte-budgeted LRU of immutable matrices with single-flight
-//     builds, so concurrent grid points that need the same matrix build it
-//     exactly once and share the result.
-//   - Plan (Compile/Warm): a compiler that turns a sweep grid into its set
-//     of distinct builds, ordered by demand, and executes them once through
-//     the shared worker pool before evaluation starts.
-//
 // Prediction reads per-day matrices: a fitted model's prediction matrix
 // holds only the columns the model splits on, cached under a key that
-// carries the exact column list (see Key.Cols). The sweep planner does
-// not prewarm them, since each depends on a fit's outcome.
+// carries the exact column list (see Key.Cols).
 //
 // Feature extraction is deterministic per (sector, end, w), so serving a
 // cached matrix is bit-identical to rebuilding it; the forecast package's

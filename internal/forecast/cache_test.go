@@ -48,64 +48,73 @@ func TestDroppedContextFreesFeatureCache(t *testing.T) {
 	}
 }
 
-// A sweep caches one quantized training build per (extractor, cutoff, w),
-// and never a full-width per-day block.
+// A sweep caches one quantized training build per (extractor, cutoff, w)
+// that some model fits from, and no other: never a full-width per-day
+// block, never a build for an unused extractor, cutoff or window. Fits
+// fetch the builds on demand, so this pins what the sweep's fits read.
 func TestSweepCachesOneBuildPerCutoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("classifier sweeps are slow")
 	}
 	c := testContext(t, 80, 8, 53)
 	c.ForestTrees = 4
-	cfg := SweepConfig{
-		Models:        []Model{NewTreeModel(), NewRFF1()},
-		Target:        BeHot,
-		Ts:            []int{24, 30},
-		Hs:            []int{1, 4},
-		Ws:            []int{7},
-		RandomRepeats: 1,
-		Workers:       2,
-	}
-	cutoffs := map[int]bool{}
-	for _, tt := range cfg.Ts {
-		for _, h := range cfg.Hs {
-			cutoffs[tt-h] = true
-		}
-	}
+	// Every fit reads through the feature cache, none from a trained model
+	// an earlier input cached.
+	c.ModelCacheBytes = -1
 	defer func() { c.CacheBytes = 0 }()
-	c.CacheBytes = DefaultCacheBytes + 1 // a new budget starts an empty cache
-	if _, err := Sweep(c, cfg); err != nil {
-		t.Fatal(err)
-	}
-	cache := c.FeatureCache()
-	for _, ex := range []string{"raw", "percentiles"} {
-		for end := 0; end <= c.Days(); end++ {
-			perDay := featcache.Key{Extractor: ex, End: end, W: 7}
-			if resident(cache, perDay) {
-				t.Errorf("full-width per-day block %+v resident", perDay)
-			}
-			stacked := featcache.Key{Extractor: ex, End: end, W: 7, Days: c.TrainDays}
-			if got, want := resident(cache, stacked), cutoffs[end]; got != want {
-				t.Errorf("training build %+v resident = %t, want %t", stacked, got, want)
+	for i, in := range []struct {
+		name string
+		cfg  SweepConfig
+	}{
+		{"Tree+RF-F1", SweepConfig{
+			Models:        []Model{NewTreeModel(), NewRFF1()},
+			Target:        BeHot,
+			Ts:            []int{24, 30},
+			Hs:            []int{1, 4},
+			Ws:            []int{7},
+			RandomRepeats: 1,
+			Workers:       2,
+		}},
+		{"classifiers+GBT", histSweepConfig(2)},
+	} {
+		used := map[string]bool{}
+		for _, m := range in.cfg.Models {
+			switch m := m.(type) {
+			case *ClassifierModel:
+				used[m.Extractor.Name()] = true
+			case *GBTModel:
+				used[m.Extractor.Name()] = true
 			}
 		}
-	}
-}
-
-// The prewarmer's size estimate never undercounts a build, so warming
-// cannot overrun the cache budget.
-func TestWarmBytesBoundsBuilds(t *testing.T) {
-	c := testContext(t, 60, 6, 3)
-	c.CacheBytes = -1
-	defer func() { c.CacheBytes = 0 }()
-	const cutoff, w = 25, 5
-	for _, ex := range []features.Extractor{features.Raw{}, features.Percentiles{}, features.HandCrafted{}} {
-		key := featcache.Key{Extractor: ex.Name(), End: cutoff, W: w, Days: c.TrainDays}
-		m, err := c.binnedTrainingMatrixAt(ex, cutoff, w)
-		if err != nil {
-			t.Fatal(err)
+		cutoffs := map[int]bool{}
+		for _, tt := range in.cfg.Ts {
+			for _, h := range in.cfg.Hs {
+				cutoffs[tt-h] = true
+			}
 		}
-		if est := warmBytes(c, ex, key); est < m.Bytes() {
-			t.Errorf("%s binned: estimate %d < built %d bytes", ex.Name(), est, m.Bytes())
+		ws := map[int]bool{}
+		for _, w := range in.cfg.Ws {
+			ws[w] = true
+		}
+		c.CacheBytes = DefaultCacheBytes + int64(i) + 1 // a new budget starts an empty cache
+		if _, err := Sweep(c, in.cfg); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		cache := c.FeatureCache()
+		for _, ex := range []features.Extractor{features.Raw{}, features.Percentiles{}, features.HandCrafted{}} {
+			for w := 1; w <= 8; w++ {
+				for end := 0; end <= c.Days(); end++ {
+					perDay := featcache.Key{Extractor: ex.Name(), End: end, W: w}
+					if resident(cache, perDay) {
+						t.Errorf("%s: full-width per-day block %+v resident", in.name, perDay)
+					}
+					stacked := featcache.Key{Extractor: ex.Name(), End: end, W: w, Days: c.TrainDays}
+					want := used[ex.Name()] && cutoffs[end] && ws[w]
+					if got := resident(cache, stacked); got != want {
+						t.Errorf("%s: training build %+v resident = %t, want %t", in.name, stacked, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -70,23 +70,6 @@ func (m *ClassifierModel) setImportances(imp []float64) {
 	m.mu.Unlock()
 }
 
-// featureModel is implemented by models whose grid-point cost is dominated
-// by feature extraction; the sweep planner discovers their extractors to
-// prewarm the shared matrix cache. Models that cannot share all-sector
-// matrices (e.g. a sector-subset ablation) return nil.
-type featureModel interface {
-	featureExtractor() features.Extractor
-}
-
-// featureExtractor implements the sweep planner's discovery hook. Subset
-// models train on bespoke rows and bypass the all-sector cache.
-func (m *ClassifierModel) featureExtractor() features.Extractor {
-	if m.SectorSubset != nil {
-		return nil
-	}
-	return m.Extractor
-}
-
 // trainingLabels assembles the Eq. 7 training labels: TrainDays stacked
 // label days t, t-1, ..., ordered day-major then sector, matching the row
 // order of the training matrix.

@@ -310,14 +310,7 @@ func (c *Context) cachedBuild(key featcache.Key, build func() (*featcache.Matrix
 // boosting subsamples), so no one weighting could serve them all. Binning
 // is deterministic, so a cached handle is bit-identical to a fresh build.
 func (c *Context) BinnedTrainingMatrix(ex features.Extractor, t, h, w int) (*featcache.Matrix, error) {
-	return c.binnedTrainingMatrixAt(ex, t-h, w)
-}
-
-// binnedTrainingMatrixAt is BinnedTrainingMatrix keyed directly by the
-// training cutoff t-h — the form the quantized build actually depends on.
-// The sweep prewarmer calls it straight from plan keys (whose End is the
-// cutoff), so warming and fitting share one build per anti-diagonal.
-func (c *Context) binnedTrainingMatrixAt(ex features.Extractor, cutoff, w int) (*featcache.Matrix, error) {
+	cutoff := t - h
 	key := featcache.Key{Extractor: ex.Name(), End: cutoff, W: w, Days: c.TrainDays}
 	return c.cachedBuild(key, func() (*featcache.Matrix, error) {
 		all := make([]int, c.Sectors())

@@ -29,9 +29,6 @@ func NewGBT() *GBTModel {
 // Name implements Model.
 func (m *GBTModel) Name() string { return "GBT-F1" }
 
-// featureExtractor implements the sweep planner's discovery hook.
-func (m *GBTModel) featureExtractor() features.Extractor { return m.Extractor }
-
 // fitFingerprint implements cacheableModel, covering every boosting knob
 // that shapes the fit (custom-configured GBT variants must not collide in
 // the cache). Config.Seed is excluded: Fit derives the training seed from

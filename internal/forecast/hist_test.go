@@ -1,10 +1,6 @@
 package forecast
 
-import (
-	"testing"
-
-	"repro/internal/featcache"
-)
+import "testing"
 
 // histSweepConfig is the shared tiny grid for the sweep tests:
 // every classifier plus GBT, two forecast days, two horizons.
@@ -140,89 +136,4 @@ func TestBinnedTrainingMatrixCachedMatchesUncached(t *testing.T) {
 		t.Fatal("grid points sharing a cutoff did not share the cached binned matrix")
 	}
 	c.CacheBytes = 0
-}
-
-// TestWarmPrewarmsBinnedMatrices: the sweep prewarmer must build the
-// quantized training matrices fits consume — every (extractor,
-// cutoff, w) the grid demands is resident before evaluation starts — and
-// the warmed cached sweep must stay bit-identical to the uncached one.
-func TestWarmPrewarmsBinnedMatrices(t *testing.T) {
-	if testing.Short() {
-		t.Skip("classifier sweeps are slow")
-	}
-	c := testContext(t, 120, 10, 47)
-	c.ForestTrees = 4
-	c.ModelCacheBytes = -1
-
-	gbt := NewGBT()
-	gbt.Config.Rounds = 8
-	cfg := SweepConfig{
-		Models:        []Model{NewTreeModel(), gbt},
-		Target:        BeHot,
-		Ts:            []int{24, 30},
-		Hs:            []int{1, 4},
-		Ws:            []int{7},
-		RandomRepeats: 2,
-		Workers:       2,
-	}
-
-	c.CacheBytes = 0
-	cache := c.FeatureCache()
-	warmFeatureCache(c, cfg)
-
-	// Both models bin; the grid's binned keys are one per (extractor,
-	// cutoff t-h, w).
-	for _, ex := range []string{NewTreeModel().Extractor.Name(), gbt.Extractor.Name()} {
-		for _, tt := range cfg.Ts {
-			for _, h := range cfg.Hs {
-				key := featcache.Key{Extractor: ex, End: tt - h, W: 7, Days: c.TrainDays}
-				if !resident(cache, key) {
-					t.Fatalf("binned build (%s, cutoff=%d, w=7) not resident after warm", ex, tt-h)
-				}
-			}
-		}
-	}
-
-	// The warmed cached sweep serves fits from prewarmed quantizations;
-	// records must be bit-identical to a cache-off sweep.
-	warmed, err := Sweep(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.CacheBytes = -1
-	uncached, err := Sweep(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.CacheBytes = 0
-	sameRecords(t, uncached, warmed, "warmed-binned")
-}
-
-// TestBinnedDemandMirrorsFitDecisions: the prewarmer quantizes exactly
-// the training builds the sweep's fits read — for every extractor some
-// model fits from, one per (cutoff t-h, w) of the grid, and no other.
-func TestBinnedDemandMirrorsFitDecisions(t *testing.T) {
-	c := testContext(t, 100, 10, 53)
-	c.CacheBytes = DefaultCacheBytes + 1 // a new budget starts an empty cache
-	defer func() { c.CacheBytes = 0 }()
-	cfg := histSweepConfig(1)
-	warmFeatureCache(c, cfg)
-	cache := c.FeatureCache()
-	cutoffs := map[int]bool{}
-	for _, tt := range cfg.Ts {
-		for _, h := range cfg.Hs {
-			cutoffs[tt-h] = true
-		}
-	}
-	for _, m := range cfg.Models {
-		ex := m.(featureModel).featureExtractor()
-		for _, w := range cfg.Ws {
-			for end := 0; end <= c.Days(); end++ {
-				key := featcache.Key{Extractor: ex.Name(), End: end, W: w, Days: c.TrainDays}
-				if got := resident(cache, key); got != cutoffs[end] {
-					t.Fatalf("%s: training build %+v resident = %t, want %t", m.Name(), key, got, cutoffs[end])
-				}
-			}
-		}
-	}
 }

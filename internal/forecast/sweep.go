@@ -6,9 +6,6 @@ import (
 	"strconv"
 
 	"repro/internal/eval"
-	"repro/internal/featcache"
-	"repro/internal/features"
-	"repro/internal/mltree"
 	"repro/internal/parallel"
 	"repro/internal/randx"
 )
@@ -150,7 +147,6 @@ func SweepStream(c *Context, cfg SweepConfig, emit func(Record) error) error {
 			return fmt.Errorf("forecast: grid point (t=%d,h=%d,w=%d): %w", p.t, p.h, p.w, err)
 		}
 	}
-	warmFeatureCache(c, cfg)
 
 	// Fan the grid out on the shared pool. evalPoint keys every RNG draw by
 	// the grid point itself, so the records are identical at any worker
@@ -179,68 +175,6 @@ func Sweep(c *Context, cfg SweepConfig) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// warmFeatureCache compiles the grid's distinct (extractor, cutoff, w)
-// training builds — quantized, the one form fits read — and executes them
-// once through the shared pool, so grid-point evaluation starts against a hot
-// cache instead of racing to build the same matrices. Best-effort: with
-// the cache disabled or no extractor models in the sweep it is a no-op,
-// and build errors are left for the evaluation to surface in grid order.
-func warmFeatureCache(c *Context, cfg SweepConfig) {
-	cache := c.FeatureCache()
-	if cache == nil {
-		return
-	}
-	extractors := map[string]features.Extractor{}
-	var names []string
-	for _, m := range cfg.Models {
-		fm, ok := m.(featureModel)
-		if !ok {
-			continue
-		}
-		ex := fm.featureExtractor()
-		if ex == nil {
-			continue
-		}
-		if _, dup := extractors[ex.Name()]; !dup {
-			extractors[ex.Name()] = ex
-			names = append(names, ex.Name())
-		}
-	}
-	if len(names) == 0 {
-		return
-	}
-	plan := featcache.Compile(featcache.Grid{
-		Ts: cfg.Ts, Hs: cfg.Hs, Ws: cfg.Ws,
-		TrainDays:  c.TrainDays,
-		Extractors: names,
-	})
-	// Warm only into the budget headroom left by earlier sweeps, so a
-	// prewarm never evicts matrices that are still hot. (Keys already
-	// resident are counted against the headroom too — conservative, but a
-	// re-warm of a hot cache has nothing useful to build anyway.)
-	budget := cache.MaxBytes()
-	if budget > 0 {
-		budget -= cache.Stats().Bytes
-		if budget <= 0 {
-			return
-		}
-	}
-	plan.Warm(cfg.Workers, budget, func(k featcache.Key) int64 {
-		return warmBytes(c, extractors[k.Extractor], k)
-	}, func(k featcache.Key) error {
-		_, err := c.binnedTrainingMatrixAt(extractors[k.Extractor], k.End, k.W)
-		return err
-	})
-}
-
-// warmBytes bounds from above the payload of a planned training build:
-// one code byte per cell plus each feature's bin count and thresholds (at
-// most DefaultMaxBins-1 float64s).
-func warmBytes(c *Context, ex features.Extractor, k featcache.Key) int64 {
-	width := int64(ex.Width(c.View, k.W))
-	return int64(k.Days)*int64(c.Sectors())*width + width*int64(mltree.DefaultMaxBins)*8
 }
 
 // evalPoint evaluates all models at one grid point.

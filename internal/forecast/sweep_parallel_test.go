@@ -90,7 +90,7 @@ func TestSweepParallelMatchesSequentialClassifiers(t *testing.T) {
 	sameRecords(t, seq, par, "classifiers")
 }
 
-// TestSweepCachedMatchesUncachedTiny is the feature-plan compiler's core
+// TestSweepCachedMatchesUncachedTiny is the feature cache's core
 // contract at -short cost: serving shared cached matrices must be
 // bit-identical to rebuilding per grid point, at any worker count.
 func TestSweepCachedMatchesUncachedTiny(t *testing.T) {

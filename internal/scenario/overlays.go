@@ -148,7 +148,7 @@ func (o *Outage) LabelEffect() string {
 }
 
 // Prepare implements Overlay; outages have no shared state — affected
-// sectors are decided per sector so the choice is chunking-independent.
+// sectors are decided per sector so the choice is order-independent.
 func (o *Outage) Prepare(env *Env, rng *randx.RNG) error {
 	if o.Frac < 0 || o.Frac > 1 || o.MeanHours <= 0 || o.RepairHours < 0 {
 		return fmt.Errorf("outage: bad parameters %+v", *o)

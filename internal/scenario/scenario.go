@@ -13,9 +13,7 @@
 // Determinism contract (the standing invariant of this repo): every random
 // draw an overlay makes is keyed by the overlay's identity plus — for
 // per-sector draws — the sector index, never by scheduling order. A pack
-// therefore composes bit-identically at any worker count, any chunk size,
-// and identically through the materialized (Apply/Generate) and streamed
-// (GenerateStream) paths.
+// therefore composes bit-identically at any worker count.
 package scenario
 
 import (
@@ -142,7 +140,7 @@ func (p *prepared) applySector(i int, blk *SectorBlock) {
 }
 
 // Apply applies the pack to a materialized dataset in place, parallel
-// across sectors and bit-identical to the streamed path.
+// across sectors.
 func Apply(ds *simnet.Dataset, pack Pack) error {
 	env := &Env{Grid: ds.Grid, Topo: ds.Topo, Seed: ds.Config.Seed}
 	p, err := prepare(env, pack)
@@ -168,31 +166,4 @@ func Generate(cfg simnet.Config, pack Pack) (*simnet.Dataset, error) {
 		return nil, err
 	}
 	return ds, nil
-}
-
-// GenerateStream streams the scenario dataset in chunks, applying the
-// pack's overlays to each chunk before it is emitted. The full KPI tensor
-// is never materialized, and the emitted values are bit-identical to
-// Generate at every chunk size.
-func GenerateStream(cfg simnet.Config, pack Pack, chunkSectors int, emit func(*simnet.Chunk) error) error {
-	s, err := simnet.NewStream(cfg)
-	if err != nil {
-		return err
-	}
-	env := &Env{Grid: s.Grid(), Topo: s.Topo(), Seed: cfg.Seed}
-	p, err := prepare(env, pack)
-	if err != nil {
-		return err
-	}
-	mh := s.Grid().Hours()
-	return s.Stream(chunkSectors, func(c *simnet.Chunk) error {
-		if err := parallel.For(0, c.Hi-c.Lo, func(r int) error {
-			blk := &SectorBlock{T: mh, F: c.K.F, K: c.K.Sector(r), Hot: c.Hot.Row(r)}
-			p.applySector(c.Lo+r, blk)
-			return nil
-		}); err != nil {
-			return err
-		}
-		return emit(c)
-	})
 }

@@ -24,54 +24,6 @@ func equalOrBothNaN(a, b float64) bool {
 	return a == b
 }
 
-// assembleScenarioStream regenerates through the streamed scenario path and
-// reassembles the chunks.
-func assembleScenarioStream(t *testing.T, cfg simnet.Config, pack Pack, chunk int) (*tensor.Tensor3, *tensor.Mask) {
-	t.Helper()
-	s, err := simnet.NewStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, mh := s.N(), s.Grid().Hours()
-	k := tensor.NewTensor3(n, mh, simnet.NumKPIs)
-	hot := tensor.NewMask(n, mh)
-	if err := GenerateStream(cfg, pack, chunk, func(c *simnet.Chunk) error {
-		for r := 0; r < c.Hi-c.Lo; r++ {
-			copy(k.Sector(c.Lo+r), c.K.Sector(r))
-			copy(hot.Row(c.Lo+r), c.Hot.Row(r))
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return k, hot
-}
-
-// TestScenarioStreamMatchesMaterialized checks the tentpole invariant for
-// overlay composition: the streamed scenario path is bit-identical to the
-// materialized one at several chunk sizes, for the full perfect-storm
-// composition.
-func TestScenarioStreamMatchesMaterialized(t *testing.T) {
-	cfg := smallConfig(21)
-	ds, err := Generate(cfg, PerfectStormPack())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1, 16, 1000} {
-		k, hot := assembleScenarioStream(t, cfg, PerfectStormPack(), chunk)
-		for i, v := range k.Data {
-			if !equalOrBothNaN(v, ds.K.Data[i]) {
-				t.Fatalf("chunk=%d: K mismatch at flat index %d: %v vs %v", chunk, i, v, ds.K.Data[i])
-			}
-		}
-		for i, v := range hot.Data {
-			if v != ds.Truth.HotDrive.Data[i] {
-				t.Fatalf("chunk=%d: hot mismatch at flat index %d: %v vs %v", chunk, i, v, ds.Truth.HotDrive.Data[i])
-			}
-		}
-	}
-}
-
 // TestScenarioDeterministicAcrossGOMAXPROCS mirrors simnet's
 // TestGenerateDeterministicAcrossGOMAXPROCS for overlay composition: the
 // per-(overlay, sector) RNG keying must make packs bit-identical at any

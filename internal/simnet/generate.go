@@ -129,17 +129,65 @@ type Dataset struct {
 // N returns the number of sectors.
 func (d *Dataset) N() int { return d.K.N }
 
-// Generate builds the full synthetic dataset. It is deterministic in
-// cfg.Seed and parallel across sectors. It shares the per-sector emission
-// path with the chunked Stream, so materialized and streamed generation are
-// bit-identical.
-func Generate(cfg Config) (*Dataset, error) {
-	s, err := NewStream(cfg)
+// generator holds the shared generation state: topology, profiles,
+// country-level events and the bad-sector wipe plan. Per-sector KPI
+// emission (emitInto) is keyed by sector index, so the dataset is
+// identical at any worker count.
+type generator struct {
+	cfg    Config
+	grid   *timegrid.Grid
+	topo   *Topology
+	shared *sharedEvents
+	wipes  map[int][]int
+}
+
+// newGenerator validates the configuration and materialises the shared
+// generation state. The root-stream derivations happen in a fixed order
+// (topology, profiles, events, missing), which keeps every dataset
+// reproducible from its seed.
+func newGenerator(cfg Config) (*generator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	grid, err := timegrid.New(timegrid.PaperStart, cfg.Weeks)
 	if err != nil {
 		return nil, err
 	}
-	n := s.N()
-	mh := s.grid.Hours()
+	root := randx.New(cfg.Seed, 0x9e3779b97f4a7c15)
+	topo := buildTopology(topologyConfig{
+		sectors:       cfg.Sectors,
+		cities:        cfg.Cities,
+		countrySpanKM: 420,
+		citySpreadKM:  4.5,
+		ruralFraction: 0.25,
+	}, root.Derive("topology"))
+	assignProfiles(topo, cfg, root.Derive("profiles"))
+	shared := buildSharedEvents(grid, root.Derive("events"), topo)
+	wipes := planBadWipes(len(topo.Sectors), grid.Hours(), cfg, root.Derive("missing"))
+	return &generator{cfg: cfg, grid: grid, topo: topo, shared: shared, wipes: wipes}, nil
+}
+
+// emitInto generates sector i into the given row views: kRow is the mh x
+// NumKPIs block, hotRow the mh-hour ground-truth row. It returns the
+// sector's emerging episodes.
+func (g *generator) emitInto(i int, kRow []float64, hotRow []uint8) []Episode {
+	rng := randx.DeriveIndexed(g.cfg.Seed, 0x5bf03635, "sector", i)
+	sched, eps := buildSchedule(&g.topo.Sectors[i], g.grid, rng, g.cfg)
+	emitSector(i, g.topo, g.grid, &sched, g.shared, kRow, hotRow, rng)
+	injectSectorMissing(kRow, NumKPIs, g.grid.Hours(), i, g.cfg)
+	wipeHours(kRow, NumKPIs, g.wipes[i])
+	return eps
+}
+
+// Generate builds the full synthetic dataset. It is deterministic in
+// cfg.Seed and parallel across sectors.
+func Generate(cfg Config) (*Dataset, error) {
+	g, err := newGenerator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	n := len(g.topo.Sectors)
+	mh := g.grid.Hours()
 	k := tensor.NewTensor3(n, mh, NumKPIs)
 	hot := tensor.NewMask(n, mh)
 	episodesPerSector := make([][]Episode, n)
@@ -147,7 +195,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	// Fan sectors out on the shared pool; each sector's RNG is keyed by its
 	// index, so the dataset is identical at any worker count.
 	if err := parallel.For(0, n, func(i int) error {
-		episodesPerSector[i] = s.emitInto(i, k.Sector(i), hot.Row(i))
+		episodesPerSector[i] = g.emitInto(i, k.Sector(i), hot.Row(i))
 		return nil
 	}); err != nil {
 		return nil, err
@@ -159,9 +207,9 @@ func Generate(cfg Config) (*Dataset, error) {
 	}
 
 	return &Dataset{
-		Grid:   s.grid,
+		Grid:   g.grid,
 		Config: cfg,
-		Topo:   s.topo,
+		Topo:   g.topo,
 		K:      k,
 		Truth:  &Truth{HotDrive: hot, Episodes: episodes},
 	}, nil
@@ -311,9 +359,8 @@ func classWeekday(class LandUse, dow int, holiday bool) float64 {
 }
 
 // emitSector fills one sector's KPI block (kRow, mh x NumKPIs row-major)
-// and ground-truth hot row (hotRow, mh hours). Writing through row views
-// rather than the full tensors lets the chunked Stream reuse the exact same
-// emission path.
+// and ground-truth hot row (hotRow, mh hours), written through row views
+// into the dataset's tensors.
 func emitSector(i int, topo *Topology, g *timegrid.Grid, sched *schedule,
 	shared *sharedEvents, kRow []float64, hotRow []uint8, rng *randx.RNG) {
 	sec := &topo.Sectors[i]

@@ -17,13 +17,12 @@ import (
 // filtering rule of the paper has material to discard. The per-sector
 // mechanisms are keyed by sector index and applied row-locally
 // (injectSectorMissing); the bad-sector wipes consume a shared stream, so
-// they are replayed once into an explicit plan (planBadWipes) that both the
-// materialized and the streamed generation paths share.
+// they are replayed once into an explicit plan (planBadWipes) that every
+// sector's emission reads.
 
 // injectSectorMissing applies the per-sector missing mechanisms to one
 // sector's row block kRow (mh x f, row-major). Randomness is keyed by the
-// sector index, so the result is independent of generation order and
-// chunking.
+// sector index, so the result is independent of generation order.
 func injectSectorMissing(kRow []float64, f, mh, sector int, cfg Config) {
 	if cfg.MissingTarget <= 0 {
 		return
