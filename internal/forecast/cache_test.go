@@ -48,71 +48,72 @@ func TestDroppedContextFreesFeatureCache(t *testing.T) {
 	}
 }
 
-// A sweep caches one quantized training build per (extractor, cutoff, w)
-// that some model fits from, and no other: never a full-width per-day
-// block, never a build for an unused extractor, cutoff or window. Fits
-// fetch the builds on demand, so this pins what the sweep's fits read.
+// A sweep caches one quantized training build per (extractor, cutoff, w),
+// and never a full-width per-day block.
 func TestSweepCachesOneBuildPerCutoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("classifier sweeps are slow")
 	}
 	c := testContext(t, 80, 8, 53)
 	c.ForestTrees = 4
+	checkSweepBuilds(t, c, SweepConfig{
+		Models:        []Model{NewTreeModel(), NewRFF1()},
+		Target:        BeHot,
+		Ts:            []int{24, 30},
+		Hs:            []int{1, 4},
+		Ws:            []int{7},
+		RandomRepeats: 1,
+		Workers:       2,
+	})
+}
+
+// checkSweepBuilds runs cfg on an empty feature cache and checks that the
+// sweep left resident one quantized training build per (extractor,
+// cutoff t-h, w) that some model fits from, and no other: never a
+// full-width per-day block, never a build for an unused extractor, cutoff
+// or window. Fits fetch the builds on demand, so this pins what they read.
+func checkSweepBuilds(t *testing.T, c *Context, cfg SweepConfig) {
+	t.Helper()
+	used := map[string]bool{}
+	for _, m := range cfg.Models {
+		switch m := m.(type) {
+		case *ClassifierModel:
+			used[m.Extractor.Name()] = true
+		case *GBTModel:
+			used[m.Extractor.Name()] = true
+		}
+	}
+	cutoffs := map[int]bool{}
+	for _, tt := range cfg.Ts {
+		for _, h := range cfg.Hs {
+			cutoffs[tt-h] = true
+		}
+	}
+	ws := map[int]bool{}
+	for _, w := range cfg.Ws {
+		ws[w] = true
+	}
 	// Every fit reads through the feature cache, none from a trained model
-	// an earlier input cached.
+	// an earlier sweep cached.
+	defer func(b int64) { c.ModelCacheBytes = b }(c.ModelCacheBytes)
 	c.ModelCacheBytes = -1
 	defer func() { c.CacheBytes = 0 }()
-	for i, in := range []struct {
-		name string
-		cfg  SweepConfig
-	}{
-		{"Tree+RF-F1", SweepConfig{
-			Models:        []Model{NewTreeModel(), NewRFF1()},
-			Target:        BeHot,
-			Ts:            []int{24, 30},
-			Hs:            []int{1, 4},
-			Ws:            []int{7},
-			RandomRepeats: 1,
-			Workers:       2,
-		}},
-		{"classifiers+GBT", histSweepConfig(2)},
-	} {
-		used := map[string]bool{}
-		for _, m := range in.cfg.Models {
-			switch m := m.(type) {
-			case *ClassifierModel:
-				used[m.Extractor.Name()] = true
-			case *GBTModel:
-				used[m.Extractor.Name()] = true
-			}
-		}
-		cutoffs := map[int]bool{}
-		for _, tt := range in.cfg.Ts {
-			for _, h := range in.cfg.Hs {
-				cutoffs[tt-h] = true
-			}
-		}
-		ws := map[int]bool{}
-		for _, w := range in.cfg.Ws {
-			ws[w] = true
-		}
-		c.CacheBytes = DefaultCacheBytes + int64(i) + 1 // a new budget starts an empty cache
-		if _, err := Sweep(c, in.cfg); err != nil {
-			t.Fatalf("%s: %v", in.name, err)
-		}
-		cache := c.FeatureCache()
-		for _, ex := range []features.Extractor{features.Raw{}, features.Percentiles{}, features.HandCrafted{}} {
-			for w := 1; w <= 8; w++ {
-				for end := 0; end <= c.Days(); end++ {
-					perDay := featcache.Key{Extractor: ex.Name(), End: end, W: w}
-					if resident(cache, perDay) {
-						t.Errorf("%s: full-width per-day block %+v resident", in.name, perDay)
-					}
-					stacked := featcache.Key{Extractor: ex.Name(), End: end, W: w, Days: c.TrainDays}
-					want := used[ex.Name()] && cutoffs[end] && ws[w]
-					if got := resident(cache, stacked); got != want {
-						t.Errorf("%s: training build %+v resident = %t, want %t", in.name, stacked, got, want)
-					}
+	c.CacheBytes = DefaultCacheBytes + 1 // a new budget starts an empty cache
+	if _, err := Sweep(c, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cache := c.FeatureCache()
+	for _, ex := range []features.Extractor{features.Raw{}, features.Percentiles{}, features.HandCrafted{}} {
+		for w := 1; w <= 8; w++ {
+			for end := 0; end <= c.Days(); end++ {
+				perDay := featcache.Key{Extractor: ex.Name(), End: end, W: w}
+				if resident(cache, perDay) {
+					t.Errorf("full-width per-day block %+v resident", perDay)
+				}
+				stacked := featcache.Key{Extractor: ex.Name(), End: end, W: w, Days: c.TrainDays}
+				want := used[ex.Name()] && cutoffs[end] && ws[w]
+				if got := resident(cache, stacked); got != want {
+					t.Errorf("training build %+v resident = %t, want %t", stacked, got, want)
 				}
 			}
 		}

@@ -137,3 +137,13 @@ func TestBinnedTrainingMatrixCachedMatchesUncached(t *testing.T) {
 	}
 	c.CacheBytes = 0
 }
+
+// TestBinnedDemandMirrorsFitDecisions: a sweep of every classifier plus
+// GBT quantizes exactly the training builds its fits read — for every
+// extractor some model fits from, one per (cutoff t-h, w) of the grid,
+// and no other.
+func TestBinnedDemandMirrorsFitDecisions(t *testing.T) {
+	c := testContext(t, 100, 10, 53)
+	c.ForestTrees = 4
+	checkSweepBuilds(t, c, histSweepConfig(2))
+}
