@@ -3,7 +3,6 @@ package binenc
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -143,75 +142,28 @@ const checksumChunk = 64 << 10
 // ChecksumChunked computes the chunked content checksum of p: the plain
 // ChecksumBytes for inputs of at most one chunk, otherwise the checksum
 // of the concatenated per-chunk checksums. The per-chunk sums are
-// independent, so verification of a large artifact payload runs on all
-// cores at aggregate memory bandwidth — the single-threaded streaming
+// independent, so verification of a large artifact payload or mapped
+// dataset section runs on up to GOMAXPROCS workers (the caller among
+// them) at aggregate memory bandwidth — the single-threaded streaming
 // pass would otherwise be the one O(bytes) step left in a zero-copy
 // load. The result is deterministic: chunk boundaries are fixed and the
 // fold order is chunk order, regardless of scheduling.
 func ChecksumChunked(p []byte) Sum {
-	s, _ := chunkSums(len(p), func(lo, hi int) (Sum, error) {
-		return ChecksumBytes(p[lo:hi]), nil
-	})
-	return s
-}
-
-// ReadChecksummed fills p with the len(p) bytes of r at offset off and
-// returns ChecksumChunked(p). Each chunk is read straight into p and
-// summed by the worker that read it while the bytes are still in its
-// cache, so a large section is read and verified in one pass on all
-// cores. A read that comes up short is an error (io.ErrUnexpectedEOF
-// when r ends early); p's contents are then unspecified.
-func ReadChecksummed(r io.ReaderAt, off int64, p []byte) (Sum, error) {
-	return chunkSums(len(p), func(lo, hi int) (Sum, error) {
-		n, err := r.ReadAt(p[lo:hi], off+int64(lo))
-		if n == hi-lo { // a full read may still report io.EOF at the end
-			return ChecksumBytes(p[lo:hi]), nil
-		}
-		if err == nil || err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Sum{}, err
-	})
-}
-
-// chunkSums is the chunk runner of ChecksumChunked and ReadChecksummed.
-// sum(lo, hi) returns the checksum of bytes [lo, hi) of an n-byte input.
-// An input of at most one chunk is its one sum; a longer one is cut into
-// checksumChunk-sized chunks, summed on up to GOMAXPROCS workers (the
-// caller among them), and folded into the ChecksumBytes of the per-chunk
-// sums in chunk order. On failure workers stop taking chunks, and the
-// error of the lowest-numbered failed chunk is returned.
-func chunkSums(n int, sum func(lo, hi int) (Sum, error)) (Sum, error) {
+	n := len(p)
 	if n <= checksumChunk {
-		return sum(0, n)
+		return ChecksumBytes(p)
 	}
 	chunks := (n + checksumChunk - 1) / checksumChunk
 	sums := make([]byte, chunks*16)
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		mu     sync.Mutex
-		errAt  = chunks
-		err    error
-	)
+	var next atomic.Int64
 	work := func() {
-		for !failed.Load() {
+		for {
 			i := int(next.Add(1)) - 1
 			if i >= chunks {
 				return
 			}
 			lo := i * checksumChunk
-			s, e := sum(lo, min(lo+checksumChunk, n))
-			if e != nil {
-				mu.Lock()
-				if i < errAt {
-					errAt, err = i, e
-				}
-				mu.Unlock()
-				failed.Store(true)
-				return
-			}
-			PutSum(sums, i*16, s)
+			PutSum(sums, i*16, ChecksumBytes(p[lo:min(lo+checksumChunk, n)]))
 		}
 	}
 	var wg sync.WaitGroup
@@ -224,10 +176,7 @@ func chunkSums(n int, sum func(lo, hi int) (Sum, error)) (Sum, error) {
 	}
 	work()
 	wg.Wait()
-	if err != nil {
-		return Sum{}, err
-	}
-	return ChecksumBytes(sums), nil
+	return ChecksumBytes(sums)
 }
 
 // AppendSum appends the sum's two words little-endian (16 bytes).

@@ -130,11 +130,12 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 //
 // One per-sector pass over K (score.Weighting.FilterHourly) applies the
 // missing-data filter and scores the survivors' hourly S'. The filter
-// then restricts ds in place (simnet.Dataset.SelectSectors), so no second
-// copy of K is made, and ds holds the filtered sectors the pipeline
-// serves from (Pipeline.Dataset). Callers must not use ds as the
-// unfiltered dataset afterwards; save it or read its shape first, or
-// reload it.
+// then restricts the caller's ds in place (simnet.Dataset.SelectSectors)
+// with no rows moved: K records the survivors as a row index, so no
+// second copy of K is made and a K mapped from its file (simnet.LoadFile)
+// is never written. ds holds the filtered sectors the pipeline serves
+// from (Pipeline.Dataset). Callers must not use ds as the unfiltered
+// dataset afterwards; save it or read its shape first, or reload it.
 func FromDataset(ds *simnet.Dataset, cfg Config) (*Pipeline, error) {
 	w := score.DefaultWeighting()
 	keep, sh := w.FilterHourly(ds.K, 0.5)

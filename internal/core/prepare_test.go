@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -77,7 +78,7 @@ func TestFromDatasetInPlaceMatchesCopy(t *testing.T) {
 	if p.Discarded != ref.N()-len(keep) || p.Discarded == 0 {
 		t.Fatalf("discarded %d, want %d (> 0)", p.Discarded, ref.N()-len(keep))
 	}
-	sameBits(t, "K", p.Dataset.K.Data, refK.Data)
+	sameBits(t, "K", p.Dataset.K.Contiguous(), refK.Data)
 	sameBits(t, "Sd", p.Scores.Sd.Data, refSet.Sd.Data)
 	for id, old := range keep {
 		got, want := p.Dataset.Topo.Sectors[id], ref.Topo.Sectors[old]
@@ -127,9 +128,9 @@ func TestFromDatasetAllocatesNoSecondK(t *testing.T) {
 
 // BenchmarkFromDataset times preparing a pipeline from a loaded
 // 150-sector, 18-week dataset: the one pass that filters and scores the
-// sectors, the in-place compaction and the rest of the score chain. Each
+// sectors, the in-place selection and the rest of the score chain. Each
 // iteration prepares a fresh load, outside the timer, because FromDataset
-// consumes its dataset.
+// restricts its dataset in place.
 func BenchmarkFromDataset(b *testing.B) {
 	gen := simnet.DefaultConfig()
 	gen.Sectors, gen.Weeks = 150, 18
@@ -153,6 +154,43 @@ func BenchmarkFromDataset(b *testing.B) {
 		b.StartTimer()
 		if _, err := FromDataset(fresh, Config{Seed: 1}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// pinnedFingerprint is the dataset fingerprint of the seed-1, 150-sector,
+// 18-week generated network after preparation. Every artifact and
+// registry manifest trained on that network carries it; a change to the
+// value makes them all fail to load against the same data.
+const pinnedFingerprint = 0x6e198051010f9c94
+
+// TestDatasetFingerprintPinned: preparing the pinned network, generated
+// in memory or mapped from its file, yields the pinned fingerprint.
+func TestDatasetFingerprintPinned(t *testing.T) {
+	gen := simnet.DefaultConfig()
+	gen.Seed, gen.Sectors, gen.Weeks = 1, 150, 18
+	ds, err := simnet.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "net.hotd")
+	if err := ds.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := simnet.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*simnet.Dataset{"generated": ds, "mapped": loaded} {
+		p, err := FromDataset(d, Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Discarded == 0 {
+			t.Fatalf("%s: the filter discarded no sector, so no selection index is exercised", name)
+		}
+		if got := p.Ctx.DatasetFingerprint(); got != pinnedFingerprint {
+			t.Fatalf("%s: fingerprint %016x, want the pinned %016x", name, got, uint64(pinnedFingerprint))
 		}
 	}
 }

@@ -136,7 +136,7 @@ func Prepare(s Scale) (*Env, error) {
 }
 
 // FromDataset prepares the environment from an existing dataset through
-// core.FromDataset, which consumes ds (it is filtered in place).
+// core.FromDataset, which restricts ds in place to the filtered sectors.
 func FromDataset(ds *simnet.Dataset, s Scale) (*Env, error) {
 	p, err := core.FromDataset(ds, core.Config{
 		Seed:        s.Seed,

@@ -83,21 +83,42 @@ func (v *View) Hours() int { return v.K.T }
 // see finite values (the pipeline imputes KPIs first; the zero fallback
 // covers residual gaps).
 func (v *View) At(i, j, c int) float64 {
-	l := v.K.F
+	sv := v.sector(i)
+	return sv.at(j, c)
+}
+
+// sectorView is sector i of X with its component rows looked up once, so
+// a loop over one sector's window reads plain slices.
+type sectorView struct {
+	k              []float64 // mh x l KPIs
+	l              int
+	cal            *tensor.Matrix
+	sh, sd, sw, yd []float64
+}
+
+// sector returns sector i of X.
+func (v *View) sector(i int) sectorView {
+	return sectorView{k: v.K.Sector(i), l: v.K.F, cal: v.C,
+		sh: v.Sh.Row(i), sd: v.Sd.Row(i), sw: v.Sw.Row(i), yd: v.Yd.Row(i)}
+}
+
+// at is View.At for the view's sector.
+func (sv *sectorView) at(j, c int) float64 {
+	l := sv.l
 	var val float64
 	switch {
 	case c < l:
-		val = v.K.At(i, j, c)
+		val = sv.k[j*l+c]
 	case c < l+CalendarChannels:
-		val = v.C.At(j, c-l)
+		val = sv.cal.At(j, c-l)
 	case c == l+CalendarChannels:
-		val = v.Sh.At(i, j)
+		val = sv.sh[j]
 	case c == l+CalendarChannels+1:
-		val = v.Sd.At(i, timegrid.DayOfHour(j))
+		val = sv.sd[timegrid.DayOfHour(j)]
 	case c == l+CalendarChannels+2:
-		val = v.Sw.At(i, timegrid.WeekOfHour(j))
+		val = sv.sw[timegrid.WeekOfHour(j)]
 	case c == l+CalendarChannels+3:
-		val = v.Yd.At(i, timegrid.DayOfHour(j))
+		val = sv.yd[timegrid.DayOfHour(j)]
 	default:
 		panic(fmt.Sprintf("features: channel %d out of range", c))
 	}
@@ -208,16 +229,17 @@ func (Raw) Width(v *View, w int) int { return w * timegrid.HoursPerDay * v.Chann
 func (Raw) Extract(v *View, i, end, w int, cols []int, out []float64) {
 	h0, h1 := windowBounds(end, w)
 	ch := v.Channels()
+	sv := v.sector(i)
 	if cols != nil {
 		for k, col := range cols {
-			out[k] = v.At(i, h0+col/ch, col%ch)
+			out[k] = sv.at(h0+col/ch, col%ch)
 		}
 		return
 	}
 	pos := 0
 	for j := h0; j < h1; j++ {
 		for c := 0; c < ch; c++ {
-			out[pos] = v.At(i, j, c)
+			out[pos] = sv.at(j, c)
 			pos++
 		}
 	}
@@ -242,9 +264,10 @@ func (Percentiles) Width(v *View, w int) int { return w * len(percentileLevels) 
 func (Percentiles) Extract(v *View, i, end, w int, cols []int, out []float64) {
 	ch := v.Channels()
 	np := len(percentileLevels)
+	sv := v.sector(i)
 	if cols == nil {
 		for g := 0; g < w*ch; g++ {
-			dailyPercentiles(v, i, end-w, g, ch, out[g*np:(g+1)*np])
+			dailyPercentiles(&sv, end-w, g, ch, out[g*np:(g+1)*np])
 		}
 		return
 	}
@@ -252,7 +275,7 @@ func (Percentiles) Extract(v *View, i, end, w int, cols []int, out []float64) {
 	last := -1
 	for k, col := range cols {
 		if g := col / np; g != last {
-			dailyPercentiles(v, i, end-w, g, ch, ps[:])
+			dailyPercentiles(&sv, end-w, g, ch, ps[:])
 			last = g
 		}
 		out[k] = ps[col%np]
@@ -261,12 +284,12 @@ func (Percentiles) Extract(v *View, i, end, w int, cols []int, out []float64) {
 
 // dailyPercentiles writes the five percentiles of feature group g — day
 // first+g/ch of the window, channel g%ch — into out.
-func dailyPercentiles(v *View, i, first, g, ch int, out []float64) {
+func dailyPercentiles(sv *sectorView, first, g, ch int, out []float64) {
 	var day [timegrid.HoursPerDay]float64
 	base := (first + g/ch) * timegrid.HoursPerDay
 	c := g % ch
 	for h := range day {
-		day[h] = v.At(i, base+h, c)
+		day[h] = sv.at(base+h, c)
 	}
 	mathx.PercentilesInto(out, day[:], percentileLevels[:])
 }
@@ -311,9 +334,10 @@ func (HandCrafted) Extract(v *View, i, end, w int, cols []int, out []float64) {
 		*buf = make([]float64, h1-h0)
 	}
 	series := (*buf)[:h1-h0]
+	sv := v.sector(i)
 	fill := func(c int) {
 		for j := h0; j < h1; j++ {
-			series[j-h0] = v.At(i, j, c)
+			series[j-h0] = sv.at(j, c)
 		}
 	}
 	if cols == nil {

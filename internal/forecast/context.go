@@ -200,11 +200,14 @@ func (c *Context) DatasetFingerprint() uint64 {
 		for _, v := range c.Sd.Data {
 			put(math.Float64bits(v))
 		}
-		// Sample the raw KPI tensor on a deterministic stride: two datasets
-		// with equal scores but different measurements still differ here.
-		stride := len(k.Data)/(1<<16) + 1
-		for i := 0; i < len(k.Data); i += stride {
-			put(math.Float64bits(k.Data[i]))
+		// Sample the raw KPI tensor on a deterministic stride over its
+		// logical (sector, hour, KPI) elements, whatever rows back them:
+		// two datasets with equal scores but different measurements still
+		// differ here.
+		per, total := k.T*k.F, k.N*k.T*k.F
+		stride := total/(1<<16) + 1
+		for e := 0; e < total; e += stride {
+			put(math.Float64bits(k.Sector(e / per)[e%per]))
 		}
 		c.fp = h.Sum64()
 		if c.fp == 0 { // keep 0 free: decode rejects a zero-fingerprint artifact

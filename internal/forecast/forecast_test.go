@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/features"
 	"repro/internal/score"
 	"repro/internal/simnet"
 )
@@ -406,6 +407,60 @@ func TestAllModelsCount(t *testing.T) {
 	for _, want := range []string{"Random", "Persist", "Average", "Trend", "Tree", "RF-R", "RF-F1", "RF-F2"} {
 		if !names[want] {
 			t.Fatalf("missing model %s", want)
+		}
+	}
+}
+
+// TestDatasetFingerprintIndexedMatchesClone: a context over a K whose
+// sectors were selected by row index has the fingerprint and builds the
+// feature matrices, bit for bit, of a context over a compacted Clone of
+// the same K.
+func TestDatasetFingerprintIndexedMatchesClone(t *testing.T) {
+	cfg := simnet.DefaultConfig()
+	cfg.Seed, cfg.Sectors, cfg.Weeks = 5, 40, 6
+	ds, err := simnet.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keep []int
+	for i := 0; i < ds.N(); i++ {
+		if i%3 != 1 {
+			keep = append(keep, i)
+		}
+	}
+	stored := len(ds.K.Data)
+	sub := ds.SelectSectors(keep)
+	if len(sub.K.Data) != stored {
+		t.Fatal("selection compacted K instead of indexing it")
+	}
+	set := score.Compute(sub.K, score.DefaultWeighting())
+	indexed, err := NewContext(sub.K, sub.Grid.Calendar(), set, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := NewContext(sub.K.Clone(), sub.Grid.Calendar(), set, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := indexed.DatasetFingerprint(), dense.DatasetFingerprint(); a != b {
+		t.Fatalf("fingerprint %016x indexed, %016x over the Clone", a, b)
+	}
+	for _, ex := range []features.Extractor{features.Raw{}, features.Percentiles{}, features.HandCrafted{}} {
+		a, err := indexed.FeatureMatrix(ex, 30, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := dense.FeatureMatrix(ex, 30, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Data) != len(b.Data) {
+			t.Fatalf("%s: %d values indexed, %d over the Clone", ex.Name(), len(a.Data), len(b.Data))
+		}
+		for i := range a.Data {
+			if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+				t.Fatalf("%s: feature %d differs: %v indexed, %v over the Clone", ex.Name(), i, a.Data[i], b.Data[i])
+			}
 		}
 	}
 }

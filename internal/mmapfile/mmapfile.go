@@ -1,9 +1,12 @@
 // Package mmapfile maps files read-only into memory where the platform
-// supports it, with a plain read fallback elsewhere. It exists for the
-// zero-copy artifact path: a memory-mapped .hotm file lets the flat
+// supports it, with a plain read fallback elsewhere. It serves the two
+// zero-copy load paths: a memory-mapped .hotm artifact lets the flat
 // inference engine serve straight out of the page cache — load time
 // independent of model size, one physical copy shared across processes —
-// which is the edge-deployment story for large ensembles.
+// and a mapped dataset file (simnet.LoadFile) lets the KPI tensor K be
+// read in place instead of copied to the heap. Either way the mapping
+// stays read-only, and a file must be replaced by rename while a process
+// maps it, never rewritten in place.
 package mmapfile
 
 import (

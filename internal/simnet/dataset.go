@@ -9,10 +9,13 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
+	"runtime"
 	"time"
 	"unsafe"
 
 	"repro/internal/binenc"
+	"repro/internal/mmapfile"
 	"repro/internal/tensor"
 	"repro/internal/timegrid"
 )
@@ -110,7 +113,7 @@ func (d *Dataset) Save(w io.Writer) error {
 	if err := gob.NewEncoder(&mb).Encode(&meta); err != nil {
 		return fmt.Errorf("simnet: encoding dataset metadata: %w", err)
 	}
-	k, h := leBytes(d.K.Data), hot.Data
+	k, h := leBytes(d.K.Contiguous()), hot.Data
 	head := make([]byte, 0, datasetHeaderSize+mb.Len()+7)
 	head = append(head, datasetMagic...)
 	head = binenc.AppendU32(head, DatasetVersion)
@@ -124,100 +127,79 @@ func (d *Dataset) Save(w io.Writer) error {
 			return fmt.Errorf("simnet: writing dataset: %w", err)
 		}
 	}
+	runtime.KeepAlive(d.K) // k may alias a mapping that K's finalizer closes
 	return nil
 }
 
 // Load reads a dataset previously written with Save. The input is
 // untrusted: every checksum is verified, and the sizes the header
-// declares are checked against the bytes r holds before the bulk
-// sections are allocated. A reader that can seek and read at offsets (a
-// file, *bytes.Reader) is read in place from its current offset and left
-// at its end; any other reader is read into memory first. The bulk
-// sections are read and verified chunk by chunk on all cores
-// (binenc.ReadChecksummed).
+// declares are checked against the bytes r holds. Load reads r to its end
+// into one buffer and decodes it as LoadFile decodes a mapped file; K
+// aliases the buffer.
 func Load(r io.Reader) (*Dataset, error) {
-	ra, size, err := sized(r)
+	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("simnet: reading dataset: %w", err)
 	}
-	ds, err := decodeDataset(ra, size)
+	ds, _, err := decodeDataset(b)
 	if err != nil {
 		return nil, fmt.Errorf("simnet: loading dataset: %w", err)
 	}
 	return ds, nil
 }
 
-// sized returns r's remaining bytes as a ReaderAt starting at offset 0,
-// and their count.
-func sized(r io.Reader) (io.ReaderAt, int64, error) {
-	if s, ok := r.(interface {
-		io.ReaderAt
-		io.Seeker
-	}); ok {
-		if cur, err := s.Seek(0, io.SeekCurrent); err == nil {
-			end, err := s.Seek(0, io.SeekEnd)
-			if err != nil {
-				return nil, 0, err
-			}
-			return io.NewSectionReader(s, cur, end-cur), end - cur, nil
+// decodeDataset decodes a DatasetVersion file held in b, verifying every
+// section's checksum over b. K aliases b when the host is little-endian
+// and K's bytes are 8-aligned, and aliased reports it; HotDrive is always
+// copied.
+func decodeDataset(b []byte) (ds *Dataset, aliased bool, err error) {
+	head := b[:min(len(b), datasetHeaderSize)]
+	if !bytes.HasPrefix(head, []byte(datasetMagic)) {
+		if bytes.Contains(head, []byte(v1TypeName)) {
+			return nil, false, fmt.Errorf("file is dataset version 1 (gob); this build reads version %d only: regenerate it with hotgen", DatasetVersion)
 		}
+		return nil, false, fmt.Errorf("bad magic %q, want %q", head[:min(len(head), len(datasetMagic))], datasetMagic)
 	}
-	b, err := io.ReadAll(r)
-	return bytes.NewReader(b), int64(len(b)), err
-}
-
-// decodeDataset reads a DatasetVersion file of exactly size bytes from ra.
-func decodeDataset(ra io.ReaderAt, size int64) (*Dataset, error) {
-	r := io.NewSectionReader(ra, 0, size)
-	var head [datasetHeaderSize]byte
-	n, err := io.ReadFull(r, head[:])
-	if !bytes.HasPrefix(head[:n], []byte(datasetMagic)) {
-		if bytes.Contains(head[:n], []byte(v1TypeName)) {
-			return nil, fmt.Errorf("file is dataset version 1 (gob); this build reads version %d only: regenerate it with hotgen", DatasetVersion)
-		}
-		return nil, fmt.Errorf("bad magic %q, want %q", head[:min(n, len(datasetMagic))], datasetMagic)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("truncated header: %w", err)
+	if len(head) < datasetHeaderSize {
+		return nil, false, fmt.Errorf("truncated header: %d of %d bytes", len(head), datasetHeaderSize)
 	}
 	hr := binenc.NewReader(head[len(datasetMagic):])
 	if v := hr.U32(); v != DatasetVersion {
-		return nil, fmt.Errorf("file is dataset version %d; this build reads version %d only: regenerate it with hotgen", v, DatasetVersion)
+		return nil, false, fmt.Errorf("file is dataset version %d; this build reads version %d only: regenerate it with hotgen", v, DatasetVersion)
 	}
 	metaLen := hr.U64()
 	sumMeta, sumK, sumHot := hr.ReadSum(), hr.ReadSum(), hr.ReadSum()
 
-	left := size - datasetHeaderSize
-	if metaLen > uint64(left) {
-		return nil, fmt.Errorf("truncated: metadata of %d bytes, %d left", metaLen, left)
+	rest := b[datasetHeaderSize:]
+	if metaLen > uint64(len(rest)) {
+		return nil, false, fmt.Errorf("truncated: metadata of %d bytes, %d left", metaLen, len(rest))
 	}
-	pad := int64(-(datasetHeaderSize + metaLen) & 7)
-	mb := make([]byte, int64(metaLen)+pad)
-	if _, err := io.ReadFull(r, mb); err != nil {
-		return nil, fmt.Errorf("reading metadata: %w", err)
+	pad := int(-(datasetHeaderSize + metaLen) & 7)
+	if int(metaLen)+pad > len(rest) {
+		return nil, false, fmt.Errorf("truncated: metadata of %d bytes and %d of padding, %d left", metaLen, pad, len(rest))
 	}
-	left -= int64(len(mb))
-	mb, padding := mb[:metaLen], mb[metaLen:]
+	mb, padding := rest[:metaLen], rest[metaLen:int(metaLen)+pad]
+	rest = rest[int(metaLen)+pad:]
 	if got := binenc.ChecksumChunked(mb); got != sumMeta {
-		return nil, fmt.Errorf("metadata checksum mismatch: stored %v, computed %v", sumMeta, got)
+		return nil, false, fmt.Errorf("metadata checksum mismatch: stored %v, computed %v", sumMeta, got)
 	}
 	if !bytes.Equal(padding, make([]byte, pad)) {
-		return nil, errors.New("nonzero padding after metadata")
+		return nil, false, errors.New("nonzero padding after metadata")
 	}
 	var meta datasetMeta
 	br := bytes.NewReader(mb)
 	if err := gob.NewDecoder(br).Decode(&meta); err != nil {
-		return nil, fmt.Errorf("decoding metadata: %w", err)
+		return nil, false, fmt.Errorf("decoding metadata: %w", err)
 	}
 	if br.Len() != 0 {
-		return nil, fmt.Errorf("%d bytes after the metadata gob", br.Len())
+		return nil, false, fmt.Errorf("%d bytes after the metadata gob", br.Len())
 	}
 	if err := meta.check(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	grid, err := timegrid.New(time.Unix(meta.StartUnix, 0).UTC(), meta.Weeks)
 	if err != nil {
-		return nil, fmt.Errorf("reconstructing grid: %w", err)
+		return nil, false, fmt.Errorf("reconstructing grid: %w", err)
 	}
 	holidays := make([]time.Time, 0, len(meta.Holidays))
 	for _, h := range meta.Holidays {
@@ -225,44 +207,40 @@ func decodeDataset(ra io.ReaderAt, size int64) (*Dataset, error) {
 	}
 	grid.SetHolidays(holidays)
 
-	// Size both bulk sections against the bytes left before allocating.
+	// Size both bulk sections against the bytes left.
 	kLen, okK := elems(meta.N, meta.T, meta.F)
 	hotLen, okHot := elems(meta.HotRows, meta.HotCols)
 	if !okK || !okHot {
-		return nil, fmt.Errorf("section shapes %dx%dx%d and %dx%d overflow", meta.N, meta.T, meta.F, meta.HotRows, meta.HotCols)
+		return nil, false, fmt.Errorf("section shapes %dx%dx%d and %dx%d overflow", meta.N, meta.T, meta.F, meta.HotRows, meta.HotCols)
 	}
-	if int64(kLen) > left/8 || int64(hotLen) > left-8*int64(kLen) {
-		return nil, fmt.Errorf("truncated: sections need %d+%d values, %d bytes left", kLen, hotLen, left)
+	left := len(rest)
+	if kLen > left/8 || hotLen > left-8*kLen {
+		return nil, false, fmt.Errorf("truncated: sections need %d+%d values, %d bytes left", kLen, hotLen, left)
 	}
-	if extra := left - 8*int64(kLen) - int64(hotLen); extra != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", extra)
+	if extra := left - 8*kLen - hotLen; extra != 0 {
+		return nil, false, fmt.Errorf("%d trailing bytes", extra)
 	}
 
-	off := size - left
-	k := &tensor.Tensor3{N: meta.N, T: meta.T, F: meta.F, Data: make([]float64, kLen)}
-	if err := readSection(ra, off, f64Bytes(k.Data), sumK, "K"); err != nil {
-		return nil, err
+	kb, hb := rest[:8*kLen], rest[8*kLen:]
+	if got := binenc.ChecksumChunked(kb); got != sumK {
+		return nil, false, fmt.Errorf("K checksum mismatch: stored %v, computed %v", sumK, got)
 	}
-	if !binenc.NativeLittle() {
-		raw := f64Bytes(k.Data)
-		for i := range k.Data {
-			k.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-		}
+	if got := binenc.ChecksumChunked(hb); got != sumHot {
+		return nil, false, fmt.Errorf("HotDrive checksum mismatch: stored %v, computed %v", sumHot, got)
 	}
-	hot := &tensor.Mask{Rows: meta.HotRows, Cols: meta.HotCols, Data: make([]uint8, hotLen)}
-	if err := readSection(ra, off+8*int64(kLen), hot.Data, sumHot, "HotDrive"); err != nil {
-		return nil, err
+	if err := checkFlags(hb); err != nil {
+		return nil, false, err
 	}
-	if err := checkFlags(hot.Data); err != nil {
-		return nil, err
-	}
+	k := &tensor.Tensor3{N: meta.N, T: meta.T, F: meta.F}
+	k.Data, aliased = f64sOf(kb)
+	hot := &tensor.Mask{Rows: meta.HotRows, Cols: meta.HotCols, Data: bytes.Clone(hb)}
 	return &Dataset{
 		Grid:   grid,
 		Config: meta.Config,
 		Topo:   meta.Topo,
 		K:      k,
 		Truth:  &Truth{HotDrive: hot, Episodes: meta.Episodes},
-	}, nil
+	}, aliased, nil
 }
 
 // elems returns the product of dims, or false when a dimension is
@@ -293,6 +271,21 @@ func f64Bytes(vs []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)*8)
 }
 
+// f64sOf returns the little-endian float64 words in b: an alias of b's
+// memory (aliased true) on a little-endian host when b is 8-aligned, a
+// converted copy otherwise.
+func f64sOf(b []byte) (vs []float64, aliased bool) {
+	p := unsafe.SliceData(b)
+	if binenc.NativeLittle() && uintptr(unsafe.Pointer(p))%8 == 0 {
+		return unsafe.Slice((*float64)(unsafe.Pointer(p)), len(b)/8), true
+	}
+	vs = make([]float64, len(b)/8)
+	for i := range vs {
+		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return vs, false
+}
+
 // leBytes returns vs as little-endian bytes: an alias of vs's memory on a
 // little-endian host, a converted copy otherwise.
 func leBytes(vs []float64) []byte {
@@ -306,53 +299,69 @@ func leBytes(vs []float64) []byte {
 	return b
 }
 
-// readSection fills raw with the bytes at offset off of r, read straight
-// into its memory and verified against want as they arrive
-// (binenc.ReadChecksummed).
-func readSection(r io.ReaderAt, off int64, raw []byte, want binenc.Sum, name string) error {
-	got, err := binenc.ReadChecksummed(r, off, raw)
-	if err != nil {
-		return fmt.Errorf("reading %s: %w", name, err)
-	}
-	if got != want {
-		return fmt.Errorf("%s checksum mismatch: stored %v, computed %v", name, want, got)
-	}
-	return nil
-}
-
-// SaveFile writes the dataset to path.
-func (d *Dataset) SaveFile(path string) error {
-	f, err := os.Create(path)
+// SaveFile writes the dataset to path atomically: to a temporary file in
+// the same directory, fsynced, then renamed over path. A process that has
+// path loaded (LoadFile maps it) keeps reading the old file's bytes; the
+// file is replaced, never rewritten in place. On error path is untouched
+// and the temporary file removed.
+func (d *Dataset) SaveFile(path string) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err := f.Chmod(0o644); err != nil {
+		return err
+	}
 	if err := d.Save(f); err != nil {
 		return err
 	}
-	return f.Close()
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
-// LoadFile reads a dataset from path. The section sizes its header
-// declares are checked against the file size before anything is
-// allocated.
+// LoadFile reads a dataset from path. It maps the file read-only
+// (internal/mmapfile) and verifies every section checksum over the
+// mapped bytes. K then serves straight from the mapping, which closes
+// when K is garbage collected; K's storage is read-only, so write to a
+// Clone. HotDrive is copied to the heap.
 func LoadFile(path string) (*Dataset, error) {
-	f, err := os.Open(path)
+	f, err := mmapfile.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f)
+	ds, aliased, err := decodeDataset(f.Data())
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("simnet: loading dataset: %w", err)
+	}
+	if !aliased || !f.Mapped() {
+		f.Close() // nothing aliases a mapping: a heap read stays valid
+		return ds, nil
+	}
+	runtime.SetFinalizer(ds.K, func(*tensor.Tensor3) { f.Close() })
+	return ds, nil
 }
 
 // SelectSectors restricts the dataset in place to the listed sectors (the
 // missing-value filtering step) and returns d. keep must be strictly
-// ascending, as score.FilterSectors returns it. K and Truth.HotDrive are
-// compacted in their own storage (see tensor.Tensor3.SelectSectors), so
-// the caller gives up the unfiltered dataset: read anything needed from it
-// (its sector count, say) before the call. Sector IDs in the new topology
-// are re-numbered to be dense; tower membership is preserved for the
-// survivors. Truth episodes are re-indexed accordingly.
+// ascending, as score.FilterSectors returns it. K records the survivors
+// as a row index and moves no data (see tensor.Tensor3.SelectSectors), so
+// it works on a mapped K; Truth.HotDrive is compacted. The caller's
+// dataset is the restricted one afterwards: read anything needed from the
+// unfiltered dataset (its sector count, say) before the call. Sector IDs
+// in the new topology are re-numbered to be dense; tower membership is
+// preserved for the survivors. Truth episodes are re-indexed accordingly.
 func (d *Dataset) SelectSectors(keep []int) *Dataset {
 	d.K.SelectSectors(keep)
 	d.Truth.HotDrive.SelectRows(keep)

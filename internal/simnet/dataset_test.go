@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -348,7 +349,7 @@ func TestLoadRejectsInconsistentShapes(t *testing.T) {
 // error, never panic or over-allocate; a file with a whole header of
 // another version must be refused naming that version; and whatever it
 // accepts must hold only 0/1 HotDrive bytes and re-Save to the identical
-// bytes.
+// bytes. LoadFile must agree with Load on the same bytes in a file.
 func FuzzLoadDataset(f *testing.F) {
 	ds := tinyDataset(f)
 	good := saveBytes(f, ds)
@@ -364,8 +365,10 @@ func FuzzLoadDataset(f *testing.F) {
 		mut[off] ^= 0x10
 		f.Add(mut)
 	}
+	path := filepath.Join(f.TempDir(), "fuzz.hotd")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, err := Load(bytes.NewReader(data))
+		fuzzLoadFile(t, path, data, err)
 		if len(data) >= datasetHeaderSize && string(data[:4]) == datasetMagic {
 			if v := binary.LittleEndian.Uint32(data[4:]); v != DatasetVersion &&
 				(err == nil || !strings.Contains(err.Error(), fmt.Sprintf("dataset version %d;", v))) {
@@ -386,6 +389,32 @@ func FuzzLoadDataset(f *testing.F) {
 			t.Fatalf("re-save differs: %d bytes in, %d out", len(data), out.Len())
 		}
 	})
+}
+
+// fuzzLoadFile is FuzzLoadDataset's mapped leg: data written to a file
+// must load through LoadFile exactly when it loads through Load, with the
+// same error for a non-empty file (an empty one is refused by the mapper),
+// and an accepted file must re-save to its own bytes.
+// The file at path is rewritten in place for each input: no dataset from
+// an earlier input is read again, so its mapping may go stale.
+func fuzzLoadFile(t *testing.T, path string, data []byte, loadErr error) {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := LoadFile(path)
+	if (err == nil) != (loadErr == nil) || (err != nil && len(data) > 0 && err.Error() != loadErr.Error()) {
+		t.Fatalf("LoadFile err = %v, Load err = %v", err, loadErr)
+	}
+	if err != nil {
+		return
+	}
+	var out bytes.Buffer
+	if err := ds.Save(&out); err != nil {
+		t.Fatalf("mapped dataset does not re-save: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), data) {
+		t.Fatalf("mapped re-save differs: %d bytes in, %d out", len(data), out.Len())
+	}
 }
 
 // loadFixture is a dataset whose K section spans many 64 KiB checksum
@@ -466,35 +495,134 @@ func TestLoadBitIdenticalAcrossReaders(t *testing.T) {
 	}
 }
 
-// failingReaderAt serves data but fails every ReadAt that touches offset
-// bad.
-type failingReaderAt struct {
-	*bytes.Reader
-	bad int64
-	err error
-}
-
-func (r failingReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off <= r.bad && r.bad < off+int64(len(p)) {
-		return 0, r.err
-	}
-	return r.Reader.ReadAt(p, off)
-}
-
-// TestLoadReadAtErrorMidChunk: a read error in a chunk in the middle of
-// K fails the load with a wrapped "reading K" error and no dataset, at
-// GOMAXPROCS 1 and N.
-func TestLoadReadAtErrorMidChunk(t *testing.T) {
+// TestLoadReadErrorMidStream: a read error in the middle of K fails the
+// load with a wrapped "reading dataset" error and no dataset.
+func TestLoadReadErrorMidStream(t *testing.T) {
 	data := saveBytes(t, loadFixture(t))
 	kStart := (datasetHeaderSize + int64(binary.LittleEndian.Uint64(data[8:])) + 7) &^ 7
 	injected := errors.New("injected read failure")
-	for _, procs := range []int{1, max(4, runtime.NumCPU())} {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		r := failingReaderAt{Reader: bytes.NewReader(data), bad: kStart + 5*(64<<10) + 100, err: injected}
-		ds, err := Load(r)
-		if ds != nil || !errors.Is(err, injected) || !strings.Contains(err.Error(), "reading K") {
-			t.Fatalf("at %d procs: Load = %v, %v; want no dataset and a wrapped reading K error", procs, ds, err)
+	r := io.MultiReader(bytes.NewReader(data[:kStart+5*(64<<10)+100]), iotest.ErrReader(injected))
+	ds, err := Load(r)
+	if ds != nil || !errors.Is(err, injected) || !strings.Contains(err.Error(), "reading dataset") {
+		t.Fatalf("Load = %v, %v; want no dataset and a wrapped reading dataset error", ds, err)
+	}
+}
+
+// saveFile saves d to path or fails the test.
+func saveFile(t *testing.T, d *Dataset, path string) {
+	t.Helper()
+	if err := d.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSaveFileReplacesLoadedFile: saving a different dataset over the
+// path a loaded dataset maps replaces the file by rename, so the loaded
+// dataset still reads its original bits, a fresh load reads the new
+// ones, and no temporary file is left behind.
+func TestSaveFileReplacesLoadedFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "net.hotd")
+	first := loadFixture(t)
+	saveFile(t, first, path)
+	loaded, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := tinyDataset(t)
+	saveFile(t, second, path)
+	if i, ok := sameBits(loaded.K.Data, first.K.Data); !ok {
+		t.Fatalf("loaded K changed at %d after its file was replaced", i)
+	}
+	if !bytes.Equal(loaded.Truth.HotDrive.Data, first.Truth.HotDrive.Data) {
+		t.Fatal("loaded HotDrive changed after its file was replaced")
+	}
+	again, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := sameBits(again.K.Data, second.K.Data); !ok {
+		t.Fatalf("reloaded K differs from the saved replacement at %d", i)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after two saves, want 1", len(entries))
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("saved file mode = %v, %v; want 0644", fi.Mode(), err)
+	}
+	// A failed save leaves the file and the directory as they were.
+	bad := tinyDataset(t)
+	bad.Topo.Sectors = bad.Topo.Sectors[:1]
+	if err := bad.SaveFile(path); err == nil {
+		t.Fatal("SaveFile of an inconsistent dataset succeeded")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("failed save left %d entries, want 1", len(entries))
+	}
+	if _, err := LoadFile(path); err != nil {
+		t.Fatalf("file unreadable after a failed save: %v", err)
+	}
+}
+
+// mapsMention reports whether /proc/self/maps names path.
+func mapsMention(t *testing.T, path string) bool {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	return bytes.Contains(maps, []byte(path))
+}
+
+// TestLoadFileMapsKUntilCollected: LoadFile serves K from a read-only
+// mapping of the file (a write faults), a Clone of it is writable and
+// equal, and once the dataset is dropped and collected the mapping is
+// gone from /proc/self/maps.
+func TestLoadFileMapsKUntilCollected(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("datasets are mapped on linux only")
+	}
+	path := filepath.Join(t.TempDir(), "net.hotd")
+	want := loadFixture(t)
+	saveFile(t, want, path)
+	func() {
+		ds, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !mapsMention(t, path) {
+			t.Fatal("loaded dataset's file is not mapped")
+		}
+		c := ds.K.Clone()
+		if i, ok := sameBits(c.Data, want.K.Data); !ok {
+			t.Fatalf("Clone of the mapped K differs at %d", i)
+		}
+		c.Set(0, 0, 0, 42)
+		if c.At(0, 0, 0) != 42 || math.Float64bits(ds.K.At(0, 0, 0)) != math.Float64bits(want.K.At(0, 0, 0)) {
+			t.Fatal("a write to the Clone reached the mapped K")
+		}
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a write to the mapped K did not fault")
+				}
+			}()
+			ds.K.Data[0] = 1
+		}()
+		runtime.KeepAlive(ds)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for mapsMention(t, path) {
+		if time.Now().After(deadline) {
+			t.Fatal("the dropped dataset's file is still mapped")
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

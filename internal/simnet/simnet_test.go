@@ -269,8 +269,9 @@ func TestTableIIDistributionDraw(t *testing.T) {
 	}
 }
 
-// TestSelectSectors compacts a generated dataset in place and checks it
-// against a copy taken before the call: every survivor keeps its KPI and
+// TestSelectSectors restricts a generated dataset in place and checks it
+// against a copy taken before the call: K keeps its storage, and every
+// survivor keeps its KPI and
 // HotDrive rows bit for bit (NaN payloads included), its topology entry
 // with a dense new ID, its tower (renumbered in order of first survivor)
 // and its truth episodes.
@@ -291,13 +292,13 @@ func TestSelectSectors(t *testing.T) {
 			keep = append(keep, i)
 		}
 	}
-	storage := &ds.K.Data[0]
+	storage, stored := &ds.K.Data[0], len(ds.K.Data)
 	sub := ds.SelectSectors(keep)
-	if sub != ds || &sub.K.Data[0] != storage {
+	if sub != ds || &sub.K.Data[0] != storage || len(sub.K.Data) != stored {
 		t.Fatal("SelectSectors did not work in place")
 	}
 	if sub.N() != len(keep) || sub.Truth.HotDrive.Rows != len(keep) ||
-		len(sub.K.Data) != cap(sub.K.Data) || len(sub.Topo.Sectors) != len(keep) {
+		len(sub.Topo.Sectors) != len(keep) {
 		t.Fatalf("shapes after selecting %d sectors: N=%d HotDrive=%d sectors=%d",
 			len(keep), sub.N(), sub.Truth.HotDrive.Rows, len(sub.Topo.Sectors))
 	}

@@ -103,9 +103,20 @@ func (m *Mask) Row(i int) []uint8 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Tensor3 is a dense 3-D array (N x T x F), row-major with the feature axis
 // fastest. For the paper's K this is sectors x hours x KPIs.
+//
+// Data is the backing storage: N rows of T·F elements until SelectSectors
+// restricts the tensor to a subset of its rows, after which Data keeps
+// every original row and a row index maps each logical sector to its row.
+// Read and write elements through the accessors (At, Set, Cell, Sector,
+// ...), which go through the index. Data may be read-only memory, such as
+// a mapped dataset file (simnet.LoadFile) that closes when the tensor is
+// collected: a slice taken from such a tensor is valid while the tensor
+// is reachable.
 type Tensor3 struct {
 	N, T, F int
 	Data    []float64
+	// rows[i] is the backing row of logical sector i; nil is the identity.
+	rows []int
 }
 
 // NewTensor3 allocates a zero-filled N x T x F tensor.
@@ -116,28 +127,38 @@ func NewTensor3(n, t, f int) *Tensor3 {
 	return &Tensor3{N: n, T: t, F: f, Data: make([]float64, n*t*f)}
 }
 
+// base returns the offset in Data of sector i's first element.
+func (x *Tensor3) base(i int) int {
+	if x.rows != nil {
+		i = x.rows[i]
+	}
+	return i * x.T * x.F
+}
+
 // At returns element (i, j, k): sector i, time j, feature k.
-func (x *Tensor3) At(i, j, k int) float64 { return x.Data[(i*x.T+j)*x.F+k] }
+func (x *Tensor3) At(i, j, k int) float64 { return x.Data[x.base(i)+j*x.F+k] }
 
 // Set assigns element (i, j, k).
-func (x *Tensor3) Set(i, j, k int, v float64) { x.Data[(i*x.T+j)*x.F+k] = v }
+func (x *Tensor3) Set(i, j, k int, v float64) { x.Data[x.base(i)+j*x.F+k] = v }
 
 // Cell returns the feature vector at (i, j) sharing storage.
 func (x *Tensor3) Cell(i, j int) []float64 {
-	base := (i*x.T + j) * x.F
-	return x.Data[base : base+x.F]
+	b := x.base(i) + j*x.F
+	return x.Data[b : b+x.F]
 }
 
 // Sector returns the T x F block of sector i sharing storage.
 func (x *Tensor3) Sector(i int) []float64 {
-	return x.Data[i*x.T*x.F : (i+1)*x.T*x.F]
+	b := x.base(i)
+	return x.Data[b : b+x.T*x.F]
 }
 
 // SeriesCopy copies the time series of feature k for sector i.
 func (x *Tensor3) SeriesCopy(i, k int) []float64 {
+	s := x.Sector(i)
 	out := make([]float64, x.T)
-	for j := 0; j < x.T; j++ {
-		out[j] = x.At(i, j, k)
+	for j := range out {
+		out[j] = s[j*x.F+k]
 	}
 	return out
 }
@@ -149,75 +170,110 @@ func (x *Tensor3) SliceTime(i, j0, j1 int) *Matrix {
 		panic(fmt.Sprintf("tensor: time slice [%d:%d) out of range [0:%d)", j0, j1, x.T))
 	}
 	m := NewMatrix(j1-j0, x.F)
-	copy(m.Data, x.Data[(i*x.T+j0)*x.F:(i*x.T+j1)*x.F])
+	copy(m.Data, x.Sector(i)[j0*x.F:j1*x.F])
 	return m
 }
 
-// Clone deep-copies the tensor.
+// Clone deep-copies the tensor's N x T x F elements into fresh, writable,
+// contiguous storage with no row index.
 func (x *Tensor3) Clone() *Tensor3 {
 	c := NewTensor3(x.N, x.T, x.F)
-	copy(c.Data, x.Data)
+	for i := 0; i < x.N; i++ {
+		copy(c.Sector(i), x.Sector(i))
+	}
 	return c
+}
+
+// Contiguous returns the tensor's N x T x F elements in row-major order:
+// Data itself when no selection is in force, a compacted copy otherwise.
+func (x *Tensor3) Contiguous() []float64 {
+	n := x.N * x.T * x.F
+	if x.rows == nil {
+		return x.Data[:n:n]
+	}
+	return x.Clone().Data
 }
 
 // Fill sets every element to v.
 func (x *Tensor3) Fill(v float64) {
-	for i := range x.Data {
-		x.Data[i] = v
+	for i := 0; i < x.N; i++ {
+		s := x.Sector(i)
+		for j := range s {
+			s[j] = v
+		}
 	}
 }
 
 // MissingFraction returns the fraction of NaN entries.
 func (x *Tensor3) MissingFraction() float64 {
-	if len(x.Data) == 0 {
+	total := x.N * x.T * x.F
+	if total == 0 {
 		return 0
 	}
 	n := 0
-	for _, v := range x.Data {
-		if math.IsNaN(v) {
-			n++
+	for i := 0; i < x.N; i++ {
+		for _, v := range x.Sector(i) {
+			if math.IsNaN(v) {
+				n++
+			}
 		}
 	}
-	return float64(n) / float64(len(x.Data))
+	return float64(n) / float64(total)
 }
 
-// SelectSectors restricts x in place to the listed sector rows and
-// returns x. keep must be strictly ascending and in range (it panics
-// otherwise, before touching x): each kept row slides down over the
-// discarded ones, and Data is re-sliced to the survivors with its capacity
-// capped, so nothing can append into the freed tail. The caller gives up
-// the old shape; any slice taken from x before the call (Sector, Cell)
-// may now hold another sector's values.
+// SelectSectors restricts x in place to the listed sectors and returns x.
+// keep must be strictly ascending and in range (it panics otherwise,
+// before touching x). No element moves: x records the survivors as a row
+// index into Data, composed with any earlier selection, so Data may be
+// read-only. The caller gives up the old shape: sector i now names the
+// survivor keep[i], and a slice taken from x before the call (Sector,
+// Cell) still holds the row it was taken from.
 func (x *Tensor3) SelectSectors(keep []int) *Tensor3 {
-	x.Data = compactRows(x.Data, x.N, x.T*x.F, keep)
-	x.N = len(keep)
+	checkKeep(keep, x.N)
+	if len(keep) == x.N { // strictly ascending and in range: every row
+		return x
+	}
+	rows := make([]int, len(keep))
+	for i, r := range keep {
+		if x.rows != nil {
+			r = x.rows[r]
+		}
+		rows[i] = r
+	}
+	x.rows, x.N = rows, len(keep)
 	return x
 }
 
-// SelectRows is SelectSectors for a matrix: it restricts m in place to the
-// listed rows, which must be strictly ascending, and returns m.
+// SelectRows restricts m in place to the listed rows, which must be
+// strictly ascending, and returns m. Kept rows slide down over the
+// discarded ones.
 func (m *Matrix) SelectRows(keep []int) *Matrix {
 	m.Data = compactRows(m.Data, m.Rows, m.Cols, keep)
 	m.Rows = len(keep)
 	return m
 }
 
-// SelectRows is SelectSectors for a mask: it restricts m in place to the
-// listed rows, which must be strictly ascending, and returns m.
+// SelectRows is Matrix.SelectRows for a mask.
 func (m *Mask) SelectRows(keep []int) *Mask {
 	m.Data = compactRows(m.Data, m.Rows, m.Cols, keep)
 	m.Rows = len(keep)
 	return m
 }
 
-// compactRows moves rows keep[i] of data (n rows of stride elements) to
-// row i and returns the survivors as a capacity-capped slice.
-func compactRows[E any](data []E, n, stride int, keep []int) []E {
+// checkKeep panics unless keep is strictly ascending within [0, n).
+func checkKeep(keep []int, n int) {
 	for i, r := range keep {
 		if r < 0 || r >= n || (i > 0 && r <= keep[i-1]) {
 			panic(fmt.Sprintf("tensor: selected row %d (entry %d) is out of range [0:%d) or not above its predecessor", r, i, n))
 		}
 	}
+}
+
+// compactRows moves rows keep[i] of data (n rows of stride elements) to
+// row i and returns the survivors as a capacity-capped slice, so nothing
+// can append into the freed tail.
+func compactRows[E any](data []E, n, stride int, keep []int) []E {
+	checkKeep(keep, n)
 	for dst, src := range keep {
 		if dst != src {
 			copy(data[dst*stride:(dst+1)*stride], data[src*stride:(src+1)*stride])

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -139,16 +141,16 @@ func TestSelectSectors(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
-	storage := &x.Data[0]
+	backing := x.Data
 	y := x.SelectSectors([]int{1, 3})
-	if y != x || &x.Data[0] != storage {
-		t.Fatal("SelectSectors did not compact in place")
+	if y != x || &x.Data[0] != &backing[0] || len(x.Data) != 8 {
+		t.Fatal("SelectSectors replaced or resized the backing storage")
 	}
-	if x.N != 2 || len(x.Data) != 4 || cap(x.Data) != 4 {
-		t.Fatalf("shape after selection: N=%d len=%d cap=%d", x.N, len(x.Data), cap(x.Data))
+	if want := []float64{0, 1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(backing, want) {
+		t.Fatalf("SelectSectors moved elements: backing %v, want %v", backing, want)
 	}
-	if want := []float64{2, 3, 6, 7}; !reflect.DeepEqual(x.Data, want) {
-		t.Fatalf("SelectSectors = %v, want %v", x.Data, want)
+	if want := []float64{2, 3, 6, 7}; x.N != 2 || !reflect.DeepEqual(x.Contiguous(), want) {
+		t.Fatalf("SelectSectors = N %d %v, want N 2 %v", x.N, x.Contiguous(), want)
 	}
 
 	for _, keep := range [][]int{{2, 0}, {1, 1}, {-1}, {0, 4}} {
@@ -163,6 +165,136 @@ func TestSelectSectors(t *testing.T) {
 		}()
 		if x.N != 4 || len(x.Data) != 8 {
 			t.Errorf("keep %v: rejected selection changed the tensor", keep)
+		}
+	}
+}
+
+// compacted returns a fresh tensor holding rows keep of x, the way a
+// copying selection would build it.
+func compacted(x *Tensor3, keep []int) *Tensor3 {
+	out := NewTensor3(len(keep), x.T, x.F)
+	for dst, src := range keep {
+		copy(out.Sector(dst), x.Sector(src))
+	}
+	return out
+}
+
+// randomKeep draws a strictly ascending subset of [0, n).
+func randomKeep(rng *rand.Rand, n int) []int {
+	var keep []int
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) != 0 {
+			keep = append(keep, i)
+		}
+	}
+	return keep
+}
+
+// sameTensor checks every read accessor of got against the contiguous
+// reference want, bit for bit.
+func sameTensor(t *testing.T, what string, got, want *Tensor3) {
+	t.Helper()
+	if got.N != want.N || got.T != want.T || got.F != want.F {
+		t.Fatalf("%s: shape %dx%dx%d, want %dx%dx%d", what, got.N, got.T, got.F, want.N, want.T, want.F)
+	}
+	bits := func(vs []float64) []uint64 {
+		out := make([]uint64, len(vs))
+		for i, v := range vs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	for i := 0; i < want.N; i++ {
+		if !reflect.DeepEqual(bits(got.Sector(i)), bits(want.Sector(i))) {
+			t.Fatalf("%s: Sector(%d) differs", what, i)
+		}
+		for j := 0; j < want.T; j++ {
+			if !reflect.DeepEqual(bits(got.Cell(i, j)), bits(want.Cell(i, j))) {
+				t.Fatalf("%s: Cell(%d, %d) differs", what, i, j)
+			}
+			for k := 0; k < want.F; k++ {
+				if math.Float64bits(got.At(i, j, k)) != math.Float64bits(want.At(i, j, k)) {
+					t.Fatalf("%s: At(%d, %d, %d) differs", what, i, j, k)
+				}
+			}
+		}
+		for k := 0; k < want.F; k++ {
+			if !reflect.DeepEqual(bits(got.SeriesCopy(i, k)), bits(want.SeriesCopy(i, k))) {
+				t.Fatalf("%s: SeriesCopy(%d, %d) differs", what, i, k)
+			}
+		}
+		if !reflect.DeepEqual(bits(got.SliceTime(i, 1, want.T-1).Data), bits(want.SliceTime(i, 1, want.T-1).Data)) {
+			t.Fatalf("%s: SliceTime(%d) differs", what, i)
+		}
+	}
+	if !reflect.DeepEqual(bits(got.Contiguous()), bits(want.Data)) {
+		t.Fatalf("%s: Contiguous differs", what)
+	}
+	if c := got.Clone(); !reflect.DeepEqual(bits(c.Data), bits(want.Data)) || len(c.Data) != len(want.Data) {
+		t.Fatalf("%s: Clone differs", what)
+	}
+	if a, b := got.MissingFraction(), want.MissingFraction(); a != b {
+		t.Fatalf("%s: MissingFraction %v, want %v", what, a, b)
+	}
+}
+
+// sameBits reports the first index where a and b differ bit for bit.
+func sameBits(a, b []float64) (int, bool) {
+	if len(a) != len(b) {
+		return -1, false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestSelectSectorsIndexMatchesCompacted: for random ascending keep sets,
+// applied once or twice in a row, every accessor of the indexed tensor
+// equals a compacted copy, writes through Set and Fill land on the same
+// logical elements, and the backing storage keeps every discarded row.
+func TestSelectSectorsIndexMatchesCompacted(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		n, tt, f := 1+rng.Intn(12), 2+rng.Intn(5), 1+rng.Intn(4)
+		x := NewTensor3(n, tt, f)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+			if rng.Intn(5) == 0 {
+				x.Data[i] = math.NaN()
+			}
+		}
+		orig := append([]float64(nil), x.Data...)
+		ref := x.Clone()
+		for step := 0; step < 2; step++ {
+			keep := randomKeep(rng, x.N)
+			ref = compacted(ref, keep)
+			x.SelectSectors(keep)
+			sameTensor(t, fmt.Sprintf("trial %d step %d keep %v", trial, step, keep), x, ref)
+		}
+		if i, ok := sameBits(x.Data, orig); !ok {
+			t.Fatalf("trial %d: selection changed the backing storage at %d", trial, i)
+		}
+		if x.N == 0 {
+			continue
+		}
+		i, j, k := rng.Intn(x.N), rng.Intn(tt), rng.Intn(f)
+		x.Set(i, j, k, 1e9)
+		ref.Set(i, j, k, 1e9)
+		sameTensor(t, fmt.Sprintf("trial %d after Set", trial), x, ref)
+		x.Fill(-2)
+		ref.Fill(-2)
+		sameTensor(t, fmt.Sprintf("trial %d after Fill", trial), x, ref)
+		filled := 0
+		for _, v := range x.Data {
+			if v == -2 {
+				filled++
+			}
+		}
+		if filled != x.N*tt*f {
+			t.Fatalf("trial %d: Fill wrote %d elements, want the %d selected ones", trial, filled, x.N*tt*f)
 		}
 	}
 }
