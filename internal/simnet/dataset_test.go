@@ -394,9 +394,9 @@ func FuzzLoadDataset(f *testing.F) {
 // fuzzLoadFile is FuzzLoadDataset's mapped leg: data written to a file
 // must load through LoadFile exactly when it loads through Load, with the
 // same error for a non-empty file (an empty one is refused by the mapper),
-// and an accepted file must re-save to its own bytes.
-// The file at path is rewritten in place for each input: no dataset from
-// an earlier input is read again, so its mapping may go stale.
+// and an accepted file must re-save to its own bytes. The file at path is
+// rewritten in place for each input: no dataset from an earlier input is
+// read again, so its mapping may go stale.
 func fuzzLoadFile(t *testing.T, path string, data []byte, loadErr error) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

@@ -271,10 +271,9 @@ func TestTableIIDistributionDraw(t *testing.T) {
 
 // TestSelectSectors restricts a generated dataset in place and checks it
 // against a copy taken before the call: K keeps its storage, and every
-// survivor keeps its KPI and
-// HotDrive rows bit for bit (NaN payloads included), its topology entry
-// with a dense new ID, its tower (renumbered in order of first survivor)
-// and its truth episodes.
+// survivor keeps its KPI and HotDrive rows bit for bit (NaN payloads
+// included), its topology entry with a dense new ID, its tower
+// (renumbered in order of first survivor) and its truth episodes.
 func TestSelectSectors(t *testing.T) {
 	ds, err := Generate(smallConfig())
 	if err != nil {
