@@ -15,9 +15,11 @@
 // blocks; a day block is re-extracted for every cutoff that stacks it,
 // which is cheap beside binning the stacked slab.
 //
-// Prediction reads per-day matrices: a fitted model's prediction matrix
-// holds only the columns the model splits on, cached under a key that
-// carries the exact column list (see Key.Cols).
+// Prediction caches each (engine, day) window in the one form descent
+// reads: the compiled engine's one-byte code tiles (Matrix.Codes, see
+// mltree.Flat.Codes), holding only the columns the engine splits on,
+// under a key naming that engine exactly (Key.Engine). No float matrix
+// is kept for prediction.
 //
 // Feature extraction is deterministic per (sector, end, w), so serving a
 // cached matrix is bit-identical to rebuilding it; the forecast package's
@@ -27,8 +29,6 @@
 package featcache
 
 import (
-	"encoding/binary"
-
 	"repro/internal/bytelru"
 	"repro/internal/mltree"
 )
@@ -39,8 +39,8 @@ import (
 // the key (subset builds bypass the cache). Stacked training matrices,
 // always quantized, set Days: there End is the training cutoff t-h and
 // Days the number of stacked label days, because the stacked matrix —
-// unlike a per-day block — depends on both. Prediction matrices projected
-// onto an artifact's columns set Cols.
+// unlike a per-day block — depends on both. An engine's code tiles set
+// Engine.
 type Key struct {
 	// Extractor is the representation name (features.Extractor.Name).
 	Extractor string
@@ -53,30 +53,27 @@ type Key struct {
 	// quantized training matrices (Matrix.Bin set, Data nil) and zero for
 	// per-day blocks.
 	Days int
-	// Cols is the exact column list of a projected matrix (ColsKey), empty
-	// for one holding every column. It is the list itself, not a hash, so
-	// two artifacts reading different columns can never share an entry.
-	Cols string
-}
-
-// ColsKey encodes a column list as a Key.Cols value: four little-endian
-// bytes per column.
-func ColsKey(cols []int) string {
-	b := make([]byte, 0, 4*len(cols))
-	for _, c := range cols {
-		b = binary.LittleEndian.AppendUint32(b, uint32(c))
-	}
-	return string(b)
+	// Engine is the ID (mltree.Flat.ID) of the engine whose code tiles
+	// the entry holds, zero for float and training entries. An ID names
+	// one compiled or decoded engine for the life of the process, so two
+	// engines reading the same columns at different cuts never share an
+	// entry, and the key holds no pointer that would keep a replaced
+	// engine alive.
+	Engine uint64
 }
 
 // Matrix is an immutable feature-matrix handle: a row-major float matrix
-// (Data) or a quantized one (Bin). Holders must not write through
-// either: the same backing arrays are shared by every grid point (and
-// every worker) that agrees on the Key.
+// (Data), a quantized training matrix (Bin) or an engine's code tiles
+// (Codes). Holders must not write through any of them: the same backing
+// arrays are shared by every grid point (and every worker) that agrees
+// on the Key.
 type Matrix struct {
-	Data  []float64 // len = Rows*Width (nil for training entries)
+	Data  []float64 // len = Rows*Width (nil for training and code entries)
 	Rows  int
 	Width int
+	// Codes are the code tiles of Rows rows (mltree.Flat.Codes) for the
+	// engine Key.Engine names, one byte per code.
+	Codes []uint8
 	// Bin is the histogram-quantized form (internal/mltree.Binned), set on
 	// training entries (Key.Days > 0) so every tree, boosting round and
 	// model sharing one training build reuses a single quantization.
@@ -85,7 +82,7 @@ type Matrix struct {
 
 // Bytes is the memory the matrix payload occupies.
 func (m *Matrix) Bytes() int64 {
-	total := int64(len(m.Data)) * 8
+	total := int64(len(m.Data))*8 + int64(len(m.Codes))
 	if m.Bin != nil {
 		total += m.Bin.Bytes()
 	}

@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"repro/internal/mathx"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/timegrid"
 )
@@ -439,27 +440,37 @@ func sanitize(v float64) float64 {
 	return v
 }
 
+// buildChunkRows is how many instances one BuildMatrix task extracts.
+const buildChunkRows = 64
+
 // BuildMatrix extracts features for several (sector, end-day) instances into
-// one row-major matrix suitable for mltree. Empty instance slices yield an
-// empty matrix (width still reported), not an error.
-func BuildMatrix(v *View, ex Extractor, sectors []int, ends []int, w int) ([]float64, int, error) {
+// one row-major matrix suitable for mltree, on up to workers goroutines
+// (<= 0 means GOMAXPROCS). Each row is extracted on its own into its own
+// slot, so the matrix is bit-identical at any worker count. Empty instance
+// slices yield an empty matrix (width still reported), not an error.
+func BuildMatrix(v *View, ex Extractor, sectors []int, ends []int, w, workers int) ([]float64, int, error) {
 	if len(sectors) != len(ends) {
 		return nil, 0, fmt.Errorf("features: %d sectors vs %d end days", len(sectors), len(ends))
 	}
+	// Every window is checked before sizing the matrix: a negative w would
+	// make the extractor report a negative width and panic the allocation.
 	if w < 1 {
-		// Checked before sizing the matrix: a negative w would make the
-		// extractor report a negative width and panic the allocation.
 		return nil, 0, fmt.Errorf("features: window %d < 1", w)
 	}
-	width := ex.Width(v, w)
-	out := make([]float64, len(sectors)*width)
-	for r := range sectors {
-		if err := CheckWindow(v, ends[r], w); err != nil {
+	for _, end := range ends {
+		if err := CheckWindow(v, end, w); err != nil {
 			return nil, 0, err
 		}
-		ex.Extract(v, sectors[r], ends[r], w, nil, out[r*width:(r+1)*width])
 	}
-	return out, width, nil
+	n, width := len(sectors), ex.Width(v, w)
+	out := make([]float64, n*width)
+	err := parallel.For(workers, (n+buildChunkRows-1)/buildChunkRows, func(k int) error {
+		for r := k * buildChunkRows; r < min(n, (k+1)*buildChunkRows); r++ {
+			ex.Extract(v, sectors[r], ends[r], w, nil, out[r*width:(r+1)*width])
+		}
+		return nil
+	})
+	return out, width, err
 }
 
 // BuildAllSectors extracts features for every sector over the same window

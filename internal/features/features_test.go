@@ -216,7 +216,7 @@ func TestHandCraftedShortWindow(t *testing.T) {
 
 func TestBuildMatrix(t *testing.T) {
 	v := tinyView(t)
-	x, width, err := BuildMatrix(v, Raw{}, []int{0, 1}, []int{3, 5}, 2)
+	x, width, err := BuildMatrix(v, Raw{}, []int{0, 1}, []int{3, 5}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +238,43 @@ func TestBuildMatrix(t *testing.T) {
 	}
 }
 
+// TestBuildMatrixWorkersBitIdentical: extracting a training matrix on a
+// pool of workers gives the bits one worker gives, for every extractor,
+// over more instances than one task extracts and with NaN-heavy input.
+func TestBuildMatrixWorkersBitIdentical(t *testing.T) {
+	v := nanHeavyView(t)
+	const w = 3
+	days := v.Hours() / timegrid.HoursPerDay
+	var sectors, ends []int
+	for r := 0; r < 3*buildChunkRows+5; r++ {
+		sectors = append(sectors, (r*7)%v.Sectors())
+		ends = append(ends, w+r%(days-w+1))
+	}
+	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
+		want, _, err := BuildMatrix(v, ex, sectors, ends, w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, 0} {
+			got, _, err := BuildMatrix(v, ex, sectors, ends, w, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s, %d workers: value %d = %v, want %v", ex.Name(), workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestBuildMatrixErrors(t *testing.T) {
 	v := tinyView(t)
-	if _, _, err := BuildMatrix(v, Raw{}, []int{0}, []int{3, 5}, 2); err == nil {
+	if _, _, err := BuildMatrix(v, Raw{}, []int{0}, []int{3, 5}, 2, 1); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, _, err := BuildMatrix(v, Raw{}, []int{0}, []int{1}, 5); err == nil {
+	if _, _, err := BuildMatrix(v, Raw{}, []int{0}, []int{1}, 5, 1); err == nil {
 		t.Fatal("invalid window accepted")
 	}
 }
@@ -255,22 +286,22 @@ func TestBuildMatrixWindowExceedsHistory(t *testing.T) {
 	days := v.Hours() / timegrid.HoursPerDay
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
 		// w exceeds the history available before end=3.
-		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{3}, 4); err == nil {
+		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{3}, 4, 1); err == nil {
 			t.Fatalf("%s: window past day 0 accepted", ex.Name())
 		}
 		// end beyond the grid.
-		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{days + 1}, 1); err == nil {
+		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{days + 1}, 1, 1); err == nil {
 			t.Fatalf("%s: end day beyond grid accepted", ex.Name())
 		}
 		// Zero-length and negative windows.
-		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{3}, 0); err == nil {
+		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{3}, 0, 1); err == nil {
 			t.Fatalf("%s: w=0 accepted", ex.Name())
 		}
-		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{3}, -1); err == nil {
+		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{3}, -1, 1); err == nil {
 			t.Fatalf("%s: w=-1 accepted", ex.Name())
 		}
 		// The largest valid window at the last day still works.
-		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{days}, days); err != nil {
+		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{days}, days, 1); err != nil {
 			t.Fatalf("%s: full-history window rejected: %v", ex.Name(), err)
 		}
 	}
@@ -282,7 +313,7 @@ func TestBuildMatrixWindowExceedsHistory(t *testing.T) {
 func TestBuildMatrixEmptyInstances(t *testing.T) {
 	v := tinyView(t)
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
-		x, width, err := BuildMatrix(v, ex, nil, nil, 2)
+		x, width, err := BuildMatrix(v, ex, nil, nil, 2, 1)
 		if err != nil {
 			t.Fatalf("%s: empty build errored: %v", ex.Name(), err)
 		}
@@ -302,7 +333,7 @@ func TestBuildMatrixWidthConsistency(t *testing.T) {
 	v := tinyView(t)
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
 		for _, w := range []int{1, 2, 7} {
-			x, width, err := BuildMatrix(v, ex, []int{0, 1}, []int{7, 9}, w)
+			x, width, err := BuildMatrix(v, ex, []int{0, 1}, []int{7, 9}, w, 1)
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", ex.Name(), w, err)
 			}
@@ -323,7 +354,7 @@ func TestBuildAllSectorsMatchesBuildMatrix(t *testing.T) {
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
 		sectors := []int{0, 1}
 		ends := []int{5, 5}
-		want, wantWidth, err := BuildMatrix(v, ex, sectors, ends, 3)
+		want, wantWidth, err := BuildMatrix(v, ex, sectors, ends, 3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,9 +163,10 @@ func (a *baselineArtifact) PredictInto(c *Context, t, w int, dst []float64) ([]f
 
 // classifierArtifact is a fitted tree-based model: the compiled flat
 // inference engine (see mltree/flat.go) plus the feature representation
-// needed to rebuild prediction matrices. Fit flattens the learner against
-// the features it splits on and keeps only the engine; decode reads the
-// engine straight from the envelope. Predict builds just those columns and
+// needed to rebuild its input. Fit flattens the learner against the
+// features it splits on and keeps only the engine; decode reads the
+// engine straight from the envelope. Predict quantizes just those
+// columns of every sector into the engine's code tiles, caches them, and
 // scores the whole sector block per tree pass with zero per-sector
 // allocation.
 type classifierArtifact struct {
@@ -175,10 +176,8 @@ type classifierArtifact struct {
 	width     int // trained feature-vector length; Predict windows must match
 	// cols are the ascending feature indices, out of width, the engine
 	// reads: its NumFeatures is len(cols) and its rows hold only these.
-	cols []int
-	// colsKey is cols as the prediction matrix's exact cache key component.
-	colsKey string
-	engine  *mltree.Flat
+	cols   []int
+	engine *mltree.Flat
 	// importances of the fit (mean decrease in impurity); nil for GBT.
 	importances []float64
 	// backing keeps an mmap'd artifact file alive while the flat engine
@@ -200,8 +199,8 @@ func (a *classifierArtifact) MmapBytes() int64 { return a.mmapBytes }
 // FlatBytes reports the flat engine's memory footprint.
 func (a *classifierArtifact) FlatBytes() int64 { return a.engine.FlatBytes() }
 
-// FeaturesRead is how many feature columns Predict builds: the distinct
-// features the model splits on.
+// FeaturesRead is how many feature columns Predict extracts and
+// quantizes: the distinct features the model splits on.
 func (a *classifierArtifact) FeaturesRead() int { return len(a.cols) }
 
 // FeatureWidth is the extractor's full feature-vector length at the
@@ -211,13 +210,14 @@ func (a *classifierArtifact) FeatureWidth() int { return a.width }
 // Bytes implements Trained.
 func (a *classifierArtifact) Bytes() int64 {
 	return int64(160) + int64(len(a.importances))*8 + int64(len(a.cols))*8 +
-		int64(len(a.colsKey)) + a.FlatBytes()
+		a.FlatBytes()
 }
 
-// Predict implements Trained: build (or fetch from the feature cache) the
-// all-sector matrix of the artifact's columns for the window ending at t
-// and score every row, per Eq. 6, in one flat-engine batch call for the
-// whole sector block.
+// Predict implements Trained: fetch from the feature cache (or build) the
+// engine's code tiles of every sector for the window ending at t and
+// score every row, per Eq. 6, in one flat-engine descent of the whole
+// sector block. A cache hit quantizes nothing and allocates nothing
+// beyond the scores.
 func (a *classifierArtifact) Predict(c *Context, t, w int) ([]float64, error) {
 	return a.PredictInto(c, t, w, nil)
 }
@@ -238,18 +238,31 @@ func (a *classifierArtifact) PredictInto(c *Context, t, w int, dst []float64) ([
 			a.name, a.width, w, got)
 	}
 	f0 := time.Now()
-	pmat, err := c.projectedMatrix(a.extractor, t, w, a.cols, a.colsKey)
-	if err != nil {
-		return nil, fmt.Errorf("forecast: building prediction matrix: %w", err)
-	}
+	key := featcache.Key{Extractor: a.extractor.Name(), End: t, W: w, Engine: a.engine.ID()}
+	// The build cannot fail, so neither can the fetch.
+	m, _ := c.cachedBuild(key, func() (*featcache.Matrix, error) { return a.codes(c, t, w), nil })
 	featureFetchSeconds.ObserveDuration(time.Since(f0))
 	n := c.Sectors()
 	out := sized(dst, n)
 	d0 := time.Now()
-	a.engine.ScoreBatch(pmat.Data, n, out)
+	a.engine.ScoreCodes(m.Codes, n, out)
 	predictDescendSeconds.ObserveDuration(time.Since(d0))
 	batchPredictsTotal.Inc()
 	return out, nil
+}
+
+// codes extracts the artifact's columns of every sector for the window
+// ending at t, a few sectors at a time, and quantizes them straight into
+// the engine's code tiles (mltree.Flat.Codes). PredictInto has checked
+// the window.
+func (a *classifierArtifact) codes(c *Context, t, w int) *featcache.Matrix {
+	n, k := c.Sectors(), len(a.cols)
+	codes := a.engine.Codes(n, func(r0 int, x []float64) {
+		for i := 0; i*k < len(x); i++ {
+			a.extractor.Extract(c.View, r0+i, t, w, a.cols, x[i*k:(i+1)*k])
+		}
+	})
+	return &featcache.Matrix{Codes: codes, Rows: n}
 }
 
 // sized returns dst[:n] when dst has the capacity, else a fresh n-slice.
@@ -405,15 +418,14 @@ func decodeModel(data []byte, trusted bool) (Trained, error) {
 		if err := features.CheckCols(a.cols, a.width); err != nil {
 			return nil, fmt.Errorf("forecast: artifact columns: %w", err)
 		}
-		a.colsKey = featcache.ColsKey(a.cols)
 		if a.engine, err = mltree.DecodeFlat(r, trusted); err != nil {
 			return nil, err
 		}
 		if want := kindPost[kind]; a.engine.Post() != want {
 			return nil, fmt.Errorf("forecast: artifact kind %d carries an engine with post-step %d, want %d", kind, a.engine.Post(), want)
 		}
-		// Predict builds len(cols)-wide prediction rows and hands them to
-		// the engine; a mismatch would panic there, so reject it at decode.
+		// Predict extracts len(cols)-wide rows for the engine to quantize;
+		// a mismatch would misread them, so reject it at decode.
 		if a.engine.NumFeatures != len(a.cols) {
 			return nil, fmt.Errorf("forecast: artifact reads %d columns but its learner has %d features", len(a.cols), a.engine.NumFeatures)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/featcache"
 	"repro/internal/features"
 	"repro/internal/mltree"
 	"repro/internal/randx"
@@ -180,7 +179,7 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 		// Subset rows are bespoke: build and quantize them privately,
 		// bypassing the all-sector cache.
 		sectors, ends := trainingInstances(c, trainSectors, t-h)
-		x, wd, err := features.BuildMatrix(c.View, m.Extractor, sectors, ends, w)
+		x, wd, err := features.BuildMatrix(c.View, m.Extractor, sectors, ends, w, c.FitWorkers)
 		if err != nil {
 			return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
 		}
@@ -224,13 +223,12 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 	if err != nil {
 		return nil, nil, fmt.Errorf("forecast: compiling %s: %w", m.ModelName, err)
 	}
-	art.colsKey = featcache.ColsKey(art.cols)
 	return art, learner, nil
 }
 
 // Forecast implements Model: the Fit+Predict shim, with fits served from
-// the trained-model cache. Prediction reads the artifact's columns of the
-// (extractor, t, w) window through the feature cache.
+// the trained-model cache. Prediction reads the artifact's code tiles of
+// the (extractor, t, w) window through the feature cache.
 func (m *ClassifierModel) Forecast(c *Context, target Target, t, h, w int) ([]float64, error) {
 	if err := c.CheckTask(t, h, w); err != nil {
 		return nil, err

@@ -273,16 +273,9 @@ func (c *Context) FeatureCache() *featcache.Cache {
 // points; extraction is deterministic, so a cached matrix is bit-identical
 // to a fresh build.
 func (c *Context) FeatureMatrix(ex features.Extractor, end, w int) (*featcache.Matrix, error) {
-	return c.projectedMatrix(ex, end, w, nil, "")
-}
-
-// projectedMatrix is FeatureMatrix holding only the columns cols
-// (features.BuildAllSectorsCols; nil = all), cached under the exact
-// column list colsKey (featcache.ColsKey(cols), "" for nil).
-func (c *Context) projectedMatrix(ex features.Extractor, end, w int, cols []int, colsKey string) (*featcache.Matrix, error) {
-	key := featcache.Key{Extractor: ex.Name(), End: end, W: w, Cols: colsKey}
+	key := featcache.Key{Extractor: ex.Name(), End: end, W: w}
 	return c.cachedBuild(key, func() (*featcache.Matrix, error) {
-		data, width, err := features.BuildAllSectorsCols(c.View, ex, end, w, cols)
+		data, width, err := features.BuildAllSectors(c.View, ex, end, w)
 		if err != nil {
 			return nil, err
 		}
@@ -321,7 +314,7 @@ func (c *Context) BinnedTrainingMatrix(ex features.Extractor, t, h, w int) (*fea
 			all[i] = i
 		}
 		sectors, ends := trainingInstances(c, all, cutoff)
-		x, width, err := features.BuildMatrix(c.View, ex, sectors, ends, w)
+		x, width, err := features.BuildMatrix(c.View, ex, sectors, ends, w, c.FitWorkers)
 		if err != nil {
 			return nil, err
 		}

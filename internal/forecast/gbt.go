@@ -3,7 +3,6 @@ package forecast
 import (
 	"fmt"
 
-	"repro/internal/featcache"
 	"repro/internal/features"
 	"repro/internal/mltree"
 )
@@ -82,7 +81,7 @@ func (m *GBTModel) fitLearner(c *Context, target Target, t, h, w int) (Trained, 
 		return nil, nil, fmt.Errorf("forecast: compiling GBT: %w", err)
 	}
 	return &classifierArtifact{artifactMeta: meta, kind: kindGBT, extractor: m.Extractor, width: mat.Width,
-		cols: cols, colsKey: featcache.ColsKey(cols), engine: fg}, g, nil
+		cols: cols, engine: fg}, g, nil
 }
 
 // Forecast implements Model: the Fit+Predict shim, with fits served from

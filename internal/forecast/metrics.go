@@ -13,7 +13,7 @@ var (
 	batchPredictsTotal = obs.Default().Counter("forecast_batch_predicts_total",
 		"flat-engine batch evaluations served")
 	featureFetchSeconds = obs.Default().Histogram("forecast_feature_fetch_seconds",
-		"time to build or fetch the all-sector feature matrix, per Predict",
+		"time to build or fetch the all-sector code tiles, per Predict",
 		obs.MicroLatencyBuckets)
 	predictDescendSeconds = obs.Default().Histogram("forecast_descend_seconds",
 		"time to score the sector block through the engine, per Predict",

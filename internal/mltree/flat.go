@@ -13,8 +13,10 @@ import (
 
 // This file is the batched flat inference engine. Flatten compiles a
 // fitted Tree, Forest or GBT into one contiguous block of packed node
-// words that compare one-byte codes instead of floats, and ScoreBatch
-// scores a row-major block through it without allocating.
+// words that compare one-byte codes instead of floats. Scoring is two
+// steps: quantize rows into code tiles, then descend the tiles. ScoreBatch
+// does both per block through a pooled tile without allocating; Codes
+// quantizes rows into tiles a caller keeps, and ScoreCodes descends them.
 //
 // Collect a feature's distinct split thresholds into an ascending cut
 // array and quantize a raw value to its lower-bound index
@@ -56,13 +58,14 @@ import (
 // capacity (2^20 node slots or leaves, 2^15 code columns) Flatten
 // returns an error; there is no other kernel to fall back to.
 //
-// The batch loop quantizes once per 256-row block, column-major, so its
-// cost is amortized over every tree level the model descends, then
-// descends tree-major: one tree's nodes (8 bytes each, a few KB for
-// typical trees) stay L1-resident across all of the block's 8-lane
-// groups. Rows past the block's last full group descend as one more
-// group into an 8-slot scratch; its spare lanes read stale tile codes
-// and are discarded. Each row adds tree 0, then tree 1, ... to its
+// Rows quantize once per 256-row block, column-major, into that block's
+// code tile, so the cost is amortized over every tree level the model
+// descends. The one descent loop, descendBlock, then runs tree-major:
+// one tree's nodes (8 bytes each, a few KB for typical trees) stay
+// L1-resident across all of the block's 8-lane groups. Rows past the
+// block's last full group descend as one more group into an 8-slot
+// scratch; its spare lanes read whatever codes the tile holds there and
+// are discarded. Each row adds tree 0, then tree 1, ... to its
 // running sum, and the per-row post-step (none for a lone tree, the
 // forest's 1/T scaling, the GBT's logistic function) is the walked
 // path's own, so scores are bit-identical to the walked learner and
@@ -108,7 +111,11 @@ type Flat struct {
 	fq    []binnedQuant // per-column radix acceleration (zero value = search)
 	meta  []uint64      // per-exponent sub-table descriptors (subOff<<32|mask<<8|shift)
 	tab   []uint8       // concatenated sub-bucket -> lower-bound-code tables
+	id    uint64        // process-unique engine name (ID)
 }
+
+// flatIDs numbers engines as they are compiled or decoded.
+var flatIDs atomic.Uint64
 
 // Layout capacity: 20-bit child slots and leaf indexes, 15-bit code
 // columns (bit 63 of a node word is the leaf flag), 8-bit cut codes.
@@ -135,6 +142,14 @@ const forestPadDepth = 12
 // column*256, which is only the tile offset if the row-block stride
 // is exactly 256.
 var _ [flatRowBlock - 256][0]byte
+
+// codeSubRows is how many rows Codes asks its fill function for at a
+// time: few enough that the float scratch stays cache-resident next to
+// the tile, and a divisor of flatRowBlock, so no sub-block straddles two
+// tiles.
+const codeSubRows = 32
+
+var _ = [1]int{}[flatRowBlock%codeSubRows]
 
 // floatKey maps float64 bit patterns to uint64 keys whose unsigned order
 // is the IEEE-754 value order: non-negative floats keep their bits with
@@ -363,39 +378,103 @@ func (fl *Flat) ScoreBatch(x []float64, n int, out []float64) {
 	cb := *ct
 	start := time.Now()
 	var quant time.Duration
-	inv := 1 / float64(len(fl.roots))
 	for i0 := 0; i0 < n; i0 += flatRowBlock {
 		rows := min(flatRowBlock, n-i0)
 		q0 := time.Now()
 		fl.quantize(x[i0*f:], rows, cb)
 		quant += time.Since(q0)
-		blk := out[i0 : i0+rows]
-		g8 := rows &^ 7
-		var tail [8]float64
-		for i := range blk {
-			blk[i] = fl.base
-		}
-		copy(tail[:], blk[g8:])
-		for ti := range fl.roots {
-			fl.addTreeBlock(cb, 0, g8, ti, blk)
-			if g8 < rows {
-				fl.addTreeBlock(cb, g8, 8, ti, tail[:])
-			}
-		}
-		copy(blk[g8:], tail[:])
-		switch fl.post {
-		case PostMean:
-			for i := range blk {
-				blk[i] *= inv
-			}
-		case PostLogistic:
-			for i := range blk {
-				blk[i] = sigmoid(blk[i])
-			}
-		}
+		fl.descendBlock(cb, out[i0:i0+rows])
 	}
 	quantizeSeconds.ObserveDuration(quant)
 	descendSeconds.ObserveDuration(time.Since(start) - quant)
+}
+
+// codeBytes is the size of the code tiles holding n rows: one tile of
+// len(src)*256 bytes per block of up to 256 rows.
+func (fl *Flat) codeBytes(n int) int {
+	return (n + flatRowBlock - 1) / flatRowBlock * len(fl.src) * flatRowBlock
+}
+
+// ID names the engine within the process: every compiled or decoded
+// engine gets its own, never reused, so code tiles cached under it are
+// never descended by another engine's nodes.
+func (fl *Flat) ID() uint64 { return fl.id }
+
+// Codes quantizes n rows into fresh code tiles, the input ScoreCodes
+// descends: one tile per started block of 256 rows, 256 bytes per code
+// column, one byte per code. It asks fill for the rows a few at a
+// time: fill(r0, x) writes rows r0, r0+1, ... row-major into x,
+// NumFeatures values per row, as many rows as x holds. The float
+// scratch x is the call's only allocation besides the tiles, and no
+// float matrix of all n rows ever exists.
+func (fl *Flat) Codes(n int, fill func(r0 int, x []float64)) []uint8 {
+	codes := make([]uint8, fl.codeBytes(n))
+	if len(codes) == 0 {
+		return codes // no rows, or a split-free engine that reads no codes
+	}
+	f, tile := fl.NumFeatures, len(fl.src)*flatRowBlock
+	x := make([]float64, min(n, codeSubRows)*f)
+	var quant time.Duration
+	for r0 := 0; r0 < n; r0 += codeSubRows {
+		rows := min(codeSubRows, n-r0)
+		fill(r0, x[:rows*f])
+		q0 := time.Now()
+		fl.quantize(x, rows, codes[r0/flatRowBlock*tile+r0%flatRowBlock:])
+		quant += time.Since(q0)
+	}
+	quantizeSeconds.ObserveDuration(quant)
+	return codes
+}
+
+// ScoreCodes writes each row's score into out[i], as ScoreBatch does, for
+// the n rows whose code tiles Codes(n, ...) returned from this engine.
+// Allocates nothing.
+func (fl *Flat) ScoreCodes(codes []uint8, n int, out []float64) {
+	if n < 0 || len(codes) != fl.codeBytes(n) {
+		panic(fmt.Sprintf("mltree: %d code bytes are not the tiles of %d rows x %d code columns", len(codes), n, len(fl.src)))
+	}
+	if len(out) < n {
+		panic(fmt.Sprintf("mltree: batch output of %d values for %d rows", len(out), n))
+	}
+	start := time.Now()
+	tile := len(fl.src) * flatRowBlock
+	for b, i0 := 0, 0; i0 < n; b, i0 = b+1, i0+flatRowBlock {
+		fl.descendBlock(codes[b*tile:], out[i0:min(n, i0+flatRowBlock)])
+	}
+	descendSeconds.ObserveDuration(time.Since(start))
+}
+
+// descendBlock writes the scores of one block's rows, len(blk) <= 256 of
+// them, from its code tile cb: every tree descends the 8-lane groups,
+// the rows past the last full group descend as one more group into an
+// 8-slot scratch, then each row takes the post-step. This is the one
+// descent loop every scoring path runs.
+func (fl *Flat) descendBlock(cb []uint8, blk []float64) {
+	rows := len(blk)
+	g8 := rows &^ 7
+	var tail [8]float64
+	for i := range blk {
+		blk[i] = fl.base
+	}
+	copy(tail[:], blk[g8:])
+	for ti := range fl.roots {
+		fl.addTreeBlock(cb, 0, g8, ti, blk)
+		if g8 < rows {
+			fl.addTreeBlock(cb, g8, 8, ti, tail[:])
+		}
+	}
+	copy(blk[g8:], tail[:])
+	switch fl.post {
+	case PostMean:
+		inv := 1 / float64(len(fl.roots))
+		for i := range blk {
+			blk[i] *= inv
+		}
+	case PostLogistic:
+		for i := range blk {
+			blk[i] = sigmoid(blk[i])
+		}
+	}
 }
 
 // NumTrees returns the compiled tree (or boosting stage) count.
@@ -410,12 +489,13 @@ func (fl *Flat) FlatBytes() int64 {
 		int64(len(fl.cuts))*8 + int64(len(fl.cutOff))*4 + int64(len(fl.src))*4 +
 		int64(len(fl.pkeys))*8 + int64(len(fl.pkOff))*4 +
 		int64(len(fl.fq))*24 + int64(len(fl.meta))*8 + int64(len(fl.tab)) +
-		int64(len(fl.roots))*8 + 112
+		int64(len(fl.roots))*8 + 120
 }
 
 // finishDerived populates the derived search structures (pkeys, pkOff,
-// fq, meta, tab) from cuts/cutOff.
+// fq, meta, tab) from cuts/cutOff and names the engine.
 func (fl *Flat) finishDerived() {
+	fl.id = flatIDs.Add(1)
 	nc := len(fl.src)
 	fl.pkeys = fl.pkeys[:0]
 	fl.meta = fl.meta[:0]
@@ -553,7 +633,8 @@ func buildRadix(keys []uint64, meta *[]uint64, tab *[]uint8) binnedQuant {
 
 // quantize fills the code tile for a row block: cb[c*flatRowBlock+r]
 // is row r's code in code column c, for the first rows rows of the
-// row-major block x. Iteration is column-major so one column's search
+// row-major block x. cb may start at a row offset within a tile, as long
+// as the rows end inside it. Iteration is column-major so one column's search
 // structures (at most 2KB of keys plus a small two-level radix table)
 // stay L1-resident for the whole block and the tile writes are
 // sequential. The lower bound runs in total-order key space (v <= cut

@@ -280,6 +280,39 @@ func TestFlatEveryBatchSizeMatches(t *testing.T) {
 	}
 }
 
+// TestFlatCodesMatchBatch: quantizing rows into kept code tiles with
+// Codes, a few rows per fill, and descending them with ScoreCodes writes
+// exactly the bytes ScoreBatch writes, for every model kind, at row
+// counts inside one fill, across fills and across 256-row tiles.
+func TestFlatCodesMatchBatch(t *testing.T) {
+	const n, f = 300, 9
+	x, y, eval := flatTestData(47, n, f)
+	poisonRows(eval, f)
+	for name, k := range flatKinds(t, x, n, f, y) {
+		for _, rows := range []int{1, 7, codeSubRows + 1, 255, 256, 257, n} {
+			want := make([]float64, rows)
+			k.fl.ScoreBatch(eval[:rows*f], rows, want)
+			next := 0
+			codes := k.fl.Codes(rows, func(r0 int, x []float64) {
+				if r0 != next || len(x)%f != 0 || len(x) > codeSubRows*f {
+					t.Fatalf("%s: fill asked for %d values at row %d, after row %d", name, len(x), r0, next)
+				}
+				next += copy(x, eval[r0*f:]) / f
+			})
+			if next != rows || len(codes) != k.fl.codeBytes(rows) {
+				t.Fatalf("%s: %d rows filled into %d code bytes, want %d into %d", name, next, len(codes), rows, k.fl.codeBytes(rows))
+			}
+			got := make([]float64, rows)
+			k.fl.ScoreCodes(codes, rows, got)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s, %d rows: row %d scores %v from codes, %v batched", name, rows, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestFlatBatchShapePanics(t *testing.T) {
 	x, y, _ := flatTestData(51, 100, 4)
 	tree, err := FitTreeBinned(mustBin(t, x, 100, 4), y, nil, TreeConfig(), randx.New(5, 6))
@@ -290,6 +323,9 @@ func TestFlatBatchShapePanics(t *testing.T) {
 	for name, call := range map[string]func(){
 		"short x":   func() { ft.ScoreBatch(x[:7], 2, make([]float64, 2)) },
 		"short out": func() { ft.ScoreBatch(x[:8], 2, make([]float64, 1)) },
+		"short codes": func() {
+			ft.ScoreCodes(make([]uint8, ft.codeBytes(2)-1), 2, make([]float64, 2))
+		},
 	} {
 		func() {
 			defer func() {

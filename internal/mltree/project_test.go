@@ -107,4 +107,11 @@ func TestFlattenProjectedLeafOnly(t *testing.T) {
 			t.Fatalf("row %d scored %v, want 0.75", i, v)
 		}
 	}
+	codes := ft.Codes(3, func(r0 int, x []float64) { copy(x, []float64{5, 6, 7}[r0:]) })
+	ft.ScoreCodes(codes, 3, out)
+	for i, v := range out {
+		if v != 0.75 {
+			t.Fatalf("row %d scored %v from codes, want 0.75", i, v)
+		}
+	}
 }
