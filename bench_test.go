@@ -667,13 +667,24 @@ func benchPredictWalked(b *testing.B, score func(row, probs []float64) float64) 
 	b.ReportMetric(float64(trainBenchN)*float64(b.N)/b.Elapsed().Seconds(), "forecasts/s")
 }
 
-// benchPredictFlat measures the flat engine's one-call batch path.
-func benchPredictFlat(b *testing.B, scoreBatch func(x []float64, n int, out []float64)) {
+// benchPredictFlat measures the flat engine's serving path on a feature
+// cache hit: the rows' code tiles are built once with Codes, from rows
+// holding only the engine's Cols, and each iteration descends them with
+// ScoreCodes.
+func benchPredictFlat(b *testing.B, fl *mltree.Flat) {
 	x, _, _, _ := trainBenchData(b)
+	cols := fl.Cols()
+	codes := fl.Codes(trainBenchN, func(r0 int, dst []float64) {
+		for i := 0; i*len(cols) < len(dst); i++ {
+			for k, c := range cols {
+				dst[i*len(cols)+k] = x[(r0+i)*trainBenchF+int(c)]
+			}
+		}
+	})
 	out := make([]float64, trainBenchN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scoreBatch(x, trainBenchN, out)
+		fl.ScoreCodes(codes, trainBenchN, out)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(trainBenchN)*float64(b.N)/b.Elapsed().Seconds(), "forecasts/s")
@@ -689,7 +700,7 @@ func BenchmarkPredictBatchTreeWalked(b *testing.B) {
 
 func BenchmarkPredictBatchTreeFlat(b *testing.B) {
 	tree, _, _ := predictBenchModels(b)
-	benchPredictFlat(b, mustFlat(b)(tree.Flatten()).ScoreBatch)
+	benchPredictFlat(b, mustFlat(b)(tree.Flatten()))
 }
 
 // mustFlat unwraps a Flatten result: mustFlat(b)(tree.Flatten()).
@@ -712,7 +723,7 @@ func BenchmarkPredictBatchForestWalked(b *testing.B) {
 
 func BenchmarkPredictBatchForestFlat(b *testing.B) {
 	_, forest, _ := predictBenchModels(b)
-	benchPredictFlat(b, mustFlat(b)(forest.Flatten()).ScoreBatch)
+	benchPredictFlat(b, mustFlat(b)(forest.Flatten()))
 }
 
 func BenchmarkPredictBatchGBTWalked(b *testing.B) {
@@ -725,5 +736,5 @@ func BenchmarkPredictBatchGBTWalked(b *testing.B) {
 
 func BenchmarkPredictBatchGBTFlat(b *testing.B) {
 	_, _, gbt := predictBenchModels(b)
-	benchPredictFlat(b, mustFlat(b)(gbt.Flatten()).ScoreBatch)
+	benchPredictFlat(b, mustFlat(b)(gbt.Flatten()))
 }

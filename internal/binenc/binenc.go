@@ -61,16 +61,6 @@ func AppendF64s(b []byte, vs []float64) []byte {
 	return b
 }
 
-// AppendInts appends a u32 count prefix and each value as a u32. A nil
-// slice encodes as count 0 and decodes as nil.
-func AppendInts(b []byte, vs []int) []byte {
-	b = AppendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = AppendU32(b, uint32(v))
-	}
-	return b
-}
-
 // AppendAlign8 zero-pads b to the next multiple of 8 bytes. Offsets are
 // measured from the buffer's start, so when the buffer is a whole
 // artifact file (offset 0 = file byte 0, and an mmap base is page
@@ -336,24 +326,6 @@ func (r *Reader) F64s() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = r.F64()
-	}
-	return out
-}
-
-// Ints reads a slice written by AppendInts (count 0 decodes as nil). The
-// count is validated against the remaining buffer before allocating.
-func (r *Reader) Ints() []int {
-	n := int(r.U32())
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	if n*4 > r.Remaining() {
-		r.fail("u32 count %d exceeds %d remaining bytes", n, r.Remaining())
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(r.U32())
 	}
 	return out
 }

@@ -10,7 +10,8 @@ import (
 	"testing"
 )
 
-// TestBuildAllocatesOnlyOutput: a build, projected or full, allocates its
+// TestBuildAllocatesOnlyOutput: a projected Extract into a caller's
+// buffer allocates nothing, and a full BuildAllSectors allocates its
 // output matrix and nothing per sector or per cell.
 func TestBuildAllocatesOnlyOutput(t *testing.T) {
 	// A collection during the measured runs empties HandCrafted's
@@ -21,15 +22,24 @@ func TestBuildAllocatesOnlyOutput(t *testing.T) {
 	const end, w = 14, 7
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
 		ps := projections(ex.Width(v, w))
-		for _, cols := range [][]int{nil, ps[0], ps[3], ps[4]} {
+		for _, cols := range [][]int32{ps[0], ps[3], ps[4]} {
+			out := make([]float64, len(cols))
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, _, err := BuildAllSectorsCols(v, ex, end, w, cols); err != nil {
-					t.Fatal(err)
+				for i := 0; i < v.Sectors(); i++ {
+					ex.Extract(v, i, end, w, cols, out)
 				}
 			})
-			if allocs > 1 {
-				t.Errorf("%s with %d columns: %v allocations per build, want 1 (the output)", ex.Name(), len(cols), allocs)
+			if allocs != 0 {
+				t.Errorf("%s with %d columns: %v allocations per projected extract of every sector, want 0", ex.Name(), len(cols), allocs)
 			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, _, err := BuildAllSectors(v, ex, end, w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: %v allocations per build, want 1 (the output)", ex.Name(), allocs)
 		}
 	}
 }

@@ -180,7 +180,7 @@ type Extractor interface {
 	// strictly ascending indices below Width, out[k] receiving feature
 	// cols[k]; nil selects all Width of them. In steady state Extract
 	// allocates nothing.
-	Extract(v *View, i, end, w int, cols []int, out []float64)
+	Extract(v *View, i, end, w int, cols []int32, out []float64)
 }
 
 // ByName resolves an extractor from its Name, the inverse used when a
@@ -227,13 +227,13 @@ func (Raw) Name() string { return "raw" }
 func (Raw) Width(v *View, w int) int { return w * timegrid.HoursPerDay * v.Channels() }
 
 // Extract implements Extractor; a projected column is one cell of X.
-func (Raw) Extract(v *View, i, end, w int, cols []int, out []float64) {
+func (Raw) Extract(v *View, i, end, w int, cols []int32, out []float64) {
 	h0, h1 := windowBounds(end, w)
 	ch := v.Channels()
 	sv := v.sector(i)
 	if cols != nil {
 		for k, col := range cols {
-			out[k] = sv.at(h0+col/ch, col%ch)
+			out[k] = sv.at(h0+int(col)/ch, int(col)%ch)
 		}
 		return
 	}
@@ -262,7 +262,7 @@ func (Percentiles) Width(v *View, w int) int { return w * len(percentileLevels) 
 
 // Extract implements Extractor. Features come in (day, channel) groups of
 // five; a projection computes each group it touches once.
-func (Percentiles) Extract(v *View, i, end, w int, cols []int, out []float64) {
+func (Percentiles) Extract(v *View, i, end, w int, cols []int32, out []float64) {
 	ch := v.Channels()
 	np := len(percentileLevels)
 	sv := v.sector(i)
@@ -275,11 +275,11 @@ func (Percentiles) Extract(v *View, i, end, w int, cols []int, out []float64) {
 	var ps [len(percentileLevels)]float64
 	last := -1
 	for k, col := range cols {
-		if g := col / np; g != last {
+		if g := int(col) / np; g != last {
 			dailyPercentiles(&sv, end-w, g, ch, ps[:])
 			last = g
 		}
-		out[k] = ps[col%np]
+		out[k] = ps[int(col)%np]
 	}
 }
 
@@ -327,7 +327,7 @@ var seriesPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // Extract implements Extractor. Features come in per-channel groups of
 // 106; a projection computes each channel it touches once.
-func (HandCrafted) Extract(v *View, i, end, w int, cols []int, out []float64) {
+func (HandCrafted) Extract(v *View, i, end, w int, cols []int32, out []float64) {
 	ch := v.Channels()
 	h0, h1 := windowBounds(end, w)
 	buf := seriesPool.Get().(*[]float64)
@@ -351,12 +351,12 @@ func (HandCrafted) Extract(v *View, i, end, w int, cols []int, out []float64) {
 		var group [handCraftedPerChannel]float64
 		last := -1
 		for k, col := range cols {
-			if c := col / handCraftedPerChannel; c != last {
+			if c := int(col) / handCraftedPerChannel; c != last {
 				fill(c)
 				emitHandCrafted(series, group[:], 0)
 				last = c
 			}
-			out[k] = group[col%handCraftedPerChannel]
+			out[k] = group[int(col)%handCraftedPerChannel]
 		}
 	}
 	seriesPool.Put(buf)
@@ -478,47 +478,13 @@ func BuildMatrix(v *View, ex Extractor, sectors []int, ends []int, w, workers in
 // cache stores and shares between grid points. It is value-identical to
 // BuildMatrix over sectors 0..n-1 with a constant end day.
 func BuildAllSectors(v *View, ex Extractor, end, w int) ([]float64, int, error) {
-	return BuildAllSectorsCols(v, ex, end, w, nil)
-}
-
-// BuildAllSectorsCols is BuildAllSectors projected onto the columns cols
-// (strictly ascending indices below the extractor's Width; nil = all): row
-// i holds sector i's features cols[0], cols[1], ..., bit-identical to
-// gathering them from the full build. The returned width is len(cols), or
-// the full Width for nil. The output matrix is the build's only
-// allocation.
-func BuildAllSectorsCols(v *View, ex Extractor, end, w int, cols []int) ([]float64, int, error) {
 	if err := CheckWindow(v, end, w); err != nil {
 		return nil, 0, err
 	}
-	width := ex.Width(v, w)
-	if cols != nil {
-		if err := CheckCols(cols, width); err != nil {
-			return nil, 0, err
-		}
-		width = len(cols)
-	}
-	n := v.Sectors()
+	n, width := v.Sectors(), ex.Width(v, w)
 	out := make([]float64, n*width)
 	for i := 0; i < n; i++ {
-		ex.Extract(v, i, end, w, cols, out[i*width:(i+1)*width])
+		ex.Extract(v, i, end, w, nil, out[i*width:(i+1)*width])
 	}
 	return out, width, nil
-}
-
-// CheckCols validates a column projection of a width-wide feature vector:
-// at least one column, strictly ascending, all below width.
-func CheckCols(cols []int, width int) error {
-	if len(cols) == 0 {
-		return fmt.Errorf("features: empty column projection")
-	}
-	for k, col := range cols {
-		if col < 0 || col >= width {
-			return fmt.Errorf("features: column %d outside width %d", col, width)
-		}
-		if k > 0 && col <= cols[k-1] {
-			return fmt.Errorf("features: columns not strictly ascending at %d (%d after %d)", k, col, cols[k-1])
-		}
-	}
-	return nil
 }

@@ -467,25 +467,25 @@ func nanHeavyView(t testing.TB) *View {
 // last columns alone, isolated columns between runs, runs straddling the
 // percentile (5) and hand-crafted (106) group boundaries, a sparse stride,
 // and every column.
-func projections(width int) [][]int {
-	pick := func(cs ...int) []int {
-		var out []int
+func projections(width int) [][]int32 {
+	pick := func(cs ...int) []int32 {
+		var out []int32
 		for _, c := range cs {
-			if c >= 0 && c < width && (len(out) == 0 || c > out[len(out)-1]) {
-				out = append(out, c)
+			if c >= 0 && c < width && (len(out) == 0 || int32(c) > out[len(out)-1]) {
+				out = append(out, int32(c))
 			}
 		}
 		return out
 	}
-	all := make([]int, width)
-	stride := []int{}
+	all := make([]int32, width)
+	stride := []int32{}
 	for c := range all {
-		all[c] = c
+		all[c] = int32(c)
 		if c%37 == 3 {
-			stride = append(stride, c)
+			stride = append(stride, int32(c))
 		}
 	}
-	return [][]int{
+	return [][]int32{
 		pick(0),
 		pick(width - 1),
 		pick(0, width-1),
@@ -495,44 +495,25 @@ func projections(width int) [][]int {
 	}
 }
 
-// TestProjectedBuildMatchesGather: a projected build equals gathering its
-// columns from the full build, bit for bit, for every extractor.
+// TestProjectedBuildMatchesGather: a projected Extract equals gathering
+// its columns from the full Extract, bit for bit, for every extractor.
 func TestProjectedBuildMatchesGather(t *testing.T) {
 	v := nanHeavyView(t)
 	const end, w = 14, 7
-	n := v.Sectors()
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
-		full, width, err := BuildAllSectors(v, ex, end, w)
-		if err != nil {
-			t.Fatal(err)
-		}
+		width := ex.Width(v, w)
+		full := make([]float64, width)
 		for _, cols := range projections(width) {
-			got, k, err := BuildAllSectorsCols(v, ex, end, w, cols)
-			if err != nil {
-				t.Fatalf("%s: %v", ex.Name(), err)
-			}
-			if k != len(cols) || len(got) != n*k {
-				t.Fatalf("%s: projected shape %d x %d, want %d x %d", ex.Name(), len(got)/max(k, 1), k, n, len(cols))
-			}
-			for i := 0; i < n; i++ {
-				for j, c := range cols {
-					if a, b := got[i*k+j], full[i*width+c]; math.Float64bits(a) != math.Float64bits(b) {
+			got := make([]float64, len(cols))
+			for i := 0; i < v.Sectors(); i++ {
+				ex.Extract(v, i, end, w, nil, full)
+				ex.Extract(v, i, end, w, cols, got)
+				for k, c := range cols {
+					if a, b := got[k], full[c]; math.Float64bits(a) != math.Float64bits(b) {
 						t.Fatalf("%s: sector %d column %d: projected %v, full %v", ex.Name(), i, c, a, b)
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestProjectedBuildRejectsBadColumns: a projection must be non-empty,
-// strictly ascending and inside the width.
-func TestProjectedBuildRejectsBadColumns(t *testing.T) {
-	v := tinyView(t)
-	width := Raw{}.Width(v, 2)
-	for _, cols := range [][]int{{}, {3, 3}, {4, 2}, {-1}, {width}} {
-		if _, _, err := BuildAllSectorsCols(v, Raw{}, 5, 2, cols); err == nil {
-			t.Errorf("columns %v accepted", cols)
 		}
 	}
 }

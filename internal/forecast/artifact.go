@@ -163,21 +163,18 @@ func (a *baselineArtifact) PredictInto(c *Context, t, w int, dst []float64) ([]f
 
 // classifierArtifact is a fitted tree-based model: the compiled flat
 // inference engine (see mltree/flat.go) plus the feature representation
-// needed to rebuild its input. Fit flattens the learner against the
-// features it splits on and keeps only the engine; decode reads the
-// engine straight from the envelope. Predict quantizes just those
-// columns of every sector into the engine's code tiles, caches them, and
-// scores the whole sector block per tree pass with zero per-sector
-// allocation.
+// needed to rebuild its input. Fit flattens the learner and keeps only
+// the engine; decode reads the engine straight from the envelope. The
+// engine's NumFeatures is the trained feature-vector length, and its
+// Cols are the features it splits on. Predict extracts and quantizes
+// just those columns of every sector into the engine's code tiles,
+// caches them, and scores the whole sector block per tree pass with
+// zero per-sector allocation.
 type classifierArtifact struct {
 	artifactMeta
 	kind      uint8
 	extractor features.Extractor
-	width     int // trained feature-vector length; Predict windows must match
-	// cols are the ascending feature indices, out of width, the engine
-	// reads: its NumFeatures is len(cols) and its rows hold only these.
-	cols   []int
-	engine *mltree.Flat
+	engine    *mltree.Flat
 	// importances of the fit (mean decrease in impurity); nil for GBT.
 	importances []float64
 	// backing keeps an mmap'd artifact file alive while the flat engine
@@ -201,16 +198,15 @@ func (a *classifierArtifact) FlatBytes() int64 { return a.engine.FlatBytes() }
 
 // FeaturesRead is how many feature columns Predict extracts and
 // quantizes: the distinct features the model splits on.
-func (a *classifierArtifact) FeaturesRead() int { return len(a.cols) }
+func (a *classifierArtifact) FeaturesRead() int { return len(a.engine.Cols()) }
 
 // FeatureWidth is the extractor's full feature-vector length at the
 // artifact's window, of which Predict reads FeaturesRead columns.
-func (a *classifierArtifact) FeatureWidth() int { return a.width }
+func (a *classifierArtifact) FeatureWidth() int { return a.engine.NumFeatures }
 
 // Bytes implements Trained.
 func (a *classifierArtifact) Bytes() int64 {
-	return int64(160) + int64(len(a.importances))*8 + int64(len(a.cols))*8 +
-		a.FlatBytes()
+	return int64(160) + int64(len(a.importances))*8 + a.FlatBytes()
 }
 
 // Predict implements Trained: fetch from the feature cache (or build) the
@@ -233,9 +229,9 @@ func (a *classifierArtifact) PredictInto(c *Context, t, w int, dst []float64) ([
 	if w != a.w {
 		return nil, fmt.Errorf("forecast: %s artifact trained with window w=%d, asked to predict with w=%d", a.name, a.w, w)
 	}
-	if got := a.extractor.Width(c.View, w); got != a.width {
+	if got := a.extractor.Width(c.View, w); got != a.engine.NumFeatures {
 		return nil, fmt.Errorf("forecast: %s artifact trained on %d features, window w=%d yields %d",
-			a.name, a.width, w, got)
+			a.name, a.engine.NumFeatures, w, got)
 	}
 	f0 := time.Now()
 	key := featcache.Key{Extractor: a.extractor.Name(), End: t, W: w, Engine: a.engine.ID()}
@@ -251,15 +247,16 @@ func (a *classifierArtifact) PredictInto(c *Context, t, w int, dst []float64) ([
 	return out, nil
 }
 
-// codes extracts the artifact's columns of every sector for the window
+// codes extracts the engine's columns of every sector for the window
 // ending at t, a few sectors at a time, and quantizes them straight into
 // the engine's code tiles (mltree.Flat.Codes). PredictInto has checked
 // the window.
 func (a *classifierArtifact) codes(c *Context, t, w int) *featcache.Matrix {
-	n, k := c.Sectors(), len(a.cols)
+	n, cols := c.Sectors(), a.engine.Cols()
+	k := len(cols)
 	codes := a.engine.Codes(n, func(r0 int, x []float64) {
 		for i := 0; i*k < len(x); i++ {
-			a.extractor.Extract(c.View, r0+i, t, w, a.cols, x[i*k:(i+1)*k])
+			a.extractor.Extract(c.View, r0+i, t, w, cols, x[i*k:(i+1)*k])
 		}
 	})
 	return &featcache.Matrix{Codes: codes, Rows: n}
@@ -287,15 +284,17 @@ var artifactMagic = [4]byte{'H', 'O', 'T', 'M'}
 // writes and reads. The envelope opens with a fixed 42-byte integrity block
 // (see integrity.go) carrying the payload-section offset and per-section
 // content checksums, so the load path verifies the whole file in one
-// streaming pass before aliasing anything. A classifier's meta section
-// carries the feature columns its engine reads (version 5). Classifier
-// payloads are the compiled flat engine's own arrays as 8-byte-aligned
-// little-endian sections (aligned from the file's first byte), so a decode
-// over an aligned buffer — in particular a memory-mapped file — aliases
-// the sections in place and costs O(1) in the node count. Version 6 made
-// that payload the quantized-code engine alone: its code-column map and
-// cut tables, with no float node section.
-const ArtifactVersion uint16 = 6
+// streaming pass before aliasing anything. Classifier payloads are the
+// compiled flat engine's own arrays as 8-byte-aligned little-endian
+// sections (aligned from the file's first byte), so a decode over an
+// aligned buffer — in particular a memory-mapped file — aliases the
+// sections in place and costs O(1) in the node count. Version 6 made that
+// payload the quantized-code engine alone: its code-column map and cut
+// tables, with no float node section. Version 7 made the engine's code
+// columns the only record of the features Predict builds: the meta
+// section no longer carries a feature width or a column list, and the
+// engine's NumFeatures is the trained feature-vector length.
+const ArtifactVersion uint16 = 7
 
 // EncodeModel serializes a trained artifact to the versioned binary
 // format. Decoding the result with DecodeModel yields an artifact whose
@@ -331,8 +330,6 @@ func EncodeModel(tr Trained) ([]byte, error) {
 		// which is why DecodeModel reads with a whole-file Reader rather
 		// than slicing the magic off.
 		b = binenc.AppendString(b, ca.extractor.Name())
-		b = binenc.AppendU32(b, uint32(ca.width))
-		b = binenc.AppendInts(b, ca.cols)
 		b = binenc.AppendF64s(b, ca.importances)
 		payloadOff = len(b)
 		b = ca.engine.AppendBinary(b)
@@ -401,8 +398,6 @@ func decodeModel(data []byte, trusted bool) (Trained, error) {
 	case kindTree, kindForest, kindGBT:
 		a := &classifierArtifact{artifactMeta: meta, kind: kind}
 		exName := r.String()
-		a.width = int(r.U32())
-		a.cols = r.Ints()
 		a.importances = r.F64s()
 		if err := r.Err(); err != nil {
 			return nil, err
@@ -412,22 +407,15 @@ func decodeModel(data []byte, trusted bool) (Trained, error) {
 			return nil, err
 		}
 		a.extractor = ex
-		if a.width < 1 {
-			return nil, fmt.Errorf("forecast: artifact has invalid feature width %d", a.width)
-		}
-		if err := features.CheckCols(a.cols, a.width); err != nil {
-			return nil, fmt.Errorf("forecast: artifact columns: %w", err)
-		}
+		// DecodeFlat checks that the engine reads at least one feature and
+		// that its code columns are strictly ascending features below
+		// NumFeatures; PredictInto compares NumFeatures with the window's
+		// feature width.
 		if a.engine, err = mltree.DecodeFlat(r, trusted); err != nil {
 			return nil, err
 		}
 		if want := kindPost[kind]; a.engine.Post() != want {
 			return nil, fmt.Errorf("forecast: artifact kind %d carries an engine with post-step %d, want %d", kind, a.engine.Post(), want)
-		}
-		// Predict extracts len(cols)-wide rows for the engine to quantize;
-		// a mismatch would misread them, so reject it at decode.
-		if a.engine.NumFeatures != len(a.cols) {
-			return nil, fmt.Errorf("forecast: artifact reads %d columns but its learner has %d features", len(a.cols), a.engine.NumFeatures)
 		}
 		tr = a
 	default:

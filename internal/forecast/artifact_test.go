@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/binenc"
 )
 
 // artifactModels returns one instance of every model kind, with the GBT
@@ -250,76 +252,102 @@ func TestClassifierArtifactRejectsMismatchedWindow(t *testing.T) {
 	}
 }
 
-// TestArtifactDecodeRejectsWidthMismatch: an artifact whose width field
-// no longer covers the columns its learner reads would gather features
-// the model never saw; decode must reject it instead.
+// engineEnvelope encodes the classifier tr and locates its engine in the
+// envelope: the byte offsets of the engine's NumFeatures word and of its
+// first code column (the flat codec's layout: NumFeatures, post-step,
+// base, roots, phase bounds, then the code columns), and the columns.
+func engineEnvelope(t testing.TB, tr Trained) (data []byte, featOff, colOff int, cols []int32) {
+	t.Helper()
+	data, err := EncodeModel(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	featOff = int(binary.LittleEndian.Uint32(data[envOffPayload:]))
+	r := binenc.NewReader(data)
+	r.Skip(featOff)
+	r.U32()
+	r.U8()
+	r.F64()
+	r.I32sZeroCopy()
+	r.I32sZeroCopy()
+	cols = slices.Clone(r.I32sZeroCopy())
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return data, featOff, len(data) - r.Remaining() - 4*len(cols), cols
+}
+
+// restamped returns a copy of data changed by mutate, with the envelope's
+// section checksums stamped over the change, so only decode's structural
+// checks stand between it and Predict.
+func restamped(data []byte, mutate func(b []byte)) []byte {
+	b := slices.Clone(data)
+	mutate(b)
+	stampEnvelope(b, int(binary.LittleEndian.Uint32(b[envOffPayload:])))
+	return b
+}
+
+// TestArtifactDecodeRejectsWidthMismatch: the engine's NumFeatures is the
+// trained feature width. An engine that reads no feature fails decode.
+// One whose width differs from its extractor's at the artifact's window
+// decodes (decode cannot see the window), but Predict refuses it rather
+// than score features the model never saw.
 func TestArtifactDecodeRejectsWidthMismatch(t *testing.T) {
 	c := testContext(t, 80, 8, 41)
 	tr, err := NewTreeModel().Fit(c, BeHot, 28, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	art := *(tr.(*classifierArtifact))
-	art.width = art.cols[len(art.cols)-1] // the last column falls outside
-	data, err := EncodeModel(&art)
+	width := tr.(*classifierArtifact).FeatureWidth()
+	data, featOff, _, _ := engineEnvelope(t, tr)
+	none := restamped(data, func(b []byte) { binary.LittleEndian.PutUint32(b[featOff:], 0) })
+	if _, err := DecodeModel(none); err == nil || !strings.Contains(err.Error(), "reads 0 features") {
+		t.Fatalf("engine of 0 features accepted (err=%v)", err)
+	}
+	wider := restamped(data, func(b []byte) { binary.LittleEndian.PutUint32(b[featOff:], uint32(width+1)) })
+	got, err := DecodeModel(wider)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeModel(data); err == nil || !strings.Contains(err.Error(), "width") {
-		t.Fatalf("width/column mismatch accepted (err=%v)", err)
+	want := fmt.Sprintf("trained on %d features, window w=3 yields %d", width+1, width)
+	if _, err := got.Predict(c, 28, 3); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("width mismatch accepted (err=%v, want %q)", err, want)
 	}
 }
 
 // corruptColumnArtifacts re-encodes a fitted forest with each way its
-// column list can disagree with the envelope's invariants. Every envelope
-// carries valid checksums, so only decode's structural checks stand
-// between it and a panic in Predict.
+// engine's code columns can break the projection's invariants: strictly
+// ascending features below NumFeatures. Every envelope carries valid
+// checksums, so only decode's structural checks stand between it and a
+// panic in Predict.
 func corruptColumnArtifacts(t testing.TB, tr Trained) map[string][]byte {
 	t.Helper()
-	ca := tr.(*classifierArtifact)
-	if len(ca.cols) < 2 {
-		t.Fatalf("need at least 2 columns to corrupt, artifact reads %d", len(ca.cols))
+	data, featOff, colOff, cols := engineEnvelope(t, tr)
+	n := len(cols)
+	if n < 2 {
+		t.Fatalf("need at least 2 columns to corrupt, artifact reads %d", n)
 	}
-	n := len(ca.cols)
-	swapped := slices.Clone(ca.cols)
-	swapped[0], swapped[1] = swapped[1], swapped[0]
-	repeated := slices.Clone(ca.cols)
-	repeated[1] = repeated[0]
-	outside := slices.Clone(ca.cols)
-	outside[n-1] = ca.width
-	// One well-formed column more than the engine reads.
-	more := slices.Clone(ca.cols)
-	for j := 0; j < ca.width; j++ {
-		if !slices.Contains(ca.cols, j) {
-			more = append(more, j)
-			break
-		}
+	col := func(k int, v int32) func(b []byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint32(b[colOff+4*k:], uint32(v)) }
 	}
-	slices.Sort(more)
-	cases := map[string][]int{
-		"empty":      nil,
-		"descending": swapped,
-		"repeated":   repeated,
-		"outside":    outside,
-		"fewer":      ca.cols[:n-1],
-		"more":       more,
+	cases := map[string]func(b []byte){
+		"descending": func(b []byte) { col(0, cols[1])(b); col(1, cols[0])(b) },
+		"repeated":   col(1, cols[0]),
+		"negative":   col(0, -1),
+		"outside":    col(n-1, int32(tr.(*classifierArtifact).FeatureWidth())),
+		"far past":   col(n-1, math.MaxInt32),
+		"narrower":   func(b []byte) { binary.LittleEndian.PutUint32(b[featOff:], uint32(cols[n-1])) },
 	}
 	out := map[string][]byte{}
-	for name, cols := range cases {
-		art := *ca
-		art.cols = cols
-		data, err := EncodeModel(&art)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		out[name] = data
+	for name, mutate := range cases {
+		out[name] = restamped(data, mutate)
 	}
 	return out
 }
 
-// TestArtifactDecodeRejectsBadColumns: a classifier's column list must be
-// non-empty, strictly ascending, inside the feature width, and exactly as
-// long as its engine's feature count.
+// TestArtifactDecodeRejectsBadColumns: an engine's code columns must be
+// strictly ascending features below its NumFeatures, at either trust
+// level.
 func TestArtifactDecodeRejectsBadColumns(t *testing.T) {
 	c := testContext(t, 80, 8, 41)
 	c.ForestTrees = 3
@@ -329,7 +357,10 @@ func TestArtifactDecodeRejectsBadColumns(t *testing.T) {
 	}
 	for name, data := range corruptColumnArtifacts(t, tr) {
 		if _, err := DecodeModel(data); err == nil || !strings.Contains(err.Error(), "column") {
-			t.Errorf("%s: corrupt column list accepted (err=%v)", name, err)
+			t.Errorf("%s: corrupt code columns accepted (err=%v)", name, err)
+		}
+		if _, err := decodeModel(data, true); err == nil || !strings.Contains(err.Error(), "column") {
+			t.Errorf("%s: corrupt code columns accepted on the trusted path (err=%v)", name, err)
 		}
 	}
 }
@@ -383,7 +414,7 @@ func TestArtifactFingerprintRoundTrip(t *testing.T) {
 func TestArtifactRejectsForeignVersions(t *testing.T) {
 	data := encodeTestArtifact(t)
 	dir := t.TempDir()
-	for _, v := range []uint16{0, 1, 2, 3, 4, 5, ArtifactVersion + 1} {
+	for _, v := range []uint16{0, 1, 2, 3, 4, 5, 6, ArtifactVersion + 1} {
 		t.Run(fmt.Sprintf("version-%d", v), func(t *testing.T) {
 			mut := append([]byte(nil), data...)
 			binary.LittleEndian.PutUint16(mut[4:], v)

@@ -166,7 +166,6 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 		weights = mltree.BalancedWeights(labels)
 	}
 	var bin *mltree.Binned
-	var width int
 	if allSectors {
 		// One training build per (extractor, cutoff, w), shared by every
 		// tree, boosting round and model via the cache.
@@ -174,7 +173,7 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 		if err != nil {
 			return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
 		}
-		bin, width = mat.Bin, mat.Width
+		bin = mat.Bin
 	} else {
 		// Subset rows are bespoke: build and quantize them privately,
 		// bypassing the all-sector cache.
@@ -186,10 +185,9 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 		if bin, err = mltree.Bin(x, len(sectors), wd, c.FitWorkers); err != nil {
 			return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
 		}
-		width = wd
 	}
 
-	art := &classifierArtifact{artifactMeta: meta, extractor: m.Extractor, width: width}
+	art := &classifierArtifact{artifactMeta: meta, extractor: m.Extractor}
 	seed := c.Seed ^ uint64(t)<<24 ^ uint64(h)<<12 ^ uint64(w)
 	var learner walkedLearner
 	var err error
@@ -200,7 +198,7 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 			return nil, nil, fmt.Errorf("forecast: fitting tree: %w", err)
 		}
 		art.kind = kindTree
-		art.engine, art.cols, err = tree.FlattenProjected()
+		art.engine, err = tree.Flatten()
 		art.importances = tree.Importances()
 		learner = tree
 	} else {
@@ -216,7 +214,7 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 			return nil, nil, fmt.Errorf("forecast: fitting forest: %w", err)
 		}
 		art.kind = kindForest
-		art.engine, art.cols, err = forest.FlattenProjected()
+		art.engine, err = forest.Flatten()
 		art.importances = forest.Importances()
 		learner = forest
 	}

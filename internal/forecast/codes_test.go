@@ -101,7 +101,7 @@ func TestPredictCodesBitIdentical(t *testing.T) {
 				walked := make([]float64, n)
 				probs := make([]float64, 2)
 				for i := range walked {
-					learner.PredictProbaInto(full.Data[i*a.width:(i+1)*a.width], probs)
+					learner.PredictProbaInto(full.Data[i*a.FeatureWidth():(i+1)*a.FeatureWidth()], probs)
 					walked[i] = probs[1]
 				}
 
@@ -124,17 +124,20 @@ func TestPredictCodesBitIdentical(t *testing.T) {
 	}
 }
 
-// stumpArtifact is a one-split Tree artifact over feature col of ex at
-// window w, fitted on x (one value per sector) to the label x > cut.
+// stumpArtifact is a one-split Tree artifact over feature col of ex's
+// width-wide vector at window w, fitted on rows that hold x (one value per
+// sector) in column col and zeros elsewhere, to the label x > cut.
 func stumpArtifact(t *testing.T, ex features.Extractor, width, col, w int, x []float64, cut float64) (*classifierArtifact, *mltree.Tree) {
 	t.Helper()
 	y := make([]int, len(x))
+	rows := make([]float64, len(x)*width)
 	for i, v := range x {
+		rows[i*width+col] = v
 		if v > cut {
 			y[i] = 1
 		}
 	}
-	bn, err := mltree.Bin(x, len(x), 1, 1)
+	bn, err := mltree.Bin(rows, len(x), width, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func stumpArtifact(t *testing.T, ex features.Extractor, width, col, w int, x []f
 		t.Fatal(err)
 	}
 	return &classifierArtifact{artifactMeta: artifactMeta{name: "Tree", w: w, h: 1, fp: 1},
-		kind: kindTree, extractor: ex, width: width, cols: []int{col}, engine: fl}, tree
+		kind: kindTree, extractor: ex, engine: fl}, tree
 }
 
 // TestCodeEntriesKeyedByEngine: two artifacts that read the same column
@@ -184,14 +187,14 @@ func TestCodeEntriesKeyedByEngine(t *testing.T) {
 	slices.Sort(sorted)
 	a, ta := stumpArtifact(t, ex, full.Width, col, w, x, sorted[n/2])
 	b, tb := stumpArtifact(t, ex, full.Width, col, w, x, sorted[3*n/4])
-	if !slices.Equal(a.cols, b.cols) {
-		t.Fatalf("artifacts read columns %v and %v, want the same", a.cols, b.cols)
+	if ca, cb := a.engine.Cols(), b.engine.Cols(); len(ca) != 1 || int(ca[0]) != col || !slices.Equal(ca, cb) {
+		t.Fatalf("artifacts read columns %v and %v, want [%d] both", ca, cb, col)
 	}
 
 	walk := func(tree *mltree.Tree) []float64 {
 		out, probs := make([]float64, n), make([]float64, 2)
 		for i := range out {
-			tree.PredictProbaInto(x[i:i+1], probs)
+			tree.PredictProbaInto(full.Data[i*full.Width:(i+1)*full.Width], probs)
 			out[i] = probs[1]
 		}
 		return out

@@ -60,13 +60,13 @@ func TestArtifactFlatMatchesWalked(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: prediction matrix: %v", name, err)
 		}
-		if len(flat) != c.Sectors() || len(pmat.Data) != c.Sectors()*ca.width {
+		if len(flat) != c.Sectors() || len(pmat.Data) != c.Sectors()*ca.FeatureWidth() {
 			t.Fatalf("%s: shape mismatch: flat %d, matrix %d, sectors %d x width %d",
-				name, len(flat), len(pmat.Data), c.Sectors(), ca.width)
+				name, len(flat), len(pmat.Data), c.Sectors(), ca.FeatureWidth())
 		}
 		probs := make([]float64, 2)
 		for i := range flat {
-			learner.PredictProbaInto(pmat.Data[i*ca.width:(i+1)*ca.width], probs)
+			learner.PredictProbaInto(pmat.Data[i*ca.FeatureWidth():(i+1)*ca.FeatureWidth()], probs)
 			if flat[i] != probs[1] {
 				t.Fatalf("%s: sector %d: flat %v, walked %v", name, i, flat[i], probs[1])
 			}

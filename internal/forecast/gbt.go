@@ -76,12 +76,11 @@ func (m *GBTModel) fitLearner(c *Context, target Target, t, h, w int) (Trained, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("forecast: fitting GBT: %w", err)
 	}
-	fg, cols, err := g.FlattenProjected()
+	fg, err := g.Flatten()
 	if err != nil {
 		return nil, nil, fmt.Errorf("forecast: compiling GBT: %w", err)
 	}
-	return &classifierArtifact{artifactMeta: meta, kind: kindGBT, extractor: m.Extractor, width: mat.Width,
-		cols: cols, engine: fg}, g, nil
+	return &classifierArtifact{artifactMeta: meta, kind: kindGBT, extractor: m.Extractor, engine: fg}, g, nil
 }
 
 // Forecast implements Model: the Fit+Predict shim, with fits served from

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -14,9 +13,8 @@ import (
 // This file is the batched flat inference engine. Flatten compiles a
 // fitted Tree, Forest or GBT into one contiguous block of packed node
 // words that compare one-byte codes instead of floats. Scoring is two
-// steps: quantize rows into code tiles, then descend the tiles. ScoreBatch
-// does both per block through a pooled tile without allocating; Codes
-// quantizes rows into tiles a caller keeps, and ScoreCodes descends them.
+// steps, the engine's one path: Codes quantizes rows into code tiles a
+// caller keeps, and ScoreCodes descends them.
 //
 // Collect a feature's distinct split thresholds into an ascending cut
 // array and quantize a raw value to its lower-bound index
@@ -34,9 +32,10 @@ import (
 //
 // A code is one byte, so a feature holds at most 255 cuts (codes 0..255,
 // NaN included) — as many as the training engine's bin boundaries ever
-// produce. Each feature the model splits on is one code column; src maps
-// code column to input column. Features the model never splits on get no
-// column and are never read, and a feature with more cuts is refused.
+// produce. Each feature the model splits on is one code column, and src,
+// exposed as Cols, lists those features in ascending order: the rows
+// Codes quantizes hold just these values, so a feature the model never
+// splits on is never built, and a feature with more cuts is refused.
 //
 // Nodes use a sibling-pair layout: an internal node's two children
 // always occupy adjacent slots, so the descent step is an add of the
@@ -89,7 +88,9 @@ const (
 
 // Flat is a fitted Tree, Forest or GBT compiled into the flat layout.
 type Flat struct {
-	// NumFeatures is the width of the rows ScoreBatch reads.
+	// NumFeatures is the learner's input width: Cols lists features
+	// below it. The engine reads Cols-wide rows, so this serves only to
+	// validate them against the feature vector they come from.
 	NumFeatures int
 	post        Post
 	base        float64 // every row's sum starts here: 0, or a GBT's prior
@@ -100,7 +101,7 @@ type Flat struct {
 	// first test); self-looping leaves make any count safe.
 	phase1   []int32
 	leafVals []float64 // pooled per-leaf payload: class-1 prob or shrunk stage value
-	src      []int32   // code column -> input column, strictly ascending
+	src      []int32   // code column -> input feature, strictly ascending (Cols)
 	cuts     []float64 // concatenated ascending per-column cut values
 	cutOff   []int32   // len(src)+1; column c's cuts are cuts[cutOff[c]:cutOff[c+1]]
 
@@ -272,15 +273,14 @@ func compileFlat(f int, post Post, base float64, trees [][]splitNode, padCap int
 	return fl, nil
 }
 
-// splitNodes lists the tree's nodes for the compiler, with each split
-// feature mapped through index (nil keeps them) and each leaf carrying
+// splitNodes lists the tree's nodes for the compiler, each leaf carrying
 // scale*value: a classifier's class-1 probability at scale 1, or a
 // boosting stage's shrinkage*value, the walked path's per-stage addend
 // (the product of the same two floats).
-func (t *Tree) splitNodes(index []int32, scale float64) []splitNode {
+func (t *Tree) splitNodes(scale float64) []splitNode {
 	out := make([]splitNode, len(t.nodes))
 	for i, nd := range t.nodes {
-		out[i] = splitNode{feature: remap(index, nd.feature), threshold: nd.threshold, left: nd.left, right: nd.right}
+		out[i] = splitNode{feature: nd.feature, threshold: nd.threshold, left: nd.left, right: nd.right}
 		if nd.feature < 0 {
 			out[i].leaf = scale * nd.value
 		}
@@ -288,105 +288,27 @@ func (t *Tree) splitNodes(index []int32, scale float64) []splitNode {
 	return out
 }
 
-// remap maps a split feature through index; leaves (-1) and a nil index
-// keep it.
-func remap(index []int32, feature int32) int32 {
-	if feature < 0 || index == nil {
-		return feature
-	}
-	return index[feature]
-}
-
 // Flatten compiles the tree into the flat layout.
-func (t *Tree) Flatten() (*Flat, error) { return t.flatten(nil, t.NumFeatures) }
-
-func (t *Tree) flatten(index []int32, f int) (*Flat, error) {
-	return compileFlat(f, PostNone, 0, [][]splitNode{t.splitNodes(index, 1)}, forestPadDepth)
+func (t *Tree) Flatten() (*Flat, error) {
+	return compileFlat(t.NumFeatures, PostNone, 0, [][]splitNode{t.splitNodes(1)}, forestPadDepth)
 }
 
 // Flatten compiles the forest into the flat layout.
-func (fo *Forest) Flatten() (*Flat, error) { return fo.flatten(nil, fo.NumFeatures) }
-
-func (fo *Forest) flatten(index []int32, f int) (*Flat, error) {
+func (fo *Forest) Flatten() (*Flat, error) {
 	trees := make([][]splitNode, len(fo.Trees))
 	for i, t := range fo.Trees {
-		trees[i] = t.splitNodes(index, 1)
+		trees[i] = t.splitNodes(1)
 	}
-	return compileFlat(f, PostMean, 0, trees, forestPadDepth)
+	return compileFlat(fo.NumFeatures, PostMean, 0, trees, forestPadDepth)
 }
 
 // Flatten compiles the boosted ensemble into the flat layout.
-func (g *GBT) Flatten() (*Flat, error) { return g.flatten(nil, g.NumFeatures) }
-
-func (g *GBT) flatten(index []int32, f int) (*Flat, error) {
+func (g *GBT) Flatten() (*Flat, error) {
 	stages := make([][]splitNode, len(g.trees))
 	for i, t := range g.trees {
-		stages[i] = t.splitNodes(index, g.shrinkage)
+		stages[i] = t.splitNodes(g.shrinkage)
 	}
-	return compileFlat(f, PostLogistic, g.prior, stages, math.MaxInt32)
-}
-
-// codeTiles recycles code tiles across batch calls so the steady state
-// allocates nothing. Class k holds tiles for up to 2^k code columns (k <=
-// 15, since code columns stay below flatMaxCols): one pool shared by
-// models of different sizes would keep trading undersized tiles for new
-// ones. Each class keeps its last idle tile outside the sync.Pool, because
-// a pooled tile sits in the putting P's private slot, where a Get on
-// another P cannot see it: a goroutine that migrates between Ps would
-// otherwise reallocate the tile now and then.
-var codeTiles [16]struct {
-	last atomic.Pointer[[]uint8]
-	pool sync.Pool
-}
-
-// getCodeTile returns a tile of class k: (1<<k) x flatRowBlock bytes.
-func getCodeTile(k int) *[]uint8 {
-	c := &codeTiles[k]
-	if p := c.last.Swap(nil); p != nil {
-		return p
-	}
-	if p, ok := c.pool.Get().(*[]uint8); ok {
-		return p
-	}
-	cb := make([]uint8, (1<<k)*flatRowBlock)
-	return &cb
-}
-
-// putCodeTile returns a tile got from getCodeTile(k).
-func putCodeTile(k int, p *[]uint8) {
-	c := &codeTiles[k]
-	if !c.last.CompareAndSwap(nil, p) {
-		c.pool.Put(p)
-	}
-}
-
-// ScoreBatch writes each row's score into out[i] for the n x NumFeatures
-// row-major block x: a lone tree's or a forest's class-1 probability, or
-// a GBT's P(class 1). Bit-identical to the walked learner's
-// PredictProbaInto(row)[1]; allocates nothing.
-func (fl *Flat) ScoreBatch(x []float64, n int, out []float64) {
-	f := fl.NumFeatures
-	if n < 0 || len(x) != n*f {
-		panic(fmt.Sprintf("mltree: batch of %d values is not %d rows x %d features", len(x), n, f))
-	}
-	if len(out) < n {
-		panic(fmt.Sprintf("mltree: batch output of %d values for %d rows", len(out), n))
-	}
-	k := bits.Len(uint(len(fl.src)))
-	ct := getCodeTile(k)
-	defer putCodeTile(k, ct)
-	cb := *ct
-	start := time.Now()
-	var quant time.Duration
-	for i0 := 0; i0 < n; i0 += flatRowBlock {
-		rows := min(flatRowBlock, n-i0)
-		q0 := time.Now()
-		fl.quantize(x[i0*f:], rows, cb)
-		quant += time.Since(q0)
-		fl.descendBlock(cb, out[i0:i0+rows])
-	}
-	quantizeSeconds.ObserveDuration(quant)
-	descendSeconds.ObserveDuration(time.Since(start) - quant)
+	return compileFlat(g.NumFeatures, PostLogistic, g.prior, stages, math.MaxInt32)
 }
 
 // codeBytes is the size of the code tiles holding n rows: one tile of
@@ -394,6 +316,11 @@ func (fl *Flat) ScoreBatch(x []float64, n int, out []float64) {
 func (fl *Flat) codeBytes(n int) int {
 	return (n + flatRowBlock - 1) / flatRowBlock * len(fl.src) * flatRowBlock
 }
+
+// Cols lists the features the engine splits on, ascending: the values
+// each row Codes quantizes holds, in this order. A learner that never
+// splits reads none. The slice is shared and must not be written.
+func (fl *Flat) Cols() []int32 { return fl.src }
 
 // ID names the engine within the process: every compiled or decoded
 // engine gets its own, never reused, so code tiles cached under it are
@@ -403,16 +330,16 @@ func (fl *Flat) ID() uint64 { return fl.id }
 // Codes quantizes n rows into fresh code tiles, the input ScoreCodes
 // descends: one tile per started block of 256 rows, 256 bytes per code
 // column, one byte per code. It asks fill for the rows a few at a
-// time: fill(r0, x) writes rows r0, r0+1, ... row-major into x,
-// NumFeatures values per row, as many rows as x holds. The float
-// scratch x is the call's only allocation besides the tiles, and no
-// float matrix of all n rows ever exists.
+// time: fill(r0, x) writes rows r0, r0+1, ... row-major into x, each
+// holding the row's features Cols()[0], Cols()[1], ..., as many rows as
+// x holds. The float scratch x is the call's only allocation besides
+// the tiles, and no float matrix of all n rows ever exists.
 func (fl *Flat) Codes(n int, fill func(r0 int, x []float64)) []uint8 {
 	codes := make([]uint8, fl.codeBytes(n))
 	if len(codes) == 0 {
 		return codes // no rows, or a split-free engine that reads no codes
 	}
-	f, tile := fl.NumFeatures, len(fl.src)*flatRowBlock
+	f, tile := len(fl.src), len(fl.src)*flatRowBlock
 	x := make([]float64, min(n, codeSubRows)*f)
 	var quant time.Duration
 	for r0 := 0; r0 < n; r0 += codeSubRows {
@@ -426,9 +353,10 @@ func (fl *Flat) Codes(n int, fill func(r0 int, x []float64)) []uint8 {
 	return codes
 }
 
-// ScoreCodes writes each row's score into out[i], as ScoreBatch does, for
-// the n rows whose code tiles Codes(n, ...) returned from this engine.
-// Allocates nothing.
+// ScoreCodes writes each row's score into out[i] for the n rows whose
+// code tiles Codes(n, ...) returned from this engine: a lone tree's or a
+// forest's class-1 probability, or a GBT's P(class 1), bit-identical to
+// the walked learner's PredictProbaInto(row)[1]. Allocates nothing.
 func (fl *Flat) ScoreCodes(codes []uint8, n int, out []float64) {
 	if n < 0 || len(codes) != fl.codeBytes(n) {
 		panic(fmt.Sprintf("mltree: %d code bytes are not the tiles of %d rows x %d code columns", len(codes), n, len(fl.src)))
@@ -447,8 +375,8 @@ func (fl *Flat) ScoreCodes(codes []uint8, n int, out []float64) {
 // descendBlock writes the scores of one block's rows, len(blk) <= 256 of
 // them, from its code tile cb: every tree descends the 8-lane groups,
 // the rows past the last full group descend as one more group into an
-// 8-slot scratch, then each row takes the post-step. This is the one
-// descent loop every scoring path runs.
+// 8-slot scratch, then each row takes the post-step. ScoreCodes runs it
+// once per tile.
 func (fl *Flat) descendBlock(cb []uint8, blk []float64) {
 	rows := len(blk)
 	g8 := rows &^ 7
@@ -633,7 +561,8 @@ func buildRadix(keys []uint64, meta *[]uint64, tab *[]uint8) binnedQuant {
 
 // quantize fills the code tile for a row block: cb[c*flatRowBlock+r]
 // is row r's code in code column c, for the first rows rows of the
-// row-major block x. cb may start at a row offset within a tile, as long
+// row-major block x, whose rows hold one value per code column. cb may
+// start at a row offset within a tile, as long
 // as the rows end inside it. Iteration is column-major so one column's search
 // structures (at most 2KB of keys plus a small two-level radix table)
 // stay L1-resident for the whole block and the tile writes are
@@ -648,16 +577,15 @@ func buildRadix(keys []uint64, meta *[]uint64, tab *[]uint8) binnedQuant {
 // so out-of-span rows stay exact), index the exponent's meta word, and
 // resolve in two table loads plus one masked compare; the rest take a
 // borrow-mask binary search. Four rows run concurrently so the load
-// chains pipeline. Only the input columns the model splits on are
-// read, each once.
+// chains pipeline. Every value is read once.
 func (fl *Flat) quantize(x []float64, rows int, cb []uint8) {
-	stride := uintptr(fl.NumFeatures) * 8
+	stride := uintptr(len(fl.src)) * 8
 	xp := unsafe.Pointer(unsafe.SliceData(x))
 	cbp := unsafe.Pointer(unsafe.SliceData(cb))
-	for c, col := range fl.src {
+	for c := range fl.src {
 		kp := unsafe.Pointer(&fl.pkeys[fl.pkOff[c]])
 		dp := unsafe.Add(cbp, c*flatRowBlock)
-		p := unsafe.Add(xp, uintptr(col)*8)
+		p := unsafe.Add(xp, uintptr(c)*8)
 		r := 0
 		m := int(fl.cutOff[c+1] - fl.cutOff[c])
 		if binnedHaveAVX512 && m <= binnedSIMDMaxCuts {

@@ -48,6 +48,26 @@ func mustFlat(t testing.TB) func(*Flat, error) *Flat {
 	}
 }
 
+// colsFill is a Codes fill function for the n rows of x, each
+// NumFeatures wide: it gathers the engine's Cols from them.
+func colsFill(fl *Flat, x []float64) func(r0 int, dst []float64) {
+	f, cols := fl.NumFeatures, fl.Cols()
+	return func(r0 int, dst []float64) {
+		for i := 0; i*len(cols) < len(dst); i++ {
+			for k, c := range cols {
+				dst[i*len(cols)+k] = x[(r0+i)*f+int(c)]
+			}
+		}
+	}
+}
+
+// scoreRows scores n rows of x, each NumFeatures wide, through the
+// engine's one path: Codes over rows holding only Cols(), gathered from
+// x, then ScoreCodes.
+func scoreRows(fl *Flat, x []float64, n int, out []float64) {
+	fl.ScoreCodes(fl.Codes(n, colsFill(fl, x)), n, out)
+}
+
 func TestFlatTreeMatchesWalked(t *testing.T) {
 	x, y, eval := flatTestData(5, 400, 12)
 	tree, err := FitTreeBinned(mustBin(t, x, 400, 12), y, nil, TreeConfig(), randx.New(7, 8))
@@ -60,7 +80,7 @@ func TestFlatTreeMatchesWalked(t *testing.T) {
 	}
 	n := 400
 	scores := make([]float64, n)
-	ft.ScoreBatch(eval, n, scores)
+	scoreRows(ft, eval, n, scores)
 	want := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		tree.PredictProbaInto(eval[i*12:(i+1)*12], want)
@@ -84,7 +104,7 @@ func TestFlatForestMatchesWalked(t *testing.T) {
 	}
 	n := 500
 	scores := make([]float64, n)
-	ff.ScoreBatch(eval, n, scores)
+	scoreRows(ff, eval, n, scores)
 	want := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		fo.PredictProbaInto(eval[i*10:(i+1)*10], want)
@@ -112,7 +132,7 @@ func TestFlatGBTMatchesWalked(t *testing.T) {
 	}
 	n := 600
 	scores := make([]float64, n)
-	fg.ScoreBatch(eval, n, scores)
+	scoreRows(fg, eval, n, scores)
 	want := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		g.PredictProbaInto(eval[i*8:(i+1)*8], want)
@@ -136,7 +156,7 @@ func TestFlatSingleLeaf(t *testing.T) {
 	}
 	ft := mustFlat(t)(tree.Flatten())
 	scores := make([]float64, 3)
-	ft.ScoreBatch(x, 3, scores)
+	scoreRows(ft, x, 3, scores)
 	want := make([]float64, 2)
 	for i := 0; i < 3; i++ {
 		tree.PredictProbaInto(x[i*2:(i+1)*2], want)
@@ -162,12 +182,93 @@ func TestFlatNaNThreshold(t *testing.T) {
 	x := []float64{0, 0, math.Inf(-1), 1, math.NaN(), 0.5, 1, math.NaN(), -1, math.Inf(1)}
 	n := len(x) / 2
 	scores := make([]float64, n)
-	ft.ScoreBatch(x, n, scores)
+	scoreRows(ft, x, n, scores)
 	want := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		tree.PredictProbaInto(x[i*2:(i+1)*2], want)
 		if scores[i] != want[1] {
 			t.Fatalf("row %d %v: flat %v, walked %v", i, x[i*2:(i+1)*2], scores[i], want[1])
+		}
+	}
+}
+
+// TestFlattenProjectedMatchesFlatten: the engine Flatten compiles is
+// its own column projection. It takes every learner's full input width,
+// and Cols lists exactly the features the learner splits on, ascending.
+// Rows holding only those features, gathered from the full rows, score
+// bit-identically to the walked learner on the full rows. 597 rows, some
+// with NaNs, leave a tail past the last 8-lane group and 256-row block.
+func TestFlattenProjectedMatchesFlatten(t *testing.T) {
+	const rows, f, n = 600, 40, 597
+	x, y, eval := flatTestData(101, rows, f)
+	poisonRows(eval, f)
+	check := func(name string, fl *Flat, walked func(row, probs []float64), trees ...*Tree) {
+		t.Helper()
+		var split []int32
+		for _, tr := range trees {
+			for _, nd := range tr.nodes {
+				if nd.feature >= 0 {
+					split = append(split, nd.feature)
+				}
+			}
+		}
+		slices.Sort(split)
+		if cols := fl.Cols(); fl.NumFeatures != f || !slices.Equal(cols, slices.Compact(split)) {
+			t.Fatalf("%s: engine of %d features reads columns %v, want the %d-wide input's split features %v",
+				name, fl.NumFeatures, cols, f, slices.Compact(split))
+		}
+		got := make([]float64, n)
+		scoreRows(fl, eval[:n*f], n, got)
+		probs := make([]float64, 2)
+		for i := range got {
+			walked(eval[i*f:(i+1)*f], probs)
+			if math.Float64bits(got[i]) != math.Float64bits(probs[1]) {
+				t.Fatalf("%s: row %d: flat %v, walked %v", name, i, got[i], probs[1])
+			}
+		}
+	}
+	tree, err := FitTreeBinned(mustBin(t, x, rows, f), y, nil, TreeConfig(), randx.New(3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("tree", mustFlat(t)(tree.Flatten()), tree.PredictProbaInto, tree)
+
+	fcfg := DefaultForestConfig()
+	fcfg.NumTrees = 5
+	fo, err := FitForestBinned(mustBin(t, x, rows, f), y, nil, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("forest", mustFlat(t)(fo.Flatten()), fo.PredictProbaInto, fo.Trees...)
+
+	gcfg := DefaultGBTConfig()
+	gcfg.Rounds = 6
+	gcfg.MaxDepth = 2
+	g, err := FitGBTBinned(mustBin(t, x, rows, f), y, nil, gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fg := mustFlat(t)(g.Flatten())
+	if len(fg.Cols()) >= f {
+		t.Fatalf("gbt: %d shallow stages read all %d features", gcfg.Rounds, f)
+	}
+	check("gbt", fg, g.PredictProbaInto, g.trees...)
+}
+
+// TestFlattenProjectedLeafOnly: a learner that never splits reads no
+// column. Its rows are never asked for, and every row scores the leaf.
+func TestFlattenProjectedLeafOnly(t *testing.T) {
+	leaf := &Tree{nodes: []node{{feature: -1, value: 0.75}}, NumFeatures: 9}
+	fl := mustFlat(t)(leaf.Flatten())
+	if len(fl.Cols()) != 0 || fl.NumFeatures != 9 {
+		t.Fatalf("leaf-only tree: columns %v of %d features, want none of 9", fl.Cols(), fl.NumFeatures)
+	}
+	codes := fl.Codes(3, func(int, []float64) { t.Fatal("fill called for an engine that reads no column") })
+	out := make([]float64, 3)
+	fl.ScoreCodes(codes, 3, out)
+	for i, v := range out {
+		if v != 0.75 {
+			t.Fatalf("leaf-only tree: row %d scored %v, want 0.75", i, v)
 		}
 	}
 }
@@ -228,12 +329,12 @@ func TestFlatBatchChunkEquality(t *testing.T) {
 	ff := mustFlat(t)(fo.Flatten())
 	n, f := 300, 9
 	full := make([]float64, n)
-	ff.ScoreBatch(eval, n, full)
+	scoreRows(ff, eval, n, full)
 	for _, chunk := range []int{1, 7, n} {
 		got := make([]float64, n)
 		for start := 0; start < n; start += chunk {
 			end := min(start+chunk, n)
-			ff.ScoreBatch(eval[start*f:end*f], end-start, got[start:end])
+			scoreRows(ff, eval[start*f:end*f], end-start, got[start:end])
 		}
 		for i := range full {
 			if got[i] != full[i] {
@@ -255,7 +356,7 @@ func TestFlatEveryBatchSizeMatches(t *testing.T) {
 	poisonRows(eval, f)
 	for name, k := range flatKinds(t, x, n, f, y) {
 		full := make([]float64, n)
-		k.fl.ScoreBatch(eval, n, full)
+		scoreRows(k.fl, eval, n, full)
 		for i := range full {
 			if want := k.walked(eval[i*f : (i+1)*f]); full[i] != want {
 				t.Fatalf("%s: row %d scores %v, walked %v", name, i, full[i], want)
@@ -269,7 +370,7 @@ func TestFlatEveryBatchSizeMatches(t *testing.T) {
 			got := make([]float64, n)
 			for start := 0; start < n; start += size {
 				end := min(start+size, n)
-				k.fl.ScoreBatch(eval[start*f:end*f], end-start, got[start:end])
+				scoreRows(k.fl, eval[start*f:end*f], end-start, got[start:end])
 			}
 			for i := range full {
 				if math.Float64bits(got[i]) != math.Float64bits(full[i]) {
@@ -280,33 +381,33 @@ func TestFlatEveryBatchSizeMatches(t *testing.T) {
 	}
 }
 
-// TestFlatCodesMatchBatch: quantizing rows into kept code tiles with
-// Codes, a few rows per fill, and descending them with ScoreCodes writes
-// exactly the bytes ScoreBatch writes, for every model kind, at row
+// TestFlatCodesMatchBatch: Codes asks fill for the rows in order, a few
+// at a time, each Cols() wide, and ScoreCodes scores the batch's tiles
+// bit-identically to the walked learner, for every model kind, at row
 // counts inside one fill, across fills and across 256-row tiles.
 func TestFlatCodesMatchBatch(t *testing.T) {
 	const n, f = 300, 9
 	x, y, eval := flatTestData(47, n, f)
 	poisonRows(eval, f)
 	for name, k := range flatKinds(t, x, n, f, y) {
+		fill, width := colsFill(k.fl, eval), len(k.fl.Cols())
 		for _, rows := range []int{1, 7, codeSubRows + 1, 255, 256, 257, n} {
-			want := make([]float64, rows)
-			k.fl.ScoreBatch(eval[:rows*f], rows, want)
 			next := 0
 			codes := k.fl.Codes(rows, func(r0 int, x []float64) {
-				if r0 != next || len(x)%f != 0 || len(x) > codeSubRows*f {
+				if r0 != next || len(x)%width != 0 || len(x) > codeSubRows*width {
 					t.Fatalf("%s: fill asked for %d values at row %d, after row %d", name, len(x), r0, next)
 				}
-				next += copy(x, eval[r0*f:]) / f
+				fill(r0, x)
+				next += len(x) / width
 			})
 			if next != rows || len(codes) != k.fl.codeBytes(rows) {
 				t.Fatalf("%s: %d rows filled into %d code bytes, want %d into %d", name, next, len(codes), rows, k.fl.codeBytes(rows))
 			}
 			got := make([]float64, rows)
 			k.fl.ScoreCodes(codes, rows, got)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s, %d rows: row %d scores %v from codes, %v batched", name, rows, i, got[i], want[i])
+			for i := range got {
+				if want := k.walked(eval[i*f : (i+1)*f]); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%s, %d rows: row %d scores %v from codes, walked %v", name, rows, i, got[i], want)
 				}
 			}
 		}
@@ -321,11 +422,13 @@ func TestFlatBatchShapePanics(t *testing.T) {
 	}
 	ft := mustFlat(t)(tree.Flatten())
 	for name, call := range map[string]func(){
-		"short x":   func() { ft.ScoreBatch(x[:7], 2, make([]float64, 2)) },
-		"short out": func() { ft.ScoreBatch(x[:8], 2, make([]float64, 1)) },
+		"short out": func() {
+			ft.ScoreCodes(make([]uint8, ft.codeBytes(2)), 2, make([]float64, 1))
+		},
 		"short codes": func() {
 			ft.ScoreCodes(make([]uint8, ft.codeBytes(2)-1), 2, make([]float64, 2))
 		},
+		"negative rows": func() { ft.ScoreCodes(nil, -1, make([]float64, 2)) },
 	} {
 		func() {
 			defer func() {
@@ -357,7 +460,7 @@ func TestBinnedTreeMatchesFloat(t *testing.T) {
 	}
 	n := 500
 	scores := make([]float64, n)
-	mustFlat(t)(tree.Flatten()).ScoreBatch(eval, n, scores)
+	scoreRows(mustFlat(t)(tree.Flatten()), eval, n, scores)
 	want := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		tree.PredictProbaInto(eval[i*12:(i+1)*12], want)
@@ -378,7 +481,7 @@ func TestBinnedForestMatchesFloat(t *testing.T) {
 	}
 	n := 600
 	scores := make([]float64, n)
-	mustFlat(t)(fo.Flatten()).ScoreBatch(eval, n, scores)
+	scoreRows(mustFlat(t)(fo.Flatten()), eval, n, scores)
 	want := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		fo.PredictProbaInto(eval[i*10:(i+1)*10], want)
@@ -399,7 +502,7 @@ func TestBinnedGBTMatchesFloat(t *testing.T) {
 	}
 	n := 600
 	scores := make([]float64, n)
-	mustFlat(t)(g.Flatten()).ScoreBatch(eval, n, scores)
+	scoreRows(mustFlat(t)(g.Flatten()), eval, n, scores)
 	want := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		g.PredictProbaInto(eval[i*8:(i+1)*8], want)
@@ -423,7 +526,7 @@ func TestBinnedGBTTailRowsMatchWalked(t *testing.T) {
 	fg := mustFlat(t)(g.Flatten())
 	const n = 263 // one full 256-row block, then 7 tail rows
 	scores := make([]float64, n)
-	fg.ScoreBatch(eval[:n*8], n, scores)
+	scoreRows(fg, eval[:n*8], n, scores)
 	want := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		g.PredictProbaInto(eval[i*8:(i+1)*8], want)
@@ -447,12 +550,12 @@ func TestBinnedChunkEquality(t *testing.T) {
 	ff := mustFlat(t)(fo.Flatten())
 	n, f := 300, 9
 	full := make([]float64, n)
-	ff.ScoreBatch(eval, n, full)
+	scoreRows(ff, eval, n, full)
 	for _, chunk := range []int{1, 3, 11, 257} {
 		got := make([]float64, n)
 		for start := 0; start < n; start += chunk {
 			end := min(start+chunk, n)
-			ff.ScoreBatch(eval[start*f:end*f], end-start, got[start:end])
+			scoreRows(ff, eval[start*f:end*f], end-start, got[start:end])
 		}
 		for i := range full {
 			if got[i] != full[i] {

@@ -20,7 +20,7 @@ import (
 //
 // Decoding has two trust levels. Both run the shape checks, which cost
 // O(trees + code columns), never O(nodes): section lengths, capacity,
-// root and phase ranges, every code column's source input column (one
+// root and phase ranges, every code column's input feature (one
 // column per feature) and cut run (at most 255 cuts). The untrusted path
 // (trusted=false, used by forecast.DecodeModel on arbitrary bytes) also
 // verifies every packed node word, because the descent addresses nodes,
@@ -82,9 +82,10 @@ func DecodeFlat(r *binenc.Reader, trusted bool) (*Flat, error) {
 			return nil, fmt.Errorf("mltree: flat tree %d phase bound %d of %d nodes", ti, p, n)
 		}
 	}
-	// The quantizer reads input column src[c] of every row unchecked. One
-	// column per feature, so with the cut-run check below no feature holds
-	// more than flatMaxCuts cuts.
+	// Cols is the projection callers build rows from, so every code
+	// column must name a feature of the learner's input. One column per
+	// feature, so with the cut-run check below no feature holds more than
+	// flatMaxCuts cuts.
 	for c, col := range fl.src {
 		if col < 0 || int(col) >= fl.NumFeatures || (c > 0 && col <= fl.src[c-1]) {
 			return nil, fmt.Errorf("mltree: code column %d reads input column %d of %d (not strictly ascending)", c, col, fl.NumFeatures)

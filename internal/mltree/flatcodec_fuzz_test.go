@@ -33,7 +33,7 @@ func fuzzFlatDecode(t *testing.T, data []byte) {
 	}
 	const n = 19
 	out := make([]float64, n)
-	m.ScoreBatch(fuzzEval(n, m.NumFeatures), n, out)
+	scoreRows(m, fuzzEval(n, m.NumFeatures), n, out)
 }
 
 func FuzzDecodeFlatTree(f *testing.F) {
@@ -78,8 +78,8 @@ func TestFlatCodecMisaligned(t *testing.T) {
 	}
 	want := make([]float64, n)
 	have := make([]float64, n)
-	ff.ScoreBatch(eval, n, want)
-	got.ScoreBatch(eval, n, have)
+	scoreRows(ff, eval, n, want)
+	scoreRows(got, eval, n, have)
 	for i := range want {
 		if want[i] != have[i] {
 			t.Fatalf("row %d: misaligned decode scores %v, aligned %v", i, have[i], want[i])

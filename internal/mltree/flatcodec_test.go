@@ -88,8 +88,8 @@ func TestFlatCodecRoundTrip(t *testing.T) {
 				}
 				want := make([]float64, n)
 				have := make([]float64, n)
-				tc.fl.ScoreBatch(eval, n, want)
-				got.ScoreBatch(eval, n, have)
+				scoreRows(tc.fl, eval, n, want)
+				scoreRows(got, eval, n, have)
 				for i := range want {
 					if want[i] != have[i] {
 						t.Fatalf("row %d: decoded %v, original %v", i, have[i], want[i])
@@ -161,7 +161,7 @@ func TestFlatCodecRejectsCorruption(t *testing.T) {
 		}
 		x := make([]float64, 64*got.NumFeatures)
 		out := make([]float64, 64)
-		got.ScoreBatch(x, 64, out)
+		scoreRows(got, x, 64, out)
 	}
 	// The quantizer reads input column src[c] unchecked, on the trusted
 	// path too: a code column reading past the row, or columns out of

@@ -105,12 +105,19 @@ func TestQuantizeDifferential(t *testing.T) {
 				x[r*f+j] = pool[(r*7+j*13)%len(pool)]
 			}
 		}
+		// quantize reads rows holding only the engine's columns.
+		var xc []float64
+		for r := 0; r < rows; r++ {
+			for _, j := range fl.src {
+				xc = append(xc, x[r*f+int(j)])
+			}
+		}
 		binnedHaveAVX512 = saved
 		simd := make([]uint8, len(fl.src)*flatRowBlock)
-		fl.quantize(x, rows, simd)
+		fl.quantize(xc, rows, simd)
 		binnedHaveAVX512 = false
 		scalar := make([]uint8, len(fl.src)*flatRowBlock)
-		fl.quantize(x, rows, scalar)
+		fl.quantize(xc, rows, scalar)
 		for c, j := range fl.src {
 			cs := features[j]
 			for r := 0; r < rows; r++ {
