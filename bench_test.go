@@ -667,20 +667,25 @@ func benchPredictWalked(b *testing.B, score func(row, probs []float64) float64) 
 	b.ReportMetric(float64(trainBenchN)*float64(b.N)/b.Elapsed().Seconds(), "forecasts/s")
 }
 
-// benchPredictFlat measures the flat engine's serving path on a feature
-// cache hit: the rows' code tiles are built once with Codes, from rows
-// holding only the engine's Cols, and each iteration descends them with
-// ScoreCodes.
-func benchPredictFlat(b *testing.B, fl *mltree.Flat) {
+// colsRows gathers every bench row's Cols, the rows Codes quantizes,
+// and returns them with a fill function that copies them out.
+func colsRows(b *testing.B, fl *mltree.Flat) func(r0 int, dst []float64) {
 	x, _, _, _ := trainBenchData(b)
 	cols := fl.Cols()
-	codes := fl.Codes(trainBenchN, func(r0 int, dst []float64) {
-		for i := 0; i*len(cols) < len(dst); i++ {
-			for k, c := range cols {
-				dst[i*len(cols)+k] = x[(r0+i)*trainBenchF+int(c)]
-			}
+	xc := make([]float64, 0, trainBenchN*len(cols))
+	for r := 0; r < trainBenchN; r++ {
+		for _, c := range cols {
+			xc = append(xc, x[r*trainBenchF+int(c)])
 		}
-	})
+	}
+	return func(r0 int, dst []float64) { copy(dst, xc[r0*len(cols):]) }
+}
+
+// benchPredictFlat measures the flat engine's serving path on a feature
+// cache hit: the rows' code tiles are built once with Codes, and each
+// iteration descends them with ScoreCodes.
+func benchPredictFlat(b *testing.B, fl *mltree.Flat) {
+	codes := fl.Codes(trainBenchN, colsRows(b, fl))
 	out := make([]float64, trainBenchN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -688,6 +693,19 @@ func benchPredictFlat(b *testing.B, fl *mltree.Flat) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(trainBenchN)*float64(b.N)/b.Elapsed().Seconds(), "forecasts/s")
+}
+
+// benchPredictCodes measures what a feature-cache miss adds before
+// descent: Codes quantizing every row, already gathered to the engine's
+// Cols, into fresh code tiles. The tiles it allocates are expected.
+func benchPredictCodes(b *testing.B, fl *mltree.Flat) {
+	fill := colsRows(b, fl)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fl.Codes(trainBenchN, fill)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(trainBenchN)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 func BenchmarkPredictBatchTreeWalked(b *testing.B) {
@@ -737,4 +755,19 @@ func BenchmarkPredictBatchGBTWalked(b *testing.B) {
 func BenchmarkPredictBatchGBTFlat(b *testing.B) {
 	_, _, gbt := predictBenchModels(b)
 	benchPredictFlat(b, mustFlat(b)(gbt.Flatten()))
+}
+
+func BenchmarkPredictBatchTreeCodes(b *testing.B) {
+	tree, _, _ := predictBenchModels(b)
+	benchPredictCodes(b, mustFlat(b)(tree.Flatten()))
+}
+
+func BenchmarkPredictBatchForestCodes(b *testing.B) {
+	_, forest, _ := predictBenchModels(b)
+	benchPredictCodes(b, mustFlat(b)(forest.Flatten()))
+}
+
+func BenchmarkPredictBatchGBTCodes(b *testing.B) {
+	_, _, gbt := predictBenchModels(b)
+	benchPredictCodes(b, mustFlat(b)(gbt.Flatten()))
 }

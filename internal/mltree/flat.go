@@ -59,9 +59,11 @@ import (
 //
 // Rows quantize once per 256-row block, column-major, into that block's
 // code tile, so the cost is amortized over every tree level the model
-// descends. The one descent loop, descendBlock, then runs tree-major:
-// one tree's nodes (8 bytes each, a few KB for typical trees) stay
-// L1-resident across all of the block's 8-lane groups. Rows past the
+// descends. Every column quantizes by one portable search (quantize): a
+// branchless lower bound over its cut keys, with no assembly and no
+// CPU-feature dispatch. The one descent loop, descendBlock, then runs
+// tree-major: one tree's nodes (8 bytes each, a few KB for typical trees)
+// stay L1-resident across all of the block's 8-lane groups. Rows past the
 // block's last full group descend as one more group into an 8-slot
 // scratch; its spare lanes read whatever codes the tile holds there and
 // are discarded. Each row adds tree 0, then tree 1, ... to its
@@ -105,14 +107,10 @@ type Flat struct {
 	cuts     []float64 // concatenated ascending per-column cut values
 	cutOff   []int32   // len(src)+1; column c's cuts are cuts[cutOff[c]:cutOff[c+1]]
 
-	// Everything below is derived from the fields above by finishDerived
-	// (called by the compiler and by the decoder), never serialized.
-	pkeys []uint64      // per-column ascending cut keys, each run + one ^0 sentinel
-	pkOff []int32       // len(src); column c's padded keys start at pkOff[c]
-	fq    []binnedQuant // per-column radix acceleration (zero value = search)
-	meta  []uint64      // per-exponent sub-table descriptors (subOff<<32|mask<<8|shift)
-	tab   []uint8       // concatenated sub-bucket -> lower-bound-code tables
-	id    uint64        // process-unique engine name (ID)
+	// Derived from cuts by finishDerived (called by the compiler and by
+	// the decoder), never serialized.
+	keys []uint64 // thresholdKey of each cut, at the cut's offset in cuts
+	id   uint64   // process-unique engine name (ID)
 }
 
 // flatIDs numbers engines as they are compiled or decoded.
@@ -415,212 +413,46 @@ func (fl *Flat) Post() Post { return fl.post }
 func (fl *Flat) FlatBytes() int64 {
 	return int64(len(fl.nodes))*8 + int64(len(fl.leafVals))*8 +
 		int64(len(fl.cuts))*8 + int64(len(fl.cutOff))*4 + int64(len(fl.src))*4 +
-		int64(len(fl.pkeys))*8 + int64(len(fl.pkOff))*4 +
-		int64(len(fl.fq))*24 + int64(len(fl.meta))*8 + int64(len(fl.tab)) +
-		int64(len(fl.roots))*8 + 120
+		int64(len(fl.keys))*8 + int64(len(fl.roots))*8 + 120
 }
 
-// finishDerived populates the derived search structures (pkeys, pkOff,
-// fq, meta, tab) from cuts/cutOff and names the engine.
+// finishDerived computes each cut's comparison key, at the cut's own
+// offset, and names the engine.
 func (fl *Flat) finishDerived() {
 	fl.id = flatIDs.Add(1)
-	nc := len(fl.src)
-	fl.pkeys = fl.pkeys[:0]
-	fl.meta = fl.meta[:0]
-	fl.tab = fl.tab[:0]
-	fl.pkOff = make([]int32, nc)
-	fl.fq = make([]binnedQuant, nc)
-	for c := 0; c < nc; c++ {
-		fl.pkOff[c] = int32(len(fl.pkeys))
-		for _, v := range fl.cuts[fl.cutOff[c]:fl.cutOff[c+1]] {
-			fl.pkeys = append(fl.pkeys, thresholdKey(v))
-		}
-		fl.pkeys = append(fl.pkeys, ^uint64(0))
-		if m := int(fl.cutOff[c+1] - fl.cutOff[c]); m > binnedRadixMinCuts {
-			keys := fl.pkeys[fl.pkOff[c] : int(fl.pkOff[c])+m]
-			fl.fq[c] = buildRadix(keys, &fl.meta, &fl.tab)
-		}
+	fl.keys = make([]uint64, len(fl.cuts))
+	for i, v := range fl.cuts {
+		fl.keys[i] = thresholdKey(v)
 	}
-}
-
-// binnedQuant is one code column's two-level radix quantization table.
-// Total-order keys stratify by the float's sign and exponent (the top
-// 12 bits), so a single linear bucket scale cannot separate quantile
-// cuts — they cluster around the data's dense exponents. Level one
-// therefore indexes meta by exactly those 12 bits, kc>>52 - e1base,
-// after clamping the row key into [kbase, klast] (clamping only moves
-// keys that sit outside every cut, and the residual compare below uses
-// the unclamped key, so below-range rows still code 0 and above-range
-// and NaN rows still code m). Each meta word packs a per-exponent
-// sub-table: subOff<<32 | mask<<8 | shift, where bucket (kc>>shift)&mask
-// slices the mantissa bits just below the exponent — keys within one
-// exponent are linear in those bits, so a small power-of-two sub-table
-// reaches at most one cut per bucket. tab[subOff+bucket] is the
-// lower-bound code at the bucket's base; the residual is one masked
-// key compare. radix is false for columns with few cuts (a 3-4 level
-// search beats the table's fixed overhead) or degenerate cut sets (an
-// exponent whose cuts are denser than the 10-bit sub-table cap), which
-// keep the binary search.
-// The level-one axis spans every raw exponent slot between the first
-// and last cut — at most 4096 of them (12 bits), and in practice a few
-// dozen because only slots between the extreme cuts exist. meta is
-// derived, never serialized, and only the slots near real data are
-// ever loaded, so the axis is left uncompressed to keep the per-row
-// lookup at its minimum op count.
-type binnedQuant struct {
-	kbase   uint64
-	klast   uint64
-	metaOff int32
-	e1base  uint32
-	radix   bool
-}
-
-// binnedRadixMinCuts is the cut count above which quantize prefers the
-// radix table to the binary search. Below it the search needs few
-// levels and the feature's whole key run sits in one or two L1 lines,
-// beating the table's three dependent loads over a sparse meta array.
-const binnedRadixMinCuts = 16
-
-// binnedRadixMaxExp caps a feature's level-one table at the full
-// 4096-slot axis of the key's top 12 bits (sign+exponent), which the
-// raw span klast>>52 - kbase>>52 can never exceed; the check documents
-// the invariant more than it gates. binnedRadixMaxSubBits caps a
-// sub-table at 2^10 buckets (a slot needs more only for near-duplicate
-// thresholds differing far down the mantissa); cut sets past it keep
-// the binary search.
-const (
-	binnedRadixMaxExp     = 4096
-	binnedRadixMaxSubBits = 10
-)
-
-// buildRadix builds one feature's two-level table over its ascending
-// cut keys. The level-one axis is the raw exponent slot keys[i]>>52
-// over the span [kbase>>52, klast>>52] (see binnedQuant for why it is
-// left uncompressed). For every slot it picks the smallest
-// power-of-two sub-table over the mantissa bits below bit 52 that
-// separates the slot's cuts into distinct buckets — within
-// a slot the keys share their top 12 bits, so those next bits order
-// them and a consecutive-pair scan proves distinctness. Sub-table
-// entry b holds the absolute lower-bound code at the bucket's base
-// (the count of cuts in earlier slots plus earlier buckets), with one
-// trailing entry per slot so entry b+1 always bounds the bucket's cut
-// count. Returns the zero binnedQuant — binary-search fallback — when
-// a slot's required sub-table exceeds its cap, restoring meta and tab.
-func buildRadix(keys []uint64, meta *[]uint64, tab *[]uint8) binnedQuant {
-	m := len(keys)
-	kbase, klast := keys[0], keys[m-1]
-	e1base := kbase >> 52
-	e1len := int(klast>>52-e1base) + 1
-	if e1len > binnedRadixMaxExp {
-		return binnedQuant{}
-	}
-	metaOff, tabOff := len(*meta), len(*tab)
-	ci := 0
-	for e := 0; e < e1len; e++ {
-		cj := ci
-		for cj < m && keys[cj]>>52 == e1base+uint64(e) {
-			cj++
-		}
-		sb := 0
-		for ; sb <= binnedRadixMaxSubBits; sb++ {
-			shift := uint(52 - sb)
-			mask := uint64(1)<<sb - 1
-			distinct := true
-			for i := ci + 1; i < cj; i++ {
-				if (keys[i]>>shift)&mask == (keys[i-1]>>shift)&mask {
-					distinct = false
-					break
-				}
-			}
-			if distinct {
-				break
-			}
-		}
-		if sb > binnedRadixMaxSubBits {
-			*meta = (*meta)[:metaOff]
-			*tab = (*tab)[:tabOff]
-			return binnedQuant{}
-		}
-		shift := uint64(52 - sb)
-		mask := uint64(1)<<sb - 1
-		subOff := len(*tab)
-		k := ci
-		for b := uint64(0); b <= mask; b++ {
-			for k < cj && (keys[k]>>shift)&mask < b {
-				k++
-			}
-			*tab = append(*tab, uint8(k))
-		}
-		*tab = append(*tab, uint8(cj))
-		*meta = append(*meta, uint64(subOff)<<32|mask<<8|shift)
-		ci = cj
-	}
-	return binnedQuant{kbase: kbase, klast: klast, metaOff: int32(metaOff),
-		e1base: uint32(e1base), radix: true}
 }
 
 // quantize fills the code tile for a row block: cb[c*flatRowBlock+r]
 // is row r's code in code column c, for the first rows rows of the
 // row-major block x, whose rows hold one value per code column. cb may
-// start at a row offset within a tile, as long
-// as the rows end inside it. Iteration is column-major so one column's search
-// structures (at most 2KB of keys plus a small two-level radix table)
+// start at a row offset within a tile, as long as the rows end inside
+// it. Iteration is column-major so one column's cut keys (at most 2KB)
 // stay L1-resident for the whole block and the tile writes are
-// sequential. The lower bound runs in total-order key space (v <= cut
-// iff rowKey(v) <= cutKey, see floatKey),
-// which makes every compare pure integer arithmetic with no
-// data-dependent branch for the predictor to miss on, and NaN needs no
-// special case — its key sits above every finite cut key, so it
-// lower-bounds to m, above every stored cut code, routing right at
-// each node exactly like the walked path. Radix-mapped columns clamp
-// the key into the cut span (the residual compares the unclamped key,
-// so out-of-span rows stay exact), index the exponent's meta word, and
-// resolve in two table loads plus one masked compare; the rest take a
-// borrow-mask binary search. Four rows run concurrently so the load
-// chains pipeline. Every value is read once.
+// sequential. Every column takes the same search, plain Go on every
+// architecture: a branchless lower bound over the column's m cut keys in
+// total-order key space (v <= cut iff rowKey(v) <= cutKey, see
+// floatKey). Each step adds the half-width under a borrow mask, so every
+// compare is pure integer arithmetic with no data-dependent branch for
+// the predictor to miss on, and the search reads no key past index m-1.
+// NaN needs no special case: its key sits above every cut key, so it
+// lower-bounds to m, above every stored cut code, routing right at each
+// node exactly like the walked path. Four rows run concurrently so their
+// load chains pipeline; the last rows%4 run one at a time. Every value is
+// read once.
 func (fl *Flat) quantize(x []float64, rows int, cb []uint8) {
 	stride := uintptr(len(fl.src)) * 8
 	xp := unsafe.Pointer(unsafe.SliceData(x))
 	cbp := unsafe.Pointer(unsafe.SliceData(cb))
 	for c := range fl.src {
-		kp := unsafe.Pointer(&fl.pkeys[fl.pkOff[c]])
+		kp := unsafe.Pointer(&fl.keys[fl.cutOff[c]])
 		dp := unsafe.Add(cbp, c*flatRowBlock)
 		p := unsafe.Add(xp, uintptr(c)*8)
 		r := 0
 		m := int(fl.cutOff[c+1] - fl.cutOff[c])
-		if binnedHaveAVX512 && m <= binnedSIMDMaxCuts {
-			// AVX-512 linear compare-count over all the cuts at once;
-			// leftover rows past the last multiple of 8 fall through to
-			// the scalar binary search below.
-			if g8 := rows &^ 7; g8 > 0 {
-				quantCmpAVX512(p, stride, dp, g8, kp, m)
-				r = g8
-				p = unsafe.Add(p, uintptr(g8)*stride)
-			}
-		} else if q := &fl.fq[c]; q.radix {
-			// One row per iteration, every op branchless: with no
-			// data-dependent branch in the body, out-of-order execution
-			// overlaps the per-row load chains across iterations on its
-			// own, and the small live set keeps the clamp in CMOVs
-			// instead of the spill-and-branch code a manually
-			// interleaved body provokes.
-			kb, kl := q.kbase, q.klast
-			e1b := uint64(q.e1base)
-			mp := unsafe.Pointer(&fl.meta[q.metaOff])
-			tp := unsafe.Pointer(unsafe.SliceData(fl.tab))
-			for ; r < rows; r++ {
-				k := rowKey(math.Float64bits(*(*float64)(p)))
-				p = unsafe.Add(p, stride)
-				kc := min(max(k, kb), kl)
-				mw := *(*uint64)(unsafe.Add(mp, uintptr(kc>>52-e1b)*8))
-				i := uintptr(mw>>32) + uintptr(kc>>(mw&63)&(mw>>8&0xFFFFFF))
-				lo := uint32(*(*uint8)(unsafe.Add(tp, i)))
-				nn := uint32(*(*uint8)(unsafe.Add(tp, i+1))) - lo
-				_, c := bits.Sub64(*(*uint64)(unsafe.Add(kp, uintptr(lo)*8)), k, 0)
-				*(*uint8)(unsafe.Add(dp, r)) = uint8(lo + uint32(c)&nn)
-			}
-			continue
-		}
 		for ; r+4 <= rows; r += 4 {
 			k0 := rowKey(math.Float64bits(*(*float64)(p)))
 			k1 := rowKey(math.Float64bits(*(*float64)(unsafe.Add(p, stride))))

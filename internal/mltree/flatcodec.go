@@ -14,9 +14,9 @@ import (
 // binenc's zero-copy readers), so loading a model from an aligned
 // buffer — in particular an mmap'd .hotm file — touches none of the node
 // bytes: load time is independent of node count, and the pages fault in
-// lazily as descent first walks them. The derived search structures
-// (cut keys, radix tables) are rebuilt at decode by finishDerived; they
-// are O(code columns x cuts), independent of node count.
+// lazily as descent first walks them. The derived cut keys are rebuilt
+// at decode by finishDerived; they are O(code columns x cuts),
+// independent of node count.
 //
 // Decoding has two trust levels. Both run the shape checks, which cost
 // O(trees + code columns), never O(nodes): section lengths, capacity,
@@ -94,13 +94,14 @@ func DecodeFlat(r *binenc.Reader, trusted bool) (*Flat, error) {
 	if fl.cutOff[0] != 0 || int(fl.cutOff[nc]) != len(fl.cuts) {
 		return nil, fmt.Errorf("mltree: flat cut offsets do not span the cut block")
 	}
+	fl.finishDerived()
 	for c := 0; c < nc; c++ {
 		lo, hi := fl.cutOff[c], fl.cutOff[c+1]
-		if hi <= lo || hi-lo > flatMaxCuts {
+		if hi <= lo || hi-lo > flatMaxCuts || int(hi) > len(fl.cuts) {
 			return nil, fmt.Errorf("mltree: code column %d has cut range [%d,%d)", c, lo, hi)
 		}
 		for i := lo + 1; i < hi; i++ {
-			if thresholdKey(fl.cuts[i-1]) >= thresholdKey(fl.cuts[i]) {
+			if fl.keys[i-1] >= fl.keys[i] {
 				return nil, fmt.Errorf("mltree: code column %d cuts not strictly ascending at %d", c, i)
 			}
 		}
@@ -127,6 +128,5 @@ func DecodeFlat(r *binenc.Reader, trusted bool) (*Flat, error) {
 			}
 		}
 	}
-	fl.finishDerived()
 	return fl, nil
 }

@@ -21,10 +21,12 @@ func fuzzEval(n, f int) []float64 {
 }
 
 // fuzzFlatDecode is the shared fuzz body: decoding arbitrary bytes on the
-// untrusted path must never panic, and anything that decodes cleanly must
-// score a batch without stepping outside its arrays (the run is bounds- and
-// race-checked under `go test -fuzz`). 19 rows cover a full 8-lane group
-// and a partial one.
+// untrusted path must never panic, anything that decodes cleanly must
+// quantize every row to the reference lower-bound code over its column's
+// decoded cuts, and must score a batch without stepping outside its
+// arrays (the run is bounds- and race-checked under `go test -fuzz`). So
+// the search runs on every cut run the decoder accepts. 19 rows cover a
+// full 8-lane group and a partial one.
 func fuzzFlatDecode(t *testing.T, data []byte) {
 	r := binenc.NewReader(data)
 	m, err := DecodeFlat(r, false)
@@ -32,8 +34,19 @@ func fuzzFlatDecode(t *testing.T, data []byte) {
 		return
 	}
 	const n = 19
+	x := fuzzEval(n, m.NumFeatures)
+	codes := m.Codes(n, colsFill(m, x))
+	for c, j := range m.src {
+		cuts := m.cuts[m.cutOff[c]:m.cutOff[c+1]]
+		for i := 0; i < n; i++ {
+			v := x[i*m.NumFeatures+int(j)]
+			if got, want := codes[c*flatRowBlock+i], refCode(cuts, v); got != want {
+				t.Fatalf("code column %d row %d: code %d, reference %d (v=%v, cuts %v)", c, i, got, want, v, cuts)
+			}
+		}
+	}
 	out := make([]float64, n)
-	scoreRows(m, fuzzEval(n, m.NumFeatures), n, out)
+	m.ScoreCodes(codes, n, out)
 }
 
 func FuzzDecodeFlatTree(f *testing.F) {

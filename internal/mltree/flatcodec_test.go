@@ -3,6 +3,7 @@ package mltree
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -187,6 +188,31 @@ func TestFlatCodecRejectsCorruption(t *testing.T) {
 			if _, err := DecodeFlat(binenc.NewReader(bad), trusted); err == nil {
 				t.Errorf("%s (trusted=%v) decoded cleanly", name, trusted)
 			}
+		}
+	}
+}
+
+// TestFlatCodecRejectsCutOffsetPastCuts: a column's cut offset past the
+// cut block, where the next offset comes back to its end, fails decode at
+// either trust level instead of reading keys past the block. The cuts are
+// rewritten ascending across columns, so no other check catches it first.
+func TestFlatCodecRejectsCutOffsetPastCuts(t *testing.T) {
+	_, ff, _, _, _, _ := codecModels(t)
+	fl := *ff
+	nc := len(fl.src)
+	fl.cutOff = slices.Clone(ff.cutOff)
+	fl.cutOff[nc-1] = fl.cutOff[nc] + 3
+	fl.cuts = make([]float64, len(ff.cuts))
+	for i := range fl.cuts {
+		fl.cuts[i] = float64(i)
+	}
+	if fl.cutOff[nc-1]-fl.cutOff[nc-2] > flatMaxCuts {
+		t.Fatal("fixture forest's last two columns hold too many cuts for this test")
+	}
+	buf := fl.AppendBinary(nil)
+	for _, trusted := range []bool{false, true} {
+		if _, err := DecodeFlat(binenc.NewReader(buf), trusted); err == nil {
+			t.Errorf("cut offset past the cut block (trusted=%v) decoded cleanly", trusted)
 		}
 	}
 }

@@ -18,11 +18,11 @@ func refCode(cuts []float64, v float64) uint8 {
 	return uint8(c)
 }
 
-// quantFeatures builds cut sets that exercise every quantize arm: the
-// SIMD/small binary search (few cuts), the two-level radix (many cuts,
-// including a zero-straddling set whose exponent axis spans both signs),
-// and the radix's sub-table-cap fallback (near-duplicate cuts differing
-// only far down the mantissa).
+// quantFeatures builds cut sets for the one search at every depth: a
+// single cut, a few cuts of both signs, near-duplicate cuts differing only
+// far down the mantissa, a zero-straddling set spanning many exponents,
+// a dense run, and a column at the flat layout's capacity (flatMaxCuts),
+// whose NaN and above-range rows take code 255.
 func quantFeatures() [][]float64 {
 	single := []float64{0.25}
 	small := []float64{-3, -1, -0.125, 0, 1e-9, 2, 7, 512}
@@ -41,7 +41,11 @@ func quantFeatures() [][]float64 {
 	for i := 0; i < 120; i++ {
 		dense = append(dense, 0.5+float64(i)/64)
 	}
-	return [][]float64{single, small, subcap, nil /* unused feature */, straddle, dense}
+	full := make([]float64, flatMaxCuts)
+	for i := range full {
+		full[i] = math.Sinh(float64(i-flatMaxCuts/2) / 10)
+	}
+	return [][]float64{single, small, subcap, nil /* unused feature */, straddle, dense, full}
 }
 
 // quantPool is the adversarial value set for one feature: signed zeros,
@@ -62,11 +66,10 @@ func quantPool(cuts []float64) []float64 {
 	return pool
 }
 
-// TestQuantizeDifferential checks every quantize code path — the AVX-512
-// compare-count kernel (where the CPU has it), the radix table, and the
-// binary searches including odd-row tails — against the reference
-// lower-bound count, and checks the SIMD and scalar paths against each
-// other byte for byte on the same tile.
+// TestQuantizeDifferential checks the quantize search, its 4-row
+// interleave and its tail loop, against the reference lower-bound count
+// on every value of each column's adversarial pool, at row counts that
+// leave every tail length (rows%4 = 0..3).
 func TestQuantizeDifferential(t *testing.T) {
 	features := quantFeatures()
 	f := len(features)
@@ -80,58 +83,49 @@ func TestQuantizeDifferential(t *testing.T) {
 	}
 	fl.finishDerived()
 
-	radix := 0
-	for _, q := range fl.fq {
-		if q.radix {
-			radix++
-		}
-	}
-	if radix < 2 {
-		t.Fatalf("only %d radix-mapped features; the test needs the radix arm engaged", radix)
-	}
-
 	pools := make([][]float64, f)
+	maxPool := 0
 	for j, cs := range features {
 		pools[j] = quantPool(cs)
+		maxPool = max(maxPool, len(pools[j]))
 	}
-	saved := binnedHaveAVX512
-	defer func() { binnedHaveAVX512 = saved }()
-
-	for _, rows := range []int{flatRowBlock, 37, 8, 5, 1} {
-		x := make([]float64, rows*f)
-		for r := 0; r < rows; r++ {
-			for j := 0; j < f; j++ {
-				pool := pools[j]
-				x[r*f+j] = pool[(r*7+j*13)%len(pool)]
-			}
-		}
-		// quantize reads rows holding only the engine's columns.
-		var xc []float64
-		for r := 0; r < rows; r++ {
-			for _, j := range fl.src {
-				xc = append(xc, x[r*f+int(j)])
-			}
-		}
-		binnedHaveAVX512 = saved
-		simd := make([]uint8, len(fl.src)*flatRowBlock)
-		fl.quantize(xc, rows, simd)
-		binnedHaveAVX512 = false
-		scalar := make([]uint8, len(fl.src)*flatRowBlock)
-		fl.quantize(xc, rows, scalar)
-		for c, j := range fl.src {
-			cs := features[j]
+	var top int // rows the capacity column codes 255
+	for _, rows := range []int{flatRowBlock, 37, 8, 7, 6, 5, 1} {
+		// Blocks step through every pool; 97 is coprime to each pool's
+		// length, so the scramble visits every value.
+		for base := 0; base < maxPool; base += rows {
+			x := make([]float64, rows*f)
 			for r := 0; r < rows; r++ {
-				want := refCode(cs, x[r*f+int(j)])
-				at := c*flatRowBlock + r
-				if simd[at] != want {
-					t.Fatalf("rows=%d feature %d row %d: default path code %d, reference %d (v=%v)",
-						rows, j, r, simd[at], want, x[r*f+int(j)])
+				for j := 0; j < f; j++ {
+					pool := pools[j]
+					x[r*f+j] = pool[((base+r)*97+j*13)%len(pool)]
 				}
-				if scalar[at] != want {
-					t.Fatalf("rows=%d feature %d row %d: scalar path code %d, reference %d (v=%v)",
-						rows, j, r, scalar[at], want, x[r*f+int(j)])
+			}
+			// quantize reads rows holding only the engine's columns.
+			var xc []float64
+			for r := 0; r < rows; r++ {
+				for _, j := range fl.src {
+					xc = append(xc, x[r*f+int(j)])
+				}
+			}
+			got := make([]uint8, len(fl.src)*flatRowBlock)
+			fl.quantize(xc, rows, got)
+			for c, j := range fl.src {
+				cs := features[j]
+				for r := 0; r < rows; r++ {
+					v := x[r*f+int(j)]
+					want := refCode(cs, v)
+					if at := c*flatRowBlock + r; got[at] != want {
+						t.Fatalf("rows=%d feature %d row %d: code %d, reference %d (v=%v)", rows, j, r, got[at], want, v)
+					}
+					if len(cs) == flatMaxCuts && want == flatMaxCuts {
+						top++
+					}
 				}
 			}
 		}
+	}
+	if top == 0 {
+		t.Fatal("no row coded 255 in the capacity column")
 	}
 }
