@@ -127,19 +127,23 @@ func setup(args []string, out io.Writer) (*server, string, error) {
 
 	cfg := core.Config{Seed: *seed, Sectors: *sectors, Weeks: *weeks,
 		CacheBytes: forecast.CacheBytesMB(*cacheMB)}
-	var p *core.Pipeline
+	t0 := time.Now()
+	var ds *simnet.Dataset
 	var err error
 	if *in == "" {
-		p, err = core.NewPipeline(cfg)
+		ds, err = core.Generate(cfg)
 	} else {
-		var ds *simnet.Dataset
-		if ds, err = simnet.LoadFile(*in); err == nil {
-			p, err = core.FromDataset(ds, cfg)
-		}
+		ds, err = simnet.LoadFile(*in)
 	}
 	if err != nil {
 		return nil, "", err
 	}
+	t1 := time.Now()
+	p, err := core.FromDataset(ds, cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	t2 := time.Now()
 
 	s := newServer(p, *inflight)
 	s.watch = *watch
@@ -179,10 +183,17 @@ func setup(args []string, out io.Writer) (*server, string, error) {
 		}
 	}
 
+	s.setupTimes = [len(setupStages)]time.Duration{t1.Sub(t0), t2.Sub(t1), time.Since(t2)}
+	fmt.Fprintf(out, "start-up: load %.3fs, prepare %.3fs, registry %.3fs\n",
+		s.setupTimes[0].Seconds(), s.setupTimes[1].Seconds(), s.setupTimes[2].Seconds())
 	fmt.Fprintf(out, "serving %d sectors x %d days with %d artifact(s) on %s (max %d in-flight forecasts)\n",
 		p.Sectors(), p.Days(), len(s.active.Load().models), *addr, *inflight)
 	return s, *addr, nil
 }
+
+// setupStages are the start-up stages hotserve times, in order; the
+// hotserve_setup_seconds series and the start-up line report them.
+var setupStages = [...]string{"load", "prepare", "registry"}
 
 // servedModel is one active artifact plus its registry version (0 in
 // static -models mode).
@@ -250,6 +261,10 @@ type server struct {
 	accessOut io.Writer
 	reqID     atomic.Uint64
 
+	// setupTimes is how long each of setupStages took, set by setup
+	// before the server serves.
+	setupTimes [len(setupStages)]time.Duration
+
 	// testHookForecast, when non-nil, runs inside every admitted forecast
 	// request — the shutdown-drain and hot-swap tests gate on it.
 	testHookForecast func()
@@ -269,6 +284,12 @@ func newServer(p *core.Pipeline, maxInflight int) *server {
 	// library series (caches, kernels, registry, pools).
 	s.mux.Handle("GET /metrics", obs.Handler(obs.Default(), s.m.registry))
 	s.registerInventory()
+	const setupHelp = "start-up time by stage: load reads or generates the dataset, " +
+		"prepare filters and scores it and builds the forecasting context, registry loads the served artifacts"
+	for i, name := range setupStages {
+		s.m.registry.GaugeFunc("hotserve_setup_seconds", setupHelp,
+			func() float64 { return s.setupTimes[i].Seconds() }, obs.Label{Key: "stage", Value: name})
+	}
 	parallel.RegisterSemaphore(s.sem)
 	return s
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/forecast"
 	"repro/internal/obs"
+	"repro/internal/registry"
 )
 
 // scrape fetches and parses GET /metrics.
@@ -259,5 +262,57 @@ func TestPprofBehindFlag(t *testing.T) {
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine") {
 		t.Fatalf("pprof index not served after enablePprof: %d", rec.Code)
+	}
+}
+
+// TestSetupStageMetrics: a server booted from a dataset file and a
+// registry reports how long each start-up stage took, on /metrics as
+// hotserve_setup_seconds{stage} and in one start-up line, with the same
+// values in both.
+func TestSetupStageMetrics(t *testing.T) {
+	cfg := core.Config{Seed: 2, Sectors: 150, Weeks: 8, TrainDays: 3}
+	ds, err := core.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "net.hotd")
+	if err := ds.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.FromDataset(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := registry.Open(filepath.Join(dir, "reg"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.AttachRegistry(reg)
+	tr, err := p.Train(core.Average, forecast.BeHot, 30, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Publish(tr); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	srv, _, err := setup([]string{"-in", path, "-registry", filepath.Join(dir, "reg"), "-watch", "0"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := scrape(t, srv)
+	var secs [len(setupStages)]float64
+	for i, stage := range setupStages {
+		v, ok := sc.Value("hotserve_setup_seconds", obs.Label{Key: "stage", Value: stage})
+		if !ok || v <= 0 {
+			t.Errorf("hotserve_setup_seconds{stage=%q} = %v (present=%v), want > 0", stage, v, ok)
+		}
+		secs[i] = v
+	}
+	line := fmt.Sprintf("start-up: load %.3fs, prepare %.3fs, registry %.3fs\n", secs[0], secs[1], secs[2])
+	if !strings.Contains(out.String(), line) {
+		t.Errorf("start-up output lacks %q:\n%s", line, out.String())
 	}
 }

@@ -108,6 +108,17 @@ type Pipeline struct {
 
 // NewPipeline generates a synthetic network and prepares the full chain.
 func NewPipeline(cfg Config) (*Pipeline, error) {
+	ds, err := Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return FromDataset(ds, cfg)
+}
+
+// Generate generates the synthetic network NewPipeline prepares: the
+// simnet default configuration with cfg's seed, sector count and weeks
+// where they are set.
+func Generate(cfg Config) (*simnet.Dataset, error) {
 	gen := simnet.DefaultConfig()
 	if cfg.Seed != 0 {
 		gen.Seed = cfg.Seed
@@ -118,11 +129,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if cfg.Weeks != 0 {
 		gen.Weeks = cfg.Weeks
 	}
-	ds, err := simnet.Generate(gen)
-	if err != nil {
-		return nil, err
-	}
-	return FromDataset(ds, cfg)
+	return simnet.Generate(gen)
 }
 
 // FromDataset prepares a pipeline from an existing dataset (e.g. loaded

@@ -29,7 +29,9 @@ type Weighting struct {
 }
 
 // NewWeighting validates and returns a Weighting. Weights must be finite
-// and non-negative, not all zero.
+// and non-negative, not all zero, and thresholds finite: against an
+// infinite or NaN epsilon, v - epsilon is NaN for some or every v, and
+// Eq. 1 would silently score that KPI as healthy.
 func NewWeighting(omega, epsilon []float64, hotThreshold float64) (*Weighting, error) {
 	if len(omega) != len(epsilon) {
 		return nil, fmt.Errorf("score: %d weights vs %d thresholds", len(omega), len(epsilon))
@@ -46,6 +48,11 @@ func NewWeighting(omega, epsilon []float64, hotThreshold float64) (*Weighting, e
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("score: all weights zero")
+	}
+	for i, e := range epsilon {
+		if math.IsNaN(e) || math.IsInf(e, 0) {
+			return nil, fmt.Errorf("score: threshold %d is %v", i, e)
+		}
 	}
 	if hotThreshold <= 0 || hotThreshold >= 1 {
 		return nil, fmt.Errorf("score: hot threshold %v outside (0,1)", hotThreshold)
@@ -87,7 +94,8 @@ func (w *Weighting) Hourly(k *tensor.Tensor3) *tensor.Matrix {
 // at its first week that breaks the missing-data rule. It returns the
 // survivors in ascending order and their S' rows, equal bit for bit to
 // FilterSectors(k, maxWeekMissing) and Hourly(k).SelectRows(keep). K
-// itself is left as it is.
+// itself is left as it is. The pass is one read of K in which a KPI value
+// below its threshold, as most are, costs one compare (see scoreHours).
 func (w *Weighting) FilterHourly(k *tensor.Tensor3, maxWeekMissing float64) (keep []int, sh *tensor.Matrix) {
 	w.checkKPIs(k)
 	sh = tensor.NewMatrix(k.N, k.T)
@@ -111,8 +119,9 @@ func (w *Weighting) checkKPIs(k *tensor.Tensor3) {
 // scoreSector writes the S' row of one sector into row from its KPI
 // block sec (one cell of len(w.Omega) KPIs per hour), given the total
 // weight, and reports whether the sector passes the missing-data rule
-// (see FilterSectors). It returns false after the first whole week that
-// breaks the rule, with the rest of row unwritten.
+// (see FilterSectors). It scores a week at a time, counting the week's
+// missing entries in the same pass, and returns false after the first
+// whole week that breaks the rule, with the rest of row unwritten.
 func (w *Weighting) scoreSector(row, sec []float64, total, maxWeekMissing float64) bool {
 	f := len(w.Omega)
 	for lo := 0; lo < len(row); lo += timegrid.HoursPerWeek {
@@ -126,55 +135,39 @@ func (w *Weighting) scoreSector(row, sec []float64, total, maxWeekMissing float6
 }
 
 // scoreHours writes the S' of len(row) consecutive hours from their KPI
-// cells and returns how many of the cells' entries are missing. It scores
-// four hours at a time (a short last block repeats its last hour and
-// keeps only the hours it has): their sums are independent, so
-// interleaving them hides the latency of the additions, while each is
-// still added in KPI order, bit for bit as an hour scored alone.
+// cells and returns how many of the cells' entries are missing. Most KPI
+// values lie below their threshold, and for those a term costs one
+// compare and a well-predicted branch: only a value that is not below
+// epsilon takes the path that adds its weight or, for NaN, counts it
+// missing. Skipping a below-threshold term leaves out a +0 that would
+// not change a sum starting at +0, and the weights are added in KPI
+// order, so each hour is bit for bit Eq. 1 evaluated term by term. For a
+// finite epsilon (NewWeighting's rule), v >= epsilon is exactly
+// H(v - epsilon) = 1.
 func (w *Weighting) scoreHours(row, cells []float64, total float64) int {
 	omega := w.Omega
 	f := len(omega)
 	eps := w.Epsilon[:f]
-	cell := func(j int) []float64 { return cells[min(j, len(row)-1)*f:][:f] }
 	missing := 0
-	for j := 0; j < len(row); j += 4 {
-		c0, c1, c2, c3 := cell(j), cell(j+1), cell(j+2), cell(j+3)
-		var s0, s1, s2, s3 float64
-		var m0, m1, m2, m3 int
-		for c, o := range omega {
-			e := eps[c]
-			s0, m0 = addTerm(s0, m0, o, c0[c], e)
-			s1, m1 = addTerm(s1, m1, o, c1[c], e)
-			s2, m2 = addTerm(s2, m2, o, c2[c], e)
-			s3, m3 = addTerm(s3, m3, o, c3[c], e)
-		}
-		sums, miss := [4]float64{s0, s1, s2, s3}, [4]int{m0, m1, m2, m3}
-		for q := 0; q < 4 && j+q < len(row); q++ {
-			row[j+q] = sums[q] / total
-			if miss[q] == f {
-				row[j+q] = math.NaN()
+	for j := range row {
+		cell := cells[j*f:][:f]
+		sum, miss := 0.0, 0
+		for c, v := range cell {
+			if !(v < eps[c]) {
+				if v != v {
+					miss++
+				} else {
+					sum += omega[c]
+				}
 			}
-			missing += miss[q]
 		}
+		row[j] = sum / total
+		if miss == f {
+			row[j] = math.NaN()
+		}
+		missing += miss
 	}
 	return missing
-}
-
-// addTerm adds one KPI's Eq. 1 term to an hour's running sum and counts
-// it in missing when v is NaN. It has no branch: v >= eps adds omega, and
-// anything else (NaN v included) adds +0, which leaves a sum that started
-// at +0 unchanged, exactly as adding omega * Heaviside(v - eps) for a
-// finite omega would.
-func addTerm(sum float64, missing int, omega, v, eps float64) (float64, int) {
-	return sum + math.Float64frombits(math.Float64bits(omega)&-b2u(v-eps >= 0)), missing + int(b2u(v != v))
-}
-
-// b2u is 1 for true and 0 for false, compiled without a branch.
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Mu is the temporal averaging function of Eq. 3: the mean of z over the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -27,19 +28,27 @@ func TestNewWeightingValidation(t *testing.T) {
 		omega, eps []float64
 		thr        float64
 	}{
-		{[]float64{1}, []float64{1, 2}, 0.5},        // length mismatch
-		{nil, nil, 0.5},                             // empty
-		{[]float64{-1}, []float64{0}, 0.5},          // negative weight
-		{[]float64{0}, []float64{0}, 0.5},           // all-zero weights
-		{[]float64{1}, []float64{0}, 0},             // bad threshold
-		{[]float64{1}, []float64{0}, 1},             // bad threshold
-		{[]float64{math.NaN()}, []float64{0}, 0.5},  // NaN weight
-		{[]float64{math.Inf(1)}, []float64{0}, 0.5}, // infinite weight
+		{[]float64{1}, []float64{1, 2}, 0.5},                     // length mismatch
+		{nil, nil, 0.5},                                          // empty
+		{[]float64{-1}, []float64{0}, 0.5},                       // negative weight
+		{[]float64{0}, []float64{0}, 0.5},                        // all-zero weights
+		{[]float64{1}, []float64{0}, 0},                          // bad threshold
+		{[]float64{1}, []float64{0}, 1},                          // bad threshold
+		{[]float64{math.NaN()}, []float64{0}, 0.5},               // NaN weight
+		{[]float64{math.Inf(1)}, []float64{0}, 0.5},              // infinite weight
+		{[]float64{1, 1}, []float64{0, math.NaN()}, 0.5},         // NaN threshold
+		{[]float64{1, 1}, []float64{math.Inf(1), 0}, 0.5},        // infinite threshold
+		{[]float64{1, 1, 1}, []float64{0, 0, math.Inf(-1)}, 0.5}, // infinite threshold
 	}
 	for i, c := range cases {
 		if _, err := NewWeighting(c.omega, c.eps, c.thr); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+	// A bad threshold is named by its KPI index.
+	if _, err := NewWeighting([]float64{1, 1, 1}, []float64{0, 0, math.NaN()}, 0.5); err == nil ||
+		!strings.Contains(err.Error(), "threshold 2 ") {
+		t.Errorf("NaN threshold of KPI 2: err = %v, want it to name threshold 2", err)
 	}
 }
 
@@ -548,7 +557,7 @@ func sameBits(a, b []float64) (int, bool) {
 }
 
 // refHourly is Eq. 1 as written, one KPI at a time: the reference the
-// branch-free scoring kernel must match bit for bit.
+// scoring kernel must match bit for bit.
 func refHourly(w *Weighting, k *tensor.Tensor3) *tensor.Matrix {
 	out := tensor.NewMatrix(k.N, k.T)
 	total := w.TotalWeight()
@@ -577,8 +586,7 @@ func refHourly(w *Weighting, k *tensor.Tensor3) *tensor.Matrix {
 // Epsilon[f], NaN entries and all-NaN hours; sector 1 has exactly half of
 // one week missing (kept), and sector 2 one entry more (discarded), sector
 // 3 breaks the rule only in its last whole week. extra hours after the
-// two weeks make a partial week, which the rule ignores, and can leave an
-// hour count that is not a multiple of the kernel's four-hour blocks.
+// two weeks make a partial week, which the rule ignores.
 func edgeTensor(w *Weighting, extra int) *tensor.Tensor3 {
 	const weeks = 2
 	k := tensor.NewTensor3(6, weeks*168+extra, len(w.Omega))
@@ -671,4 +679,148 @@ func TestFromHourlyMatchesCompute(t *testing.T) {
 			t.Fatalf("%s differs at %d", m.name, i)
 		}
 	}
+}
+
+// benchSh keeps BenchmarkFilterHourly's result live.
+var benchSh *tensor.Matrix
+
+// BenchmarkFilterHourly times the fused filter-and-score pass, Eq. 1
+// over every sector-hour, on a generated 600-sector, 18-week K: the size
+// of the dataset the serving benchmark's server prepares at start-up.
+func BenchmarkFilterHourly(b *testing.B) {
+	cfg := simnet.DefaultConfig()
+	cfg.Seed, cfg.Sectors, cfg.Weeks = 1, 600, 18
+	ds, err := simnet.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := DefaultWeighting()
+	b.SetBytes(int64(8 * len(ds.K.Data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, benchSh = w.FilterHourly(ds.K, 0.5)
+	}
+}
+
+// fuzzWeighting decodes a weighting from spec: no KPIs selects the
+// default weighting; otherwise byte pair c gives KPI c's weight and
+// threshold, from palettes with zeros, subnormals, signs and extremes.
+// It returns nil when NewWeighting rejects the decoded values.
+func fuzzWeighting(spec []byte) *Weighting {
+	if len(spec) < 2 {
+		return DefaultWeighting()
+	}
+	weights := []float64{0, 1, 0.5, 3, 0x1p-1074, 1e300, 1e-300, math.MaxFloat64 / 4}
+	thresholds := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 0x1p-1074, -0x1p-1074,
+		math.MaxFloat64, -math.MaxFloat64, 1e-300, 1e300, -7.25}
+	f := min(len(spec)/2, 4)
+	omega, eps := make([]float64, f), make([]float64, f)
+	for c := range omega {
+		omega[c] = weights[int(spec[2*c])%len(weights)]
+		eps[c] = thresholds[int(spec[2*c+1])%len(thresholds)]
+	}
+	w, err := NewWeighting(omega, eps, 0.6)
+	if err != nil {
+		return nil
+	}
+	return w
+}
+
+// fuzzKPI decodes one KPI value from byte b around threshold eps: NaNs of
+// either sign with assorted payloads, +-Inf, +-0, subnormals, eps itself
+// and its neighbours one ULP either side, values a few units off eps,
+// the largest finite values and small signed values.
+func fuzzKPI(b byte, eps float64) float64 {
+	p := uint64(b >> 4)
+	switch b % 16 {
+	case 0:
+		return math.Float64frombits(0x7ff8000000000000 | p<<40 | p) // quiet NaN
+	case 1:
+		return math.Float64frombits(0xfff0000000000001 + p<<20) // negative signalling NaN
+	case 2:
+		return math.Inf(1)
+	case 3:
+		return math.Inf(-1)
+	case 4:
+		return math.Copysign(0, -1)
+	case 5:
+		return 0
+	case 6:
+		return math.Float64frombits(p + 1) // positive subnormal
+	case 7:
+		return -math.Float64frombits(p<<30 + 1) // negative subnormal
+	case 8:
+		return eps
+	case 9:
+		return math.Nextafter(eps, math.Inf(1))
+	case 10:
+		return math.Nextafter(eps, math.Inf(-1))
+	case 11:
+		return eps + float64(p)
+	case 12:
+		return eps - float64(p) - 1
+	case 13:
+		return math.MaxFloat64
+	case 14:
+		return -math.MaxFloat64
+	default:
+		return float64(int8(b)) / 8
+	}
+}
+
+// FuzzFilterHourly scores untrusted KPI data: the fused pass must equal
+// FilterSectors followed by Eq. 1 evaluated one KPI at a time (refHourly)
+// bit for bit, Hourly must equal refHourly, and the scoring kernel's
+// missing count must equal the number of NaN entries of each sector.
+// The input decodes as: sectors (1-3), hours (1-344, so zero to two whole
+// weeks and a partial one), the missing-data rule's fraction, a weighting
+// (fuzzWeighting) and the KPI bytes, repeated to fill K.
+func FuzzFilterHourly(f *testing.F) {
+	all := make([]byte, 256)
+	for b := range all {
+		all[b] = byte(b)
+	}
+	f.Add(uint8(2), uint16(340), uint8(128), []byte{}, all)
+	f.Add(uint8(0), uint16(167), uint8(255), []byte{}, []byte{0x08, 0x19, 0x2a, 0x05, 0x04})
+	f.Add(uint8(1), uint16(336), uint8(100), []byte{1, 0, 3, 1, 5, 5, 7, 7},
+		[]byte{0x00, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0d, 0x0e})
+	f.Add(uint8(1), uint16(170), uint8(255), []byte{}, []byte{0x10}) // every entry NaN
+	f.Add(uint8(2), uint16(200), uint8(0), []byte{4, 2, 6, 8, 2, 9, 3, 10},
+		[]byte{0x21, 0x02, 0x03, 0x08, 0x0b, 0x3c, 0x0f, 0xf0})
+	f.Fuzz(func(t *testing.T, n uint8, hours uint16, rule uint8, spec, data []byte) {
+		w := fuzzWeighting(spec)
+		if w == nil || len(data) == 0 {
+			return
+		}
+		k := tensor.NewTensor3(int(n%3)+1, int(hours)%344+1, len(w.Omega))
+		for e := range k.Data {
+			k.Data[e] = fuzzKPI(data[e%len(data)], w.Epsilon[e%k.F])
+		}
+		maxWeekMissing := float64(rule) / 255
+		ref := refHourly(w, k)
+		if i, ok := sameBits(w.Hourly(k).Data, ref.Data); !ok {
+			t.Fatalf("Hourly differs from Eq. 1 at %d", i)
+		}
+		keep := FilterSectors(k, maxWeekMissing)
+		gotKeep, gotSh := w.FilterHourly(k, maxWeekMissing)
+		if !reflect.DeepEqual(gotKeep, keep) {
+			t.Fatalf("fused pass keeps %v, filter keeps %v", gotKeep, keep)
+		}
+		if i, ok := sameBits(gotSh.Data, ref.SelectRows(keep).Data); !ok {
+			t.Fatalf("fused S' differs at %d", i)
+		}
+		row := make([]float64, k.T)
+		for i := 0; i < k.N; i++ {
+			nan := 0
+			for _, v := range k.Sector(i) {
+				if math.IsNaN(v) {
+					nan++
+				}
+			}
+			if got := w.scoreHours(row, k.Sector(i), w.TotalWeight()); got != nan {
+				t.Fatalf("sector %d: kernel counts %d missing, K holds %d NaN", i, got, nan)
+			}
+		}
+	})
 }

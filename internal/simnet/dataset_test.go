@@ -345,12 +345,10 @@ func TestLoadRejectsInconsistentShapes(t *testing.T) {
 	}
 }
 
-// FuzzLoadDataset feeds Load arbitrary bytes: it must reject them with an
-// error, never panic or over-allocate; a file with a whole header of
-// another version must be refused naming that version; and whatever it
-// accepts must hold only 0/1 HotDrive bytes and re-Save to the identical
-// bytes. LoadFile must agree with Load on the same bytes in a file.
-func FuzzLoadDataset(f *testing.F) {
+// addDatasetSeeds seeds a dataset-decoder fuzz target with a saved tiny
+// dataset, a HotDrive byte other than 0 or 1, a version-2 file, and
+// truncations and bit flips of the good file.
+func addDatasetSeeds(f *testing.F) {
 	ds := tinyDataset(f)
 	good := saveBytes(f, ds)
 	hotLen := len(ds.Truth.HotDrive.Data)
@@ -365,10 +363,19 @@ func FuzzLoadDataset(f *testing.F) {
 		mut[off] ^= 0x10
 		f.Add(mut)
 	}
-	path := filepath.Join(f.TempDir(), "fuzz.hotd")
+}
+
+// FuzzLoadDataset feeds Load arbitrary bytes: it must reject them with an
+// error, never panic or over-allocate; a file with a whole header of
+// another version must be refused naming that version; and whatever it
+// accepts must hold only 0/1 HotDrive bytes and re-Save to the identical
+// bytes. FuzzLoadDatasetFile holds LoadFile to the same bytes; it is a
+// target of its own because writing each input to a file would take most
+// of this one's executions.
+func FuzzLoadDataset(f *testing.F) {
+	addDatasetSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, err := Load(bytes.NewReader(data))
-		fuzzLoadFile(t, path, data, err)
 		if len(data) >= datasetHeaderSize && string(data[:4]) == datasetMagic {
 			if v := binary.LittleEndian.Uint32(data[4:]); v != DatasetVersion &&
 				(err == nil || !strings.Contains(err.Error(), fmt.Sprintf("dataset version %d;", v))) {
@@ -391,7 +398,18 @@ func FuzzLoadDataset(f *testing.F) {
 	})
 }
 
-// fuzzLoadFile is FuzzLoadDataset's mapped leg: data written to a file
+// FuzzLoadDatasetFile is FuzzLoadDataset's mapped leg (fuzzLoadFile) on
+// the same seeds.
+func FuzzLoadDatasetFile(f *testing.F) {
+	addDatasetSeeds(f)
+	path := filepath.Join(f.TempDir(), "fuzz.hotd")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, err := Load(bytes.NewReader(data))
+		fuzzLoadFile(t, path, data, err)
+	})
+}
+
+// fuzzLoadFile is FuzzLoadDatasetFile's check: data written to a file
 // must load through LoadFile exactly when it loads through Load, with the
 // same error for a non-empty file (an empty one is refused by the mapper),
 // and an accepted file must re-save to its own bytes. The file at path is
