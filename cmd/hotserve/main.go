@@ -184,8 +184,9 @@ func setup(args []string, out io.Writer) (*server, string, error) {
 	}
 
 	s.setupTimes = [len(setupStages)]time.Duration{t1.Sub(t0), t2.Sub(t1), time.Since(t2)}
-	fmt.Fprintf(out, "start-up: load %.3fs, prepare %.3fs, registry %.3fs\n",
-		s.setupTimes[0].Seconds(), s.setupTimes[1].Seconds(), s.setupTimes[2].Seconds())
+	fmt.Fprintf(out, "start-up: load %.3fs, prepare %.3fs, registry %.3fs, K %.1f MiB %s\n",
+		s.setupTimes[0].Seconds(), s.setupTimes[1].Seconds(), s.setupTimes[2].Seconds(),
+		float64(kpiBytes(ds))/(1<<20), ds.KBacking())
 	fmt.Fprintf(out, "serving %d sectors x %d days with %d artifact(s) on %s (max %d in-flight forecasts)\n",
 		p.Sectors(), p.Days(), len(s.active.Load().models), *addr, *inflight)
 	return s, *addr, nil
@@ -290,9 +291,16 @@ func newServer(p *core.Pipeline, maxInflight int) *server {
 		s.m.registry.GaugeFunc("hotserve_setup_seconds", setupHelp,
 			func() float64 { return s.setupTimes[i].Seconds() }, obs.Label{Key: "stage", Value: name})
 	}
+	s.m.registry.Gauge("hotserve_kpi_bytes", "bytes of the KPI tensor K's storage by where it lives: "+
+		"file (the mapped dataset file), anonymous (an anonymous mapping) or heap; mappings are outside Go's memory statistics",
+		obs.Label{Key: "backing", Value: p.Dataset.KBacking()}).Set(kpiBytes(p.Dataset))
 	parallel.RegisterSemaphore(s.sem)
 	return s
 }
+
+// kpiBytes is the size of ds's K storage, every row a sector selection
+// left in it included.
+func kpiBytes(ds *simnet.Dataset) int64 { return 8 * int64(len(ds.K.Data)) }
 
 // setStatic installs a fixed artifact inventory (-models mode).
 func (s *server) setStatic(arts []forecast.Trained) error {

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -78,8 +79,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, ok := after.Value("bytelru_hits_total", obs.Label{Key: "cache", Value: "features"}); !ok {
 		t.Error("feature-cache series missing from scrape")
 	}
-	if after.Counter("forecast_batch_predicts_total") == 0 {
-		t.Error("forecast_batch_predicts_total did not advance")
+
+	// An Average forecast never batch-predicts; a Tree forecast does, so
+	// the test drives one itself rather than relying on an earlier test.
+	if code, _ := get(t, srv, "/forecast?model=Tree&t=30&k=5"); code != 200 {
+		t.Fatalf("tree forecast status %d", code)
+	}
+	if tree := scrape(t, srv); tree.Counter("forecast_batch_predicts_total") <= after.Counter("forecast_batch_predicts_total") {
+		t.Error("forecast_batch_predicts_total did not advance across a Tree forecast")
 	}
 }
 
@@ -265,10 +272,11 @@ func TestPprofBehindFlag(t *testing.T) {
 	}
 }
 
-// TestSetupStageMetrics: a server booted from a dataset file and a
-// registry reports how long each start-up stage took, on /metrics as
-// hotserve_setup_seconds{stage} and in one start-up line, with the same
-// values in both.
+// TestSetupStageMetrics: a server booted from a registry, with its
+// dataset loaded from a file or generated, reports how long each start-up
+// stage took, on /metrics as hotserve_setup_seconds{stage} and in one
+// start-up line, and K's size and backing, as hotserve_kpi_bytes{backing}
+// and on the same line, with the same values in both.
 func TestSetupStageMetrics(t *testing.T) {
 	cfg := core.Config{Seed: 2, Sectors: 150, Weeks: 8, TrainDays: 3}
 	ds, err := core.Generate(cfg)
@@ -280,6 +288,7 @@ func TestSetupStageMetrics(t *testing.T) {
 	if err := ds.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
+	kBytes := float64(8 * len(ds.K.Data))
 	p, err := core.FromDataset(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -297,22 +306,40 @@ func TestSetupStageMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var out strings.Builder
-	srv, _, err := setup([]string{"-in", path, "-registry", filepath.Join(dir, "reg"), "-watch", "0"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := scrape(t, srv)
-	var secs [len(setupStages)]float64
-	for i, stage := range setupStages {
-		v, ok := sc.Value("hotserve_setup_seconds", obs.Label{Key: "stage", Value: stage})
-		if !ok || v <= 0 {
-			t.Errorf("hotserve_setup_seconds{stage=%q} = %v (present=%v), want > 0", stage, v, ok)
+	for _, c := range []struct {
+		backing string
+		data    []string
+	}{
+		{"file", []string{"-in", path}},
+		{"anonymous", []string{"-sectors", "150", "-weeks", "8", "-seed", "2"}},
+	} {
+		if runtime.GOOS != "linux" {
+			c.backing = "heap" // internal/mmapfile maps on linux only
 		}
-		secs[i] = v
-	}
-	line := fmt.Sprintf("start-up: load %.3fs, prepare %.3fs, registry %.3fs\n", secs[0], secs[1], secs[2])
-	if !strings.Contains(out.String(), line) {
-		t.Errorf("start-up output lacks %q:\n%s", line, out.String())
+		var out strings.Builder
+		srv, _, err := setup(append(c.data, "-registry", filepath.Join(dir, "reg"), "-watch", "0"), &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := scrape(t, srv)
+		var secs [len(setupStages)]float64
+		for i, stage := range setupStages {
+			v, ok := sc.Value("hotserve_setup_seconds", obs.Label{Key: "stage", Value: stage})
+			if !ok || v <= 0 {
+				t.Errorf("%s: hotserve_setup_seconds{stage=%q} = %v (present=%v), want > 0", c.backing, stage, v, ok)
+			}
+			secs[i] = v
+		}
+		for _, b := range []string{"file", "anonymous", "heap"} {
+			v, ok := sc.Value("hotserve_kpi_bytes", obs.Label{Key: "backing", Value: b})
+			if want := b == c.backing; ok != want || (want && v != kBytes) {
+				t.Errorf("%s: hotserve_kpi_bytes{backing=%q} = %v (present=%v), want %v bytes only under %q", c.backing, b, v, ok, kBytes, c.backing)
+			}
+		}
+		line := fmt.Sprintf("start-up: load %.3fs, prepare %.3fs, registry %.3fs, K %.1f MiB %s\n",
+			secs[0], secs[1], secs[2], kBytes/(1<<20), c.backing)
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("start-up output lacks %q:\n%s", line, out.String())
+		}
 	}
 }

@@ -36,8 +36,20 @@ func Open(path string) (*File, error) {
 	return &File{data: data, mapped: true}, nil
 }
 
-// Close unmaps the file. Idempotent; a nil receiver or heap-backed File
-// is a no-op (heap data stays valid).
+// Alloc returns size zeroed, writable bytes in an anonymous private
+// mapping, outside the Go heap: the collector neither scans nor paces on
+// them. A zero size or any mmap failure degrades to a heap allocation, as
+// Open degrades to a heap read.
+func Alloc(size int) *File {
+	data, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err != nil {
+		return heapAlloc(size)
+	}
+	return &File{data: data, mapped: true}
+}
+
+// Close unmaps the file or allocation. Idempotent; a nil receiver or
+// heap-backed File is a no-op (heap data stays valid).
 func (f *File) Close() error {
 	if f == nil || !f.mapped || f.data == nil {
 		return nil

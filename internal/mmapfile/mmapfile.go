@@ -1,30 +1,35 @@
-// Package mmapfile maps files read-only into memory where the platform
-// supports it, with a plain read fallback elsewhere. It serves the two
-// zero-copy load paths: a memory-mapped .hotm artifact lets the flat
-// inference engine serve straight out of the page cache — load time
-// independent of model size, one physical copy shared across processes —
-// and a mapped dataset file (simnet.LoadFile) lets the KPI tensor K be
-// read in place instead of copied to the heap. Either way the mapping
-// stays read-only, and a file must be replaced by rename while a process
-// maps it, never rewritten in place.
+// Package mmapfile maps memory outside the Go heap where the platform
+// supports it, with a plain heap fallback elsewhere. Open maps a file
+// read-only; it serves the two zero-copy load paths: a memory-mapped
+// .hotm artifact lets the flat inference engine serve straight out of
+// the page cache — load time independent of model size, one physical
+// copy shared across processes — and a mapped dataset file
+// (simnet.LoadFile) lets the KPI tensor K be read in place instead of
+// copied to the heap. A file must be replaced by rename while a process
+// maps it, never rewritten in place. Alloc maps writable anonymous
+// memory; it holds a generated K (simnet.Generate), the largest object
+// in the process, where the garbage collector neither scans it nor sizes
+// the heap goal by it.
 package mmapfile
 
 import (
 	"fmt"
 	"os"
+	"unsafe"
 )
 
-// File is one opened file's contents, either memory-mapped or read into
-// the heap. Data is read-only either way: writing to a mapped region
-// faults, and callers that alias Data (the zero-copy decoders) must keep
-// the File alive as long as the aliases are in use.
+// File is one mapping's contents, or its heap stand-in. Open's Data is
+// read-only either way: writing to a mapped file region faults. Alloc's
+// Data is writable. Callers that alias Data (the zero-copy decoders, a
+// generated K) must keep the File open as long as the aliases are in
+// use.
 type File struct {
 	data   []byte
 	mapped bool
 }
 
-// Data returns the file contents. The slice is invalid after Close when
-// Mapped reports true.
+// Data returns the file contents or the allocation. The slice is invalid
+// after Close when Mapped reports true.
 func (f *File) Data() []byte { return f.data }
 
 // Mapped reports whether Data is a memory mapping (true) or a heap copy
@@ -45,4 +50,11 @@ func readFallback(path string) (*File, error) {
 		return nil, fmt.Errorf("mmapfile: %s is empty", path)
 	}
 	return &File{data: data}, nil
+}
+
+// heapAlloc is Alloc's heap fallback: size zeroed bytes, 8-byte aligned
+// like a mapping, so a caller may alias them as 64-bit words.
+func heapAlloc(size int) *File {
+	words := make([]uint64, (size+7)/8)
+	return &File{data: unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), size)}
 }

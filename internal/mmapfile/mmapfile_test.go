@@ -3,8 +3,10 @@ package mmapfile
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestOpenRejectsEmptyFile: a zero-length file is a clean error on every
@@ -70,5 +72,37 @@ func TestCloseSafety(t *testing.T) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatalf("second Close = %v", err)
+	}
+}
+
+// TestAlloc: an allocation is zeroed, writable and 8-byte aligned, mapped
+// on linux, and Close is idempotent; a zero size falls back to an empty
+// heap allocation.
+func TestAlloc(t *testing.T) {
+	f := Alloc(3 << 20)
+	b := f.Data()
+	if len(b) != 3<<20 || uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 != 0 {
+		t.Fatalf("Alloc gave %d bytes at %p", len(b), unsafe.SliceData(b))
+	}
+	if f.Mapped() != (runtime.GOOS == "linux") {
+		t.Errorf("Mapped = %v on %s", f.Mapped(), runtime.GOOS)
+	}
+	for i, v := range b {
+		if v != 0 {
+			t.Fatalf("byte %d = %d, want 0", i, v)
+		}
+	}
+	b[0], b[len(b)-1] = 1, 2
+	if b[0] != 1 || b[len(b)-1] != 2 {
+		t.Fatal("writes to the allocation did not stick")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+	if z := Alloc(0); len(z.Data()) != 0 || z.Mapped() {
+		t.Fatalf("Alloc(0) = %d bytes, mapped %v", len(z.Data()), z.Mapped())
 	}
 }

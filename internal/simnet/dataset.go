@@ -271,13 +271,18 @@ func f64Bytes(vs []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)*8)
 }
 
+// wordsOf aliases b's memory as native float64 words. b must be
+// 8-aligned.
+func wordsOf(b []byte) []float64 {
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8)
+}
+
 // f64sOf returns the little-endian float64 words in b: an alias of b's
 // memory (aliased true) on a little-endian host when b is 8-aligned, a
 // converted copy otherwise.
 func f64sOf(b []byte) (vs []float64, aliased bool) {
-	p := unsafe.SliceData(b)
-	if binenc.NativeLittle() && uintptr(unsafe.Pointer(p))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(p)), len(b)/8), true
+	if binenc.NativeLittle() && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0 {
+		return wordsOf(b), true
 	}
 	vs = make([]float64, len(b)/8)
 	for i := range vs {
@@ -332,9 +337,10 @@ func (d *Dataset) SaveFile(path string) (err error) {
 
 // LoadFile reads a dataset from path. It maps the file read-only
 // (internal/mmapfile) and verifies every section checksum over the
-// mapped bytes. K then serves straight from the mapping, which closes
-// when K is garbage collected; K's storage is read-only, so write to a
-// Clone. HotDrive is copied to the heap.
+// mapped bytes. K then serves straight from the mapping, off the Go heap;
+// the mapping closes when K is garbage collected, so a slice taken from
+// K is valid while K is reachable. K's storage is read-only, so write to
+// a Clone. HotDrive is copied to the heap.
 func LoadFile(path string) (*Dataset, error) {
 	f, err := mmapfile.Open(path)
 	if err != nil {
@@ -345,12 +351,24 @@ func LoadFile(path string) (*Dataset, error) {
 		f.Close()
 		return nil, fmt.Errorf("simnet: loading dataset: %w", err)
 	}
-	if !aliased || !f.Mapped() {
-		f.Close() // nothing aliases a mapping: a heap read stays valid
+	if !aliased {
+		f.Close() // K is a converted copy: nothing aliases the file
 		return ds, nil
 	}
-	runtime.SetFinalizer(ds.K, func(*tensor.Tensor3) { f.Close() })
+	ds.holdK(f, "file")
 	return ds, nil
+}
+
+// holdK makes f, which K's storage aliases, live as long as K: when f is
+// a mapping, it closes once K is garbage collected, and KBacking reports
+// backing. A heap-backed f needs no release. LoadFile and Generate share
+// this one release of K.
+func (d *Dataset) holdK(f *mmapfile.File, backing string) {
+	if !f.Mapped() {
+		return
+	}
+	d.backing = backing
+	runtime.SetFinalizer(d.K, func(*tensor.Tensor3) { f.Close() })
 }
 
 // SelectSectors restricts the dataset in place to the listed sectors (the

@@ -13,10 +13,13 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
+	"unsafe"
 
 	"repro/internal/binenc"
 	"repro/internal/tensor"
@@ -642,6 +645,82 @@ func TestLoadFileMapsKUntilCollected(t *testing.T) {
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestGenerateKOffHeap: Generate allocates K in an anonymous mapping,
+// off the Go heap. The live heap grows by under a quarter of K's bytes
+// across Generate, K.Data's address range lies in one anonymous mapping,
+// and once the dataset is dropped the range is unmapped within a bounded
+// number of collections.
+func TestGenerateKOffHeap(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("K is mapped on linux only")
+	}
+	cfg := DefaultConfig()
+	cfg.Sectors, cfg.Weeks = 60, 8
+	var lo, hi uint64
+	func() {
+		before := liveHeapObjectBytes()
+		ds, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kBytes := int64(8 * len(ds.K.Data))
+		grew := liveHeapObjectBytes() - before
+		t.Logf("live heap grew by %d bytes across Generate; K is %d bytes", grew, kBytes)
+		if grew >= kBytes/4 {
+			t.Errorf("live heap grew by %d bytes across Generate, want < %d", grew, kBytes/4)
+		}
+		if got := ds.KBacking(); got != "anonymous" {
+			t.Errorf("KBacking = %q, want anonymous", got)
+		}
+		lo = uint64(uintptr(unsafe.Pointer(unsafe.SliceData(ds.K.Data))))
+		hi = lo + uint64(kBytes)
+		if !anonMapping(t, lo, hi) {
+			t.Errorf("K.Data [%#x, %#x) is not inside one anonymous mapping", lo, hi)
+		}
+		runtime.KeepAlive(ds)
+	}()
+	for i := 0; anonMapping(t, lo, hi); i++ {
+		if i == 100 {
+			t.Fatal("the dropped dataset's K is still mapped after 100 collections")
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond) // finalizers run on their own goroutine
+	}
+}
+
+// liveHeapObjectBytes collects and returns the bytes of live heap
+// objects.
+func liveHeapObjectBytes() int64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
+}
+
+// anonMapping reports whether one anonymous mapping in /proc/self/maps
+// covers [lo, hi).
+func anonMapping(t *testing.T, lo, hi uint64) bool {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	for _, line := range strings.Split(string(maps), "\n") {
+		// start-end perms offset dev inode [path]
+		f := strings.Fields(line)
+		if len(f) != 5 || f[4] != "0" {
+			continue
+		}
+		start, end, _ := strings.Cut(f[0], "-")
+		s, err1 := strconv.ParseUint(start, 16, 64)
+		e, err2 := strconv.ParseUint(end, 16, 64)
+		if err1 == nil && err2 == nil && s <= lo && hi <= e {
+			return true
+		}
+	}
+	return false
 }
 
 // BenchmarkLoadFile times loading a 150-sector, 18-week dataset file

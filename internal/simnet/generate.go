@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/mmapfile"
 	"repro/internal/parallel"
 	"repro/internal/randx"
 	"repro/internal/tensor"
@@ -124,10 +125,24 @@ type Dataset struct {
 	Topo   *Topology
 	K      *tensor.Tensor3
 	Truth  *Truth
+	// backing names the mapping K's storage lives in ("" = the heap).
+	backing string
 }
 
 // N returns the number of sectors.
 func (d *Dataset) N() int { return d.K.N }
+
+// KBacking names where K's storage lives: "file" for a K read in place
+// from its mapped dataset file (LoadFile), "anonymous" for a generated K
+// in an anonymous mapping (Generate), and "heap" otherwise: a K decoded
+// from a stream, converted on a big-endian host, or allocated where
+// internal/mmapfile falls back to the heap.
+func (d *Dataset) KBacking() string {
+	if d.backing == "" {
+		return "heap"
+	}
+	return d.backing
+}
 
 // generator holds the shared generation state: topology, profiles,
 // country-level events and the bad-sector wipe plan. Per-sector KPI
@@ -180,7 +195,10 @@ func (g *generator) emitInto(i int, kRow []float64, hotRow []uint8) []Episode {
 }
 
 // Generate builds the full synthetic dataset. It is deterministic in
-// cfg.Seed and parallel across sectors.
+// cfg.Seed and parallel across sectors. K is allocated in an anonymous
+// mapping (internal/mmapfile), off the Go heap, and is writable; the
+// mapping closes when K is garbage collected, so a slice taken from K is
+// valid while K is reachable, as with LoadFile.
 func Generate(cfg Config) (*Dataset, error) {
 	g, err := newGenerator(cfg)
 	if err != nil {
@@ -188,31 +206,30 @@ func Generate(cfg Config) (*Dataset, error) {
 	}
 	n := len(g.topo.Sectors)
 	mh := g.grid.Hours()
-	k := tensor.NewTensor3(n, mh, NumKPIs)
-	hot := tensor.NewMask(n, mh)
+	kf := mmapfile.Alloc(8 * n * mh * NumKPIs)
+	ds := &Dataset{
+		Grid:   g.grid,
+		Config: cfg,
+		Topo:   g.topo,
+		K:      &tensor.Tensor3{N: n, T: mh, F: NumKPIs, Data: wordsOf(kf.Data())},
+		Truth:  &Truth{HotDrive: tensor.NewMask(n, mh)},
+	}
+	ds.holdK(kf, "anonymous")
 	episodesPerSector := make([][]Episode, n)
 
 	// Fan sectors out on the shared pool; each sector's RNG is keyed by its
 	// index, so the dataset is identical at any worker count.
 	if err := parallel.For(0, n, func(i int) error {
-		episodesPerSector[i] = g.emitInto(i, k.Sector(i), hot.Row(i))
+		episodesPerSector[i] = g.emitInto(i, ds.K.Sector(i), ds.Truth.HotDrive.Row(i))
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 
-	var episodes []Episode
 	for _, eps := range episodesPerSector {
-		episodes = append(episodes, eps...)
+		ds.Truth.Episodes = append(ds.Truth.Episodes, eps...)
 	}
-
-	return &Dataset{
-		Grid:   g.grid,
-		Config: cfg,
-		Topo:   g.topo,
-		K:      k,
-		Truth:  &Truth{HotDrive: hot, Episodes: episodes},
-	}, nil
+	return ds, nil
 }
 
 // assignProfiles draws a profile per sector with same-tower correlation and

@@ -108,10 +108,11 @@ func (m *Mask) Row(i int) []uint8 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 // restricts the tensor to a subset of its rows, after which Data keeps
 // every original row and a row index maps each logical sector to its row.
 // Read and write elements through the accessors (At, Set, Cell, Sector,
-// ...), which go through the index. Data may be read-only memory, such as
-// a mapped dataset file (simnet.LoadFile) that closes when the tensor is
-// collected: a slice taken from such a tensor is valid while the tensor
-// is reachable.
+// ...), which go through the index. Data may be a mapping outside the Go
+// heap that closes when the tensor is collected: read-only for a mapped
+// dataset file (simnet.LoadFile), writable and anonymous for a generated
+// K (simnet.Generate). A slice taken from such a tensor is valid while
+// the tensor is reachable.
 type Tensor3 struct {
 	N, T, F int
 	Data    []float64
