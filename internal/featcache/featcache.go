@@ -10,10 +10,11 @@
 // each build on demand; the first to ask builds it.
 //
 // Each such build is cached once, in the one form fits read: the
-// quantization of the TrainDays stacked day blocks (the float slab it is
-// binned from is not kept). Adjacent cutoffs do not share day
-// blocks; a day block is re-extracted for every cutoff that stacks it,
-// which is cheap beside binning the stacked slab.
+// quantization of the TrainDays stacked day blocks, extracted a stripe of
+// columns at a time as it is binned (mltree.BinFill), so no float matrix
+// of it is ever built. Adjacent cutoffs do not share day blocks; a day
+// block is re-extracted for every cutoff that stacks it, which is cheap
+// beside binning the stacked blocks.
 //
 // Prediction caches each (engine, day) window in the one form descent
 // reads: the compiled engine's one-byte code tiles (Matrix.Codes, see

@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"repro/internal/mathx"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/timegrid"
 )
@@ -440,43 +439,42 @@ func sanitize(v float64) float64 {
 	return v
 }
 
-// buildChunkRows is how many instances one BuildMatrix task extracts.
-const buildChunkRows = 64
-
-// BuildMatrix extracts features for several (sector, end-day) instances into
-// one row-major matrix suitable for mltree, on up to workers goroutines
-// (<= 0 means GOMAXPROCS). Each row is extracted on its own into its own
-// slot, so the matrix is bit-identical at any worker count. Empty instance
-// slices yield an empty matrix (width still reported), not an error.
-func BuildMatrix(v *View, ex Extractor, sectors []int, ends []int, w, workers int) ([]float64, int, error) {
+// InstanceFill checks every (sector, end-day) instance's window of w days
+// and returns the feature width and a fill over the instances' vectors:
+// fill(r, c0, out) writes columns [c0, c0+len(out)) of instance r's
+// vector into out through the extractor's projection, so a binner reads
+// the training matrix a stripe of columns at a time and the matrix is
+// never built. fill is safe for concurrent use, and every value it writes
+// is bit-identical to the full vector's. Empty instance slices are valid
+// (width still reported), not an error.
+func InstanceFill(v *View, ex Extractor, sectors []int, ends []int, w int) (int, func(r, c0 int, out []float64), error) {
 	if len(sectors) != len(ends) {
-		return nil, 0, fmt.Errorf("features: %d sectors vs %d end days", len(sectors), len(ends))
+		return 0, nil, fmt.Errorf("features: %d sectors vs %d end days", len(sectors), len(ends))
 	}
-	// Every window is checked before sizing the matrix: a negative w would
-	// make the extractor report a negative width and panic the allocation.
+	// Every window is checked before sizing anything: a negative w would
+	// make the extractor report a negative width.
 	if w < 1 {
-		return nil, 0, fmt.Errorf("features: window %d < 1", w)
+		return 0, nil, fmt.Errorf("features: window %d < 1", w)
 	}
 	for _, end := range ends {
 		if err := CheckWindow(v, end, w); err != nil {
-			return nil, 0, err
+			return 0, nil, err
 		}
 	}
-	n, width := len(sectors), ex.Width(v, w)
-	out := make([]float64, n*width)
-	err := parallel.For(workers, (n+buildChunkRows-1)/buildChunkRows, func(k int) error {
-		for r := k * buildChunkRows; r < min(n, (k+1)*buildChunkRows); r++ {
-			ex.Extract(v, sectors[r], ends[r], w, nil, out[r*width:(r+1)*width])
-		}
-		return nil
-	})
-	return out, width, err
+	width := ex.Width(v, w)
+	cols := make([]int32, width)
+	for j := range cols {
+		cols[j] = int32(j)
+	}
+	return width, func(r, c0 int, out []float64) {
+		ex.Extract(v, sectors[r], ends[r], w, cols[c0:c0+len(out)], out)
+	}, nil
 }
 
 // BuildAllSectors extracts features for every sector over the same window
 // (w days ending exclusively at day end) — the uniform build the feature
 // cache stores and shares between grid points. It is value-identical to
-// BuildMatrix over sectors 0..n-1 with a constant end day.
+// InstanceFill over sectors 0..n-1 with a constant end day.
 func BuildAllSectors(v *View, ex Extractor, end, w int) ([]float64, int, error) {
 	if err := CheckWindow(v, end, w); err != nil {
 		return nil, 0, err

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/score"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
@@ -214,9 +215,29 @@ func TestHandCraftedShortWindow(t *testing.T) {
 	}
 }
 
+// buildMatrix assembles the n x width matrix InstanceFill supplies, the
+// way a binner reads it: a stripe of columns at a time (7 wide, so stripes
+// split percentile groups and hand-crafted channels), rows spread over
+// workers goroutines.
+func buildMatrix(v *View, ex Extractor, sectors, ends []int, w, workers int) ([]float64, int, error) {
+	width, fill, err := InstanceFill(v, ex, sectors, ends, w)
+	if err != nil {
+		return nil, 0, err
+	}
+	const stripe = 7
+	x := make([]float64, len(sectors)*width)
+	err = parallel.For(workers, len(sectors), func(r int) error {
+		for c0 := 0; c0 < width; c0 += stripe {
+			fill(r, c0, x[r*width+c0:r*width+min(c0+stripe, width)])
+		}
+		return nil
+	})
+	return x, width, err
+}
+
 func TestBuildMatrix(t *testing.T) {
 	v := tinyView(t)
-	x, width, err := BuildMatrix(v, Raw{}, []int{0, 1}, []int{3, 5}, 2, 1)
+	x, width, err := buildMatrix(v, Raw{}, []int{0, 1}, []int{3, 5}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,23 +261,23 @@ func TestBuildMatrix(t *testing.T) {
 
 // TestBuildMatrixWorkersBitIdentical: extracting a training matrix on a
 // pool of workers gives the bits one worker gives, for every extractor,
-// over more instances than one task extracts and with NaN-heavy input.
+// over many instances and with NaN-heavy input.
 func TestBuildMatrixWorkersBitIdentical(t *testing.T) {
 	v := nanHeavyView(t)
 	const w = 3
 	days := v.Hours() / timegrid.HoursPerDay
 	var sectors, ends []int
-	for r := 0; r < 3*buildChunkRows+5; r++ {
+	for r := 0; r < 197; r++ {
 		sectors = append(sectors, (r*7)%v.Sectors())
 		ends = append(ends, w+r%(days-w+1))
 	}
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
-		want, _, err := BuildMatrix(v, ex, sectors, ends, w, 1)
+		want, _, err := buildMatrix(v, ex, sectors, ends, w, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 0} {
-			got, _, err := BuildMatrix(v, ex, sectors, ends, w, workers)
+			got, _, err := buildMatrix(v, ex, sectors, ends, w, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,10 +292,10 @@ func TestBuildMatrixWorkersBitIdentical(t *testing.T) {
 
 func TestBuildMatrixErrors(t *testing.T) {
 	v := tinyView(t)
-	if _, _, err := BuildMatrix(v, Raw{}, []int{0}, []int{3, 5}, 2, 1); err == nil {
+	if _, _, err := buildMatrix(v, Raw{}, []int{0}, []int{3, 5}, 2, 1); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, _, err := BuildMatrix(v, Raw{}, []int{0}, []int{1}, 5, 1); err == nil {
+	if _, _, err := buildMatrix(v, Raw{}, []int{0}, []int{1}, 5, 1); err == nil {
 		t.Fatal("invalid window accepted")
 	}
 }
@@ -286,22 +307,22 @@ func TestBuildMatrixWindowExceedsHistory(t *testing.T) {
 	days := v.Hours() / timegrid.HoursPerDay
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
 		// w exceeds the history available before end=3.
-		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{3}, 4, 1); err == nil {
+		if _, _, err := buildMatrix(v, ex, []int{0}, []int{3}, 4, 1); err == nil {
 			t.Fatalf("%s: window past day 0 accepted", ex.Name())
 		}
 		// end beyond the grid.
-		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{days + 1}, 1, 1); err == nil {
+		if _, _, err := buildMatrix(v, ex, []int{0}, []int{days + 1}, 1, 1); err == nil {
 			t.Fatalf("%s: end day beyond grid accepted", ex.Name())
 		}
 		// Zero-length and negative windows.
-		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{3}, 0, 1); err == nil {
+		if _, _, err := buildMatrix(v, ex, []int{0}, []int{3}, 0, 1); err == nil {
 			t.Fatalf("%s: w=0 accepted", ex.Name())
 		}
-		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{3}, -1, 1); err == nil {
+		if _, _, err := buildMatrix(v, ex, []int{0}, []int{3}, -1, 1); err == nil {
 			t.Fatalf("%s: w=-1 accepted", ex.Name())
 		}
 		// The largest valid window at the last day still works.
-		if _, _, err := BuildMatrix(v, ex, []int{0}, []int{days}, days, 1); err != nil {
+		if _, _, err := buildMatrix(v, ex, []int{0}, []int{days}, days, 1); err != nil {
 			t.Fatalf("%s: full-history window rejected: %v", ex.Name(), err)
 		}
 	}
@@ -313,7 +334,7 @@ func TestBuildMatrixWindowExceedsHistory(t *testing.T) {
 func TestBuildMatrixEmptyInstances(t *testing.T) {
 	v := tinyView(t)
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
-		x, width, err := BuildMatrix(v, ex, nil, nil, 2, 1)
+		x, width, err := buildMatrix(v, ex, nil, nil, 2, 1)
 		if err != nil {
 			t.Fatalf("%s: empty build errored: %v", ex.Name(), err)
 		}
@@ -333,7 +354,7 @@ func TestBuildMatrixWidthConsistency(t *testing.T) {
 	v := tinyView(t)
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
 		for _, w := range []int{1, 2, 7} {
-			x, width, err := BuildMatrix(v, ex, []int{0, 1}, []int{7, 9}, w, 1)
+			x, width, err := buildMatrix(v, ex, []int{0, 1}, []int{7, 9}, w, 1)
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", ex.Name(), w, err)
 			}
@@ -354,7 +375,7 @@ func TestBuildAllSectorsMatchesBuildMatrix(t *testing.T) {
 	for _, ex := range []Extractor{Raw{}, Percentiles{}, HandCrafted{}} {
 		sectors := []int{0, 1}
 		ends := []int{5, 5}
-		want, wantWidth, err := BuildMatrix(v, ex, sectors, ends, 3, 1)
+		want, wantWidth, err := buildMatrix(v, ex, sectors, ends, 3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

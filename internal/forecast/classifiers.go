@@ -178,11 +178,8 @@ func (m *ClassifierModel) fitLearner(c *Context, target Target, t, h, w int) (Tr
 		// Subset rows are bespoke: build and quantize them privately,
 		// bypassing the all-sector cache.
 		sectors, ends := trainingInstances(c, trainSectors, t-h)
-		x, wd, err := features.BuildMatrix(c.View, m.Extractor, sectors, ends, w, c.FitWorkers)
-		if err != nil {
-			return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
-		}
-		if bin, err = mltree.Bin(x, len(sectors), wd, c.FitWorkers); err != nil {
+		var err error
+		if bin, err = c.binInstances(m.Extractor, sectors, ends, w); err != nil {
 			return nil, nil, fmt.Errorf("forecast: building training matrix: %w", err)
 		}
 	}

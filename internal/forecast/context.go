@@ -295,16 +295,18 @@ func (c *Context) cachedBuild(key featcache.Key, build func() (*featcache.Matrix
 
 // BinnedTrainingMatrix returns the quantized Eq. 7 training matrix for a
 // fit with cutoff t-h: the TrainDays stacked all-sector blocks, binned
-// once with mltree.Bin — the one form every tree, forest and GBT fit
+// once with mltree.BinFill — the one form every tree, forest and GBT fit
 // reads. The handle is cached under (extractor, cutoff, w, TrainDays)
 // when the feature cache is enabled, so every tree of a forest, every
 // boosting round, every model sharing the extractor, and every grid point
-// on the same (t-h) anti-diagonal reuses one quantization; the float slab
-// it was binned from is not kept. Cut points sit at uniform quantiles,
-// which suits the models sharing a handle: they carry different sample
-// weights (balanced vs. unbalanced, per-tree bootstrap draws, per-round
-// boosting subsamples), so no one weighting could serve them all. Binning
-// is deterministic, so a cached handle is bit-identical to a fresh build.
+// on the same (t-h) anti-diagonal reuses one quantization. The float
+// values are extracted a stripe of columns at a time as they are binned,
+// so no float matrix of the build exists at any point. Cut points sit at
+// uniform quantiles, which suits the models sharing a handle: they carry
+// different sample weights (balanced vs. unbalanced, per-tree bootstrap
+// draws, per-round boosting subsamples), so no one weighting could serve
+// them all. Binning is deterministic, so a cached handle is bit-identical
+// to a fresh build.
 func (c *Context) BinnedTrainingMatrix(ex features.Extractor, t, h, w int) (*featcache.Matrix, error) {
 	cutoff := t - h
 	key := featcache.Key{Extractor: ex.Name(), End: cutoff, W: w, Days: c.TrainDays}
@@ -314,16 +316,23 @@ func (c *Context) BinnedTrainingMatrix(ex features.Extractor, t, h, w int) (*fea
 			all[i] = i
 		}
 		sectors, ends := trainingInstances(c, all, cutoff)
-		x, width, err := features.BuildMatrix(c.View, ex, sectors, ends, w, c.FitWorkers)
+		bn, err := c.binInstances(ex, sectors, ends, w)
 		if err != nil {
 			return nil, err
 		}
-		bn, err := mltree.Bin(x, len(sectors), width, c.FitWorkers)
-		if err != nil {
-			return nil, err
-		}
-		return &featcache.Matrix{Rows: len(sectors), Width: width, Bin: bn}, nil
+		return &featcache.Matrix{Rows: bn.N, Width: bn.F, Bin: bn}, nil
 	})
+}
+
+// binInstances quantizes the instances' feature vectors with
+// mltree.BinFill, which extracts them a stripe of columns at a time on
+// the fit workers: no n x F float matrix is built.
+func (c *Context) binInstances(ex features.Extractor, sectors, ends []int, w int) (*mltree.Binned, error) {
+	width, fill, err := features.InstanceFill(c.View, ex, sectors, ends, w)
+	if err != nil {
+		return nil, err
+	}
+	return mltree.BinFill(len(sectors), width, c.FitWorkers, fill)
 }
 
 // Model is a hot-spot forecaster. Given the data available at day t it

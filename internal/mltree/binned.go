@@ -4,20 +4,23 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
+	"repro/internal/mmapfile"
 	"repro/internal/parallel"
 	"repro/internal/randx"
 )
 
 // This file is the training engine (LightGBM-style), the only split
-// search there is: a Binner that quantizes a feature matrix once into at
-// most 256 uint8 bins per column, and histogram-based split searches for
-// the classification builder that scan O(bins) boundaries per candidate
-// feature instead of sorting the node's values. Bin thresholds are placed
-// at midpoints between adjacent bin extremes, so a tree grown on bin codes
-// applies unchanged to raw float features at predict time, and a feature
-// never carries more than DefaultMaxBins-1 distinct thresholds — the most
-// one code column of the flat layout holds.
+// search there is: a binner (BinFill) that quantizes a feature matrix once
+// into at most 256 uint8 bins per column, reading it a stripe of columns
+// at a time so the float matrix is never held whole, and histogram-based
+// split searches for the classification builder that scan O(bins)
+// boundaries per candidate feature instead of sorting the node's values.
+// Bin thresholds are placed at midpoints between adjacent bin extremes, so
+// a tree grown on bin codes applies unchanged to raw float features at
+// predict time, and a feature never carries more than DefaultMaxBins-1
+// distinct thresholds — the most one code column of the flat layout holds.
 //
 // The per-node cost model:
 //
@@ -29,13 +32,15 @@ import (
 // subtraction trick means only the smaller child of a split is ever
 // accumulated (the larger child's histograms are derived in place from the
 // parent's) — the right shape when the candidate subset is most of F (the
-// paper's Tree model evaluates 80% of features per split). In direct mode,
-// each node accumulates only its own candidate features, sparsely (lazily
-// cleared slots, touched-bin tracking) when the node is smaller than the
-// bin budget — the right shape for sqrt-feature forests and boosting,
-// where full-F histograms would mostly go unscanned. The strategy choice
-// is a pure function of node sizes and the feature rule — never of
-// scheduling — so a fit is reproducible at any worker count.
+// paper's Tree model evaluates 80% of features per split). Chain
+// histograms live outside the Go heap, in anonymous mappings that last one
+// fit. In direct mode, each node accumulates only its own candidate
+// features, sparsely (lazily cleared slots, touched-bin tracking) when the
+// node is smaller than the bin budget — the right shape for sqrt-feature
+// forests and boosting, where full-F histograms would mostly go unscanned.
+// The strategy choice is a pure function of node sizes and the feature
+// rule — never of scheduling — so a fit is reproducible at any worker
+// count.
 
 // SplitAlgo once selected between two split searches.
 //
@@ -58,7 +63,7 @@ const DefaultMaxBins = 256
 
 // Binned is a feature matrix quantized for histogram training: one uint8
 // bin code per cell plus, per feature, the float thresholds separating
-// adjacent bins. It is immutable after Bin and safe to share across
+// adjacent bins. It is immutable after BinFill and safe to share across
 // concurrent tree fits (a forest's trees, GBT rounds, and every model that
 // consumes the same training matrix).
 type Binned struct {
@@ -85,16 +90,37 @@ func (bn *Binned) Bytes() int64 {
 	return total
 }
 
-// Bin quantizes X (n x f, row-major, NaN-free) into at most
-// DefaultMaxBins bins per column, cut at uniform quantiles of the column
-// distribution: columns with at most DefaultMaxBins distinct values keep
-// every distinct value in its own bin, so small or categorical-like
-// columns lose nothing to quantization. Columns are independent and bin in
-// parallel on up to workers goroutines (<= 0 means GOMAXPROCS); the result
-// is bit-identical at any worker count.
+// binStripeCols is how many columns the binner asks its fill for at a
+// time. The stripe is held transposed, one contiguous column of n rows
+// each, so a build's float scratch is n x binStripeCols values, never the
+// n x f matrix, and a column's sort reads contiguous memory.
+const binStripeCols = 256
+
+// Bin quantizes X (n x f, row-major, NaN-free) with BinFill, copying its
+// stripes out of x: a matrix already in memory, as tests and benchmarks
+// hold. Training builds fill their stripes from the feature extractors
+// instead and never build X.
 func Bin(x []float64, n, f, workers int) (*Binned, error) {
-	if n <= 0 || f <= 0 || len(x) != n*f {
+	if len(x) != n*f {
 		return nil, fmt.Errorf("mltree: bad shapes: %d values for %dx%d", len(x), n, f)
+	}
+	return BinFill(n, f, workers, func(i, c0 int, out []float64) { copy(out, x[i*f+c0:]) })
+}
+
+// BinFill quantizes an n x f NaN-free matrix into at most DefaultMaxBins
+// bins per column, cut at uniform quantiles of the column distribution:
+// columns with at most DefaultMaxBins distinct values keep every distinct
+// value in its own bin, so small or categorical-like columns lose nothing
+// to quantization. The matrix is never materialised: fill(i, c0, out)
+// writes columns [c0, c0+len(out)) of row i into out, and BinFill asks for
+// one stripe of at most binStripeCols columns of every row at a time,
+// bins the stripe and reuses its buffer for the next. fill runs
+// concurrently for distinct rows. Rows fill, and columns bin, on up to
+// workers goroutines (<= 0 means GOMAXPROCS); the result is bit-identical
+// at any worker count.
+func BinFill(n, f, workers int, fill func(i, c0 int, out []float64)) (*Binned, error) {
+	if n <= 0 || f <= 0 {
+		return nil, fmt.Errorf("mltree: bad shapes: %dx%d", n, f)
 	}
 	bn := &Binned{
 		Codes:      make([]uint8, n*f),
@@ -103,51 +129,86 @@ func Bin(x []float64, n, f, workers int) (*Binned, error) {
 		Bins:       make([]int, f),
 		Thresholds: make([][]float64, f),
 	}
-	workers = parallel.Workers(workers, f)
-	chunk := (f + workers - 1) / workers
-	err := parallel.For(workers, workers, func(wi int) error {
-		vals := make([]float64, n)
-		for feat := wi * chunk; feat < min((wi+1)*chunk, f); feat++ {
-			if err := binColumn(x, n, f, feat, vals, bn); err != nil {
-				return err
+	const maxCuts = DefaultMaxBins - 1
+	width := min(f, binStripeCols)
+	workers = parallel.Workers(workers, max(n, width))
+	stripe := make([]float64, n*width)     // stripe column k at stripe[k*n:]
+	cuts := make([]float64, width*maxCuts) // its cut points at cuts[k*maxCuts:]
+	counts := make([]int, width)           // and their count
+	rows := make([]float64, workers*width) // worker wi's row at rows[wi*width:]
+	vals := make([]float64, workers*n)     // worker wi's sort buffer at vals[wi*n:]
+	rowChunk := (n + workers - 1) / workers
+	for c0 := 0; c0 < f; c0 += width {
+		s := min(width, f-c0)
+		// Filling cannot fail: fill returns nothing and the task returns nil.
+		_ = parallel.For(workers, workers, func(wi int) error {
+			row := rows[wi*width : wi*width+s]
+			for i := wi * rowChunk; i < min(n, (wi+1)*rowChunk); i++ {
+				fill(i, c0, row)
+				for k, v := range row {
+					stripe[k*n+i] = v
+				}
 			}
+			return nil
+		})
+		colChunk := (s + workers - 1) / workers
+		err := parallel.For(workers, workers, func(wi int) error {
+			for k := wi * colChunk; k < min(s, (wi+1)*colChunk); k++ {
+				var err error
+				counts[k], err = binColumn(stripe[k*n:(k+1)*n], vals[wi*n:(wi+1)*n], cuts[k*maxCuts:(k+1)*maxCuts], c0+k, bn)
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		// The stripe's cut points move into one exactly sized slab.
+		total := 0
+		for _, c := range counts[:s] {
+			total += c
+		}
+		slab := make([]float64, total)
+		for k, c := range counts[:s] {
+			copy(slab, cuts[k*maxCuts:k*maxCuts+c])
+			bn.Thresholds[c0+k] = slab[:c:c]
+			slab = slab[c:]
+		}
 	}
 	return bn, nil
 }
 
-// binColumn quantizes one column into bn (its own Codes stripe, Bins and
-// Thresholds entries — disjoint from every other column's, so columns bin
-// concurrently).
-func binColumn(x []float64, n, f, feat int, vals []float64, bn *Binned) error {
-	for i := 0; i < n; i++ {
-		v := x[i*f+feat]
+// binColumn quantizes column feat, whose n values are col, into bn (its
+// own Codes stripe and Bins entry, disjoint from every other column's, so
+// columns bin concurrently). It writes the column's cut points into cuts
+// and returns their count; vals is sort scratch of n values.
+func binColumn(col, vals, cuts []float64, feat int, bn *Binned) (int, error) {
+	for i, v := range col {
 		if math.IsNaN(v) {
-			return fmt.Errorf("mltree: NaN in feature %d (binning requires the NaN-free contract)", feat)
+			return 0, fmt.Errorf("mltree: NaN in feature %d (binning requires the NaN-free contract)", feat)
 		}
 		vals[i] = v
 	}
 	slices.Sort(vals)
-	thresholds := binThresholds(vals)
-	bn.Bins[feat] = len(thresholds) + 1
-	bn.Thresholds[feat] = thresholds
-	for i := 0; i < n; i++ {
-		bn.Codes[i*f+feat] = uint8(searchThresholds(thresholds, x[i*f+feat]))
+	k := binThresholds(vals, cuts)
+	bn.Bins[feat] = k + 1
+	f := bn.F
+	for i, v := range col {
+		bn.Codes[i*f+feat] = uint8(searchThresholds(cuts[:k], v))
 	}
-	return nil
+	return k, nil
 }
 
-// binThresholds computes one sorted column's cut points. Columns with at
-// most DefaultMaxBins distinct values cut between every adjacent pair
+// binThresholds writes one sorted column's cut points into cuts (room for
+// DefaultMaxBins-1) and returns their count. Columns with at most
+// DefaultMaxBins distinct values cut between every adjacent pair
 // (quantization-free); larger columns cut at uniform quantiles — the
 // current bin closes at the first value change past its share of the
 // remaining rows, re-spreading the bin budget so heavy repeated values
 // cannot starve the tail of the distribution.
-func binThresholds(vals []float64) []float64 {
+func binThresholds(vals, cuts []float64) int {
 	n := len(vals)
 	distinct := 1
 	for i := 1; i < n; i++ {
@@ -155,31 +216,31 @@ func binThresholds(vals []float64) []float64 {
 			distinct++
 		}
 	}
-	var thresholds []float64
+	k := 0
 	if distinct <= DefaultMaxBins {
-		thresholds = make([]float64, 0, distinct-1)
 		for i := 1; i < n; i++ {
 			if vals[i] != vals[i-1] {
-				thresholds = append(thresholds, midpoint(vals[i-1], vals[i]))
+				cuts[k] = midpoint(vals[i-1], vals[i])
+				k++
 			}
 		}
-		return thresholds
+		return k
 	}
-	bins, used := 0, 0
+	used := 0
 	for i := 1; i < n; i++ {
-		if vals[i] != vals[i-1] && bins < DefaultMaxBins-1 {
+		if vals[i] != vals[i-1] && k < DefaultMaxBins-1 {
 			// The bin closes once its rows reach an equal share of the
 			// rows left for the remaining bins.
-			remainingBins := float64(DefaultMaxBins - bins)
+			remainingBins := float64(DefaultMaxBins - k)
 			target := float64(used) + float64(n-used)/remainingBins
 			if float64(i) >= target {
-				thresholds = append(thresholds, midpoint(vals[i-1], vals[i]))
-				bins++
+				cuts[k] = midpoint(vals[i-1], vals[i])
+				k++
 				used = i
 			}
 		}
 	}
-	return thresholds
+	return k
 }
 
 // searchThresholds returns v's bin code: the first threshold index with
@@ -302,6 +363,12 @@ func growTree(bn *Binned, y, w []float64, cfg Config, rng *randx.RNG, classify b
 	for i := range idx {
 		idx[i] = int32(i)
 	}
+	defer func() {
+		for _, m := range b.hists {
+			// Unmapping a whole mapping Alloc made has no failure to act on.
+			_ = m.Close()
+		}
+	}()
 	// Chain mode pays for full-F histograms only when most features are
 	// candidates at every split; otherwise start (and stay) in direct mode.
 	var hist []float64
@@ -395,8 +462,11 @@ type grower struct {
 	binOffset []int
 	// histPool recycles chain-mode histogram buffers: at most O(log n) are
 	// live at a time because a fresh buffer is only ever needed for the
-	// smaller child.
+	// smaller child. Each buffer is an anonymous mapping outside the Go
+	// heap (hists), so a fit's histograms neither raise the collector's
+	// heap goal nor outlive it: growTree unmaps them all when it returns.
 	histPool [][]float64
+	hists    []*mmapfile.File
 	// Direct-mode scratch: every candidate feature's histogram, filled in
 	// one row-major pass per node (rows are contiguous in Codes, so this
 	// touches each row's cache lines once where a per-column gather would
@@ -422,7 +492,10 @@ func (b *grower) newHist() []float64 {
 		clear(h)
 		return h
 	}
-	return make([]float64, b.binOffset[len(b.binOffset)-1]*b.stride)
+	size := b.binOffset[len(b.binOffset)-1] * b.stride
+	m := mmapfile.Alloc(size * 8)
+	b.hists = append(b.hists, m)
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(m.Data()))), size)
 }
 
 func (b *grower) freeHist(h []float64) { b.histPool = append(b.histPool, h) }

@@ -38,13 +38,17 @@ func Open(path string) (*File, error) {
 
 // Alloc returns size zeroed, writable bytes in an anonymous private
 // mapping, outside the Go heap: the collector neither scans nor paces on
-// them. A zero size or any mmap failure degrades to a heap allocation, as
-// Open degrades to a heap read.
+// them. The mapping is advised for transparent huge pages, so filling it
+// takes one fault per 2 MiB instead of one per 4 KiB page where the
+// kernel honours the advice. A zero size or any mmap failure degrades to
+// a heap allocation, as Open degrades to a heap read.
 func Alloc(size int) *File {
 	data, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
 	if err != nil {
 		return heapAlloc(size)
 	}
+	// Advice only: a kernel without huge pages leaves the mapping as is.
+	_ = syscall.Madvise(data, syscall.MADV_HUGEPAGE)
 	return &File{data: data, mapped: true}
 }
 

@@ -7,9 +7,14 @@
 // (simnet.LoadFile) lets the KPI tensor K be read in place instead of
 // copied to the heap. A file must be replaced by rename while a process
 // maps it, never rewritten in place. Alloc maps writable anonymous
-// memory; it holds a generated K (simnet.Generate), the largest object
-// in the process, where the garbage collector neither scans it nor sizes
-// the heap goal by it.
+// memory, where the garbage collector neither scans the bytes nor sizes
+// the heap goal by them. It holds a generated K (simnet.Generate), the
+// largest object in the process, and the tree grower's chain-mode
+// histograms (mltree), an arena of a few buffers of up to tens of MB that
+// lives for one fit and is unmapped when the fit returns. On linux Alloc
+// advises its mappings for transparent huge pages: a fit that faulted its
+// fresh histograms in 4 KiB pages ran 10-25% slower than one on 2 MiB
+// pages.
 package mmapfile
 
 import (
